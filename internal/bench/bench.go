@@ -245,9 +245,13 @@ func emuStepBench(insts *uint64) func(*testing.B) {
 		if err := grp.RunFunctional(); err != nil {
 			b.Fatal(err)
 		}
+		// Assign, never accumulate: testing.Benchmark calls this function
+		// once per ramp round.
+		var total uint64
 		for _, w := range grp.Warps {
-			*insts += w.InstCount()
+			total += w.InstCount()
 		}
+		*insts = total
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"container/heap"
+	"math"
+	"math/rand"
 	"testing"
 
 	"photon/internal/core/bbv"
@@ -478,5 +481,74 @@ func TestPhotonMetricsRecorded(t *testing.T) {
 		snap.SumCounters("sim_cache_misses_total", obs.L("level", "L1V"))
 	if l1v == 0 {
 		t.Fatal("GPU cache telemetry not recorded during Photon detailed phase")
+	}
+}
+
+// refServerHeap and refPredictMakespan are the container/heap list scheduler
+// PredictMakespan used before its typed replace-top heap, kept as the
+// reference the production code must match bit for bit.
+type refServerHeap []float64
+
+func (h refServerHeap) Len() int           { return len(h) }
+func (h refServerHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h refServerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refServerHeap) Push(x any)        { *h = append(*h, x.(float64)) }
+func (h *refServerHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
+
+func refPredictMakespan(rampStart, rampEnd float64, groupDurations []float64, shape MachineShape) float64 {
+	if len(groupDurations) == 0 {
+		return rampEnd
+	}
+	if rampEnd < rampStart {
+		rampEnd = rampStart
+	}
+	servers := shape.GroupServers()
+	h := make(refServerHeap, servers)
+	for i := range h {
+		h[i] = rampStart + (rampEnd-rampStart)*float64(i)/float64(servers)
+	}
+	heap.Init(&h)
+	end := rampEnd
+	for _, d := range groupDurations {
+		t := heap.Pop(&h).(float64)
+		done := t + d
+		if done > end {
+			end = done
+		}
+		heap.Push(&h, done)
+	}
+	return end
+}
+
+// TestMakespanMatchesContainerHeap checks PredictMakespan and
+// UniformMakespan against the reference on randomized shapes, ramps and
+// durations, comparing float64 bits.
+func TestMakespanMatchesContainerHeap(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 2000; trial++ {
+		shape := MachineShape{NumCUs: 1 + r.Intn(64), WarpSlotsPer: 1 + r.Intn(40), WarpsPerGroup: 1 + r.Intn(16)}
+		start := r.Float64() * 1e6
+		end := start + (r.Float64()-0.2)*1e5 // sometimes before start: the clamp
+		durations := make([]float64, r.Intn(600))
+		scale := math.Pow(10, float64(r.Intn(6)))
+		for i := range durations {
+			durations[i] = r.Float64() * scale
+			if r.Intn(8) == 0 && i > 0 {
+				durations[i] = durations[i-1] // ties
+			}
+		}
+		want := refPredictMakespan(start, end, durations, shape)
+		if got := PredictMakespan(start, end, durations, shape); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: PredictMakespan = %v, container/heap reference %v", trial, got, want)
+		}
+		d, n := r.Float64()*scale, r.Intn(3000)
+		uniform := make([]float64, n)
+		for i := range uniform {
+			uniform[i] = d
+		}
+		want = refPredictMakespan(start, end, uniform, shape)
+		if got := UniformMakespan(start, end, d, n, shape); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: UniformMakespan(%v x %d) = %v, container/heap reference %v", trial, d, n, got, want)
+		}
 	}
 }

@@ -1,7 +1,5 @@
 package core
 
-import "container/heap"
-
 // MachineShape is what the scheduler-only model needs to know about the GPU:
 // how many workgroups can be resident at once. Warp-sampling "only simulates
 // the scheduler" (Section 4.2); this greedy list-scheduler is that model.
@@ -20,13 +18,45 @@ func (s MachineShape) GroupServers() int {
 	return perCU * s.NumCUs
 }
 
-type serverHeap []float64
+// slotHeap is a min-heap of the times at which the machine's group slots
+// next fall free. The list scheduler only ever takes the earliest slot and
+// gives it back with a later time, so the one operation is replace-top
+// (place): no boxing, and one sift instead of a pop and a push.
+type slotHeap []float64
 
-func (h serverHeap) Len() int           { return len(h) }
-func (h serverHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h serverHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *serverHeap) Push(x any)        { *h = append(*h, x.(float64)) }
-func (h *serverHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
+// rampSlots returns the heap of slot-free times along the dispatch ramp.
+// rampEnd >= rampStart makes the times ascending, which is already heap
+// order.
+func rampSlots(rampStart, rampEnd float64, shape MachineShape) slotHeap {
+	h := make(slotHeap, shape.GroupServers())
+	for i := range h {
+		h[i] = rampStart + (rampEnd-rampStart)*float64(i)/float64(len(h))
+	}
+	return h
+}
+
+// place runs a group of duration d on the earliest-free slot and returns
+// its completion time, which becomes that slot's next free time.
+func (h slotHeap) place(d float64) float64 {
+	v := h[0] + d
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if !(h[c] < v) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = v
+	return v
+}
 
 // PredictMakespan list-schedules the remaining workgroups (given their
 // predicted durations, in dispatch order) onto the machine's group slots and
@@ -42,20 +72,12 @@ func PredictMakespan(rampStart, rampEnd float64, groupDurations []float64, shape
 	if rampEnd < rampStart {
 		rampEnd = rampStart
 	}
-	servers := shape.GroupServers()
-	h := make(serverHeap, servers)
-	for i := range h {
-		h[i] = rampStart + (rampEnd-rampStart)*float64(i)/float64(servers)
-	}
-	heap.Init(&h)
+	h := rampSlots(rampStart, rampEnd, shape)
 	end := rampEnd
 	for _, d := range groupDurations {
-		t := heap.Pop(&h).(float64)
-		done := t + d
-		if done > end {
+		if done := h.place(d); done > end {
 			end = done
 		}
-		heap.Push(&h, done)
 	}
 	return end
 }
@@ -67,9 +89,15 @@ func UniformMakespan(rampStart, rampEnd, duration float64, count int, shape Mach
 	if count <= 0 {
 		return rampEnd
 	}
-	durations := make([]float64, count)
-	for i := range durations {
-		durations[i] = duration
+	if rampEnd < rampStart {
+		rampEnd = rampStart
 	}
-	return PredictMakespan(rampStart, rampEnd, durations, shape)
+	h := rampSlots(rampStart, rampEnd, shape)
+	end := rampEnd
+	for ; count > 0; count-- {
+		if done := h.place(duration); done > end {
+			end = done
+		}
+	}
+	return end
 }

@@ -63,3 +63,28 @@ func TestResetMatchesNewWarp(t *testing.T) {
 		t.Fatal("recycled and fresh warps finished differently")
 	}
 }
+
+// TestReplayerRunRangeZeroAlloc pins the bulk fast-forward path: a built
+// Replayer replays workgroup ranges — bind pass, segment stepping, vector
+// gathers and scatters, the visit callback — without allocating.
+func TestReplayerRunRangeZeroAlloc(t *testing.T) {
+	l, _, _, _ := vecAddLaunch(t, 4*64, 4)
+	r := NewReplayer(l, 3) // 4 workgroups in passes of 3 and 1
+	var insts uint64
+	visit := func(_ int, warps []Warp) {
+		for i := range warps {
+			insts += warps[i].InstCount()
+		}
+	}
+	if err := r.RunRange(0, l.NumWorkgroups, visit); err != nil {
+		t.Fatal(err)
+	}
+	testutil.MustZeroAllocs(t, "emu.Replayer.RunRange", func() {
+		if err := r.RunRange(0, l.NumWorkgroups, visit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if insts == 0 {
+		t.Fatal("replay executed no instructions")
+	}
+}

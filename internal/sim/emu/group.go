@@ -77,7 +77,6 @@ func (g *Group) RunFunctional() error {
 // completion with barrier alternation. warps is the contiguous slice of
 // handles for the workgroup; Group and Replayer share this loop.
 func runWarpsFunctional(l *kernel.Launch, groupID int, warps []Warp) error {
-	var info StepInfo
 	for {
 		allDone := true
 		anyAtBarrier := false
@@ -87,10 +86,7 @@ func runWarpsFunctional(l *kernel.Launch, groupID int, warps []Warp) error {
 				continue
 			}
 			allDone = false
-			// Run the warp's next segment: until barrier or completion.
-			for !w.Done() && !w.AtBarrier() {
-				w.Step(&info)
-			}
+			w.runSegment() // until barrier or completion
 			if w.AtBarrier() {
 				anyAtBarrier = true
 			}

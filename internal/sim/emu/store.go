@@ -26,9 +26,15 @@ const (
 // serial paths bind the launch's *mem.Flat directly; the quantum-laned
 // engine binds a per-lane *mem.FlatView so concurrent lanes never share
 // Flat's unlocked page cache.
+//
+// Gather32 and Scatter32 move one word per address in index order, so a
+// vector load or store is one dynamic call for the whole instruction;
+// Read32 and Write32 serve scalar loads and the lane-ordered atomics.
 type Memory interface {
 	Read32(addr uint64) uint32
 	Write32(addr uint64, v uint32)
+	Gather32(addrs []uint64, out []uint32)
+	Scatter32(addrs []uint64, vals []uint32)
 }
 
 // WarpStore holds the architectural state of many warps in
@@ -92,6 +98,13 @@ type WarpStore struct {
 	// StepInfo.AtomicVals/AtomicLanes alias, with addrBuf's lifetime rules.
 	atomVal  [kernel.WavefrontSize]uint32
 	atomLane [kernel.WavefrontSize]uint8
+
+	// valBuf stages the lane-compacted values of a partial-EXEC vector load
+	// or store; bcast[n] is the broadcast window of a vector instruction's
+	// n-th source (see frame.vsrc). Both are dead once the instruction has
+	// executed.
+	valBuf lanes
+	bcast  [3]lanes
 }
 
 // NewWarpStore builds a store for the launch with the given slot capacity.

@@ -11,37 +11,43 @@ package emu
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
 )
 
 // StepKind tells the timing model what a step did.
-type StepKind uint8
+type StepKind = isa.StepKind
 
 const (
-	StepALU StepKind = iota
-	StepVectorMem
-	StepAtomic
-	StepScalarMem
-	StepLDS
-	StepBarrier
-	StepWaitcnt
-	StepDone
+	StepALU       = isa.StepALU
+	StepVectorMem = isa.StepVectorMem
+	StepAtomic    = isa.StepAtomic
+	StepScalarMem = isa.StepScalarMem
+	StepLDS       = isa.StepLDS
+	StepBarrier   = isa.StepBarrier
+	StepWaitcnt   = isa.StepWaitcnt
+	StepDone      = isa.StepDone
 )
 
 // StepInfo reports the side effects of executing one instruction, for the
-// timing model's consumption. Addrs aliases the warp's store-shared scratch
-// buffer and is only valid until the next Step on any warp of that store.
+// timing model's consumption. Step always sets the static fields (Kind
+// through BlockIdx, copied from the instruction's micro-op); the dynamic
+// ones are set only by the kinds that have them — Addrs by StepVectorMem and
+// StepAtomic, SAddr by StepScalarMem, AtomicVals/AtomicLanes by a deferred
+// StepAtomic — and otherwise keep whatever an earlier Step left. Addrs
+// aliases the warp's store-shared scratch buffer and is only valid until
+// the next Step on any warp of that store.
 type StepInfo struct {
 	Kind     StepKind
+	Class    isa.FUClass // functional unit the instruction issues to
 	Inst     *isa.Inst
 	IsStore  bool
-	Addrs    []uint64 // per-active-lane byte addresses for vector memory
-	SAddr    uint64   // address for scalar loads
 	EnteredB bool     // this instruction is the first of a basic block
 	BlockIdx int      // static basic-block index containing the instruction
+	Addrs    []uint64 // per-active-lane byte addresses for vector memory
+	SAddr    uint64   // address for scalar loads
 
 	// AtomicVals/AtomicLanes are the captured per-lane operand values and
 	// lane indices of a deferred atomic (SetDeferAtomics mode). They alias
@@ -145,63 +151,7 @@ func (w *Warp) vregs() []uint32 {
 }
 
 // ActiveLanes returns the number of lanes enabled in EXEC.
-func (w *Warp) ActiveLanes() int { return popcount(w.Exec()) }
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
-// sread reads a scalar source from the hoisted SGPR window.
-func (w *Warp) sread(sgpr []uint32, o isa.Operand) uint32 {
-	switch o.Kind {
-	case isa.OperandSReg:
-		return sgpr[o.Idx]
-	case isa.OperandImm:
-		return uint32(o.Imm)
-	}
-	return badOperand(w.Launch.Name, "scalar", o.Kind)
-}
-
-//go:noinline
-func badOperand(name, class string, k isa.OperandKind) uint32 {
-	panic(fmt.Sprintf("emu: %s: bad %s operand kind %d", name, class, k))
-}
-
-// vsrc resolves a vector-instruction source once per instruction rather than
-// once per lane: a VReg source yields its wavefront-sized lane window,
-// scalar registers and immediates a broadcast value. Sources an op does not
-// declare (OperandNone) are never read and resolve to a zero broadcast.
-func vsrc(sgpr, vgpr []uint32, o isa.Operand) (lanes []uint32, bcast uint32) {
-	switch o.Kind {
-	case isa.OperandVReg:
-		base := int(o.Idx) * kernel.WavefrontSize
-		return vgpr[base : base+kernel.WavefrontSize], 0
-	case isa.OperandSReg:
-		return nil, sgpr[o.Idx]
-	case isa.OperandImm:
-		return nil, uint32(o.Imm)
-	}
-	return nil, 0
-}
-
-// lv reads one lane of a source resolved by vsrc.
-func lv(lanes []uint32, bcast uint32, lane int) uint32 {
-	if lanes != nil {
-		return lanes[lane]
-	}
-	return bcast
-}
-
-// vdst returns the destination register's lane window.
-func vdst(vgpr []uint32, o isa.Operand) []uint32 {
-	base := int(o.Idx) * kernel.WavefrontSize
-	return vgpr[base : base+kernel.WavefrontSize]
-}
+func (w *Warp) ActiveLanes() int { return bits.OnesCount64(w.Exec()) }
 
 // SReg returns scalar register i (for tests and debugging).
 func (w *Warp) SReg(i int) uint32 { return w.sregs()[i] }
@@ -209,386 +159,83 @@ func (w *Warp) SReg(i int) uint32 { return w.sregs()[i] }
 // VReg returns vector register i of the given lane (for tests).
 func (w *Warp) VReg(i, lane int) uint32 { return w.vregs()[i*kernel.WavefrontSize+lane] }
 
-func f32(bits uint32) float32 { return math.Float32frombits(bits) }
-func bits32(f float32) uint32 { return math.Float32bits(f) }
-func sext(v uint32) int32     { return int32(v) }
-
-// Step executes the instruction at PC and advances the warp. It must not be
-// called on a Done warp; callers resume barriers by ClearBarrier. The SGPR
-// and VGPR windows are hoisted once per instruction so the hot loop indexes
-// flat slices instead of re-slicing the slabs per operand.
+// Step executes the instruction at PC and advances the warp: one exec of the
+// instruction's micro-op, plus the StepInfo the timing model consumes. It
+// must not be called on a Done warp; callers resume barriers by
+// ClearBarrier.
 func (w *Warp) Step(info *StepInfo) {
-	st := w.store
-	slot := w.slot
+	st, slot := w.store, w.slot
 	if st.flags[slot]&flagDone != 0 {
 		panic(fmt.Sprintf("emu: %s warp %d stepped after s_endpgm", w.Launch.Name, w.GlobalID))
 	}
 	p := w.Launch.Program
 	pc := int(st.pc[slot])
-	in := &p.Insts[pc]
-	*info = StepInfo{Kind: StepALU, Inst: in, BlockIdx: p.BlockIndexAt(pc)}
-	if p.BlockStartsAt(pc) {
-		info.EnteredB = true
-		st.bb[slot*st.blocks+info.BlockIdx]++
+	u := &p.MicroOps()[pc]
+	if u.Head {
+		st.bb[slot*st.blocks+int(u.Block)]++
 	}
 	st.instCount[slot]++
-	nextPC := pc + 1
-	sgpr := st.sgpr[slot*st.sregs : (slot+1)*st.sregs]
 
-	switch in.Op {
-	// ---- scalar ALU ----
-	case isa.OpSMov:
-		sgpr[in.Dst.Idx] = w.sread(sgpr, in.Src0)
-	case isa.OpSAdd:
-		sgpr[in.Dst.Idx] = w.sread(sgpr, in.Src0) + w.sread(sgpr, in.Src1)
-	case isa.OpSSub:
-		sgpr[in.Dst.Idx] = w.sread(sgpr, in.Src0) - w.sread(sgpr, in.Src1)
-	case isa.OpSMul:
-		sgpr[in.Dst.Idx] = uint32(sext(w.sread(sgpr, in.Src0)) * sext(w.sread(sgpr, in.Src1)))
-	case isa.OpSLShl:
-		sgpr[in.Dst.Idx] = w.sread(sgpr, in.Src0) << (w.sread(sgpr, in.Src1) & 31)
-	case isa.OpSLShr:
-		sgpr[in.Dst.Idx] = w.sread(sgpr, in.Src0) >> (w.sread(sgpr, in.Src1) & 31)
-	case isa.OpSAnd:
-		sgpr[in.Dst.Idx] = w.sread(sgpr, in.Src0) & w.sread(sgpr, in.Src1)
-	case isa.OpSOr:
-		sgpr[in.Dst.Idx] = w.sread(sgpr, in.Src0) | w.sread(sgpr, in.Src1)
-	case isa.OpSXor:
-		sgpr[in.Dst.Idx] = w.sread(sgpr, in.Src0) ^ w.sread(sgpr, in.Src1)
-	case isa.OpSMin:
-		a, b := sext(w.sread(sgpr, in.Src0)), sext(w.sread(sgpr, in.Src1))
-		if b < a {
-			a = b
-		}
-		sgpr[in.Dst.Idx] = uint32(a)
-	case isa.OpSMax:
-		a, b := sext(w.sread(sgpr, in.Src0)), sext(w.sread(sgpr, in.Src1))
-		if b > a {
-			a = b
-		}
-		sgpr[in.Dst.Idx] = uint32(a)
-	case isa.OpSDiv:
-		sgpr[in.Dst.Idx] = w.sread(sgpr, in.Src0) / w.sread(sgpr, in.Src1)
-	case isa.OpSMod:
-		sgpr[in.Dst.Idx] = w.sread(sgpr, in.Src0) % w.sread(sgpr, in.Src1)
-	case isa.OpSCmpLt:
-		st.setSCC(slot, sext(w.sread(sgpr, in.Src0)) < sext(w.sread(sgpr, in.Src1)))
-	case isa.OpSCmpLe:
-		st.setSCC(slot, sext(w.sread(sgpr, in.Src0)) <= sext(w.sread(sgpr, in.Src1)))
-	case isa.OpSCmpEq:
-		st.setSCC(slot, w.sread(sgpr, in.Src0) == w.sread(sgpr, in.Src1))
-	case isa.OpSCmpNe:
-		st.setSCC(slot, w.sread(sgpr, in.Src0) != w.sread(sgpr, in.Src1))
-	case isa.OpSCmpGt:
-		st.setSCC(slot, sext(w.sread(sgpr, in.Src0)) > sext(w.sread(sgpr, in.Src1)))
-	case isa.OpSCmpGe:
-		st.setSCC(slot, sext(w.sread(sgpr, in.Src0)) >= sext(w.sread(sgpr, in.Src1)))
+	var f frame
+	f.load(w)
+	st.pc[slot] = int32(f.exec(u, pc))
+	f.save()
 
-	// ---- vector ALU ----
-	case isa.OpVMov, isa.OpVAdd, isa.OpVSub, isa.OpVMul, isa.OpVMad,
-		isa.OpVLShl, isa.OpVLShr, isa.OpVAnd, isa.OpVOr, isa.OpVXor,
-		isa.OpVMin, isa.OpVMax, isa.OpVDiv, isa.OpVMod,
-		isa.OpVFAdd, isa.OpVFSub, isa.OpVFMul, isa.OpVFFma, isa.OpVFMin,
-		isa.OpVFMax, isa.OpVFRcp, isa.OpVFSqrt, isa.OpVFExp, isa.OpVFAbs,
-		isa.OpVCvtI2F, isa.OpVCvtF2I:
-		w.vectorALU(in, sgpr)
-
-	// ---- vector compares ----
-	case isa.OpVCmpLt, isa.OpVCmpLe, isa.OpVCmpEq, isa.OpVCmpNe,
-		isa.OpVCmpGt, isa.OpVCmpGe, isa.OpVFCmpLt, isa.OpVFCmpGt:
-		w.vectorCmp(in, sgpr)
-
-	// ---- exec mask ----
-	case isa.OpSAndSaveExec:
-		st.masks[slot*maskSlots+int(in.Dst.Idx)] = st.exec[slot]
-		st.exec[slot] &= st.vcc[slot]
-	case isa.OpSAndNotExec:
-		st.exec[slot] = st.masks[slot*maskSlots+int(in.Src0.Idx)] &^ st.vcc[slot]
-	case isa.OpSSetExec:
-		st.exec[slot] = st.masks[slot*maskSlots+int(in.Src0.Idx)]
-	case isa.OpSMovExecAll:
-		st.exec[slot] = ^uint64(0)
-
-	// ---- memory ----
-	case isa.OpSLoad:
-		addr := uint64(w.sread(sgpr, in.Src0)) + uint64(int64(in.Offset))
-		sgpr[in.Dst.Idx] = st.mem.Read32(addr)
-		info.Kind = StepScalarMem
-		info.SAddr = addr
-	case isa.OpVLoad:
-		w.vectorMem(in, info, sgpr, false)
-	case isa.OpVStore:
-		w.vectorMem(in, info, sgpr, true)
-	case isa.OpVAtomicAdd, isa.OpVAtomicMax, isa.OpVAtomicMin, isa.OpVAtomicFAdd:
-		w.atomicMem(in, info, sgpr)
-	case isa.OpLDSLoad:
-		w.ldsAccess(in, info, sgpr, false)
-	case isa.OpLDSStore:
-		w.ldsAccess(in, info, sgpr, true)
-
-	// ---- control ----
-	case isa.OpSBranch:
-		nextPC = in.Target
-	case isa.OpCBranchSCC0:
-		if !st.scc(slot) {
-			nextPC = in.Target
+	info.Kind = u.Step
+	info.Class = u.Class
+	info.Inst = &p.Insts[pc]
+	info.IsStore = u.Store
+	info.EnteredB = u.Head
+	info.BlockIdx = int(u.Block)
+	switch u.Step {
+	case StepVectorMem:
+		info.Addrs = st.addrBuf[:f.nAddr]
+	case StepAtomic:
+		info.Addrs = st.addrBuf[:f.nAddr]
+		if st.deferAtomics {
+			info.AtomicVals = st.atomVal[:f.nAddr]
+			info.AtomicLanes = st.atomLane[:f.nAddr]
 		}
-	case isa.OpCBranchSCC1:
-		if st.scc(slot) {
-			nextPC = in.Target
-		}
-	case isa.OpCBranchVCCZ:
-		if st.vcc[slot] == 0 {
-			nextPC = in.Target
-		}
-	case isa.OpCBranchVCCNZ:
-		if st.vcc[slot] != 0 {
-			nextPC = in.Target
-		}
-	case isa.OpCBranchExecZ:
-		if st.exec[slot] == 0 {
-			nextPC = in.Target
-		}
-	case isa.OpCBranchExecNZ:
-		if st.exec[slot] != 0 {
-			nextPC = in.Target
-		}
-	case isa.OpSBarrier:
-		st.flags[slot] |= flagBarrier
-		info.Kind = StepBarrier
-	case isa.OpSWaitcnt:
-		st.outMem[slot] = 0
-		info.Kind = StepWaitcnt
-	case isa.OpSNop:
-		// nothing
-	case isa.OpSEndpgm:
-		st.flags[slot] |= flagDone
-		info.Kind = StepDone
-	default:
-		panic(fmt.Sprintf("emu: %s: unimplemented op %s", w.Launch.Name, in.Op))
-	}
-
-	st.pc[slot] = int32(nextPC)
-}
-
-func (w *Warp) vectorALU(in *isa.Inst, sgpr []uint32) {
-	vgpr := w.vregs()
-	exec := w.store.exec[w.slot]
-	l0, b0 := vsrc(sgpr, vgpr, in.Src0)
-	l1, b1 := vsrc(sgpr, vgpr, in.Src1)
-	l2, b2 := vsrc(sgpr, vgpr, in.Src2)
-	dst := vdst(vgpr, in.Dst)
-	for lane := 0; lane < kernel.WavefrontSize; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
-		}
-		a, b := lv(l0, b0, lane), lv(l1, b1, lane)
-		var r uint32
-		switch in.Op {
-		case isa.OpVMov:
-			r = a
-		case isa.OpVAdd:
-			r = a + b
-		case isa.OpVSub:
-			r = a - b
-		case isa.OpVMul:
-			r = uint32(sext(a) * sext(b))
-		case isa.OpVMad:
-			r = uint32(sext(a)*sext(b)) + lv(l2, b2, lane)
-		case isa.OpVLShl:
-			r = a << (b & 31)
-		case isa.OpVLShr:
-			r = a >> (b & 31)
-		case isa.OpVAnd:
-			r = a & b
-		case isa.OpVOr:
-			r = a | b
-		case isa.OpVXor:
-			r = a ^ b
-		case isa.OpVMin:
-			x, y := sext(a), sext(b)
-			if y < x {
-				x = y
-			}
-			r = uint32(x)
-		case isa.OpVMax:
-			x, y := sext(a), sext(b)
-			if y > x {
-				x = y
-			}
-			r = uint32(x)
-		case isa.OpVDiv:
-			r = a / b
-		case isa.OpVMod:
-			r = a % b
-		case isa.OpVFAdd:
-			r = bits32(f32(a) + f32(b))
-		case isa.OpVFSub:
-			r = bits32(f32(a) - f32(b))
-		case isa.OpVFMul:
-			r = bits32(f32(a) * f32(b))
-		case isa.OpVFFma:
-			r = bits32(f32(a)*f32(b) + f32(lv(l2, b2, lane)))
-		case isa.OpVFMin:
-			r = bits32(float32(math.Min(float64(f32(a)), float64(f32(b)))))
-		case isa.OpVFMax:
-			r = bits32(float32(math.Max(float64(f32(a)), float64(f32(b)))))
-		case isa.OpVFRcp:
-			r = bits32(1 / f32(a))
-		case isa.OpVFSqrt:
-			r = bits32(float32(math.Sqrt(float64(f32(a)))))
-		case isa.OpVFExp:
-			r = bits32(float32(math.Exp(float64(f32(a)))))
-		case isa.OpVFAbs:
-			r = bits32(float32(math.Abs(float64(f32(a)))))
-		case isa.OpVCvtI2F:
-			r = bits32(float32(sext(a)))
-		case isa.OpVCvtF2I:
-			r = uint32(int32(f32(a)))
-		}
-		dst[lane] = r
+	case StepScalarMem:
+		info.SAddr = f.saddr
 	}
 }
 
-func (w *Warp) vectorCmp(in *isa.Inst, sgpr []uint32) {
-	vgpr := w.vregs()
-	exec := w.store.exec[w.slot]
-	l0, b0 := vsrc(sgpr, vgpr, in.Src0)
-	l1, b1 := vsrc(sgpr, vgpr, in.Src1)
-	var vcc uint64
-	for lane := 0; lane < kernel.WavefrontSize; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
-		}
-		a, b := lv(l0, b0, lane), lv(l1, b1, lane)
-		var t bool
-		switch in.Op {
-		case isa.OpVCmpLt:
-			t = sext(a) < sext(b)
-		case isa.OpVCmpLe:
-			t = sext(a) <= sext(b)
-		case isa.OpVCmpEq:
-			t = a == b
-		case isa.OpVCmpNe:
-			t = a != b
-		case isa.OpVCmpGt:
-			t = sext(a) > sext(b)
-		case isa.OpVCmpGe:
-			t = sext(a) >= sext(b)
-		case isa.OpVFCmpLt:
-			t = f32(a) < f32(b)
-		case isa.OpVFCmpGt:
-			t = f32(a) > f32(b)
-		}
-		if t {
-			vcc |= 1 << uint(lane)
-		}
-	}
-	w.store.vcc[w.slot] = vcc
-}
-
-func (w *Warp) vectorMem(in *isa.Inst, info *StepInfo, sgpr []uint32, store bool) {
-	info.Kind = StepVectorMem
-	info.IsStore = store
-	st := w.store
-	vgpr := w.vregs()
-	exec := st.exec[w.slot]
-	la, ba := vsrc(sgpr, vgpr, in.Src0)
-	lval, bval := vsrc(sgpr, vgpr, in.Src1)
-	var dst []uint32
-	if !store {
-		dst = vdst(vgpr, in.Dst)
-	}
-	n := 0
-	memArena := st.mem
-	for lane := 0; lane < kernel.WavefrontSize; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
-		}
-		addr := uint64(lv(la, ba, lane)) + uint64(int64(in.Offset))
-		st.addrBuf[n] = addr
-		n++
-		if store {
-			memArena.Write32(addr, lv(lval, bval, lane))
-		} else {
-			dst[lane] = memArena.Read32(addr)
-		}
-	}
-	info.Addrs = st.addrBuf[:n]
-	st.outMem[w.slot]++
-}
-
-// atomicMem executes a per-lane read-modify-write. Lanes resolve in lane
-// order, making intra-warp conflicts on one address deterministic.
-func (w *Warp) atomicMem(in *isa.Inst, info *StepInfo, sgpr []uint32) {
-	info.Kind = StepAtomic
-	info.IsStore = true
-	st := w.store
-	vgpr := w.vregs()
-	exec := st.exec[w.slot]
-	la, ba := vsrc(sgpr, vgpr, in.Src0)
-	lval, bval := vsrc(sgpr, vgpr, in.Src1)
-	if st.deferAtomics {
-		n := 0
-		for lane := 0; lane < kernel.WavefrontSize; lane++ {
-			if exec&(1<<uint(lane)) == 0 {
-				continue
-			}
-			st.addrBuf[n] = uint64(lv(la, ba, lane)) + uint64(int64(in.Offset))
-			st.atomVal[n] = lv(lval, bval, lane)
-			st.atomLane[n] = uint8(lane)
-			n++
-		}
-		info.Addrs = st.addrBuf[:n]
-		info.AtomicVals = st.atomVal[:n]
-		info.AtomicLanes = st.atomLane[:n]
-		st.outMem[w.slot]++
+// runSegment fast-forwards the warp to its next s_barrier or s_endpgm — the
+// unit the functional group loop schedules — with the frame hoisted once
+// for the whole run and no StepInfo. Basic blocks end at branches, barriers
+// and s_endpgm and are only ever entered at their head, so the BBV and the
+// instruction count are bumped once per block entry rather than once per
+// instruction.
+func (w *Warp) runSegment() {
+	st, slot := w.store, w.slot
+	var f frame
+	f.load(w)
+	if f.flags&(flagDone|flagBarrier) != 0 {
 		return
 	}
-	var dst []uint32
-	if in.Dst.Kind == isa.OperandVReg {
-		dst = vdst(vgpr, in.Dst)
+	p := w.Launch.Program
+	uops := p.MicroOps()
+	bb := st.bb[slot*st.blocks : (slot+1)*st.blocks]
+	insts := st.instCount[slot]
+	pc := int(st.pc[slot])
+	if u := &uops[pc]; !u.Head {
+		// A caller single-stepped into this block: its head was counted
+		// then, the rest of it is counted here.
+		b := p.Blocks[u.Block]
+		insts += uint64(b.StartPC + b.Len - pc)
 	}
-	n := 0
-	memArena := st.mem
-	for lane := 0; lane < kernel.WavefrontSize; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
+	for f.flags&(flagDone|flagBarrier) == 0 {
+		u := &uops[pc]
+		if u.Head {
+			bb[u.Block]++
+			insts += uint64(u.BlockLen)
 		}
-		addr := uint64(lv(la, ba, lane)) + uint64(int64(in.Offset))
-		st.addrBuf[n] = addr
-		n++
-		old := memArena.Read32(addr)
-		val := lv(lval, bval, lane)
-		next := atomicRMW(in.Op, old, val)
-		memArena.Write32(addr, next)
-		if dst != nil {
-			dst[lane] = old
-		}
+		pc = f.exec(u, pc)
 	}
-	info.Addrs = st.addrBuf[:n]
-	st.outMem[w.slot]++
-}
-
-// atomicRMW computes the next memory value of one atomic lane.
-func atomicRMW(op isa.Op, old, val uint32) uint32 {
-	switch op {
-	case isa.OpVAtomicAdd:
-		return old + val
-	case isa.OpVAtomicMax:
-		if sext(val) > sext(old) {
-			return val
-		}
-		return old
-	case isa.OpVAtomicMin:
-		if sext(val) < sext(old) {
-			return val
-		}
-		return old
-	case isa.OpVAtomicFAdd:
-		return bits32(f32(old) + f32(val))
-	}
-	panic(fmt.Sprintf("emu: atomicRMW on non-atomic op %s", op))
+	st.pc[slot] = int32(pc)
+	st.instCount[slot] = insts
+	f.save()
 }
 
 // ApplyAtomic replays a deferred atomic captured by Step under
@@ -602,47 +249,15 @@ func (w *Warp) ApplyAtomic(in *isa.Inst, addrs []uint64, vals []uint32, lanes []
 	st := w.store
 	var dst []uint32
 	if in.Dst.Kind == isa.OperandVReg {
-		dst = vdst(w.vregs(), in.Dst)
+		base := int(in.Dst.Idx) * kernel.WavefrontSize
+		dst = w.vregs()[base : base+kernel.WavefrontSize]
 	}
+	rmw := atomicRMW(in.Op)
 	for i, addr := range addrs {
 		old := st.mem.Read32(addr)
-		st.mem.Write32(addr, atomicRMW(in.Op, old, vals[i]))
+		st.mem.Write32(addr, rmw(old, vals[i]))
 		if dst != nil {
 			dst[lanes[i]] = old
-		}
-	}
-}
-
-func (w *Warp) ldsAccess(in *isa.Inst, info *StepInfo, sgpr []uint32, store bool) {
-	info.Kind = StepLDS
-	info.IsStore = store
-	vgpr := w.vregs()
-	exec := w.store.exec[w.slot]
-	la, ba := vsrc(sgpr, vgpr, in.Src0)
-	lval, bval := vsrc(sgpr, vgpr, in.Src1)
-	var dst []uint32
-	if !store {
-		dst = vdst(vgpr, in.Dst)
-	}
-	for lane := 0; lane < kernel.WavefrontSize; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
-		}
-		addr := int(lv(la, ba, lane)) + int(in.Offset)
-		if addr < 0 || addr+4 > len(w.lds) {
-			panic(fmt.Sprintf("emu: %s warp %d: LDS access %d out of %d bytes",
-				w.Launch.Name, w.GlobalID, addr, len(w.lds)))
-		}
-		if store {
-			v := lv(lval, bval, lane)
-			w.lds[addr] = byte(v)
-			w.lds[addr+1] = byte(v >> 8)
-			w.lds[addr+2] = byte(v >> 16)
-			w.lds[addr+3] = byte(v >> 24)
-		} else {
-			v := uint32(w.lds[addr]) | uint32(w.lds[addr+1])<<8 |
-				uint32(w.lds[addr+2])<<16 | uint32(w.lds[addr+3])<<24
-			dst[lane] = v
 		}
 	}
 }

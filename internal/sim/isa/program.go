@@ -33,11 +33,10 @@ func (k BlockKey) String() string { return fmt.Sprintf("pc%d/%d", k.StartPC, k.L
 // Program is an immutable compiled kernel program: a flat instruction list
 // plus its basic-block structure.
 type Program struct {
-	Name      string
-	Insts     []Inst
-	Blocks    []BasicBlock
-	blockOfPC []int  // PC -> block index
-	blockHead []bool // PC -> is the first instruction of its block
+	Name   string
+	Insts  []Inst
+	Blocks []BasicBlock
+	uops   []MicroOp // PC -> pre-decoded instruction, incl. its block index
 
 	// NumVRegs and NumSRegs are the register-file sizes the program needs
 	// (highest index used + 1).
@@ -64,7 +63,7 @@ type BlockOptions struct {
 }
 
 // NewProgram validates the instruction list and computes the basic-block
-// structure.
+// structure and the micro-op table.
 func NewProgram(name string, insts []Inst, ldsBytes int) (*Program, error) {
 	if len(insts) == 0 {
 		return nil, fmt.Errorf("isa: program %q has no instructions", name)
@@ -159,15 +158,13 @@ func (p *Program) computeBlocks() {
 			starts[pc+1] = true
 		}
 	}
-	p.blockOfPC = make([]int, len(p.Insts))
-	p.blockHead = make([]bool, len(p.Insts))
+	p.uops = make([]MicroOp, len(p.Insts))
 	blockStart := 0
 	flush := func(end int) {
 		b := BasicBlock{ID: len(p.Blocks), StartPC: blockStart, Len: end - blockStart}
 		p.Blocks = append(p.Blocks, b)
-		p.blockHead[blockStart] = true
 		for pc := blockStart; pc < end; pc++ {
-			p.blockOfPC[pc] = b.ID
+			p.uops[pc] = decode(&p.Insts[pc], b)
 		}
 	}
 	for pc := 1; pc < len(p.Insts); pc++ {
@@ -207,8 +204,8 @@ func (p *Program) computeFingerprint() {
 
 // WithBlockOptions returns a program with the same instructions but basic
 // blocks recomputed under the given options (the instructions are shared;
-// block metadata is rebuilt). Programs with different options have different
-// fingerprints, so their BBVs never mix.
+// block metadata and the micro-op table are rebuilt). Programs with
+// different options have different fingerprints, so their BBVs never mix.
 func (p *Program) WithBlockOptions(o BlockOptions) *Program {
 	if o == p.opts {
 		return p
@@ -227,14 +224,15 @@ func (p *Program) WithBlockOptions(o BlockOptions) *Program {
 }
 
 // BlockAt returns the basic block containing pc.
-func (p *Program) BlockAt(pc int) BasicBlock { return p.Blocks[p.blockOfPC[pc]] }
+func (p *Program) BlockAt(pc int) BasicBlock { return p.Blocks[p.uops[pc].Block] }
 
 // BlockIndexAt returns the index of the basic block containing pc.
-func (p *Program) BlockIndexAt(pc int) int { return p.blockOfPC[pc] }
+func (p *Program) BlockIndexAt(pc int) int { return int(p.uops[pc].Block) }
 
-// BlockStartsAt reports whether pc is the first instruction of its basic
-// block (a per-PC table lookup; the emulator checks this on every step).
-func (p *Program) BlockStartsAt(pc int) bool { return p.blockHead[pc] }
+// MicroOps returns the program's pre-decoded instruction table, indexed by
+// PC. It is built once with the block structure and never written again, so
+// concurrent readers need no synchronization; callers must not modify it.
+func (p *Program) MicroOps() []MicroOp { return p.uops }
 
 // NumBlocks returns the number of static basic blocks.
 func (p *Program) NumBlocks() int { return len(p.Blocks) }

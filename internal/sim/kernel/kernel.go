@@ -12,7 +12,7 @@ import (
 )
 
 // WavefrontSize is the number of lanes per warp (64, as on AMD GPUs).
-const WavefrontSize = 64
+const WavefrontSize = isa.WavefrontSize
 
 // Launch describes one kernel invocation.
 type Launch struct {

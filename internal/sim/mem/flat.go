@@ -15,31 +15,70 @@ const (
 	pageBits = 16
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
+
+	// lowPages is the number of pages in the 32-bit pointer space every
+	// allocation lives in.
+	lowPages = 1 << (32 - pageBits)
 )
+
+type page = [pageSize]byte
 
 // Flat is a sparse, byte-addressable functional memory with a bump
 // allocator. Buffers are allocated in the low 4 GiB so that 32-bit registers
 // can hold pointers, matching the kernels' 32-bit pointer convention.
 type Flat struct {
-	pages map[uint64][]byte
-	brk   uint64
+	// low is the page table of the 32-bit pointer space, indexed by page
+	// number and grown on demand; an untouched page is nil. A kernel that
+	// alternates between buffers changes page on every access, so the
+	// lookup behind the single-entry cache is an index, not a hash. far
+	// holds the pages above it, which only wrapped or wild addresses reach.
+	low []*page
+	far map[uint64]*page
+	brk uint64
 
-	// mu guards the page map for FlatView access only. Flat's own methods
-	// stay unlocked — the serial simulation path is single-goroutine and
-	// pays nothing for the views' existence.
+	// mu guards the page tables for FlatView access only. Flat's own
+	// methods stay unlocked — the serial simulation path is single-goroutine
+	// and pays nothing for the views' existence.
 	mu sync.RWMutex
 
 	// Single-entry page cache: GPU kernels stream through buffers, so
 	// consecutive accesses overwhelmingly hit the same 64 KiB page and skip
-	// the map lookup.
+	// the table lookup.
 	lastPN   uint64
-	lastPage []byte
+	lastPage *page
 }
 
 // NewFlat returns an empty memory. Allocation starts at 64 KiB so that
 // address 0 stays unmapped (helps catch null-pointer bugs in kernels).
 func NewFlat() *Flat {
-	return &Flat{pages: make(map[uint64][]byte), brk: pageSize, lastPN: ^uint64(0)}
+	return &Flat{brk: pageSize, lastPN: ^uint64(0)}
+}
+
+// lookup returns page pn, or nil if it was never touched.
+func (m *Flat) lookup(pn uint64) *page {
+	if pn < uint64(len(m.low)) {
+		return m.low[pn]
+	}
+	return m.far[pn] // pn < lowPages is never a key
+}
+
+// create maps a zeroed page at pn, which must be unmapped.
+func (m *Flat) create(pn uint64) *page {
+	p := new(page)
+	switch {
+	case pn >= lowPages:
+		if m.far == nil {
+			m.far = make(map[uint64]*page)
+		}
+		m.far[pn] = p
+		return p
+	case pn >= uint64(len(m.low)):
+		low := make([]*page, min(lowPages, max(pn+1, 2*uint64(len(m.low)))))
+		copy(low, m.low)
+		m.low = low
+	}
+	m.low[pn] = p
+	return p
 }
 
 // Alloc reserves size bytes and returns the base address, 256-byte aligned.
@@ -57,15 +96,19 @@ func (m *Flat) Alloc(size uint64) uint64 {
 // Footprint returns the total bytes allocated so far.
 func (m *Flat) Footprint() uint64 { return m.brk - pageSize }
 
-func (m *Flat) page(addr uint64) []byte {
-	pn := addr >> pageBits
-	if pn == m.lastPN {
+func (m *Flat) page(addr uint64) *page {
+	if addr>>pageBits == m.lastPN {
 		return m.lastPage
 	}
-	p, ok := m.pages[pn]
-	if !ok {
-		p = make([]byte, pageSize)
-		m.pages[pn] = p
+	return m.pageMiss(addr >> pageBits)
+}
+
+// pageMiss is page's path past the single-entry cache, kept out of line so
+// the hit path inlines into Read32 and Write32.
+func (m *Flat) pageMiss(pn uint64) *page {
+	p := m.lookup(pn)
+	if p == nil {
+		p = m.create(pn)
 	}
 	m.lastPN, m.lastPage = pn, p
 	return p
@@ -98,6 +141,66 @@ func (m *Flat) Write32(addr uint64, v uint32) {
 	for i := range b {
 		a := addr + uint64(i)
 		m.page(a)[a&pageMask] = b[i]
+	}
+}
+
+// Gather32 loads one word per address into out, in index order: the
+// whole-instruction form of Read32 a vector load uses.
+func (m *Flat) Gather32(addrs []uint64, out []uint32) { gather32(m, addrs, out) }
+
+// Scatter32 stores vals[i] at addrs[i] in index order, so among duplicate
+// addresses the last one wins: the whole-instruction form of Write32.
+func (m *Flat) Scatter32(addrs []uint64, vals []uint32) { scatter32(m, addrs, vals) }
+
+// pager is what gather32 and scatter32 need of a memory: Flat and FlatView
+// differ only in how a page is found.
+type pager interface {
+	page(addr uint64) *page
+	Read32(addr uint64) uint32
+	Write32(addr uint64, v uint32)
+}
+
+// gather32 keeps the page of the current run of same-page addresses in
+// locals, so a unit-stride access costs one page lookup, not one per word,
+// and the per-word test is a single range check against that page. A word
+// straddling a page boundary takes Read32's byte-wise path.
+func gather32(m pager, addrs []uint64, out []uint32) {
+	if len(addrs) == 0 {
+		return
+	}
+	out = out[:len(addrs)]
+	base, pg := addrs[0]&^pageMask, m.page(addrs[0])
+	for i, a := range addrs {
+		off := a - base
+		if off > pageSize-4 { // another page, or the last bytes of this one
+			if a&pageMask > pageSize-4 {
+				out[i] = m.Read32(a)
+				continue
+			}
+			base, pg = a&^pageMask, m.page(a)
+			off = a - base
+		}
+		out[i] = binary.LittleEndian.Uint32(pg[off:])
+	}
+}
+
+func scatter32(m pager, addrs []uint64, vals []uint32) {
+	if len(addrs) == 0 {
+		return
+	}
+	vals = vals[:len(addrs)]
+	base, pg := addrs[0]&^pageMask, m.page(addrs[0])
+	for i, a := range addrs {
+		off := a - base
+		if off > pageSize-4 {
+			if a&pageMask > pageSize-4 {
+				m.Write32(a, vals[i])
+				continue
+			}
+			base, pg = a&^pageMask, m.page(a)
+			off = a - base
+		}
+		binary.LittleEndian.PutUint32(pg[off:], vals[i])
 	}
 }
 
@@ -148,7 +251,7 @@ func (m *Flat) ReadWords(base uint64, n int) []uint32 {
 type FlatView struct {
 	f        *Flat
 	lastPN   uint64
-	lastPage []byte
+	lastPage *page
 }
 
 // View returns a fresh view of m. Concurrent use of views is safe; using
@@ -158,24 +261,22 @@ func (m *Flat) View() *FlatView {
 }
 
 // sharedPage returns (creating under the write lock if needed) page pn.
-func (m *Flat) sharedPage(pn uint64) []byte {
+func (m *Flat) sharedPage(pn uint64) *page {
 	m.mu.RLock()
-	p, ok := m.pages[pn]
+	p := m.lookup(pn)
 	m.mu.RUnlock()
-	if ok {
+	if p != nil {
 		return p
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if p, ok := m.pages[pn]; ok {
+	if p := m.lookup(pn); p != nil {
 		return p
 	}
-	p = make([]byte, pageSize)
-	m.pages[pn] = p
-	return p
+	return m.create(pn)
 }
 
-func (v *FlatView) page(addr uint64) []byte {
+func (v *FlatView) page(addr uint64) *page {
 	pn := addr >> pageBits
 	if pn == v.lastPN {
 		return v.lastPage
@@ -198,6 +299,12 @@ func (v *FlatView) Read32(addr uint64) uint32 {
 	}
 	return binary.LittleEndian.Uint32(b[:])
 }
+
+// Gather32 is Flat.Gather32 through the view.
+func (v *FlatView) Gather32(addrs []uint64, out []uint32) { gather32(v, addrs, out) }
+
+// Scatter32 is Flat.Scatter32 through the view.
+func (v *FlatView) Scatter32(addrs []uint64, vals []uint32) { scatter32(v, addrs, vals) }
 
 // Write32 stores a little-endian 32-bit word through the view.
 func (v *FlatView) Write32(addr uint64, x uint32) {

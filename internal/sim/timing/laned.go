@@ -223,7 +223,7 @@ func (m *Machine) issueLaned(wc *warpCtx, now event.Time) {
 		}
 	}
 
-	class := info.Inst.Op.Class()
+	class := info.Class
 	latency := m.cfg.ExecLatency[class]
 	ready := now + latency
 	s := wc.simd

@@ -482,7 +482,7 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 		fetchDone = m.hier.InstFetch(now, wc.cu.id, m.progBase+uint64(info.Inst.PC)*8)
 	}
 
-	class := info.Inst.Op.Class()
+	class := info.Class
 	ready := now + m.cfg.ExecLatency[class]
 	latency := m.cfg.ExecLatency[class]
 	s := wc.simd
