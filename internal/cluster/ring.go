@@ -14,6 +14,7 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -91,16 +92,13 @@ func (r *Ring) Preference(key string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
-	start := sort.Search(len(r.points), func(i int) bool {
-		return r.points[i].pos >= ringHash(key)
-	})
-	seen := make(map[string]bool, len(r.nodes))
+	pos := ringHash(key) // once: the router does this lookup on every submit
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= pos })
 	pref := make([]string, 0, len(r.nodes))
 	for i := 0; i < len(r.points) && len(pref) < len(r.nodes); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			pref = append(pref, p.node)
+		// pref never holds more than the node count: a scan beats a set.
+		if node := r.points[(start+i)%len(r.points)].node; !slices.Contains(pref, node) {
+			pref = append(pref, node)
 		}
 	}
 	return pref

@@ -2,7 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
+
+	"photon/internal/serve"
 )
 
 func TestRingOwnerIsStable(t *testing.T) {
@@ -95,5 +101,71 @@ func TestRingEmpty(t *testing.T) {
 	r := NewRing(nil, 0)
 	if r.Owner("key") != "" || len(r.Preference("key")) != 0 {
 		t.Fatal("empty ring must own nothing")
+	}
+}
+
+// refPreference is Preference as it stood before the key hash was hoisted out
+// of the search closure and the seen-set became a scan: the reference the
+// test below compares against.
+func refPreference(r *Ring, key string) []string {
+	if len(r.points) == 0 {
+		return nil
+	}
+	start := sort.Search(len(r.points), func(i int) bool {
+		return r.points[i].pos >= ringHash(key)
+	})
+	seen := make(map[string]bool, len(r.nodes))
+	pref := make([]string, 0, len(r.nodes))
+	for i := 0; i < len(r.points) && len(pref) < len(r.nodes); i++ {
+		p := r.points[(start+i)%len(r.points)]
+		if !seen[p.node] {
+			seen[p.node] = true
+			pref = append(pref, p.node)
+		}
+	}
+	return pref
+}
+
+// TestRingLookupUnchanged pins the ring's answers across the lookup rewrite:
+// the benchmark's 32-key serve catalogue keeps, key by key, the owners
+// recorded before the change (the benchmark's per-worker expectations rest on
+// them), and Preference equals the reference on 1 000 random keys over two-
+// and five-node rings.
+func TestRingLookupUnchanged(t *testing.T) {
+	const recorded = "00000011010001110010101000000110" // owner index per catalogue key
+	two := NewRing([]string{"w0", "w1"}, 0)
+	got := ""
+	for _, c := range []struct {
+		bench string
+		size  int
+	}{{"HIST", 4096}, {"SC", 384}, {"SC", 1024}, {"ReLU", 16384}} {
+		for _, arch := range []string{"r9nano", "mi100"} {
+			for _, mode := range []string{"photon", "bb", "warp", "pka"} {
+				canon, err := serve.Canonicalize(serve.JobRequest{Bench: c.bench, Size: c.size,
+					Arch: arch, Modes: []string{mode}, FixedWall: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got += strings.TrimPrefix(two.Owner(serve.Hash(canon)), "w")
+			}
+		}
+	}
+	if got != recorded {
+		t.Errorf("catalogue owners\n got %s\nwant %s", got, recorded)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	five := NewRing([]string{"a", "b", "c", "d", "e"}, 16)
+	for i := 0; i < 1000; i++ {
+		key := fmt.Sprintf("%016x%016x", rng.Uint64(), rng.Uint64())
+		for _, r := range []*Ring{two, five} {
+			want := refPreference(r, key)
+			if got := r.Preference(key); !slices.Equal(got, want) {
+				t.Fatalf("Preference(%s) = %v, reference %v", key, got, want)
+			}
+			if r.Owner(key) != want[0] {
+				t.Fatalf("Owner(%s) = %s, reference %s", key, r.Owner(key), want[0])
+			}
+		}
 	}
 }

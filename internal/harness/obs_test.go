@@ -9,13 +9,19 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"photon/internal/obs"
+	"photon/internal/sim/gpu"
+	"photon/internal/workloads"
 )
 
 // runObservedSweep runs the determinism sweep with telemetry attached and
@@ -164,3 +170,116 @@ func TestObservedSweepStaysDeterministic(t *testing.T) {
 		t.Fatalf("records differ with telemetry attached:\nserial:   %+v\nparallel: %+v", recs1, recs8)
 	}
 }
+
+// memSeries renders every memory-hierarchy series of a snapshot, one per
+// line, sorted: counters and gauges by value, histograms by count and sum.
+func memSeries(snap obs.Snapshot) string {
+	var lines []string
+	mem := func(name string) bool {
+		return strings.HasPrefix(name, "sim_cache_") || strings.HasPrefix(name, "sim_dram_")
+	}
+	for _, c := range snap.Counters {
+		if mem(c.Name) {
+			lines = append(lines, fmt.Sprintf("%s{%s} %d", c.Name, c.Labels["level"], c.Value))
+		}
+	}
+	for _, g := range snap.Gauges {
+		if mem(g.Name) {
+			lines = append(lines, fmt.Sprintf("%s{%s} %v", g.Name, g.Labels["level"], g.Value))
+		}
+	}
+	for _, h := range snap.Histograms {
+		if mem(h.Name) {
+			lines = append(lines, fmt.Sprintf("%s{%s} count=%d sum=%v", h.Name, h.Labels["level"], h.Count, h.Sum))
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// TestMemMetricsMatchRecorded pins what the memory hierarchy publishes: a
+// registry-attached SC/384 run on the R9 Nano must produce, series by series,
+// the counters, hit-rate gauges and latency-histogram counts and sums
+// recorded before the hierarchy's statistics became single-homed (plain
+// counters fed to the registry at kernel end, histograms observed only while
+// attached) — on the serial engine and on the laned one.
+func TestMemMetricsMatchRecorded(t *testing.T) {
+	recorded := map[int]string{0: recordedSerialSC384, 2: recordedLanedSC384}
+	for _, lanes := range []int{0, 2} {
+		spec, err := workloads.FindSpec("SC")
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := spec.Build(384)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		ao := AppObs{Metrics: reg, Lanes: lanes}
+		if _, err := RunAppInstrumented(context.Background(), gpu.R9Nano(), app, gpu.FullRunner{}, ao); err != nil {
+			t.Fatal(err)
+		}
+		FinalizeMetrics(reg)
+		if got := memSeries(reg.Snapshot()); got != recorded[lanes] {
+			t.Errorf("lanes=%d: memory series differ from the recorded run\n got:\n%s\nwant:\n%s", lanes, got, recorded[lanes])
+		}
+	}
+}
+
+const recordedSerialSC384 = `sim_cache_evictions_total{L1I} 0
+sim_cache_evictions_total{L1K} 0
+sim_cache_evictions_total{L1V} 28480
+sim_cache_evictions_total{L2} 0
+sim_cache_hit_rate{L1I} 0.9956896551724138
+sim_cache_hit_rate{L1K} 0.9966666666666667
+sim_cache_hit_rate{L1V} 0.3093278463648834
+sim_cache_hit_rate{L2} 0.9064058887942572
+sim_cache_hits_total{L1I} 11088
+sim_cache_hits_total{L1K} 9568
+sim_cache_hits_total{L1V} 14432
+sim_cache_hits_total{L2} 29799
+sim_cache_latency_cycles{L1I} count=11136 sum=234070
+sim_cache_latency_cycles{L1K} count=9600 sum=234011
+sim_cache_latency_cycles{L1V} count=46656 sum=7.496946e+06
+sim_cache_latency_cycles{L2} count=32876 sum=6.170973e+06
+sim_cache_misses_total{L1I} 48
+sim_cache_misses_total{L1K} 32
+sim_cache_misses_total{L1V} 32224
+sim_cache_misses_total{L2} 3077
+sim_cache_writebacks_total{L1I} 0
+sim_cache_writebacks_total{L1K} 0
+sim_cache_writebacks_total{L1V} 572
+sim_cache_writebacks_total{L2} 0
+sim_dram_accesses_total{} 3077
+sim_dram_latency_cycles{} count=3077 sum=799532
+sim_dram_row_hit_rate{} 0
+sim_dram_row_hits_total{} 0`
+
+const recordedLanedSC384 = `sim_cache_evictions_total{L1I} 0
+sim_cache_evictions_total{L1K} 0
+sim_cache_evictions_total{L1V} 27203
+sim_cache_evictions_total{L2} 0
+sim_cache_hit_rate{L1I} 0.9956896551724138
+sim_cache_hit_rate{L1K} 0.9966666666666667
+sim_cache_hit_rate{L1V} 0.33669838820301784
+sim_cache_hit_rate{L2} 0.9026358257127488
+sim_cache_hits_total{L1I} 11088
+sim_cache_hits_total{L1K} 9568
+sim_cache_hits_total{L1V} 15709
+sim_cache_hits_total{L2} 28526
+sim_cache_latency_cycles{L1I} count=11136 sum=236435
+sim_cache_latency_cycles{L1K} count=9600 sum=233924
+sim_cache_latency_cycles{L1V} count=46656 sum=7.371355e+06
+sim_cache_latency_cycles{L2} count=31603 sum=6.054232e+06
+sim_cache_misses_total{L1I} 48
+sim_cache_misses_total{L1K} 32
+sim_cache_misses_total{L1V} 30947
+sim_cache_misses_total{L2} 3077
+sim_cache_writebacks_total{L1I} 0
+sim_cache_writebacks_total{L1K} 0
+sim_cache_writebacks_total{L1V} 576
+sim_cache_writebacks_total{L2} 0
+sim_dram_accesses_total{} 3077
+sim_dram_latency_cycles{} count=3077 sum=799064
+sim_dram_row_hit_rate{} 0
+sim_dram_row_hits_total{} 0`

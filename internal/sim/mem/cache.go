@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"photon/internal/obs"
 	"photon/internal/sim/event"
@@ -39,39 +40,26 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
+// storeWords returns how many words of set store the configuration needs,
+// panicking on a configuration NewCache would reject.
+func (c CacheConfig) storeWords() int {
+	if err := c.Validate(); err != nil {
+		panic(err)
+	}
+	numSets := c.SizeBytes / (c.Ways * LineSize)
+	if numSets&(numSets-1) != 0 {
+		panic(fmt.Sprintf("mem: cache %q: set count %d not a power of two", c.Name, numSets))
+	}
+	return numSets * c.Ways * 2
 }
 
-// Lower is the interface a cache uses to fetch lines from the next level of
-// the hierarchy. Access takes the time the request leaves this level and
-// returns the time the line is available.
+// Lower is the seam a standalone cache (NewCache) fetches lines through, so
+// tests can put a fake next level under it. Access takes the time the
+// request leaves this level and returns the time the line is available.
+// Nothing NewHierarchy wires goes through it: an L1 calls its L2 banks and an
+// L2 bank calls the DRAM directly.
 type Lower interface {
 	Access(now event.Time, lineAddr uint64, write bool) event.Time
-}
-
-// levelMetrics is the registry-backed stat set one cache level (or DRAM)
-// publishes into; every cache instance of a level shares one set, so the
-// registry stays at per-level cardinality however many CUs the GPU has.
-// All handles are nil-safe: an unwired hierarchy publishes to no-ops.
-type levelMetrics struct {
-	hits, misses, evictions, writebacks *obs.Counter
-	latency                             *obs.Histogram
-}
-
-// newLevelMetrics registers the level's counters and latency histogram.
-func newLevelMetrics(reg *obs.Registry, level string) *levelMetrics {
-	l := obs.L("level", level)
-	return &levelMetrics{
-		hits:       reg.Counter("sim_cache_hits_total", l),
-		misses:     reg.Counter("sim_cache_misses_total", l),
-		evictions:  reg.Counter("sim_cache_evictions_total", l),
-		writebacks: reg.Counter("sim_cache_writebacks_total", l),
-		latency:    reg.Histogram("sim_cache_latency_cycles", obs.ExpBuckets(1, 2, 14), l),
-	}
 }
 
 // Cache is a set-associative, write-back, write-allocate cache with an LRU
@@ -79,46 +67,51 @@ func newLevelMetrics(reg *obs.Registry, level string) *levelMetrics {
 // bandwidth contention. It is a timing model only: data lives in the
 // functional Flat memory.
 //
-// Statistics are dual-homed: per-kernel counts live in plain fields (reset
-// with the cache, read through the accessors below), while the cumulative
-// run totals stream into the level's registry-backed metrics.
+// The sets live in one flat word array, set-major: set s occupies
+// store[s*2*ways:][:2*ways], its tag words followed by its stamp words, so a
+// 4-way set is one host cache line and a lookup touches nothing else. A tag
+// word is the line number plus one (0 = invalid way); a stamp word is the
+// LRU clock of the last touch shifted left once, with the dirty flag in the
+// low bit (clock values are unique per cache, so stamp order is LRU order).
+//
+// The plain counters are the only statistics a cache keeps; the hierarchy
+// feeds them to a registry at kernel end (Hierarchy.FlushMetrics).
 type Cache struct {
 	cfg      CacheConfig
-	sets     [][]cacheLine
+	store    []uint64
 	setMask  uint64
-	lower    Lower
 	portFree event.Time
 	lruClock uint64
 
-	// accesses is counted independently at the top of Access rather than
+	// accesses is counted independently at the top of probe rather than
 	// derived from hits+misses, so the conservation check
 	// accesses == hits + misses is a real invariant and not a tautology.
 	accesses                            uint64
 	hits, misses, evictions, writebacks uint64
-	mx                                  *levelMetrics
+
+	// The next level; exactly one is set. banks are the line-interleaved L2
+	// banks under an L1, dram sits under an L2 bank, lower under a
+	// standalone cache.
+	banks []Cache
+	dram  *DRAM
+	lower Lower
+
+	lat *obs.Histogram // access-latency histogram; nil unless a registry is attached
 }
 
-// NewCache builds a cache over the given lower level.
+// NewCache builds a standalone cache over the given lower level.
 func NewCache(cfg CacheConfig, lower Lower) *Cache {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	numSets := cfg.SizeBytes / (cfg.Ways * LineSize)
-	if numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("mem: cache %q: set count %d not a power of two", cfg.Name, numSets))
-	}
-	sets := make([][]cacheLine, numSets)
-	backing := make([]cacheLine, numSets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	// An unwired cache publishes into a zero levelMetrics: every handle is
-	// nil, so the nil-safe obs methods make each publish a no-op.
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(numSets - 1), lower: lower, mx: &levelMetrics{}}
+	c := &Cache{lower: lower}
+	c.init(cfg, make([]uint64, cfg.storeWords()))
+	return c
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() CacheConfig { return c.cfg }
+// init configures the cache over its set store (cfg.storeWords() zeroed words).
+func (c *Cache) init(cfg CacheConfig, store []uint64) {
+	c.cfg = cfg
+	c.store = store
+	c.setMask = uint64(len(store)/(2*cfg.Ways) - 1)
+}
 
 // Accesses returns the access count since the last Reset.
 func (c *Cache) Accesses() uint64 { return c.accesses }
@@ -135,153 +128,123 @@ func (c *Cache) Evictions() uint64 { return c.evictions }
 // Writebacks returns the writeback count since the last Reset.
 func (c *Cache) Writebacks() uint64 { return c.writebacks }
 
-// setMetrics attaches the level's registry-backed stat set.
-func (c *Cache) setMetrics(mx *levelMetrics) { c.mx = mx }
-
 // Reset invalidates all lines and clears statistics (used between kernels
 // when a cold-cache policy is wanted, and by tests).
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = cacheLine{}
-		}
-	}
+	clear(c.store)
 	c.portFree = 0
 	c.accesses = 0
 	c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0
 }
 
-// Access performs a timing access for the line containing lineAddr and
-// returns the completion time. lineAddr must be line-aligned.
-func (c *Cache) Access(now event.Time, lineAddr uint64, write bool) event.Time {
+// set returns the tag and stamp words of the set lineAddr maps to.
+func (c *Cache) set(lineAddr uint64) (tags, stamps []uint64) {
+	ways := c.cfg.Ways
+	base := int((lineAddr/LineSize)>>c.cfg.IndexShift&c.setMask) * 2 * ways
+	s := c.store[base : base+2*ways : base+2*ways]
+	return s[:ways], s[ways:]
+}
+
+// probe is everything one access does inside this level, shared by the
+// serial and the laned path: port arbitration, lookup, LRU update and — on a
+// miss — victim choice, eviction accounting and installing the line. It
+// returns when the access started, whether it hit, and the tag word of a
+// dirty victim that must be written back (0 = none); what happens to a miss
+// below this level is the caller's continuation.
+//
+// The replacement rule, quirk included: the candidate starts at way 0 and
+// the scan runs from way 1; the first invalid way there wins immediately,
+// otherwise the oldest stamp does. An invalid way 0 competes only through
+// its zero stamp, so a fresh set fills ways 1…n-1 and then 0. Lookup and
+// victim scan stay two loops over the one set block: folding the victim
+// bookkeeping into the lookup measured slower, because hits pay for it.
+func (c *Cache) probe(now event.Time, lineAddr uint64, write bool) (start event.Time, hit bool, wb uint64) {
 	c.accesses++
 
 	// Port arbitration: the access cannot start before the port frees up.
-	start := now
+	start = now
 	if c.portFree > start {
 		start = c.portFree
 	}
 	c.portFree = start + c.cfg.ThroughputCycles
 
-	setIdx := ((lineAddr / LineSize) >> c.cfg.IndexShift) & c.setMask
-	tag := lineAddr / LineSize // full line number doubles as the tag
-	set := c.sets[setIdx]
+	tag := lineAddr/LineSize + 1
+	tags, stamps := c.set(lineAddr)
+	stamps = stamps[:len(tags)]
 	c.lruClock++
+	stamp := c.lruClock << 1
+	if write {
+		stamp |= 1
+	}
 
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	for i, t := range tags {
+		if t == tag {
 			c.hits++
-			c.mx.hits.Inc()
-			set[i].lru = c.lruClock
-			if write {
-				set[i].dirty = true
-			}
-			done := start + c.cfg.HitLatency
-			c.mx.latency.Observe(float64(done - now))
-			return done
+			stamps[i] = stamp | stamps[i]&1
+			return start, true, 0
 		}
 	}
 
-	// Miss: pick the LRU victim, write it back if dirty, then fill from the
-	// lower level. The writeback consumes lower-level bandwidth but is off
-	// the critical path of this access.
 	c.misses++
-	c.mx.misses.Inc()
 	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
+	for i := 1; i < len(stamps); i++ {
+		if tags[i] == 0 {
 			victim = i
 			break
 		}
-		if set[i].lru < set[victim].lru {
+		if stamps[i] < stamps[victim] {
 			victim = i
 		}
 	}
-	if set[victim].valid {
+	if old := tags[victim]; old != 0 {
 		c.evictions++
-		c.mx.evictions.Inc()
-		if set[victim].dirty {
+		if stamps[victim]&1 != 0 {
 			c.writebacks++
-			c.mx.writebacks.Inc()
-			c.lower.Access(start+c.cfg.HitLatency, set[victim].tag*LineSize, true)
+			wb = old
 		}
 	}
-	fillDone := c.lower.Access(start+c.cfg.HitLatency, lineAddr, false)
-	set[victim] = cacheLine{tag: tag, valid: true, dirty: write, lru: c.lruClock}
-	c.mx.latency.Observe(float64(fillDone - now))
-	return fillDone
+	tags[victim], stamps[victim] = tag, stamp
+	return start, false, wb
 }
 
-// accessAsync is Access for the quantum-laned path: identical tag/LRU/port
-// arithmetic, but instead of calling into the lower level synchronously, a
-// miss records its fill (and any victim writeback) on the lane port for the
-// coordinator to drain into the shared L2/DRAM at the next quantum barrier.
-// It also skips the shared registry-backed metrics entirely — those handles
-// are atomics common to every lane, and bumping them here would put
-// cache-line contention on the hottest loop in the simulator. The plain
-// per-cache counters (lane-owned, uncontended) keep counting; the laned
-// runner folds them into the registry once per run via FlushLaneTelemetry.
-//
-// Returns (done, false) when the access completed in-level (a hit), or
-// (0, true) when the fill was deferred; resolve will then be called at the
-// barrier with the completion time.
-func (c *Cache) accessAsync(now event.Time, lineAddr uint64, write bool, cu int, p *LanePort, resolve func(event.Time)) (event.Time, bool) {
-	c.accesses++
-
-	start := now
-	if c.portFree > start {
-		start = c.portFree
-	}
-	c.portFree = start + c.cfg.ThroughputCycles
-
-	setIdx := ((lineAddr / LineSize) >> c.cfg.IndexShift) & c.setMask
-	tag := lineAddr / LineSize
-	set := c.sets[setIdx]
-	c.lruClock++
-
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.hits++
-			set[i].lru = c.lruClock
-			if write {
-				set[i].dirty = true
-			}
-			return start + c.cfg.HitLatency, false
+// Access performs a timing access for the line containing lineAddr and
+// returns the completion time. lineAddr must be line-aligned. A miss writes
+// a dirty victim back — consuming lower-level bandwidth, but off the critical
+// path of this access — and then fills from the lower level.
+func (c *Cache) Access(now event.Time, lineAddr uint64, write bool) event.Time {
+	start, hit, wb := c.probe(now, lineAddr, write)
+	done := start + c.cfg.HitLatency
+	if !hit {
+		if wb != 0 {
+			c.below(done, (wb-1)*LineSize, true)
 		}
+		done = c.below(done, lineAddr, false)
 	}
+	if c.lat != nil {
+		c.lat.Observe(float64(done - now))
+	}
+	return done
+}
 
-	c.misses++
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
+// below sends one access to the next level.
+func (c *Cache) below(now event.Time, lineAddr uint64, write bool) event.Time {
+	switch {
+	case c.banks != nil:
+		return bankFor(c.banks, lineAddr).Access(now, lineAddr, write)
+	case c.dram != nil:
+		return c.dram.Access(now, lineAddr, write)
 	}
-	if set[victim].valid {
-		c.evictions++
-		if set[victim].dirty {
-			c.writebacks++
-			p.record(start+c.cfg.HitLatency, cu, set[victim].tag*LineSize, true, false, nil)
-		}
-	}
-	p.record(start+c.cfg.HitLatency, cu, lineAddr, false, false, resolve)
-	set[victim] = cacheLine{tag: tag, valid: true, dirty: write, lru: c.lruClock}
-	return 0, true
+	return c.lower.Access(now, lineAddr, write)
+}
+
+// bankFor steers a line to its L2 bank by line interleaving.
+func bankFor(banks []Cache, lineAddr uint64) *Cache {
+	return &banks[(lineAddr/LineSize)&uint64(len(banks)-1)]
 }
 
 // Contains reports whether the line holding lineAddr is currently resident
 // (no LRU update, no timing side effects). Tests use it to verify fills.
 func (c *Cache) Contains(lineAddr uint64) bool {
-	setIdx := ((lineAddr / LineSize) >> c.cfg.IndexShift) & c.setMask
-	tag := lineAddr / LineSize
-	for _, l := range c.sets[setIdx] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	tags, _ := c.set(lineAddr)
+	return slices.Contains(tags, lineAddr/LineSize+1)
 }

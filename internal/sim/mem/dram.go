@@ -34,29 +34,27 @@ func (c DRAMConfig) Validate() error {
 	return nil
 }
 
+// dramBank is 16 bytes, so a whole DRAM's bank state is a few host lines.
 type dramBank struct {
 	nextFree event.Time
-	openRow  uint64
-	rowValid bool
-}
-
-// dramMetrics is DRAM's registry-backed stat set (nil handles when the
-// hierarchy is unwired).
-type dramMetrics struct {
-	accesses, rowHits *obs.Counter
-	latency           *obs.Histogram
+	openRow  uint64 // open row number plus one; 0 = no row open
 }
 
 // DRAM is a banked memory timing model with open-row tracking and per-bank
 // queueing. Lines are interleaved across banks at cache-line granularity.
-// Like Cache, per-kernel stats live in reset-able fields behind accessors
-// while cumulative totals stream into the registry.
+// Like Cache, it keeps plain counters only; Hierarchy.FlushMetrics feeds
+// them to an attached registry at kernel end.
 type DRAM struct {
 	cfg   DRAMConfig
 	banks []dramBank
 
 	accesses, rowHits uint64
-	mx                *dramMetrics
+
+	// Registry handles (nil while unwired) and how much of the counters above
+	// they already hold since the last Reset.
+	mxAccesses, mxRowHits   *obs.Counter
+	pubAccesses, pubRowHits uint64
+	lat                     *obs.Histogram
 }
 
 // NewDRAM builds the DRAM model.
@@ -64,11 +62,8 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &DRAM{cfg: cfg, banks: make([]dramBank, cfg.Banks), mx: &dramMetrics{}}
+	return &DRAM{cfg: cfg, banks: make([]dramBank, cfg.Banks)}
 }
-
-// Config returns the DRAM configuration.
-func (d *DRAM) Config() DRAMConfig { return d.cfg }
 
 // Accesses returns the access count since the last Reset.
 func (d *DRAM) Accesses() uint64 { return d.accesses }
@@ -78,43 +73,45 @@ func (d *DRAM) RowHits() uint64 { return d.rowHits }
 
 // setMetrics attaches the registry-backed stat set.
 func (d *DRAM) setMetrics(reg *obs.Registry) {
-	d.mx = &dramMetrics{
-		accesses: reg.Counter("sim_dram_accesses_total"),
-		rowHits:  reg.Counter("sim_dram_row_hits_total"),
-		latency:  reg.Histogram("sim_dram_latency_cycles", obs.ExpBuckets(1, 2, 14)),
-	}
+	d.mxAccesses = reg.Counter("sim_dram_accesses_total")
+	d.mxRowHits = reg.Counter("sim_dram_row_hits_total")
+	d.lat = reg.Histogram("sim_dram_latency_cycles", obs.ExpBuckets(1, 2, 14))
+}
+
+// flushMetrics publishes what the counters gained since the last flush.
+func (d *DRAM) flushMetrics() {
+	d.mxAccesses.Add(d.accesses - d.pubAccesses)
+	d.mxRowHits.Add(d.rowHits - d.pubRowHits)
+	d.pubAccesses, d.pubRowHits = d.accesses, d.rowHits
 }
 
 // Reset clears bank state and statistics.
 func (d *DRAM) Reset() {
-	for i := range d.banks {
-		d.banks[i] = dramBank{}
-	}
+	clear(d.banks)
 	d.accesses, d.rowHits = 0, 0
+	d.pubAccesses, d.pubRowHits = 0, 0
 }
 
 // Access implements Lower. It charges row-hit or row-miss latency plus any
 // queueing delay behind earlier accesses to the same bank.
 func (d *DRAM) Access(now event.Time, lineAddr uint64, write bool) event.Time {
 	d.accesses++
-	d.mx.accesses.Inc()
-	bankIdx := (lineAddr / LineSize) & uint64(d.cfg.Banks-1)
-	row := lineAddr >> d.cfg.RowBits
-	b := &d.banks[bankIdx]
+	b := &d.banks[(lineAddr/LineSize)&uint64(len(d.banks)-1)]
+	row := lineAddr>>d.cfg.RowBits + 1
 
 	start := now
 	if b.nextFree > start {
 		start = b.nextFree
 	}
 	lat := d.cfg.RowMissLatency
-	if b.rowValid && b.openRow == row {
+	if b.openRow == row {
 		lat = d.cfg.RowHitLatency
 		d.rowHits++
-		d.mx.rowHits.Inc()
 	}
 	b.openRow = row
-	b.rowValid = true
 	b.nextFree = start + d.cfg.BurstCycles
-	d.mx.latency.Observe(float64(start + lat - now))
+	if d.lat != nil {
+		d.lat.Observe(float64(start + lat - now))
+	}
 	return start + lat
 }

@@ -46,13 +46,22 @@ func (c HierarchyConfig) Validate() error {
 
 // Hierarchy is the timing model of the memory system. It is not safe for
 // concurrent use; each simulated GPU owns one.
+//
+// Each level is one slab of Cache values over one slab of set store, so the
+// hot scalars (port, LRU clock, counters) of all caches of a level sit
+// together, and the wiring is concrete: an L1 holds the L2 bank slab, an L2
+// bank holds the DRAM, and no access crosses an interface.
 type Hierarchy struct {
-	cfg  HierarchyConfig
-	l1v  []*Cache
-	l1i  []*Cache
-	l1k  []*Cache
-	l2   []*Cache
-	dram *DRAM
+	cfg               HierarchyConfig
+	l1v, l1i, l1k, l2 []Cache
+	dram              *DRAM
+
+	// The registry side of each cache level, indexed like levelNames: one
+	// counter set per level (hits, misses, evictions, writebacks; nil while
+	// unwired), so cardinality is independent of the CU count, and how much
+	// of the level's plain counters it already holds since the last Reset.
+	counters  [len(levelNames)][4]*obs.Counter
+	published [len(levelNames)][4]uint64
 
 	// atomicAccesses counts per-lane atomic operations, which execute at the
 	// L2 coherence point and so reach L2 without a corresponding L1 miss;
@@ -64,12 +73,28 @@ type Hierarchy struct {
 	drainBuf []laneReq
 }
 
-// l2Router steers L1 misses to the right L2 bank by line interleaving.
-type l2Router struct{ h *Hierarchy }
+// levelNames are the cache levels in the fixed order they register with a
+// registry, reset and publish; levels returns their caches in that order.
+var levelNames = [...]string{"L1V", "L1I", "L1K", "L2"}
 
-func (r l2Router) Access(now event.Time, lineAddr uint64, write bool) event.Time {
-	bank := (lineAddr / LineSize) & uint64(r.h.cfg.L2Banks-1)
-	return r.h.l2[bank].Access(now, lineAddr, write)
+func (h *Hierarchy) levels() [len(levelNames)][]Cache {
+	return [...][]Cache{h.l1v, h.l1i, h.l1k, h.l2}
+}
+
+// newLevel builds n caches of one level over shared slabs, named
+// "<cfg.Name>[<tag><i>]", each wired to the given next level (L2 banks for an
+// L1, the DRAM for an L2 bank).
+func newLevel(cfg CacheConfig, n int, tag string, banks []Cache, dram *DRAM) []Cache {
+	words := cfg.storeWords()
+	store := make([]uint64, n*words)
+	caches := make([]Cache, n)
+	for i := range caches {
+		caches[i] = Cache{banks: banks, dram: dram}
+		c := cfg
+		c.Name = fmt.Sprintf("%s[%s%d]", cfg.Name, tag, i)
+		caches[i].init(c, store[i*words:(i+1)*words:(i+1)*words])
+	}
+	return caches
 }
 
 // NewHierarchy builds the memory system.
@@ -78,35 +103,15 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		panic(err)
 	}
 	h := &Hierarchy{cfg: cfg, dram: NewDRAM(cfg.DRAM)}
-	h.l2 = make([]*Cache, cfg.L2Banks)
-	bankShift := uint(0)
-	for 1<<bankShift < cfg.L2Banks {
-		bankShift++
+	bankCfg := cfg.L2
+	for 1<<bankCfg.IndexShift < cfg.L2Banks {
+		bankCfg.IndexShift++
 	}
-	for i := range h.l2 {
-		bankCfg := cfg.L2
-		bankCfg.Name = fmt.Sprintf("%s[%d]", cfg.L2.Name, i)
-		bankCfg.IndexShift = bankShift
-		h.l2[i] = NewCache(bankCfg, h.dram)
-	}
-	router := l2Router{h}
-	h.l1v = make([]*Cache, cfg.NumCUs)
-	for i := range h.l1v {
-		c := cfg.L1V
-		c.Name = fmt.Sprintf("%s[cu%d]", cfg.L1V.Name, i)
-		h.l1v[i] = NewCache(c, router)
-	}
+	h.l2 = newLevel(bankCfg, cfg.L2Banks, "", nil, h.dram)
+	h.l1v = newLevel(cfg.L1V, cfg.NumCUs, "cu", h.l2, nil)
 	blocks := cfg.NumCUs / cfg.CUsPerScalarBlock
-	h.l1i = make([]*Cache, blocks)
-	h.l1k = make([]*Cache, blocks)
-	for i := 0; i < blocks; i++ {
-		ci := cfg.L1I
-		ci.Name = fmt.Sprintf("%s[blk%d]", cfg.L1I.Name, i)
-		h.l1i[i] = NewCache(ci, router)
-		ck := cfg.L1K
-		ck.Name = fmt.Sprintf("%s[blk%d]", cfg.L1K.Name, i)
-		h.l1k[i] = NewCache(ck, router)
-	}
+	h.l1i = newLevel(cfg.L1I, blocks, "blk", h.l2, nil)
+	h.l1k = newLevel(cfg.L1K, blocks, "blk", h.l2, nil)
 	return h
 }
 
@@ -115,38 +120,97 @@ func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
 // SetMetrics attaches a telemetry registry: every cache level and the DRAM
 // publish cumulative hit/miss/eviction/writeback counts and access-latency
-// histograms into it, labeled by level. All instances of a level share one
-// stat set, so cardinality is bounded regardless of CU count. Safe to call
-// with a nil registry (detaches into no-ops).
+// histograms into it, labeled by level. The counts are fed from the plain
+// per-cache counters by FlushMetrics; only the histograms are observed per
+// access, and only while a registry is attached. Safe to call with a nil
+// registry (detaches into no-ops).
 func (h *Hierarchy) SetMetrics(reg *obs.Registry) {
-	for level, caches := range map[string][]*Cache{
-		"L1V": h.l1v, "L1I": h.l1i, "L1K": h.l1k, "L2": h.l2,
-	} {
-		mx := newLevelMetrics(reg, level)
-		for _, c := range caches {
-			c.setMetrics(mx)
+	for i, caches := range h.levels() {
+		l := obs.L("level", levelNames[i])
+		h.counters[i] = [...]*obs.Counter{
+			reg.Counter("sim_cache_hits_total", l),
+			reg.Counter("sim_cache_misses_total", l),
+			reg.Counter("sim_cache_evictions_total", l),
+			reg.Counter("sim_cache_writebacks_total", l),
+		}
+		lat := reg.Histogram("sim_cache_latency_cycles", obs.ExpBuckets(1, 2, 14), l)
+		for j := range caches {
+			caches[j].lat = lat
 		}
 	}
 	h.dram.setMetrics(reg)
 }
 
+// totals sums one level's plain counters: hits, misses, evictions, writebacks.
+func totals(caches []Cache) (t [4]uint64) {
+	for i := range caches {
+		c := &caches[i]
+		t[0] += c.hits
+		t[1] += c.misses
+		t[2] += c.evictions
+		t[3] += c.writebacks
+	}
+	return t
+}
+
+// FlushMetrics publishes what the plain per-cache and DRAM counters gained
+// since the last flush into the attached registry. The timing machines call
+// it when a kernel drains and Reset calls it before clearing, so the
+// registry's run-cumulative totals keep growing across per-kernel resets.
+func (h *Hierarchy) FlushMetrics() {
+	for i, caches := range h.levels() {
+		sum := totals(caches)
+		for k, ctr := range h.counters[i] {
+			ctr.Add(sum[k] - h.published[i][k])
+		}
+		h.published[i] = sum
+	}
+	h.dram.flushMetrics()
+}
+
 // Reset invalidates every cache and clears DRAM state; the driver calls it
 // between independent workloads.
 func (h *Hierarchy) Reset() {
-	for _, c := range h.l1v {
-		c.Reset()
+	h.FlushMetrics()
+	for _, caches := range h.levels() {
+		for j := range caches {
+			caches[j].Reset()
+		}
 	}
-	for _, c := range h.l1i {
-		c.Reset()
-	}
-	for _, c := range h.l1k {
-		c.Reset()
-	}
-	for _, c := range h.l2 {
-		c.Reset()
-	}
+	clear(h.published[:])
 	h.dram.Reset()
 	h.atomicAccesses = 0
+}
+
+// coalesce splits a warp's per-lane byte addresses (at most 64) into unique
+// line addresses and returns how many it wrote to lines. Lines come out in
+// first-occurrence order: that is the order they arbitrate for the L1 port
+// and take LRU stamps in, so it is part of the simulated result. A lane on
+// the same line as the lane before it — every lane but a few of a
+// unit-stride or broadcast access — costs one compare; any other line goes
+// through a 128-slot open-addressed table on the stack (line index plus one,
+// 0 = empty), which keeps a full 64-line gather linear.
+func coalesce(addrs []uint64, lines *[64]uint64) int {
+	var slots [128]uint8
+	n := 0
+	prev := ^uint64(0) // not line-aligned, so no line equals it
+	for _, a := range addrs {
+		la := a &^ uint64(LineSize-1)
+		if la == prev {
+			continue
+		}
+		prev = la
+		s := (la / LineSize) * 0x9E3779B97F4A7C15 >> 57
+		for slots[s] != 0 && lines[slots[s]-1] != la {
+			s = (s + 1) % uint64(len(slots))
+		}
+		if slots[s] == 0 {
+			lines[n] = la
+			n++
+			slots[s] = uint8(n)
+		}
+	}
+	return n
 }
 
 // VectorAccess performs a coalesced per-warp vector memory access from cuID.
@@ -156,25 +220,11 @@ func (h *Hierarchy) VectorAccess(now event.Time, cuID int, addrs []uint64, write
 	if len(addrs) == 0 {
 		return now + h.cfg.L1V.HitLatency
 	}
-	l1 := h.l1v[cuID]
+	l1 := &h.l1v[cuID]
 	done := now
-	// Coalescing: collect unique line addresses. Lane counts are <= 64, so
-	// a small linear-scan set beats map allocation.
 	var lines [64]uint64
-	n := 0
-outer:
-	for _, a := range addrs {
-		la := a &^ uint64(LineSize-1)
-		for i := 0; i < n; i++ {
-			if lines[i] == la {
-				continue outer
-			}
-		}
-		lines[n] = la
-		n++
-	}
-	for i := 0; i < n; i++ {
-		if t := l1.Access(now, lines[i], write); t > done {
+	for _, la := range lines[:coalesce(addrs, &lines)] {
+		if t := l1.Access(now, la, write); t > done {
 			done = t
 		}
 	}
@@ -190,11 +240,11 @@ func (h *Hierarchy) AtomicAccess(now event.Time, cuID int, addrs []uint64) event
 	if len(addrs) == 0 {
 		return now + h.cfg.L2.HitLatency
 	}
-	r := l2Router{h}
 	done := now
 	for _, a := range addrs {
 		h.atomicAccesses++
-		if t := r.Access(now, a&^uint64(LineSize-1), true); t > done {
+		la := a &^ uint64(LineSize-1)
+		if t := bankFor(h.l2, la).Access(now, la, true); t > done {
 			done = t
 		}
 	}
@@ -227,22 +277,20 @@ func (h *Hierarchy) InstFetch(now event.Time, cuID int, instAddr uint64) event.T
 // misses plus L2 writebacks.
 func (h *Hierarchy) CheckConservation() error {
 	var l1Demand, l2Acc, l2Demand uint64
-	for _, group := range [][]*Cache{h.l1v, h.l1i, h.l1k} {
-		for _, c := range group {
-			if c.Accesses() != c.Hits()+c.Misses() {
+	for i, caches := range h.levels() {
+		for j := range caches {
+			c := &caches[j]
+			if c.accesses != c.hits+c.misses {
 				return fmt.Errorf("mem: %s: accesses %d != hits %d + misses %d",
-					c.cfg.Name, c.Accesses(), c.Hits(), c.Misses())
+					c.cfg.Name, c.accesses, c.hits, c.misses)
 			}
-			l1Demand += c.Misses() + c.Writebacks()
+			if levelNames[i] == "L2" {
+				l2Acc += c.accesses
+				l2Demand += c.misses + c.writebacks
+			} else {
+				l1Demand += c.misses + c.writebacks
+			}
 		}
-	}
-	for _, c := range h.l2 {
-		if c.Accesses() != c.Hits()+c.Misses() {
-			return fmt.Errorf("mem: %s: accesses %d != hits %d + misses %d",
-				c.cfg.Name, c.Accesses(), c.Hits(), c.Misses())
-		}
-		l2Acc += c.Accesses()
-		l2Demand += c.Misses() + c.Writebacks()
 	}
 	if l2Acc != l1Demand+h.atomicAccesses {
 		return fmt.Errorf("mem: L2 accesses %d != L1 misses+writebacks %d + atomics %d",
@@ -267,24 +315,10 @@ type Stats struct {
 
 // CollectStats sums the per-cache counters.
 func (h *Hierarchy) CollectStats() Stats {
-	var s Stats
-	for _, c := range h.l1v {
-		s.L1VHits += c.Hits()
-		s.L1VMisses += c.Misses()
+	v, i, k, l2 := totals(h.l1v), totals(h.l1i), totals(h.l1k), totals(h.l2)
+	return Stats{
+		L1VHits: v[0], L1VMisses: v[1], L1IHits: i[0], L1IMisses: i[1],
+		L1KHits: k[0], L1KMisses: k[1], L2Hits: l2[0], L2Misses: l2[1],
+		DRAMAccesses: h.dram.Accesses(), DRAMRowHits: h.dram.RowHits(),
 	}
-	for _, c := range h.l1i {
-		s.L1IHits += c.Hits()
-		s.L1IMisses += c.Misses()
-	}
-	for _, c := range h.l1k {
-		s.L1KHits += c.Hits()
-		s.L1KMisses += c.Misses()
-	}
-	for _, c := range h.l2 {
-		s.L2Hits += c.Hits()
-		s.L2Misses += c.Misses()
-	}
-	s.DRAMAccesses = h.dram.Accesses()
-	s.DRAMRowHits = h.dram.RowHits()
-	return s
 }

@@ -98,9 +98,9 @@ func (h *Hierarchy) NewLanePort(cuLo, cuHi int) *LanePort {
 		cuLo: cuLo,
 		cuHi: cuHi,
 		seqs: make([]uint64, cuHi-cuLo+1),
-		latV: h.l1v[cuLo].mx.latency.NewShard(),
-		latI: h.l1i[cuLo/h.cfg.CUsPerScalarBlock].mx.latency.NewShard(),
-		latK: h.l1k[cuLo/h.cfg.CUsPerScalarBlock].mx.latency.NewShard(),
+		latV: h.l1v[cuLo].lat.NewShard(),
+		latI: h.l1i[cuLo/h.cfg.CUsPerScalarBlock].lat.NewShard(),
+		latK: h.l1k[cuLo/h.cfg.CUsPerScalarBlock].lat.NewShard(),
 	}
 }
 
@@ -111,6 +111,28 @@ func (p *LanePort) record(at event.Time, cu int, line uint64, write, atomic bool
 		at: at, cu: cu, seq: p.seqs[i],
 		line: line, write: write, atomic: atomic, resolve: resolve,
 	})
+}
+
+// access is Cache.Access for a lane-owned L1: the same probe, but a miss
+// records its fill (and any victim writeback) for the coordinator to drain
+// into the shared L2/DRAM at the next quantum barrier instead of calling
+// down. It returns (done, false) for a hit, observed on j's shard, and
+// (0, true) when the fill was deferred; j.resolve is then called at the
+// barrier with the completion time.
+func (p *LanePort) access(c *Cache, now event.Time, lineAddr uint64, write bool, cu int, j *laneJoin) (event.Time, bool) {
+	start, hit, wb := c.probe(now, lineAddr, write)
+	at := start + c.cfg.HitLatency
+	if hit {
+		if j.shard != nil {
+			j.shard.Observe(float64(at - now))
+		}
+		return at, false
+	}
+	if wb != 0 {
+		p.record(at, cu, (wb-1)*LineSize, true, false, nil)
+	}
+	p.record(at, cu, lineAddr, false, false, j.resolve)
+	return 0, true
 }
 
 func (p *LanePort) getJoin(now event.Time, shard *obs.HistogramShard, complete func(event.Time)) *laneJoin {
@@ -140,31 +162,16 @@ func (p *LanePort) VectorAccess(now event.Time, cuID int, addrs []uint64, write 
 		complete(now + h.cfg.L1V.HitLatency)
 		return
 	}
-	l1 := h.l1v[cuID]
-	var lines [64]uint64
-	n := 0
-outer:
-	for _, a := range addrs {
-		la := a &^ uint64(LineSize-1)
-		for i := 0; i < n; i++ {
-			if lines[i] == la {
-				continue outer
-			}
-		}
-		lines[n] = la
-		n++
-	}
+	l1 := &h.l1v[cuID]
 	j := p.getJoin(now, p.latV, complete)
 	sync := now
-	for i := 0; i < n; i++ {
-		done, pend := l1.accessAsync(now, lines[i], write, cuID, p, j.resolve)
+	var lines [64]uint64
+	for _, la := range lines[:coalesce(addrs, &lines)] {
+		done, pend := p.access(l1, now, la, write, cuID, j)
 		if pend {
 			j.pending++
-		} else {
-			p.latV.Observe(float64(done - now))
-			if done > sync {
-				sync = done
-			}
+		} else if done > sync {
+			sync = done
 		}
 	}
 	if j.pending == 0 {
@@ -196,28 +203,22 @@ func (p *LanePort) AtomicAccess(now event.Time, cuID int, addrs []uint64, comple
 
 // ScalarAccess is Hierarchy.ScalarAccess in callback form.
 func (p *LanePort) ScalarAccess(now event.Time, cuID int, addr uint64, complete func(event.Time)) {
-	blk := cuID / p.h.cfg.CUsPerScalarBlock
-	j := p.getJoin(now, p.latK, complete)
-	j.pending = 1
-	done, pend := p.h.l1k[blk].accessAsync(now, addr&^uint64(LineSize-1), false, cuID, p, j.resolve)
-	if !pend {
-		j.complete = nil
-		p.joins = append(p.joins, j)
-		p.latK.Observe(float64(done - now))
-		complete(done)
-	}
+	p.single(&p.h.l1k[cuID/p.h.cfg.CUsPerScalarBlock], p.latK, now, cuID, addr, complete)
 }
 
 // InstFetch is Hierarchy.InstFetch in callback form.
 func (p *LanePort) InstFetch(now event.Time, cuID int, instAddr uint64, complete func(event.Time)) {
-	blk := cuID / p.h.cfg.CUsPerScalarBlock
-	j := p.getJoin(now, p.latI, complete)
+	p.single(&p.h.l1i[cuID/p.h.cfg.CUsPerScalarBlock], p.latI, now, cuID, instAddr, complete)
+}
+
+// single performs a one-line access through a block-shared L1.
+func (p *LanePort) single(c *Cache, shard *obs.HistogramShard, now event.Time, cuID int, addr uint64, complete func(event.Time)) {
+	j := p.getJoin(now, shard, complete)
 	j.pending = 1
-	done, pend := p.h.l1i[blk].accessAsync(now, instAddr&^uint64(LineSize-1), false, cuID, p, j.resolve)
+	done, pend := p.access(c, now, addr&^uint64(LineSize-1), false, cuID, j)
 	if !pend {
 		j.complete = nil
 		p.joins = append(p.joins, j)
-		p.latI.Observe(float64(done - now))
 		complete(done)
 	}
 }
@@ -288,13 +289,12 @@ func (h *Hierarchy) DrainLaneRequests(ports []*LanePort) {
 	if !laneReqsSorted(buf) {
 		sort.Slice(buf, func(i, j int) bool { return laneReqLess(&buf[i], &buf[j]) })
 	}
-	r := l2Router{h}
 	for i := range buf {
 		rq := &buf[i]
 		if rq.atomic {
 			h.atomicAccesses++
 		}
-		done := r.Access(rq.at, rq.line, rq.write)
+		done := bankFor(h.l2, rq.line).Access(rq.at, rq.line, rq.write)
 		if rq.resolve != nil {
 			rq.resolve(done)
 		}
@@ -303,26 +303,16 @@ func (h *Hierarchy) DrainLaneRequests(ports []*LanePort) {
 	h.drainBuf = buf[:0]
 }
 
-// FlushLaneTelemetry folds lane-local telemetry into the shared registry
-// handles after a laned run: the L1 levels' plain per-cache counters (which
-// accessAsync kept counting while skipping the shared atomics) and each
-// port's latency shards. L2 and DRAM are excluded — the barrier drain goes
-// through the ordinary Access path, which publishes inline. Call exactly
-// once per laned run, after the final drain; the serial path must never
-// call it (Access already published).
+// FlushLaneTelemetry folds lane-local telemetry into the attached registry
+// after a laned run: each port's L1 latency shards (L2 and DRAM observe
+// inline during the barrier drain) and, as after a serial run, the plain
+// counters of every level. Call after the final drain.
 func (h *Hierarchy) FlushLaneTelemetry(ports []*LanePort) {
-	for _, group := range [][]*Cache{h.l1v, h.l1i, h.l1k} {
-		for _, c := range group {
-			c.mx.hits.Add(c.hits)
-			c.mx.misses.Add(c.misses)
-			c.mx.evictions.Add(c.evictions)
-			c.mx.writebacks.Add(c.writebacks)
-		}
-	}
 	for _, p := range ports {
-		p.latV.FlushTo(h.l1v[p.cuLo].mx.latency)
 		blk := p.cuLo / h.cfg.CUsPerScalarBlock
-		p.latI.FlushTo(h.l1i[blk].mx.latency)
-		p.latK.FlushTo(h.l1k[blk].mx.latency)
+		p.latV.FlushTo(h.l1v[p.cuLo].lat)
+		p.latI.FlushTo(h.l1i[blk].lat)
+		p.latK.FlushTo(h.l1k[blk].lat)
 	}
+	h.FlushMetrics()
 }

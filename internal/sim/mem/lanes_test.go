@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 
 	"photon/internal/sim/event"
@@ -189,5 +190,71 @@ func TestFlatViewConcurrent(t *testing.T) {
 		if got := f.Read32(base + uint64(i)*4); got != uint32(i) {
 			t.Fatalf("word %d = %d after concurrent writes", i, got)
 		}
+	}
+}
+
+// TestLanePortCountersMatchSerialOnRandomStream drives a seeded random mix of
+// vector, scalar, fetch and atomic operations from all four CUs through the
+// serial surface and through two lane ports. Issue times are far enough apart
+// that the drain's (at, cu, seq) order is the serial call order, so the
+// probe's two continuations must leave the same machine behind: equal
+// completion time per operation and equal counters at every level.
+func TestLanePortCountersMatchSerialOnRandomStream(t *testing.T) {
+	hs, hl := testHierarchy(), testHierarchy()
+	ports := []*LanePort{hl.NewLanePort(0, 1), hl.NewLanePort(2, 3)}
+	rng := rand.New(rand.NewSource(99))
+	const ops = 3000
+	serial, laned := make([]event.Time, ops), make([]event.Time, ops)
+	for i := 0; i < ops; i++ {
+		now, cu := event.Time(i)*2000, rng.Intn(4)
+		p := ports[cu/2]
+		addrs := make([]uint64, 1+rng.Intn(64))
+		base := uint64(rng.Intn(1 << 22))
+		for l := range addrs {
+			if i%3 == 0 { // gather over 4 MiB: misses everywhere, dirty evictions
+				addrs[l] = uint64(rng.Intn(1<<22)) &^ 3
+			} else {
+				addrs[l] = base + uint64(l)*4
+			}
+		}
+		done := func(d event.Time) { laned[i] = d }
+		switch k := rng.Intn(10); {
+		case k < 6:
+			write := rng.Intn(3) == 0
+			serial[i] = hs.VectorAccess(now, cu, addrs, write)
+			p.VectorAccess(now, cu, addrs, write, done)
+		case k < 8:
+			serial[i] = hs.ScalarAccess(now, cu, addrs[0])
+			p.ScalarAccess(now, cu, addrs[0], done)
+		case k < 9:
+			serial[i] = hs.InstFetch(now, cu, addrs[0])
+			p.InstFetch(now, cu, addrs[0], done)
+		default:
+			serial[i] = hs.AtomicAccess(now, cu, addrs[:1+len(addrs)/8])
+			p.AtomicAccess(now, cu, addrs[:1+len(addrs)/8], done)
+		}
+		if i%500 == 499 {
+			hl.DrainLaneRequests(ports)
+		}
+	}
+	hl.DrainLaneRequests(ports)
+	for i := range serial {
+		if serial[i] != laned[i] {
+			t.Fatalf("op %d: laned done %d, serial %d", i, laned[i], serial[i])
+		}
+	}
+	ls, ll := hs.levels(), hl.levels()
+	for i, name := range levelNames {
+		if s, l := totals(ls[i]), totals(ll[i]); s != l {
+			t.Errorf("%s hits/misses/evictions/writebacks: laned %v, serial %v", name, l, s)
+		} else if (name == "L1V" || name == "L2") && (s[2] == 0 || s[3] == 0) {
+			t.Errorf("%s: stream produced no evictions or writebacks: %v", name, s)
+		}
+	}
+	if hs.CollectStats() != hl.CollectStats() || hs.atomicAccesses != hl.atomicAccesses {
+		t.Errorf("stats diverge:\nserial %+v\nlaned  %+v", hs.CollectStats(), hl.CollectStats())
+	}
+	if err := hl.CheckConservation(); err != nil {
+		t.Errorf("laned conservation: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"photon/internal/obs"
 	"photon/internal/sim/event"
+	"photon/internal/testutil"
 )
 
 func TestFlatReadWriteRoundTrip(t *testing.T) {
@@ -386,6 +387,8 @@ func TestHierarchyMetricsAccumulateAcrossResets(t *testing.T) {
 			t.Fatalf("kernel %d: per-kernel stats = %+v, want 3 hits / 3 misses", kernel, s)
 		}
 	}
+	h.FlushMetrics() // the last kernel's counts; Reset published the earlier ones
+	h.FlushMetrics() // a second flush publishes nothing twice
 	snap := reg.Snapshot()
 	if got := snap.SumCounters("sim_cache_hits_total", obs.L("level", "L1V")); got != wantHits {
 		t.Fatalf("registry L1V hits = %d, want %d", got, wantHits)
@@ -400,5 +403,35 @@ func TestHierarchyMetricsAccumulateAcrossResets(t *testing.T) {
 		if hs.Name == "sim_cache_latency_cycles" && hs.Labels["level"] == "L1V" && hs.Count == 0 {
 			t.Fatal("L1V latency histogram recorded nothing")
 		}
+	}
+}
+
+// TestHierarchyAccessZeroAlloc pins the serial access surface: coalescing
+// (stream and full gather), the three cache levels and the DRAM touch the
+// allocator zero times, with or without a registry attached.
+func TestHierarchyAccessZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var stream, gather [64]uint64
+	for i := range gather {
+		stream[i] = 0x10000 + uint64(i)*4
+		gather[i] = uint64(rng.Intn(1<<24)) &^ 3
+	}
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		h := testHierarchy()
+		if reg != nil {
+			h.SetMetrics(reg)
+		}
+		now := event.Time(0)
+		testutil.MustZeroAllocs(t, "Hierarchy.VectorAccess/ScalarAccess/InstFetch/AtomicAccess", func() {
+			now += 100
+			h.VectorAccess(now, 0, stream[:], true)
+			h.VectorAccess(now, 1, gather[:], false)
+			h.ScalarAccess(now, 2, gather[0])
+			h.InstFetch(now, 3, gather[1])
+			h.AtomicAccess(now, 0, gather[:8])
+			for i := range gather {
+				gather[i] += 4096 + LineSize
+			}
+		})
 	}
 }

@@ -434,6 +434,7 @@ func (lm *LanedMachine) Run(l *kernel.Launch) (Result, error) {
 		mach.store.SetMemView(l.Memory.View())
 		mach.store.SetDeferAtomics(true)
 		mach.progBase = 1 << 40
+		mach.countRoomyCUs(ln.cuLo, ln.cuHi)
 	}
 	delta := lm.hier.QuantumDelta()
 	if delta < 1 {
@@ -695,13 +696,22 @@ func (lm *LanedMachine) dispatch(now event.Time) {
 }
 
 func (lm *LanedMachine) findFreeCU() (*cu, *laneState) {
+	roomy := 0
+	for _, ln := range lm.lanes {
+		roomy += ln.m.roomyCUs
+	}
+	if roomy == 0 {
+		return nil, nil
+	}
 	n := lm.cfg.NumCUs
-	for i := 0; i < n; i++ {
-		id := (lm.rrCU + i) % n
+	for i, id := 0, lm.rrCU; i < n; i++ {
 		ln := lm.lanes[lm.cuLane[id]]
 		c := ln.m.cus[id]
+		if id++; id == n {
+			id = 0
+		}
 		if c.freeSlots >= lm.launch.WarpsPerGroup {
-			lm.rrCU = (id + 1) % n
+			lm.rrCU = id
 			return c, ln
 		}
 	}

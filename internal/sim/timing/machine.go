@@ -34,6 +34,7 @@ type Machine struct {
 	instCount  uint64
 	warpsDone  int
 	rrCU       int
+	roomyCUs   int // CUs with room for one more workgroup of the current launch
 	gated      bool
 	gateTime   event.Time
 
@@ -269,9 +270,11 @@ func (m *Machine) Run(l *kernel.Launch) (Result, error) {
 	// Give each program a distinct, stable fetch-address region.
 	m.progBase = 1 << 40
 	m.nextWG = 0
+	m.countRoomyCUs(0, len(m.cus)-1)
 	m.dispatchPending(0)
 	m.engine.Run()
 	m.flushMetrics()
+	m.hier.FlushMetrics()
 	res := Result{
 		EndTime:        m.engine.Now(),
 		Complete:       m.nextWG >= l.NumWorkgroups,
@@ -318,11 +321,32 @@ func (m *Machine) dispatchPending(now event.Time) {
 	}
 }
 
-func (m *Machine) findFreeCU() *cu {
-	for i := 0; i < len(m.cus); i++ {
-		c := m.cus[(m.rrCU+i)%len(m.cus)]
+// countRoomyCUs sets roomyCUs from the free slots of CUs lo…hi (the whole
+// machine, or the range a lane owns); placeGroup and recycleGroup keep it
+// current from there.
+func (m *Machine) countRoomyCUs(lo, hi int) {
+	m.roomyCUs = 0
+	for _, c := range m.cus[lo : hi+1] {
 		if c.freeSlots >= m.launch.WarpsPerGroup {
-			m.rrCU = (m.rrCU + i + 1) % len(m.cus)
+			m.roomyCUs++
+		}
+	}
+}
+
+// findFreeCU returns the first CU at or after the round-robin cursor with
+// room for a workgroup and moves the cursor past it. Every retirement asks,
+// and the usual answer on a full machine is "none": that costs one compare.
+func (m *Machine) findFreeCU() *cu {
+	if m.roomyCUs == 0 {
+		return nil
+	}
+	for i, id := 0, m.rrCU; i < len(m.cus); i++ {
+		c := m.cus[id]
+		if id++; id == len(m.cus) {
+			id = 0
+		}
+		if c.freeSlots >= m.launch.WarpsPerGroup {
+			m.rrCU = id
 			return c
 		}
 	}
@@ -331,6 +355,9 @@ func (m *Machine) findFreeCU() *cu {
 
 func (m *Machine) placeGroup(c *cu, wgID int, now event.Time) {
 	c.freeSlots -= m.launch.WarpsPerGroup
+	if c.freeSlots < m.launch.WarpsPerGroup {
+		m.roomyCUs--
+	}
 	m.liveGroups++
 	grp := m.takeGroup()
 	grp.id = wgID
@@ -608,6 +635,9 @@ func (m *Machine) recycleGroup(g *groupRT) {
 		g.lds = nil
 	}
 	m.freeGroups = append(m.freeGroups, g)
+	if g.cu.freeSlots < m.launch.WarpsPerGroup {
+		m.roomyCUs++
+	}
 	g.cu.freeSlots += m.launch.WarpsPerGroup
 	m.liveGroups--
 }

@@ -351,3 +351,62 @@ func TestMachineMetricsFlushedAfterRun(t *testing.T) {
 		t.Fatal("no per-CU sim_cu_insts_issued series found")
 	}
 }
+
+// placementChecker compares, at every warp start and retirement, the
+// dispatch bookkeeping against a plain scan: roomyCUs must count exactly the
+// CUs with room for a workgroup, and findFreeCU — early-out, wrapped cursor
+// — must pick the CU the modulo scan from rrCU picks and leave the cursor
+// just past it.
+type placementChecker struct {
+	NopObserver
+	t      *testing.T
+	m      *Machine
+	checks int
+	none   int // checks where no CU had room
+}
+
+func (o *placementChecker) OnWarpStart(event.Time, *emu.Warp)               { o.check() }
+func (o *placementChecker) OnWarpRetired(event.Time, *emu.Warp, event.Time) { o.check() }
+
+func (o *placementChecker) check() {
+	m, n, wpg := o.m, len(o.m.cus), o.m.launch.WarpsPerGroup
+	roomy, want := 0, (*cu)(nil)
+	for i := range m.cus {
+		if m.cus[i].freeSlots >= wpg {
+			roomy++
+		}
+		if c := m.cus[(m.rrCU+i)%n]; want == nil && c.freeSlots >= wpg {
+			want = c
+		}
+	}
+	if m.roomyCUs != roomy {
+		o.t.Fatalf("roomyCUs = %d, but %d CUs have room for %d warps", m.roomyCUs, roomy, wpg)
+	}
+	cursor := m.rrCU
+	got := m.findFreeCU()
+	if got != want {
+		o.t.Fatalf("findFreeCU from cursor %d picked %v, the plain scan picks %v", cursor, got, want)
+	}
+	if got != nil && m.rrCU != (got.id+1)%n {
+		o.t.Fatalf("cursor after picking CU %d is %d", got.id, m.rrCU)
+	}
+	m.rrCU = cursor
+	o.checks++
+	if want == nil {
+		o.none++
+	}
+}
+
+func TestDispatchPlacementMatchesPlainScan(t *testing.T) {
+	for _, wpg := range []int{1, 16} { // 16 leaves 8 of a CU's 40 slots unusable
+		l, _ := barrierLaunch(4000/wpg, wpg)
+		o := &placementChecker{t: t}
+		o.m = NewMachine(DefaultCompute(4), testHier(4), o)
+		if res, err := o.m.Run(l); err != nil || !res.Complete {
+			t.Fatalf("wpg=%d: run: %+v, %v", wpg, res, err)
+		}
+		if o.none == 0 || o.none == o.checks {
+			t.Fatalf("wpg=%d: %d of %d checks saw a full machine; want some of each", wpg, o.none, o.checks)
+		}
+	}
+}
