@@ -52,7 +52,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		prNodes    = fs.Int("pr-nodes", 64*1024, "PageRank node count for fig16")
 		jsonPath   = fs.String("json", "", "also write every comparison as JSON lines to this file")
 		parallel   = fs.Int("parallel", 0, "worker count for experiment jobs (<= 0: one per CPU)")
-		lanes      = fs.Int("lanes", 0, "per-run detailed-simulation lanes (0: serial engine, -1: auto, shares CPUs with -parallel workers)")
 		fixedWall  = fs.Bool("fixed-wall", false, "pin wall times in output so runs diff byte-identically")
 		check      = fs.Bool("check", false, "audit simulator invariants inline on every sampled run")
 		metricsOut = fs.String("metrics-out", "", "write a telemetry snapshot (metrics.json) to this file")
@@ -62,7 +61,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		perf       = fs.Bool("perf", false, "run the hot-path performance baseline instead of experiments")
-		perfOut    = fs.String("perf-out", "BENCH_PR8.json", "where -perf writes its JSON report")
+		perfOut    = fs.String("perf-out", "bench_perf.json", "where -perf writes its JSON report")
 		version    = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -98,7 +97,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		prNodes:    *prNodes,
 		jsonPath:   *jsonPath,
 		parallel:   *parallel,
-		lanes:      *lanes,
 		fixedWall:  *fixedWall,
 		check:      *check,
 		metricsOut: *metricsOut,
@@ -123,7 +121,6 @@ type benchFlags struct {
 	prNodes    int
 	jsonPath   string
 	parallel   int
-	lanes      int
 	fixedWall  bool
 	check      bool
 	metricsOut string
@@ -137,7 +134,6 @@ func runExperiments(f benchFlags, stdout, stderr io.Writer) int {
 	o.Quick = f.quick
 	o.PRNodes = f.prNodes
 	o.Parallel = f.parallel
-	o.Lanes = f.lanes
 	o.FixedWall = f.fixedWall
 	o.Baselines = harness.NewBaselineCache()
 

@@ -34,7 +34,6 @@ func main() {
 		arch       = flag.String("arch", "r9nano", "GPU configuration: r9nano or mi100")
 		mode       = flag.String("mode", "photon", "runner: full|photon|pka|bb|warp|kernel")
 		perKernel  = flag.Bool("per-kernel", false, "print one row per kernel launch")
-		lanes      = flag.Int("lanes", 0, "detailed-simulation lanes (0: serial engine, -1: one per CPU, n: n conservative time-quantum lanes)")
 		check      = flag.Bool("check", false, "audit simulator invariants inline and verify functional correctness after simulation (where supported)")
 		store      = flag.String("analysis-store", "", "offline Photon: JSON file caching online-analysis profiles (created if missing)")
 		splitWait  = flag.Bool("split-waitcnt", false, "also end basic blocks at s_waitcnt (paper future-work variant)")
@@ -138,7 +137,7 @@ func main() {
 	}
 
 	res, err := harness.RunAppInstrumented(context.Background(), cfg, app, runner,
-		harness.AppObs{Metrics: reg, Trace: traceBuf, Lanes: *lanes})
+		harness.AppObs{Metrics: reg, Trace: traceBuf})
 	if err != nil {
 		fatal("%v", err)
 	}

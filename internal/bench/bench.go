@@ -8,7 +8,6 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -85,29 +84,6 @@ type Footprint struct {
 // fields now folded into one flags byte lane.
 const aosExtraBytesPerWarp = 512 + 3*24 + 16
 
-// LaneRun is one end-to-end detailed measurement under the quantum-laned
-// engine at a fixed lane request.
-type LaneRun struct {
-	Lanes       int     `json:"lanes"`
-	SimCycles   int64   `json:"sim_cycles"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// SpeedupX is wall time relative to the 1-lane laned run. Meaningful
-	// scaling needs NumCPU >= the lane count; on a smaller host the extra
-	// lanes time-share cores and the honest number hovers near (or below,
-	// from barrier overhead) 1.0.
-	SpeedupX float64 `json:"speedup_x"`
-}
-
-// LaneScaling reports intra-run parallelism: the same detailed app at
-// increasing lane counts. Simulated cycles are lane-count-invariant by
-// construction, so the report doubles as an end-to-end determinism check —
-// Run fails if any lane count disagrees.
-type LaneScaling struct {
-	App    string    `json:"app"`
-	NumCPU int       `json:"num_cpu"`
-	Runs   []LaneRun `json:"runs"`
-}
-
 // Report is the full perf baseline written to BENCH_<PR>.json.
 type Report struct {
 	GoVersion string `json:"go_version"`
@@ -117,10 +93,9 @@ type Report struct {
 	Micro []Result `json:"micro"`
 	// EngineSpeedupX is the wheel+4-ary-heap engine's events/sec over the
 	// container/heap reference on the same workload.
-	EngineSpeedupX float64     `json:"event_engine_speedup_x"`
-	EndToEnd       EndToEnd    `json:"end_to_end"`
-	Footprint      Footprint   `json:"footprint"`
-	LaneScaling    LaneScaling `json:"lane_scaling"`
+	EngineSpeedupX float64   `json:"event_engine_speedup_x"`
+	EndToEnd       EndToEnd  `json:"end_to_end"`
+	Footprint      Footprint `json:"footprint"`
 
 	TotalWallSeconds float64 `json:"total_wall_seconds"`
 }
@@ -410,63 +385,8 @@ func Run(w io.Writer) (Report, error) {
 	fmt.Fprintf(w, "%-22s %12d B/warp %9d slots %11.1f%% vs AoS\n",
 		"warp_footprint:"+fp.App, fp.BytesPerWarp, fp.WarpSlots, fp.SavingsPct)
 
-	ls, err := laneScalingReport()
-	if err != nil {
-		return rep, err
-	}
-	rep.LaneScaling = ls
-	for _, lr := range ls.Runs {
-		fmt.Fprintf(w, "%-22s %12.2f s wall %12d sim-cycles %11.2fx vs 1 lane\n",
-			fmt.Sprintf("lanes=%d:%s", lr.Lanes, ls.App), lr.WallSeconds, lr.SimCycles, lr.SpeedupX)
-	}
-
 	rep.TotalWallSeconds = time.Since(start).Seconds()
 	return rep, nil
-}
-
-// laneScalingReport runs the end-to-end app on the laned detailed engine at
-// 1 and 8 lanes and reports wall time for each. The recorded numbers are
-// honest for the host that produced them: NumCPU is in the report, and on a
-// single-core machine the 8-lane wall time legitimately shows no speedup.
-func laneScalingReport() (LaneScaling, error) {
-	spec, err := workloads.FindSpec("ReLU")
-	if err != nil {
-		return LaneScaling{}, err
-	}
-	ls := LaneScaling{
-		App:    fmt.Sprintf("%s/%d", spec.Abbr, spec.Sizes[0]),
-		NumCPU: runtime.NumCPU(),
-	}
-	for _, lanes := range []int{1, 8} {
-		app, err := spec.Build(spec.Sizes[0])
-		if err != nil {
-			return ls, err
-		}
-		start := time.Now()
-		res, err := harness.RunAppInstrumented(context.Background(), gpu.R9Nano(), app,
-			gpu.FullRunner{}, harness.AppObs{Lanes: lanes})
-		if err != nil {
-			return ls, err
-		}
-		lr := LaneRun{
-			Lanes:       lanes,
-			SimCycles:   int64(res.KernelTime),
-			WallSeconds: time.Since(start).Seconds(),
-		}
-		if base := ls.Runs; len(base) > 0 {
-			if lr.SimCycles != base[0].SimCycles {
-				return ls, fmt.Errorf("lane scaling: %d lanes simulated %d cycles, 1 lane %d — lane-count invariance broken",
-					lanes, lr.SimCycles, base[0].SimCycles)
-			}
-			if lr.WallSeconds > 0 {
-				lr.SpeedupX = base[0].WallSeconds / lr.WallSeconds
-			}
-		} else {
-			lr.SpeedupX = 1
-		}
-		ls.Runs = append(ls.Runs, lr)
-	}
-	return ls, nil
 }
 
 // xfmrBuildBench measures the transformer kernel-generator path end to end:

@@ -18,11 +18,6 @@ type BaselineKey struct {
 	Bench  string
 	Size   int
 	Block  isa.BlockOptions
-	// Laned distinguishes baselines measured on the quantum-laned engine
-	// from serial ones: the two are functionally identical but not
-	// cycle-identical. The lane count is deliberately not part of the key —
-	// laned results are invariant to it.
-	Laned bool
 }
 
 // BaselineCache memoizes full-detailed baseline runs across experiments.
@@ -75,16 +70,8 @@ func (c *BaselineCache) Full(key BaselineKey, cfg gpu.Config, build func() (*wor
 // a run that never finished — but the entry returns to idle so the next
 // lookup re-simulates rather than replaying the cancellation forever.
 func (c *BaselineCache) FullCtx(ctx context.Context, key BaselineKey, cfg gpu.Config, build func() (*workloads.App, error)) (AppResult, error) {
-	return c.FullLanesCtx(ctx, key, cfg, 0, build)
-}
-
-// FullLanesCtx is FullCtx with an intra-run lane request for the baseline
-// simulation (0 = serial engine; see gpu.SetLanes). Callers measuring laned
-// sweeps pass a key with Laned set so the cache never hands a serial
-// baseline to a laned consumer or vice versa.
-func (c *BaselineCache) FullLanesCtx(ctx context.Context, key BaselineKey, cfg gpu.Config, lanes int, build func() (*workloads.App, error)) (AppResult, error) {
 	if c == nil {
-		return runFull(ctx, cfg, lanes, build)
+		return runFull(ctx, cfg, build)
 	}
 	counted := false // this lookup was tallied as a hit
 	for {
@@ -109,7 +96,7 @@ func (c *BaselineCache) FullLanesCtx(ctx context.Context, key BaselineKey, cfg g
 			c.simulated++
 			c.mu.Unlock()
 
-			res, err := runFull(ctx, cfg, lanes, build)
+			res, err := runFull(ctx, cfg, build)
 
 			c.mu.Lock()
 			e.inflight = nil
@@ -142,12 +129,12 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func runFull(ctx context.Context, cfg gpu.Config, lanes int, build func() (*workloads.App, error)) (AppResult, error) {
+func runFull(ctx context.Context, cfg gpu.Config, build func() (*workloads.App, error)) (AppResult, error) {
 	app, err := build()
 	if err != nil {
 		return AppResult{}, err
 	}
-	return runAppObsCtx(ctx, cfg, app, gpu.FullRunner{}, AppObs{Lanes: lanes})
+	return RunAppCtx(ctx, cfg, app, gpu.FullRunner{})
 }
 
 // Simulated reports how many full baseline runs were actually started.

@@ -44,32 +44,6 @@ func Workers(requested, tasks int) int {
 	return n
 }
 
-// LaneBudget arbitrates the CPU between job-level workers and intra-run
-// simulation lanes so their product stays within GOMAXPROCS: requested is
-// the -lanes flag (0 = serial engine, < 0 = auto), and workers the resolved
-// job-worker count (see Workers). Each job may fan out up to
-// GOMAXPROCS/workers lanes, floored at 1; an explicit positive request caps
-// the result. The policy favors job-level parallelism — it is barrier-free
-// and scales better — so when a full job queue has already saturated the
-// CPUs (workers == GOMAXPROCS), the division degrades lanes to 1: still the
-// laned engine, for its determinism contract, but no extra goroutines.
-func LaneBudget(requested, workers int) int {
-	if requested == 0 {
-		return 0
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	lanes := runtime.GOMAXPROCS(0) / workers
-	if requested > 0 && requested < lanes {
-		lanes = requested
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	return lanes
-}
-
 // JobMeta describes how one job was executed: which worker ran it, how long
 // it ran, and how long it sat in the queue first. Wall and QueueWait are host
 // times and therefore nondeterministic; callers that require byte-identical

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,45 +23,6 @@ func TestWorkers(t *testing.T) {
 	}
 	if got := Workers(-1, 0); got != 1 {
 		t.Fatalf("Workers(-1, 0) = %d, want 1", got)
-	}
-}
-
-// TestLaneBudget pins the worker/lane CPU arbitration: the product of
-// workers and lanes never exceeds GOMAXPROCS, a full job queue (workers
-// already covering every CPU) degrades lanes to 1, lanes=0 keeps the serial
-// engine, and an explicit request only ever caps the budget.
-func TestLaneBudget(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	if got := LaneBudget(0, 1); got != 0 {
-		t.Fatalf("LaneBudget(0, 1) = %d, want 0 (serial engine)", got)
-	}
-	// Auto lanes on a single worker get the whole machine.
-	if got := LaneBudget(-1, 1); got != procs {
-		t.Fatalf("LaneBudget(-1, 1) = %d, want GOMAXPROCS %d", got, procs)
-	}
-	// A full worker pool (one worker per CPU) degrades lanes to 1.
-	if got := LaneBudget(-1, procs); got != 1 {
-		t.Fatalf("LaneBudget(-1, procs) = %d, want 1", got)
-	}
-	if got := LaneBudget(8, procs); got != 1 {
-		t.Fatalf("LaneBudget(8, procs) = %d, want 1", got)
-	}
-	// An explicit request caps the auto budget, never raises it.
-	if got := LaneBudget(1, 1); got != 1 {
-		t.Fatalf("LaneBudget(1, 1) = %d, want 1", got)
-	}
-	// The product stays within the CPU budget for every combination.
-	for _, req := range []int{-1, 1, 2, 4, 64} {
-		for workers := 1; workers <= procs+2; workers++ {
-			lanes := LaneBudget(req, workers)
-			if lanes < 1 {
-				t.Fatalf("LaneBudget(%d, %d) = %d, want >= 1", req, workers, lanes)
-			}
-			if lanes > 1 && workers*lanes > procs {
-				t.Fatalf("LaneBudget(%d, %d) = %d: %d workers x %d lanes exceeds %d CPUs",
-					req, workers, lanes, workers, lanes, procs)
-			}
-		}
 	}
 }
 

@@ -31,14 +31,6 @@ type Options struct {
 	// Parallel is the worker count for each experiment's job graph;
 	// values <= 0 mean one worker per CPU (GOMAXPROCS).
 	Parallel int
-	// Lanes requests the intra-run quantum-laned engine for every detailed
-	// simulation in the sweep: 0 (default) keeps the serial engine, < 0
-	// auto-sizes, n >= 1 requests n lanes. The effective count per job is
-	// arbitrated against the worker pool (engine.LaneBudget) so workers x
-	// lanes never oversubscribes GOMAXPROCS; results are invariant to the
-	// effective lane count, but laned sweeps are not cycle-identical to
-	// serial ones (they keep separate goldens and baseline-cache entries).
-	Lanes int
 	// FixedWall pins host wall times to constants in emitted rows and
 	// records, making output byte-identical across runs and worker counts
 	// (used when diffing serial vs parallel sweeps).

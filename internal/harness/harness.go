@@ -43,12 +43,12 @@ type KernelRow struct {
 
 // RunApp executes every launch of the app under the runner on a fresh GPU.
 func RunApp(cfg gpu.Config, app *workloads.App, runner gpu.Runner) (AppResult, error) {
-	return RunAppObs(cfg, app, runner, nil, nil, 0)
+	return RunAppInstrumented(context.Background(), cfg, app, runner, AppObs{})
 }
 
 // RunAppCtx is RunApp with cancellation at kernel-launch granularity.
 func RunAppCtx(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner) (AppResult, error) {
-	return runAppObsCtx(ctx, cfg, app, runner, AppObs{})
+	return RunAppInstrumented(ctx, cfg, app, runner, AppObs{})
 }
 
 // simPID is the trace-event process id under which per-kernel simulation
@@ -74,60 +74,31 @@ type AppObs struct {
 	// TID is the trace-span thread id for this run (callers running apps
 	// concurrently pass distinct tids so spans do not overlap).
 	TID int
-	// Lanes selects the intra-run parallel engine for detailed simulation:
-	// 0 keeps the serial machine, -1 means one conservative time-quantum
-	// lane per CPU, n >= 1 requests n lanes (see gpu.SetLanes). Laned runs
-	// also emit one trace span per lane on threads derived from TID.
+	// Lanes is ignored. It survives only because benchmark/sim.go, frozen
+	// outside benchmark PRs, still sets it; the benchmark PR that retires
+	// that probe removes this field with it.
 	Lanes int
 }
 
-// RunAppInstrumented runs the app with the full observability bundle
-// attached: metrics and trace as RunAppObs, plus structured logging on the
-// GPU's timing machines and the runner, and a flight recorder on the
-// runner. The runner's tier ledger, when it keeps one, is returned in
-// AppResult.Decisions.
+// RunAppInstrumented runs the app with the observability bundle attached:
+// the GPU's memory hierarchy and timing machines publish into ao.Metrics and
+// log through ao.Log, the runner does too (plus ao.Flight) when it supports
+// it, and every kernel emits one Chrome trace span onto thread ao.TID of the
+// simulation track. The runner's tier ledger, when it keeps one, is returned
+// in AppResult.Decisions.
+//
+// It checks ctx between kernel launches, so a cancelled or deadline-exceeded
+// job stops within one kernel of the signal instead of simulating the rest
+// of the application. The partial result accumulated so far is returned
+// alongside the context error (callers that checkpoint in-flight work keep
+// it; everyone else discards).
 func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppObs) (AppResult, error) {
-	return runAppObsCtx(ctx, cfg, app, runner, ao)
-}
-
-// RunAppObs is RunApp with telemetry: the GPU's memory hierarchy and timing
-// machines publish into reg, the runner does too when it supports it, and
-// every kernel emits one Chrome trace span onto thread tid of the simulation
-// track (callers running apps concurrently pass distinct tids so spans do
-// not overlap). A nil registry and trace buffer make it equivalent to
-// RunApp.
-func RunAppObs(cfg gpu.Config, app *workloads.App, runner gpu.Runner, reg *obs.Registry, tr *obs.TraceBuffer, tid int) (AppResult, error) {
-	return runAppObsCtx(context.Background(), cfg, app, runner, AppObs{Metrics: reg, Trace: tr, TID: tid})
-}
-
-// RunAppObsCtx is RunAppObs with cancellation at kernel-launch granularity;
-// sweep jobs pass their engine task context so one cancelled service job
-// stops simulating without touching its siblings.
-func RunAppObsCtx(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, reg *obs.Registry, tr *obs.TraceBuffer, tid int) (AppResult, error) {
-	return runAppObsCtx(ctx, cfg, app, runner, AppObs{Metrics: reg, Trace: tr, TID: tid})
-}
-
-// runAppObsCtx is the shared implementation: it checks ctx between kernel
-// launches, so a cancelled or deadline-exceeded job stops within one kernel
-// of the signal instead of simulating the rest of the application. The
-// partial result accumulated so far is returned alongside the context error
-// (callers that checkpoint in-flight work keep it; everyone else discards).
-func runAppObsCtx(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppObs) (AppResult, error) {
 	g := gpu.New(cfg)
 	if ao.Metrics != nil {
 		g.SetMetrics(ao.Metrics)
 	}
 	if ao.Log != nil {
 		g.SetLog(ao.Log)
-	}
-	if ao.Lanes != 0 {
-		g.SetLanes(ao.Lanes)
-		if ao.Trace != nil {
-			// Lane spans ride on a thread range derived from the run's TID so
-			// concurrent jobs' lanes do not collide (16 >= the lane cap of any
-			// supported config's scalar-block count at job-level parallelism).
-			g.SetLaneTrace(ao.Trace, simPID, 1000+ao.TID*16)
-		}
 	}
 	if ms, ok := runner.(metricSetter); ok && ao.Metrics != nil {
 		ms.SetMetrics(ao.Metrics)

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,26 @@ func TestRunAppAggregates(t *testing.T) {
 	}
 	if sum != res.Insts || res.KernelTime == 0 {
 		t.Fatalf("aggregation wrong: %+v", res)
+	}
+}
+
+// TestAppObsLanesIsInert pins the one surviving lane-engine identifier as
+// dead weight: a lane request must not change anything a run reports, so the
+// field cannot quietly grow behaviour again before it is removed.
+func TestAppObsLanesIsInert(t *testing.T) {
+	run := func(ao AppObs) AppResult {
+		app, err := workloads.BuildFIR(384)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunAppInstrumented(t.Context(), testGPU(), app, gpu.FullRunner{}, ao)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fixWall(res)
+	}
+	if plain, four := run(AppObs{}), run(AppObs{Lanes: 4}); !reflect.DeepEqual(plain, four) {
+		t.Fatalf("AppObs.Lanes changed the result:\n   plain: %+v\nLanes: 4: %+v", plain, four)
 	}
 }
 

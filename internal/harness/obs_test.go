@@ -202,27 +202,23 @@ func memSeries(snap obs.Snapshot) string {
 // the counters, hit-rate gauges and latency-histogram counts and sums
 // recorded before the hierarchy's statistics became single-homed (plain
 // counters fed to the registry at kernel end, histograms observed only while
-// attached) — on the serial engine and on the laned one.
+// attached).
 func TestMemMetricsMatchRecorded(t *testing.T) {
-	recorded := map[int]string{0: recordedSerialSC384, 2: recordedLanedSC384}
-	for _, lanes := range []int{0, 2} {
-		spec, err := workloads.FindSpec("SC")
-		if err != nil {
-			t.Fatal(err)
-		}
-		app, err := spec.Build(384)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		ao := AppObs{Metrics: reg, Lanes: lanes}
-		if _, err := RunAppInstrumented(context.Background(), gpu.R9Nano(), app, gpu.FullRunner{}, ao); err != nil {
-			t.Fatal(err)
-		}
-		FinalizeMetrics(reg)
-		if got := memSeries(reg.Snapshot()); got != recorded[lanes] {
-			t.Errorf("lanes=%d: memory series differ from the recorded run\n got:\n%s\nwant:\n%s", lanes, got, recorded[lanes])
-		}
+	spec, err := workloads.FindSpec("SC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := spec.Build(384)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	if _, err := RunAppInstrumented(context.Background(), gpu.R9Nano(), app, gpu.FullRunner{}, AppObs{Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	FinalizeMetrics(reg)
+	if got := memSeries(reg.Snapshot()); got != recordedSerialSC384 {
+		t.Errorf("memory series differ from the recorded run\n got:\n%s\nwant:\n%s", got, recordedSerialSC384)
 	}
 }
 
@@ -252,34 +248,5 @@ sim_cache_writebacks_total{L1V} 572
 sim_cache_writebacks_total{L2} 0
 sim_dram_accesses_total{} 3077
 sim_dram_latency_cycles{} count=3077 sum=799532
-sim_dram_row_hit_rate{} 0
-sim_dram_row_hits_total{} 0`
-
-const recordedLanedSC384 = `sim_cache_evictions_total{L1I} 0
-sim_cache_evictions_total{L1K} 0
-sim_cache_evictions_total{L1V} 27203
-sim_cache_evictions_total{L2} 0
-sim_cache_hit_rate{L1I} 0.9956896551724138
-sim_cache_hit_rate{L1K} 0.9966666666666667
-sim_cache_hit_rate{L1V} 0.33669838820301784
-sim_cache_hit_rate{L2} 0.9026358257127488
-sim_cache_hits_total{L1I} 11088
-sim_cache_hits_total{L1K} 9568
-sim_cache_hits_total{L1V} 15709
-sim_cache_hits_total{L2} 28526
-sim_cache_latency_cycles{L1I} count=11136 sum=236435
-sim_cache_latency_cycles{L1K} count=9600 sum=233924
-sim_cache_latency_cycles{L1V} count=46656 sum=7.371355e+06
-sim_cache_latency_cycles{L2} count=31603 sum=6.054232e+06
-sim_cache_misses_total{L1I} 48
-sim_cache_misses_total{L1K} 32
-sim_cache_misses_total{L1V} 30947
-sim_cache_misses_total{L2} 3077
-sim_cache_writebacks_total{L1I} 0
-sim_cache_writebacks_total{L1K} 0
-sim_cache_writebacks_total{L1V} 576
-sim_cache_writebacks_total{L2} 0
-sim_dram_accesses_total{} 3077
-sim_dram_latency_cycles{} count=3077 sum=799064
 sim_dram_row_hit_rate{} 0
 sim_dram_row_hits_total{} 0`

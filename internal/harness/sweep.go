@@ -51,17 +51,12 @@ func (o Options) RunSweep(w io.Writer, s Sweep) error {
 	if cache == nil {
 		cache = NewBaselineCache()
 	}
-	// laneN is resolved once the job count is known (below) and read by the
-	// task closures when they run — the engine never starts a task before
-	// RunObserved is called.
-	laneN := 0
 	var tasks []engine.Task[Comparison]
 	for _, pt := range s.Points {
 		pt := pt
 		baseline := func(ctx context.Context) (AppResult, error) {
-			key := BaselineKey{Config: s.Config.Name, Bench: pt.Bench, Size: pt.Size,
-				Block: pt.Block, Laned: laneN != 0}
-			return cache.FullLanesCtx(ctx, key, s.Config, laneN, pt.Build)
+			key := BaselineKey{Config: s.Config.Name, Bench: pt.Bench, Size: pt.Size, Block: pt.Block}
+			return cache.FullCtx(ctx, key, s.Config, pt.Build)
 		}
 		tasks = append(tasks, func(ctx context.Context) (Comparison, error) {
 			full, err := baseline(ctx)
@@ -86,9 +81,8 @@ func (o Options) RunSweep(w io.Writer, s Sweep) error {
 				if err != nil {
 					return Comparison{}, err
 				}
-				res, err := runAppObsCtx(ctx, s.Config, app, o.runner(f, s.Config), AppObs{
+				res, err := RunAppInstrumented(ctx, s.Config, app, o.runner(f, s.Config), AppObs{
 					Metrics: o.Metrics, Trace: o.Trace, Log: o.Log, Flight: o.Flight, TID: tid,
-					Lanes: laneN,
 				})
 				if err != nil {
 					return Comparison{}, err
@@ -97,7 +91,6 @@ func (o Options) RunSweep(w io.Writer, s Sweep) error {
 			})
 		}
 	}
-	laneN = engine.LaneBudget(o.Lanes, engine.Workers(o.Parallel, len(tasks)))
 	ins := engine.Instrumentation{Metrics: o.Metrics, Trace: o.Trace, Log: o.Log, Flight: o.Flight}
 	return engine.RunObserved(o.ctx(), o.Parallel, tasks, ins,
 		func(_ int, c Comparison, meta engine.JobMeta) error {

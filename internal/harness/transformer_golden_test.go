@@ -11,19 +11,15 @@ import (
 // The transformer golden files pin the quick transformer/training-step
 // sweep's exact output — text rows, JSONL records, and the per-kernel
 // accuracy ledger — the same way the fig13 goldens pin the classic
-// benchmarks. The laned pair must reproduce byte-for-byte at every -lanes
-// request (CI compares -lanes 1 and -lanes 4 against the same files).
+// benchmarks.
 //
-// Regenerate all six with:
+// Regenerate all three with:
 //
 //	PHOTON_GOLDEN=1 go test ./internal/harness -run TestTransformer.*Golden
 const (
-	xfmrGoldenTxt        = "testdata/transformer_quick.golden.txt"
-	xfmrGoldenJSONL      = "testdata/transformer_quick.golden.jsonl"
-	xfmrGoldenAcc        = "testdata/transformer_quick.golden.accuracy.jsonl"
-	xfmrLanedGoldenTxt   = "testdata/transformer_quick_lanes.golden.txt"
-	xfmrLanedGoldenJSONL = "testdata/transformer_quick_lanes.golden.jsonl"
-	xfmrLanedGoldenAcc   = "testdata/transformer_quick_lanes.golden.accuracy.jsonl"
+	xfmrGoldenTxt   = "testdata/transformer_quick.golden.txt"
+	xfmrGoldenJSONL = "testdata/transformer_quick.golden.jsonl"
+	xfmrGoldenAcc   = "testdata/transformer_quick.golden.accuracy.jsonl"
 )
 
 // xfmrRunnerOrder is the plan order of every transformer sweep cell: the
@@ -32,14 +28,13 @@ var xfmrRunnerOrder = []string{"full", "kernel-sampling", "photon"}
 
 // runTransformerQuick runs the quick transformer envelope and returns the
 // text, JSONL and accuracy-ledger bytes as photon-bench would emit them.
-func runTransformerQuick(t *testing.T, parallel, lanes int) (txt, jsonl, acc []byte) {
+func runTransformerQuick(t *testing.T, parallel int) (txt, jsonl, acc []byte) {
 	t.Helper()
 	var txtBuf, jsonBuf, accBuf bytes.Buffer
 	o := DefaultOptions()
 	o.Quick = true
 	o.FixedWall = true
 	o.Parallel = parallel
-	o.Lanes = lanes
 	o.Baselines = NewBaselineCache()
 	o.JSON = NewJSONSink(&jsonBuf)
 	o.Accuracy = NewAccuracySink(&accBuf)
@@ -52,15 +47,14 @@ func runTransformerQuick(t *testing.T, parallel, lanes int) (txt, jsonl, acc []b
 	return txtBuf.Bytes(), jsonBuf.Bytes(), accBuf.Bytes()
 }
 
-// checkXfmrGoldenArtifacts validates one committed golden set: parseable
-// records of the expected sweep shape, text/JSONL agreement, and a ledger
-// whose kernel-sampling tier actually fired — the experiment's headline
-// claim is that repeated transformer layers collapse onto the first layer's
-// measurements, and a golden where that never happens is wrong even if
-// internally consistent.
-func checkXfmrGoldenArtifacts(t *testing.T, txtPath, jsonlPath, accPath string) []Record {
-	t.Helper()
-	jf, err := os.Open(filepath.FromSlash(jsonlPath))
+// TestTransformerGoldenArtifacts validates the committed golden set:
+// parseable records of the expected sweep shape, text/JSONL agreement, and a
+// ledger whose kernel-sampling tier actually fired — the experiment's
+// headline claim is that repeated transformer layers collapse onto the first
+// layer's measurements, and a golden where that never happens is wrong even
+// if internally consistent.
+func TestTransformerGoldenArtifacts(t *testing.T) {
+	jf, err := os.Open(filepath.FromSlash(xfmrGoldenJSONL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +66,7 @@ func checkXfmrGoldenArtifacts(t *testing.T, txtPath, jsonlPath, accPath string) 
 	if len(recs) == 0 || len(recs)%len(xfmrRunnerOrder) != 0 {
 		t.Fatalf("golden has %d records, want a positive multiple of %d", len(recs), len(xfmrRunnerOrder))
 	}
-	txt, err := os.ReadFile(filepath.FromSlash(txtPath))
+	txt, err := os.ReadFile(filepath.FromSlash(xfmrGoldenTxt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +96,7 @@ func checkXfmrGoldenArtifacts(t *testing.T, txtPath, jsonlPath, accPath string) 
 		t.Fatalf("golden covers %v, missing the training-step point", benches)
 	}
 
-	af, err := os.Open(filepath.FromSlash(accPath))
+	af, err := os.Open(filepath.FromSlash(xfmrGoldenAcc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,35 +113,6 @@ func checkXfmrGoldenArtifacts(t *testing.T, txtPath, jsonlPath, accPath string) 
 	}
 	if kmatch == 0 {
 		t.Fatalf("accuracy golden has %d records but the kernel-sampling tier never fired", len(ledger))
-	}
-	return recs
-}
-
-func TestTransformerGoldenArtifacts(t *testing.T) {
-	checkXfmrGoldenArtifacts(t, xfmrGoldenTxt, xfmrGoldenJSONL, xfmrGoldenAcc)
-}
-
-func TestTransformerLanedGoldenArtifacts(t *testing.T) {
-	laned := checkXfmrGoldenArtifacts(t, xfmrLanedGoldenTxt, xfmrLanedGoldenJSONL, xfmrLanedGoldenAcc)
-	// Same sweep, same shape as the serial goldens, in the same order.
-	sf, err := os.Open(filepath.FromSlash(xfmrGoldenJSONL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sf.Close()
-	serial, err := ReadRecords(sf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(laned) {
-		t.Fatalf("laned golden has %d records, serial golden %d", len(laned), len(serial))
-	}
-	for i := range laned {
-		if laned[i].Bench != serial[i].Bench || laned[i].Size != serial[i].Size || laned[i].Runner != serial[i].Runner {
-			t.Fatalf("record %d: laned (%s,%d,%s) != serial (%s,%d,%s)", i,
-				laned[i].Bench, laned[i].Size, laned[i].Runner,
-				serial[i].Bench, serial[i].Size, serial[i].Runner)
-		}
 	}
 }
 
@@ -179,31 +144,13 @@ func TestTransformerMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick transformer sweep")
 	}
-	txt, jsonl, acc := runTransformerQuick(t, 1, 0)
+	txt, jsonl, acc := runTransformerQuick(t, 1)
 	regenOrCompare(t, xfmrGoldenTxt, txt, "transformer text output")
 	regenOrCompare(t, xfmrGoldenJSONL, jsonl, "transformer JSONL records")
 	regenOrCompare(t, xfmrGoldenAcc, acc, "transformer accuracy ledger")
 
-	ptxt, pjsonl, pacc := runTransformerQuick(t, 4, 0)
+	ptxt, pjsonl, pacc := runTransformerQuick(t, 4)
 	if !bytes.Equal(txt, ptxt) || !bytes.Equal(jsonl, pjsonl) || !bytes.Equal(pacc, acc) {
 		t.Error("4-worker transformer sweep is not byte-identical to the serial run")
-	}
-}
-
-// TestTransformerLanedMatchesGolden is the laned sibling: the lane request
-// is deliberately larger than most hosts resolve, because lane-count
-// invariance means the bytes must not depend on what LaneBudget grants.
-func TestTransformerLanedMatchesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick transformer sweep")
-	}
-	txt, jsonl, acc := runTransformerQuick(t, 1, 8)
-	regenOrCompare(t, xfmrLanedGoldenTxt, txt, "laned transformer text output")
-	regenOrCompare(t, xfmrLanedGoldenJSONL, jsonl, "laned transformer JSONL records")
-	regenOrCompare(t, xfmrLanedGoldenAcc, acc, "laned transformer accuracy ledger")
-
-	txt1, jsonl1, acc1 := runTransformerQuick(t, 1, 1)
-	if !bytes.Equal(txt, txt1) || !bytes.Equal(jsonl, jsonl1) || !bytes.Equal(acc, acc1) {
-		t.Error("laned transformer sweep output depends on the lane count")
 	}
 }

@@ -24,8 +24,7 @@ type frame struct {
 	flags  uint8
 
 	// What the last memory micro-op left behind for Step's StepInfo fill:
-	// the number of lane addresses in st.addrBuf (and, for a deferred
-	// atomic, of entries in st.atomVal/atomLane), and a scalar load's
+	// the number of lane addresses in st.addrBuf, and a scalar load's
 	// address.
 	nAddr int
 	saddr uint64

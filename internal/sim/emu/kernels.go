@@ -617,25 +617,13 @@ func atomicRMW(op isa.Op) func(old, val uint32) uint32 {
 }
 
 // atomicMem executes a per-lane read-modify-write. Lanes resolve in lane
-// order, making intra-warp conflicts on one address deterministic. In
-// SetDeferAtomics mode it only captures (address, operand, lane) per active
-// lane for Warp.ApplyAtomic.
+// order, making intra-warp conflicts on one address deterministic.
 func (f *frame) atomicMem(u *isa.MicroOp) {
 	st := f.st
 	n := f.laneAddrs(u)
 	f.nAddr = n
 	v, vm := f.vsrc(1, u.Kind1, u.Src1)
 	st.outMem[f.w.slot]++
-	if st.deferAtomics {
-		k := 0
-		for m := f.active; m != 0; m &= m - 1 {
-			i := lane(m)
-			st.atomVal[k] = v[i&vm]
-			st.atomLane[k] = uint8(i)
-			k++
-		}
-		return
-	}
 	d := &st.valBuf // old values land here when the instruction names no destination
 	if u.DstKind == isa.OperandVReg {
 		d = f.window(u.Dst)

@@ -376,23 +376,6 @@ func (w *Warp) refAtomicMem(in *isa.Inst, info *StepInfo, sgpr []uint32) {
 	exec := st.exec[w.slot]
 	la, ba := refVsrc(sgpr, vgpr, in.Src0)
 	lval, bval := refVsrc(sgpr, vgpr, in.Src1)
-	if st.deferAtomics {
-		n := 0
-		for lane := 0; lane < kernel.WavefrontSize; lane++ {
-			if exec&(1<<uint(lane)) == 0 {
-				continue
-			}
-			st.addrBuf[n] = uint64(refLv(la, ba, lane)) + uint64(int64(in.Offset))
-			st.atomVal[n] = refLv(lval, bval, lane)
-			st.atomLane[n] = uint8(lane)
-			n++
-		}
-		info.Addrs = st.addrBuf[:n]
-		info.AtomicVals = st.atomVal[:n]
-		info.AtomicLanes = st.atomLane[:n]
-		st.outMem[w.slot]++
-		return
-	}
 	var dst []uint32
 	if in.Dst.Kind == isa.OperandVReg {
 		dst = refVdst(vgpr, in.Dst)
@@ -508,11 +491,10 @@ func newRigs() *rigs {
 }
 
 // bind points every rig at a fresh warp of the program.
-func (rs *rigs) bind(prog *isa.Program, deferAtomics bool) {
+func (rs *rigs) bind(prog *isa.Program) {
 	for _, g := range rs {
 		l := &kernel.Launch{Name: "ref", Program: prog, Memory: g.m, NumWorkgroups: 1, WarpsPerGroup: 1}
 		g.w = NewWarp(l, 0, g.lds)
-		g.w.store.SetDeferAtomics(deferAtomics)
 	}
 }
 
@@ -647,8 +629,6 @@ type outcome struct {
 	msg      string // message of a string panic (ours); "" for runtime errors
 	info     StepInfo
 	addrs    []uint64
-	vals     []uint32
-	lanes    []uint8
 }
 
 func attempt(step func(*StepInfo)) (o outcome) {
@@ -664,8 +644,6 @@ func attempt(step func(*StepInfo)) (o outcome) {
 	switch o.info.Kind {
 	case StepVectorMem, StepAtomic:
 		o.addrs = append([]uint64(nil), o.info.Addrs...)
-		o.vals = append([]uint32(nil), o.info.AtomicVals...)
-		o.lanes = append([]uint8(nil), o.info.AtomicLanes...)
 	}
 	return o
 }
@@ -691,9 +669,6 @@ func diffOutcome(ref, got outcome) string {
 	}
 	if !reflect.DeepEqual(ref.addrs, got.addrs) {
 		return fmt.Sprintf("Addrs: oracle %#x vs %#x", ref.addrs, got.addrs)
-	}
-	if !reflect.DeepEqual(ref.vals, got.vals) || !reflect.DeepEqual(ref.lanes, got.lanes) {
-		return fmt.Sprintf("deferred atomic capture: oracle %v/%v vs %v/%v", ref.vals, ref.lanes, got.vals, got.lanes)
 	}
 	return ""
 }
@@ -820,8 +795,8 @@ var refExecs = []struct {
 
 // checkInst runs one instruction through the oracle, Step and runSegment
 // from identical state and reports the first disagreement.
-func checkInst(t testing.TB, rs *rigs, in isa.Inst, r *rand.Rand, exec uint64, deferAtomics bool) string {
-	rs.bind(refProgram(t, []isa.Inst{in}), deferAtomics)
+func checkInst(t testing.TB, rs *rigs, in isa.Inst, r *rand.Rand, exec uint64) string {
+	rs.bind(refProgram(t, []isa.Inst{in}))
 	rs.load(genImage(r, 48, true), exec)
 	ref, step, seg := rs[0], rs[1], rs[2]
 	want := attempt(ref.w.refStep)
@@ -832,10 +807,8 @@ func checkInst(t testing.TB, rs *rigs, in isa.Inst, r *rand.Rand, exec uint64, d
 	if d := diffRigs(ref, step, nanPayloadFree(in.Op)); d != "" {
 		return "Step: " + d
 	}
-	if want.panicked || deferAtomics {
-		// A fault abandons the segment's batched counters, and a deferred
-		// atomic is only meaningful to a caller that reads StepInfo.
-		return ""
+	if want.panicked {
+		return "" // a fault abandons the segment's batched counters
 	}
 	// Step and runSegment share exec, so they must agree to the bit.
 	step.w.Step(&got.info) // s_endpgm
@@ -880,12 +853,9 @@ func TestLaneKernelsMatchOracle(t *testing.T) {
 						in.Offset = int32(r.Intn(33)-16) * int32(r.Intn(2))
 						for _, e := range refExecs {
 							exec := e.mask(r)
-							for _, deferAtomics := range []bool{false, true}[:1+b2i(op.IsAtomic())] {
-								cases++
-								if d := checkInst(t, rs, in, r, exec, deferAtomics); d != "" {
-									t.Fatalf("case %d: %v (exec %s=%#x, defer %v): %s",
-										cases, in, e.name, exec, deferAtomics, d)
-								}
+							cases++
+							if d := checkInst(t, rs, in, r, exec); d != "" {
+								t.Fatalf("case %d: %v (exec %s=%#x): %s", cases, in, e.name, exec, d)
 							}
 						}
 					}
@@ -912,7 +882,7 @@ func TestLDSBoundsMatchOracle(t *testing.T) {
 							continue // LDS addresses do not wrap: the register cannot hold it
 						}
 						in := isa.Inst{Op: op, Dst: isa.V(1), Src0: isa.V(refVLDSAddr), Src1: isa.V(2), Offset: off}
-						rs.bind(refProgram(t, []isa.Inst{in}), false)
+						rs.bind(refProgram(t, []isa.Inst{in}))
 						img := genImage(r, 0, false)
 						for lane := 0; lane < kernel.WavefrontSize; lane++ {
 							img.vgpr[refVLDSAddr*kernel.WavefrontSize+lane] = uint32(64 + lane*4)
@@ -935,13 +905,6 @@ func TestLDSBoundsMatchOracle(t *testing.T) {
 			}
 		}
 	}
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // ---- random programs ----
@@ -1010,7 +973,7 @@ func genProgram(c chooser, n int) []isa.Inst {
 // final state with Step's.
 func checkProgram(t testing.TB, rs *rigs, insts []isa.Inst, seed int64) {
 	prog := refProgram(t, insts)
-	rs.bind(prog, false)
+	rs.bind(prog)
 	rs.load(genImage(rand.New(rand.NewSource(seed)), 0, false), ^uint64(0))
 	ref, step, seg := rs[0], rs[1], rs[2]
 	for !ref.w.Done() {

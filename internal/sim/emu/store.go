@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"photon/internal/sim/kernel"
+	"photon/internal/sim/mem"
 )
 
 // maskSlots is the number of saved-EXEC mask slots per warp (the m0..m7
@@ -22,21 +23,6 @@ const (
 	flagSCC                       // scalar condition code
 )
 
-// Memory is the functional-memory surface warps execute against. The
-// serial paths bind the launch's *mem.Flat directly; the quantum-laned
-// engine binds a per-lane *mem.FlatView so concurrent lanes never share
-// Flat's unlocked page cache.
-//
-// Gather32 and Scatter32 move one word per address in index order, so a
-// vector load or store is one dynamic call for the whole instruction;
-// Read32 and Write32 serve scalar loads and the lane-ordered atomics.
-type Memory interface {
-	Read32(addr uint64) uint32
-	Write32(addr uint64, v uint32)
-	Gather32(addrs []uint64, out []uint32)
-	Scatter32(addrs []uint64, vals []uint32)
-}
-
 // WarpStore holds the architectural state of many warps in
 // structure-of-arrays form: one contiguous backing array per field, indexed
 // by warp slot, plus a single shared slab each for SGPRs, VGPRs and BBV
@@ -52,16 +38,11 @@ type Memory interface {
 type WarpStore struct {
 	launch *kernel.Launch
 
-	// mem is the functional memory warps read and write; Configure resets it
-	// to the launch's Flat, SetMemView overrides it for laned execution.
-	mem Memory
-
-	// deferAtomics makes atomicMem capture its per-lane (addr, value, lane)
-	// triples into the scratch buffers instead of performing the RMW, so the
-	// laned coordinator can apply global atomics at the quantum barrier in
-	// deterministic order (atomics execute at the L2 coherence point, which
-	// lanes never touch mid-quantum).
-	deferAtomics bool
+	// mem is the functional memory warps read and write: the launch's Flat.
+	// Gather32 and Scatter32 move a vector load or store in one call per
+	// instruction; Read32 and Write32 serve scalar loads and the
+	// lane-ordered atomics.
+	mem *mem.Flat
 
 	// Per-slot strides into the shared slabs.
 	sregs  int // SGPR words per slot
@@ -94,11 +75,6 @@ type WarpStore struct {
 	// next Step on the same store, so sharing it saves 512 bytes per slot.
 	addrBuf [kernel.WavefrontSize]uint64
 
-	// atomVal/atomLane are the deferred-atomic scratch buffers
-	// StepInfo.AtomicVals/AtomicLanes alias, with addrBuf's lifetime rules.
-	atomVal  [kernel.WavefrontSize]uint32
-	atomLane [kernel.WavefrontSize]uint8
-
 	// valBuf stages the lane-compacted values of a partial-EXEC vector load
 	// or store; bcast[n] is the broadcast window of a vector instruction's
 	// n-th source (see frame.vsrc). Both are dead once the instruction has
@@ -126,7 +102,6 @@ func (s *WarpStore) Configure(l *kernel.Launch, slots int) {
 	p := l.Program
 	s.launch = l
 	s.mem = l.Memory
-	s.deferAtomics = false
 	s.sregs = max(p.NumSRegs, kernel.ArgSGPRBase+len(l.Args))
 	s.vwords = p.NumVRegs * kernel.WavefrontSize
 	s.blocks = p.NumBlocks()
@@ -193,15 +168,6 @@ func (s *WarpStore) Alloc() int {
 func (s *WarpStore) Release(slot int) {
 	s.free = append(s.free, int32(slot))
 }
-
-// SetMemView overrides the functional memory the store's warps execute
-// against (call after Configure, which resets it to the launch's Flat).
-func (s *WarpStore) SetMemView(m Memory) { s.mem = m }
-
-// SetDeferAtomics switches atomic instructions into capture mode: Step
-// records (addr, value, lane) triples without touching memory, and the
-// caller applies them later via Warp.ApplyAtomic.
-func (s *WarpStore) SetDeferAtomics(v bool) { s.deferAtomics = v }
 
 // Slots returns the allocated slot capacity.
 func (s *WarpStore) Slots() int { return s.slots }

@@ -35,8 +35,8 @@ const (
 // timing model's consumption. Step always sets the static fields (Kind
 // through BlockIdx, copied from the instruction's micro-op); the dynamic
 // ones are set only by the kinds that have them — Addrs by StepVectorMem and
-// StepAtomic, SAddr by StepScalarMem, AtomicVals/AtomicLanes by a deferred
-// StepAtomic — and otherwise keep whatever an earlier Step left. Addrs
+// StepAtomic, SAddr by StepScalarMem — and otherwise keep whatever an
+// earlier Step left. Addrs
 // aliases the warp's store-shared scratch buffer and is only valid until
 // the next Step on any warp of that store.
 type StepInfo struct {
@@ -48,13 +48,6 @@ type StepInfo struct {
 	BlockIdx int      // static basic-block index containing the instruction
 	Addrs    []uint64 // per-active-lane byte addresses for vector memory
 	SAddr    uint64   // address for scalar loads
-
-	// AtomicVals/AtomicLanes are the captured per-lane operand values and
-	// lane indices of a deferred atomic (SetDeferAtomics mode). They alias
-	// store scratch with Addrs' lifetime; the caller must copy them before
-	// the next Step and replay them through Warp.ApplyAtomic.
-	AtomicVals  []uint32
-	AtomicLanes []uint8
 }
 
 // Warp is a handle to one wavefront's architectural state: a slot in a
@@ -188,14 +181,8 @@ func (w *Warp) Step(info *StepInfo) {
 	info.EnteredB = u.Head
 	info.BlockIdx = int(u.Block)
 	switch u.Step {
-	case StepVectorMem:
+	case StepVectorMem, StepAtomic:
 		info.Addrs = st.addrBuf[:f.nAddr]
-	case StepAtomic:
-		info.Addrs = st.addrBuf[:f.nAddr]
-		if st.deferAtomics {
-			info.AtomicVals = st.atomVal[:f.nAddr]
-			info.AtomicLanes = st.atomLane[:f.nAddr]
-		}
 	case StepScalarMem:
 		info.SAddr = f.saddr
 	}
@@ -236,28 +223,4 @@ func (w *Warp) runSegment() {
 	st.pc[slot] = int32(pc)
 	st.instCount[slot] = insts
 	f.save()
-}
-
-// ApplyAtomic replays a deferred atomic captured by Step under
-// SetDeferAtomics: the read-modify-writes execute now, in the given lane
-// order, and the old values land in the destination register if the
-// instruction names one. The timing machine calls this at the quantum
-// barrier at the operation's deterministic completion slot; destination
-// writes landing after issue match hardware's asynchronous writeback, which
-// well-formed programs order with s_waitcnt before reuse.
-func (w *Warp) ApplyAtomic(in *isa.Inst, addrs []uint64, vals []uint32, lanes []uint8) {
-	st := w.store
-	var dst []uint32
-	if in.Dst.Kind == isa.OperandVReg {
-		base := int(in.Dst.Idx) * kernel.WavefrontSize
-		dst = w.vregs()[base : base+kernel.WavefrontSize]
-	}
-	rmw := atomicRMW(in.Op)
-	for i, addr := range addrs {
-		old := st.mem.Read32(addr)
-		st.mem.Write32(addr, rmw(old, vals[i]))
-		if dst != nil {
-			dst[lanes[i]] = old
-		}
-	}
 }

@@ -13,7 +13,6 @@ type scheduler interface {
 	Schedule(at Time, h Handler)
 	After(delay Time, h Handler)
 	Run() Time
-	RunUntil(deadline Time) bool
 	Step() bool
 	Now() Time
 	Pending() int
@@ -85,9 +84,9 @@ func TestDifferentialVsRefEngine(t *testing.T) {
 	}
 }
 
-// TestDifferentialStepAndRunUntil checks the single-step and bounded-run
-// paths against the reference, interleaving the three drain modes.
-func TestDifferentialStepAndRunUntil(t *testing.T) {
+// TestDifferentialStep checks the single-step path against the reference:
+// after every event the two engines agree on the clock and on what is left.
+func TestDifferentialStep(t *testing.T) {
 	build := func(e scheduler) *[]fireRecord {
 		log := &[]fireRecord{}
 		rng := rand.New(rand.NewSource(99))
@@ -101,14 +100,11 @@ func TestDifferentialStepAndRunUntil(t *testing.T) {
 	}
 	a, b := New(), NewRef()
 	la, lb := build(a), build(b)
-	for _, deadline := range []Time{10, 250, 256, 700, 699} {
-		ra, rb := a.RunUntil(deadline), b.RunUntil(deadline)
-		if ra != rb || a.Now() != b.Now() || a.Pending() != b.Pending() {
-			t.Fatalf("RunUntil(%d): engine (drained=%v now=%d pending=%d) != reference (drained=%v now=%d pending=%d)",
-				deadline, ra, a.Now(), a.Pending(), rb, b.Now(), b.Pending())
-		}
-	}
 	for a.Step() && b.Step() {
+		if a.Now() != b.Now() || a.Pending() != b.Pending() {
+			t.Fatalf("after %d steps: engine (now=%d pending=%d) != reference (now=%d pending=%d)",
+				a.Processed(), a.Now(), a.Pending(), b.Now(), b.Pending())
+		}
 	}
 	if a.Pending() != 0 || b.Pending() != 0 {
 		t.Fatalf("pending after drain: engine %d, reference %d", a.Pending(), b.Pending())
@@ -123,66 +119,6 @@ func TestDifferentialStepAndRunUntil(t *testing.T) {
 		if (*la)[i] != (*lb)[i] {
 			t.Fatalf("divergence at %d: %+v vs %+v", i, (*la)[i], (*lb)[i])
 		}
-	}
-}
-
-// TestRunUntilBoundary pins RunUntil's contract: events scheduled exactly
-// at the deadline fire, the clock never exceeds the deadline, and events
-// clamped into the current instant keep (at, seq) FIFO order.
-func TestRunUntilBoundary(t *testing.T) {
-	e := New()
-	var fired []int
-	e.Schedule(5, func(Time) { fired = append(fired, 5) })
-	e.Schedule(10, func(Time) { fired = append(fired, 10) }) // exactly at deadline
-	e.Schedule(11, func(Time) { fired = append(fired, 11) })
-	if e.RunUntil(10) {
-		t.Fatal("RunUntil(10) reported drained with an event at t=11 pending")
-	}
-	if got := []int{5, 10}; len(fired) != 2 || fired[0] != got[0] || fired[1] != got[1] {
-		t.Fatalf("fired %v, want [5 10] (deadline event must fire)", fired)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now() = %d after RunUntil(10), want exactly 10", e.Now())
-	}
-
-	// Clamped past-scheduling at the deadline instant: both land at now=10
-	// and must fire in scheduling order, before the t=11 event.
-	e.Schedule(3, func(now Time) {
-		if now != 10 {
-			t.Errorf("clamped event fired at %d, want 10", now)
-		}
-		fired = append(fired, -1)
-	})
-	e.Schedule(0, func(Time) { fired = append(fired, -2) })
-	if e.RunUntil(10) {
-		t.Fatal("second RunUntil(10) reported drained")
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now() = %d, want 10 (never beyond the deadline)", e.Now())
-	}
-	want := []int{5, 10, -1, -2}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v (clamped events must keep (at, seq) order)", fired, want)
-		}
-	}
-
-	if !e.RunUntil(11) {
-		t.Fatal("RunUntil(11) did not drain")
-	}
-	if fired[len(fired)-1] != 11 {
-		t.Fatalf("t=11 event did not fire last: %v", fired)
-	}
-	// Draining leaves the clock at the last event, not the deadline.
-	if e.Now() != 11 {
-		t.Fatalf("Now() = %d after drain, want 11", e.Now())
-	}
-	// A drained engine reports true without moving the clock.
-	if !e.RunUntil(1000) || e.Now() != 11 {
-		t.Fatalf("empty RunUntil moved the clock to %d", e.Now())
 	}
 }
 

@@ -55,7 +55,6 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	events uint64
-	lastAt Time // timestamp of the most recently fired event
 
 	// wheel[t&wheelMask] holds the events at time t for now <= t <
 	// now+wheelSize; at most one timestamp occupies a bucket at a time, so
@@ -184,42 +183,6 @@ func (e *Engine) popNext() (item, bool) {
 	return e.heapPop(), true
 }
 
-// peekNext returns the timestamp of the next event without removing it.
-func (e *Engine) peekNext() (Time, bool) {
-	wt, wok := e.wheelNext()
-	if len(e.heap) > 0 && (!wok || e.heap[0].at < wt) {
-		return e.heap[0].at, true
-	}
-	return wt, wok
-}
-
-// NextAt returns the timestamp of the earliest pending event, if any. The
-// quantum-laned runner uses it to pick the next conservative barrier from
-// the global minimum over all lane engines.
-func (e *Engine) NextAt() (Time, bool) { return e.peekNext() }
-
-// AdvanceTo moves the clock forward to t without firing anything. It is the
-// complement of RunUntil's drained case: a lane that ran out of events
-// before the quantum boundary still ends the quantum with its clock exactly
-// at the barrier, so every lane schedules the next quantum's events against
-// the same notion of now. Advancing past a pending event would violate
-// causality and panics; moving backward is a no-op.
-func (e *Engine) AdvanceTo(t Time) {
-	if t <= e.now {
-		return
-	}
-	if at, ok := e.peekNext(); ok && at < t {
-		panic("event: AdvanceTo would skip past a pending event")
-	}
-	e.now = t
-}
-
-// LastAt returns the timestamp of the most recently fired event (zero when
-// nothing has fired). Unlike Now, it is immune to AdvanceTo, so the merged
-// end time of a laned run — the max of LastAt over lanes — is identical for
-// every lane count.
-func (e *Engine) LastAt() Time { return e.lastAt }
-
 // Run executes events until the queue drains, then returns the final time.
 func (e *Engine) Run() Time {
 	for {
@@ -228,29 +191,6 @@ func (e *Engine) Run() Time {
 			return e.now
 		}
 		e.now = it.at
-		e.lastAt = it.at
-		e.events++
-		it.handler(e.now)
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline. It returns true if
-// the queue drained before the deadline was reached; otherwise the clock is
-// left exactly at deadline (never beyond it) with the remaining events
-// pending.
-func (e *Engine) RunUntil(deadline Time) bool {
-	for {
-		at, ok := e.peekNext()
-		if !ok {
-			return true
-		}
-		if at > deadline {
-			e.now = deadline
-			return false
-		}
-		it, _ := e.popNext()
-		e.now = it.at
-		e.lastAt = it.at
 		e.events++
 		it.handler(e.now)
 	}
@@ -264,7 +204,6 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	e.now = it.at
-	e.lastAt = it.at
 	e.events++
 	it.handler(e.now)
 	return true

@@ -78,31 +78,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var fired []Time
-	for i := Time(0); i < 10; i++ {
-		i := i
-		e.Schedule(i*10, func(now Time) { fired = append(fired, now) })
-	}
-	drained := e.RunUntil(45)
-	if drained {
-		t.Fatal("RunUntil reported drained with events pending")
-	}
-	if len(fired) != 5 {
-		t.Fatalf("fired %d events before deadline, want 5", len(fired))
-	}
-	if e.Now() != 45 {
-		t.Fatalf("Now() = %d, want 45", e.Now())
-	}
-	if !e.RunUntil(1000) {
-		t.Fatal("RunUntil did not drain")
-	}
-	if len(fired) != 10 {
-		t.Fatalf("fired %d events total, want 10", len(fired))
-	}
-}
-
 func TestStep(t *testing.T) {
 	e := New()
 	n := 0

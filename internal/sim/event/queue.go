@@ -15,22 +15,12 @@ type Queue interface {
 	After(delay Time, handler Handler)
 	// Run executes events until the queue drains, returning the final time.
 	Run() Time
-	// RunUntil executes events with timestamps <= deadline, reporting whether
-	// the queue drained.
-	RunUntil(deadline Time) bool
 	// Step executes exactly one event if any is pending.
 	Step() bool
 	// Pending reports how many events are waiting to fire.
 	Pending() int
 	// Processed returns the total number of events executed so far.
 	Processed() uint64
-	// NextAt returns the timestamp of the earliest pending event, if any.
-	NextAt() (Time, bool)
-	// AdvanceTo moves the clock forward to t without firing anything;
-	// advancing past a pending event panics, moving backward is a no-op.
-	AdvanceTo(t Time)
-	// LastAt returns the timestamp of the most recently fired event.
-	LastAt() Time
 }
 
 var (

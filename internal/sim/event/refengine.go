@@ -12,7 +12,6 @@ type RefEngine struct {
 	seq    uint64
 	queue  refHeap
 	events uint64
-	lastAt Time
 }
 
 type refHeap []item
@@ -59,56 +58,15 @@ func (e *RefEngine) After(delay Time, handler Handler) {
 	e.Schedule(e.now+delay, handler)
 }
 
-// NextAt returns the timestamp of the earliest pending event, if any.
-func (e *RefEngine) NextAt() (Time, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
-}
-
-// AdvanceTo moves the clock forward to t without firing anything, with the
-// same semantics as Engine.AdvanceTo.
-func (e *RefEngine) AdvanceTo(t Time) {
-	if t <= e.now {
-		return
-	}
-	if len(e.queue) > 0 && e.queue[0].at < t {
-		panic("event: AdvanceTo would skip past a pending event")
-	}
-	e.now = t
-}
-
-// LastAt returns the timestamp of the most recently fired event.
-func (e *RefEngine) LastAt() Time { return e.lastAt }
-
 // Run executes events until the queue drains, then returns the final time.
 func (e *RefEngine) Run() Time {
 	for len(e.queue) > 0 {
 		it := heap.Pop(&e.queue).(item)
 		e.now = it.at
-		e.lastAt = it.at
 		e.events++
 		it.handler(e.now)
 	}
 	return e.now
-}
-
-// RunUntil executes events with timestamps <= deadline, with the same
-// boundary semantics as Engine.RunUntil.
-func (e *RefEngine) RunUntil(deadline Time) bool {
-	for len(e.queue) > 0 {
-		if e.queue[0].at > deadline {
-			e.now = deadline
-			return false
-		}
-		it := heap.Pop(&e.queue).(item)
-		e.now = it.at
-		e.lastAt = it.at
-		e.events++
-		it.handler(e.now)
-	}
-	return true
 }
 
 // Step executes exactly one event if any is pending.
@@ -118,7 +76,6 @@ func (e *RefEngine) Step() bool {
 	}
 	it := heap.Pop(&e.queue).(item)
 	e.now = it.at
-	e.lastAt = it.at
 	e.events++
 	it.handler(e.now)
 	return true

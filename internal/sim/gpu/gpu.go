@@ -19,11 +19,6 @@ type GPU struct {
 	hier    *mem.Hierarchy
 	metrics *obs.Registry
 	log     *obs.Logger
-
-	lanes        int // 0 = serial engine, -1 = one lane per CPU, n>=1 = laned
-	laneTrace    *obs.TraceBuffer
-	laneTracePID int
-	laneTraceTID int
 }
 
 // New builds a GPU from a configuration.
@@ -48,24 +43,6 @@ func (g *GPU) SetMetrics(reg *obs.Registry) {
 // creates emits a Debug run summary through it.
 func (g *GPU) SetLog(l *obs.Logger) { g.log = l }
 
-// SetLanes selects the intra-run parallel engine for detailed simulation:
-// 0 keeps the serial machine (the default and the differential reference),
-// -1 uses one conservative time-quantum lane per available CPU, and n >= 1
-// requests n lanes (clamped to the scalar-block count). Laned results are
-// identical for every lane count but not cycle-identical to the serial
-// engine, so switching engines changes (deterministically) what a sweep
-// reports — goldens are recorded per engine.
-func (g *GPU) SetLanes(n int) { g.lanes = n }
-
-// Lanes reports the configured intra-run lane request (see SetLanes).
-func (g *GPU) Lanes() int { return g.lanes }
-
-// SetLaneTrace attaches a trace buffer for per-lane spans: every laned
-// detailed run emits one span per lane on threads tidBase, tidBase+1, ….
-func (g *GPU) SetLaneTrace(tb *obs.TraceBuffer, pid, tidBase int) {
-	g.laneTrace, g.laneTracePID, g.laneTraceTID = tb, pid, tidBase
-}
-
 // WarpStoreBudget reports the structure-of-arrays warp-state footprint of
 // running l on this GPU: how many warp slots the timing machine's store is
 // sized to at launch time (the device's resident capacity, capped by the
@@ -82,18 +59,6 @@ func (g *GPU) WarpStoreBudget(l *kernel.Launch) (slots, bytesPerWarp int) {
 // kernel-sampling exploits).
 func (g *GPU) RunDetailed(l *kernel.Launch, obs timing.Observer, gate func() bool) (timing.Result, error) {
 	g.hier.Reset()
-	if g.lanes != 0 {
-		lm := timing.NewLanedMachine(g.cfg.Compute, g.hier, obs, g.lanes)
-		lm.SetMetrics(g.metrics)
-		lm.SetLog(g.log)
-		if gate != nil {
-			lm.SetStopDispatch(gate)
-		}
-		if g.laneTrace != nil {
-			lm.SetTrace(g.laneTrace, g.laneTracePID, g.laneTraceTID)
-		}
-		return lm.Run(l)
-	}
 	m := timing.NewMachine(g.cfg.Compute, g.hier, obs)
 	m.SetMetrics(g.metrics)
 	m.SetLog(g.log)

@@ -145,12 +145,11 @@ func (c *Cache) set(lineAddr uint64) (tags, stamps []uint64) {
 	return s[:ways], s[ways:]
 }
 
-// probe is everything one access does inside this level, shared by the
-// serial and the laned path: port arbitration, lookup, LRU update and — on a
-// miss — victim choice, eviction accounting and installing the line. It
-// returns when the access started, whether it hit, and the tag word of a
-// dirty victim that must be written back (0 = none); what happens to a miss
-// below this level is the caller's continuation.
+// probe is everything one access does inside this level: port arbitration,
+// lookup, LRU update and — on a miss — victim choice, eviction accounting
+// and installing the line. It returns when the access started, whether it
+// hit, and the tag word of a dirty victim that must be written back
+// (0 = none); Access sends a miss on to the level below.
 //
 // The replacement rule, quirk included: the candidate starts at way 0 and
 // the scan runs from way 1; the first invalid way there wins immediately,

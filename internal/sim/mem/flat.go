@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 )
 
 const (
@@ -35,11 +34,6 @@ type Flat struct {
 	low []*page
 	far map[uint64]*page
 	brk uint64
-
-	// mu guards the page tables for FlatView access only. Flat's own
-	// methods stay unlocked — the serial simulation path is single-goroutine
-	// and pays nothing for the views' existence.
-	mu sync.RWMutex
 
 	// Single-entry page cache: GPU kernels stream through buffers, so
 	// consecutive accesses overwhelmingly hit the same 64 KiB page and skip
@@ -146,25 +140,12 @@ func (m *Flat) Write32(addr uint64, v uint32) {
 
 // Gather32 loads one word per address into out, in index order: the
 // whole-instruction form of Read32 a vector load uses.
-func (m *Flat) Gather32(addrs []uint64, out []uint32) { gather32(m, addrs, out) }
-
-// Scatter32 stores vals[i] at addrs[i] in index order, so among duplicate
-// addresses the last one wins: the whole-instruction form of Write32.
-func (m *Flat) Scatter32(addrs []uint64, vals []uint32) { scatter32(m, addrs, vals) }
-
-// pager is what gather32 and scatter32 need of a memory: Flat and FlatView
-// differ only in how a page is found.
-type pager interface {
-	page(addr uint64) *page
-	Read32(addr uint64) uint32
-	Write32(addr uint64, v uint32)
-}
-
-// gather32 keeps the page of the current run of same-page addresses in
-// locals, so a unit-stride access costs one page lookup, not one per word,
-// and the per-word test is a single range check against that page. A word
-// straddling a page boundary takes Read32's byte-wise path.
-func gather32(m pager, addrs []uint64, out []uint32) {
+//
+// It keeps the page of the current run of same-page addresses in locals, so
+// a unit-stride access costs one page lookup, not one per word, and the
+// per-word test is a single range check against that page. A word straddling
+// a page boundary takes Read32's byte-wise path.
+func (m *Flat) Gather32(addrs []uint64, out []uint32) {
 	if len(addrs) == 0 {
 		return
 	}
@@ -184,7 +165,9 @@ func gather32(m pager, addrs []uint64, out []uint32) {
 	}
 }
 
-func scatter32(m pager, addrs []uint64, vals []uint32) {
+// Scatter32 stores vals[i] at addrs[i] in index order, so among duplicate
+// addresses the last one wins: the whole-instruction form of Write32.
+func (m *Flat) Scatter32(addrs []uint64, vals []uint32) {
 	if len(addrs) == 0 {
 		return
 	}
@@ -240,83 +223,4 @@ func (m *Flat) ReadWords(base uint64, n int) []uint32 {
 		out[i] = m.Read32(base + uint64(i)*4)
 	}
 	return out
-}
-
-// FlatView is a per-goroutine window onto a Flat. The quantum-laned engine
-// gives each lane its own view: views share the page map (lock-guarded on
-// the miss path) but keep private single-entry page caches, so concurrent
-// lanes never touch Flat's unlocked cache fields. Lanes address disjoint
-// byte ranges by construction (per-warp output segments; shared atomics are
-// deferred to the barrier), so page bytes themselves need no locking.
-type FlatView struct {
-	f        *Flat
-	lastPN   uint64
-	lastPage *page
-}
-
-// View returns a fresh view of m. Concurrent use of views is safe; using
-// Flat's own methods concurrently with views is not.
-func (m *Flat) View() *FlatView {
-	return &FlatView{f: m, lastPN: ^uint64(0)}
-}
-
-// sharedPage returns (creating under the write lock if needed) page pn.
-func (m *Flat) sharedPage(pn uint64) *page {
-	m.mu.RLock()
-	p := m.lookup(pn)
-	m.mu.RUnlock()
-	if p != nil {
-		return p
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p := m.lookup(pn); p != nil {
-		return p
-	}
-	return m.create(pn)
-}
-
-func (v *FlatView) page(addr uint64) *page {
-	pn := addr >> pageBits
-	if pn == v.lastPN {
-		return v.lastPage
-	}
-	p := v.f.sharedPage(pn)
-	v.lastPN, v.lastPage = pn, p
-	return p
-}
-
-// Read32 loads a little-endian 32-bit word through the view.
-func (v *FlatView) Read32(addr uint64) uint32 {
-	off := addr & pageMask
-	if off+4 <= pageSize {
-		return binary.LittleEndian.Uint32(v.page(addr)[off:])
-	}
-	var b [4]byte
-	for i := range b {
-		a := addr + uint64(i)
-		b[i] = v.page(a)[a&pageMask]
-	}
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// Gather32 is Flat.Gather32 through the view.
-func (v *FlatView) Gather32(addrs []uint64, out []uint32) { gather32(v, addrs, out) }
-
-// Scatter32 is Flat.Scatter32 through the view.
-func (v *FlatView) Scatter32(addrs []uint64, vals []uint32) { scatter32(v, addrs, vals) }
-
-// Write32 stores a little-endian 32-bit word through the view.
-func (v *FlatView) Write32(addr uint64, x uint32) {
-	off := addr & pageMask
-	if off+4 <= pageSize {
-		binary.LittleEndian.PutUint32(v.page(addr)[off:], x)
-		return
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], x)
-	for i := range b {
-		a := addr + uint64(i)
-		v.page(a)[a&pageMask] = b[i]
-	}
 }

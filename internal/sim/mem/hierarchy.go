@@ -67,10 +67,6 @@ type Hierarchy struct {
 	// L2 coherence point and so reach L2 without a corresponding L1 miss;
 	// CheckConservation needs the count to balance the L2 traffic equation.
 	atomicAccesses uint64
-
-	// drainBuf is the reusable scratch DrainLaneRequests merges lane
-	// requests into at each quantum barrier.
-	drainBuf []laneReq
 }
 
 // levelNames are the cache levels in the fixed order they register with a
@@ -154,7 +150,7 @@ func totals(caches []Cache) (t [4]uint64) {
 }
 
 // FlushMetrics publishes what the plain per-cache and DRAM counters gained
-// since the last flush into the attached registry. The timing machines call
+// since the last flush into the attached registry. The timing machine calls
 // it when a kernel drains and Reset calls it before clearing, so the
 // registry's run-cumulative totals keep growing across per-kernel resets.
 func (h *Hierarchy) FlushMetrics() {

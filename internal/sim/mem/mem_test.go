@@ -406,6 +406,63 @@ func TestHierarchyMetricsAccumulateAcrossResets(t *testing.T) {
 	}
 }
 
+// TestHierarchyConservationOnRandomStream drives a seeded random mix of
+// vector, scalar, fetch and atomic operations from all four CUs — unit-stride
+// runs and 4 MiB gathers, so every level misses, evicts and writes dirty
+// lines back — and demands the flow-conservation invariants, traffic that
+// really reached eviction and writeback at L1V and L2, and the same
+// completion time per operation on a second, identically driven hierarchy.
+func TestHierarchyConservationOnRandomStream(t *testing.T) {
+	const ops = 3000
+	run := func() (*Hierarchy, []event.Time) {
+		h := testHierarchy()
+		rng := rand.New(rand.NewSource(99))
+		done := make([]event.Time, ops)
+		for i := range done {
+			now, cu := event.Time(i)*2000, rng.Intn(4)
+			addrs := make([]uint64, 1+rng.Intn(64))
+			base := uint64(rng.Intn(1 << 22))
+			for l := range addrs {
+				if i%3 == 0 {
+					addrs[l] = uint64(rng.Intn(1<<22)) &^ 3
+				} else {
+					addrs[l] = base + uint64(l)*4
+				}
+			}
+			switch k := rng.Intn(10); {
+			case k < 6:
+				done[i] = h.VectorAccess(now, cu, addrs, rng.Intn(3) == 0)
+			case k < 8:
+				done[i] = h.ScalarAccess(now, cu, addrs[0])
+			case k < 9:
+				done[i] = h.InstFetch(now, cu, addrs[0])
+			default:
+				done[i] = h.AtomicAccess(now, cu, addrs[:1+len(addrs)/8])
+			}
+		}
+		return h, done
+	}
+	h, first := run()
+	if err := h.CheckConservation(); err != nil {
+		t.Errorf("conservation: %v", err)
+	}
+	levels := h.levels()
+	for i, name := range levelNames {
+		if s := totals(levels[i]); (name == "L1V" || name == "L2") && (s[2] == 0 || s[3] == 0) {
+			t.Errorf("%s: stream produced no evictions or writebacks: %v", name, s)
+		}
+	}
+	h2, second := run()
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("op %d: done %d on the first run, %d on the second", i, first[i], second[i])
+		}
+	}
+	if h.CollectStats() != h2.CollectStats() {
+		t.Errorf("stats differ between identical runs:\n%+v\n%+v", h.CollectStats(), h2.CollectStats())
+	}
+}
+
 // TestHierarchyAccessZeroAlloc pins the serial access surface: coalescing
 // (stream and full gather), the three cache levels and the DRAM touch the
 // allocator zero times, with or without a registry attached.

@@ -3,8 +3,6 @@ package timing
 import (
 	"testing"
 
-	"photon/internal/sim/emu"
-	"photon/internal/sim/event"
 	"photon/internal/testutil"
 )
 
@@ -24,32 +22,6 @@ func TestMachineRunZeroAllocSteadyState(t *testing.T) {
 		if _, err := m.Run(l); err != nil {
 			t.Fatal(err)
 		}
-	})
-}
-
-// TestLanedReplayObsZeroAllocSteadyState pins the single-lane barrier fast
-// path: with one lane, replayObs swaps buffers with the lane instead of
-// copying and skips the merge sort when the buffer is already in (at, cu,
-// seq) order, so a steady-state replay touches the allocator zero times
-// once both sides of the swap have capacity.
-func TestLanedReplayObsZeroAllocSteadyState(t *testing.T) {
-	lm := NewLanedMachine(DefaultCompute(2), testHier(2), nil, 1)
-	lr := lm.lanes[0].lr
-	w := &emu.Warp{}
-	fill := func() {
-		for i := 0; i < 64; i++ {
-			lr.events = append(lr.events, obsEvent{
-				kind: evInstIssued, at: event.Time(i), cu: i % 2, seq: uint64(i / 2), warp: w,
-			})
-		}
-	}
-	for i := 0; i < 2; i++ { // warm both sides of the buffer swap
-		fill()
-		lm.replayObs()
-	}
-	testutil.MustZeroAllocs(t, "LanedMachine.replayObs (single lane, sorted)", func() {
-		fill()
-		lm.replayObs()
 	})
 }
 

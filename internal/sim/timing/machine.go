@@ -69,19 +69,6 @@ type Machine struct {
 	retired     []uint64 // per CU: warps retired
 	classIssued [isa.FUClassCount]uint64
 	classLatSum [isa.FUClassCount]uint64
-
-	// lane, when non-nil, switches the machine into quantum-laned mode: the
-	// machine owns one lane of a LanedMachine, issues through the lane's
-	// memory port instead of the shared hierarchy, buffers observer events
-	// for the coordinator's merged replay, and defers group recycling and
-	// dispatch to the quantum barrier. The serial path (lane == nil) is
-	// untouched — it remains the differential reference for the laned engine.
-	lane *laneRT
-
-	// freeMemOps recycles the in-flight memory-operation records the laned
-	// issue path allocates (vector/atomic completions that resolve at the
-	// quantum barrier).
-	freeMemOps []*memOp
 }
 
 type cu struct {
@@ -121,25 +108,6 @@ type warpCtx struct {
 	curBlock      int
 	curBlockEnter event.Time
 	inBlock       bool
-
-	// Laned-mode issue state. One issued instruction can have several
-	// asynchronous readiness contributors (a pending I-fetch, a blocking
-	// scalar load, a parked s_waitcnt); issueParts counts them plus one for
-	// the issue itself, issueReady max-folds their completion times, and the
-	// last contributor schedules the warp's next readiness event.
-	issueParts int
-	issueReady event.Time
-	pendMem    int  // vector/atomic ops issued but not yet resolved
-	waiting    bool // parked at s_waitcnt until pendMem drains
-	waitBase   event.Time
-
-	scalarIssueAt event.Time
-	scalarObsIdx  int
-	scalarClass   isa.FUClass
-
-	// Cached laned-completion closures, built once per context like readyFn.
-	fetchResolve  func(event.Time)
-	scalarResolve func(event.Time)
 }
 
 type groupRT struct {
@@ -248,9 +216,6 @@ func (m *Machine) flushMetrics() {
 	}
 }
 
-// Engine exposes the event queue (tests use it).
-func (m *Machine) Engine() event.Queue { return m.engine }
-
 // Run simulates the launch until every dispatched workgroup drains. If the
 // dispatch gate stops new workgroups, the in-flight ones still complete.
 func (m *Machine) Run(l *kernel.Launch) (Result, error) {
@@ -270,7 +235,7 @@ func (m *Machine) Run(l *kernel.Launch) (Result, error) {
 	// Give each program a distinct, stable fetch-address region.
 	m.progBase = 1 << 40
 	m.nextWG = 0
-	m.countRoomyCUs(0, len(m.cus)-1)
+	m.countRoomyCUs()
 	m.dispatchPending(0)
 	m.engine.Run()
 	m.flushMetrics()
@@ -321,12 +286,11 @@ func (m *Machine) dispatchPending(now event.Time) {
 	}
 }
 
-// countRoomyCUs sets roomyCUs from the free slots of CUs lo…hi (the whole
-// machine, or the range a lane owns); placeGroup and recycleGroup keep it
-// current from there.
-func (m *Machine) countRoomyCUs(lo, hi int) {
+// countRoomyCUs sets roomyCUs from every CU's free slots; placeGroup and
+// recycleGroup keep it current from there.
+func (m *Machine) countRoomyCUs() {
 	m.roomyCUs = 0
-	for _, c := range m.cus[lo : hi+1] {
+	for _, c := range m.cus {
 		if c.freeSlots >= m.launch.WarpsPerGroup {
 			m.roomyCUs++
 		}
@@ -419,32 +383,12 @@ func (m *Machine) takeWarpCtx() *warpCtx {
 		wc.curBlock = 0
 		wc.curBlockEnter = 0
 		wc.inBlock = false
-		wc.issueParts = 0
-		wc.issueReady = 0
-		wc.pendMem = 0
-		wc.waiting = false
-		wc.waitBase = 0
 		return wc
 	}
 	wc := &warpCtx{}
 	wc.readyFn = func(now event.Time) {
 		wc.simd.readyQ = append(wc.simd.readyQ, wc)
 		m.pump(wc.simd, now)
-	}
-	wc.fetchResolve = func(done event.Time) {
-		if done > wc.issueReady {
-			wc.issueReady = done
-		}
-		m.finishIssue(wc)
-	}
-	wc.scalarResolve = func(done event.Time) {
-		lat := done - wc.scalarIssueAt
-		m.lane.events[wc.scalarObsIdx].latency = lat
-		m.classLatSum[wc.scalarClass] += uint64(lat)
-		if done > wc.issueReady {
-			wc.issueReady = done
-		}
-		m.finishIssue(wc)
 	}
 	return wc
 }
@@ -480,10 +424,6 @@ func (m *Machine) pump(s *simdUnit, now event.Time) {
 // issue executes one instruction of the warp and schedules its next
 // readiness.
 func (m *Machine) issue(wc *warpCtx, now event.Time) {
-	if m.lane != nil {
-		m.issueLaned(wc, now)
-		return
-	}
 	if !wc.started {
 		wc.started = true
 		wc.issueTime = now
@@ -583,10 +523,10 @@ func (m *Machine) arriveBarrier(wc *warpCtx, now event.Time) {
 
 func (m *Machine) retireWarp(wc *warpCtx, now event.Time) {
 	if wc.inBlock {
-		m.noteBlockRetired(now, wc)
+		m.obs.OnBlockRetired(now, &wc.warp, wc.curBlock, wc.curBlockEnter, now)
 		wc.inBlock = false
 	}
-	m.noteWarpRetired(now, wc)
+	m.obs.OnWarpRetired(now, &wc.warp, wc.issueTime)
 	m.warpsDone++
 	m.retired[wc.cu.id]++
 	g := wc.grp
@@ -603,15 +543,6 @@ func (m *Machine) retireWarp(wc *warpCtx, now event.Time) {
 				}
 			}
 		}
-		return
-	}
-	// Workgroup complete. In laned mode the group's state must survive until
-	// the quantum barrier: in-flight shared requests still resolve against
-	// its warps and the buffered observer events still point at them, so the
-	// coordinator recycles drained groups only after the barrier's drain and
-	// replay steps, then dispatches pending workgroups itself.
-	if m.lane != nil {
-		m.lane.drained = append(m.lane.drained, g)
 		return
 	}
 	m.recycleGroup(g)

@@ -1,9 +1,6 @@
 package verify
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // FuzzEmuProgram is the native-fuzzing entry into the differential harness:
 // arbitrary bytes decode (via DecodeCase's structural generator) into a
@@ -21,56 +18,6 @@ func FuzzEmuProgram(f *testing.F) {
 		c := DecodeCase(data)
 		if vs := RunCase(c); len(vs) > 0 {
 			t.Fatalf("%d violations:\n%s\ncase:\n%s", len(vs), violationText(vs), c.Format())
-		}
-	})
-}
-
-// FuzzLaneCount fuzzes the quantum-laned engine: the first byte picks a lane
-// count (1..8 on LaneConfig's 8 single-CU scalar blocks) and the rest decode
-// into a race-free program, which must produce results identical to the
-// single-lane run — the lane-count-invariance contract under adversarial
-// inputs. The full RunLaneCase battery is too slow per fuzz execution, so
-// this target compares one fuzzed lane count against lanes=1 directly.
-func FuzzLaneCount(f *testing.F) {
-	f.Add([]byte(nil))
-	f.Add([]byte{3})
-	f.Add([]byte{7, 0xde, 0xad, 0xbe, 0xef})
-	f.Add([]byte{2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		lanes := 1
-		if len(data) > 0 {
-			lanes = int(data[0])%8 + 1
-			data = data[1:]
-		}
-		c := DecodeCase(data)
-		base, err := runLaned(c, 1)
-		if err != nil {
-			t.Fatalf("lanes=1: %v", err)
-		}
-		tr, err := runLaned(c, lanes)
-		if err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		if tr.res != base.res {
-			t.Fatalf("lanes=%d result %+v != lanes=1 result %+v\ncase:\n%s",
-				lanes, tr.res, base.res, c.Format())
-		}
-		var vs []Violation
-		diffWords(&vs, "lanes", "lanes=1", "lanes=n", base.mem, tr.mem)
-		if tr.stats != base.stats {
-			vs = append(vs, Violation{"lanes", "memory stats differ"})
-		}
-		if tr.conserv != nil {
-			vs = append(vs, Violation{"conservation", tr.conserv.Error()})
-		}
-		for id := range base.retireAt {
-			if tr.retireAt[id] != base.retireAt[id] {
-				vs = append(vs, Violation{"lanes", fmt.Sprintf("warp %d retire time differs", id)})
-			}
-		}
-		if len(vs) > 0 {
-			t.Fatalf("lanes=%d: %d violations:\n%s\ncase:\n%s",
-				lanes, len(vs), violationText(vs), c.Format())
 		}
 	})
 }

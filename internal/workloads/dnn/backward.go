@@ -11,8 +11,7 @@ import (
 // gradients, ReLU backward, stride-1 convolution input and weight gradients,
 // and the SGD update. Every kernel uses a unique-writer decomposition — each
 // gradient element is accumulated in registers by exactly one lane — so no
-// floating-point atomics are needed and results are bit-deterministic across
-// engines and lane counts.
+// floating-point atomics are needed and results are bit-deterministic.
 
 // fcBwdDXProgram: dX[b][i] = sum_o w[i][o]*dY[b][o]. One warp per 64-input
 // block per sample. Args: s8=dY, s9=w, s10=dX.
