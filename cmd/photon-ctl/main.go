@@ -2,15 +2,18 @@
 //
 //	photon-ctl -server http://localhost:8080 submit -exp fig13 -quick -wait
 //	photon-ctl submit -bench mm -modes photon,pka
-//	photon-ctl status j000001
-//	photon-ctl result j000001          # prints the text artifact
-//	photon-ctl result -json j000001    # prints the full JSON result
-//	photon-ctl watch j000001           # streams SSE progress events
-//	photon-ctl logs j000001            # tails the job's structured log events
-//	photon-ctl accuracy j000001        # prints the job's sampling-accuracy ledger
-//	photon-ctl flight                  # dumps the daemon's flight recorder
-//	photon-ctl cancel j000001
+//	photon-ctl status 3f9a1c0be2d4-1
+//	photon-ctl result 3f9a1c0be2d4-1          # prints the text artifact
+//	photon-ctl result -json 3f9a1c0be2d4-1    # prints the full JSON result
+//	photon-ctl watch 3f9a1c0be2d4-1           # streams SSE progress events
+//	photon-ctl logs 3f9a1c0be2d4-1            # tails the job's structured log events
+//	photon-ctl accuracy 3f9a1c0be2d4-1        # prints the job's sampling-accuracy ledger
+//	photon-ctl flight                         # dumps the daemon's flight recorder
+//	photon-ctl cancel 3f9a1c0be2d4-1
 //	photon-ctl list | health | metrics
+//
+// A job id is <first 12 hex digits of the request hash>-<sequence number>; a
+// cluster router hands out <node>.<that id>.
 //
 // Exit codes: 0 success, 1 job failed or request error, 2 usage error.
 package main

@@ -26,10 +26,11 @@
 // the process exits 0. SIGQUIT dumps the flight ring to stderr and keeps
 // serving.
 //
-// With -cas-dir, completed results also persist in a disk-backed
-// content-addressed store (capped by -cas-max-bytes, LRU-evicted), so a
-// restarted daemon answers previously-completed jobs from disk without
-// re-executing them.
+// Completed results live in one content-addressed store (capped by
+// -cas-max-bytes, LRU-evicted), which answers every resubmission. By default
+// it is held in memory; with -cas-dir it is a directory of files, so a
+// restarted daemon answers previously-completed jobs without re-executing
+// them.
 //
 // With -router, the process serves the same API as a cluster router over N
 // workers instead of executing jobs itself:
@@ -37,10 +38,11 @@
 //	photon-serve -router -nodes http://host1:8080,http://host2:8080
 //
 // Jobs are consistent-hashed across workers by their canonical request
-// hash; the router probes the hash owner's cache before scheduling
-// (federated lookup), steals work away from saturated queues
-// (-steal-margin), and fails over along the ring's preference order when a
-// worker dies (health from /readyz polls every -probe-interval).
+// hash, so a repeat lands on the worker whose store holds the result; the
+// router fails over along the ring's preference order when a worker dies
+// (health from /readyz polls every -probe-interval). It keeps no per-job
+// state — a job id it hands out is <node>.<worker job id> — so a restarted
+// router, or a second one over the same -nodes, answers for any id.
 package main
 
 import (
@@ -76,14 +78,12 @@ func realMain(args []string, stdout, stderr *os.File) int {
 		timeout      = fs.Duration("default-timeout", 0, "default per-job deadline, queue wait included (0: none)")
 		retryAfter   = fs.Duration("retry-after", 2*time.Second, "backoff hint attached to 429 responses")
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight jobs")
-		maxCached    = fs.Int("max-cached", 512, "completed results kept for cache hits")
-		casDir       = fs.String("cas-dir", "", "disk CAS directory: completed results survive restarts (empty: memory only)")
-		casMaxBytes  = fs.Int64("cas-max-bytes", 0, "disk CAS size cap in bytes (<= 0: 1 GiB)")
+		casDir       = fs.String("cas-dir", "", "result store directory: completed results survive restarts (empty: memory only)")
+		casMaxBytes  = fs.Int64("cas-max-bytes", 0, "result store size cap in bytes (<= 0: 1 GiB)")
 		router       = fs.Bool("router", false, "run as a cluster router over -nodes instead of executing jobs")
 		nodes        = fs.String("nodes", "", "router mode: comma-separated worker URLs (or name=URL pairs)")
 		routeRep     = fs.Int("route-replicas", 0, "router mode: virtual nodes per worker on the hash ring (<= 0: 64)")
 		probeEvery   = fs.Duration("probe-interval", time.Second, "router mode: /readyz health-poll period")
-		stealMargin  = fs.Int("steal-margin", 2, "router mode: queue-depth gap that triggers work stealing (< 0: disabled)")
 		logLevel     = fs.String("log-level", "info", "minimum stderr log level (debug, info, warn, error)")
 		logFormat    = fs.String("log-format", "text", "stderr log encoding (text or json)")
 		flightCap    = fs.Int("flight-cap", 1024, "flight recorder ring capacity (0: disabled)")
@@ -111,13 +111,12 @@ func realMain(args []string, stdout, stderr *os.File) int {
 
 	if *router {
 		return runRouter(routerOptions{
-			addr:        *addr,
-			nodes:       *nodes,
-			replicas:    *routeRep,
-			probeEvery:  *probeEvery,
-			stealMargin: *stealMargin,
-			log:         log,
-			stderr:      stderr,
+			addr:       *addr,
+			nodes:      *nodes,
+			replicas:   *routeRep,
+			probeEvery: *probeEvery,
+			log:        log,
+			stderr:     stderr,
 		})
 	}
 	if *nodes != "" {
@@ -127,7 +126,9 @@ func realMain(args []string, stdout, stderr *os.File) int {
 
 	reg := obs.NewRegistry()
 	var store *serve.CAS
-	if *casDir != "" {
+	if *casDir == "" {
+		store = serve.NewMemoryCAS(*casMaxBytes, reg, log)
+	} else {
 		var err error
 		store, err = serve.OpenCAS(*casDir, *casMaxBytes, reg, log)
 		if err != nil {
@@ -138,17 +139,16 @@ func realMain(args []string, stdout, stderr *os.File) int {
 			*casDir, store.Len(), store.Bytes())
 	}
 	sched := serve.NewScheduler(serve.Config{
-		Workers:          *workers,
-		QueueDepth:       *queueDepth,
-		JobParallel:      *jobParallel,
-		DefaultTimeout:   *timeout,
-		RetryAfter:       *retryAfter,
-		MaxCachedResults: *maxCached,
-		Metrics:          reg,
-		Log:              log,
-		Flight:           flight,
-		Baselines:        harness.NewBaselineCache(),
-		Store:            store,
+		Workers:        *workers,
+		QueueDepth:     *queueDepth,
+		JobParallel:    *jobParallel,
+		DefaultTimeout: *timeout,
+		RetryAfter:     *retryAfter,
+		Metrics:        reg,
+		Log:            log,
+		Flight:         flight,
+		Baselines:      harness.NewBaselineCache(),
+		Store:          store,
 	})
 	srv := &http.Server{
 		Addr:    *addr,

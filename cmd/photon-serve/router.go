@@ -19,13 +19,12 @@ import (
 
 // routerOptions carries the -router flag set into runRouter.
 type routerOptions struct {
-	addr        string
-	nodes       string
-	replicas    int
-	probeEvery  time.Duration
-	stealMargin int
-	log         *obs.Logger
-	stderr      *os.File
+	addr       string
+	nodes      string
+	replicas   int
+	probeEvery time.Duration
+	log        *obs.Logger
+	stderr     *os.File
 }
 
 // parseNodes turns the -nodes flag into the router's membership map. Each
@@ -56,8 +55,9 @@ func parseNodes(spec string) (map[string]string, error) {
 
 // runRouter is the -router main loop: build the cluster router over the
 // given workers, serve its handler, and shut down cleanly on SIGTERM/SIGINT.
-// The router holds no job state worth draining — workers finish their jobs
-// regardless — so shutdown is just closing the listener gracefully.
+// The router holds no job state at all — workers finish their jobs
+// regardless, and their ids stay answerable by the next router — so shutdown
+// is just closing the listener gracefully.
 func runRouter(opts routerOptions) int {
 	members, err := parseNodes(opts.nodes)
 	if err != nil {
@@ -69,7 +69,6 @@ func runRouter(opts routerOptions) int {
 		Nodes:         members,
 		Replicas:      opts.replicas,
 		ProbeInterval: opts.probeEvery,
-		StealMargin:   opts.stealMargin,
 		Metrics:       reg,
 		Log:           opts.log,
 	})

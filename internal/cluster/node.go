@@ -55,13 +55,6 @@ func (n *node) Healthy() bool {
 	return n.healthy
 }
 
-// Load returns the node's last-probed load signal.
-func (n *node) Load() serve.Load {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.load
-}
-
 // nodeStatus is the per-node entry in the router's /healthz and /readyz.
 type nodeStatus struct {
 	Name    string     `json:"name"`

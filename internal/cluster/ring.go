@@ -1,14 +1,13 @@
 // Package cluster turns a set of photon-serve workers into one service: a
 // consistent-hash router that owns the client-facing API, forwards each job
-// to the worker owning its content hash, performs federated cache lookups
-// against the owners' disk CAS stores before scheduling anything, steals
-// work from deep queues, and fails over when a worker dies — all over the
-// same stdlib net/http the single-node daemon uses.
+// to the worker owning its content hash — the node whose result store then
+// answers every repeat of it — and fails over when a worker dies, all over
+// the same stdlib net/http the single-node daemon uses.
 //
 // The division of labor: workers keep the entire execution model (scheduler,
-// coalescing, CAS, SSE hubs, metrics); the router holds only soft state — a
-// hash ring, per-node health from /readyz, and a bounded job-id mapping — so
-// a router restart loses nothing but in-flight id translations.
+// coalescing, CAS, SSE hubs, metrics, job ids); the router holds only soft
+// state — a hash ring and per-node health from /readyz. A cluster-scope job
+// id names its worker, so a router restart loses nothing.
 package cluster
 
 import (

@@ -30,10 +30,6 @@ type Config struct {
 	// ProbeInterval is the /readyz polling period (default 1s); each probe
 	// is also bounded by it.
 	ProbeInterval time.Duration
-	// StealMargin is how many jobs deeper than the least-loaded healthy node
-	// the owner's queue must be — while all its workers are busy — before a
-	// submission is stolen away from it (default 2; < 0 disables stealing).
-	StealMargin int
 	// Metrics receives the cluster_* counters and gauges. The router's
 	// /metrics additionally federates every node's snapshot under a node
 	// label, so one scrape covers the fleet.
@@ -41,25 +37,15 @@ type Config struct {
 	// Log receives routing decisions and health transitions. Nil disables.
 	Log *obs.Logger
 	// Client issues the router's non-streaming upstream requests (submits,
-	// status fetches, cache probes). Nil gets a 30s-timeout client.
+	// status fetches, cache lookups). Nil gets a 30s-timeout client.
 	Client *http.Client
 }
 
-// routedJob is the router's record of one accepted submission: which worker
-// got it and what the worker called it.
-type routedJob struct {
-	routerID string
-	remoteID string
-	hash     string
-	node     *node
-}
-
-// maxRoutedJobs bounds the id-translation table; the oldest mappings are
-// evicted beyond it, matching the workers' own job-table cap.
-const maxRoutedJobs = 4096
-
 // Router is the cluster front door: one http.Handler exposing the same API
-// surface as a single photon-serve worker, backed by N of them.
+// surface as a single photon-serve worker, backed by N of them. It keeps no
+// per-job state: a cluster-scope job id is "<node>.<worker job id>", so any
+// router over the same membership — a second one, or this one restarted —
+// answers for any id. Its only soft state is each node's last-probed health.
 type Router struct {
 	cfg   Config
 	ring  *Ring
@@ -72,13 +58,6 @@ type Router struct {
 	client      *http.Client // JSON round-trips
 	probeClient *http.Client // readyz probes (tighter timeout)
 
-	mu     sync.Mutex
-	jobs   map[string]*routedJob // by router id
-	remote map[string]*routedJob // by node/remoteID, for list aggregation
-	order  []string              // router ids, insertion order, for eviction
-	nextID uint64
-
-	mSteals        *obs.Counter
 	mFederatedHits *obs.Counter
 	mReroutes      *obs.Counter
 	mProbeErrors   *obs.Counter
@@ -95,9 +74,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.StealMargin == 0 {
-		cfg.StealMargin = 2
-	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 30 * time.Second}
 	}
@@ -109,10 +85,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		mux:         http.NewServeMux(),
 		client:      cfg.Client,
 		probeClient: &http.Client{Timeout: cfg.ProbeInterval},
-		jobs:        make(map[string]*routedJob),
-		remote:      make(map[string]*routedJob),
 
-		mSteals:        cfg.Metrics.Counter("cluster_steals"),
 		mFederatedHits: cfg.Metrics.Counter("cluster_federated_hits"),
 		mReroutes:      cfg.Metrics.Counter("cluster_reroutes"),
 		mProbeErrors:   cfg.Metrics.Counter("cluster_probe_errors"),
@@ -195,22 +168,15 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 }
 
 // submit is POST /v1/jobs at cluster scope: canonicalize to get the content
-// hash, probe the hash owner's cache (the federated lookup), pick the
-// target — owner, or a less-loaded node when the owner's queue is deep —
-// and forward, failing over along the preference order when a node turns
-// out to be dead. The response is the worker's, with the job id swapped for
-// a router-minted one and the node name filled in.
+// hash and forward to the hash's ring owner — the one node whose store will
+// ever hold the result, so its scheduler answers a repeat from cache —
+// failing over along the preference order when a node turns out to be dead.
+// The response is the worker's, with the job id lifted to cluster scope and
+// the node name filled in.
 func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	req, body, err := serve.ReadJobRequest(w, r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	var req serve.JobRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	canonical, err := serve.Canonicalize(req)
@@ -218,46 +184,21 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	hash := serve.Hash(canonical)
-
-	prefs := rt.preferredNodes(hash)
+	prefs := rt.preferredNodes(serve.Hash(canonical))
 	if len(prefs) == 0 {
 		writeErr(w, http.StatusServiceUnavailable, errors.New("cluster: no healthy nodes"))
 		return
 	}
 
-	// Federated cache lookup: before scheduling anywhere, ask the hash
-	// owner whether it already has the answer (memory or disk CAS). A hit
-	// pins the submission to the owner regardless of load — it will answer
-	// instantly without executing.
-	target := prefs[0]
-	if rt.cacheProbe(r.Context(), target, hash) {
-		rt.mFederatedHits.Inc()
-		rt.reg.Counter("cluster_federated_hits_node", obs.L("node", target.name)).Inc()
-		if rt.log.Enabled(slog.LevelDebug) {
-			rt.log.Debug("cluster: federated cache hit",
-				slog.String("node", target.name), slog.String("hash", hash[:12]))
-		}
-	} else if steal := rt.stealTarget(target, prefs); steal != nil {
-		rt.mSteals.Inc()
-		rt.log.Info("cluster: stealing work from deep queue",
-			slog.String("owner", target.name), slog.String("thief", steal.name),
-			slog.Int("owner_depth", target.Load().QueueDepth),
-			slog.Int("thief_depth", steal.Load().QueueDepth))
-		target = steal
-	}
-
-	// Forward, walking the preference order past nodes that fail at the
-	// connection level. HTTP-level rejections (429 queue full, 400) are the
-	// worker's answer, not a failover trigger — pass them through.
-	tried := map[string]bool{}
-	for _, n := range append([]*node{target}, prefs...) {
-		if tried[n.name] {
-			continue
-		}
-		tried[n.name] = true
+	// Walk the preference order past nodes that fail at the connection
+	// level. HTTP-level rejections (429 queue full, 400) are the worker's
+	// answer, not a failover trigger — pass them through.
+	for _, n := range prefs {
 		st, code, err := rt.forwardSubmit(r.Context(), n, body)
 		if err != nil {
+			if r.Context().Err() != nil {
+				return // the caller gave up; that says nothing about the node
+			}
 			if n.markUnhealthy(err) {
 				rt.healthFlip(n, false)
 			}
@@ -273,54 +214,10 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 			w.Write(st)
 			return
 		}
-		rt.finishSubmit(w, n, code, st, hash)
+		rt.finishSubmit(w, n, code, st)
 		return
 	}
 	writeErr(w, http.StatusServiceUnavailable, errors.New("cluster: every candidate node failed"))
-}
-
-// cacheProbe asks one node whether it holds hash (204 = yes).
-func (rt *Router) cacheProbe(ctx context.Context, n *node, hash string) bool {
-	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeInterval)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet,
-		n.base.JoinPath("/v1/cache/"+hash).String()+"?probe=1", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusNoContent
-}
-
-// stealTarget decides whether to route a submission away from its owner:
-// only when the owner is saturated (all workers busy, queue non-empty) and
-// its queue is at least StealMargin deeper than the least-loaded healthy
-// candidate. Returns nil to keep the owner.
-func (rt *Router) stealTarget(owner *node, prefs []*node) *node {
-	if rt.cfg.StealMargin < 0 || len(prefs) < 2 {
-		return nil
-	}
-	ol := owner.Load()
-	if !ol.Saturated {
-		return nil
-	}
-	best := owner
-	bestLoad := ol
-	for _, n := range prefs[1:] {
-		l := n.Load()
-		if l.QueueDepth+l.InFlight < bestLoad.QueueDepth+bestLoad.InFlight {
-			best, bestLoad = n, l
-		}
-	}
-	if best == owner || ol.QueueDepth-bestLoad.QueueDepth < rt.cfg.StealMargin {
-		return nil
-	}
-	return best
 }
 
 // forwardSubmit posts body to n. A nil error with code >= 300 is the
@@ -344,80 +241,65 @@ func (rt *Router) forwardSubmit(ctx context.Context, n *node, body []byte) ([]by
 	return data, resp.StatusCode, nil
 }
 
-// finishSubmit records the id mapping and relays the worker's response with
-// the router's job id and node attribution swapped in.
-func (rt *Router) finishSubmit(w http.ResponseWriter, n *node, code int, data []byte, hash string) {
+// finishSubmit relays the worker's response with the job id lifted to
+// cluster scope and the node attribution filled in.
+func (rt *Router) finishSubmit(w http.ResponseWriter, n *node, code int, data []byte) {
 	var st serve.JobStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		writeErr(w, http.StatusBadGateway, fmt.Errorf("cluster: bad worker response: %w", err))
 		return
 	}
-	rt.mu.Lock()
-	rt.nextID++
-	rj := &routedJob{
-		routerID: fmt.Sprintf("r%06d", rt.nextID),
-		remoteID: st.ID,
-		hash:     hash,
-		node:     n,
-	}
-	rt.jobs[rj.routerID] = rj
-	rt.remote[n.name+"/"+st.ID] = rj
-	rt.order = append(rt.order, rj.routerID)
-	for len(rt.order) > maxRoutedJobs {
-		old := rt.order[0]
-		rt.order = rt.order[1:]
-		if orj, ok := rt.jobs[old]; ok {
-			delete(rt.jobs, old)
-			delete(rt.remote, orj.node.name+"/"+orj.remoteID)
-		}
-	}
-	rt.mu.Unlock()
-
 	rt.reg.Counter("cluster_jobs_routed", obs.L("node", n.name)).Inc()
-	if rt.log.Enabled(slog.LevelDebug) {
-		rt.log.Debug("cluster: job routed", slog.String("job", rj.routerID),
-			slog.String("node", n.name), slog.String("remote", st.ID))
-	}
-	st.ID = rj.routerID
+	st.ID = n.name + "." + st.ID
 	st.Node = n.name
+	if rt.log.Enabled(slog.LevelDebug) {
+		rt.log.Debug("cluster: job routed", slog.String("job", st.ID), slog.String("node", n.name))
+	}
 	writeJSON(w, code, st)
 }
 
-// resolve maps a router job id back to (node, remote id).
-func (rt *Router) resolve(id string) (*routedJob, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rj, ok := rt.jobs[id]
-	return rj, ok
+// locate splits a cluster-scope job id, "<node>.<worker job id>", at its
+// last dot (worker ids hold none; node names may).
+func (rt *Router) locate(id string) (*node, string, bool) {
+	i := strings.LastIndexByte(id, '.')
+	if i < 0 {
+		return nil, "", false
+	}
+	n, ok := rt.nodes[id[:i]]
+	return n, id[i+1:], ok
 }
 
 // jobJSON handles the non-streaming per-job endpoints (status, result,
-// cancel): forward to the owning worker with the remote id, then rewrite
-// the response's identity fields back to cluster scope. The rewrite decodes
+// cancel): forward to the owning worker with its own id, then rewrite the
+// response's identity fields back to cluster scope. The rewrite decodes
 // with UseNumber so every other field round-trips losslessly.
 func (rt *Router) jobJSON(w http.ResponseWriter, r *http.Request) {
-	rj, ok := rt.resolve(r.PathValue("id"))
+	id := r.PathValue("id")
+	n, remoteID, ok := rt.locate(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, serve.ErrUnknownJob)
 		return
 	}
-	path := "/v1/jobs/" + rj.remoteID
+	path := "/v1/jobs/" + remoteID
 	if strings.HasSuffix(r.URL.Path, "/result") {
 		path += "/result"
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method,
-		rj.node.base.JoinPath(path).String(), nil)
+		n.base.JoinPath(path).String(), nil)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		if rj.node.markUnhealthy(err) {
-			rt.healthFlip(rj.node, false)
+		if r.Context().Err() != nil {
+			return // the caller gave up; that says nothing about the node
+		}
+		if n.markUnhealthy(err) {
+			rt.healthFlip(n, false)
 		}
 		writeErr(w, http.StatusBadGateway,
-			fmt.Errorf("cluster: node %s unreachable: %w", rj.node.name, err))
+			fmt.Errorf("cluster: node %s unreachable: %w", n.name, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -437,18 +319,18 @@ func (rt *Router) jobJSON(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, ok := m["id"]; ok {
-		m["id"] = rj.routerID
-		m["node"] = rj.node.name
+		m["id"] = id
+		m["node"] = n.name
 	}
 	writeJSON(w, resp.StatusCode, m)
 }
 
 // jobStream handles the streaming per-job endpoints (SSE events, accuracy
 // bodies) by reverse-proxying to the owning worker with the path rewritten
-// to the remote id. Headers pass through both ways, so Last-Event-ID resume
-// and the SSE id: fields work unchanged across the router.
+// to the worker's id. Headers pass through both ways, so Last-Event-ID
+// resume and the SSE id: fields work unchanged across the router.
 func (rt *Router) jobStream(w http.ResponseWriter, r *http.Request) {
-	rj, ok := rt.resolve(r.PathValue("id"))
+	n, remoteID, ok := rt.locate(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, serve.ErrUnknownJob)
 		return
@@ -458,23 +340,20 @@ func (rt *Router) jobStream(w http.ResponseWriter, r *http.Request) {
 		suffix = "/accuracy"
 	}
 	r2 := r.Clone(r.Context())
-	r2.URL.Path = "/v1/jobs/" + rj.remoteID + suffix
+	r2.URL.Path = "/v1/jobs/" + remoteID + suffix
 	r2.RequestURI = "" // outgoing requests must not set it
-	rj.node.proxy.ServeHTTP(w, r2)
+	n.proxy.ServeHTTP(w, r2)
 }
 
-// cache is the cluster-scope federated lookup: ask the hash owner first,
-// then every other healthy node, and relay the first hit. 404 only when no
-// live node holds the entry.
+// cache is the cluster-scope GET /v1/cache/{hash}: ask the hash owner
+// first, then every other healthy node (a failover may have left the result
+// there), and relay the first hit. 404 only when no live node holds the
+// entry.
 func (rt *Router) cache(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	probe := r.URL.Query().Get("probe") != ""
 	for _, n := range rt.preferredNodes(hash) {
-		url := n.base.JoinPath("/v1/cache/" + hash).String()
-		if probe {
-			url += "?probe=1"
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
+		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet,
+			n.base.JoinPath("/v1/cache/"+hash).String(), nil)
 		if err != nil {
 			continue
 		}
@@ -482,7 +361,7 @@ func (rt *Router) cache(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		if resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK {
+		if resp.StatusCode == http.StatusOK {
 			rt.mFederatedHits.Inc()
 			rt.reg.Counter("cluster_federated_hits_node", obs.L("node", n.name)).Inc()
 			w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
@@ -497,9 +376,9 @@ func (rt *Router) cache(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, http.StatusNotFound, fmt.Errorf("no cached result for %s on any node", hash))
 }
 
-// list aggregates GET /v1/jobs across healthy workers. Jobs the router
-// routed itself appear under their router ids; jobs submitted directly to a
-// worker (bypassing the router) appear as node/remote-id so nothing hides.
+// list aggregates GET /v1/jobs across healthy workers, oldest first. Every
+// job appears under its cluster-scope id, whichever router — or no router,
+// for a job submitted straight to a worker — accepted it.
 func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
 	var (
 		mu  sync.Mutex
@@ -524,23 +403,22 @@ func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
 			if json.NewDecoder(resp.Body).Decode(&sts) != nil {
 				return
 			}
-			rt.mu.Lock()
 			for i := range sts {
-				if rj, ok := rt.remote[n.name+"/"+sts[i].ID]; ok {
-					sts[i].ID = rj.routerID
-				} else {
-					sts[i].ID = n.name + "/" + sts[i].ID
-				}
+				sts[i].ID = n.name + "." + sts[i].ID
 				sts[i].Node = n.name
 			}
-			rt.mu.Unlock()
 			mu.Lock()
 			all = append(all, sts...)
 			mu.Unlock()
 		}(n)
 	}
 	wg.Wait()
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	sort.Slice(all, func(i, j int) bool {
+		if !all[i].CreatedAt.Equal(all[j].CreatedAt) {
+			return all[i].CreatedAt.Before(all[j].CreatedAt)
+		}
+		return all[i].ID < all[j].ID
+	})
 	if all == nil {
 		all = []serve.JobStatus{}
 	}

@@ -22,8 +22,9 @@ import (
 // router is checkable.
 func stubOutput(req serve.JobRequest) serve.Output {
 	return serve.Output{
-		Text:  fmt.Sprintf("bench=%s size=%d quick=%v\n", req.Bench, req.Size, req.Quick),
-		JSONL: fmt.Sprintf(`{"bench":%q}`+"\n", req.Bench),
+		Text:     fmt.Sprintf("bench=%s size=%d quick=%v\n", req.Bench, req.Size, req.Quick),
+		JSONL:    fmt.Sprintf(`{"bench":%q}`+"\n", req.Bench),
+		Accuracy: fmt.Sprintf(`{"bench":%q,"kernel":"k0"}`+"\n", req.Bench),
 	}
 }
 
@@ -120,8 +121,9 @@ func waitDone(t *testing.T, base, id string) serve.JobResult {
 }
 
 // TestRouterRoutesByHashAndRewritesIDs: a submission through the router
-// lands on the ring owner of its content hash, gets a router-scope id, and
-// the status/result endpoints answer under that id with node attribution.
+// lands on the ring owner of its content hash, gets a cluster-scope id that
+// names that node, and the status/result endpoints answer under that id
+// with node attribution.
 func TestRouterRoutesByHashAndRewritesIDs(t *testing.T) {
 	w0 := newWorker(t, "node0", "")
 	w1 := newWorker(t, "node1", "")
@@ -138,11 +140,11 @@ func TestRouterRoutesByHashAndRewritesIDs(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit code = %d, want 202", code)
 	}
-	if !strings.HasPrefix(st.ID, "r") {
-		t.Fatalf("router id = %q, want r-prefixed", st.ID)
-	}
 	if st.Node != wantNode {
 		t.Fatalf("routed to %s, ring owner is %s", st.Node, wantNode)
+	}
+	if want := wantNode + "." + st.RequestHash[:12] + "-1"; st.ID != want {
+		t.Fatalf("cluster-scope id = %q, want <node>.<worker job id> = %q", st.ID, want)
 	}
 	res := waitDone(t, srv.URL, st.ID)
 	if res.ID != st.ID || res.Node != wantNode {
@@ -175,13 +177,15 @@ func TestRouterByteIdenticalToDirect(t *testing.T) {
 	}
 }
 
-// TestRouterFederatedCacheHit: resubmitting a completed request through the
-// router is answered by the owner's cache — the federated probe fires, the
-// submission reports cache_hit, and cluster_federated_hits counts it.
-func TestRouterFederatedCacheHit(t *testing.T) {
-	w0 := newWorker(t, "node0", t.TempDir())
-	w1 := newWorker(t, "node1", t.TempDir())
-	_, srv, reg := newTestRouter(t, w0, w1)
+// TestRouterResubmitIsOwnerCacheHit: resubmitting a completed request
+// through the router costs one upstream call — no lookup ahead of it — and
+// is answered by the owner's scheduler from its own store.
+func TestRouterResubmitIsOwnerCacheHit(t *testing.T) {
+	workers := map[string]*worker{
+		"node0": newWorker(t, "node0", t.TempDir()),
+		"node1": newWorker(t, "node1", t.TempDir()),
+	}
+	_, srv, reg := newTestRouter(t, workers["node0"], workers["node1"])
 
 	req := serve.JobRequest{Bench: "mm"}
 	st, _ := submitVia(t, srv.URL, req)
@@ -194,8 +198,12 @@ func TestRouterFederatedCacheHit(t *testing.T) {
 	if st2.Node != st.Node {
 		t.Fatalf("cache hit routed to %s, original ran on %s", st2.Node, st.Node)
 	}
-	if got := reg.Snapshot().SumCounters("cluster_federated_hits"); got < 1 {
-		t.Fatalf("cluster_federated_hits = %v, want >= 1", got)
+	owner := workers[st.Node].reg.Snapshot()
+	if hits, executed := owner.SumCounters("serve_cache_hits"), owner.SumCounters("serve_jobs_executed"); hits != 1 || executed != 1 {
+		t.Fatalf("owner %s: serve_cache_hits = %v, serve_jobs_executed = %v, want 1 and 1", st.Node, hits, executed)
+	}
+	if got := reg.Snapshot().SumCounters("cluster_federated_hits"); got != 0 {
+		t.Fatalf("cluster_federated_hits = %v: a submit looked a cache up before forwarding", got)
 	}
 }
 
@@ -243,48 +251,6 @@ func TestRouterFailover(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz with one survivor = %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestRouterStealTarget covers the work-stealing decision table without the
-// flakiness of racing real queues: saturation and margin both gate a steal.
-func TestRouterStealTarget(t *testing.T) {
-	reg := obs.NewRegistry()
-	rt, err := NewRouter(Config{
-		Nodes:   map[string]string{"a": "http://127.0.0.1:1", "b": "http://127.0.0.1:2"},
-		Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := rt.nodes["a"], rt.nodes["b"]
-	set := func(n *node, load serve.Load) {
-		n.mu.Lock()
-		n.load = load
-		n.mu.Unlock()
-	}
-	prefs := []*node{a, b}
-
-	// Owner idle: never steal.
-	set(a, serve.Load{Workers: 1})
-	set(b, serve.Load{Workers: 1})
-	if got := rt.stealTarget(a, prefs); got != nil {
-		t.Fatalf("stole from an idle owner: %v", got.name)
-	}
-	// Owner saturated but within margin: keep.
-	set(a, serve.Load{QueueDepth: 1, InFlight: 1, Workers: 1, Saturated: true})
-	if got := rt.stealTarget(a, prefs); got != nil {
-		t.Fatalf("stole within margin: %v", got.name)
-	}
-	// Owner saturated and deep: steal to the idle node.
-	set(a, serve.Load{QueueDepth: 5, InFlight: 1, Workers: 1, Saturated: true})
-	if got := rt.stealTarget(a, prefs); got != b {
-		t.Fatal("deep saturated queue did not trigger a steal")
-	}
-	// Both deep: no point moving.
-	set(b, serve.Load{QueueDepth: 5, InFlight: 1, Workers: 1, Saturated: true})
-	if got := rt.stealTarget(a, prefs); got != nil {
-		t.Fatalf("stole to an equally deep node: %v", got.name)
 	}
 }
 
@@ -406,7 +372,7 @@ func TestRouterMetricsFederation(t *testing.T) {
 }
 
 // TestRouterListAggregates: GET /v1/jobs through the router shows jobs from
-// every node under router ids.
+// every node under their cluster-scope ids.
 func TestRouterListAggregates(t *testing.T) {
 	w0 := newWorker(t, "node0", "")
 	w1 := newWorker(t, "node1", "")
@@ -440,17 +406,138 @@ func TestRouterListAggregates(t *testing.T) {
 	}
 }
 
-// TestRouterUnknownJob: ids the router never issued are a clean 404.
+// TestRouterUnknownJob: an id without a node part, an id naming a node that
+// is not a member, and an id the named worker never issued are clean 404s.
 func TestRouterUnknownJob(t *testing.T) {
 	w0 := newWorker(t, "node0", "")
 	_, srv, _ := newTestRouter(t, w0)
-	resp, err := http.Get(srv.URL + "/v1/jobs/r999999")
+	for _, id := range []string{"r999999", "node7.0123456789ab-1", "node0.0123456789ab-1"} {
+		for _, suffix := range []string{"", "/result", "/events", "/accuracy"} {
+			if code, _ := httpDo(t, http.MethodGet, srv.URL+"/v1/jobs/"+id+suffix); code != http.StatusNotFound {
+				t.Errorf("GET /v1/jobs/%s%s = %d, want 404", id, suffix, code)
+			}
+		}
+	}
+}
+
+// httpDo issues one bodyless request and returns the status code and body.
+func httpDo(t *testing.T, method, url string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job = %d, want 404", resp.StatusCode)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
+}
+
+// TestRouterHoldsNoJobState: a job id is all a router needs. A job submitted
+// through one router is answered — status, result, event replay, accuracy
+// ledger, cancel — by a second router over the same workers and by one built
+// after the job finished, with the artifacts the owning worker serves.
+func TestRouterHoldsNoJobState(t *testing.T) {
+	workers := map[string]*worker{"node0": newWorker(t, "node0", ""), "node1": newWorker(t, "node1", "")}
+	_, first, _ := newTestRouter(t, workers["node0"], workers["node1"])
+	_, second, _ := newTestRouter(t, workers["node0"], workers["node1"])
+
+	st, _ := submitVia(t, first.URL, serve.JobRequest{Bench: "spmv"})
+	waitDone(t, first.URL, st.ID)
+	_, later, _ := newTestRouter(t, workers["node0"], workers["node1"])
+
+	ownerURL := workers[st.Node].srv.URL
+	workerID := strings.TrimPrefix(st.ID, st.Node+".")
+	direct := waitDone(t, ownerURL, workerID)
+	_, directAccuracy := httpDo(t, http.MethodGet, ownerURL+"/v1/jobs/"+workerID+"/accuracy")
+	if direct.Output == "" || len(directAccuracy) == 0 {
+		t.Fatalf("owner %s serves empty artifacts for %s", st.Node, workerID)
+	}
+
+	for name, base := range map[string]string{"second router": second.URL, "router built afterwards": later.URL} {
+		code, body := httpDo(t, http.MethodGet, base+"/v1/jobs/"+st.ID)
+		var status serve.JobStatus
+		if err := json.Unmarshal(body, &status); err != nil || code != http.StatusOK {
+			t.Fatalf("%s: status = %d %s (%v)", name, code, body, err)
+		}
+		if status.ID != st.ID || status.Node != st.Node || status.State != serve.StateDone {
+			t.Errorf("%s: status = %+v, want done job %s on %s", name, status, st.ID, st.Node)
+		}
+		res := waitDone(t, base, st.ID)
+		if res.ID != st.ID || res.Output != direct.Output || res.JSONL != direct.JSONL || res.Accuracy != direct.Accuracy {
+			t.Errorf("%s: result differs from the owner's:\nrouter: %+v\nowner:  %+v", name, res, direct)
+		}
+		if _, events := readSSE(t, base, st.ID, 0); len(events) < 2 || events[len(events)-1] != "result" {
+			t.Errorf("%s: event replay = %v, want the lifecycle ending in result", name, events)
+		}
+		if code, acc := httpDo(t, http.MethodGet, base+"/v1/jobs/"+st.ID+"/accuracy"); code != http.StatusOK || !bytes.Equal(acc, directAccuracy) {
+			t.Errorf("%s: accuracy = %d %q, want the owner's %q", name, code, acc, directAccuracy)
+		}
+		code, body = httpDo(t, http.MethodDelete, base+"/v1/jobs/"+st.ID)
+		if err := json.Unmarshal(body, &status); err != nil || code != http.StatusOK || status.ID != st.ID {
+			t.Errorf("%s: cancel = %d %s (%v), want 200 under id %s", name, code, body, err, st.ID)
+		}
+	}
+}
+
+// TestRouterClientCancelLeavesNodesHealthy: a caller that gives up on its own
+// request — here by cancelling while both workers sit on the forwarded
+// submit — has told the router nothing about the workers. Both stay healthy
+// and routable, and no reroute is counted.
+func TestRouterClientCancelLeavesNodesHealthy(t *testing.T) {
+	entered := make(chan struct{}, 2) // one slot per worker: a send never blocks
+	nodes := map[string]string{}
+	for _, name := range []string{"node0", "node1"} {
+		slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body) // the server notices a hang-up only past the body
+			entered <- struct{}{}
+			<-r.Context().Done() // never answers; ends when the router hangs up
+		}))
+		t.Cleanup(slow.Close)
+		nodes[name] = slow.URL
+	}
+	reg := obs.NewRegistry()
+	rt, err := NewRouter(Config{Nodes: nodes, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handled := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rt.Handler().ServeHTTP(w, r)
+		close(handled)
+	}))
+	t.Cleanup(srv.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/jobs", strings.NewReader(`{"bench":"mm"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	<-entered // the submit is parked on the hash owner
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("the cancelled request got an answer")
+	}
+	<-handled
+
+	if got := len(rt.healthyNodes()); got != 2 {
+		t.Errorf("%d of 2 nodes healthy after one client cancelled its own request", got)
+	}
+	if got := reg.Snapshot().SumCounters("cluster_reroutes"); got != 0 {
+		t.Errorf("cluster_reroutes = %v, want 0", got)
 	}
 }

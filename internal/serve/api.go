@@ -78,9 +78,9 @@ type JobStatus struct {
 	// router (internal/cluster); a single-node daemon leaves it empty.
 	Node string `json:"node,omitempty"`
 
-	// CacheHit marks a submission answered instantly from a completed
-	// execution; Coalesced marks one attached to an execution that was
-	// already queued or running when it arrived.
+	// CacheHit marks a submission answered instantly from the result
+	// store; Coalesced marks one attached to an execution that was already
+	// queued or running when it arrived.
 	CacheHit  bool `json:"cache_hit"`
 	Coalesced bool `json:"coalesced,omitempty"`
 
@@ -144,8 +144,8 @@ type Event struct {
 }
 
 // Load is the scheduler's instantaneous load signal, reported by /readyz so
-// the cluster router's health-aware rebalancing and work-stealing see real
-// queue pressure instead of a bare 200. Existing probes keep working: the
+// the cluster router's health table and per-node gauges show real queue
+// pressure instead of a bare 200. Existing probes keep working: the
 // endpoint still answers plain 200-when-ready / 503-when-draining and the
 // body stays valid JSON.
 type Load struct {
@@ -155,15 +155,11 @@ type Load struct {
 	InFlight int `json:"in_flight"`
 	// Workers is the configured execution concurrency.
 	Workers int `json:"workers"`
-	// Saturated reports that every worker is busy and work is queued behind
-	// them — the condition that makes this node a work-stealing victim.
-	Saturated bool `json:"saturated"`
 }
 
 // CacheEntry is the body of GET /v1/cache/{hash}: a completed execution's
-// artifacts looked up by content address (memory first, then the disk CAS).
-// The cluster router probes this endpoint on the hash-owner node before
-// scheduling a job anywhere — the federated cache lookup.
+// artifacts looked up in the result store by content address, without
+// submitting anything.
 type CacheEntry struct {
 	Hash     string `json:"hash"`
 	Output   string `json:"output"`

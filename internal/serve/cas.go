@@ -15,11 +15,17 @@ import (
 	"photon/internal/obs"
 )
 
-// CAS is a disk-backed content-addressed result store: one JSON file per
-// completed execution, named by the canonical request's SHA-256 hash. It is
-// what makes a worker's cache survive restarts — the scheduler consults it
-// before executing and spills every successful execution into it — and what
-// the cluster router's federated lookups read through GET /v1/cache/{hash}.
+// CAS is the content-addressed result store: one record per completed
+// execution, keyed by the canonical request's SHA-256 hash. It is the only
+// place the scheduler finds a finished result — every successful execution
+// is Put before it is reported done, and every submission that is not
+// already queued or running is answered from Get or executed — and what
+// GET /v1/cache/{hash} reads.
+//
+// A store opened with OpenCAS keeps each record as a JSON file named by the
+// hash, which is what makes a worker's cache survive restarts; one built
+// with NewMemoryCAS keeps the artifacts in the index itself. Index, byte
+// cap, LRU order and serve_cas_* counters are the same for both.
 //
 // Crash safety: writes go to a unique temp file in the store directory and
 // are fsynced before an atomic rename, so a crash mid-write leaves either
@@ -32,10 +38,9 @@ import (
 // same least-recently-used order the live index had.
 //
 // All methods are safe for concurrent use and safe on a nil receiver (a
-// nil *CAS behaves as an always-miss, drop-everything store), so the
-// scheduler needs no branching when the operator runs without -cas-dir.
+// nil *CAS behaves as an always-miss, drop-everything store).
 type CAS struct {
-	dir      string
+	dir      string // "" for a memory-backed store
 	maxBytes int64
 
 	mu      sync.Mutex
@@ -59,6 +64,7 @@ type CAS struct {
 type casEntry struct {
 	hash string
 	size int64
+	out  Output // the record itself in a memory-backed store; zero on disk
 }
 
 // casRecord is the on-disk schema: the artifacts plus enough identity to
@@ -80,13 +86,30 @@ const casSuffix = ".json"
 // deleted, and the size cap enforced immediately. reg receives the
 // serve_cas_* counters; log (nil-safe) gets eviction and error records.
 func OpenCAS(dir string, maxBytes int64, reg *obs.Registry, log *obs.Logger) (*CAS, error) {
-	if maxBytes <= 0 {
-		maxBytes = 1 << 30
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cas: %w", err)
 	}
-	c := &CAS{
+	c := newCAS(dir, maxBytes, reg, log)
+	if err := c.rebuild(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// NewMemoryCAS builds a store that keeps its records in memory — what a
+// scheduler gets when it is configured without one, so resubmissions are
+// answered from a cache whether or not the operator passed -cas-dir. Same
+// cap default, eviction and counters as OpenCAS; nothing survives the
+// process.
+func NewMemoryCAS(maxBytes int64, reg *obs.Registry, log *obs.Logger) *CAS {
+	return newCAS("", maxBytes, reg, log)
+}
+
+func newCAS(dir string, maxBytes int64, reg *obs.Registry, log *obs.Logger) *CAS {
+	if maxBytes <= 0 {
+		maxBytes = 1 << 30
+	}
+	return &CAS{
 		dir:      dir,
 		maxBytes: maxBytes,
 		entries:  make(map[string]*list.Element),
@@ -101,13 +124,9 @@ func OpenCAS(dir string, maxBytes int64, reg *obs.Registry, log *obs.Logger) (*C
 		mEvictions:   reg.Counter("serve_cas_evictions"),
 		mErrors:      reg.Counter("serve_cas_errors"),
 		mTouchErrors: reg.Counter("serve_cas_touch_errors"),
-		gBytes:     reg.Gauge("serve_cas_bytes"),
-		gEntries:   reg.Gauge("serve_cas_entries"),
+		gBytes:       reg.Gauge("serve_cas_bytes"),
+		gEntries:     reg.Gauge("serve_cas_entries"),
 	}
-	if err := c.rebuild(); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // rebuild scans the store directory into a fresh index. Called once from
@@ -184,7 +203,12 @@ func (c *CAS) Get(hash string) (Output, bool) {
 		return Output{}, false
 	}
 	c.lru.MoveToFront(el)
+	out := el.Value.(*casEntry).out
 	c.mu.Unlock()
+	if c.dir == "" {
+		c.mHits.Inc()
+		return out, true
+	}
 
 	path := c.path(hash)
 	data, err := os.ReadFile(path)
@@ -221,39 +245,47 @@ func (c *CAS) Get(hash string) (Output, bool) {
 	return Output{Text: rec.Text, JSONL: rec.JSONL, Accuracy: rec.Accuracy}, true
 }
 
-// Put spills one completed execution to disk: marshal, write to a unique
-// temp file, fsync, rename into place, update the index and evict beyond
-// the byte cap. Put never fails the caller's job — errors are counted,
-// logged and swallowed (the result is still served from memory).
+// Put stores one completed execution, updates the index and evicts beyond
+// the byte cap. On disk that is marshal, write to a unique temp file, fsync,
+// rename into place. Put never fails the caller's job — errors are counted,
+// logged and swallowed (the job's own result is still served from its
+// execution; the next submission of the request re-executes).
 func (c *CAS) Put(hash string, out Output) {
 	if c == nil {
 		return
 	}
-	data, err := json.Marshal(casRecord{
-		Hash: hash, CreatedAt: time.Now().UTC(),
-		Text: out.Text, JSONL: out.JSONL, Accuracy: out.Accuracy,
-	})
-	if err != nil {
-		c.mErrors.Inc()
-		return
-	}
-	if err := c.writeAtomic(hash, data); err != nil {
-		c.mErrors.Inc()
-		c.log.Warn("cas: spill failed",
-			slog.String("hash", short(hash)), slog.String("error", err.Error()))
-		return
+	stored := casEntry{hash: hash}
+	if c.dir == "" {
+		stored.out = out
+		stored.size = int64(len(out.Text) + len(out.JSONL) + len(out.Accuracy))
+	} else {
+		data, err := json.Marshal(casRecord{
+			Hash: hash, CreatedAt: time.Now().UTC(),
+			Text: out.Text, JSONL: out.JSONL, Accuracy: out.Accuracy,
+		})
+		if err != nil {
+			c.mErrors.Inc()
+			return
+		}
+		if err := c.writeAtomic(hash, data); err != nil {
+			c.mErrors.Inc()
+			c.log.Warn("cas: spill failed",
+				slog.String("hash", short(hash)), slog.String("error", err.Error()))
+			return
+		}
+		stored.size = int64(len(data))
 	}
 	c.mPuts.Inc()
 
 	c.mu.Lock()
 	if el, ok := c.entries[hash]; ok {
 		e := el.Value.(*casEntry)
-		c.bytes += int64(len(data)) - e.size
-		e.size = int64(len(data))
+		c.bytes += stored.size - e.size
+		*e = stored
 		c.lru.MoveToFront(el)
 	} else {
-		c.entries[hash] = c.lru.PushFront(&casEntry{hash: hash, size: int64(len(data))})
-		c.bytes += int64(len(data))
+		c.entries[hash] = c.lru.PushFront(&stored)
+		c.bytes += stored.size
 	}
 	// The entry just written is exempt: evicting the result we computed
 	// milliseconds ago to honor a cap would be strictly worse than briefly
@@ -303,8 +335,10 @@ func (c *CAS) evictLocked(keep *list.Element) {
 		c.lru.Remove(el)
 		delete(c.entries, e.hash)
 		c.bytes -= e.size
-		if err := os.Remove(c.path(e.hash)); err != nil && !os.IsNotExist(err) {
-			c.mErrors.Inc()
+		if c.dir != "" {
+			if err := os.Remove(c.path(e.hash)); err != nil && !os.IsNotExist(err) {
+				c.mErrors.Inc()
+			}
 		}
 		c.mEvictions.Inc()
 		c.log.Debug("cas: evicted", slog.String("hash", short(e.hash)),

@@ -23,6 +23,22 @@ func testCAS(t *testing.T, maxBytes int64) (*CAS, string, *obs.Registry) {
 	return c, dir, reg
 }
 
+// casOpener opens a fresh, empty store of one backing at the given cap. The
+// directory is "" for the memory-backed one.
+type casOpener func(t *testing.T, maxBytes int64) (*CAS, string, *obs.Registry)
+
+// eachCAS runs f once per backing of the store: files under a fresh
+// directory, and records in memory.
+func eachCAS(t *testing.T, f func(t *testing.T, open casOpener)) {
+	t.Run("disk", func(t *testing.T) { f(t, testCAS) })
+	t.Run("memory", func(t *testing.T) {
+		f(t, func(t *testing.T, maxBytes int64) (*CAS, string, *obs.Registry) {
+			reg := obs.NewRegistry()
+			return NewMemoryCAS(maxBytes, reg, nil), "", reg
+		})
+	})
+}
+
 func casOut(i int) Output {
 	return Output{
 		Text:     fmt.Sprintf("text-%03d\n", i),
@@ -39,68 +55,78 @@ func casHash(i int) string { return fmt.Sprintf("%064x", i) }
 const casSlack = 64
 
 func TestCASPutGetRoundTrip(t *testing.T) {
-	c, dir, _ := testCAS(t, 1<<20)
-	want := casOut(1)
-	c.Put(casHash(1), want)
-	got, ok := c.Get(casHash(1))
-	if !ok || got != want {
-		t.Fatalf("Get = %+v, %v; want %+v", got, ok, want)
-	}
-	if _, ok := c.Get(casHash(2)); ok {
-		t.Fatal("Get of unknown hash reported a hit")
-	}
-	// The entry is a real file named by the hash — that is the CAS contract.
-	if _, err := os.Stat(filepath.Join(dir, casHash(1)+casSuffix)); err != nil {
-		t.Fatalf("entry file missing: %v", err)
-	}
-	if c.Len() != 1 || c.Bytes() <= 0 {
-		t.Fatalf("index Len=%d Bytes=%d after one put", c.Len(), c.Bytes())
-	}
+	eachCAS(t, func(t *testing.T, open casOpener) {
+		c, dir, reg := open(t, 1<<20)
+		want := casOut(1)
+		c.Put(casHash(1), want)
+		got, ok := c.Get(casHash(1))
+		if !ok || got != want {
+			t.Fatalf("Get = %+v, %v; want %+v", got, ok, want)
+		}
+		if _, ok := c.Get(casHash(2)); ok {
+			t.Fatal("Get of unknown hash reported a hit")
+		}
+		// On disk the entry is a real file named by the hash — that is the
+		// CAS contract.
+		if dir != "" {
+			if _, err := os.Stat(filepath.Join(dir, casHash(1)+casSuffix)); err != nil {
+				t.Fatalf("entry file missing: %v", err)
+			}
+		}
+		if c.Len() != 1 || c.Bytes() <= 0 {
+			t.Fatalf("index Len=%d Bytes=%d after one put", c.Len(), c.Bytes())
+		}
+		snap := reg.Snapshot()
+		for name, want := range map[string]uint64{"serve_cas_puts": 1, "serve_cas_hits": 1, "serve_cas_misses": 1} {
+			if got := snap.SumCounters(name); got != want {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
+		}
+	})
 }
 
 // TestCASEvictionUnderSizeCap fills the store past its byte cap and checks
 // that the least-recently-used entry (index AND file) goes first, that a Get
 // refreshes recency, and that the just-written entry is never the victim.
 func TestCASEvictionUnderSizeCap(t *testing.T) {
-	probe, _, _ := testCAS(t, 1<<20)
-	probe.Put(casHash(1), casOut(1))
-	entrySize := probe.Bytes()
-
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	cap := 3*entrySize + casSlack
-	c, err := OpenCAS(dir, cap, reg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		c.Put(casHash(i), casOut(i))
-	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (at cap)", c.Len())
-	}
-	// Touch 1 so 2 becomes the LRU victim.
-	if _, ok := c.Get(casHash(1)); !ok {
-		t.Fatal("entry 1 missing before eviction")
-	}
-	c.Put(casHash(4), casOut(4))
-	if _, ok := c.Get(casHash(2)); ok {
-		t.Fatal("LRU entry 2 survived eviction")
-	}
-	if _, err := os.Stat(filepath.Join(dir, casHash(2)+casSuffix)); !os.IsNotExist(err) {
-		t.Fatalf("evicted entry's file still on disk: %v", err)
-	}
-	for _, i := range []int{1, 3, 4} {
-		if _, ok := c.Get(casHash(i)); !ok {
-			t.Fatalf("entry %d lost; only the LRU should be evicted", i)
+	eachCAS(t, func(t *testing.T, open casOpener) {
+		// Room for three records and a half: a disk record is several times
+		// a memory one, and half of either dwarfs the timestamp variance.
+		probe, _, _ := open(t, 1<<20)
+		probe.Put(casHash(1), casOut(1))
+		cap := 3*probe.Bytes() + probe.Bytes()/2
+		c, dir, reg := open(t, cap)
+		for i := 1; i <= 3; i++ {
+			c.Put(casHash(i), casOut(i))
 		}
-	}
-	if got := reg.Snapshot().SumCounters("serve_cas_evictions"); got != 1 {
-		t.Fatalf("serve_cas_evictions = %v, want 1", got)
-	}
-	if c.Bytes() > cap {
-		t.Fatalf("Bytes = %d exceeds cap %d after eviction", c.Bytes(), cap)
-	}
+		if c.Len() != 3 {
+			t.Fatalf("Len = %d, want 3 (at cap)", c.Len())
+		}
+		// Touch 1 so 2 becomes the LRU victim.
+		if _, ok := c.Get(casHash(1)); !ok {
+			t.Fatal("entry 1 missing before eviction")
+		}
+		c.Put(casHash(4), casOut(4))
+		if _, ok := c.Get(casHash(2)); ok {
+			t.Fatal("LRU entry 2 survived eviction")
+		}
+		if dir != "" {
+			if _, err := os.Stat(filepath.Join(dir, casHash(2)+casSuffix)); !os.IsNotExist(err) {
+				t.Fatalf("evicted entry's file still on disk: %v", err)
+			}
+		}
+		for _, i := range []int{1, 3, 4} {
+			if _, ok := c.Get(casHash(i)); !ok {
+				t.Fatalf("entry %d lost; only the LRU should be evicted", i)
+			}
+		}
+		if got := reg.Snapshot().SumCounters("serve_cas_evictions"); got != 1 {
+			t.Fatalf("serve_cas_evictions = %v, want 1", got)
+		}
+		if c.Bytes() > cap {
+			t.Fatalf("Bytes = %d exceeds cap %d after eviction", c.Bytes(), cap)
+		}
+	})
 }
 
 // TestCASCrashRecovery simulates a writer that died mid-Put: a partial
@@ -207,36 +233,42 @@ func TestCASIndexRebuildFromScan(t *testing.T) {
 // Overlapping Puts of the same hash and Gets racing evictions must stay
 // torn-free: every hit parses and matches its hash's content.
 func TestCASConcurrentGetPut(t *testing.T) {
-	c, _, _ := testCAS(t, 1<<11)
-	const (
-		workers = 8
-		keys    = 16
-		iters   = 50
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				k := (w + i) % keys
-				if i%2 == 0 {
-					c.Put(casHash(k), casOut(k))
-				} else if out, ok := c.Get(casHash(k)); ok && out != casOut(k) {
-					t.Errorf("worker %d: torn read for key %d: %+v", w, k, out)
-					return
+	eachCAS(t, func(t *testing.T, open casOpener) {
+		// Well under 16 records of either backing, so evictions happen
+		// mid-test.
+		c, _, reg := open(t, 1<<8)
+		const (
+			workers = 8
+			keys    = 16
+			iters   = 50
+		)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					k := (w + i) % keys
+					if i%2 == 0 {
+						c.Put(casHash(k), casOut(k))
+					} else if out, ok := c.Get(casHash(k)); ok && out != casOut(k) {
+						t.Errorf("worker %d: torn read for key %d: %+v", w, k, out)
+						return
+					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if c.Bytes() < 0 {
-		t.Fatalf("byte accounting went negative: %d", c.Bytes())
-	}
+			}(w)
+		}
+		wg.Wait()
+		if c.Bytes() < 0 {
+			t.Fatalf("byte accounting went negative: %d", c.Bytes())
+		}
+		if reg.Snapshot().SumCounters("serve_cas_evictions") == 0 {
+			t.Fatal("no eviction happened: the cap is too loose to race Gets against evictions")
+		}
+	})
 }
 
-// TestCASNilSafe: a nil store is a total no-op, so the scheduler never
-// branches on -cas-dir being unset.
+// TestCASNilSafe: a nil store is a total no-op.
 func TestCASNilSafe(t *testing.T) {
 	var c *CAS
 	c.Put("h", casOut(1))
@@ -277,14 +309,9 @@ func TestSchedulerAnswersFromDiskCASAfterRestart(t *testing.T) {
 	if _, err := s1.Wait(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
-	// The spill runs on the worker goroutine after the job is observable as
-	// done, so poll briefly for it.
-	deadline := time.Now().Add(5 * time.Second)
-	for cas1.Len() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The store is written before the job is observable as done.
 	if cas1.Len() != 1 {
-		t.Fatalf("done execution not spilled to disk: Len = %d", cas1.Len())
+		t.Fatalf("done execution not in the store: Len = %d", cas1.Len())
 	}
 
 	// "Restart": fresh scheduler, fresh registry, same directory. The
@@ -326,16 +353,16 @@ func TestSchedulerAnswersFromDiskCASAfterRestart(t *testing.T) {
 	if got := snap.SumCounters("serve_cache_hits"); got != 1 {
 		t.Fatalf("disk hit must count as a cache hit: %v", got)
 	}
-	// A second submission of the same request hits the resurrected in-memory
-	// execution, not the disk again.
+	// Every hit is a store hit: there is no second cache in front of it.
 	st3, err := s2.Submit(req)
 	if err != nil || !st3.CacheHit {
-		t.Fatalf("memory re-hit failed: %+v %v", st3, err)
+		t.Fatalf("re-hit failed: %+v %v", st3, err)
 	}
-	if got := reg2.Snapshot().SumCounters("serve_cas_hits"); got != 1 {
-		t.Fatalf("second submit touched the disk: serve_cas_hits = %v", got)
+	if snap := reg2.Snapshot(); snap.SumCounters("serve_cas_hits") != 2 || snap.SumCounters("serve_cache_hits") != 2 {
+		t.Fatalf("after two hits: serve_cas_hits = %v, serve_cache_hits = %v, want 2 and 2",
+			snap.SumCounters("serve_cas_hits"), snap.SumCounters("serve_cache_hits"))
 	}
-	// CachedResult is the federated-lookup surface; it must see the entry.
+	// CachedResult is the GET /v1/cache surface; it must see the entry.
 	canonical, err := Canonicalize(req)
 	if err != nil {
 		t.Fatal(err)

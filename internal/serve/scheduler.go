@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"os"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -62,8 +61,10 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// RetryAfter is the backoff hint returned with 429 (default 2s).
 	RetryAfter time.Duration
-	// MaxCachedResults caps completed executions kept for cache hits
-	// (default 512); the oldest results are evicted first.
+	// MaxCachedResults is ignored: finished results live only in Store,
+	// whose byte cap is the one capacity knob. It survives only because
+	// benchmark/serve.go, frozen outside benchmark PRs, still sets it; the
+	// benchmark PR that stops setting it removes this field.
 	MaxCachedResults int
 	// Metrics receives the serve_* counters and, through the executor, all
 	// engine and simulator telemetry. Nil disables (nil-safe handles).
@@ -79,10 +80,10 @@ type Config struct {
 	Baselines *harness.BaselineCache
 	// Executor runs jobs; nil uses HarnessExecutor(). Tests inject stubs.
 	Executor Executor
-	// Store is the disk-backed content-addressed result store. When set,
-	// Submit consults it after the in-memory execution table (so completed
-	// results survive restarts) and every successful execution spills into
-	// it. Nil (the default) keeps the service memory-only.
+	// Store is the content-addressed result store: every successful
+	// execution is Put into it, and Submit answers from it whatever is not
+	// queued or running. Nil gets NewMemoryCAS at the default cap; pass an
+	// OpenCAS store for results that survive restarts.
 	Store *CAS
 }
 
@@ -96,23 +97,23 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 2 * time.Second
 	}
-	if c.MaxCachedResults <= 0 {
-		c.MaxCachedResults = 512
-	}
 	if c.Baselines == nil {
 		c.Baselines = harness.NewBaselineCache()
 	}
 	if c.Executor == nil {
 		c.Executor = HarnessExecutor()
 	}
+	if c.Store == nil {
+		c.Store = NewMemoryCAS(0, c.Metrics, c.Log)
+	}
 	return c
 }
 
-// execution is one underlying run: the unit the queue, the worker pool and
-// the result cache deal in. Every submission of the same canonical request
-// while it is queued/running attaches to it (coalescing); once it completes
-// successfully it stays as the cache entry for its hash. All fields below
-// the hub are guarded by the scheduler mutex.
+// execution is one underlying run: the unit the queue and the worker pool
+// deal in. Every submission of the same canonical request while it is
+// queued/running attaches to it (coalescing); once it finishes it leaves the
+// scheduler's table and only its own jobs still point at it. All fields
+// below the hub are guarded by the scheduler mutex.
 type execution struct {
 	hash   string
 	req    JobRequest
@@ -142,16 +143,15 @@ type job struct {
 	created   time.Time
 }
 
-// Scheduler owns the job queue, the worker pool, the execution cache and
-// the job table. Safe for concurrent use by the HTTP handlers.
+// Scheduler owns the job queue, the worker pool, the in-flight execution
+// table and the job table. Safe for concurrent use by the HTTP handlers.
 type Scheduler struct {
 	cfg Config
 
 	mu       sync.Mutex
-	execs    map[string]*execution // queued, running and cached-done, by hash
+	execs    map[string]*execution // queued and running, by hash
 	jobs     map[string]*job
 	jobOrder []string // insertion order, for bounded eviction of finished jobs
-	cached   []string // completed hashes, oldest first, for cache eviction
 	queue    chan *execution
 	nextID   uint64
 	draining bool
@@ -199,11 +199,10 @@ func NewScheduler(cfg Config) *Scheduler {
 // RetryAfter is the backoff hint the HTTP layer attaches to 429s.
 func (s *Scheduler) RetryAfter() time.Duration { return s.cfg.RetryAfter }
 
-// Submit validates and admits one request. The three outcomes the cache
-// layer distinguishes: a completed execution answers instantly (cache hit),
-// an in-flight one adopts the submission (coalesced), otherwise a new
-// execution is enqueued — or rejected with ErrQueueFull/ErrDraining when
-// admission control says no.
+// Submit validates and admits one request. The three outcomes: an in-flight
+// execution adopts the submission (coalesced), a result in the store answers
+// instantly (cache hit), otherwise a new execution is enqueued — or rejected
+// with ErrQueueFull/ErrDraining when admission control says no.
 func (s *Scheduler) Submit(req JobRequest) (JobStatus, error) {
 	canonical, err := Canonicalize(req)
 	if err != nil {
@@ -219,40 +218,30 @@ func (s *Scheduler) Submit(req JobRequest) (JobStatus, error) {
 	defer s.mu.Unlock()
 	s.mSubmitted.Inc()
 
-	if e, ok := s.execs[hash]; ok {
+	if e, ok := s.execs[hash]; ok { // queued or running: ride along
 		j := s.newJobLocked(e)
-		switch e.state {
-		case StateDone:
-			j.cacheHit = true
-			s.mCacheHits.Inc()
-			s.cfg.Flight.RecordEvent(obs.FlightEvent{Kind: "sched", Job: j.id, Msg: "cache hit"})
-		default: // queued or running: ride along
-			j.coalesced = true
-			e.refs++
-			s.mCoalesced.Inc()
-			s.cfg.Flight.RecordEvent(obs.FlightEvent{Kind: "sched", Job: j.id, Msg: "coalesced onto in-flight execution"})
-		}
+		j.coalesced = true
+		e.refs++
+		s.mCoalesced.Inc()
+		s.cfg.Flight.RecordEvent(obs.FlightEvent{Kind: "sched", Job: j.id, Msg: "coalesced onto in-flight execution"})
 		if s.cfg.Log.Enabled(slog.LevelDebug) {
-			s.cfg.Log.Debug("job attached to existing execution",
-				slog.String("job", j.id), slog.String("hash", short(hash)),
-				slog.Bool("cache_hit", j.cacheHit))
+			s.cfg.Log.Debug("job attached to in-flight execution",
+				slog.String("job", j.id), slog.String("hash", short(hash)))
 		}
 		return s.statusLocked(j), nil
 	}
 
-	// Not in memory: the disk CAS may still have it — that is how a
-	// restarted worker answers jobs it completed in a previous life without
-	// re-executing. A disk hit is resurrected as a terminal execution so
-	// every read path (status, result, accuracy, events replay) behaves
-	// exactly like a memory hit.
+	// Not in flight: the store has it if it ever completed here and has not
+	// been evicted — in this process or, with a disk store, a previous one.
+	// The hit is wrapped in a terminal execution so every read path (status,
+	// result, accuracy, events replay) serves it like a run of its own.
 	if out, ok := s.cfg.Store.Get(hash); ok {
-		e := s.resurrectLocked(hash, canonical, out)
-		j := s.newJobLocked(e)
+		j := s.newJobLocked(resurrect(hash, canonical, out))
 		j.cacheHit = true
 		s.mCacheHits.Inc()
-		s.cfg.Flight.RecordEvent(obs.FlightEvent{Kind: "sched", Job: j.id, Msg: "cache hit (disk cas)"})
+		s.cfg.Flight.RecordEvent(obs.FlightEvent{Kind: "sched", Job: j.id, Msg: "cache hit"})
 		if s.cfg.Log.Enabled(slog.LevelDebug) {
-			s.cfg.Log.Debug("job answered from disk cas",
+			s.cfg.Log.Debug("job answered from the result store",
 				slog.String("job", j.id), slog.String("hash", short(hash)))
 		}
 		return s.statusLocked(j), nil
@@ -305,12 +294,10 @@ func (s *Scheduler) Submit(req JobRequest) (JobStatus, error) {
 	return s.statusLocked(j), nil
 }
 
-// resurrectLocked builds a terminal execution around a disk-CAS hit and
-// installs it as the in-memory cache entry for its hash, so subsequent
-// submissions hit memory directly. The hub carries the terminal event only
-// — the lifecycle that produced the artifacts belonged to a previous
-// process.
-func (s *Scheduler) resurrectLocked(hash string, req JobRequest, out Output) *execution {
+// resurrect builds a terminal execution around a store hit. The hub carries
+// the terminal event only — the lifecycle that produced the artifacts
+// belonged to another job, possibly in a previous process.
+func resurrect(hash string, req JobRequest, out Output) *execution {
 	now := time.Now()
 	e := &execution{
 		hash:     hash,
@@ -327,22 +314,7 @@ func (s *Scheduler) resurrectLocked(hash string, req JobRequest, out Output) *ex
 	close(e.done)
 	e.hub.publish(Event{Type: "result", State: StateDone})
 	e.hub.close()
-	s.execs[hash] = e
-	s.rememberDoneLocked(hash)
 	return e
-}
-
-// rememberDoneLocked appends hash to the completed-results list and evicts
-// the oldest in-memory entries beyond the configured cap.
-func (s *Scheduler) rememberDoneLocked(hash string) {
-	s.cached = append(s.cached, hash)
-	for len(s.cached) > s.cfg.MaxCachedResults {
-		evict := s.cached[0]
-		s.cached = s.cached[1:]
-		if old, ok := s.execs[evict]; ok && old.state == StateDone {
-			delete(s.execs, evict)
-		}
-	}
 }
 
 // short abbreviates a request hash for log records and flight events.
@@ -354,11 +326,14 @@ func short(hash string) string {
 }
 
 // newJobLocked mints a job id, attaches it to e and evicts old finished
-// jobs beyond the table cap.
+// jobs beyond the table cap. The id leads with the request hash so that an
+// id outliving a restart (the sequence starts over) can only ever name a
+// submission of the same request, whose artifacts are identical; it holds
+// no '.', which the cluster router relies on to split its own ids.
 func (s *Scheduler) newJobLocked(e *execution) *job {
 	s.nextID++
 	j := &job{
-		id:      fmt.Sprintf("j%06d", s.nextID),
+		id:      fmt.Sprintf("%s-%d", short(e.hash), s.nextID),
 		exec:    e,
 		created: time.Now(),
 	}
@@ -412,6 +387,14 @@ func (s *Scheduler) runExecution(e *execution) {
 	out, err := s.execute(e)
 	e.res = obs.TakeResourceSample().Delta(before)
 
+	// Store the result before the execution leaves the in-flight table, so a
+	// client that sees done and resubmits finds it in one or the other. The
+	// write (an fsync on disk) runs outside the scheduler lock, on the worker
+	// goroutine's clock. Failures and cancellations never reach the store.
+	if err == nil {
+		s.cfg.Store.Put(e.hash, out)
+	}
+
 	s.mu.Lock()
 	state := StateDone
 	switch {
@@ -425,14 +408,6 @@ func (s *Scheduler) runExecution(e *execution) {
 	}
 	s.finishLocked(e, state, out, err)
 	s.mu.Unlock()
-
-	// Spill successful results to the disk CAS outside the scheduler lock —
-	// the fsync belongs on the worker goroutine's clock, not a submitter's.
-	// Failures and cancellations never reach the store, mirroring the
-	// in-memory cache policy.
-	if state == StateDone {
-		s.cfg.Store.Put(e.hash, out)
-	}
 }
 
 // execute invokes the executor with panic containment: a panicking job dumps
@@ -467,9 +442,10 @@ func (s *Scheduler) execute(e *execution) (out Output, err error) {
 	})
 }
 
-// finishLocked moves e to a terminal state, updates the cache and metrics,
-// and emits the terminal event. Failures and cancellations never become
-// cache entries: the next submission of the same request runs afresh.
+// finishLocked moves e to a terminal state, takes it out of the in-flight
+// table, updates the metrics and emits the terminal event. Its jobs keep
+// serving its result; the next submission of the same request is a store
+// hit when it succeeded and runs afresh when it did not.
 func (s *Scheduler) finishLocked(e *execution, state string, out Output, err error) {
 	e.state = state
 	e.out, e.err = out, err
@@ -477,17 +453,17 @@ func (s *Scheduler) finishLocked(e *execution, state string, out Output, err err
 	if !e.started.IsZero() {
 		s.hWall.Observe(e.finished.Sub(e.started).Seconds())
 	}
+	if s.execs[e.hash] == e { // not already detached by its last rider's cancel
+		delete(s.execs, e.hash)
+	}
 	ev := Event{Type: "result", State: state}
 	switch state {
 	case StateDone:
 		s.mDone.Inc()
-		s.rememberDoneLocked(e.hash)
 	case StateCancelled:
 		s.mCancelled.Inc()
-		delete(s.execs, e.hash)
 	default:
 		s.mFailed.Inc()
-		delete(s.execs, e.hash)
 	}
 	if err != nil {
 		ev.Error = err.Error()
@@ -542,7 +518,7 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 	e.refs--
 	var cancelRun context.CancelFunc
 	if e.refs == 0 {
-		// Last rider gone: stop the run and un-cache the hash so a future
+		// Last rider gone: stop the run and detach the hash so a future
 		// submission re-executes instead of coalescing onto a corpse.
 		delete(s.execs, e.hash)
 		cancelRun = e.cancel
@@ -597,7 +573,6 @@ func (s *Scheduler) List() []JobStatus {
 			out = append(out, s.statusLocked(j))
 		}
 	}
-	sort.SliceStable(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
 }
 
@@ -679,7 +654,7 @@ func (s *Scheduler) statusLocked(j *job) JobStatus {
 
 // Load reports the scheduler's instantaneous load: queue depth, running
 // executions and the worker count. /readyz serves it so the cluster
-// router's rebalancing and work-stealing decisions see real pressure.
+// router's health table and per-node gauges show real pressure.
 func (s *Scheduler) Load() Load {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -689,31 +664,14 @@ func (s *Scheduler) Load() Load {
 			inFlight++
 		}
 	}
-	depth := len(s.queue)
-	return Load{
-		QueueDepth: depth,
-		InFlight:   inFlight,
-		Workers:    s.cfg.Workers,
-		Saturated:  inFlight >= s.cfg.Workers && depth > 0,
-	}
+	return Load{QueueDepth: len(s.queue), InFlight: inFlight, Workers: s.cfg.Workers}
 }
 
-// CachedResult answers a federated cache lookup by content address: the
-// in-memory execution table first (no disk touch), then the CAS. It never
-// schedules anything.
+// CachedResult looks a finished result up by content address, for
+// GET /v1/cache/{hash}. It never schedules anything.
 func (s *Scheduler) CachedResult(hash string) (Output, bool) {
-	s.mu.Lock()
-	if e, ok := s.execs[hash]; ok && e.state == StateDone {
-		out := e.out
-		s.mu.Unlock()
-		return out, true
-	}
-	s.mu.Unlock()
 	return s.cfg.Store.Get(hash)
 }
-
-// Store exposes the scheduler's disk CAS (nil when disabled).
-func (s *Scheduler) Store() *CAS { return s.cfg.Store }
 
 // Draining reports whether the scheduler has stopped admitting jobs.
 func (s *Scheduler) Draining() bool {
@@ -752,9 +710,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		s.cfg.Log.Warn("drain deadline hit; hard-cancelling remaining executions")
 		s.mu.Lock()
 		for _, e := range s.execs {
-			if e.state == StateQueued || e.state == StateRunning {
-				e.cancel()
-			}
+			e.cancel()
 		}
 		s.mu.Unlock()
 		<-done

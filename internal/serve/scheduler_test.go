@@ -401,9 +401,15 @@ func TestSubscribeReplaysLifecycle(t *testing.T) {
 
 // The race-detector stress test from the issue checklist: hammer a small
 // set of distinct requests from many goroutines, with cancellations mixed
-// in, and check the books afterwards.
+// in, and check the books afterwards. The store is a real disk CAS, so the
+// window between an execution finishing and its result being findable is as
+// wide as an fsync.
 func TestConcurrentDuplicateSubmissionStress(t *testing.T) {
 	reg := obs.NewRegistry()
+	store, err := OpenCAS(t.TempDir(), 0, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exec := func(ctx context.Context, req JobRequest, h Hooks) (Output, error) {
 		h.Progress(Event{Type: "span", Name: req.Bench})
 		select {
@@ -413,7 +419,7 @@ func TestConcurrentDuplicateSubmissionStress(t *testing.T) {
 			return Output{}, ctx.Err()
 		}
 	}
-	s := NewScheduler(Config{Workers: 4, QueueDepth: 64, Metrics: reg, Executor: exec})
+	s := NewScheduler(Config{Workers: 4, QueueDepth: 64, Metrics: reg, Executor: exec, Store: store})
 	defer s.Drain(context.Background())
 
 	benches := []string{"mm", "sc", "fir", "aes"}
@@ -487,6 +493,112 @@ func TestConcurrentDuplicateSubmissionStress(t *testing.T) {
 	}
 	if hits := counter(reg, "serve_cache_hits"); hits < uint64(len(benches)) {
 		t.Errorf("serve_cache_hits = %d, want >= %d", hits, len(benches))
+	}
+
+	// No re-execution window: riders on requests nobody cancels resubmit the
+	// instant they observe done. The result must already be in the store —
+	// a hit every time, one execution per request.
+	fresh := []string{"relu", "spmv", "hist", "reduce"}
+	executed := counter(reg, "serve_jobs_executed")
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			req := JobRequest{Bench: fresh[g%len(fresh)]}
+			st, err := s.Submit(req)
+			if err != nil {
+				t.Errorf("Submit %s: %v", req.Bench, err)
+				return
+			}
+			if _, err := s.Wait(context.Background(), st.ID); err != nil {
+				t.Errorf("Wait %s: %v", st.ID, err)
+				return
+			}
+			if again, err := s.Submit(req); err != nil || !again.CacheHit {
+				t.Errorf("resubmit %s on seeing done: cache_hit=%v err=%v", req.Bench, again.CacheHit, err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := counter(reg, "serve_jobs_executed") - executed; got != uint64(len(fresh)) {
+		t.Errorf("%d executions for %d uncancelled requests, want one each", got, len(fresh))
+	}
+}
+
+// A job id that outlives a worker restart must not come to name another
+// request's job: ids lead with the request hash, so the restarted worker's
+// first job — same sequence number — is a different id unless it is the
+// same request.
+func TestJobIDDoesNotAliasAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	start := func() *Scheduler {
+		store, err := OpenCAS(dir, 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScheduler(Config{Store: store, Executor: func(ctx context.Context, req JobRequest, h Hooks) (Output, error) {
+			return Output{Text: "out:" + req.Bench}, nil
+		}})
+		t.Cleanup(func() { s.Drain(context.Background()) })
+		return s
+	}
+	before := start()
+	old, err := before.Submit(JobRequest{Bench: "mm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, before, old.ID, StateDone)
+
+	after := start() // the restart: sequence numbers begin again
+	other, err := after.Submit(JobRequest{Bench: "sc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, after, other.ID, StateDone)
+	if _, err := after.Status(old.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("Status(%s) on the restarted worker: err = %v, want ErrUnknownJob (its first job is %s)", old.ID, err, other.ID)
+	}
+	if _, _, err := after.Result(old.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("Result(%s) on the restarted worker: err = %v, want ErrUnknownJob", old.ID, err)
+	}
+	// The one collision left is harmless by construction: the same request,
+	// resubmitted, gets the old id back and serves the same bytes.
+	same, err := after.Submit(JobRequest{Bench: "mm"})
+	if err != nil || !same.CacheHit {
+		t.Fatalf("resubmission after restart: %+v, %v; want a store hit", same, err)
+	}
+	if res, _, _ := after.Result(same.ID); res.Output != "out:MM" {
+		t.Fatalf("result after restart = %q, want %q", res.Output, "out:MM")
+	}
+}
+
+// TestMaxCachedResultsIsInert pins the one surviving done-cache identifier as
+// dead weight: the store is the only place results are found, so the field
+// must not bound, or otherwise change, what a resubmission is answered from.
+func TestMaxCachedResultsIsInert(t *testing.T) {
+	for _, max := range []int{0, 1} {
+		reg := obs.NewRegistry()
+		var runs atomic.Int64
+		release := make(chan struct{})
+		close(release)
+		s := NewScheduler(Config{MaxCachedResults: max, Metrics: reg, Executor: blockingExec(&runs, release)})
+		benches := []string{"mm", "sc", "fir"}
+		for _, b := range benches {
+			st, err := s.Submit(JobRequest{Bench: b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, s, st.ID, StateDone)
+		}
+		for _, b := range benches {
+			if st, err := s.Submit(JobRequest{Bench: b}); err != nil || !st.CacheHit {
+				t.Errorf("MaxCachedResults=%d: resubmit %s: cache_hit=%v err=%v", max, b, st.CacheHit, err)
+			}
+		}
+		if hits, cas := counter(reg, "serve_cache_hits"), counter(reg, "serve_cas_hits"); hits != 3 || cas != 3 {
+			t.Errorf("MaxCachedResults=%d: serve_cache_hits=%d serve_cas_hits=%d, want 3 and 3", max, hits, cas)
+		}
+		s.Drain(context.Background())
 	}
 }
 

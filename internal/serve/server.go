@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -74,15 +76,34 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
+// MaxRequestBytes caps the body of POST /v1/jobs, on a worker and on the
+// cluster router alike.
+const MaxRequestBytes = 1 << 20
+
+// ReadJobRequest reads the body of a POST /v1/jobs, at most MaxRequestBytes
+// of it, and decodes it strictly (unknown fields are errors). It returns the
+// raw bytes too, which is what the cluster router forwards.
+func ReadJobRequest(w http.ResponseWriter, r *http.Request) (JobRequest, []byte, error) {
+	var req JobRequest
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err != nil {
+		return req, nil, fmt.Errorf("reading request body: %w", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, nil, fmt.Errorf("bad request body: %w", err)
+	}
+	return req, body, nil
+}
+
 // submit is POST /v1/jobs: 202 for admitted work, 200 for a cache hit,
 // 400 for invalid requests, 429 (+ Retry-After) when the queue is full,
 // 503 while draining.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	req, _, err := ReadJobRequest(w, r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	st, err := s.sched.Submit(req)
@@ -274,9 +295,9 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 
 // readyz reports readiness: 503 once draining starts, so load balancers
 // stop routing new jobs while in-flight ones finish. The 200 body carries
-// the scheduler's load signal (queue depth, in-flight count, worker
-// saturation) for the cluster router's rebalancing and work-stealing;
-// probes that only check the status code are unaffected.
+// the scheduler's load signal (queue depth, in-flight count, workers) for
+// the cluster router's health table; probes that only check the status code
+// are unaffected.
 func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 	if s.sched.Draining() {
 		writeErr(w, http.StatusServiceUnavailable, ErrDraining)
@@ -288,20 +309,13 @@ func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 	}{"ok", s.sched.Load()})
 }
 
-// cache is GET /v1/cache/{hash}: a federated cache lookup by content
-// address — the in-memory execution table first, then the disk CAS. The
-// cluster router probes the hash-owner node here before scheduling a job
-// anywhere; ?probe=1 answers 204 without shipping the artifacts. 404 means
-// this node has never completed (or has evicted) the request.
+// cache is GET /v1/cache/{hash}: a result-store lookup by content address.
+// 404 means this node has never completed (or has evicted) the request.
 func (s *Server) cache(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	out, ok := s.sched.CachedResult(hash)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no cached result for %s", hash))
-		return
-	}
-	if r.URL.Query().Get("probe") != "" {
-		w.WriteHeader(http.StatusNoContent)
 		return
 	}
 	writeJSON(w, http.StatusOK, CacheEntry{

@@ -120,8 +120,22 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Errorf("malformed body: status = %d, want 400", r.StatusCode)
 	}
 	r.Body.Close()
+	// 4xx: a body past the cap is refused however valid its JSON, and
+	// nothing is admitted.
+	padded := strings.Repeat(" ", MaxRequestBytes) + `{"bench":"aes"}`
+	r, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StatusCode < 400 || r.StatusCode > 499 {
+		t.Errorf("oversized body: status = %d, want a 4xx", r.StatusCode)
+	}
+	r.Body.Close()
+	if jobs := sched.List(); len(jobs) != 0 {
+		t.Errorf("oversized body was admitted: %+v", jobs)
+	}
 	// 404: unknown job everywhere.
-	for _, path := range []string{"/v1/jobs/j999999", "/v1/jobs/j999999/result", "/v1/jobs/j999999/events"} {
+	for _, path := range []string{"/v1/jobs/0123456789ab-1", "/v1/jobs/0123456789ab-1/result", "/v1/jobs/0123456789ab-1/events"} {
 		r, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
