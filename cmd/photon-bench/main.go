@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"photon/internal/bench"
 	"photon/internal/buildinfo"
 	"photon/internal/harness"
 	"photon/internal/obs"
@@ -60,8 +59,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		logLevel   = fs.String("log-level", "", "enable structured stderr logging at this level (debug, info, warn, error)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		perf       = fs.Bool("perf", false, "run the hot-path performance baseline instead of experiments")
-		perfOut    = fs.String("perf-out", "bench_perf.json", "where -perf writes its JSON report")
 		version    = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -69,20 +66,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if *version {
 		fmt.Fprintln(stdout, buildinfo.Print("photon-bench"))
-		return 0
-	}
-
-	if *perf {
-		rep, err := bench.Run(stdout)
-		if err != nil {
-			fmt.Fprintf(stderr, "photon-bench: perf: %v\n", err)
-			return 1
-		}
-		if err := rep.WriteFile(*perfOut); err != nil {
-			fmt.Fprintf(stderr, "photon-bench: perf: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "(perf baseline -> %s in %.1fs)\n", *perfOut, rep.TotalWallSeconds)
 		return 0
 	}
 

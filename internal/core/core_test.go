@@ -444,7 +444,6 @@ func TestPhotonMetricsRecorded(t *testing.T) {
 	g := gpu.New(smallGPU())
 	g.SetMetrics(reg)
 	ph := MustNew(smallGPU(), testParams(), AllLevels())
-	ph.SetMetrics(reg)
 	var kernels, insts uint64
 	for _, l := range app.Launches {
 		r, err := ph.RunKernel(g, l)

@@ -23,9 +23,9 @@ func TestDecisionLedger(t *testing.T) {
 	g := gpu.New(smallGPU())
 	ph := MustNew(smallGPU(), testParams(), AllLevels())
 	flight := obs.NewFlightRecorder(64)
-	ph.SetFlight(flight)
+	g.SetFlight(flight)
 	var logBuf bytes.Buffer
-	ph.SetLog(obs.NewJSONLogger(&logBuf, slog.LevelDebug))
+	g.SetLog(obs.NewJSONLogger(&logBuf, slog.LevelDebug))
 
 	var modes []string
 	for _, l := range app.Launches {
@@ -113,11 +113,11 @@ func TestDecisionLedgerDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wired := MustNew(smallGPU(), testParams(), AllLevels())
+	wired := gpu.New(smallGPU())
 	wired.SetMetrics(obs.NewRegistry())
 	wired.SetFlight(obs.NewFlightRecorder(32))
 	wired.SetLog(obs.NewJSONLogger(&bytes.Buffer{}, slog.LevelDebug))
-	r2, err := wired.RunKernel(gpu.New(smallGPU()), app2.Launches[0])
+	r2, err := MustNew(smallGPU(), testParams(), AllLevels()).RunKernel(wired, app2.Launches[0])
 	if err != nil {
 		t.Fatal(err)
 	}

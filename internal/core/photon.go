@@ -91,9 +91,6 @@ type Photon struct {
 	levels  Levels
 	history *History
 	store   *AnalysisStore // optional offline-analysis cache
-	metrics *obs.Registry
-	log     *obs.Logger
-	flight  *obs.FlightRecorder
 
 	// decisions is the per-kernel tier ledger (see ledger.go); launches
 	// numbers kernels within this instance.
@@ -143,24 +140,13 @@ func (p *Photon) Name() string {
 // it).
 func (p *Photon) History() *History { return p.history }
 
-// SetMetrics attaches a telemetry registry. Per-kernel tier decisions,
-// detector verdicts, rare-block interval-model events and instruction
-// attribution are published into it; a nil registry detaches.
-func (p *Photon) SetMetrics(reg *obs.Registry) { p.metrics = reg }
-
-// SetLog attaches a structured logger; tier decisions are logged at Debug
-// with detector evidence. A nil logger (the default) costs a nil check.
-func (p *Photon) SetLog(l *obs.Logger) { p.log = l }
-
-// SetFlight attaches a flight recorder; every tier decision records one
-// bounded-ring event, so a wedged daemon can replay the controller's
-// recent choices.
-func (p *Photon) SetFlight(f *obs.FlightRecorder) { p.flight = f }
-
-// recordKernel publishes the per-kernel telemetry — which tier produced
-// the result and how its instructions split between detailed simulation
-// and prediction — and appends the decision to the ledger.
-func (p *Photon) recordKernel(name string, profile *Profile, r gpu.KernelResult, dec TierDecision) {
+// recordKernel appends the decision to the ledger and publishes the
+// per-kernel telemetry into the sinks the GPU carries: which tier produced
+// the result and how its instructions split between detailed simulation and
+// prediction go to g.Metrics(), one bounded-ring event to g.Flight() (so a
+// wedged daemon can replay the controller's recent choices) and a Debug
+// record with detector evidence to g.Log(). Unattached sinks are nil no-ops.
+func (p *Photon) recordKernel(g *gpu.GPU, name string, profile *Profile, r gpu.KernelResult, dec TierDecision) {
 	dec.Kernel = name
 	dec.Index = p.launches
 	p.launches++
@@ -172,7 +158,7 @@ func (p *Photon) recordKernel(name string, profile *Profile, r gpu.KernelResult,
 	dec.DominantShare = profile.GPU.DominantShare
 	p.decisions = append(p.decisions, dec)
 
-	reg := p.metrics
+	reg := g.Metrics()
 	reg.Counter("photon_tier_transitions_total", obs.L("tier", r.Mode)).Inc()
 	reg.Counter("photon_insts_detailed_total").Add(r.DetailedInsts)
 	if r.Insts > r.DetailedInsts {
@@ -180,11 +166,11 @@ func (p *Photon) recordKernel(name string, profile *Profile, r gpu.KernelResult,
 	}
 	reg.Counter("photon_insts_sampled_total").Add(profile.SampledInsts)
 
-	p.flight.RecordEvent(obs.FlightEvent{
+	g.Flight().RecordEvent(obs.FlightEvent{
 		Kind: "tier", Tier: r.Mode, Msg: dec.Kernel, Value: float64(dec.Index),
 	})
-	if p.log.Enabled(slog.LevelDebug) {
-		p.log.Debug("kernel tier decision",
+	if log := g.Log(); log.Enabled(slog.LevelDebug) {
+		log.Debug("kernel tier decision",
 			slog.String("kernel", dec.Kernel),
 			slog.Int("index", dec.Index),
 			slog.String("tier", dec.Tier),
@@ -239,7 +225,7 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 				Mode:    "kernel-sampling",
 				Wall:    time.Since(start),
 			}
-			p.recordKernel(l.Name, profile, result, TierDecision{KernelMatch: true})
+			p.recordKernel(g, l.Name, profile, result, TierDecision{KernelMatch: true})
 			return result, nil
 		}
 	}
@@ -254,13 +240,13 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	var bbT *bbTracker
 	if p.levels.BB {
 		bbT = newBBTracker(profile, p.params, minRetires)
-		bbT.setMetrics(p.metrics)
+		bbT.setMetrics(g.Metrics())
 		obs = append(obs, bbT)
 	}
 	var wT *warpTracker
 	if p.levels.Warp && profile.GPU.DominantShare >= p.params.DominantWarpShare {
 		wT = newWarpTracker(p.params, minRetires)
-		wT.setMetrics(p.metrics)
+		wT.setMetrics(g.Metrics())
 		obs = append(obs, wT)
 	}
 	gate := func() bool {
@@ -298,11 +284,10 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		lm := NewLatencyModel(latTab, g.Config().Compute, p.params.DefaultMemLatency)
 		durations := make([]float64, 0, l.NumWorkgroups-res.NextWG)
 		insts := res.InstCount
-		rep := emu.NewReplayer(l, emu.ReplayBatchGroups(l, emu.DefaultReplayBudgetBytes))
-		err := rep.RunRange(res.NextWG, l.NumWorkgroups-res.NextWG, func(_ int, warps []emu.Warp) {
+		var grp emu.Group
+		err := grp.RunRange(l, res.NextWG, l.NumWorkgroups-res.NextWG, func(warps []*emu.Warp) {
 			groupDur := 0.0
-			for i := range warps {
-				w := &warps[i]
+			for _, w := range warps {
 				insts += w.InstCount()
 				d := bbT.predictWarpTime(w.BBCounts(), lm, l.Program, g.Config().Compute)
 				if d > groupDur {
@@ -340,7 +325,7 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		BBStableShare: bbT.stableShare(),
 	}
 	dec.WarpSlope, dec.WarpSlopeOK = wT.slope()
-	p.recordKernel(l.Name, profile, result, dec)
+	p.recordKernel(g, l.Name, profile, result, dec)
 	return result, nil
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"photon/internal/core"
 	"photon/internal/obs"
+	"photon/internal/sim/gpu"
 )
 
 // Sampling-accuracy ledger: one JSONL record per kernel launch of every
@@ -287,6 +288,13 @@ func PrintAccuracySummaries(w io.Writer, sums []AccuracySummary) {
 	}
 }
 
-// decisionSource is implemented by runners that keep a tier ledger
-// (Photon); other runners simply contribute no accuracy records.
-type decisionSource interface{ Decisions() []core.TierDecision }
+// decisionsOf returns the tier ledger of a runner that keeps one (Photon);
+// other runners contribute no accuracy records. A wrapper such as
+// verify.Auditor keeps none, so code that wraps a runner asks the runner it
+// built, not the wrapper.
+func decisionsOf(r gpu.Runner) []core.TierDecision {
+	if ds, ok := r.(interface{ Decisions() []core.TierDecision }); ok {
+		return ds.Decisions()
+	}
+	return nil
+}

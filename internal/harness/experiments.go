@@ -241,7 +241,7 @@ func Fig17(w io.Writer, o Options) error {
 			if err != nil {
 				return Comparison{}, err
 			}
-			res, err := RunAppCtx(ctx, cfg, app, o.runner(f, cfg))
+			res, err := RunAppCtx(ctx, cfg, app, o.wrap(f.New(cfg)))
 			if err != nil {
 				return Comparison{}, err
 			}

@@ -55,15 +55,6 @@ func RunAppCtx(ctx context.Context, cfg gpu.Config, app *workloads.App, runner g
 // spans are grouped (harness-engine jobs use their own pid).
 const simPID = 2
 
-// metricSetter is implemented by runners that publish telemetry (Photon);
-// runners without it are simply not instrumented. logSetter and
-// flightSetter are the structured-logging and flight-recorder analogues.
-type metricSetter interface{ SetMetrics(*obs.Registry) }
-
-type logSetter interface{ SetLog(*obs.Logger) }
-
-type flightSetter interface{ SetFlight(*obs.FlightRecorder) }
-
 // AppObs bundles the observability sinks one application run publishes
 // into; the zero value runs unobserved.
 type AppObs struct {
@@ -80,12 +71,15 @@ type AppObs struct {
 	Lanes int
 }
 
-// RunAppInstrumented runs the app with the observability bundle attached:
-// the GPU's memory hierarchy and timing machines publish into ao.Metrics and
-// log through ao.Log, the runner does too (plus ao.Flight) when it supports
-// it, and every kernel emits one Chrome trace span onto thread ao.TID of the
-// simulation track. The runner's tier ledger, when it keeps one, is returned
-// in AppResult.Decisions.
+// RunAppInstrumented runs the app with the observability bundle attached.
+// The sinks ride on the GPU every RunKernel receives: its memory hierarchy
+// and timing machines publish into ao.Metrics and log through ao.Log, and a
+// runner that publishes telemetry (Photon) reads them, plus ao.Flight, from
+// the GPU — so a wrapper around the runner cannot hide them. Every kernel
+// emits one Chrome trace span onto thread ao.TID of the simulation track.
+// The runner's tier ledger, when it keeps one, is returned in
+// AppResult.Decisions; a caller that wraps its runner reads the ledger from
+// the runner it built (see decisionsOf).
 //
 // It checks ctx between kernel launches, so a cancelled or deadline-exceeded
 // job stops within one kernel of the signal instead of simulating the rest
@@ -94,21 +88,11 @@ type AppObs struct {
 // it; everyone else discards).
 func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppObs) (AppResult, error) {
 	g := gpu.New(cfg)
-	if ao.Metrics != nil {
+	if ao.Metrics != nil { // wiring a registry walks every cache; skip it unobserved
 		g.SetMetrics(ao.Metrics)
 	}
-	if ao.Log != nil {
-		g.SetLog(ao.Log)
-	}
-	if ms, ok := runner.(metricSetter); ok && ao.Metrics != nil {
-		ms.SetMetrics(ao.Metrics)
-	}
-	if ls, ok := runner.(logSetter); ok && ao.Log != nil {
-		ls.SetLog(ao.Log)
-	}
-	if fs, ok := runner.(flightSetter); ok && ao.Flight != nil {
-		fs.SetFlight(ao.Flight)
-	}
+	g.SetLog(ao.Log)
+	g.SetFlight(ao.Flight)
 	ao.Trace.NameProcess(simPID, "simulation")
 	res := AppResult{Runner: runner.Name()}
 	for _, l := range app.Launches {
@@ -131,9 +115,7 @@ func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App,
 			Name: l.Name, SimTime: r.SimTime, Insts: r.Insts, Mode: r.Mode, Wall: r.Wall,
 		})
 	}
-	if ds, ok := runner.(decisionSource); ok {
-		res.Decisions = ds.Decisions()
-	}
+	res.Decisions = decisionsOf(runner)
 	return res, nil
 }
 

@@ -9,13 +9,16 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"photon/internal/core"
+	"photon/internal/obs"
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/kernel"
+	"photon/internal/verify"
 	"photon/internal/workloads"
 )
 
@@ -330,5 +333,63 @@ func TestFig17EmitsRecords(t *testing.T) {
 	}
 	if !bytes.Contains(text.Bytes(), []byte("whole-inference speedups")) {
 		t.Fatal("per-layer text table missing")
+	}
+}
+
+// TestAuditorWrapperKeepsLedgerAndTelemetry: -check installs verify.NewAuditor
+// as the WrapRunner hook, and a wrapper has none of Photon's optional
+// methods. The accuracy ledger and the photon_* series must come out the
+// same with and without it — the sinks ride on the GPU and the ledger is read
+// from the runner the sweep built.
+func TestAuditorWrapperKeepsLedgerAndTelemetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs several small simulations")
+	}
+	run := func(wrap func(gpu.Runner) gpu.Runner) (ledger string, photon map[string]uint64) {
+		var acc bytes.Buffer
+		o := DefaultOptions()
+		o.FixedWall = true
+		o.WrapRunner = wrap
+		o.Metrics = obs.NewRegistry()
+		o.Accuracy = NewAccuracySink(&acc)
+		sweep := Sweep{
+			Experiment: "audit",
+			Config:     testGPU(),
+			Factories:  []RunnerFactory{PhotonFactory("photon", o.Params, core.AllLevels())},
+			Points: []Point{
+				{Bench: "ReLU", Size: 8192, Build: func() (*workloads.App, error) { return workloads.BuildReLU(8192) }},
+			},
+		}
+		if err := o.RunSweep(&bytes.Buffer{}, sweep); err != nil {
+			t.Fatal(err)
+		}
+		photon = map[string]uint64{}
+		for _, c := range o.Metrics.Snapshot().Counters {
+			if strings.HasPrefix(c.Name, "photon_") {
+				photon[c.Name] += c.Value
+			}
+		}
+		return acc.String(), photon
+	}
+
+	plainLedger, plainPhoton := run(nil)
+	var audits []*verify.Auditor
+	auditedLedger, auditedPhoton := run(func(r gpu.Runner) gpu.Runner {
+		a := verify.NewAuditor(r)
+		audits = append(audits, a)
+		return a
+	})
+
+	if plainLedger == "" || plainPhoton["photon_insts_predicted_total"] == 0 {
+		t.Fatalf("unwrapped run sampled nothing: ledger %q, counters %v", plainLedger, plainPhoton)
+	}
+	if auditedLedger != plainLedger {
+		t.Fatalf("auditor changed the accuracy ledger:\n--- plain ---\n%s--- audited ---\n%s", plainLedger, auditedLedger)
+	}
+	if !reflect.DeepEqual(auditedPhoton, plainPhoton) {
+		t.Fatalf("auditor changed photon_* counters: plain %v, audited %v", plainPhoton, auditedPhoton)
+	}
+	if len(audits) != 1 || audits[0].Kernels() == 0 || audits[0].Err() != nil {
+		t.Fatalf("auditor did not audit the wrapped run: %d auditors", len(audits))
 	}
 }

@@ -81,12 +81,14 @@ func (o Options) RunSweep(w io.Writer, s Sweep) error {
 				if err != nil {
 					return Comparison{}, err
 				}
-				res, err := RunAppInstrumented(ctx, s.Config, app, o.runner(f, s.Config), AppObs{
+				built := f.New(s.Config)
+				res, err := RunAppInstrumented(ctx, s.Config, app, o.wrap(built), AppObs{
 					Metrics: o.Metrics, Trace: o.Trace, Log: o.Log, Flight: o.Flight, TID: tid,
 				})
 				if err != nil {
 					return Comparison{}, err
 				}
+				res.Decisions = decisionsOf(built)
 				return Comparison{Bench: pt.Bench, Size: pt.Size, Runner: f.Name, Full: full, Sampled: res}, nil
 			})
 		}
@@ -113,9 +115,8 @@ func (o Options) RunSweep(w io.Writer, s Sweep) error {
 		})
 }
 
-// runner builds a factory's runner for cfg and applies the WrapRunner hook.
-func (o Options) runner(f RunnerFactory, cfg gpu.Config) gpu.Runner {
-	r := f.New(cfg)
+// wrap applies the WrapRunner hook to a runner the sweep built.
+func (o Options) wrap(r gpu.Runner) gpu.Runner {
 	if o.WrapRunner != nil {
 		r = o.WrapRunner(r)
 	}

@@ -97,15 +97,6 @@ func (f *FlightRecorder) Record(kind, msg string) {
 	f.RecordEvent(FlightEvent{Kind: kind, Msg: msg})
 }
 
-// Recordf formats a message and records it. Unlike Record it allocates;
-// use it off hot paths (signal handlers, error paths).
-func (f *FlightRecorder) Recordf(kind, format string, args ...any) {
-	if f == nil {
-		return
-	}
-	f.RecordEvent(FlightEvent{Kind: kind, Msg: fmt.Sprintf(format, args...)})
-}
-
 // Snapshot returns the recorded events oldest-first. The slice is a copy;
 // recording may continue concurrently.
 func (f *FlightRecorder) Snapshot() []FlightEvent {

@@ -164,40 +164,6 @@ func (l *Logger) Warn(msg string, attrs ...slog.Attr) { l.Log(slog.LevelWarn, ms
 // Error logs at LevelError.
 func (l *Logger) Error(msg string, attrs ...slog.Attr) { l.Log(slog.LevelError, msg, attrs...) }
 
-// Hook returns a logger that additionally invokes fn for every record the
-// base delivers (after level filtering and rate limiting). photon-serve
-// uses it to tee job-scoped records into the job's SSE hub while stderr
-// keeps receiving them.
-func (l *Logger) Hook(fn func(slog.Record)) *Logger {
-	if l == nil || fn == nil {
-		return l
-	}
-	return &Logger{h: hookHandler{next: l.h, fn: fn}, rl: l.rl}
-}
-
-// hookHandler forwards to next and calls fn per record.
-type hookHandler struct {
-	next slog.Handler
-	fn   func(slog.Record)
-}
-
-func (h hookHandler) Enabled(ctx context.Context, level slog.Level) bool {
-	return h.next.Enabled(ctx, level)
-}
-
-func (h hookHandler) Handle(ctx context.Context, r slog.Record) error {
-	h.fn(r)
-	return h.next.Handle(ctx, r)
-}
-
-func (h hookHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return hookHandler{next: h.next.WithAttrs(attrs), fn: h.fn}
-}
-
-func (h hookHandler) WithGroup(name string) slog.Handler {
-	return hookHandler{next: h.next.WithGroup(name), fn: h.fn}
-}
-
 // Fanout combines handlers into one: Enabled when any is, Handle delivers
 // to each handler that wants the record's level. It is how one Logger
 // serves sinks with different thresholds (stderr at Info, an SSE hub at

@@ -25,9 +25,6 @@ func TestNilLoggerIsInert(t *testing.T) {
 	if l.WithRateLimit(10, time.Second) != nil {
 		t.Fatal("WithRateLimit on nil must stay nil")
 	}
-	if l.Hook(func(slog.Record) {}) != nil {
-		t.Fatal("Hook on nil must stay nil")
-	}
 	if l.Suppressed() != 0 {
 		t.Fatal("nil logger has no suppressed records")
 	}
@@ -146,23 +143,6 @@ func TestLoggerRateLimitConcurrent(t *testing.T) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-func TestLoggerHookSeesRecords(t *testing.T) {
-	var buf bytes.Buffer
-	var hooked []string
-	l := NewTextLogger(&buf, slog.LevelInfo).Hook(func(r slog.Record) {
-		hooked = append(hooked, r.Message)
-	})
-	l.Debug("below level") // filtered before the hook
-	l.Info("first")
-	l.Warn("second")
-	if len(hooked) != 2 || hooked[0] != "first" || hooked[1] != "second" {
-		t.Fatalf("hook saw %v", hooked)
-	}
-	if got := strings.Count(buf.String(), "\n"); got != 2 {
-		t.Fatalf("base handler delivered %d records, want 2", got)
-	}
-}
 
 func TestFanoutPerSinkLevels(t *testing.T) {
 	var quiet, verbose bytes.Buffer

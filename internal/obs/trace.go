@@ -99,14 +99,6 @@ func (b *TraceBuffer) CompleteAt(name, cat string, pid, tid int, tsMicros, durMi
 	b.add(TraceEvent{Name: name, Cat: cat, Ph: "X", TS: tsMicros, Dur: durMicros, PID: pid, TID: tid, Args: args})
 }
 
-// Instant records an instant ("i") event at time t.
-func (b *TraceBuffer) Instant(name, cat string, pid, tid int, t time.Time, args map[string]any) {
-	if b == nil {
-		return
-	}
-	b.add(TraceEvent{Name: name, Cat: cat, Ph: "i", TS: b.Since(t), PID: pid, TID: tid, Args: args})
-}
-
 // NameThread records a thread_name metadata event so viewers label the
 // (pid, tid) track (e.g. "worker 3").
 func (b *TraceBuffer) NameThread(pid, tid int, name string) {

@@ -18,7 +18,6 @@ func TestTraceBufferChromeFormat(t *testing.T) {
 	start := time.Now()
 	b.Complete("job 0", "engine", 1, 0, start, 1500*time.Microsecond, map[string]any{"bench": "FIR"})
 	b.CompleteAt("kernel mm", "sim", 2, 0, 10, 250, nil)
-	b.Instant("gate", "sim", 2, 0, start, nil)
 
 	var buf bytes.Buffer
 	if err := b.WriteJSON(&buf); err != nil {
@@ -28,8 +27,8 @@ func TestTraceBufferChromeFormat(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("trace output is not a JSON array: %v", err)
 	}
-	if len(events) != 5 {
-		t.Fatalf("got %d events, want 5", len(events))
+	if len(events) != 4 {
+		t.Fatalf("got %d events, want 4", len(events))
 	}
 	phases := map[string]int{}
 	for i, ev := range events {
@@ -40,7 +39,7 @@ func TestTraceBufferChromeFormat(t *testing.T) {
 		}
 		phases[ev["ph"].(string)]++
 	}
-	if phases["X"] != 2 || phases["M"] != 2 || phases["i"] != 1 {
+	if phases["X"] != 2 || phases["M"] != 2 {
 		t.Fatalf("phase mix wrong: %v", phases)
 	}
 	for _, ev := range events {

@@ -62,11 +62,6 @@ func (h *eventHub) close() {
 	h.subs = nil
 }
 
-// subscribe returns the full replay plus a live channel; see subscribeFrom.
-func (h *eventHub) subscribe() (replay []Event, live <-chan Event, cancel func()) {
-	return h.subscribeFrom(0)
-}
-
 // subscribeFrom returns the replay of past events with sequence numbers
 // greater than after, plus a live channel (nil and closed-state when the hub
 // already ended — the replay is still complete because the terminal event is

@@ -12,7 +12,7 @@ func TestHubSequenceNumbers(t *testing.T) {
 	h.publish(Event{Type: "state", State: StateQueued})
 	h.publish(Event{Type: "state", State: StateRunning})
 
-	replay, live, cancel := h.subscribe()
+	replay, live, cancel := h.subscribeFrom(0)
 	defer cancel()
 	if len(replay) != 2 {
 		t.Fatalf("replay len = %d, want 2", len(replay))

@@ -64,27 +64,27 @@ func TestResetMatchesNewWarp(t *testing.T) {
 	}
 }
 
-// TestReplayerRunRangeZeroAlloc pins the bulk fast-forward path: a built
-// Replayer replays workgroup ranges — bind pass, segment stepping, vector
-// gathers and scatters, the visit callback — without allocating.
-func TestReplayerRunRangeZeroAlloc(t *testing.T) {
-	l, _, _, _ := vecAddLaunch(t, 4*64, 4)
-	r := NewReplayer(l, 3) // 4 workgroups in passes of 3 and 1
+// TestGroupRunRangeZeroAlloc pins the one fast-forward loop: a sized Group
+// steps workgroup ranges — reset, LDS clear, barrier segments, LDS and vector
+// memory traffic, the visit callback — without allocating.
+func TestGroupRunRangeZeroAlloc(t *testing.T) {
+	l, _ := ldsExchangeLaunch(4)
+	var grp Group
 	var insts uint64
-	visit := func(_ int, warps []Warp) {
-		for i := range warps {
-			insts += warps[i].InstCount()
+	visit := func(warps []*Warp) {
+		for _, w := range warps {
+			insts += w.InstCount()
 		}
 	}
-	if err := r.RunRange(0, l.NumWorkgroups, visit); err != nil {
+	if err := grp.RunRange(l, 0, l.NumWorkgroups, visit); err != nil {
 		t.Fatal(err)
 	}
-	testutil.MustZeroAllocs(t, "emu.Replayer.RunRange", func() {
-		if err := r.RunRange(0, l.NumWorkgroups, visit); err != nil {
+	testutil.MustZeroAllocs(t, "emu.Group.RunRange", func() {
+		if err := grp.RunRange(l, 1, l.NumWorkgroups-1, visit); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if insts == 0 {
-		t.Fatal("replay executed no instructions")
+		t.Fatal("fast-forward executed no instructions")
 	}
 }

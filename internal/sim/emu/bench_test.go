@@ -8,9 +8,8 @@ import (
 	"photon/internal/sim/mem"
 )
 
-// benchLoopProgram mirrors the internal/bench loop kernel (init, 32-trip
-// loop body, exit) so the package benchmarks track the same hot path the
-// perf suite reports.
+// benchLoopProgram is the in-package micro's kernel: init, a 32-trip
+// scalar-and-vector ALU loop body, exit.
 func benchLoopProgram() *isa.Program {
 	b := isa.NewBuilder("bench-loop")
 	b.I(isa.OpSMov, isa.S(4), isa.Imm(0))
@@ -48,21 +47,6 @@ func BenchmarkGroupFunctional(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		grp.Reset(l, 0)
 		if err := grp.RunFunctional(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBatchReplay(b *testing.B) {
-	l := benchLoopLaunch(b, 64, 4)
-	rep := NewReplayer(l, ReplayBatchGroups(l, DefaultReplayBudgetBytes))
-	if err := rep.RunRange(0, l.NumWorkgroups, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rep.RunRange(0, l.NumWorkgroups, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -163,9 +163,11 @@ func TestDivergentLaneLoop(t *testing.T) {
 	}
 }
 
-func TestGroupBarrierLDSExchange(t *testing.T) {
-	// Warp i stores (i+1)*100 to LDS[i]; after the barrier every warp reads
-	// LDS[(i+1) % warps]. Validates segment-wise group execution.
+// ldsExchangeLaunch builds a launch of `groups` four-warp workgroups in which
+// warp i stores (i+1)*100 to LDS[i] and, after a barrier, reads
+// LDS[(i+1) % warps] into out[i]: LDS, a barrier segment and several warps
+// per group.
+func ldsExchangeLaunch(groups int) (l *kernel.Launch, out uint64) {
 	const warps = 4
 	b := isa.NewBuilder("ldsx")
 	b.I(isa.OpSLShl, isa.S(4), isa.S(1), isa.Imm(2)) // s4 = warpInGroup*4
@@ -187,22 +189,26 @@ func TestGroupBarrierLDSExchange(t *testing.T) {
 	b.Store(isa.OpVStore, isa.V(5), isa.V(4), 0)
 	b.End()
 	b.SetLDS(64)
-	p := b.MustBuild()
-
 	m := mem.NewFlat()
-	out := m.Alloc(4 * warps)
-	l := &kernel.Launch{
-		Name: "ldsx", Program: p, Memory: m,
-		NumWorkgroups: 1, WarpsPerGroup: warps,
+	out = m.Alloc(4 * warps)
+	return &kernel.Launch{
+		Name: "ldsx", Program: b.MustBuild(), Memory: m,
+		NumWorkgroups: groups, WarpsPerGroup: warps,
 		Args: []uint32{uint32(out)},
-	}
+	}, out
+}
+
+// TestGroupBarrierLDSExchange validates segment-wise group execution.
+func TestGroupBarrierLDSExchange(t *testing.T) {
+	l, out := ldsExchangeLaunch(1)
+	warps := l.WarpsPerGroup
 	g := NewGroup(l, 0)
 	if err := g.RunFunctional(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < warps; i++ {
 		want := uint32((i+1)%warps+1) * 100
-		if got := m.Read32(out + uint64(4*i)); got != want {
+		if got := l.Memory.Read32(out + uint64(4*i)); got != want {
 			t.Fatalf("warp %d read %d from LDS, want %d", i, got, want)
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // every warp runs to the next barrier (a "segment"), then all resume. The
 // warps live in the group's own WarpStore, bound to consecutive slots, so a
 // functional run sweeps one contiguous slab region. Photon's online
-// analysis samples workgroups through a recycled Group; the bulk
-// fast-forward paths batch many workgroups per store with a Replayer.
+// analysis and every fast-forward path step workgroups through one recycled
+// Group.
 type Group struct {
 	Launch *kernel.Launch
 	ID     int
@@ -73,9 +73,43 @@ func (g *Group) RunFunctional() error {
 	return runWarpsFunctional(g.Launch, g.ID, g.back)
 }
 
+// RunRange runs workgroups [first, first+count) of the launch functionally
+// through this group, recycling it per workgroup. Workgroups execute
+// strictly in ascending ID order: cross-workgroup atomics make global-memory
+// ordering observable. After each workgroup completes, visit (when non-nil)
+// receives its warps, valid only during the callback.
+func (g *Group) RunRange(l *kernel.Launch, first, count int, visit func(warps []*Warp)) error {
+	for wg := first; wg < first+count; wg++ {
+		g.Reset(l, wg)
+		if err := g.RunFunctional(); err != nil {
+			return err
+		}
+		if visit != nil {
+			visit(g.Warps)
+		}
+	}
+	return nil
+}
+
+// RunKernelFunctional runs every workgroup of the launch functionally and
+// returns the total dynamic instruction count. It is the reference
+// functional execution used by tests and by full fast-forward mode.
+func RunKernelFunctional(l *kernel.Launch) (insts uint64, err error) {
+	if err := l.Validate(); err != nil {
+		return 0, err
+	}
+	var grp Group
+	err = grp.RunRange(l, 0, l.NumWorkgroups, func(warps []*Warp) {
+		for _, w := range warps {
+			insts += w.InstCount()
+		}
+	})
+	return insts, err
+}
+
 // runWarpsFunctional runs the sibling warps of workgroup groupID to
 // completion with barrier alternation. warps is the contiguous slice of
-// handles for the workgroup; Group and Replayer share this loop.
+// handles for the workgroup.
 func runWarpsFunctional(l *kernel.Launch, groupID int, warps []Warp) error {
 	for {
 		allDone := true

@@ -226,39 +226,6 @@ func (s *WarpStore) resetSlot(slot int, w *Warp) {
 	clear(s.bb[slot*s.blocks : (slot+1)*s.blocks])
 }
 
-// BytesPerWarp returns the store's architectural bytes per warp slot under
-// its current shape — the slab bytes divided by slots, with no per-object
-// overhead. This is the budget README's "Memory layout" section documents.
-func (s *WarpStore) BytesPerWarp() int {
-	return warpSlotBytes(s.sregs, s.vwords, s.blocks)
-}
-
-// ResidentBytes returns the total heap bytes the store's slabs retain
-// (capacities, not lengths), plus the shared address buffer.
-func (s *WarpStore) ResidentBytes() int {
-	return cap(s.pc)*4 + cap(s.exec)*8 + cap(s.vcc)*8 +
-		cap(s.instCount)*8 + cap(s.outMem)*4 + cap(s.flags) +
-		cap(s.masks)*8 + (cap(s.sgpr)+cap(s.vgpr)+cap(s.bb))*4 +
-		cap(s.free)*4 + len(s.addrBuf)*8
-}
-
-// WarpBytes returns the SoA bytes per warp slot a store for the launch
-// would use, without building one. The fast-forward path sizes its replay
-// batches from this.
-func WarpBytes(l *kernel.Launch) int {
-	p := l.Program
-	sregs := max(p.NumSRegs, kernel.ArgSGPRBase+len(l.Args))
-	return warpSlotBytes(sregs, p.NumVRegs*kernel.WavefrontSize, p.NumBlocks())
-}
-
-// warpSlotBytes is the per-slot byte budget: pc(4) + exec(8) + vcc(8) +
-// instCount(8) + outMem(4) + flags(1) + masks(8×8) + the register and BBV
-// slab strides at 4 bytes per word.
-func warpSlotBytes(sregs, vwords, blocks int) int {
-	const scalarBytes = 4 + 8 + 8 + 8 + 4 + 1 + maskSlots*8
-	return scalarBytes + (sregs+vwords+blocks)*4
-}
-
 func (s *WarpStore) scc(slot int) bool { return s.flags[slot]&flagSCC != 0 }
 
 func (s *WarpStore) setSCC(slot int, v bool) {

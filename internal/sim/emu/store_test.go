@@ -3,6 +3,9 @@ package emu
 import (
 	"testing"
 
+	"photon/internal/sim/isa"
+	"photon/internal/sim/kernel"
+	"photon/internal/sim/mem"
 	"photon/internal/testutil"
 )
 
@@ -122,84 +125,41 @@ func TestWarpStoreGrowthMidLaunch(t *testing.T) {
 	}
 }
 
-// TestWarpStoreBytesPerWarp sanity-checks the byte budget the bench report
-// and README document.
-func TestWarpStoreBytesPerWarp(t *testing.T) {
-	l, _, _, _ := vecAddLaunch(t, 64, 1)
-	s := NewWarpStore(l, 8)
-	want := WarpBytes(l)
-	if got := s.BytesPerWarp(); got != want {
-		t.Fatalf("BytesPerWarp = %d, WarpBytes = %d; must agree", got, want)
-	}
-	if want <= 0 {
-		t.Fatalf("WarpBytes = %d, want positive", want)
-	}
-	// Slabs must account for at least slots×bytes-per-warp (the free list
-	// and shared address buffer come on top).
-	if got := s.ResidentBytes(); got < 8*want {
-		t.Fatalf("ResidentBytes = %d < slots*BytesPerWarp = %d", got, 8*want)
-	}
-}
+// TestRunKernelFunctionalAscendingOrder makes workgroup order observable:
+// every lane takes a ticket from one global counter with a value-returning
+// atomic add and stores it at its thread index. Only strictly ascending
+// workgroup (and lane) order hands thread i ticket i.
+func TestRunKernelFunctionalAscendingOrder(t *testing.T) {
+	const groups, wpg = 5, 2
+	b := isa.NewBuilder("ticket")
+	b.I(isa.OpSLShl, isa.S(4), isa.S(2), isa.Imm(6)) // s4 = global warp * 64
+	b.I(isa.OpVAdd, isa.V(1), isa.V(0), isa.S(4))    // v1 = thread index
+	b.I(isa.OpVMov, isa.V(2), isa.S(8))              // v2 = &counter
+	b.I(isa.OpVAtomicAdd, isa.V(3), isa.V(2), isa.Imm(1))
+	b.I(isa.OpVLShl, isa.V(4), isa.V(1), isa.Imm(2))
+	b.I(isa.OpVAdd, isa.V(4), isa.V(4), isa.S(9))
+	b.Store(isa.OpVStore, isa.V(4), isa.V(3), 0)
+	b.End()
 
-// TestReplayerMatchesGroupLoop checks the batched fast-forward path against
-// the one-workgroup-at-a-time Group loop: same instruction totals, same
-// per-warp final state, same memory image.
-func TestReplayerMatchesGroupLoop(t *testing.T) {
-	const n, groups = 6 * 64, 6
-	lr, _, _, outR := vecAddLaunch(t, n, groups)
-	lg, _, _, outG := vecAddLaunch(t, n, groups)
-
-	rep := NewReplayer(lr, 2) // force multiple passes
-	var repInsts uint64
-	repStates := make(map[int]WarpState)
-	err := rep.RunRange(0, lr.NumWorkgroups, func(_ int, warps []Warp) {
-		for i := range warps {
-			repInsts += warps[i].InstCount()
-			repStates[warps[i].GlobalID] = warps[i].Snapshot()
-		}
-	})
+	const threads = groups * wpg * kernel.WavefrontSize
+	m := mem.NewFlat()
+	counter := m.Alloc(4)
+	out := m.Alloc(4 * threads)
+	l := &kernel.Launch{
+		Name: "ticket", Program: b.MustBuild(), Memory: m,
+		NumWorkgroups: groups, WarpsPerGroup: wpg,
+		Args: []uint32{uint32(counter), uint32(out)},
+	}
+	insts, err := RunKernelFunctional(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var grpInsts uint64
-	var grp Group
-	for wg := 0; wg < lg.NumWorkgroups; wg++ {
-		grp.Reset(lg, wg)
-		if err := grp.RunFunctional(); err != nil {
-			t.Fatal(err)
+	if want := uint64(groups * wpg * len(l.Program.Insts)); insts != want {
+		t.Fatalf("instruction total = %d, want %d", insts, want)
+	}
+	for i := 0; i < threads; i++ {
+		if got := m.Read32(out + uint64(4*i)); got != uint32(i) {
+			t.Fatalf("thread %d drew ticket %d: workgroups did not run in ascending order", i, got)
 		}
-		for _, w := range grp.Warps {
-			grpInsts += w.InstCount()
-			st := repStates[w.GlobalID]
-			if d := ptr(w.Snapshot()).Diff(&st); d != "" {
-				t.Fatalf("warp %d: replayer vs group loop:\n%s", w.GlobalID, d)
-			}
-		}
-	}
-	if repInsts != grpInsts {
-		t.Fatalf("instruction totals differ: replayer %d, group loop %d", repInsts, grpInsts)
-	}
-	for i := 0; i < n; i++ {
-		a := lr.Memory.Read32(outR + uint64(4*i))
-		b := lg.Memory.Read32(outG + uint64(4*i))
-		if a != b {
-			t.Fatalf("memory image differs at word %d: %#x vs %#x", i, a, b)
-		}
-	}
-}
-
-// TestReplayBatchGroups pins the batch-sizing clamps.
-func TestReplayBatchGroups(t *testing.T) {
-	l, _, _, _ := vecAddLaunch(t, 4*64, 4)
-	if got := ReplayBatchGroups(l, 1); got != 1 {
-		t.Fatalf("tiny budget: batch = %d, want 1", got)
-	}
-	if got := ReplayBatchGroups(l, 1<<30); got != l.NumWorkgroups {
-		t.Fatalf("huge budget: batch = %d, want %d", got, l.NumWorkgroups)
-	}
-	per := WarpBytes(l) * l.WarpsPerGroup
-	if got := ReplayBatchGroups(l, 3*per); got != 3 {
-		t.Fatalf("3-group budget: batch = %d, want 3", got)
 	}
 }

@@ -11,7 +11,6 @@ package emu
 
 import (
 	"fmt"
-	"math/bits"
 
 	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
@@ -67,8 +66,8 @@ type Warp struct {
 
 // NewWarp creates warp warpID of the launch, backed by a private
 // single-slot store. lds is the workgroup's local-data-share backing,
-// shared between sibling warps. The batch paths (Group, Replayer, the
-// timing machine) bind warps into shared stores instead.
+// shared between sibling warps. The batch paths (Group, the timing
+// machine) bind warps into shared stores instead.
 func NewWarp(l *kernel.Launch, globalID int, lds []byte) *Warp {
 	w := &Warp{}
 	w.Reset(l, globalID, lds)
@@ -142,9 +141,6 @@ func (w *Warp) vregs() []uint32 {
 	s := w.store
 	return s.vgpr[w.slot*s.vwords : (w.slot+1)*s.vwords]
 }
-
-// ActiveLanes returns the number of lanes enabled in EXEC.
-func (w *Warp) ActiveLanes() int { return bits.OnesCount64(w.Exec()) }
 
 // SReg returns scalar register i (for tests and debugging).
 func (w *Warp) SReg(i int) uint32 { return w.sregs()[i] }

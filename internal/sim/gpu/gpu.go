@@ -14,11 +14,16 @@ import (
 // GPU is one simulated device. It owns the (stateful) memory-hierarchy
 // timing model; a fresh timing machine is created per kernel so each kernel
 // starts at cycle zero. GPUs are not safe for concurrent use.
+//
+// The GPU also carries the run's telemetry sinks. Every RunKernel receives
+// the GPU, so a runner reads its sinks from there (Metrics, Log, Flight)
+// and a wrapper around the runner cannot hide them.
 type GPU struct {
 	cfg     Config
 	hier    *mem.Hierarchy
 	metrics *obs.Registry
 	log     *obs.Logger
+	flight  *obs.FlightRecorder
 }
 
 // New builds a GPU from a configuration.
@@ -32,25 +37,30 @@ func (g *GPU) Config() Config { return g.cfg }
 // Hierarchy exposes the memory hierarchy (observers and tests use it).
 func (g *GPU) Hierarchy() *mem.Hierarchy { return g.hier }
 
-// SetMetrics attaches a telemetry registry: the memory hierarchy and every
-// timing machine this GPU creates publish their cumulative stats into it.
+// SetMetrics attaches a telemetry registry: the memory hierarchy, every
+// timing machine this GPU creates and the runner publish their cumulative
+// stats into it.
 func (g *GPU) SetMetrics(reg *obs.Registry) {
 	g.metrics = reg
 	g.hier.SetMetrics(reg)
 }
 
 // SetLog attaches a structured logger; every timing machine this GPU
-// creates emits a Debug run summary through it.
+// creates emits a Debug run summary through it, and the runner logs its
+// per-kernel decisions.
 func (g *GPU) SetLog(l *obs.Logger) { g.log = l }
 
-// WarpStoreBudget reports the structure-of-arrays warp-state footprint of
-// running l on this GPU: how many warp slots the timing machine's store is
-// sized to at launch time (the device's resident capacity, capped by the
-// grid dimensions) and the architectural bytes each slot occupies in the
-// slabs. The bench footprint report and capacity planning read this.
-func (g *GPU) WarpStoreBudget(l *kernel.Launch) (slots, bytesPerWarp int) {
-	return timing.ResidentWarpSlots(g.cfg.Compute, l), emu.WarpBytes(l)
-}
+// SetFlight attaches a flight recorder for the runner's per-kernel events.
+func (g *GPU) SetFlight(f *obs.FlightRecorder) { g.flight = f }
+
+// Metrics returns the attached registry; nil (a no-op registry) when none.
+func (g *GPU) Metrics() *obs.Registry { return g.metrics }
+
+// Log returns the attached logger; nil (a no-op logger) when none.
+func (g *GPU) Log() *obs.Logger { return g.log }
+
+// Flight returns the attached flight recorder; nil (a no-op) when none.
+func (g *GPU) Flight() *obs.FlightRecorder { return g.flight }
 
 // RunDetailed simulates the launch in detailed mode. obs may be nil; gate,
 // when non-nil, is polled before each workgroup dispatch and stops detailed

@@ -114,28 +114,3 @@ func BuildResNet(depth int, sc Scale) (*workloads.App, error) {
 	_ = n.FC("fc", x, 1000, false)
 	return n.App(), nil
 }
-
-// BuildRealWorld builds the paper's Figure 16 application list.
-func BuildRealWorld(sc Scale, prNodes int) ([]*workloads.App, error) {
-	var apps []*workloads.App
-	pr, err := workloads.BuildPageRank(prNodes)
-	if err != nil {
-		return nil, err
-	}
-	apps = append(apps, pr)
-	for _, d := range []int{16, 19} {
-		a, err := BuildVGG(d, sc)
-		if err != nil {
-			return nil, err
-		}
-		apps = append(apps, a)
-	}
-	for _, d := range []int{18, 34, 50, 101, 152} {
-		a, err := BuildResNet(d, sc)
-		if err != nil {
-			return nil, err
-		}
-		apps = append(apps, a)
-	}
-	return apps, nil
-}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"hash/fnv"
 	"math"
 
 	"photon/internal/sim/emu"
@@ -15,6 +16,42 @@ func TestHistogramFunctional(t *testing.T) {
 		t.Fatal(err)
 	}
 	runFunctional(t, app)
+}
+
+// TestHistogramFunctionalMatchesRecorded pins the functional fast-forward
+// of a kernel whose workgroups meet in memory (atomic adds on shared bins):
+// instruction total and the input+bins image equal the values recorded at
+// commit 592a5ee, when RunKernelFunctional replayed HIST/4096 in batches.
+// Atomic add commutes, so this pins what is executed, not its order;
+// emu.TestRunKernelFunctionalAscendingOrder pins the order.
+func TestHistogramFunctionalMatchesRecorded(t *testing.T) {
+	const (
+		recordedInsts = 61440
+		recordedImage = 0x6f324409bebbd5a6
+	)
+	app, err := BuildHistogram(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := app.Launches[0]
+	insts, err := emu.RunKernelFunctional(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Check(); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	data, bins := uint64(l.Args[0]), uint64(l.Args[1])
+	for _, seg := range [][2]uint64{{data, uint64(l.Args[2])}, {bins, histBins}} {
+		for i := uint64(0); i < seg[1]; i++ {
+			v := l.Memory.Read32(seg[0] + 4*i)
+			h.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+		}
+	}
+	if insts != recordedInsts || h.Sum64() != recordedImage {
+		t.Fatalf("insts = %d, image = %#x; recorded %d, %#x", insts, h.Sum64(), recordedInsts, uint64(recordedImage))
+	}
 }
 
 // TestHistogramUnderTiming verifies that timing-interleaved atomic execution
