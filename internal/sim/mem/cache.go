@@ -28,29 +28,27 @@ type CacheConfig struct {
 	IndexShift uint
 }
 
+// maxWays is how many 4-bit way ids fit a set's one recency word.
+const maxWays = 16
+
 // Validate checks the configuration for internal consistency.
 func (c CacheConfig) Validate() error {
-	if c.SizeBytes <= 0 || c.Ways <= 0 {
-		return fmt.Errorf("mem: cache %q: non-positive size or ways", c.Name)
+	if c.SizeBytes <= 0 || c.Ways <= 0 || c.Ways > maxWays {
+		return fmt.Errorf("mem: cache %q: non-positive size, or ways outside 1..%d", c.Name, maxWays)
 	}
 	if c.SizeBytes%(c.Ways*LineSize) != 0 {
 		return fmt.Errorf("mem: cache %q: size %d not divisible into %d ways of %d-byte lines",
 			c.Name, c.SizeBytes, c.Ways, LineSize)
 	}
+	if numSets := c.SizeBytes / (c.Ways * LineSize); numSets&(numSets-1) != 0 {
+		return fmt.Errorf("mem: cache %q: set count %d not a power of two", c.Name, numSets)
+	}
 	return nil
 }
 
-// storeWords returns how many words of set store the configuration needs,
-// panicking on a configuration NewCache would reject.
+// storeWords returns how many words of set store a valid configuration needs.
 func (c CacheConfig) storeWords() int {
-	if err := c.Validate(); err != nil {
-		panic(err)
-	}
-	numSets := c.SizeBytes / (c.Ways * LineSize)
-	if numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("mem: cache %q: set count %d not a power of two", c.Name, numSets))
-	}
-	return numSets * c.Ways * 2
+	return c.SizeBytes / (c.Ways * LineSize) * (c.Ways + 2)
 }
 
 // Lower is the seam a standalone cache (NewCache) fetches lines through, so
@@ -62,17 +60,17 @@ type Lower interface {
 	Access(now event.Time, lineAddr uint64, write bool) event.Time
 }
 
-// Cache is a set-associative, write-back, write-allocate cache with an LRU
-// replacement policy and a single port whose throughput limit models
+// Cache is a set-associative, write-back, write-allocate cache with a true
+// LRU replacement policy and a single port whose throughput limit models
 // bandwidth contention. It is a timing model only: data lives in the
 // functional Flat memory.
 //
 // The sets live in one flat word array, set-major: set s occupies
-// store[s*2*ways:][:2*ways], its tag words followed by its stamp words, so a
-// 4-way set is one host cache line and a lookup touches nothing else. A tag
-// word is the line number plus one (0 = invalid way); a stamp word is the
-// LRU clock of the last touch shifted left once, with the dirty flag in the
-// low bit (clock values are unique per cache, so stamp order is LRU order).
+// store[s*(ways+2):][:ways+2] — tag words, recency word, dirty mask — so a
+// lookup touches nothing else. A tag word is the line number plus one (0 =
+// invalid way). The recency word is the set's LRU order as 4-bit way ids,
+// nibble 0 the most recently used: always a permutation of 0…ways-1, zero
+// above it. Bit w of the dirty mask is way w's; invalid ways are never dirty.
 //
 // The plain counters are the only statistics a cache keeps; the hierarchy
 // feeds them to a registry at kernel end (Hierarchy.FlushMetrics).
@@ -81,7 +79,6 @@ type Cache struct {
 	store    []uint64
 	setMask  uint64
 	portFree event.Time
-	lruClock uint64
 
 	// accesses is counted independently at the top of probe rather than
 	// derived from hits+misses, so the conservation check
@@ -101,16 +98,20 @@ type Cache struct {
 
 // NewCache builds a standalone cache over the given lower level.
 func NewCache(cfg CacheConfig, lower Lower) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	c := &Cache{lower: lower}
 	c.init(cfg, make([]uint64, cfg.storeWords()))
 	return c
 }
 
-// init configures the cache over its set store (cfg.storeWords() zeroed words).
+// init configures the cache over its set store (cfg.storeWords() words).
 func (c *Cache) init(cfg CacheConfig, store []uint64) {
 	c.cfg = cfg
 	c.store = store
-	c.setMask = uint64(len(store)/(2*cfg.Ways) - 1)
+	c.setMask = uint64(len(store)/(cfg.Ways+2) - 1)
+	c.Reset()
 }
 
 // Accesses returns the access count since the last Reset.
@@ -129,20 +130,26 @@ func (c *Cache) Evictions() uint64 { return c.evictions }
 func (c *Cache) Writebacks() uint64 { return c.writebacks }
 
 // Reset invalidates all lines and clears statistics (used between kernels
-// when a cold-cache policy is wanted, and by tests).
+// when a cold-cache policy is wanted, and by tests). An empty set's order is,
+// most recent first, ways 0, n-1, …, 2, 1 (the top n-1 nibbles of 0x123…F
+// over a zero): installs touch, so the set fills ways 1…n-1 and then 0.
 func (c *Cache) Reset() {
 	clear(c.store)
+	ways := c.cfg.Ways
+	for i := ways; i < len(c.store); i += ways + 2 {
+		c.store[i] = 0x123456789ABCDEF0 >> (4 * uint(maxWays+1-ways)) << 4
+	}
 	c.portFree = 0
 	c.accesses = 0
 	c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0
 }
 
-// set returns the tag and stamp words of the set lineAddr maps to.
-func (c *Cache) set(lineAddr uint64) (tags, stamps []uint64) {
-	ways := c.cfg.Ways
-	base := int((lineAddr/LineSize)>>c.cfg.IndexShift&c.setMask) * 2 * ways
-	s := c.store[base : base+2*ways : base+2*ways]
-	return s[:ways], s[ways:]
+// set returns the block of the set lineAddr maps to: its ways tag words,
+// then the recency word, then the dirty mask.
+func (c *Cache) set(lineAddr uint64) []uint64 {
+	n := c.cfg.Ways + 2
+	base := int((lineAddr/LineSize)>>c.cfg.IndexShift&c.setMask) * n
+	return c.store[base : base+n : base+n]
 }
 
 // probe is everything one access does inside this level: port arbitration,
@@ -151,12 +158,9 @@ func (c *Cache) set(lineAddr uint64) (tags, stamps []uint64) {
 // hit, and the tag word of a dirty victim that must be written back
 // (0 = none); Access sends a miss on to the level below.
 //
-// The replacement rule, quirk included: the candidate starts at way 0 and
-// the scan runs from way 1; the first invalid way there wins immediately,
-// otherwise the oldest stamp does. An invalid way 0 competes only through
-// its zero stamp, so a fresh set fills ways 1…n-1 and then 0. Lookup and
-// victim scan stay two loops over the one set block: folding the victim
-// bookkeeping into the lookup measured slower, because hits pay for it.
+// LRU needs only the order of the ways, so replacement is O(1) in the way
+// count: a hit moves its way to the front of the recency word; a miss first
+// takes the last nibble's way (an invalid one while any is left, see Reset).
 func (c *Cache) probe(now event.Time, lineAddr uint64, write bool) (start event.Time, hit bool, wb uint64) {
 	c.accesses++
 
@@ -168,41 +172,49 @@ func (c *Cache) probe(now event.Time, lineAddr uint64, write bool) (start event.
 	c.portFree = start + c.cfg.ThroughputCycles
 
 	tag := lineAddr/LineSize + 1
-	tags, stamps := c.set(lineAddr)
-	stamps = stamps[:len(tags)]
-	c.lruClock++
-	stamp := c.lruClock << 1
-	if write {
-		stamp |= 1
-	}
+	s := c.set(lineAddr)
+	tags := s[:len(s)-2]
+	order, dirty := &s[len(s)-2], &s[len(s)-1]
+	rec := *order
 
 	for i, t := range tags {
 		if t == tag {
 			c.hits++
-			stamps[i] = stamp | stamps[i]&1
+			w := uint64(i)
+			if write {
+				*dirty |= 1 << w
+			}
+			if rec&0xF != w {
+				// Zero w's nibble and find it (the lowest nibble the
+				// zero-nibble test flags is exact); top is its high bit. The
+				// nibbles below it move up one place and w goes in front.
+				const ones, tops = 0x1111111111111111, 0x8888888888888888
+				x := rec ^ w*ones
+				top := (x - ones) &^ x & tops
+				top &= -top
+				*order = rec&^(top<<1-1) | rec&(top>>3-1)<<4 | w
+			}
 			return start, true, 0
 		}
 	}
 
 	c.misses++
-	victim := 0
-	for i := 1; i < len(stamps); i++ {
-		if tags[i] == 0 {
-			victim = i
-			break
-		}
-		if stamps[i] < stamps[victim] {
-			victim = i
-		}
-	}
+	last := 4 * uint(len(tags)-1)
+	victim := rec >> last & 0xF
+	*order = rec&^(0xF<<last)<<4 | victim
+	bit := uint64(1) << victim
 	if old := tags[victim]; old != 0 {
 		c.evictions++
-		if stamps[victim]&1 != 0 {
+		if *dirty&bit != 0 {
 			c.writebacks++
 			wb = old
 		}
 	}
-	tags[victim], stamps[victim] = tag, stamp
+	*dirty &^= bit
+	if write {
+		*dirty |= bit
+	}
+	tags[victim] = tag
 	return start, false, wb
 }
 
@@ -244,6 +256,5 @@ func bankFor(banks []Cache, lineAddr uint64) *Cache {
 // Contains reports whether the line holding lineAddr is currently resident
 // (no LRU update, no timing side effects). Tests use it to verify fills.
 func (c *Cache) Contains(lineAddr uint64) bool {
-	tags, _ := c.set(lineAddr)
-	return slices.Contains(tags, lineAddr/LineSize+1)
+	return slices.Contains(c.set(lineAddr)[:c.cfg.Ways], lineAddr/LineSize+1)
 }

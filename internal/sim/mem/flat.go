@@ -193,25 +193,42 @@ func (m *Flat) ReadF32(addr uint64) float32 { return math.Float32frombits(m.Read
 // WriteF32 stores a float32.
 func (m *Flat) WriteF32(addr uint64, v float32) { m.Write32(addr, math.Float32bits(v)) }
 
+// run returns the bytes of the words at addr, at most n, that lie in addr's
+// page: bulk access looks a page up per run, not per word. Bulk addresses
+// are word-aligned, so no word straddles two pages.
+func (m *Flat) run(addr uint64, n int) []byte {
+	if addr&3 != 0 {
+		panic(fmt.Sprintf("mem: unaligned bulk access at %#x", addr))
+	}
+	off := addr & pageMask
+	return m.page(addr)[off : off+min(4*uint64(n), pageSize-off)]
+}
+
 // WriteWords stores a slice of 32-bit words starting at base.
 func (m *Flat) WriteWords(base uint64, words []uint32) {
-	for i, w := range words {
-		m.Write32(base+uint64(i)*4, w)
+	for i := 0; i < len(words); {
+		for pg := m.run(base+4*uint64(i), len(words)-i); len(pg) > 0; pg, i = pg[4:], i+1 {
+			binary.LittleEndian.PutUint32(pg, words[i])
+		}
 	}
 }
 
 // WriteFloats stores a slice of float32 starting at base.
 func (m *Flat) WriteFloats(base uint64, vals []float32) {
-	for i, v := range vals {
-		m.WriteF32(base+uint64(i)*4, v)
+	for i := 0; i < len(vals); {
+		for pg := m.run(base+4*uint64(i), len(vals)-i); len(pg) > 0; pg, i = pg[4:], i+1 {
+			binary.LittleEndian.PutUint32(pg, math.Float32bits(vals[i]))
+		}
 	}
 }
 
 // ReadFloats loads n float32 values starting at base.
 func (m *Flat) ReadFloats(base uint64, n int) []float32 {
 	out := make([]float32, n)
-	for i := range out {
-		out[i] = m.ReadF32(base + uint64(i)*4)
+	for i := 0; i < n; {
+		for pg := m.run(base+4*uint64(i), n-i); len(pg) > 0; pg, i = pg[4:], i+1 {
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(pg))
+		}
 	}
 	return out
 }
@@ -219,8 +236,10 @@ func (m *Flat) ReadFloats(base uint64, n int) []float32 {
 // ReadWords loads n 32-bit words starting at base.
 func (m *Flat) ReadWords(base uint64, n int) []uint32 {
 	out := make([]uint32, n)
-	for i := range out {
-		out[i] = m.Read32(base + uint64(i)*4)
+	for i := 0; i < n; {
+		for pg := m.run(base+4*uint64(i), n-i); len(pg) > 0; pg, i = pg[4:], i+1 {
+			out[i] = binary.LittleEndian.Uint32(pg)
+		}
 	}
 	return out
 }

@@ -48,9 +48,9 @@ func (c HierarchyConfig) Validate() error {
 // concurrent use; each simulated GPU owns one.
 //
 // Each level is one slab of Cache values over one slab of set store, so the
-// hot scalars (port, LRU clock, counters) of all caches of a level sit
-// together, and the wiring is concrete: an L1 holds the L2 bank slab, an L2
-// bank holds the DRAM, and no access crosses an interface.
+// hot scalars (port, counters) of all caches of a level sit together, and the
+// wiring is concrete: an L1 holds the L2 bank slab, an L2 bank holds the DRAM,
+// and no access crosses an interface.
 type Hierarchy struct {
 	cfg               HierarchyConfig
 	l1v, l1i, l1k, l2 []Cache
@@ -181,11 +181,11 @@ func (h *Hierarchy) Reset() {
 // coalesce splits a warp's per-lane byte addresses (at most 64) into unique
 // line addresses and returns how many it wrote to lines. Lines come out in
 // first-occurrence order: that is the order they arbitrate for the L1 port
-// and take LRU stamps in, so it is part of the simulated result. A lane on
-// the same line as the lane before it — every lane but a few of a
-// unit-stride or broadcast access — costs one compare; any other line goes
-// through a 128-slot open-addressed table on the stack (line index plus one,
-// 0 = empty), which keeps a full 64-line gather linear.
+// and are touched in their sets' LRU order, so it is part of the simulated
+// result. A lane on the same line as the lane before it — every lane but a
+// few of a unit-stride or broadcast access — costs one compare; any other
+// line goes through a 128-slot open-addressed table on the stack (line index
+// plus one, 0 = empty), which keeps a full 64-line gather linear.
 func coalesce(addrs []uint64, lines *[64]uint64) int {
 	var slots [128]uint8
 	n := 0

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,46 @@ func TestFlatBulkHelpers(t *testing.T) {
 	if w[0] != 7 || w[1] != 8 {
 		t.Fatalf("ReadWords = %v", w)
 	}
+}
+
+// The bulk helpers work a page run at a time; a buffer that starts inside one
+// page and ends two pages later must read back word for word through Read32.
+func TestFlatBulkHelpersCrossPages(t *testing.T) {
+	m := NewFlat()
+	m.Alloc(pageSize - 256) // so the buffer starts 256 bytes before a page boundary
+	const n = 2*pageSize/4 + 100
+	base := m.Alloc(4 * n)
+	words, floats := make([]uint32, n), make([]float32, n)
+	for i := range words {
+		words[i], floats[i] = uint32(i)*2654435761, float32(i)+0.5
+	}
+	m.WriteWords(base, words)
+	for i, w := range words {
+		if got := m.Read32(base + 4*uint64(i)); got != w {
+			t.Fatalf("WriteWords: word %d reads %#x, want %#x", i, got, w)
+		}
+	}
+	if got := m.ReadWords(base, n); !slices.Equal(got, words) {
+		t.Fatal("ReadWords differs from what WriteWords stored")
+	}
+	m.WriteFloats(base, floats)
+	for i, f := range floats {
+		if got := m.ReadF32(base + 4*uint64(i)); got != f {
+			t.Fatalf("WriteFloats: float %d reads %v, want %v", i, got, f)
+		}
+	}
+	if got := m.ReadFloats(base, n); !slices.Equal(got, floats) {
+		t.Fatal("ReadFloats differs from what WriteFloats stored")
+	}
+	if len(m.ReadWords(base, 0)) != 0 {
+		t.Fatal("empty read not empty")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unaligned bulk access did not panic")
+		}
+	}()
+	m.WriteWords(base+2, words[:1])
 }
 
 // Property: Flat behaves like a map from address to word for aligned,
@@ -316,9 +357,32 @@ func TestHierarchyEmptyVectorAccess(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := CacheConfig{Name: "x", SizeBytes: 1000, Ways: 3}
-	if err := bad.Validate(); err == nil {
-		t.Error("indivisible cache config accepted")
+	hc := testHierarchy().Config()
+	for _, tc := range []struct {
+		name      string
+		size, way int
+		ok        bool
+	}{
+		{"indivisible", 1000, 3, false},
+		{"zero ways", 4096, 0, false},
+		{"three sets", 3 * 4 * LineSize, 4, false},
+		{"seventeen ways", 16 * 17 * LineSize, 17, false},
+		{"sixteen ways", 16 * 16 * LineSize, 16, true},
+		{"three ways, four sets", 4 * 3 * LineSize, 3, true},
+		{"one way, one set", LineSize, 1, true},
+	} {
+		cc := CacheConfig{Name: tc.name, SizeBytes: tc.size, Ways: tc.way}
+		if err := cc.Validate(); (err == nil) != tc.ok {
+			t.Errorf("cache %s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		// A cache the hierarchy cannot build must be the hierarchy's error,
+		// not a panic inside NewHierarchy.
+		hc.L2 = cc
+		if err := hc.Validate(); (err == nil) != tc.ok {
+			t.Errorf("hierarchy with L2 %s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		} else if tc.ok {
+			NewHierarchy(hc)
+		}
 	}
 	badDRAM := DRAMConfig{Name: "x", Banks: 3, RowBits: 11}
 	if err := badDRAM.Validate(); err == nil {

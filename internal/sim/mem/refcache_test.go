@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"photon/internal/sim/event"
@@ -128,70 +129,169 @@ func (r *recLower) Access(now event.Time, lineAddr uint64, write bool) event.Tim
 	return now + 100 + event.Time(lineAddr/LineSize%7)
 }
 
+// checkSet fails unless a set block is well formed: its recency word is a
+// permutation of 0…ways-1 with nothing above it, and its dirty mask has no bit
+// on an invalid way or beyond the ways.
+func checkSet(t testing.TB, s []uint64) {
+	t.Helper()
+	ways := len(s) - 2
+	order, dirty := s[ways], s[ways+1]
+	seen := 0
+	for k := 0; k < ways; k++ {
+		seen |= 1 << (order >> (4 * k) & 0xF)
+	}
+	if seen != 1<<ways-1 || ways < maxWays && order>>(4*ways) != 0 {
+		t.Fatalf("recency word %#x is not a permutation of 0..%d", order, ways-1)
+	}
+	if dirty>>ways != 0 {
+		t.Fatalf("dirty mask %#b has a bit beyond way %d", dirty, ways-1)
+	}
+	for w, tg := range s[:ways] {
+		if tg == 0 && dirty>>w&1 != 0 {
+			t.Fatalf("invalid way %d is dirty (mask %#b)", w, dirty)
+		}
+	}
+}
+
+// cachePair is Cache and refCache side by side over recording lowers. Every
+// access must complete at the same time on both and leave the touched set
+// well formed; finish demands the same machine overall: all five counters,
+// residency of every line touched, the exact sequence of lower-level calls,
+// and every set well formed.
+type cachePair struct {
+	t              testing.TB
+	c              *Cache
+	ref            *refCache
+	lowNew, lowRef *recLower
+	touched        map[uint64]bool
+	n              int
+}
+
+func newCachePair(t testing.TB, cfg CacheConfig) *cachePair {
+	p := &cachePair{t: t, lowNew: &recLower{}, lowRef: &recLower{}, touched: map[uint64]bool{}}
+	p.c, p.ref = NewCache(cfg, p.lowNew), newRefCache(cfg, p.lowRef)
+	p.checkAllSets()
+	return p
+}
+
+func (p *cachePair) checkAllSets() {
+	p.t.Helper()
+	n := p.c.cfg.Ways + 2
+	for i := 0; i < len(p.c.store); i += n {
+		checkSet(p.t, p.c.store[i:i+n])
+	}
+}
+
+func (p *cachePair) access(now event.Time, addr uint64, write bool) {
+	p.t.Helper()
+	p.touched[addr] = true
+	got, want := p.c.Access(now, addr, write), p.ref.Access(now, addr, write)
+	if got != want {
+		p.t.Fatalf("access %d (line %#x write=%v @%d): done %d, reference %d", p.n, addr/LineSize, write, now, got, want)
+	}
+	checkSet(p.t, p.c.set(addr))
+	p.n++
+}
+
+func (p *cachePair) reset() {
+	p.t.Helper()
+	p.c.Reset()
+	p.ref.Reset()
+	p.checkAllSets()
+}
+
+func (p *cachePair) finish() {
+	t, c, ref := p.t, p.c, p.ref
+	t.Helper()
+	if c.accesses != ref.accesses || c.hits != ref.hits || c.misses != ref.misses ||
+		c.evictions != ref.evictions || c.writebacks != ref.writebacks {
+		t.Errorf("counters: got %d/%d/%d/%d/%d, reference %d/%d/%d/%d/%d",
+			c.accesses, c.hits, c.misses, c.evictions, c.writebacks,
+			ref.accesses, ref.hits, ref.misses, ref.evictions, ref.writebacks)
+	}
+	for addr := range p.touched {
+		if c.Contains(addr) != ref.Contains(addr) {
+			t.Errorf("line %#x: resident %v, reference %v", addr, c.Contains(addr), ref.Contains(addr))
+		}
+	}
+	if len(p.lowNew.calls) != len(p.lowRef.calls) {
+		t.Fatalf("lower saw %d calls, reference %d", len(p.lowNew.calls), len(p.lowRef.calls))
+	}
+	for i := range p.lowRef.calls {
+		if p.lowNew.calls[i] != p.lowRef.calls[i] {
+			t.Fatalf("lower call %d: %+v, reference %+v", i, p.lowNew.calls[i], p.lowRef.calls[i])
+		}
+	}
+	p.checkAllSets()
+}
+
+// pairWays are the associativities the differential tests cover: the tree's
+// 2, 4 and 16, the degenerate 1, a non-power-of-two and one in between.
+var pairWays = []int{1, 2, 3, 4, 8, 16}
+
 // TestCacheMatchesReference drives Cache and refCache with the same seeded
-// streams and demands the same machine: completion time of every access, all
-// five counters, residency of every line touched, and the exact sequence of
-// lower-level calls.
+// streams, with a Reset mid-stream, through a cachePair.
 func TestCacheMatchesReference(t *testing.T) {
-	for _, ways := range []int{4, 16} {
+	for _, ways := range pairWays {
 		for _, shift := range []uint{0, 3} {
 			for _, hot := range []bool{false, true} {
 				name := fmt.Sprintf("ways%d/shift%d/hot=%v", ways, shift, hot)
 				t.Run(name, func(t *testing.T) {
-					cfg := CacheConfig{Name: name, SizeBytes: 64 * ways * LineSize, Ways: ways,
-						HitLatency: 10, ThroughputCycles: 2, IndexShift: shift}
-					lowNew, lowRef := &recLower{}, &recLower{}
-					c, ref := NewCache(cfg, lowNew), newRefCache(cfg, lowRef)
+					p := newCachePair(t, CacheConfig{Name: name, SizeBytes: 64 * ways * LineSize, Ways: ways,
+						HitLatency: 10, ThroughputCycles: 2, IndexShift: shift})
 					rng := rand.New(rand.NewSource(int64(ways)<<8 | int64(shift)<<1))
 					// Uniform: ~3x the capacity, so sets fill, evict and re-hit.
 					// Hot: four sets' worth of lines over 2x their ways.
 					span := uint64(3 * 64 * ways)
-					touched := map[uint64]bool{}
 					now := event.Time(0)
 					for i := 0; i < 20000; i++ {
 						line := rng.Uint64() % span
 						if hot {
 							line = (line%uint64(2*ways))<<(6+shift) | (line/uint64(2*ways)%4)<<shift
 						}
-						addr := line * LineSize
 						write := rng.Intn(3) == 0
 						now += event.Time(rng.Intn(4))
-						touched[addr] = true
-						got, want := c.Access(now, addr, write), ref.Access(now, addr, write)
-						if got != want {
-							t.Fatalf("access %d (line %#x write=%v @%d): done %d, reference %d", i, line, write, now, got, want)
-						}
+						p.access(now, line*LineSize, write)
 						if i == 6000 || i == 13000 {
-							c.Reset()
-							ref.Reset()
+							p.reset()
 						}
 					}
-					if c.accesses != ref.accesses || c.hits != ref.hits || c.misses != ref.misses ||
-						c.evictions != ref.evictions || c.writebacks != ref.writebacks {
-						t.Errorf("counters: got %d/%d/%d/%d/%d, reference %d/%d/%d/%d/%d",
-							c.accesses, c.hits, c.misses, c.evictions, c.writebacks,
-							ref.accesses, ref.hits, ref.misses, ref.evictions, ref.writebacks)
-					}
-					if c.evictions == 0 || c.writebacks == 0 || c.hits == 0 {
+					p.finish()
+					if c := p.c; c.evictions == 0 || c.writebacks == 0 || c.hits == 0 {
 						t.Errorf("stream too tame: %d evictions, %d writebacks, %d hits", c.evictions, c.writebacks, c.hits)
-					}
-					for addr := range touched {
-						if c.Contains(addr) != ref.Contains(addr) {
-							t.Errorf("line %#x: resident %v, reference %v", addr, c.Contains(addr), ref.Contains(addr))
-						}
-					}
-					if len(lowNew.calls) != len(lowRef.calls) {
-						t.Fatalf("lower saw %d calls, reference %d", len(lowNew.calls), len(lowRef.calls))
-					}
-					for i := range lowRef.calls {
-						if lowNew.calls[i] != lowRef.calls[i] {
-							t.Fatalf("lower call %d: %+v, reference %+v", i, lowNew.calls[i], lowRef.calls[i])
-						}
 					}
 				})
 			}
 		}
 	}
+}
+
+// FuzzCacheVsReference lets the fuzzer write the stream. Byte 0 picks the
+// associativity and index shift of a four-set cache; each following pair of
+// bytes is one access — set and one of 64 tags from the first, write flag and
+// time delta from the second — or, for 0xFF 0xFF, a Reset. The seed corpus
+// (testdata/fuzz) holds one fill/hit/evict/Reset stream per associativity.
+func FuzzCacheVsReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		ways := pairWays[int(data[0])%len(pairWays)]
+		shift := uint(data[0]) / uint(len(pairWays)) % 2 * 3
+		p := newCachePair(t, CacheConfig{Name: "fuzz", SizeBytes: 4 * ways * LineSize, Ways: ways,
+			HitLatency: 10, ThroughputCycles: 2, IndexShift: shift})
+		now := event.Time(0)
+		for ops := data[1:]; len(ops) >= 2; ops = ops[2:] {
+			if ops[0] == 0xFF && ops[1] == 0xFF {
+				p.reset()
+				continue
+			}
+			line := uint64(ops[0]>>2)<<(2+shift) | uint64(ops[0]&3)<<shift
+			now += event.Time(ops[1] >> 1 & 7)
+			p.access(now, line*LineSize, ops[1]&1 != 0)
+		}
+		p.finish()
+	})
 }
 
 // TestCacheFillOrderAndDirtyVictim pins two things a counter comparison
@@ -204,13 +304,9 @@ func TestCacheFillOrderAndDirtyVictim(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "t", SizeBytes: 4 * 1024, Ways: 4, HitLatency: 10, ThroughputCycles: 1}, low)
 	stride := uint64(16 * LineSize) // 16 sets: same set every 16 lines
 	wayOf := func(addr uint64) int {
-		tags, _ := c.set(addr)
-		for i, tg := range tags {
-			if tg == addr/LineSize+1 {
-				return i
-			}
-		}
-		return -1
+		s := c.set(addr)
+		checkSet(t, s)
+		return slices.Index(s[:c.cfg.Ways], addr/LineSize+1)
 	}
 	steps := []struct {
 		line    uint64
@@ -265,7 +361,7 @@ outer:
 }
 
 // TestCoalesceMatchesReference checks same lines, same (first-occurrence)
-// order — the order is L1 port arbitration and LRU stamping order, so it is
+// order — the order is L1 port arbitration and LRU touch order, so it is
 // part of the simulated result.
 func TestCoalesceMatchesReference(t *testing.T) {
 	lanes := func(f func(i int) uint64) []uint64 {
@@ -306,5 +402,31 @@ func TestCoalesceMatchesReference(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// BenchmarkCacheHit times hits alone on a 16 KB 4-way L1: four resident
+// lines in round-robin, either in four sets (each hit finds its way already
+// most recent) or in one set (each hit is on the least recent way, the full
+// move-to-front).
+func BenchmarkCacheHit(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		stride uint64
+	}{{"four-sets", LineSize}, {"one-set", 64 * LineSize}} {
+		b.Run(tc.name, func(b *testing.B) {
+			stride := tc.stride
+			c := NewCache(CacheConfig{Name: "l1", SizeBytes: 16 * 1024, Ways: 4, HitLatency: 28, ThroughputCycles: 1}, &fixedLower{latency: 100})
+			for i := uint64(0); i < 4; i++ {
+				c.Access(0, i*stride, false)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Access(event.Time(i), uint64(i&3)*stride, i&4 != 0)
+			}
+			if c.Misses() != 4 {
+				b.Fatalf("%d misses, want the 4 fills only", c.Misses())
+			}
+		})
 	}
 }

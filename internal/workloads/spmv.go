@@ -23,7 +23,10 @@ type csr struct {
 
 func makeCSR(rows, cols int, seed uint64) *csr {
 	rng := newRNG(seed)
-	c := &csr{rows: rows, cols: cols, rowPtr: make([]uint32, rows+1)}
+	// The mean row is 0.8*4.5 + 0.2*35.5 = 10.7 entries long: size the entry
+	// arrays for that once, so append rarely has to grow and copy them.
+	c := &csr{rows: rows, cols: cols, rowPtr: make([]uint32, rows+1),
+		colIdx: make([]uint32, 0, 11*rows), values: make([]float32, 0, 11*rows)}
 	for r := 0; r < rows; r++ {
 		var rowLen int
 		if rng.intn(100) < 80 {

@@ -6,7 +6,8 @@
 # `git archive` into a temporary directory; <pairs> alternating
 # parent/head pairs of `go run ./benchmark -workload <workload>` run for
 # [seconds] each (default: the benchmark's own 22), the side that goes first
-# swapping every pair; then `go run ./benchmark -compare parent head` prints
+# swapping every pair and both sides of pair i running `-seed i`, so N pairs
+# cover N seeds; then `go run ./benchmark -compare parent head` prints
 # one PASS / UNRESOLVED / FAIL verdict per end-to-end metric. The exit code
 # is non-zero when a run's output checks fail or any verdict is FAIL;
 # UNRESOLVED (spread wider than the bound) is printed and tolerated. A ratio
@@ -29,7 +30,7 @@ git -C "$root" archive "$ref" | tar -x -C "$tmp/parent"
 # run <pair> <side> <dir>: one benchmark run, appended to $tmp/<side>.jsonl,
 # printed as one line of its end-to-end metrics.
 run() {
-	(cd "$3" && go run ./benchmark -workload "$workload" -seconds "$seconds" -out "$tmp/$2.jsonl") |
+	(cd "$3" && go run ./benchmark -workload "$workload" -seed "$1" -seconds "$seconds" -out "$tmp/$2.jsonl") |
 		awk -v tag="pair $1 $2" '
 			$1 ~ /^(detailed_wall_s|photon_wall_s|photon_accuracy_pct|serve_cold_jobs_per_s|serve_warm_p50_ms|setup_s)$/ {
 				line = line " " $1 "=" $2
