@@ -140,7 +140,6 @@ func runExperiments(f benchFlags, stdout, stderr io.Writer) int {
 		// Structured logs go to stderr, never stdout: row output must stay
 		// byte-identical with logging on.
 		o.Log = obs.NewTextLogger(stderr, obs.ParseLevel(f.logLevel))
-		o.Flight = obs.NewFlightRecorder(1024)
 	}
 	// The accuracy ledger always rides along: the sink keeps the run-end
 	// roll-up even when no -accuracy-out file is requested.

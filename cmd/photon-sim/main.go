@@ -14,7 +14,6 @@ import (
 	"os"
 	"strings"
 
-	"photon/internal/baseline/pka"
 	"photon/internal/buildinfo"
 	"photon/internal/core"
 	"photon/internal/harness"
@@ -32,7 +31,7 @@ func main() {
 		bench      = flag.String("bench", "MM", "benchmark: AES|FIR|SC|MM|ReLU|SPMV|pr|vgg16|vgg19|resnet18|resnet34|resnet50|resnet101|resnet152|transformer|trainstep")
 		size       = flag.Int("size", 0, "problem size in warps (single-kernel benchmarks; 0 = first figure size); node count for pr")
 		arch       = flag.String("arch", "r9nano", "GPU configuration: r9nano or mi100")
-		mode       = flag.String("mode", "photon", "runner: full|photon|pka|bb|warp|kernel")
+		mode       = flag.String("mode", "photon", "runner: full|photon|bb|warp|kernel|pka|tbpoint")
 		perKernel  = flag.Bool("per-kernel", false, "print one row per kernel launch")
 		check      = flag.Bool("check", false, "audit simulator invariants inline and verify functional correctness after simulation (where supported)")
 		store      = flag.String("analysis-store", "", "offline Photon: JSON file caching online-analysis profiles (created if missing)")
@@ -84,10 +83,11 @@ func main() {
 		}
 		return
 	}
-	runner, err := buildRunner(*mode, cfg)
+	factory, err := harness.FactoryForMode(*mode, core.DefaultParams())
 	if err != nil {
 		fatal("%v", err)
 	}
+	runner := factory.New(cfg)
 	var tracer *trace.Tracer
 	if *tracePath != "" {
 		fr, ok := runner.(gpu.FullRunner)
@@ -257,26 +257,6 @@ func buildApp(bench string, size int) (*workloads.App, error) {
 		size = spec.Sizes[0]
 	}
 	return spec.Build(size)
-}
-
-func buildRunner(mode string, cfg gpu.Config) (gpu.Runner, error) {
-	params := core.DefaultParams()
-	switch mode {
-	case "full":
-		return gpu.FullRunner{}, nil
-	case "photon":
-		return core.New(cfg, params, core.AllLevels())
-	case "bb":
-		return core.New(cfg, params, core.Levels{BB: true})
-	case "warp":
-		return core.New(cfg, params, core.Levels{Warp: true})
-	case "kernel":
-		return core.New(cfg, params, core.Levels{Kernel: true})
-	case "pka":
-		return pka.New(pka.DefaultParams()), nil
-	default:
-		return nil, fmt.Errorf("unknown mode %q", mode)
-	}
 }
 
 func fatal(format string, args ...any) {

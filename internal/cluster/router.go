@@ -141,6 +141,58 @@ func (rt *Router) healthyNodes() []*node {
 	return out
 }
 
+// nodeBody is one worker's answer to a fan-out GET.
+type nodeBody struct {
+	name string
+	body []byte
+}
+
+// gather GETs target (a path, optionally with "?query") from every healthy
+// worker at once and returns the 200 bodies in node-name order; a worker
+// that fails or answers anything else is left out. accept, when set, is the
+// request's Accept header. The aggregating endpoints (list, metrics, flight)
+// share it and keep their own merge.
+func (rt *Router) gather(ctx context.Context, target, accept string) []nodeBody {
+	path, query, _ := strings.Cut(target, "?")
+	nodes := rt.healthyNodes()
+	bodies := make([][]byte, len(nodes))
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		wg.Add(1)
+		go func(i int, n *node) {
+			defer wg.Done()
+			u := n.base.JoinPath(path)
+			u.RawQuery = query
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
+			if err != nil {
+				return
+			}
+			if accept != "" {
+				req.Header.Set("Accept", accept)
+			}
+			resp, err := rt.client.Do(req)
+			if err != nil {
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return
+			}
+			if body, err := io.ReadAll(resp.Body); err == nil {
+				bodies[i] = body
+			}
+		}(i, n)
+	}
+	wg.Wait()
+	var out []nodeBody
+	for i, body := range bodies {
+		if body != nil {
+			out = append(out, nodeBody{name: nodes[i].name, body: body})
+		}
+	}
+	return out
+}
+
 // preferredNodes resolves a hash's preference order to live node handles,
 // healthy ones only.
 func (rt *Router) preferredNodes(hash string) []*node {
@@ -380,39 +432,18 @@ func (rt *Router) cache(w http.ResponseWriter, r *http.Request) {
 // job appears under its cluster-scope id, whichever router — or no router,
 // for a job submitted straight to a worker — accepted it.
 func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
-	var (
-		mu  sync.Mutex
-		all []serve.JobStatus
-		wg  sync.WaitGroup
-	)
-	for _, n := range rt.healthyNodes() {
-		wg.Add(1)
-		go func(n *node) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet,
-				n.base.JoinPath("/v1/jobs").String(), nil)
-			if err != nil {
-				return
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			var sts []serve.JobStatus
-			if json.NewDecoder(resp.Body).Decode(&sts) != nil {
-				return
-			}
-			for i := range sts {
-				sts[i].ID = n.name + "." + sts[i].ID
-				sts[i].Node = n.name
-			}
-			mu.Lock()
-			all = append(all, sts...)
-			mu.Unlock()
-		}(n)
+	var all []serve.JobStatus
+	for _, nb := range rt.gather(r.Context(), "/v1/jobs", "") {
+		var sts []serve.JobStatus
+		if json.Unmarshal(nb.body, &sts) != nil {
+			continue
+		}
+		for i := range sts {
+			sts[i].ID = nb.name + "." + sts[i].ID
+			sts[i].Node = nb.name
+		}
+		all = append(all, sts...)
 	}
-	wg.Wait()
 	sort.Slice(all, func(i, j int) bool {
 		if !all[i].CreatedAt.Equal(all[j].CreatedAt) {
 			return all[i].CreatedAt.Before(all[j].CreatedAt)
@@ -473,51 +504,21 @@ func (rt *Router) nodeStatuses() []nodeStatus {
 // under the same content negotiation workers use — covers the cluster.
 func (rt *Router) metrics(w http.ResponseWriter, r *http.Request) {
 	merged := rt.reg.Snapshot()
-	type result struct {
-		name string
-		snap obs.Snapshot
-		ok   bool
-	}
-	nodes := rt.healthyNodes()
-	results := make([]result, len(nodes))
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet,
-				n.base.JoinPath("/metrics").String(), nil)
-			if err != nil {
-				return
-			}
-			req.Header.Set("Accept", "application/json")
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			var snap obs.Snapshot
-			if json.NewDecoder(resp.Body).Decode(&snap) != nil {
-				return
-			}
-			results[i] = result{name: n.name, snap: snap, ok: true}
-		}(i, n)
-	}
-	wg.Wait()
-	for _, res := range results {
-		if !res.ok {
+	for _, nb := range rt.gather(r.Context(), "/metrics", "application/json") {
+		var snap obs.Snapshot
+		if json.Unmarshal(nb.body, &snap) != nil {
 			continue
 		}
-		for _, c := range res.snap.Counters {
-			c.Labels = withNode(c.Labels, res.name)
+		for _, c := range snap.Counters {
+			c.Labels = withNode(c.Labels, nb.name)
 			merged.Counters = append(merged.Counters, c)
 		}
-		for _, g := range res.snap.Gauges {
-			g.Labels = withNode(g.Labels, res.name)
+		for _, g := range snap.Gauges {
+			g.Labels = withNode(g.Labels, nb.name)
 			merged.Gauges = append(merged.Gauges, g)
 		}
-		for _, h := range res.snap.Histograms {
-			h.Labels = withNode(h.Labels, res.name)
+		for _, h := range snap.Histograms {
+			h.Labels = withNode(h.Labels, nb.name)
 			merged.Histograms = append(merged.Histograms, h)
 		}
 	}
@@ -542,58 +543,17 @@ func withNode(labels map[string]string, name string) map[string]string {
 // ?format=text, each node's terminal rendering under a banner; otherwise a
 // JSON object keyed by node name.
 func (rt *Router) flight(w http.ResponseWriter, r *http.Request) {
-	text := r.URL.Query().Get("format") == "text"
-	type dump struct {
-		name string
-		body []byte
-	}
-	nodes := rt.healthyNodes()
-	dumps := make([]dump, len(nodes))
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			url := n.base.JoinPath("/debug/flight").String()
-			if text {
-				url += "?format=text"
-			}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
-			if err != nil {
-				return
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			body, err := io.ReadAll(resp.Body)
-			if err != nil {
-				return
-			}
-			dumps[i] = dump{name: n.name, body: body}
-		}(i, n)
-	}
-	wg.Wait()
-	if text {
+	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, d := range dumps {
-			if d.body == nil {
-				continue
-			}
-			fmt.Fprintf(w, "== %s ==\n", d.name)
-			w.Write(d.body)
+		for _, nb := range rt.gather(r.Context(), "/debug/flight?format=text", "") {
+			fmt.Fprintf(w, "== %s ==\n", nb.name)
+			w.Write(nb.body)
 		}
 		return
 	}
-	out := make(map[string]json.RawMessage, len(dumps))
-	for _, d := range dumps {
-		if d.body != nil {
-			out[d.name] = json.RawMessage(d.body)
-		}
+	out := make(map[string]json.RawMessage)
+	for _, nb := range rt.gather(r.Context(), "/debug/flight", "") {
+		out[nb.name] = json.RawMessage(nb.body)
 	}
 	writeJSON(w, http.StatusOK, out)
 }

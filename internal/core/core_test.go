@@ -8,6 +8,7 @@ import (
 
 	"photon/internal/core/bbv"
 	"photon/internal/obs"
+	"photon/internal/sim/emu"
 	"photon/internal/sim/event"
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/isa"
@@ -154,17 +155,17 @@ func TestEstimateBlockTime(t *testing.T) {
 	b.End()
 	p := b.MustBuild()
 	cfg := timing.DefaultCompute(4)
-	lm := NewLatencyModel(nil, cfg, 200)
+	lm := NewLatencyModel(timing.Result{}, cfg, 200)
 	got := EstimateBlockTime(p, 0, lm, cfg)
 	// vadd(4) + vfmul(4) -> t=8; vload issues at 8 (mem done 208), t=12;
 	// waitcnt joins at 208, +1 -> 209; vfadd +4 -> 213; endpgm +1 -> 214.
 	if got != 214 {
 		t.Fatalf("EstimateBlockTime = %v, want 214", got)
 	}
-	// With an observed memory latency, the estimate follows the table.
-	tab := &stats.LatencyTable{}
-	tab.Observe(isa.FUVectorMem, 500)
-	lm2 := NewLatencyModel(tab, cfg, 200)
+	// With an observed memory latency, the estimate follows the tally.
+	var res timing.Result
+	res.ClassIssued[isa.FUVectorMem], res.ClassLatSum[isa.FUVectorMem] = 1, 500
+	lm2 := NewLatencyModel(res, cfg, 200)
 	got2 := EstimateBlockTime(p, 0, lm2, cfg)
 	if got2 <= got {
 		t.Fatalf("larger observed latency produced smaller estimate: %v <= %v", got2, got)
@@ -173,12 +174,63 @@ func TestEstimateBlockTime(t *testing.T) {
 
 func TestLatencyModelFallbacks(t *testing.T) {
 	cfg := timing.DefaultCompute(4)
-	lm := NewLatencyModel(&stats.LatencyTable{}, cfg, 123)
+	lm := NewLatencyModel(timing.Result{}, cfg, 123)
 	if lm.Latency(isa.FUVectorMem) != 123 {
 		t.Fatal("memory fallback not applied")
 	}
 	if lm.Latency(isa.FUScalar) != float64(cfg.ExecLatency[isa.FUScalar]) {
 		t.Fatal("ALU fallback not applied")
+	}
+}
+
+// floatLatencyTable is the observer the latency model used to be fed by: a
+// float sum and a count per class, one interface call per instruction. It
+// stays here as the reference the machine's integer tallies are held to.
+type floatLatencyTable struct {
+	timing.NopObserver
+	sum   [isa.FUClassCount]float64
+	count [isa.FUClassCount]uint64
+}
+
+func (t *floatLatencyTable) OnInstIssued(_ event.Time, _ int, _ *emu.Warp, class isa.FUClass, lat event.Time) {
+	t.sum[class] += float64(lat)
+	t.count[class]++
+}
+
+// TestLatencyModelMatchesObservedMeans: on a kernel that mixes scalar,
+// vector-ALU, vector-memory, scalar-memory and branch instructions, the
+// model built from timing.Result must equal, bit for bit, the per-class mean
+// of the latencies an observer sees — and the fallback for a class that
+// never issued.
+func TestLatencyModelMatchesObservedMeans(t *testing.T) {
+	app, err := workloads.BuildSPMV(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallGPU()
+	ref := &floatLatencyTable{}
+	res, err := gpu.New(cfg).RunDetailed(app.Launches[0], ref, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := NewLatencyModel(res, cfg.Compute, 123)
+	fallback := NewLatencyModel(timing.Result{}, cfg.Compute, 123)
+	observed := 0
+	for c := isa.FUClass(0); c < isa.FUClassCount; c++ {
+		if res.ClassIssued[c] != ref.count[c] {
+			t.Errorf("%v: machine counted %d instructions, observer %d", c, res.ClassIssued[c], ref.count[c])
+		}
+		want := fallback.Latency(c)
+		if ref.count[c] > 0 {
+			observed++
+			want = ref.sum[c] / float64(ref.count[c])
+		}
+		if got := lm.Latency(c); got != want {
+			t.Errorf("%v: Latency = %v, want %v", c, got, want)
+		}
+	}
+	if observed < 4 {
+		t.Fatalf("only %d classes issued; the kernel is not mixed enough to test the means", observed)
 	}
 }
 

@@ -3,46 +3,43 @@ package core
 import (
 	"photon/internal/sim/isa"
 	"photon/internal/sim/timing"
-	"photon/internal/stats"
 )
 
 // Rare basic blocks (Figure 9): blocks that fire too rarely during the
 // detailed phase to accumulate a stable least-squares window. Photon
 // predicts their runtime with an interval model that walks the block's
-// instructions using the per-class latency table collected online during
-// detailed simulation; classes never observed fall back to the machine's
-// configured latencies ("we set their initial value according to the
-// latency of caches and ALUs").
+// instructions using the per-class latency tallies the timing machine keeps
+// during detailed simulation; classes never observed fall back to the
+// machine's configured latencies ("we set their initial value according to
+// the latency of caches and ALUs").
 
 // LatencyModel provides the per-class latency estimate for the interval
 // model.
 type LatencyModel struct {
-	table    *stats.LatencyTable
-	fallback [isa.FUClassCount]float64
+	lat [isa.FUClassCount]float64
 }
 
-// NewLatencyModel builds a model over an online latency table with
-// fallbacks derived from the compute configuration plus a default memory
-// round-trip estimate.
-func NewLatencyModel(table *stats.LatencyTable, cfg timing.Config, defaultMemLatency float64) *LatencyModel {
-	m := &LatencyModel{table: table}
+// NewLatencyModel builds a model from a detailed run's per-class tallies:
+// the mean observed latency where the class issued at all, otherwise a
+// fallback derived from the compute configuration plus a default memory
+// round-trip estimate. The zero Result yields the fallbacks alone.
+func NewLatencyModel(res timing.Result, cfg timing.Config, defaultMemLatency float64) *LatencyModel {
+	m := &LatencyModel{}
 	for c := isa.FUClass(0); c < isa.FUClassCount; c++ {
-		m.fallback[c] = float64(cfg.ExecLatency[c])
+		switch {
+		case res.ClassIssued[c] > 0:
+			m.lat[c] = float64(res.ClassLatSum[c]) / float64(res.ClassIssued[c])
+		case c == isa.FUVectorMem || c == isa.FUScalarMem:
+			m.lat[c] = defaultMemLatency
+		default:
+			m.lat[c] = float64(cfg.ExecLatency[c])
+		}
 	}
-	m.fallback[isa.FUVectorMem] = defaultMemLatency
-	m.fallback[isa.FUScalarMem] = defaultMemLatency
 	return m
 }
 
 // Latency returns the modeled latency for a class.
-func (m *LatencyModel) Latency(c isa.FUClass) float64 {
-	if m.table != nil {
-		if v, ok := m.table.Mean(c); ok {
-			return v
-		}
-	}
-	return m.fallback[c]
-}
+func (m *LatencyModel) Latency(c isa.FUClass) float64 { return m.lat[c] }
 
 // EstimateBlockTime predicts one execution of a basic block with the
 // interval model, mirroring the in-order pipeline: ALU-class instructions

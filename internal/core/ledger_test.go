@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"log/slog"
+	"strings"
 	"testing"
 
 	"photon/internal/obs"
@@ -23,9 +24,9 @@ func TestDecisionLedger(t *testing.T) {
 	g := gpu.New(smallGPU())
 	ph := MustNew(smallGPU(), testParams(), AllLevels())
 	flight := obs.NewFlightRecorder(64)
-	g.SetFlight(flight)
 	var logBuf bytes.Buffer
-	g.SetLog(obs.NewJSONLogger(&logBuf, slog.LevelDebug))
+	g.SetLog(obs.NewLogger(obs.Fanout(
+		slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug}), flight.Handler())))
 
 	var modes []string
 	for _, l := range app.Launches {
@@ -78,12 +79,21 @@ func TestDecisionLedger(t *testing.T) {
 		t.Logf("modes: %v (no kernel-sampling match in this configuration)", modes)
 	}
 
-	// The flight recorder saw one tier event per kernel.
+	// The flight recorder saw one tier event per kernel, each the very
+	// record the Debug logger got: same message, the decision's tier, the
+	// launch index as value.
 	tierEvents := 0
 	for _, ev := range flight.Snapshot() {
-		if ev.Kind == "tier" {
-			tierEvents++
+		if ev.Kind != "tier" {
+			continue
 		}
+		if i := int(ev.Value); i >= len(decs) || ev.Tier != decs[i].Tier || !strings.HasSuffix(ev.Msg, decs[i].Kernel) {
+			t.Errorf("ring tier event %+v matches no decision", ev)
+		}
+		if !strings.Contains(logBuf.String(), `"msg":"`+ev.Msg+`"`) {
+			t.Errorf("ring message %q not in the log", ev.Msg)
+		}
+		tierEvents++
 	}
 	if want := len(app.Launches); tierEvents != want && flight.Cap() >= want {
 		t.Errorf("flight recorder has %d tier events, want %d", tierEvents, want)
@@ -115,8 +125,9 @@ func TestDecisionLedgerDeterministic(t *testing.T) {
 
 	wired := gpu.New(smallGPU())
 	wired.SetMetrics(obs.NewRegistry())
-	wired.SetFlight(obs.NewFlightRecorder(32))
-	wired.SetLog(obs.NewJSONLogger(&bytes.Buffer{}, slog.LevelDebug))
+	wired.SetLog(obs.NewLogger(obs.Fanout(
+		slog.NewJSONHandler(&bytes.Buffer{}, &slog.HandlerOptions{Level: slog.LevelDebug}),
+		obs.NewFlightRecorder(32).Handler())))
 	r2, err := MustNew(smallGPU(), testParams(), AllLevels()).RunKernel(wired, app2.Launches[0])
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"photon/internal/sim/event"
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/kernel"
+	"photon/internal/sim/timing"
 	"photon/internal/stats"
 )
 
@@ -143,9 +144,10 @@ func (p *Photon) History() *History { return p.history }
 // recordKernel appends the decision to the ledger and publishes the
 // per-kernel telemetry into the sinks the GPU carries: which tier produced
 // the result and how its instructions split between detailed simulation and
-// prediction go to g.Metrics(), one bounded-ring event to g.Flight() (so a
-// wedged daemon can replay the controller's recent choices) and a Debug
-// record with detector evidence to g.Log(). Unattached sinks are nil no-ops.
+// prediction go to g.Metrics(), and one Debug record of kind "tier" with the
+// detector evidence to g.Log() — which a flight ring composed into the logger
+// keeps, so a wedged daemon can replay the controller's recent choices.
+// Unattached sinks are nil no-ops.
 func (p *Photon) recordKernel(g *gpu.GPU, name string, profile *Profile, r gpu.KernelResult, dec TierDecision) {
 	dec.Kernel = name
 	dec.Index = p.launches
@@ -166,14 +168,12 @@ func (p *Photon) recordKernel(g *gpu.GPU, name string, profile *Profile, r gpu.K
 	}
 	reg.Counter("photon_insts_sampled_total").Add(profile.SampledInsts)
 
-	g.Flight().RecordEvent(obs.FlightEvent{
-		Kind: "tier", Tier: r.Mode, Msg: dec.Kernel, Value: float64(dec.Index),
-	})
 	if log := g.Log(); log.Enabled(slog.LevelDebug) {
-		log.Debug("kernel tier decision",
-			slog.String("kernel", dec.Kernel),
-			slog.Int("index", dec.Index),
+		log.Debug("tier decision: "+dec.Kernel,
+			obs.Kind("tier"),
 			slog.String("tier", dec.Tier),
+			slog.Int("value", dec.Index),
+			slog.String("kernel", dec.Kernel),
 			slog.Uint64("insts", dec.Insts),
 			slog.Uint64("detailed_insts", dec.DetailedInsts),
 			slog.Float64("predicted_cycles", dec.PredictedCycles),
@@ -235,19 +235,26 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	// initially-resident warp slot turned over), so the recorded means are
 	// not dominated by the cold-start transient.
 	minRetires := g.Config().Compute.NumCUs * g.Config().Compute.WarpSlotsPerCU()
-	latTab := &stats.LatencyTable{}
-	obs := stats.MultiObserver{latTab}
 	var bbT *bbTracker
 	if p.levels.BB {
 		bbT = newBBTracker(profile, p.params, minRetires)
 		bbT.setMetrics(g.Metrics())
-		obs = append(obs, bbT)
 	}
 	var wT *warpTracker
 	if p.levels.Warp && profile.GPU.DominantShare >= p.params.DominantWarpShare {
 		wT = newWarpTracker(p.params, minRetires)
 		wT.setMetrics(g.Metrics())
-		obs = append(obs, wT)
+	}
+	// Attach only the armed trackers: one directly, both through a fan-out,
+	// none as a nil observer (the timing machine's no-op).
+	var obs timing.Observer
+	switch {
+	case bbT != nil && wT != nil:
+		obs = stats.MultiObserver{bbT, wT}
+	case bbT != nil:
+		obs = bbT
+	case wT != nil:
+		obs = wT
 	}
 	gate := func() bool {
 		return (wT != nil && wT.triggered) || (bbT != nil && bbT.triggered)
@@ -281,7 +288,7 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		// Basic-block-sampling (Figure 7, step 3): functionally simulate
 		// the remaining warps and accumulate their blocks' predicted times.
 		result.Mode = "bb-sampling"
-		lm := NewLatencyModel(latTab, g.Config().Compute, p.params.DefaultMemLatency)
+		lm := NewLatencyModel(res, g.Config().Compute, p.params.DefaultMemLatency)
 		durations := make([]float64, 0, l.NumWorkgroups-res.NextWG)
 		insts := res.InstCount
 		var grp emu.Group

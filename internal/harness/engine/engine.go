@@ -56,17 +56,15 @@ type JobMeta struct {
 
 // Instrumentation carries the engine's optional telemetry sinks. The zero
 // value disables them all: a nil registry yields no-op metric handles, a
-// nil trace buffer swallows span emission, a nil logger and flight
-// recorder are inert.
+// nil trace buffer swallows span emission, a nil logger is inert.
 type Instrumentation struct {
 	Metrics *obs.Registry
 	Trace   *obs.TraceBuffer
 	// Log receives one Debug record per job completion (worker, wall,
-	// outcome). Per-job records stay at Debug so the default Info level is
-	// silent through a sweep.
+	// outcome) and one Warn record of kind "job" per failure. Per-job
+	// records stay at Debug so the default Info level is silent through a
+	// sweep.
 	Log *obs.Logger
-	// Flight records job failures (kind "job") into the bounded ring.
-	Flight *obs.FlightRecorder
 }
 
 // enginePID is the trace-event process id under which engine job spans are
@@ -151,12 +149,9 @@ func RunObserved[T any](ctx context.Context, parallel int, tasks []Task[T], ins 
 				busy[w] += wall
 				if r.err != nil {
 					jobsErr.Inc()
-					ins.Flight.RecordEvent(obs.FlightEvent{
-						Kind: "job", Msg: "engine job failed", Value: float64(i),
-					})
 					if ins.Log.Enabled(slog.LevelWarn) {
 						ins.Log.Warn("engine job failed",
-							slog.Int("job", i), slog.Int("worker", w),
+							obs.Kind("job"), slog.Int("value", i), slog.Int("worker", w),
 							slog.Duration("wall", wall), slog.String("error", r.err.Error()))
 					}
 					cancel()

@@ -55,12 +55,10 @@ type Options struct {
 	Trace *obs.TraceBuffer
 	// Log, when non-nil, receives structured records from the engine, the
 	// timing machines and the Photon controller. Logging is exempt from the
-	// byte-identical guarantee (it goes to stderr or a hub, never stdout),
-	// and at the default Info level the per-kernel paths emit nothing.
+	// byte-identical guarantee (it goes to stderr, a hub or a flight ring
+	// composed into the logger, never stdout), and at the default Info level
+	// the per-kernel paths emit nothing.
 	Log *obs.Logger
-	// Flight, when non-nil, records tier decisions and engine job events
-	// into the bounded ring (always cheap; see obs.FlightRecorder).
-	Flight *obs.FlightRecorder
 	// Accuracy, when non-nil, receives one ledger record per kernel launch
 	// of every sampled run (the accuracy.jsonl artifact).
 	Accuracy *AccuracySink

@@ -85,16 +85,18 @@ func TestFig13MatchesGolden(t *testing.T) {
 	o.Baselines = NewBaselineCache()
 	o.JSON = NewJSONSink(&jsonl)
 	// The acceptance bar for the observability layer: default-level (Info)
-	// structured logging and the always-on flight recorder attached, output
-	// still byte-identical to the pre-observability goldens.
+	// structured logging and the always-on flight recorder composed into the
+	// same logger, output still byte-identical to the pre-observability
+	// goldens.
 	var logBuf bytes.Buffer
-	o.Log = obs.NewTextLogger(&logBuf, slog.LevelInfo)
-	o.Flight = obs.NewFlightRecorder(1024)
+	flight := obs.NewFlightRecorder(1024)
+	o.Log = obs.NewLogger(obs.Fanout(
+		slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelInfo}), flight.Handler()))
 	o.Accuracy = NewAccuracySink(io.Discard)
 	if err := Fig13(&txt, o); err != nil {
 		t.Fatal(err)
 	}
-	if o.Flight.Total() == 0 {
+	if flight.Total() == 0 {
 		t.Error("flight recorder recorded nothing during the sweep")
 	}
 	// photon-bench prints a blank separator line after each experiment; the

@@ -61,7 +61,6 @@ type AppObs struct {
 	Metrics *obs.Registry
 	Trace   *obs.TraceBuffer
 	Log     *obs.Logger
-	Flight  *obs.FlightRecorder
 	// TID is the trace-span thread id for this run (callers running apps
 	// concurrently pass distinct tids so spans do not overlap).
 	TID int
@@ -74,8 +73,8 @@ type AppObs struct {
 // RunAppInstrumented runs the app with the observability bundle attached.
 // The sinks ride on the GPU every RunKernel receives: its memory hierarchy
 // and timing machines publish into ao.Metrics and log through ao.Log, and a
-// runner that publishes telemetry (Photon) reads them, plus ao.Flight, from
-// the GPU — so a wrapper around the runner cannot hide them. Every kernel
+// runner that publishes telemetry (Photon) reads them from the GPU — so a
+// wrapper around the runner cannot hide them. Every kernel
 // emits one Chrome trace span onto thread ao.TID of the simulation track.
 // The runner's tier ledger, when it keeps one, is returned in
 // AppResult.Decisions; a caller that wraps its runner reads the ledger from
@@ -92,7 +91,6 @@ func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App,
 		g.SetMetrics(ao.Metrics)
 	}
 	g.SetLog(ao.Log)
-	g.SetFlight(ao.Flight)
 	ao.Trace.NameProcess(simPID, "simulation")
 	res := AppResult{Runner: runner.Name()}
 	for _, l := range app.Launches {

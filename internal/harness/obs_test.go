@@ -39,8 +39,9 @@ func runObservedSweep(t *testing.T, parallel int) (string, []Record, []byte, []b
 	// The full pillar set rides along so the determinism test below also
 	// proves that debug-level logging, the flight recorder and the accuracy
 	// ledger never perturb the byte-identical outputs.
-	o.Log = obs.NewJSONLogger(io.Discard, slog.LevelDebug)
-	o.Flight = obs.NewFlightRecorder(256)
+	flight := obs.NewFlightRecorder(256)
+	o.Log = obs.NewLogger(obs.Fanout(
+		slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug}), flight.Handler()))
 	o.Accuracy = NewAccuracySink(io.Discard)
 	if err := o.RunSweep(&text, detSweep(o)); err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func runObservedSweep(t *testing.T, parallel int) (string, []Record, []byte, []b
 	if o.Accuracy.Kernels() == 0 {
 		t.Fatal("accuracy sink saw no kernels")
 	}
-	if o.Flight.Total() == 0 {
+	if flight.Total() == 0 {
 		t.Fatal("flight recorder saw no events")
 	}
 	FinalizeMetrics(o.Metrics)

@@ -83,7 +83,7 @@ func (o Options) RunSweep(w io.Writer, s Sweep) error {
 				}
 				built := f.New(s.Config)
 				res, err := RunAppInstrumented(ctx, s.Config, app, o.wrap(built), AppObs{
-					Metrics: o.Metrics, Trace: o.Trace, Log: o.Log, Flight: o.Flight, TID: tid,
+					Metrics: o.Metrics, Trace: o.Trace, Log: o.Log, TID: tid,
 				})
 				if err != nil {
 					return Comparison{}, err
@@ -93,7 +93,7 @@ func (o Options) RunSweep(w io.Writer, s Sweep) error {
 			})
 		}
 	}
-	ins := engine.Instrumentation{Metrics: o.Metrics, Trace: o.Trace, Log: o.Log, Flight: o.Flight}
+	ins := engine.Instrumentation{Metrics: o.Metrics, Trace: o.Trace, Log: o.Log}
 	return engine.RunObserved(o.ctx(), o.Parallel, tasks, ins,
 		func(_ int, c Comparison, meta engine.JobMeta) error {
 			c = o.normalize(c)

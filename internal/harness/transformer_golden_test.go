@@ -2,10 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"photon/internal/obs"
 )
 
 // The transformer golden files pin the quick transformer/training-step
@@ -27,8 +31,9 @@ const (
 var xfmrRunnerOrder = []string{"full", "kernel-sampling", "photon"}
 
 // runTransformerQuick runs the quick transformer envelope and returns the
-// text, JSONL and accuracy-ledger bytes as photon-bench would emit them.
-func runTransformerQuick(t *testing.T, parallel int) (txt, jsonl, acc []byte) {
+// text, JSONL and accuracy-ledger bytes as photon-bench would emit them. log
+// may be nil (unobserved).
+func runTransformerQuick(t *testing.T, parallel int, log *obs.Logger) (txt, jsonl, acc []byte) {
 	t.Helper()
 	var txtBuf, jsonBuf, accBuf bytes.Buffer
 	o := DefaultOptions()
@@ -38,6 +43,7 @@ func runTransformerQuick(t *testing.T, parallel int) (txt, jsonl, acc []byte) {
 	o.Baselines = NewBaselineCache()
 	o.JSON = NewJSONSink(&jsonBuf)
 	o.Accuracy = NewAccuracySink(&accBuf)
+	o.Log = log
 	if err := TransformerEnvelope(&txtBuf, o); err != nil {
 		t.Fatal(err)
 	}
@@ -138,19 +144,32 @@ func regenOrCompare(t *testing.T, path string, got []byte, what string) {
 // TestTransformerMatchesGolden re-runs the quick transformer envelope
 // serially and with 4 workers: the serial artifacts must match the committed
 // goldens byte-for-byte and the 4-worker run must match the serial one (the
-// ledger is emitted in plan order, so worker count must not reorder it).
+// ledger is emitted in plan order, so worker count must not reorder it) —
+// with a Debug logger and a flight ring composed into it, so the run also
+// proves that the one control-plane record never perturbs an artifact.
 // The quick stack is small, so unlike fig13 this runs in every `go test`.
 func TestTransformerMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick transformer sweep")
 	}
-	txt, jsonl, acc := runTransformerQuick(t, 1)
+	txt, jsonl, acc := runTransformerQuick(t, 1, nil)
 	regenOrCompare(t, xfmrGoldenTxt, txt, "transformer text output")
 	regenOrCompare(t, xfmrGoldenJSONL, jsonl, "transformer JSONL records")
 	regenOrCompare(t, xfmrGoldenAcc, acc, "transformer accuracy ledger")
 
-	ptxt, pjsonl, pacc := runTransformerQuick(t, 4)
+	flight := obs.NewFlightRecorder(1024)
+	ptxt, pjsonl, pacc := runTransformerQuick(t, 4, obs.NewLogger(obs.Fanout(
+		slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug}), flight.Handler())))
 	if !bytes.Equal(txt, ptxt) || !bytes.Equal(jsonl, pjsonl) || !bytes.Equal(pacc, acc) {
-		t.Error("4-worker transformer sweep is not byte-identical to the serial run")
+		t.Error("observed 4-worker transformer sweep is not byte-identical to the serial run")
+	}
+	tiers := map[string]int{}
+	for _, ev := range flight.Snapshot() {
+		if ev.Kind == "tier" {
+			tiers[ev.Tier]++
+		}
+	}
+	if tiers["kernel-sampling"] == 0 {
+		t.Errorf("flight ring holds no kernel-sampling tier record: %v", tiers)
 	}
 }

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"context"
 	"io"
 	"log/slog"
 	"testing"
+	"time"
 
 	"photon/internal/testutil"
 )
@@ -47,16 +49,32 @@ func TestDisabledLoggerZeroAlloc(t *testing.T) {
 }
 
 // TestFlightRecordZeroAlloc pins the always-on flight-recorder hot path:
-// recording into the preallocated ring must not allocate, so components
-// can leave it enabled in production paths.
+// recording into the preallocated ring must not allocate — neither the
+// RecordEvent primitive nor the log-record handler in front of it, for a
+// record whose attrs fit slog's inline five — so components can leave the
+// ring attached in production paths.
 func TestFlightRecordZeroAlloc(t *testing.T) {
 	f := NewFlightRecorder(256)
 	ev := FlightEvent{Kind: "tier", Tier: "bb-sampling", Job: "cafe", Value: 7}
 	var nilRec *FlightRecorder
 	testutil.MustZeroAllocs(t, "obs flight-record path", func() {
 		f.RecordEvent(ev)
-		f.Record("sched", "admit")
 		nilRec.RecordEvent(ev)
-		nilRec.Record("sched", "admit")
 	})
+
+	h := f.Handler().WithAttrs([]slog.Attr{slog.String("job", "cafe")})
+	rec := slog.NewRecord(time.Now(), slog.LevelDebug, "tier decision: conv1", 0)
+	rec.AddAttrs(Kind("tier"), slog.String("tier", "bb-sampling"), slog.Int("value", 7),
+		slog.String("kernel", "conv1"), slog.Uint64("insts", 4096))
+	plain := slog.NewRecord(time.Now(), slog.LevelInfo, "no kind: not the ring's", 0)
+	plain.AddAttrs(slog.Int("job", 3))
+	ctx := context.Background()
+	before := f.Total()
+	testutil.MustZeroAllocs(t, "obs flight-handler path", func() {
+		_ = h.Handle(ctx, rec)
+		_ = h.Handle(ctx, plain)
+	})
+	if f.Total() == before {
+		t.Fatal("handler recorded nothing")
+	}
 }

@@ -1,23 +1,29 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
 	"time"
 )
 
-// Flight recorder: an always-on bounded ring of recent structured events.
-// Components record tier decisions, detector verdicts, scheduler
-// admissions, and job lifecycle transitions as they happen; when a daemon
-// wedges or panics, the last capacity events explain its recent past
-// without a restart or a debugger. The ring is fixed at construction and
-// recording into it never allocates, so it is cheap enough to leave on in
-// production paths (see alloc_test.go for the pinned guarantee).
+// Flight recorder: an always-on bounded ring of recent control-plane
+// events. It is one sink of the log record, next to stderr and a job's SSE
+// hub: components say a fact once through their Logger, and Handler keeps
+// the records that carry a Kind attr — tier decisions, scheduler admissions,
+// job lifecycle transitions, drain phases, panics. When a daemon wedges or
+// panics, the last capacity events explain its recent past without a restart
+// or a debugger. The ring is fixed at construction and recording into it
+// never allocates, so it is cheap enough to leave on in production paths
+// (see alloc_test.go for the pinned guarantee).
 
-// FlightEvent is one entry in the recorder. Fields beyond Kind/Msg are
-// optional; zero values are omitted from JSON.
+// FlightEvent is one entry in the recorder: the time and message of a log
+// record plus the four attrs the ring keeps ("kind", "job", "tier",
+// "value"). Fields beyond Kind/Msg are optional; zero values are omitted
+// from JSON.
 type FlightEvent struct {
 	// Seq is the event's global sequence number (1-based, monotonically
 	// increasing, never reset). Seq minus the ring capacity tells how many
@@ -92,9 +98,85 @@ func (f *FlightRecorder) RecordEvent(ev FlightEvent) {
 	f.mu.Unlock()
 }
 
-// Record is shorthand for RecordEvent with just a kind and message.
-func (f *FlightRecorder) Record(kind, msg string) {
-	f.RecordEvent(FlightEvent{Kind: kind, Msg: msg})
+// Kind is the attr that routes a log record into the flight ring as well:
+// Handler keeps exactly the records that carry it.
+func Kind(kind string) slog.Attr { return slog.String("kind", kind) }
+
+// Handler returns the ring as a slog.Handler, to be composed with the other
+// sinks under Fanout (nil for the nil recorder, which Fanout drops). It is
+// enabled at every level, ignores records without a "kind" attr, and copies
+// the rest — time, message, and the string attrs "kind", "job", "tier" and
+// numeric attr "value", whether on the record or bound by With — into the
+// next ring slot without allocating.
+func (f *FlightRecorder) Handler() slog.Handler {
+	if f == nil {
+		return nil
+	}
+	return flightHandler{ring: f}
+}
+
+// flightHandler adapts log records onto RecordEvent. bound holds the ring
+// attrs a Logger.With scope carries (a job-scoped logger's job hash).
+type flightHandler struct {
+	ring  *FlightRecorder
+	bound FlightEvent
+}
+
+func (h flightHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h flightHandler) Handle(_ context.Context, r slog.Record) error {
+	ev := h.bound
+	r.Attrs(func(a slog.Attr) bool {
+		ev.setAttr(a)
+		return true
+	})
+	if ev.Kind == "" {
+		return nil
+	}
+	if !r.Time.IsZero() {
+		ev.TS = r.Time.UnixNano()
+	}
+	ev.Msg = r.Message
+	h.ring.RecordEvent(ev)
+	return nil
+}
+
+func (h flightHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	for _, a := range attrs {
+		h.bound.setAttr(a)
+	}
+	return h
+}
+
+func (h flightHandler) WithGroup(string) slog.Handler { return h }
+
+// setAttr copies a into ev when it is one of the attrs the ring keeps. An
+// attr of another type under one of those keys (the engine's integer "job"
+// index) is not the ring's and is skipped rather than formatted.
+func (ev *FlightEvent) setAttr(a slog.Attr) {
+	v := a.Value
+	if a.Key == "value" {
+		switch v.Kind() {
+		case slog.KindFloat64:
+			ev.Value = v.Float64()
+		case slog.KindInt64:
+			ev.Value = float64(v.Int64())
+		case slog.KindUint64:
+			ev.Value = float64(v.Uint64())
+		}
+		return
+	}
+	if v.Kind() != slog.KindString {
+		return
+	}
+	switch a.Key {
+	case "kind":
+		ev.Kind = v.String()
+	case "job":
+		ev.Job = v.String()
+	case "tier":
+		ev.Tier = v.String()
+	}
 }
 
 // Snapshot returns the recorded events oldest-first. The slice is a copy;

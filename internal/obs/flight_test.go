@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -41,8 +42,8 @@ func TestFlightRecorderWraparound(t *testing.T) {
 
 func TestFlightRecorderPartialFill(t *testing.T) {
 	f := NewFlightRecorder(64)
-	f.Record("a", "first")
-	f.Record("b", "second")
+	f.RecordEvent(FlightEvent{Kind: "a", Msg: "first"})
+	f.RecordEvent(FlightEvent{Kind: "b", Msg: "second"})
 	evs := f.Snapshot()
 	if len(evs) != 2 {
 		t.Fatalf("Snapshot() returned %d events, want 2", len(evs))
@@ -63,7 +64,7 @@ func TestFlightRecorderMinimumCapacity(t *testing.T) {
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
-	f.Record("k", "dropped")
+	f.RecordEvent(FlightEvent{Kind: "k", Msg: "dropped"})
 	f.RecordEvent(FlightEvent{Kind: "k"})
 	if f.Snapshot() != nil || f.Total() != 0 || f.Cap() != 0 {
 		t.Fatal("nil recorder must be inert")
@@ -142,5 +143,63 @@ func TestFlightDumpText(t *testing.T) {
 	}
 	if strings.Count(out, "\n") != 4 { // header + 3 events
 		t.Fatalf("want 4 lines, got: %s", out)
+	}
+}
+
+// TestFlightHandlerIsALogSink: the ring composed under Fanout next to a
+// stderr-style sink sees the same records, keeps exactly those that carry a
+// kind — at any level, whatever the other sink's threshold — and copies the
+// record's time and message plus the kind/job/tier/value attrs, including
+// the ones a Logger.With scope binds.
+func TestFlightHandlerIsALogSink(t *testing.T) {
+	f := NewFlightRecorder(16)
+	var text bytes.Buffer
+	l := NewLogger(Fanout(
+		slog.NewTextHandler(&text, &slog.HandlerOptions{Level: slog.LevelInfo}),
+		f.Handler(),
+	))
+	if !l.Enabled(slog.LevelDebug) {
+		t.Fatal("an attached ring must enable Debug: tier decisions are Debug records")
+	}
+	l.Info("no kind: log only", slog.String("job", "cafe"))
+	job := l.With(slog.String("job", "cafef00dcafef00d"))
+	job.Debug("tier decision: conv1", Kind("tier"), slog.String("tier", "bb-sampling"),
+		slog.Int("value", 3), slog.String("kernel", "conv1"))
+	job.Warn("engine job failed", Kind("job"), slog.Int("value", 2), slog.Int("job", 9))
+	l.Info("done", Kind("sched"), slog.String("job", "beef"), slog.Float64("value", 1.5))
+
+	evs := f.Snapshot()
+	want := []FlightEvent{
+		{Kind: "tier", Msg: "tier decision: conv1", Job: "cafef00dcafef00d", Tier: "bb-sampling", Value: 3},
+		{Kind: "job", Msg: "engine job failed", Job: "cafef00dcafef00d", Value: 2},
+		{Kind: "sched", Msg: "done", Job: "beef", Value: 1.5},
+	}
+	if len(evs) != len(want) {
+		t.Fatalf("ring kept %d records, want %d: %+v", len(evs), len(want), evs)
+	}
+	for i, ev := range evs {
+		if ev.TS == 0 || ev.Seq != uint64(i+1) {
+			t.Errorf("event %d: seq/ts not stamped: %+v", i, ev)
+		}
+		ev.Seq, ev.TS = 0, 0
+		if ev != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, ev, want[i])
+		}
+	}
+	// One wording, two sinks: every Info+ ring message is in the text sink
+	// too, and the Debug one is not (the sinks keep their own thresholds).
+	for _, msg := range []string{"no kind: log only", "engine job failed", "msg=done"} {
+		if !strings.Contains(text.String(), msg) {
+			t.Errorf("text sink missing %q:\n%s", msg, text.String())
+		}
+	}
+	if strings.Contains(text.String(), "tier decision") {
+		t.Errorf("Info-level text sink got a Debug record:\n%s", text.String())
+	}
+
+	// The nil recorder contributes no handler; alone it is the no-op logger.
+	var none *FlightRecorder
+	if NewLogger(Fanout(none.Handler())) != nil {
+		t.Error("Fanout of a nil ring must collapse to the nil logger")
 	}
 }

@@ -19,10 +19,12 @@ import (
 // itself recommends: the variadic attr slice is materialized by the caller,
 // so only the guard keeps a disabled level allocation-free.
 
-// Logger routes records to a slog.Handler. Levels live in the handler(s):
-// a Fanout of a text handler at Info and a hub handler at Debug gives each
-// sink its own threshold, and Enabled reports true when any sink wants the
-// record.
+// Logger routes records to a slog.Handler. The record is the one
+// control-plane event: stderr, a job's SSE hub and the flight ring
+// (FlightRecorder.Handler) are all handlers under one Fanout. Levels live in
+// the handler(s): a text handler at Info next to a hub handler at Debug gives
+// each sink its own threshold, and Enabled reports true when any sink wants
+// the record.
 type Logger struct {
 	h slog.Handler
 
@@ -166,14 +168,21 @@ func (l *Logger) Error(msg string, attrs ...slog.Attr) { l.Log(slog.LevelError, 
 
 // Fanout combines handlers into one: Enabled when any is, Handle delivers
 // to each handler that wants the record's level. It is how one Logger
-// serves sinks with different thresholds (stderr at Info, an SSE hub at
-// Debug).
+// serves sinks with different thresholds (stderr at Info, an SSE hub and
+// the flight ring at Debug). Nil handlers are dropped; with none left the
+// result is nil, which NewLogger turns into the no-op logger.
 func Fanout(handlers ...slog.Handler) slog.Handler {
 	hs := make([]slog.Handler, 0, len(handlers))
 	for _, h := range handlers {
 		if h != nil {
 			hs = append(hs, h)
 		}
+	}
+	switch len(hs) {
+	case 0:
+		return nil
+	case 1:
+		return hs[0]
 	}
 	return fanoutHandler(hs)
 }

@@ -127,6 +127,9 @@ type Event struct {
 	// Seq is the hub-assigned sequence number (1, 2, …), carried on the wire
 	// as the SSE `id:` field rather than in the JSON payload; a reconnecting
 	// client sends it back as Last-Event-ID to resume instead of replaying.
+	// A job retains its last 4096 events for replay (the terminal "result"
+	// always among them): a stream that starts, or resumes, at an id higher
+	// than the one asked for has had older events trimmed.
 	Seq uint64 `json:"-"`
 
 	Type  string  `json:"type"`            // "state" | "span" | "log" | "result"

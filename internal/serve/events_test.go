@@ -92,3 +92,55 @@ func TestHubResumeAfterClose(t *testing.T) {
 		t.Fatalf("post-close resume replay = %+v, want the terminal event only", replay)
 	}
 }
+
+// TestHubReplayIsBounded: a hub retains the last hubReplay events, not the
+// job's whole history. A late subscriber gets exactly that window with
+// contiguous, still-monotonic sequence numbers and the terminal event last;
+// a Last-Event-ID from before the window clamps to its oldest event, one
+// from inside it resumes exactly.
+func TestHubReplayIsBounded(t *testing.T) {
+	h := newEventHub()
+	const extra = 37
+	const total = hubReplay + extra
+	for i := 1; i < total; i++ {
+		h.publish(Event{Type: "log", Msg: fmt.Sprintf("ev-%d", i)})
+	}
+	h.publish(Event{Type: "result", State: StateDone})
+	h.close()
+	if len(h.past) != hubReplay {
+		t.Fatalf("hub retains %d events, want the cap %d", len(h.past), hubReplay)
+	}
+
+	for _, tc := range []struct {
+		after uint64
+		first uint64 // Seq of the first replayed event
+	}{
+		{0, extra + 1},             // late subscriber: the last hubReplay events
+		{5, extra + 1},             // resume point trimmed away: clamp to the oldest retained
+		{extra, extra + 1},         // resume exactly at the window's edge
+		{extra + 100, extra + 101}, // resume inside the window
+		{total - 1, total},         // only the terminal event missed
+		{total, total + 1},         // nothing missed
+		{total + 50, total + 1},    // id from the future
+	} {
+		replay, live, cancel := h.subscribeFrom(tc.after)
+		cancel()
+		if live != nil {
+			t.Fatal("live channel not nil after hub close")
+		}
+		if got, want := len(replay), int(total+1-tc.first); got != want {
+			t.Fatalf("subscribeFrom(%d) replayed %d events, want %d", tc.after, got, want)
+		}
+		for i, ev := range replay {
+			if ev.Seq != tc.first+uint64(i) {
+				t.Fatalf("subscribeFrom(%d) replay[%d].Seq = %d, want %d", tc.after, i, ev.Seq, tc.first+uint64(i))
+			}
+			if ev.Seq < total && ev.Msg != fmt.Sprintf("ev-%d", ev.Seq) {
+				t.Fatalf("subscribeFrom(%d) replay[%d] = %+v: wrong event under that number", tc.after, i, ev)
+			}
+		}
+		if n := len(replay); n > 0 && replay[n-1].Type != "result" {
+			t.Fatalf("subscribeFrom(%d): replay does not end with the terminal event: %+v", tc.after, replay[n-1])
+		}
+	}
+}

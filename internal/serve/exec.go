@@ -14,9 +14,9 @@ import (
 
 // hubLogHandler adapts slog records into a job's SSE stream as
 // Event{Type: "log"} messages. It runs as one sink of a Fanout next to the
-// daemon's own handler, with its own level threshold, so a client tailing
-// `photon-ctl logs <job>` can see Debug records while the daemon's stderr
-// stays at Info.
+// daemon's own handlers (stderr, flight ring), with its own level threshold,
+// so a client tailing `photon-ctl logs <job>` can see Debug records while the
+// daemon's stderr stays at Info.
 type hubLogHandler struct {
 	level   slog.Level
 	publish func(Event)
@@ -50,22 +50,16 @@ func (h hubLogHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
 func (h hubLogHandler) WithGroup(string) slog.Handler { return h }
 
 // jobLogger builds the execution-scoped logger: the daemon's base handler
-// (whatever level the operator chose) fanned out with the job's SSE hub at
-// Debug, every record tagged with the job's short hash. The hub sink is
-// rate-limited so a full-detailed run's per-kernel records cannot flood
-// slow SSE consumers.
+// (the operator's stderr level, plus the flight ring) fanned out with the
+// job's SSE hub at Debug, every record tagged with the job's short hash. The
+// logger is rate-limited so a full-detailed run's per-kernel records cannot
+// flood slow SSE consumers.
 func jobLogger(h Hooks) *obs.Logger {
-	var handlers []slog.Handler
-	if base := h.Log.Handler(); base != nil {
-		handlers = append(handlers, base)
-	}
+	var hub slog.Handler
 	if h.Progress != nil {
-		handlers = append(handlers, hubLogHandler{level: slog.LevelDebug, publish: h.Progress})
+		hub = hubLogHandler{level: slog.LevelDebug, publish: h.Progress}
 	}
-	if len(handlers) == 0 {
-		return nil
-	}
-	lg := obs.NewLogger(obs.Fanout(handlers...))
+	lg := obs.NewLogger(obs.Fanout(h.Log.Handler(), hub))
 	if h.Job != "" {
 		lg = lg.With(slog.String("job", h.Job))
 	}
@@ -81,11 +75,11 @@ const hubLogBudget = 512
 // a one-point SimSweep. Each execution gets a private TraceBuffer whose
 // events feed the job's progress stream, a job-scoped structured logger
 // teeing into the same stream, and a private accuracy ledger returned in
-// Output.Accuracy; the shared baseline cache, metrics registry and flight
-// recorder flow in through Hooks. The text artifact reproduces photon-bench
-// stdout byte-for-byte (header, rows, and the blank line photon-bench
-// prints after each experiment), so a served result diffs clean against the
-// CLI's.
+// Output.Accuracy; the shared baseline cache, metrics registry and daemon
+// logger (flight ring included) flow in through Hooks. The text artifact
+// reproduces photon-bench stdout byte-for-byte (header, rows, and the blank
+// line photon-bench prints after each experiment), so a served result diffs
+// clean against the CLI's.
 func HarnessExecutor() Executor {
 	return func(ctx context.Context, req JobRequest, h Hooks) (Output, error) {
 		o := harness.DefaultOptions()
@@ -102,7 +96,6 @@ func HarnessExecutor() Executor {
 		o.Metrics = h.Metrics
 		o.Context = ctx
 		o.Log = jobLogger(h)
-		o.Flight = h.Flight
 
 		// Per-execution trace: spans double as live progress events. The
 		// buffer itself is discarded with the execution — the service keeps

@@ -12,6 +12,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -84,15 +85,76 @@ func TestHTTPMetricsContentNegotiation(t *testing.T) {
 	}
 }
 
+// logCapture is a Debug-level log sink that counts the (kind, msg) of every
+// record it is handed — the "is it in the log?" side of the one-record
+// contract the flight ring is the other side of.
+type logCapture struct {
+	mu   sync.Mutex
+	seen map[[2]string]int
+}
+
+type captureHandler struct {
+	c    *logCapture
+	kind string // bound by WithAttrs
+}
+
+func (h captureHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h captureHandler) Handle(_ context.Context, r slog.Record) error {
+	kind := h.kind
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "kind" {
+			kind = a.Value.String()
+		}
+		return true
+	})
+	h.c.mu.Lock()
+	defer h.c.mu.Unlock()
+	if h.c.seen == nil {
+		h.c.seen = map[[2]string]int{}
+	}
+	h.c.seen[[2]string{kind, r.Message}]++
+	return nil
+}
+
+func (h captureHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	for _, a := range attrs {
+		if a.Key == "kind" {
+			h.kind = a.Value.String()
+		}
+	}
+	return h
+}
+
+func (h captureHandler) WithGroup(string) slog.Handler { return h }
+
+func (c *logCapture) logger() *obs.Logger { return obs.NewLogger(captureHandler{c: c}) }
+
+// mustHoldRing fails the test for every flight event whose (kind, msg) the
+// log sink never saw: the ring is a sink of the log record, so it can hold
+// nothing the log was not also offered, under the same wording.
+func (c *logCapture) mustHoldRing(t *testing.T, ring []obs.FlightEvent) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ev := range ring {
+		if c.seen[[2]string{ev.Kind, ev.Msg}] == 0 {
+			t.Errorf("flight event [%s] %q never reached the log sink", ev.Kind, ev.Msg)
+		}
+	}
+}
+
 // TestHTTPFlightEndpoint: the always-on ring is dumpable over HTTP, in JSON
 // and in the terminal text form, and carries the scheduler's lifecycle
-// events for a completed job.
+// events for a completed job — each of them a record the daemon logger got
+// too.
 func TestHTTPFlightEndpoint(t *testing.T) {
 	release := make(chan struct{})
 	close(release)
 	var runs atomic.Int64
 	flight := obs.NewFlightRecorder(128)
-	ts, sched := newTestServer(t, Config{Flight: flight, Executor: blockingExec(&runs, release)})
+	var logged logCapture
+	ts, sched := newTestServer(t, Config{Flight: flight, Log: logged.logger(), Executor: blockingExec(&runs, release)})
 
 	_, st := postJob(t, ts.URL, JobRequest{Bench: "mm"})
 	waitState(t, sched, st.ID, StateDone)
@@ -129,6 +191,7 @@ func TestHTTPFlightEndpoint(t *testing.T) {
 			t.Errorf("lifecycle %q missing from flight ring: %v", want, msgs)
 		}
 	}
+	logged.mustHoldRing(t, dump.Events)
 
 	// Text rendering, for terminals.
 	r, err = http.Get(ts.URL + "/debug/flight?format=text")
@@ -157,8 +220,9 @@ func TestHTTPFlightEndpoint(t *testing.T) {
 // leave a panic event in the flight ring, and leave the daemon serving.
 func TestExecutorPanicContained(t *testing.T) {
 	flight := obs.NewFlightRecorder(64)
+	var logged logCapture
 	var calls atomic.Int64
-	s := NewScheduler(Config{Flight: flight, Executor: func(ctx context.Context, req JobRequest, h Hooks) (Output, error) {
+	s := NewScheduler(Config{Flight: flight, Log: logged.logger(), Executor: func(ctx context.Context, req JobRequest, h Hooks) (Output, error) {
 		if calls.Add(1) == 1 {
 			panic("simulated executor crash")
 		}
@@ -185,6 +249,7 @@ func TestExecutorPanicContained(t *testing.T) {
 	if panics != 1 {
 		t.Errorf("panic events in ring = %d, want 1", panics)
 	}
+	logged.mustHoldRing(t, flight.Snapshot())
 
 	// The worker survived: the same request re-runs (failures are not
 	// cached) and completes.
@@ -359,8 +424,8 @@ func TestHarnessExecutorObservability(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	flight := obs.NewFlightRecorder(256)
-	log := obs.NewTextLogger(io.Discard, slog.LevelInfo)
-	s := NewScheduler(Config{Metrics: reg, Flight: flight, Log: log})
+	var logged logCapture
+	s := NewScheduler(Config{Metrics: reg, Flight: flight, Log: logged.logger()})
 	defer s.Drain(context.Background())
 
 	st, err := s.Submit(JobRequest{Bench: "sc", FixedWall: true})
@@ -398,16 +463,22 @@ func TestHarnessExecutorObservability(t *testing.T) {
 		}
 	}
 
-	// Tier decisions from the simulator reached the daemon's flight ring.
+	// Tier decisions from the simulator reached the daemon's flight ring,
+	// tagged with the job they belong to, and nothing is in the ring that
+	// the daemon logger was not handed as well.
 	tiers := 0
 	for _, ev := range flight.Snapshot() {
 		if ev.Kind == "tier" {
 			tiers++
+			if ev.Job != short(st.RequestHash) || ev.Tier == "" {
+				t.Errorf("tier event not joined to its job: %+v", ev)
+			}
 		}
 	}
 	if tiers == 0 {
 		t.Error("no tier events in the daemon flight ring")
 	}
+	logged.mustHoldRing(t, flight.Snapshot())
 
 	// Accuracy roll-up gauges were published to the shared registry.
 	total := 0.0

@@ -25,17 +25,16 @@ type Output struct {
 // Hooks is what the scheduler lends an executor for one run: the progress
 // sink feeding the job's SSE stream, the engine worker count, and the
 // process-wide shared state (baseline cache, metrics registry, daemon
-// logger, flight recorder).
+// logger).
 type Hooks struct {
 	Progress  func(Event)
 	Parallel  int
 	Baselines *harness.BaselineCache
 	Metrics   *obs.Registry
-	// Log is the daemon's base logger; executors derive job-scoped loggers
-	// from it (and may fan records out to the job's SSE hub as well).
+	// Log is the daemon's base logger, flight ring included; executors
+	// derive job-scoped loggers from it (and may fan records out to the
+	// job's SSE hub as well).
 	Log *obs.Logger
-	// Flight is the daemon's always-on event ring, shared across executions.
-	Flight *obs.FlightRecorder
 	// Job is the short request hash, for scoping log records.
 	Job string
 }
@@ -69,12 +68,16 @@ type Config struct {
 	// Metrics receives the serve_* counters and, through the executor, all
 	// engine and simulator telemetry. Nil disables (nil-safe handles).
 	Metrics *obs.Registry
-	// Log receives scheduler lifecycle records (admissions at Debug, state
-	// changes at Debug, failures and drain at Info/Warn). Nil disables.
+	// Log receives scheduler lifecycle records (admissions and state
+	// changes at Debug, completions, failures and drain at Info/Warn). Nil
+	// disables.
 	Log *obs.Logger
-	// Flight is the always-on bounded ring of recent scheduler events —
-	// admit/reject/coalesce/cache-hit, state transitions, drain phases —
-	// dumped via GET /debug/flight and on panic. Nil disables.
+	// Flight is the always-on bounded ring of recent control-plane events,
+	// dumped via GET /debug/flight, SIGQUIT and on panic. NewScheduler
+	// composes it into Log as one more handler, so it keeps every record
+	// that carries an obs.Kind — the scheduler's admit/reject/coalesce/
+	// cache-hit, state transitions and drain phases, and through Hooks.Log
+	// the executions' tier decisions — at any level. Nil disables.
 	Flight *obs.FlightRecorder
 	// Baselines is shared by every job; nil allocates a fresh cache.
 	Baselines *harness.BaselineCache
@@ -170,6 +173,7 @@ const maxJobs = 4096
 // NewScheduler builds a scheduler and starts its workers.
 func NewScheduler(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
+	cfg.Log = obs.NewLogger(obs.Fanout(cfg.Log.Handler(), cfg.Flight.Handler()))
 	reg := cfg.Metrics
 	s := &Scheduler{
 		cfg:   cfg,
@@ -223,10 +227,8 @@ func (s *Scheduler) Submit(req JobRequest) (JobStatus, error) {
 		j.coalesced = true
 		e.refs++
 		s.mCoalesced.Inc()
-		s.cfg.Flight.RecordEvent(obs.FlightEvent{Kind: "sched", Job: j.id, Msg: "coalesced onto in-flight execution"})
 		if s.cfg.Log.Enabled(slog.LevelDebug) {
-			s.cfg.Log.Debug("job attached to in-flight execution",
-				slog.String("job", j.id), slog.String("hash", short(hash)))
+			s.cfg.Log.Debug("coalesced onto in-flight execution", kindSched, slog.String("job", j.id))
 		}
 		return s.statusLocked(j), nil
 	}
@@ -239,17 +241,15 @@ func (s *Scheduler) Submit(req JobRequest) (JobStatus, error) {
 		j := s.newJobLocked(resurrect(hash, canonical, out))
 		j.cacheHit = true
 		s.mCacheHits.Inc()
-		s.cfg.Flight.RecordEvent(obs.FlightEvent{Kind: "sched", Job: j.id, Msg: "cache hit"})
 		if s.cfg.Log.Enabled(slog.LevelDebug) {
-			s.cfg.Log.Debug("job answered from the result store",
-				slog.String("job", j.id), slog.String("hash", short(hash)))
+			s.cfg.Log.Debug("cache hit", kindSched, slog.String("job", j.id))
 		}
 		return s.statusLocked(j), nil
 	}
 
 	if s.draining {
 		s.mRejected.Inc()
-		s.cfg.Flight.RecordEvent(obs.FlightEvent{Kind: "sched", Msg: "rejected: draining"})
+		s.cfg.Log.Info("rejected: draining", kindSched)
 		return JobStatus{}, ErrDraining
 	}
 
@@ -277,19 +277,15 @@ func (s *Scheduler) Submit(req JobRequest) (JobStatus, error) {
 	default:
 		cancel()
 		s.mRejected.Inc()
-		s.cfg.Flight.RecordEvent(obs.FlightEvent{Kind: "sched", Msg: "rejected: queue full"})
-		s.cfg.Log.Warn("job rejected: queue full")
+		s.cfg.Log.Warn("rejected: queue full", kindSched)
 		return JobStatus{}, ErrQueueFull
 	}
 	s.execs[hash] = e
 	s.gQueueDepth.Set(float64(len(s.queue)))
 	j := s.newJobLocked(e)
 	e.hub.publish(Event{Type: "state", State: StateQueued})
-	s.cfg.Flight.RecordEvent(obs.FlightEvent{Kind: "sched", Job: j.id, Msg: "admitted", Value: float64(len(s.queue))})
 	if s.cfg.Log.Enabled(slog.LevelDebug) {
-		s.cfg.Log.Debug("job admitted",
-			slog.String("job", j.id), slog.String("hash", short(hash)),
-			slog.Int("queue_depth", len(s.queue)))
+		s.cfg.Log.Debug("admitted", kindSched, slog.String("job", j.id), slog.Int("value", len(s.queue)))
 	}
 	return s.statusLocked(j), nil
 }
@@ -317,7 +313,14 @@ func resurrect(hash string, req JobRequest, out Output) *execution {
 	return e
 }
 
-// short abbreviates a request hash for log records and flight events.
+// The scheduler's two record kinds; a record carrying one lands in the
+// flight ring as well as the log (see obs.Kind).
+var (
+	kindSched = obs.Kind("sched")
+	kindDrain = obs.Kind("drain")
+)
+
+// short abbreviates a request hash for log records.
 func short(hash string) string {
 	if len(hash) > 12 {
 		return hash[:12]
@@ -381,7 +384,9 @@ func (s *Scheduler) runExecution(e *execution) {
 	s.mExecuted.Inc()
 	s.hQueueWait.Observe(e.started.Sub(e.created).Seconds())
 	e.hub.publish(Event{Type: "state", State: StateRunning})
-	s.cfg.Flight.RecordEvent(obs.FlightEvent{Kind: "sched", Job: short(e.hash), Msg: "running"})
+	if s.cfg.Log.Enabled(slog.LevelDebug) {
+		s.cfg.Log.Debug("running", kindSched, slog.String("job", short(e.hash)))
+	}
 
 	before := obs.TakeResourceSample()
 	out, err := s.execute(e)
@@ -419,11 +424,8 @@ func (s *Scheduler) execute(e *execution) (out Output, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic in executor: %v", r)
-			s.cfg.Flight.RecordEvent(obs.FlightEvent{
-				Kind: "panic", Job: short(e.hash), Msg: fmt.Sprint(r),
-			})
-			s.cfg.Log.Error("executor panicked",
-				slog.String("hash", short(e.hash)), slog.String("panic", fmt.Sprint(r)))
+			s.cfg.Log.Error(fmt.Sprintf("executor panicked: %v", r),
+				obs.Kind("panic"), slog.String("job", short(e.hash)))
 			fmt.Fprintf(os.Stderr, "photon-serve: executor panic on %s: %v\n%s",
 				short(e.hash), r, debug.Stack())
 			if s.cfg.Flight != nil {
@@ -437,7 +439,6 @@ func (s *Scheduler) execute(e *execution) (out Output, err error) {
 		Baselines: s.cfg.Baselines,
 		Metrics:   s.cfg.Metrics,
 		Log:       s.cfg.Log,
-		Flight:    s.cfg.Flight,
 		Job:       short(e.hash),
 	})
 }
@@ -468,29 +469,19 @@ func (s *Scheduler) finishLocked(e *execution, state string, out Output, err err
 	if err != nil {
 		ev.Error = err.Error()
 	}
-	s.cfg.Flight.RecordEvent(obs.FlightEvent{
-		Kind: "sched", Job: short(e.hash), Msg: state,
-		Value: e.finished.Sub(e.created).Seconds(),
-	})
-	switch state {
-	case StateDone:
-		if s.cfg.Log.Enabled(slog.LevelInfo) {
-			s.cfg.Log.Info("execution finished",
-				slog.String("hash", short(e.hash)), slog.String("state", state),
-				slog.Duration("wall", e.finished.Sub(e.started)),
-				slog.Duration("cpu", e.res.CPUTime),
-				slog.Uint64("alloc_bytes", e.res.AllocBytes))
-		}
-	default:
+	// The terminal record's message is the state itself; value is the
+	// execution's age in seconds, queue wait included.
+	job := slog.String("job", short(e.hash))
+	age := slog.Float64("value", e.finished.Sub(e.created).Seconds())
+	if state != StateDone {
 		if s.cfg.Log.Enabled(slog.LevelWarn) {
-			attrs := []slog.Attr{
-				slog.String("hash", short(e.hash)), slog.String("state", state),
-			}
-			if err != nil {
-				attrs = append(attrs, slog.String("error", err.Error()))
-			}
-			s.cfg.Log.Warn("execution did not complete", attrs...)
+			s.cfg.Log.Warn(state, kindSched, job, age, slog.String("error", ev.Error))
 		}
+	} else if s.cfg.Log.Enabled(slog.LevelInfo) {
+		s.cfg.Log.Info(state, kindSched, job, age,
+			slog.Duration("wall", e.finished.Sub(e.started)),
+			slog.Duration("cpu", e.res.CPUTime),
+			slog.Uint64("alloc_bytes", e.res.AllocBytes))
 	}
 	e.cancel() // release the timeout timer
 	close(e.done)
@@ -690,8 +681,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	if !s.draining {
 		s.draining = true
 		close(s.queue) // Submit never sends once draining is set (same mutex)
-		s.cfg.Flight.Record("drain", "admission stopped; waiting for in-flight work")
-		s.cfg.Log.Info("draining: admission stopped")
+		s.cfg.Log.Info("admission stopped; waiting for in-flight work", kindDrain)
 	}
 	s.mu.Unlock()
 
@@ -702,19 +692,17 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.cfg.Flight.Record("drain", "drained cleanly")
-		s.cfg.Log.Info("drained: all executions finished")
+		s.cfg.Log.Info("drained cleanly", kindDrain)
 		return nil
 	case <-ctx.Done():
-		s.cfg.Flight.Record("drain", "deadline hit; hard-cancelling executions")
-		s.cfg.Log.Warn("drain deadline hit; hard-cancelling remaining executions")
+		s.cfg.Log.Warn("deadline hit; hard-cancelling executions", kindDrain)
 		s.mu.Lock()
 		for _, e := range s.execs {
 			e.cancel()
 		}
 		s.mu.Unlock()
 		<-done
-		s.cfg.Flight.Record("drain", "drained after hard cancel")
+		s.cfg.Log.Info("drained after hard cancel", kindDrain)
 		return ctx.Err()
 	}
 }

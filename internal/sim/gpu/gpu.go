@@ -16,14 +16,13 @@ import (
 // starts at cycle zero. GPUs are not safe for concurrent use.
 //
 // The GPU also carries the run's telemetry sinks. Every RunKernel receives
-// the GPU, so a runner reads its sinks from there (Metrics, Log, Flight)
-// and a wrapper around the runner cannot hide them.
+// the GPU, so a runner reads its sinks from there (Metrics, Log) and a
+// wrapper around the runner cannot hide them.
 type GPU struct {
 	cfg     Config
 	hier    *mem.Hierarchy
 	metrics *obs.Registry
 	log     *obs.Logger
-	flight  *obs.FlightRecorder
 }
 
 // New builds a GPU from a configuration.
@@ -50,17 +49,11 @@ func (g *GPU) SetMetrics(reg *obs.Registry) {
 // per-kernel decisions.
 func (g *GPU) SetLog(l *obs.Logger) { g.log = l }
 
-// SetFlight attaches a flight recorder for the runner's per-kernel events.
-func (g *GPU) SetFlight(f *obs.FlightRecorder) { g.flight = f }
-
 // Metrics returns the attached registry; nil (a no-op registry) when none.
 func (g *GPU) Metrics() *obs.Registry { return g.metrics }
 
 // Log returns the attached logger; nil (a no-op logger) when none.
 func (g *GPU) Log() *obs.Logger { return g.log }
-
-// Flight returns the attached flight recorder; nil (a no-op) when none.
-func (g *GPU) Flight() *obs.FlightRecorder { return g.flight }
 
 // RunDetailed simulates the launch in detailed mode. obs may be nil; gate,
 // when non-nil, is polled before each workgroup dispatch and stops detailed

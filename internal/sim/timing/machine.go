@@ -137,6 +137,12 @@ type Result struct {
 	// never did). Between GateTime and EndTime the machine drained its
 	// in-flight workgroups; prediction models backfill into that window.
 	GateTime event.Time
+	// ClassIssued and ClassLatSum tally, per functional-unit class, the
+	// instructions issued in detail and the sum of their latencies in
+	// cycles — the online instruction latency table of the paper's Figure 9
+	// (Photon's interval model divides one by the other).
+	ClassIssued [isa.FUClassCount]uint64
+	ClassLatSum [isa.FUClassCount]uint64
 }
 
 // NewMachine builds a detailed-mode machine over the given hierarchy.
@@ -247,6 +253,8 @@ func (m *Machine) Run(l *kernel.Launch) (Result, error) {
 		InstCount:      m.instCount,
 		WarpsSimulated: m.warpsDone,
 		GateTime:       m.engine.Now(),
+		ClassIssued:    m.classIssued,
+		ClassLatSum:    m.classLatSum,
 	}
 	if m.gated {
 		res.GateTime = m.gateTime

@@ -79,39 +79,6 @@ func (c *IPCCollector) Series() []float64 {
 	return out
 }
 
-// LatencyTable is a timing.Observer recording the mean observed latency per
-// functional-unit class; Photon's rare-basic-block interval model feeds on
-// it (Figure 9's "online instruction latency table").
-type LatencyTable struct {
-	timing.NopObserver
-	sum   [isa.FUClassCount]float64
-	count [isa.FUClassCount]uint64
-}
-
-// OnInstIssued implements timing.Observer.
-func (t *LatencyTable) OnInstIssued(now event.Time, cuID int, w *emu.Warp, class isa.FUClass, lat event.Time) {
-	t.sum[class] += float64(lat)
-	t.count[class]++
-}
-
-// Observe records one latency sample directly.
-func (t *LatencyTable) Observe(class isa.FUClass, lat event.Time) {
-	t.sum[class] += float64(lat)
-	t.count[class]++
-}
-
-// Mean returns the mean observed latency for the class and whether any
-// sample exists.
-func (t *LatencyTable) Mean(class isa.FUClass) (float64, bool) {
-	if t.count[class] == 0 {
-		return 0, false
-	}
-	return t.sum[class] / float64(t.count[class]), true
-}
-
-// Samples returns how many latencies were recorded for the class.
-func (t *LatencyTable) Samples(class isa.FUClass) uint64 { return t.count[class] }
-
 // AbsErrorPct returns the paper's accuracy metric:
 // |T_full - T_sampled| / T_full * 100.
 func AbsErrorPct(full, sampled float64) float64 {

@@ -85,26 +85,6 @@ func TestIPCCollectorRejectsBadWindow(t *testing.T) {
 	NewIPCCollector(0)
 }
 
-func TestLatencyTable(t *testing.T) {
-	var lt LatencyTable
-	if _, ok := lt.Mean(isa.FUVectorMem); ok {
-		t.Fatal("mean defined with no samples")
-	}
-	lt.Observe(isa.FUVectorMem, 100)
-	lt.Observe(isa.FUVectorMem, 300)
-	m, ok := lt.Mean(isa.FUVectorMem)
-	if !ok || m != 200 {
-		t.Fatalf("mean = %v, %v", m, ok)
-	}
-	if lt.Samples(isa.FUVectorMem) != 2 || lt.Samples(isa.FUScalar) != 0 {
-		t.Fatal("sample counts wrong")
-	}
-	lt.OnInstIssued(0, 0, nil, isa.FUScalar, 7)
-	if m, _ := lt.Mean(isa.FUScalar); m != 7 {
-		t.Fatalf("observer path mean = %v", m)
-	}
-}
-
 func TestAbsErrorPct(t *testing.T) {
 	if got := AbsErrorPct(100, 110); got != 10 {
 		t.Fatalf("AbsErrorPct = %v", got)
