@@ -237,12 +237,11 @@ func runExperiments(f benchFlags, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
+	if err := harness.WriteTelemetry(stderr, "photon-bench", "trace", o.Metrics, f.metricsOut, o.Trace, f.traceOut); err != nil {
+		fmt.Fprintf(stderr, "photon-bench: %v\n", err)
+		return 1
+	}
 	if o.Metrics != nil {
-		harness.FinalizeMetrics(o.Metrics)
-		if err := o.Metrics.WriteFile(f.metricsOut); err != nil {
-			fmt.Fprintf(stderr, "photon-bench: writing metrics: %v\n", err)
-			return 1
-		}
 		// Run-level summary: how much work the engine did and where
 		// instructions went, so a sweep's telemetry is legible without
 		// opening the artifact.
@@ -256,13 +255,6 @@ func runExperiments(f benchFlags, stdout, stderr io.Writer) int {
 			f.metricsOut)
 	}
 	if o.Trace != nil {
-		if n := o.Trace.Dropped(); n > 0 {
-			fmt.Fprintf(stderr, "photon-bench: warning: %d trace events dropped (buffer full)\n", n)
-		}
-		if err := o.Trace.WriteFile(f.traceOut); err != nil {
-			fmt.Fprintf(stderr, "photon-bench: writing trace: %v\n", err)
-			return 1
-		}
 		fmt.Fprintf(stderr, "(telemetry: %d trace events -> %s)\n", o.Trace.Len(), f.traceOut)
 	}
 	return 0

@@ -192,8 +192,8 @@ func (c *client) submit(args []string) int {
 	fs.SetOutput(c.stderr)
 	var (
 		exp       = fs.String("exp", "", "experiment name (fig13, extensions, ...)")
-		bench     = fs.String("bench", "", "benchmark for a single-cell job (mm, spmv, pr, vgg16, ...)")
-		size      = fs.Int("size", 0, "problem size (0: the benchmark's smallest)")
+		bench     = fs.String("bench", "", "benchmark for a single-cell job: "+strings.Join(harness.WorkloadNames(), "|"))
+		size      = fs.Int("size", 0, "problem size (0: the benchmark's default)")
 		arch      = fs.String("arch", "", "gpu config: r9nano (default) or mi100")
 		modes     = fs.String("modes", "", "comma-separated runner modes (photon,pka,bb,warp,kernel,tbpoint)")
 		quick     = fs.Bool("quick", false, "quick mode (smallest sizes) for experiment jobs")

@@ -22,14 +22,12 @@ import (
 	"photon/internal/sim/isa"
 	"photon/internal/sim/trace"
 	"photon/internal/verify"
-	"photon/internal/workloads"
-	"photon/internal/workloads/dnn"
 )
 
 func main() {
 	var (
-		bench      = flag.String("bench", "MM", "benchmark: AES|FIR|SC|MM|ReLU|SPMV|pr|vgg16|vgg19|resnet18|resnet34|resnet50|resnet101|resnet152|transformer|trainstep")
-		size       = flag.Int("size", 0, "problem size in warps (single-kernel benchmarks; 0 = first figure size); node count for pr")
+		bench      = flag.String("bench", "MM", "benchmark: "+strings.Join(harness.WorkloadNames(), "|"))
+		size       = flag.Int("size", 0, "problem size in warps (single-kernel benchmarks; 0 = first figure size); node count for pr, layers for transformer, batch for trainstep")
 		arch       = flag.String("arch", "r9nano", "GPU configuration: r9nano or mi100")
 		mode       = flag.String("mode", "photon", "runner: full|photon|bb|warp|kernel|pka|tbpoint")
 		perKernel  = flag.Bool("per-kernel", false, "print one row per kernel launch")
@@ -65,7 +63,11 @@ func main() {
 	if !ok {
 		fatal("unknown arch %q", *arch)
 	}
-	app, err := buildApp(*bench, *size)
+	wl, err := harness.FindWorkload(*bench)
+	if err != nil {
+		fatal("%v", err)
+	}
+	app, err := wl.Point(*size, harness.DefaultOptions().DNNScale).Build()
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -170,20 +172,13 @@ func main() {
 		fmt.Printf("trace: %d warps, %d blocks, %d insts -> %s\n",
 			tracer.Warps, tracer.Blocks, tracer.Insts, *tracePath)
 	}
+	if err := harness.WriteTelemetry(os.Stderr, "photon-sim", "trace-out", reg, *metricsOut, traceBuf, *traceOut); err != nil {
+		fatal("%v", err)
+	}
 	if reg != nil {
-		harness.FinalizeMetrics(reg)
-		if err := reg.WriteFile(*metricsOut); err != nil {
-			fatal("writing metrics: %v", err)
-		}
 		fmt.Fprintf(os.Stderr, "photon-sim: metrics snapshot -> %s\n", *metricsOut)
 	}
 	if traceBuf != nil {
-		if n := traceBuf.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "photon-sim: warning: %d trace-out events dropped (buffer full)\n", n)
-		}
-		if err := traceBuf.WriteFile(*traceOut); err != nil {
-			fatal("writing trace-out: %v", err)
-		}
 		fmt.Fprintf(os.Stderr, "photon-sim: %d trace events -> %s\n", traceBuf.Len(), *traceOut)
 	}
 	if *check {
@@ -199,64 +194,6 @@ func main() {
 			fmt.Println("check: ok")
 		}
 	}
-}
-
-func buildApp(bench string, size int) (*workloads.App, error) {
-	switch strings.ToLower(bench) {
-	case "pr", "pagerank":
-		if size == 0 {
-			size = 64 * 1024
-		}
-		return workloads.BuildPageRank(size)
-	case "hist", "histogram", "kmeans", "bfs", "reduce", "reduction":
-		alias := map[string]string{
-			"histogram": "HIST", "reduction": "REDUCE", "reduce": "REDUCE",
-		}
-		name := bench
-		if a, ok := alias[strings.ToLower(bench)]; ok {
-			name = a
-		}
-		spec, err := workloads.FindExtension(name)
-		if err != nil {
-			return nil, err
-		}
-		if size == 0 {
-			size = spec.Sizes[0]
-		}
-		return spec.Build(size)
-	case "transformer", "xfmr":
-		layers := size
-		if layers == 0 {
-			layers = 2
-		}
-		cfg, err := dnn.ScaledTransformer(layers, dnn.DefaultScale())
-		if err != nil {
-			return nil, err
-		}
-		return dnn.BuildTransformer(cfg)
-	case "trainstep":
-		batch := size
-		if batch == 0 {
-			batch = 2
-		}
-		return dnn.BuildTrainingStep(batch)
-	case "vgg16":
-		return dnn.BuildVGG(16, dnn.DefaultScale())
-	case "vgg19":
-		return dnn.BuildVGG(19, dnn.DefaultScale())
-	case "resnet18", "resnet34", "resnet50", "resnet101", "resnet152":
-		var depth int
-		fmt.Sscanf(bench, "resnet%d", &depth)
-		return dnn.BuildResNet(depth, dnn.DefaultScale())
-	}
-	spec, err := workloads.FindSpec(strings.ToUpper(bench))
-	if err != nil {
-		return nil, err
-	}
-	if size == 0 {
-		size = spec.Sizes[0]
-	}
-	return spec.Build(size)
 }
 
 func fatal(format string, args ...any) {

@@ -13,6 +13,13 @@ import (
 // BaselineKey identifies one full-detailed baseline run. Two experiments
 // that sweep the same (config, bench, size, block options) cell measure the
 // exact same deterministic simulation, so the result can be shared.
+//
+// Bench is the row label, and the key carries no builder, so a cache is only
+// as sound as this invariant: within one cache, a (label, size) names one
+// app. The workload catalog guarantees it for every label it prints; a
+// sweep whose hand-built point reuses a catalog label for a different app
+// (the quick transformer experiment's toy Xfmr-L2) must keep that point out
+// of a shared cache.
 type BaselineKey struct {
 	Config string
 	Bench  string

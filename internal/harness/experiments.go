@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"photon/internal/core"
-	"photon/internal/harness/engine"
 	"photon/internal/obs"
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/isa"
@@ -80,7 +79,7 @@ func (o Options) ctx() context.Context {
 // DefaultOptions returns the full-experiment configuration.
 func DefaultOptions() Options {
 	return Options{
-		PRNodes:  64 * 1024,
+		PRNodes:  PageRank.Default,
 		DNNScale: dnn.DefaultScale(),
 		Params:   core.DefaultParams(),
 	}
@@ -159,28 +158,19 @@ func Fig15(w io.Writer, o Options) error {
 	})
 }
 
-// realWorldBuilds lists the Figure 16 applications.
-func realWorldBuilds(o Options) []struct {
-	Name  string
-	Build func() (*workloads.App, error)
-} {
-	apps := []struct {
-		Name  string
-		Build func() (*workloads.App, error)
-	}{
-		{fmt.Sprintf("PR-%dK", o.PRNodes/1024), func() (*workloads.App, error) { return workloads.BuildPageRank(o.PRNodes) }},
-		{"VGG-16", func() (*workloads.App, error) { return dnn.BuildVGG(16, o.DNNScale) }},
-		{"VGG-19", func() (*workloads.App, error) { return dnn.BuildVGG(19, o.DNNScale) }},
-		{"ResNet-18", func() (*workloads.App, error) { return dnn.BuildResNet(18, o.DNNScale) }},
-		{"ResNet-34", func() (*workloads.App, error) { return dnn.BuildResNet(34, o.DNNScale) }},
-		{"ResNet-50", func() (*workloads.App, error) { return dnn.BuildResNet(50, o.DNNScale) }},
-		{"ResNet-101", func() (*workloads.App, error) { return dnn.BuildResNet(101, o.DNNScale) }},
-		{"ResNet-152", func() (*workloads.App, error) { return dnn.BuildResNet(152, o.DNNScale) }},
+// realWorldPoints lists the Figure 16 applications: PageRank at o.PRNodes
+// and every fixed-shape DNN of the workload catalog, in catalog order.
+func realWorldPoints(o Options) []Point {
+	pts := []Point{PageRank.Point(o.PRNodes, o.DNNScale)}
+	for _, wl := range catalog {
+		if wl.fixedShape() {
+			pts = append(pts, wl.Point(0, o.DNNScale))
+		}
 	}
 	if o.Quick {
-		return apps[:4]
+		return pts[:4]
 	}
-	return apps
+	return pts
 }
 
 // Fig16 regenerates Figure 16: Full vs Photon on the real-world
@@ -188,70 +178,33 @@ func realWorldBuilds(o Options) []struct {
 func Fig16(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "# Figure 16: real-world applications — Full vs Photon (R9 Nano)")
 	PrintHeader(w)
-	var pts []Point
-	for _, a := range realWorldBuilds(o) {
-		pts = append(pts, Point{Bench: a.Name, Build: a.Build})
-	}
 	return o.RunSweep(w, Sweep{
 		Experiment: "fig16",
 		Config:     gpu.R9Nano(),
 		Factories:  []RunnerFactory{PhotonFactory("photon", o.Params, core.AllLevels())},
-		Points:     pts,
+		Points:     realWorldPoints(o),
 	})
 }
 
 // Fig17 regenerates Figure 17: per-layer error and speedup of VGG-16 under
-// kernel-sampling, kernel+warp-sampling and full Photon. The full VGG-16
-// baseline comes from the shared cache (the same cell Figure 16 measures),
-// and the three sampling variants run as parallel jobs.
+// kernel-sampling, kernel+warp-sampling and full Photon. It is a one-point
+// sweep — the full VGG-16 baseline comes from the shared cache (the same
+// cell Figure 16 measures) and the three sampling variants run as parallel
+// jobs — whose rows are collected into a per-layer table instead of printed.
 func Fig17(w io.Writer, o Options) error {
-	const experiment = "fig17"
 	fmt.Fprintln(w, "# Figure 17: VGG-16 per-layer error and speedup by sampling level (R9 Nano)")
-	cfg := gpu.R9Nano()
-	build := func() (*workloads.App, error) { return dnn.BuildVGG(16, o.DNNScale) }
 	variants := []RunnerFactory{
 		PhotonFactory("kernel", o.Params, core.Levels{Kernel: true}),
 		PhotonFactory("kernel+warp", o.Params, core.Levels{Kernel: true, Warp: true}),
 		PhotonFactory("photon", o.Params, core.AllLevels()),
 	}
-	key := BaselineKey{Config: cfg.Name, Bench: "VGG-16"}
-	cache := o.Baselines
-	if cache == nil {
-		cache = NewBaselineCache()
-	}
-	tasks := []engine.Task[Comparison]{
-		func(ctx context.Context) (Comparison, error) {
-			full, err := cache.FullCtx(ctx, key, cfg, build)
-			if err != nil {
-				return Comparison{}, err
-			}
-			return Comparison{Bench: "VGG-16", Runner: "full", Full: full, Sampled: full}, nil
-		},
-	}
-	for _, f := range variants {
-		f := f
-		tasks = append(tasks, func(ctx context.Context) (Comparison, error) {
-			full, err := cache.FullCtx(ctx, key, cfg, build)
-			if err != nil {
-				return Comparison{}, err
-			}
-			app, err := build()
-			if err != nil {
-				return Comparison{}, err
-			}
-			res, err := RunAppCtx(ctx, cfg, app, o.wrap(f.New(cfg)))
-			if err != nil {
-				return Comparison{}, err
-			}
-			return Comparison{Bench: "VGG-16", Runner: f.Name, Full: full, Sampled: res}, nil
-		})
-	}
 	var comparisons []Comparison
-	err := engine.Run(o.ctx(), o.Parallel, tasks, func(_ int, c Comparison) error {
-		c = o.normalize(c)
-		comparisons = append(comparisons, c)
-		return o.JSON.Emit(ToRecord(experiment, c, true))
-	})
+	err := o.runSweep(Sweep{
+		Experiment: "fig17",
+		Config:     gpu.R9Nano(),
+		Factories:  variants,
+		Points:     []Point{vgg(16).Point(0, o.DNNScale)},
+	}, func(c Comparison) { comparisons = append(comparisons, c) })
 	if err != nil {
 		return err
 	}

@@ -140,6 +140,30 @@ func FinalizeMetrics(reg *obs.Registry) {
 	}
 }
 
+// WriteTelemetry is the run-end epilogue photon-sim and photon-bench share:
+// derive the summary gauges and write the -metrics-out snapshot, then warn on
+// stderr (as prog) if the trace buffer dropped events and write the
+// -trace-out event file. A nil sink skips its half. traceWord is how the CLI
+// names the trace artifact in its messages; the returned error is ready to
+// print after the program name.
+func WriteTelemetry(stderr io.Writer, prog, traceWord string, reg *obs.Registry, metricsOut string, tr *obs.TraceBuffer, traceOut string) error {
+	if reg != nil {
+		FinalizeMetrics(reg)
+		if err := reg.WriteFile(metricsOut); err != nil {
+			return fmt.Errorf("writing metrics: %w", err)
+		}
+	}
+	if tr != nil {
+		if n := tr.Dropped(); n > 0 {
+			fmt.Fprintf(stderr, "%s: warning: %d %s events dropped (buffer full)\n", prog, n, traceWord)
+		}
+		if err := tr.WriteFile(traceOut); err != nil {
+			return fmt.Errorf("writing %s: %w", traceWord, err)
+		}
+	}
+	return nil
+}
+
 // RunnerFactory builds a fresh runner per application (Photon and PKA carry
 // per-application kernel history).
 type RunnerFactory struct {

@@ -287,16 +287,19 @@ func TestShortMode(t *testing.T) {
 
 func TestRealWorldBuildsQuick(t *testing.T) {
 	o := DefaultOptions()
-	full := realWorldBuilds(o)
+	full := realWorldPoints(o)
 	if len(full) != 8 {
 		t.Fatalf("full app list = %d, want 8", len(full))
 	}
 	o.Quick = true
-	if q := realWorldBuilds(o); len(q) >= len(full) {
+	if q := realWorldPoints(o); len(q) >= len(full) {
 		t.Fatal("quick mode did not trim the app list")
 	}
-	if full[7].Name != "ResNet-152" {
-		t.Fatalf("last app = %s, want ResNet-152", full[7].Name)
+	if full[0].Bench != "PR-64K" || full[0].Size != o.PRNodes {
+		t.Fatalf("first app = %s/%d, want PR-64K at the PRNodes size", full[0].Bench, full[0].Size)
+	}
+	if full[7].Bench != "ResNet-152" {
+		t.Fatalf("last app = %s, want ResNet-152", full[7].Bench)
 	}
 }
 

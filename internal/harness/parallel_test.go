@@ -303,14 +303,25 @@ func TestFig17EmitsRecords(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a reduced VGG-16 four times")
 	}
-	var text, jsonBuf bytes.Buffer
+	var text, jsonBuf, accBuf bytes.Buffer
 	o := DefaultOptions()
 	o.DNNScale.Input = 32
 	o.DNNScale.ChannelDiv = 16
 	o.FixedWall = true
 	o.JSON = NewJSONSink(&jsonBuf)
+	o.Accuracy = NewAccuracySink(&accBuf)
+	o.Metrics = obs.NewRegistry()
 	if err := Fig17(&text, o); err != nil {
 		t.Fatal(err)
+	}
+	// Fig17 is a sweep like any other: its sampled runs feed the accuracy
+	// ledger and the metrics registry.
+	ledger, err := ReadAccuracyRecords(&accBuf)
+	if err != nil || len(ledger) == 0 || ledger[0].Experiment != "fig17" {
+		t.Fatalf("accuracy ledger = %d records, %v; want fig17's sampled kernels", len(ledger), err)
+	}
+	if n := o.Metrics.Snapshot().SumCounters("photon_insts_detailed_total"); n == 0 {
+		t.Fatal("fig17's sampled runs published no photon_* telemetry")
 	}
 	recs, err := ReadRecords(&jsonBuf)
 	if err != nil {
@@ -329,6 +340,9 @@ func TestFig17EmitsRecords(t *testing.T) {
 		}
 		if r.Bench != "VGG-16" || len(r.PerKernel) == 0 {
 			t.Fatalf("record %d missing per-layer rows: %+v", i, r)
+		}
+		if r.JobWallMS != 1.0 {
+			t.Fatalf("record %d job_wall_ms = %v, want the FixedWall pin every sweep record carries", i, r.JobWallMS)
 		}
 	}
 	if !bytes.Contains(text.Bytes(), []byte("whole-inference speedups")) {

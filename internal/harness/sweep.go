@@ -15,6 +15,10 @@ import (
 // App on every call: each job simulates its own instance, which is what
 // keeps the job graph free of shared mutable state.
 type Point struct {
+	// Name is the canonical catalog name when the point came from the
+	// workload catalog (Workload.Point); empty for cells an experiment
+	// builds by hand. Bench is the row label.
+	Name  string
 	Bench string
 	Size  int
 	Build func() (*workloads.App, error)
@@ -47,6 +51,13 @@ type Sweep struct {
 // each (config, bench, size, block-options) cell is simulated exactly once
 // and shared by every job and every later sweep that needs it.
 func (o Options) RunSweep(w io.Writer, s Sweep) error {
+	return o.runSweep(s, func(c Comparison) { PrintRow(w, c) })
+}
+
+// runSweep is RunSweep with the row printer as a parameter: row receives
+// every comparison in plan order, next to the JSON record and the accuracy
+// ledger entries the sweep emits for it.
+func (o Options) runSweep(s Sweep, row func(Comparison)) error {
 	cache := o.Baselines
 	if cache == nil {
 		cache = NewBaselineCache()
@@ -103,7 +114,7 @@ func (o Options) RunSweep(w io.Writer, s Sweep) error {
 			if o.FixedWall {
 				rec.Worker, rec.JobWallMS = 0, 1.0
 			}
-			PrintRow(w, c)
+			row(c)
 			// The accuracy ledger rides the same plan-order callback, so its
 			// records are deterministic for any worker count.
 			for _, ar := range accuracyRecords(s.Experiment, c) {

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"photon/internal/harness"
@@ -37,9 +36,11 @@ type JobRequest struct {
 	// Experiment names a registered experiment (fig13, extensions, …).
 	Experiment string `json:"experiment,omitempty"`
 
-	// Bench/Size/Arch/Modes describe a single-cell job. Size 0 picks the
-	// benchmark's smallest figure size; Arch defaults to r9nano; Modes
-	// defaults to ["photon"] (the full baseline row is always included).
+	// Bench/Size/Arch/Modes describe a single-cell job. Bench is any name or
+	// alias of the workload catalog (harness.Workloads) and Size one of that
+	// entry's admissible sizes, 0 picking its default; Arch defaults to
+	// r9nano; Modes defaults to ["photon"] (the full baseline row is always
+	// included).
 	Bench string   `json:"bench,omitempty"`
 	Size  int      `json:"size,omitempty"`
 	Arch  string   `json:"arch,omitempty"`
@@ -207,6 +208,11 @@ func Canonicalize(req JobRequest) (JobRequest, error) {
 		if c.PRNodes == 0 {
 			c.PRNodes = harness.DefaultOptions().PRNodes
 		}
+		// pr_nodes is a PageRank size: the catalog's range for it bounds
+		// experiment jobs exactly as it bounds single-cell ones.
+		if _, err := harness.PageRank.Admit(c.PRNodes); err != nil {
+			return JobRequest{}, fmt.Errorf("pr_nodes: %w", err)
+		}
 		return c, nil
 	}
 
@@ -226,24 +232,15 @@ func Canonicalize(req JobRequest) (JobRequest, error) {
 		c.Modes = []string{"photon"}
 	}
 	// Validate the cell and modes eagerly so a bad request fails at submit
-	// time (400), not asynchronously inside a worker.
+	// time (400), not asynchronously inside a worker. The canonical bench is
+	// the catalog's submit name, not the row label ("PR-64K", "VGG-16"): it
+	// resolves back to the same entry, so a client may resubmit a
+	// status.Request verbatim.
 	pt, err := harness.FindBench(c.Bench, c.Size)
 	if err != nil {
 		return JobRequest{}, err
 	}
-	c.Size = pt.Size
-	// The canonical bench name must round-trip through Canonicalize (a
-	// client may resubmit a status.Request verbatim), so PageRank and the
-	// DNNs keep their submit-form spelling rather than the display name
-	// ("PR-64K", "VGG-16") FindBench gives the sweep point.
-	switch lower := strings.ToLower(c.Bench); lower {
-	case "pr", "pagerank":
-		c.Bench = "pr"
-	case "vgg16", "vgg19", "resnet18", "resnet34", "resnet50", "resnet101", "resnet152":
-		c.Bench = lower
-	default:
-		c.Bench = pt.Bench // spec abbreviation (MM, HIST, …): stable under re-lookup
-	}
+	c.Bench, c.Size = pt.Name, pt.Size
 	seen := map[string]bool{}
 	modes := c.Modes[:0:0]
 	for _, m := range c.Modes {

@@ -15,6 +15,9 @@ func FuzzCanonicalize(f *testing.F) {
 	f.Add([]byte(`{"experiment":"fig13","quick":true}`))
 	f.Add([]byte(`{"bench":"PR","size":65536,"modes":["photon","pka","photon"]}`))
 	f.Add([]byte(`{"bench":"fir","parallel":8,"timeout_ms":1000}`))
+	f.Add([]byte(`{"bench":"Xfmr","size":3}`))
+	f.Add([]byte(`{"bench":"trainstep"}`))
+	f.Add([]byte(`{"experiment":"fig16","pr_nodes":4096}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req JobRequest
 		if err := json.Unmarshal(body, &req); err != nil {

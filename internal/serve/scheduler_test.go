@@ -646,3 +646,44 @@ func TestHarnessExecutorSmallCell(t *testing.T) {
 		t.Error("no span events relayed from the trace hook")
 	}
 }
+
+// TestServedCatalogCellsRoundTrip: a single-cell job for the modern-ML
+// entries runs to done through the real executor, and resubmitting the
+// status.Request the service returned — the canonical form — is a cache hit.
+// Before the canonical bench was the catalog name it was the row label
+// ("TrainStep-b2"), which no lookup resolved: the job failed in the worker.
+func TestServedCatalogCellsRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation")
+	}
+	s := NewScheduler(Config{Metrics: obs.NewRegistry()})
+	defer s.Drain(context.Background())
+
+	for _, req := range []JobRequest{
+		{Bench: "trainstep"},
+		{Bench: "xfmr", Size: 1, FixedWall: true},
+	} {
+		st, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(2 * time.Minute)
+		for !st.Finished() && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+			if st, err = s.Status(st.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st.State != StateDone {
+			t.Fatalf("%+v ended %q: %s", req, st.State, st.Error)
+		}
+		again, err := s.Submit(st.Request)
+		if err != nil {
+			t.Fatalf("resubmitting status.Request %+v: %v", st.Request, err)
+		}
+		if !again.CacheHit || again.RequestHash != st.RequestHash {
+			t.Errorf("verbatim resubmit of %+v: cache_hit=%v hash %s, want a hit on %s",
+				st.Request, again.CacheHit, again.RequestHash, st.RequestHash)
+		}
+	}
+}
