@@ -236,17 +236,21 @@ func BenchmarkObserveFig1IPCSeries(b *testing.B) {
 
 func BenchmarkObserveFig3BlockFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := harness.Fig3(io.Discard, gpu.R9Nano(), 0); err != nil {
+		samples, err := harness.SampleObs(gpu.R9Nano(), 0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		harness.Fig3(io.Discard, samples)
 	}
 }
 
 func BenchmarkObserveFig4WarpFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := harness.Fig4(io.Discard, gpu.R9Nano(), 0); err != nil {
+		samples, err := harness.SampleObs(gpu.R9Nano(), 0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		harness.Fig4(io.Discard, samples)
 	}
 }
 

@@ -72,22 +72,39 @@ func runFigures(exp, arch, svgDir string, parallel int, stdout, stderr io.Writer
 		return 2
 	}
 	all := exp == "all"
+	// Figures 2-4 print from the same two detailed runs (MM, SpMV): whichever
+	// of them runs first simulates, the others reuse its samples.
+	var samples harness.ObsSamples
+	sampled := func(fig func(io.Writer, harness.ObsSamples)) func() error {
+		return func() error {
+			if samples == nil {
+				var err error
+				if samples, err = harness.SampleObs(cfg, parallel); err != nil {
+					return err
+				}
+			}
+			fig(stdout, samples)
+			return nil
+		}
+	}
 	figures := []struct {
 		name string
 		run  func() error
 	}{
 		{"fig1", func() error {
-			if err := harness.Fig1(stdout, cfg, parallel); err != nil {
+			names, data, err := harness.Fig1Data(cfg, parallel)
+			if err != nil {
 				return err
 			}
+			harness.Fig1(stdout, names, data)
 			if svgDir != "" {
-				return renderFig1SVG(stdout, svgDir, cfg, parallel)
+				return renderFig1SVG(stdout, svgDir, names, data)
 			}
 			return nil
 		}},
-		{"fig2", func() error { return harness.Fig2(stdout, cfg, parallel) }},
-		{"fig3", func() error { return harness.Fig3(stdout, cfg, parallel) }},
-		{"fig4", func() error { return harness.Fig4(stdout, cfg, parallel) }},
+		{"fig2", sampled(harness.Fig2)},
+		{"fig3", sampled(harness.Fig3)},
+		{"fig4", sampled(harness.Fig4)},
 		// A reduced DNN scale keeps the full-detailed VGG pass short.
 		{"fig6", func() error { return harness.Fig6(stdout, cfg, dnn.Scale{Input: 32, ChannelDiv: 8}) }},
 		{"fig8", func() error { return harness.Fig8(stdout, parallel) }},
@@ -112,12 +129,8 @@ func runFigures(exp, arch, svgDir string, parallel int, stdout, stderr io.Writer
 }
 
 // renderFig1SVG writes the Figure 1 IPC-over-time line chart.
-func renderFig1SVG(stdout io.Writer, dir string, cfg gpu.Config, parallel int) error {
+func renderFig1SVG(stdout io.Writer, dir string, names []string, data map[string][]float64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	names, data, err := harness.Fig1Data(cfg, parallel)
-	if err != nil {
 		return err
 	}
 	var series []viz.Series

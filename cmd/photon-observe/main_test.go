@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"photon/internal/testutil"
 )
 
 // Regression test for the exit-code bug: a failing deferred profile write
@@ -51,5 +53,29 @@ func TestVersionFlag(t *testing.T) {
 	}
 	if !strings.HasPrefix(out.String(), "photon-observe ") {
 		t.Errorf("-version output = %q", out.String())
+	}
+}
+
+// TestAllIsTheConcatenationOfTheFigures: -exp all shares simulated inputs
+// between figures (Figures 2-4 print from one pair of detailed runs), and
+// that sharing must not show: its stdout is the seven single-figure runs'
+// stdout, in order.
+func TestAllIsTheConcatenationOfTheFigures(t *testing.T) {
+	if testing.Short() || testutil.RaceEnabled {
+		t.Skip("simulates every observation figure twice")
+	}
+	run := func(exp string) string {
+		var out, errBuf bytes.Buffer
+		if code := realMain([]string{"-exp", exp}, &out, &errBuf); code != 0 {
+			t.Fatalf("-exp %s: exit = %d (stderr: %s)", exp, code, errBuf.String())
+		}
+		return out.String()
+	}
+	var singles strings.Builder
+	for _, fig := range []string{"fig1", "fig2", "fig3", "fig4", "fig6", "fig8", "fig11"} {
+		singles.WriteString(run(fig))
+	}
+	if all := run("all"); all != singles.String() {
+		t.Fatalf("-exp all differs from the concatenated single-figure runs:\n--- all ---\n%s--- singles ---\n%s", all, singles.String())
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/isa"
 	"photon/internal/sim/trace"
-	"photon/internal/verify"
 )
 
 func main() {
@@ -121,14 +120,6 @@ func main() {
 		ph.SetStore(analysisStore)
 	}
 
-	// Wrap last so -trace and -analysis-store still see the concrete runner
-	// types they assert on.
-	var auditor *verify.Auditor
-	if *check {
-		auditor = verify.NewAuditor(runner)
-		runner = auditor
-	}
-
 	var reg *obs.Registry
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
@@ -139,7 +130,7 @@ func main() {
 	}
 
 	res, err := harness.RunAppInstrumented(context.Background(), cfg, app, runner,
-		harness.AppObs{Metrics: reg, Trace: traceBuf})
+		harness.AppObs{Metrics: reg, Trace: traceBuf, Check: *check})
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -182,10 +173,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "photon-sim: %d trace events -> %s\n", traceBuf.Len(), *traceOut)
 	}
 	if *check {
-		if err := auditor.Err(); err != nil {
-			fatal("invariant audit failed: %v", err)
-		}
-		fmt.Printf("audit: %d kernels, invariants ok\n", auditor.Kernels())
+		fmt.Printf("audit: %d kernels, invariants ok\n", len(res.PerKernel))
 		if app.Check == nil {
 			fmt.Println("check: not supported for this workload")
 		} else if err := app.Check(); err != nil {

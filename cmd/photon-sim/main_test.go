@@ -1,6 +1,10 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"photon/internal/harness"
@@ -73,5 +77,39 @@ func TestBenchNamesMeanWhatTheServiceMeans(t *testing.T) {
 	}
 	if app.Name != "ResNet-18" || len(app.Launches) != 31 {
 		t.Errorf("-bench ResNet18 built %s with %d kernels, want ResNet-18 with 31", app.Name, len(app.Launches))
+	}
+}
+
+// TestCheckComposesWithTraceAndStore: -check is a switch of the run loop, not
+// a wrapper around the runner, so the options that assert on the runner's
+// concrete type (-trace, -analysis-store) work with it in any order.
+func TestCheckComposesWithTraceAndStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "photon-sim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		mode, flag, artifact, want string
+	}{
+		{"full", "-trace", "trace.txt", "trace: "},
+		{"photon", "-analysis-store", "store.json", "analysis store: 1 profiles"},
+	} {
+		path := filepath.Join(dir, tc.artifact)
+		out, err := exec.Command(bin, "-check", "-bench", "FIR", "-size", "384", "-mode", tc.mode, tc.flag, path).CombinedOutput()
+		if err != nil {
+			t.Fatalf("-check -mode %s %s: %v\n%s", tc.mode, tc.flag, err, out)
+		}
+		for _, want := range []string{tc.want, "audit: 1 kernels, invariants ok", "check: ok"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("-check -mode %s %s: output lacks %q:\n%s", tc.mode, tc.flag, want, out)
+			}
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("-check -mode %s %s wrote no %s (%v)", tc.mode, tc.flag, tc.artifact, err)
+		}
 	}
 }

@@ -24,8 +24,7 @@ func smallGPU() gpu.Config {
 			L1K:               mem.CacheConfig{Name: "l1k", SizeBytes: 16 * kib, Ways: 4, HitLatency: 24, ThroughputCycles: 1},
 			L2:                mem.CacheConfig{Name: "l2", SizeBytes: 256 * kib, Ways: 16, HitLatency: 80, ThroughputCycles: 2},
 			L2Banks:           8,
-			DRAM: mem.DRAMConfig{Name: "dram", Banks: 16, RowBits: 11,
-				RowHitLatency: 120, RowMissLatency: 250, BurstCycles: 8},
+			DRAM:              mem.DRAMConfig{Name: "dram", Banks: 16, Latency: 250, BurstCycles: 8},
 		},
 		DRAMBytes: 4 << 30,
 	}

@@ -131,7 +131,7 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		remaining := l.NumWorkgroups - res.NextWG
 		end := core.UniformMakespan(float64(res.GateTime), float64(res.EndTime),
 			timer.meanGroupDuration(), remaining, shape)
-		result.SimTime = event.Time(end + 0.5)
+		result.SimTime = core.EventTime(end)
 		skipped := float64(remaining*l.WarpsPerGroup) * profile.MeanWarpInsts
 		result.Insts = res.InstCount + uint64(skipped)
 	}

@@ -92,16 +92,7 @@ func (t *bbTracker) check() {
 	if t.totalShr == 0 || t.warpRetires < t.minWarpRetires {
 		return
 	}
-	stable := 0.0
-	for i, d := range t.detectors {
-		if t.rare[i] || d == nil {
-			continue
-		}
-		if d.Stable() {
-			stable += t.share[i]
-		}
-	}
-	if stable/t.totalShr >= t.params.StableBBRate {
+	if t.stableShare() >= t.params.StableBBRate {
 		t.triggered = true
 		t.accepts.Inc()
 	} else {

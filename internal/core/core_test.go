@@ -34,8 +34,7 @@ func smallGPU() gpu.Config {
 			L1K:               mem.CacheConfig{Name: "l1k", SizeBytes: 16 * kib, Ways: 4, HitLatency: 24, ThroughputCycles: 1},
 			L2:                mem.CacheConfig{Name: "l2", SizeBytes: 256 * kib, Ways: 16, HitLatency: 80, ThroughputCycles: 2},
 			L2Banks:           8,
-			DRAM: mem.DRAMConfig{Name: "dram", Banks: 16, RowBits: 11,
-				RowHitLatency: 120, RowMissLatency: 250, BurstCycles: 8},
+			DRAM:              mem.DRAMConfig{Name: "dram", Banks: 16, Latency: 250, BurstCycles: 8},
 		},
 		DRAMBytes: 4 << 30,
 	}
@@ -464,10 +463,10 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestEventTimeRounding(t *testing.T) {
-	if eventTime(10.4) != 10 || eventTime(10.6) != 11 {
+	if EventTime(10.4) != 10 || EventTime(10.6) != 11 {
 		t.Fatal("rounding wrong")
 	}
-	if eventTime(-3) != 0 {
+	if EventTime(-3) != 0 {
 		t.Fatal("negative times must clamp to zero")
 	}
 }

@@ -220,7 +220,7 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 				SimTime:      simTime,
 			})
 			result := gpu.KernelResult{
-				SimTime: eventTime(simTime),
+				SimTime: EventTime(simTime),
 				Insts:   insts,
 				Mode:    "kernel-sampling",
 				Wall:    time.Since(start),
@@ -280,7 +280,7 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		remainingGroups := l.NumWorkgroups - res.NextWG
 		end := UniformMakespan(float64(res.GateTime), float64(res.EndTime),
 			wT.meanWarpTime(), remainingGroups, shape)
-		result.SimTime = eventTime(end)
+		result.SimTime = EventTime(end)
 		skippedWarps := float64(remainingGroups * l.WarpsPerGroup)
 		result.Insts = res.InstCount + uint64(skippedWarps*profile.MeanWarpInsts)
 
@@ -307,7 +307,7 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 			return gpu.KernelResult{}, fmt.Errorf("core: bb-sampling fast-forward: %w", err)
 		}
 		end := PredictMakespan(float64(res.GateTime), float64(res.EndTime), durations, shape)
-		result.SimTime = eventTime(end)
+		result.SimTime = EventTime(end)
 		result.Insts = insts
 
 	default:
@@ -336,9 +336,9 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	return result, nil
 }
 
-// eventTime converts a float cycle count to the event clock type, rounding
+// EventTime converts a float cycle count to the event clock type, rounding
 // to nearest.
-func eventTime(v float64) event.Time {
+func EventTime(v float64) event.Time {
 	if v < 0 {
 		return 0
 	}

@@ -58,34 +58,14 @@ func (h slotHeap) place(d float64) float64 {
 	return v
 }
 
-// PredictMakespan list-schedules the remaining workgroups (given their
-// predicted durations, in dispatch order) onto the machine's group slots and
-// returns the completion time of the last one. Slots become available along
-// a linear ramp from rampStart (when the dispatch gate fired) to rampEnd
-// (when the detailed model finished draining the in-flight workgroups): in a
-// real run the skipped workgroups would have backfilled slots as the drain
-// released them, and the ramp models exactly that.
-func PredictMakespan(rampStart, rampEnd float64, groupDurations []float64, shape MachineShape) float64 {
-	if len(groupDurations) == 0 {
-		return rampEnd
-	}
-	if rampEnd < rampStart {
-		rampEnd = rampStart
-	}
-	h := rampSlots(rampStart, rampEnd, shape)
-	end := rampEnd
-	for _, d := range groupDurations {
-		if done := h.place(d); done > end {
-			end = done
-		}
-	}
-	return end
-}
-
-// UniformMakespan is PredictMakespan for count groups of equal duration
-// (used by warp-sampling, where every remaining group gets the same
-// predicted duration).
-func UniformMakespan(rampStart, rampEnd, duration float64, count int, shape MachineShape) float64 {
+// makespan list-schedules count workgroups — group i, in dispatch order,
+// lasting duration(i) — onto the machine's group slots and returns the
+// completion time of the last one. Slots become available along a linear
+// ramp from rampStart (when the dispatch gate fired) to rampEnd (when the
+// detailed model finished draining the in-flight workgroups): in a real run
+// the skipped workgroups would have backfilled slots as the drain released
+// them, and the ramp models exactly that.
+func makespan(rampStart, rampEnd float64, count int, duration func(int) float64, shape MachineShape) float64 {
 	if count <= 0 {
 		return rampEnd
 	}
@@ -94,10 +74,24 @@ func UniformMakespan(rampStart, rampEnd, duration float64, count int, shape Mach
 	}
 	h := rampSlots(rampStart, rampEnd, shape)
 	end := rampEnd
-	for ; count > 0; count-- {
-		if done := h.place(duration); done > end {
+	for i := 0; i < count; i++ {
+		if done := h.place(duration(i)); done > end {
 			end = done
 		}
 	}
 	return end
+}
+
+// PredictMakespan is the makespan of the remaining workgroups given their
+// predicted durations, in dispatch order.
+func PredictMakespan(rampStart, rampEnd float64, groupDurations []float64, shape MachineShape) float64 {
+	return makespan(rampStart, rampEnd, len(groupDurations),
+		func(i int) float64 { return groupDurations[i] }, shape)
+}
+
+// UniformMakespan is the makespan of count groups of equal duration (used by
+// warp-sampling, where every remaining group gets the same predicted
+// duration).
+func UniformMakespan(rampStart, rampEnd, duration float64, count int, shape MachineShape) float64 {
+	return makespan(rampStart, rampEnd, count, func(int) float64 { return duration }, shape)
 }

@@ -289,9 +289,7 @@ func PrintAccuracySummaries(w io.Writer, sums []AccuracySummary) {
 }
 
 // decisionsOf returns the tier ledger of a runner that keeps one (Photon);
-// other runners contribute no accuracy records. A wrapper such as
-// verify.Auditor keeps none, so code that wraps a runner asks the runner it
-// built, not the wrapper.
+// other runners contribute no accuracy records.
 func decisionsOf(r gpu.Runner) []core.TierDecision {
 	if ds, ok := r.(interface{ Decisions() []core.TierDecision }); ok {
 		return ds.Decisions()

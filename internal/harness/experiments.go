@@ -38,12 +38,11 @@ type Options struct {
 	// When nil, each sweep falls back to a private cache, so baselines are
 	// still simulated at most once within one experiment.
 	Baselines *BaselineCache
-	// WrapRunner, when non-nil, wraps every sampled runner a sweep builds —
-	// the CLIs' -check mode installs verify.NewAuditor here to run the
-	// invariant audit inline. Baseline full-detailed runs are memoized and
-	// shared across experiments, so they stay unwrapped: a wrapper must not
-	// change simulation results, only observe them.
-	WrapRunner func(gpu.Runner) gpu.Runner
+	// Check audits every sampled run a sweep executes (AppObs.Check, the
+	// CLIs' -check); the first violation fails the sweep at its kernel.
+	// Memoized full-detailed baselines are not audited: BaselineCache runs
+	// them outside the sweep's observation and shares them across experiments.
+	Check bool
 	// Metrics, when non-nil, receives cumulative telemetry from the engine
 	// and from every sampled-runner simulation (cache/DRAM stats, per-CU
 	// timing counters, Photon tier decisions). Metrics output is a separate

@@ -16,6 +16,7 @@ import (
 	"photon/internal/obs"
 	"photon/internal/sim/event"
 	"photon/internal/sim/gpu"
+	"photon/internal/sim/kernel"
 	"photon/internal/stats"
 	"photon/internal/workloads"
 )
@@ -64,6 +65,12 @@ type AppObs struct {
 	// TID is the trace-span thread id for this run (callers running apps
 	// concurrently pass distinct tids so spans do not overlap).
 	TID int
+	// Check audits simulator invariants after every kernel (the CLIs'
+	// -check): the memory hierarchy's conservation equations must hold and
+	// the result must report at least one instruction per warp (every warp
+	// executes s_endpgm). Both read state the run left behind, so the audit
+	// re-executes nothing; a violation is that kernel's error.
+	Check bool
 	// Lanes is ignored. It survives only because benchmark/sim.go, frozen
 	// outside benchmark PRs, still sets it; the benchmark PR that retires
 	// that probe removes this field with it.
@@ -73,12 +80,10 @@ type AppObs struct {
 // RunAppInstrumented runs the app with the observability bundle attached.
 // The sinks ride on the GPU every RunKernel receives: its memory hierarchy
 // and timing machines publish into ao.Metrics and log through ao.Log, and a
-// runner that publishes telemetry (Photon) reads them from the GPU — so a
-// wrapper around the runner cannot hide them. Every kernel
-// emits one Chrome trace span onto thread ao.TID of the simulation track.
-// The runner's tier ledger, when it keeps one, is returned in
-// AppResult.Decisions; a caller that wraps its runner reads the ledger from
-// the runner it built (see decisionsOf).
+// runner that publishes telemetry (Photon) reads them from the GPU. Every
+// kernel emits one Chrome trace span onto thread ao.TID of the simulation
+// track. The runner's tier ledger, when it keeps one, is returned in
+// AppResult.Decisions.
 //
 // It checks ctx between kernel launches, so a cancelled or deadline-exceeded
 // job stops within one kernel of the signal instead of simulating the rest
@@ -99,6 +104,9 @@ func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App,
 		}
 		start := time.Now()
 		r, err := runner.RunKernel(g, l)
+		if err == nil && ao.Check {
+			err = audit(g, l, r)
+		}
 		if err != nil {
 			return res, fmt.Errorf("harness: %s/%s under %s: %w", app.Name, l.Name, runner.Name(), err)
 		}
@@ -117,9 +125,20 @@ func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App,
 	return res, nil
 }
 
+// audit checks the invariants a finished kernel must have left behind.
+func audit(g *gpu.GPU, l *kernel.Launch, r gpu.KernelResult) error {
+	if err := g.Hierarchy().CheckConservation(); err != nil {
+		return fmt.Errorf("audit: %w", err)
+	}
+	if warps := l.TotalWarps(); r.Insts < uint64(warps) {
+		return fmt.Errorf("audit: %d instructions reported for %d warps (each warp executes at least s_endpgm)", r.Insts, warps)
+	}
+	return nil
+}
+
 // FinalizeMetrics derives run-level summary gauges — per-level cache hit
-// rates and the DRAM row-hit rate — from the registry's raw counters. Call
-// it once, after all simulation finished and before writing the snapshot.
+// rates — from the registry's raw counters. Call it once, after all
+// simulation finished and before writing the snapshot.
 func FinalizeMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -133,10 +152,6 @@ func FinalizeMetrics(reg *obs.Registry) {
 			continue
 		}
 		reg.Gauge("sim_cache_hit_rate", l).Set(float64(hits) / float64(hits+misses))
-	}
-	if acc := snap.SumCounters("sim_dram_accesses_total"); acc > 0 {
-		rate := float64(snap.SumCounters("sim_dram_row_hits_total")) / float64(acc)
-		reg.Gauge("sim_dram_row_hit_rate").Set(rate)
 	}
 }
 

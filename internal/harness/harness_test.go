@@ -7,10 +7,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"photon/internal/core"
 	"photon/internal/sim/event"
 	"photon/internal/sim/gpu"
+	"photon/internal/sim/kernel"
 	"photon/internal/sim/mem"
 	"photon/internal/sim/timing"
 	"photon/internal/workloads"
@@ -30,8 +32,7 @@ func testGPU() gpu.Config {
 			L1K:               mem.CacheConfig{Name: "l1k", SizeBytes: 16 * kib, Ways: 4, HitLatency: 24, ThroughputCycles: 1},
 			L2:                mem.CacheConfig{Name: "l2", SizeBytes: 256 * kib, Ways: 16, HitLatency: 80, ThroughputCycles: 2},
 			L2Banks:           8,
-			DRAM: mem.DRAMConfig{Name: "dram", Banks: 16, RowBits: 11,
-				RowHitLatency: 120, RowMissLatency: 250, BurstCycles: 8},
+			DRAM:              mem.DRAMConfig{Name: "dram", Banks: 16, Latency: 250, BurstCycles: 8},
 		},
 	}
 }
@@ -74,6 +75,59 @@ func TestAppObsLanesIsInert(t *testing.T) {
 	}
 	if plain, four := run(AppObs{}), run(AppObs{Lanes: 4}); !reflect.DeepEqual(plain, four) {
 		t.Fatalf("AppObs.Lanes changed the result:\n   plain: %+v\nLanes: 4: %+v", plain, four)
+	}
+}
+
+// brokenRunner runs a kernel in full detail and then spoils what it leaves
+// behind — the shape of simulator bug the inline audit exists to catch.
+type brokenRunner struct {
+	spoil func(*gpu.GPU, *gpu.KernelResult)
+}
+
+func (brokenRunner) Name() string { return "broken" }
+
+func (b brokenRunner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
+	res, err := gpu.FullRunner{}.RunKernel(g, l)
+	b.spoil(g, &res)
+	return res, err
+}
+
+// TestCheckFailsTheViolatingKernel: under AppObs.Check a result reporting
+// fewer instructions than warps, and a hierarchy whose conservation
+// equations no longer balance, each fail the run with an error naming the
+// kernel; without Check the same runs pass unaudited.
+func TestCheckFailsTheViolatingKernel(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		spoil      func(*gpu.GPU, *gpu.KernelResult)
+	}{
+		{"insts", "0 instructions reported for", func(_ *gpu.GPU, r *gpu.KernelResult) { r.Insts = 0 }},
+		{"conservation", "audit: mem: L2 accesses", func(g *gpu.GPU, _ *gpu.KernelResult) {
+			// mem offers no way to unbalance its counters, so reach in: one
+			// atomic that never arrived at L2.
+			f := reflect.ValueOf(g.Hierarchy()).Elem().FieldByName("atomicAccesses")
+			*(*uint64)(unsafe.Pointer(f.UnsafeAddr()))++
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, check := range []bool{false, true} {
+				app, err := workloads.BuildFIR(384)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = RunAppInstrumented(t.Context(), testGPU(), app, brokenRunner{tc.spoil}, AppObs{Check: check})
+				if !check {
+					if err != nil {
+						t.Fatalf("unaudited run failed: %v", err)
+					}
+					continue
+				}
+				where := app.Name + "/" + app.Launches[0].Name + " under broken: audit:"
+				if err == nil || !strings.Contains(err.Error(), where) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("audited run: got %v, want an error containing %q and %q", err, where, tc.want)
+				}
+			}
+		})
 	}
 }
 

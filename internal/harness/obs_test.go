@@ -248,6 +248,4 @@ sim_cache_writebacks_total{L1K} 0
 sim_cache_writebacks_total{L1V} 572
 sim_cache_writebacks_total{L2} 0
 sim_dram_accesses_total{} 3077
-sim_dram_latency_cycles{} count=3077 sum=799532
-sim_dram_row_hit_rate{} 0
-sim_dram_row_hits_total{} 0`
+sim_dram_latency_cycles{} count=3077 sum=799532`

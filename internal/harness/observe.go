@@ -78,14 +78,10 @@ func Fig1Data(cfg gpu.Config, parallel int) ([]string, map[string][]float64, err
 	return names, out, nil
 }
 
-// Fig1 prints the IPC series of a stabilizing kernel (ReLU) and a
+// Fig1 prints Fig1Data's IPC series of a stabilizing kernel (ReLU) and a
 // fluctuating one (MM), reproducing Observation 1/2.
-func Fig1(w io.Writer, cfg gpu.Config, parallel int) error {
+func Fig1(w io.Writer, names []string, data map[string][]float64) {
 	fmt.Fprintf(w, "# Figure 1: IPC over time (window = %d cycles)\n", Fig1IPCWindow)
-	names, data, err := Fig1Data(cfg, parallel)
-	if err != nil {
-		return err
-	}
 	for _, name := range names {
 		series := data[name]
 		// The steady-state cv (second half of the run) separates "IPC
@@ -97,7 +93,6 @@ func Fig1(w io.Writer, cfg gpu.Config, parallel int) error {
 		fmt.Fprintf(w, "  IPC over time: %s\n", sparkline(series, 60))
 		printSeries(w, name, series, 24)
 	}
-	return nil
 }
 
 func cv(xs []float64) float64 {
@@ -177,10 +172,13 @@ func sampleBlocks(cfg gpu.Config, app *workloads.App) (*blockSampler, error) {
 // obsBenchNames is the regular/irregular pair Figures 2-4 analyze.
 var obsBenchNames = []string{"MM", "SpMV"}
 
-// sampleObsBenches runs the detailed block/warp sampling for MM and SpMV as
-// parallel engine jobs (each builds its own app and GPU), returning the
-// samplers in presentation order.
-func sampleObsBenches(cfg gpu.Config, parallel int) ([]*blockSampler, error) {
+// ObsSamples holds the detailed block/warp samples of the regular/irregular
+// pair (obsBenchNames order) that Figures 2-4 all print from.
+type ObsSamples []*blockSampler
+
+// SampleObs runs the detailed block/warp sampling for MM and SpMV as
+// parallel engine jobs (each builds its own app and GPU).
+func SampleObs(cfg gpu.Config, parallel int) (ObsSamples, error) {
 	builds := []func() (*workloads.App, error){
 		func() (*workloads.App, error) { return workloads.BuildMM(obsMMWarps) },
 		func() (*workloads.App, error) { return workloads.BuildSPMV(obsSPMVWarps) },
@@ -201,13 +199,9 @@ func sampleObsBenches(cfg gpu.Config, parallel int) ([]*blockSampler, error) {
 
 // Fig2 prints the execution-time series and global variance of the
 // dominating basic block for MM (regular) and SpMV (irregular).
-func Fig2(w io.Writer, cfg gpu.Config, parallel int) error {
+func Fig2(w io.Writer, samples ObsSamples) {
 	fmt.Fprintln(w, "# Figure 2: dominating basic block execution time over retirement order")
-	samplers, err := sampleObsBenches(cfg, parallel)
-	if err != nil {
-		return err
-	}
-	for i, s := range samplers {
+	for i, s := range samples {
 		name := obsBenchNames[i]
 		durs := make([]float64, len(s.BlockPairs))
 		for i, p := range s.BlockPairs {
@@ -218,41 +212,30 @@ func Fig2(w io.Writer, cfg gpu.Config, parallel int) error {
 		fmt.Fprintf(w, "  exec time over retirement order: %s\n", sparkline(durs, 60))
 		printSeries(w, name+"-bbtime", durs, 20)
 	}
-	return nil
 }
 
 // Fig3 fits the least-squares line of the dominating block's issue/retired
 // relationship (slope should approach 1 once contention stabilizes).
-func Fig3(w io.Writer, cfg gpu.Config, parallel int) error {
+func Fig3(w io.Writer, samples ObsSamples) {
 	fmt.Fprintln(w, "# Figure 3: dominating basic block issue vs retired time (least-squares)")
-	samplers, err := sampleObsBenches(cfg, parallel)
-	if err != nil {
-		return err
-	}
-	for i, s := range samplers {
+	for i, s := range samples {
 		a, b := fitPairs(s.BlockPairs)
 		aTail, _ := fitTail(s.BlockPairs, 2048)
 		fmt.Fprintf(w, "%s: retired = %.4f * issue + %.1f over %d samples; tail-window slope %.4f\n",
 			obsBenchNames[i], a, b, len(s.BlockPairs), aTail)
 	}
-	return nil
 }
 
 // Fig4 does the same at warp level: regular applications' slope approaches
 // 1, irregular ones deviate.
-func Fig4(w io.Writer, cfg gpu.Config, parallel int) error {
+func Fig4(w io.Writer, samples ObsSamples) {
 	fmt.Fprintln(w, "# Figure 4: warp issue vs retired time (least-squares)")
-	samplers, err := sampleObsBenches(cfg, parallel)
-	if err != nil {
-		return err
-	}
-	for i, s := range samplers {
+	for i, s := range samples {
 		a, b := fitPairs(s.WarpPairs)
 		aTail, _ := fitTail(s.WarpPairs, 1024)
 		fmt.Fprintf(w, "%s: retired = %.4f * issue + %.1f over %d warps; tail-window slope %.4f\n",
 			obsBenchNames[i], a, b, len(s.WarpPairs), aTail)
 	}
-	return nil
 }
 
 func fitPairs(pairs [][2]event.Time) (a, b float64) {
@@ -429,7 +412,14 @@ func distributionReport(w io.Writer, parallel int,
 		for k := range all {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return all[keys[i]] > all[keys[j]] })
+		// Largest share first; equal shares by key, so the rows do not follow
+		// map iteration order.
+		sort.Slice(keys, func(i, j int) bool {
+			if all[keys[i]] != all[keys[j]] {
+				return all[keys[i]] > all[keys[j]]
+			}
+			return keys[i] < keys[j]
+		})
 		if len(keys) > 8 {
 			keys = keys[:8]
 		}

@@ -16,9 +16,6 @@ import (
 
 	"photon/internal/core"
 	"photon/internal/obs"
-	"photon/internal/sim/gpu"
-	"photon/internal/sim/kernel"
-	"photon/internal/verify"
 	"photon/internal/workloads"
 )
 
@@ -217,65 +214,6 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// countingRunner observes RunKernel calls without changing results.
-type countingRunner struct {
-	inner gpu.Runner
-	calls *atomic.Int32
-}
-
-func (c countingRunner) Name() string { return c.inner.Name() }
-
-func (c countingRunner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
-	c.calls.Add(1)
-	return c.inner.RunKernel(g, l)
-}
-
-// TestWrapRunnerWrapsSampledJobsOnly: the WrapRunner hook must see every
-// sampled runner a sweep builds, must not perturb the emitted rows, and must
-// never be applied to the memoized full baselines.
-func TestWrapRunnerWrapsSampledJobsOnly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs several small simulations")
-	}
-	var calls atomic.Int32
-	var wrapped, plain bytes.Buffer
-
-	o := DefaultOptions()
-	o.FixedWall = true
-	if err := o.RunSweep(&plain, detSweep(o)); err != nil {
-		t.Fatal(err)
-	}
-	o.WrapRunner = func(r gpu.Runner) gpu.Runner {
-		return countingRunner{inner: r, calls: &calls}
-	}
-	if err := o.RunSweep(&wrapped, detSweep(o)); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() == 0 {
-		t.Fatal("WrapRunner hook never saw a kernel")
-	}
-	if wrapped.String() != plain.String() {
-		t.Fatalf("an observing wrapper changed sweep output:\n--- plain ---\n%s--- wrapped ---\n%s",
-			plain.String(), wrapped.String())
-	}
-	// Baselines stay unwrapped: a cache that simulates through the hook
-	// would inflate the count by the full-detailed kernels too. Each sweep
-	// point is one kernel per app here, so sampled jobs alone account for
-	// every observed call.
-	got := calls.Load()
-	sampled := int32(0)
-	for _, pt := range detSweep(o).Points {
-		app, err := pt.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sampled += int32(len(app.Launches) * 2) // two sampled factories
-	}
-	if got != sampled {
-		t.Fatalf("wrapper saw %d kernels, want %d (sampled jobs only, baselines unwrapped)", got, sampled)
-	}
-}
-
 // TestSweepPropagatesJobErrors checks the serial-equivalent failure
 // semantics at the harness level.
 func TestSweepPropagatesJobErrors(t *testing.T) {
@@ -350,60 +288,46 @@ func TestFig17EmitsRecords(t *testing.T) {
 	}
 }
 
-// TestAuditorWrapperKeepsLedgerAndTelemetry: -check installs verify.NewAuditor
-// as the WrapRunner hook, and a wrapper has none of Photon's optional
-// methods. The accuracy ledger and the photon_* series must come out the
-// same with and without it — the sinks ride on the GPU and the ledger is read
-// from the runner the sweep built.
-func TestAuditorWrapperKeepsLedgerAndTelemetry(t *testing.T) {
+// TestCheckKeepsRowsLedgerAndTelemetry: the inline audit only reads what a
+// kernel left behind, so the same sweep with Check on and off must emit
+// byte-identical rows and JSON records, an identical accuracy ledger and
+// identical photon_* counters.
+func TestCheckKeepsRowsLedgerAndTelemetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several small simulations")
 	}
-	run := func(wrap func(gpu.Runner) gpu.Runner) (ledger string, photon map[string]uint64) {
-		var acc bytes.Buffer
+	type artifacts struct {
+		rows, records, ledger string
+		photon                map[string]uint64
+	}
+	run := func(check bool) artifacts {
+		var rows, recs, acc bytes.Buffer
 		o := DefaultOptions()
 		o.FixedWall = true
-		o.WrapRunner = wrap
+		o.Check = check
 		o.Metrics = obs.NewRegistry()
+		o.JSON = NewJSONSink(&recs)
 		o.Accuracy = NewAccuracySink(&acc)
-		sweep := Sweep{
-			Experiment: "audit",
-			Config:     testGPU(),
-			Factories:  []RunnerFactory{PhotonFactory("photon", o.Params, core.AllLevels())},
-			Points: []Point{
-				{Bench: "ReLU", Size: 8192, Build: func() (*workloads.App, error) { return workloads.BuildReLU(8192) }},
-			},
-		}
-		if err := o.RunSweep(&bytes.Buffer{}, sweep); err != nil {
+		sweep := detSweep(o)
+		sweep.Points = append(sweep.Points, Point{Bench: "ReLU", Size: 8192,
+			Build: func() (*workloads.App, error) { return workloads.BuildReLU(8192) }})
+		if err := o.RunSweep(&rows, sweep); err != nil {
 			t.Fatal(err)
 		}
-		photon = map[string]uint64{}
+		photon := map[string]uint64{}
 		for _, c := range o.Metrics.Snapshot().Counters {
 			if strings.HasPrefix(c.Name, "photon_") {
 				photon[c.Name] += c.Value
 			}
 		}
-		return acc.String(), photon
+		return artifacts{rows.String(), recs.String(), acc.String(), photon}
 	}
 
-	plainLedger, plainPhoton := run(nil)
-	var audits []*verify.Auditor
-	auditedLedger, auditedPhoton := run(func(r gpu.Runner) gpu.Runner {
-		a := verify.NewAuditor(r)
-		audits = append(audits, a)
-		return a
-	})
-
-	if plainLedger == "" || plainPhoton["photon_insts_predicted_total"] == 0 {
-		t.Fatalf("unwrapped run sampled nothing: ledger %q, counters %v", plainLedger, plainPhoton)
+	plain, audited := run(false), run(true)
+	if plain.ledger == "" || plain.photon["photon_insts_predicted_total"] == 0 {
+		t.Fatalf("unaudited run sampled nothing: ledger %q, counters %v", plain.ledger, plain.photon)
 	}
-	if auditedLedger != plainLedger {
-		t.Fatalf("auditor changed the accuracy ledger:\n--- plain ---\n%s--- audited ---\n%s", plainLedger, auditedLedger)
-	}
-	if !reflect.DeepEqual(auditedPhoton, plainPhoton) {
-		t.Fatalf("auditor changed photon_* counters: plain %v, audited %v", plainPhoton, auditedPhoton)
-	}
-	if len(audits) != 1 || audits[0].Kernels() == 0 || audits[0].Err() != nil {
-		t.Fatalf("auditor did not audit the wrapped run: %d auditors", len(audits))
+	if !reflect.DeepEqual(audited, plain) {
+		t.Fatalf("Check changed what the sweep emits:\n--- plain ---\n%+v\n--- audited ---\n%+v", plain, audited)
 	}
 }

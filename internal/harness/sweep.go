@@ -92,14 +92,12 @@ func (o Options) runSweep(s Sweep, row func(Comparison)) error {
 				if err != nil {
 					return Comparison{}, err
 				}
-				built := f.New(s.Config)
-				res, err := RunAppInstrumented(ctx, s.Config, app, o.wrap(built), AppObs{
-					Metrics: o.Metrics, Trace: o.Trace, Log: o.Log, TID: tid,
+				res, err := RunAppInstrumented(ctx, s.Config, app, f.New(s.Config), AppObs{
+					Metrics: o.Metrics, Trace: o.Trace, Log: o.Log, TID: tid, Check: o.Check,
 				})
 				if err != nil {
 					return Comparison{}, err
 				}
-				res.Decisions = decisionsOf(built)
 				return Comparison{Bench: pt.Bench, Size: pt.Size, Runner: f.Name, Full: full, Sampled: res}, nil
 			})
 		}
@@ -124,14 +122,6 @@ func (o Options) runSweep(s Sweep, row func(Comparison)) error {
 			}
 			return o.JSON.Emit(rec)
 		})
-}
-
-// wrap applies the WrapRunner hook to a runner the sweep built.
-func (o Options) wrap(r gpu.Runner) gpu.Runner {
-	if o.WrapRunner != nil {
-		r = o.WrapRunner(r)
-	}
-	return r
 }
 
 // normalize applies the FixedWall pinning to a comparison before emission.

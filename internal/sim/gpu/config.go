@@ -44,8 +44,7 @@ func R9Nano() Config {
 			L2:                cache("L2", 256*kib, 16, 80, 2),
 			L2Banks:           8,
 			DRAM: mem.DRAMConfig{
-				Name: "HBM", Banks: 32, RowBits: 11,
-				RowHitLatency: 120, RowMissLatency: 250, BurstCycles: 8,
+				Name: "HBM", Banks: 32, Latency: 250, BurstCycles: 8,
 			},
 		},
 		DRAMBytes: 4 << 30,
@@ -70,8 +69,7 @@ func MI100() Config {
 			L2:                cache("L2", 256*kib, 16, 80, 2), // 32 banks x 256 KB = 8 MB
 			L2Banks:           32,
 			DRAM: mem.DRAMConfig{
-				Name: "HBM2", Banks: 64, RowBits: 11,
-				RowHitLatency: 110, RowMissLatency: 230, BurstCycles: 8,
+				Name: "HBM2", Banks: 64, Latency: 230, BurstCycles: 8,
 			},
 		},
 		DRAMBytes: 32 << 30,

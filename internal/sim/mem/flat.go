@@ -1,7 +1,8 @@
 // Package mem provides the simulator's memory system: a flat functional
 // memory that backs emulation, and a timing model of the GPU cache/DRAM
 // hierarchy (set-associative L1 and banked L2 caches, banked DRAM with
-// row-buffer and queueing effects) used by the detailed simulation mode.
+// per-bank queueing and one fixed latency) used by the detailed simulation
+// mode.
 package mem
 
 import (

@@ -306,7 +306,6 @@ type Stats struct {
 	L1KHits, L1KMisses uint64
 	L2Hits, L2Misses   uint64
 	DRAMAccesses       uint64
-	DRAMRowHits        uint64
 }
 
 // CollectStats sums the per-cache counters.
@@ -315,6 +314,6 @@ func (h *Hierarchy) CollectStats() Stats {
 	return Stats{
 		L1VHits: v[0], L1VMisses: v[1], L1IHits: i[0], L1IMisses: i[1],
 		L1KHits: k[0], L1KMisses: k[1], L2Hits: l2[0], L2Misses: l2[1],
-		DRAMAccesses: h.dram.Accesses(), DRAMRowHits: h.dram.RowHits(),
+		DRAMAccesses: h.dram.Accesses(),
 	}
 }

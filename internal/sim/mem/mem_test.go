@@ -231,31 +231,14 @@ func TestCacheIndexShiftUsesAllSets(t *testing.T) {
 	}
 }
 
-func TestDRAMRowHitVsMiss(t *testing.T) {
-	d := NewDRAM(DRAMConfig{Name: "d", Banks: 4, RowBits: 11,
-		RowHitLatency: 50, RowMissLatency: 200, BurstCycles: 4})
-	t1 := d.Access(0, 0, false)
-	if t1 != 200 {
-		t.Fatalf("first access (row miss) done at %d, want 200", t1)
-	}
-	t2 := d.Access(300, 256, false) // same bank? line 4 -> bank 0, same row
-	if t2 != 350 {
-		t.Fatalf("row hit done at %d, want 350", t2)
-	}
-	if d.RowHits() != 1 {
-		t.Fatalf("row hits = %d, want 1", d.RowHits())
-	}
-}
-
 func TestDRAMBankQueueing(t *testing.T) {
-	d := NewDRAM(DRAMConfig{Name: "d", Banks: 4, RowBits: 11,
-		RowHitLatency: 50, RowMissLatency: 200, BurstCycles: 4})
+	d := NewDRAM(DRAMConfig{Name: "d", Banks: 4, Latency: 200, BurstCycles: 4})
 	d.Access(0, 0, false)
 	// Second access to the same bank at the same instant queues behind the
 	// burst window.
 	t2 := d.Access(0, 0, false)
-	if t2 != 4+50 {
-		t.Fatalf("queued access done at %d, want 54", t2)
+	if t2 != 4+200 {
+		t.Fatalf("queued access done at %d, want 204", t2)
 	}
 	// Different bank does not queue.
 	t3 := d.Access(0, LineSize, false)
@@ -273,8 +256,7 @@ func testHierarchy() *Hierarchy {
 		L1K:               CacheConfig{Name: "l1k", SizeBytes: 16 * 1024, Ways: 4, HitLatency: 24, ThroughputCycles: 1},
 		L2:                CacheConfig{Name: "l2", SizeBytes: 256 * 1024, Ways: 16, HitLatency: 80, ThroughputCycles: 2},
 		L2Banks:           8,
-		DRAM: DRAMConfig{Name: "dram", Banks: 16, RowBits: 11,
-			RowHitLatency: 120, RowMissLatency: 250, BurstCycles: 8},
+		DRAM:              DRAMConfig{Name: "dram", Banks: 16, Latency: 250, BurstCycles: 8},
 	})
 }
 
@@ -384,7 +366,7 @@ func TestConfigValidation(t *testing.T) {
 			NewHierarchy(hc)
 		}
 	}
-	badDRAM := DRAMConfig{Name: "x", Banks: 3, RowBits: 11}
+	badDRAM := DRAMConfig{Name: "x", Banks: 3}
 	if err := badDRAM.Validate(); err == nil {
 		t.Error("non-power-of-two bank count accepted")
 	}

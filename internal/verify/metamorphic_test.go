@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"testing"
 
 	"photon/internal/core"
@@ -14,7 +15,7 @@ import (
 // envelope around the full-detailed kernel time (Section 6 reports <4% mean
 // error on the hardware configs; the threshold here is looser because this
 // deliberately tiny configuration amplifies per-interval variance). The
-// Photon run is additionally wrapped in the inline Auditor so the invariant
+// Photon run is additionally audited inline (AppObs.Check) so the invariant
 // battery runs on a real workload, not just generated programs.
 func TestSampledIPCEnvelope(t *testing.T) {
 	if testing.Short() {
@@ -36,16 +37,13 @@ func TestSampledIPCEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auditor := NewAuditor(core.MustNew(cfg, core.DefaultParams(), core.AllLevels()))
-	sampled, err := harness.RunApp(cfg, app, auditor)
+	sampled, err := harness.RunAppInstrumented(context.Background(), cfg, app,
+		core.MustNew(cfg, core.DefaultParams(), core.AllLevels()), harness.AppObs{Check: true})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("audited Photon run failed: %v", err)
 	}
-	if err := auditor.Err(); err != nil {
-		t.Fatalf("inline audit of the Photon run failed: %v", err)
-	}
-	if auditor.Kernels() == 0 {
-		t.Fatal("auditor saw no kernels")
+	if len(sampled.PerKernel) == 0 {
+		t.Fatal("audited run saw no kernels")
 	}
 
 	if full.KernelTime == 0 {

@@ -6,9 +6,9 @@
 // counters (instructions issued == instructions retired per warp, cache
 // accesses == hits + misses, L2 traffic == L1 misses + writebacks, and so
 // on). It also checks the event-engine metamorphic property — the production
-// Engine and the reference RefEngine must produce bit-identical schedules —
-// and exposes an Auditor that wraps any gpu.Runner with the same invariant
-// checks for inline auditing (-check on the CLIs).
+// Engine and the reference RefEngine must produce bit-identical schedules.
+// The CLIs' -check is not here: the harness run loop applies the conservation
+// check itself after every kernel (harness.AppObs.Check).
 //
 // Generated programs are constructed to be schedule-independent: warps write
 // only their own output segment, the shared segment is touched only through
@@ -48,8 +48,7 @@ func SmallConfig() (timing.Config, mem.HierarchyConfig) {
 		L2:                mem.CacheConfig{Name: "L2", SizeBytes: 32 << 10, Ways: 4, HitLatency: 80, ThroughputCycles: 2},
 		L2Banks:           2,
 		DRAM: mem.DRAMConfig{
-			Name: "DRAM", Banks: 4, RowBits: 11,
-			RowHitLatency: 120, RowMissLatency: 250, BurstCycles: 8,
+			Name: "DRAM", Banks: 4, Latency: 250, BurstCycles: 8,
 		},
 	}
 	return compute, hier

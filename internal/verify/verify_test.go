@@ -147,8 +147,6 @@ func TestDecodeCaseDeterministic(t *testing.T) {
 	}
 }
 
-// TestAuditorSeesCleanRun exercises the inline auditor on a real kernel run
-// and on a synthetic violation.
 func TestViolationString(t *testing.T) {
 	v := Violation{Kind: "diff", Detail: "warp 0 pc mismatch"}
 	if v.String() != "diff: warp 0 pc mismatch" {
