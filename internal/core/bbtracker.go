@@ -76,7 +76,7 @@ func (t *bbTracker) OnBlockRetired(now event.Time, w *emu.Warp, blockIdx int, en
 		d = detect.New(t.params.BBWindow, t.params.Delta)
 		t.detectors[blockIdx] = d
 	}
-	d.Add(float64(enter), float64(exit))
+	d.Add(int64(enter), int64(exit))
 	t.adds++
 	if t.adds%t.params.CheckInterval == 0 {
 		t.check()

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-func feedLinear(d *Detector, n int, startX, stepX, dur float64) {
+func feedLinear(d *Detector, n int, startX, stepX, dur int64) {
 	x := startX
 	for i := 0; i < n; i++ {
 		d.Add(x, x+dur)
@@ -36,12 +36,11 @@ func TestNotStableBeforeTwoWindows(t *testing.T) {
 
 func TestGrowingDurationsNotStable(t *testing.T) {
 	d := New(64, 0.03)
-	x := 0.0
-	dur := 100.0
+	x, dur := int64(0), int64(100)
 	for i := 0; i < 256; i++ {
 		d.Add(x, x+dur)
 		x += 10
-		dur *= 1.02 // durations keep growing: slope pulls away from 1
+		dur += (dur + 49) / 50 // durations keep growing ~2 % a sample: slope pulls away from 1
 	}
 	if d.Stable() {
 		a, _ := d.Slope()
@@ -53,7 +52,7 @@ func TestSlopeValue(t *testing.T) {
 	// y = 2x + 5 gives slope exactly 2.
 	d := New(32, 0.03)
 	for i := 0; i < 32; i++ {
-		x := float64(i * 7)
+		x := int64(i * 7)
 		d.Add(x, 2*x+5)
 	}
 	a, ok := d.Slope()
@@ -112,9 +111,9 @@ func TestLargeTimestampsWellConditioned(t *testing.T) {
 func TestNoisyButStationarySeriesStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := New(256, 0.03)
-	x := 0.0
+	x := int64(0)
 	for i := 0; i < 1024; i++ {
-		dur := 100 + rng.Float64()*4 // small bounded noise
+		dur := 100 + rng.Int63n(5) // small bounded noise
 		d.Add(x, x+dur)
 		x += 25
 	}
@@ -145,17 +144,20 @@ func TestPanicsOnBadConfig(t *testing.T) {
 }
 
 // Property: for any affine series y = a*x + b with a near 1 and spread x,
-// the detector recovers the slope to within 1e-6.
+// the detector recovers the slope to within 1e-6. Cycle counts are integers,
+// so a is the rational p/q and x walks the multiples of q.
 func TestPropertySlopeRecovery(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := 0.5 + rng.Float64() // slope in [0.5, 1.5)
-		b := rng.Float64() * 1000
+		const q = 1000
+		p := 500 + rng.Int63n(1000) // slope in [0.5, 1.5)
+		a := float64(p) / q
+		b := rng.Int63n(1000)
 		d := New(64, 0.03)
-		x := rng.Float64() * 1e6
+		k := rng.Int63n(1000)
 		for i := 0; i < 64; i++ {
-			d.Add(x, a*x+b)
-			x += 1 + rng.Float64()*100
+			d.Add(q*k, p*k+b)
+			k += 1 + rng.Int63n(100)
 		}
 		got, ok := d.Slope()
 		if !ok {
@@ -180,11 +182,11 @@ func TestPropertySlopeRecovery(t *testing.T) {
 func TestClumpedRetirementsStillStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := New(256, 0.03)
-	base := 0.0
+	base := int64(0)
 	for clump := 0; clump < 16; clump++ {
 		retire := base + 4000 // whole clump retires together
-		for i := 0; i < 64; i++ {
-			issue := base + float64(i)*20 + rng.Float64()*10
+		for i := int64(0); i < 64; i++ {
+			issue := base + i*20 + rng.Int63n(10)
 			d.Add(issue, retire)
 		}
 		base += 1300
@@ -205,15 +207,14 @@ func TestClumpedRetirementsStillStable(t *testing.T) {
 // must NOT look stable.
 func TestClumpedTrendStillDetected(t *testing.T) {
 	d := New(256, 0.03)
-	base := 0.0
-	dur := 4000.0
+	base, dur := int64(0), int64(4000)
 	for clump := 0; clump < 8; clump++ {
 		retire := base + dur
-		for i := 0; i < 128; i++ {
-			d.Add(base+float64(i)*20, retire)
+		for i := int64(0); i < 128; i++ {
+			d.Add(base+i*20, retire)
 		}
 		base += 2600
-		dur *= 1.25
+		dur += dur / 4
 	}
 	if d.Stable() {
 		a, _ := d.Slope()

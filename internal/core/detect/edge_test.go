@@ -7,22 +7,18 @@ import (
 )
 
 // TestRingWraparoundAtExactlyTwoWindows pins the ring indexing at the moment
-// the buffer first becomes full: with exactly 2n samples, head has wrapped
-// back to 0 and at(i) must still map i=1..n onto the recent half and
-// i=n+1..2n onto the previous half.
+// the window first becomes full and on the sample after it, when the
+// (2n+1)-entry prefix ring wraps: the newest n samples must stay the recent
+// half and the n before them the previous half.
 func TestRingWraparoundAtExactlyTwoWindows(t *testing.T) {
 	d := New(4, 0.03)
 	feedLinear(d, 4, 0, 10, 10)  // previous half: duration 10
 	feedLinear(d, 4, 40, 10, 30) // recent half: duration 30
-	if d.head != 0 {
-		t.Fatalf("head = %d after exactly 2n samples, want wrapped to 0", d.head)
+	if recent, prev := d.halfMeans(); recent != 30 || prev != 10 {
+		t.Fatalf("half means at exactly 2n samples = %v, %v; want 30, 10", recent, prev)
 	}
 	if got := d.MeanDuration(); got != 30 {
 		t.Fatalf("MeanDuration over the recent half = %v, want 30", got)
-	}
-	d.refresh()
-	if d.meanPrev != 10 {
-		t.Fatalf("previous-half mean = %v, want 10", d.meanPrev)
 	}
 	if d.Stable() {
 		t.Fatal("plateau shift at the wraparound boundary declared stable")
@@ -31,12 +27,14 @@ func TestRingWraparoundAtExactlyTwoWindows(t *testing.T) {
 	// One more sample slides both halves by one: prev = samples 2..5
 	// (durations 10,10,10,30 -> mean 15), recent = 6..9 (all 30).
 	d.Add(80, 110)
-	d.refresh()
-	if d.meanPrev != 15 {
-		t.Fatalf("previous-half mean after sliding one sample = %v, want 15", d.meanPrev)
+	if recent, prev := d.halfMeans(); recent != 30 || prev != 15 {
+		t.Fatalf("half means after sliding one sample = %v, %v; want 30, 15", recent, prev)
 	}
-	if got := d.MeanDuration(); got != 30 {
-		t.Fatalf("recent mean after sliding = %v, want 30", got)
+	// And across several full wraps of the ring the halves keep sliding.
+	feedLinear(d, 27, 90, 10, 50)
+	d.Add(360, 370)
+	if recent, prev := d.halfMeans(); recent != 40 || prev != 50 {
+		t.Fatalf("half means after four wraps = %v, %v; want 40, 50", recent, prev)
 	}
 }
 
@@ -66,18 +64,15 @@ func TestZeroXVarianceSlopeNotNaN(t *testing.T) {
 	}
 }
 
-// TestRefreshIdempotentAtSameCount: polling twice at one sample count must
-// hit the cache and return identical values (the scheduler polls every unit
-// on every retirement, many times per Add).
-func TestRefreshIdempotentAtSameCount(t *testing.T) {
+// TestQueriesIdempotentAtSameCount: polling twice at one sample count must
+// return identical values — a query reads the sums and changes nothing (the
+// controller polls every block type's detector between Adds).
+func TestQueriesIdempotentAtSameCount(t *testing.T) {
 	d := New(16, 0.03)
 	feedLinear(d, 32, 0, 10, 42)
 	a1, ok1 := d.Slope()
 	m1 := d.MeanDuration()
 	s1 := d.Stable()
-	if d.cachedAt != d.count {
-		t.Fatalf("cachedAt = %d after a poll at count %d", d.cachedAt, d.count)
-	}
 	a2, ok2 := d.Slope()
 	m2 := d.MeanDuration()
 	s2 := d.Stable()
@@ -87,10 +82,11 @@ func TestRefreshIdempotentAtSameCount(t *testing.T) {
 	}
 }
 
-// FuzzDetector feeds arbitrary (but finite) sample streams and asserts the
-// detector's robustness properties: no NaN/Inf ever escapes, and the query
-// methods are idempotent at a fixed sample count. The committed corpus runs
-// in plain `go test`.
+// FuzzDetector feeds arbitrary sample streams and asserts, on every step,
+// that the detector answers exactly as the windowed reference does (==, see
+// reference_test.go) and the robustness properties: no NaN/Inf ever escapes,
+// and the query methods are idempotent at a fixed sample count. The committed
+// corpus runs in plain `go test`.
 func FuzzDetector(f *testing.F) {
 	f.Add(uint8(4), []byte{})
 	f.Add(uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -98,14 +94,15 @@ func FuzzDetector(f *testing.F) {
 		0x50, 0x60, 0x70, 0x80, 0x90, 0xa0, 0xb0, 0xc0})
 	f.Fuzz(func(t *testing.T, win uint8, data []byte) {
 		n := int(win)%64 + 2
-		d := New(n, 0.03)
-		x := 0.0
+		p := newPair(t, n)
+		d := p.d
+		x := int64(0)
 		for len(data) >= 4 {
-			step := float64(binary.LittleEndian.Uint16(data))
-			dur := float64(binary.LittleEndian.Uint16(data[2:]))
+			step := int64(binary.LittleEndian.Uint16(data))
+			dur := int64(binary.LittleEndian.Uint16(data[2:]))
 			data = data[4:]
 			x += step
-			d.Add(x, x+dur)
+			p.add(x, x+dur)
 
 			a, ok := d.Slope()
 			if math.IsNaN(a) || math.IsInf(a, 0) {

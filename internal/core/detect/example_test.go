@@ -11,7 +11,7 @@ import (
 // 2n-window mean guard — Photon's stability criterion.
 func Example() {
 	d := detect.New(64, 0.03)
-	issue := 0.0
+	issue := int64(0)
 	for i := 0; i < 128; i++ {
 		const duration = 500 // cycles per execution, stationary
 		d.Add(issue, issue+duration)

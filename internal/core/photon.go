@@ -11,7 +11,6 @@ import (
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/kernel"
 	"photon/internal/sim/timing"
-	"photon/internal/stats"
 )
 
 // Params are Photon's knobs; DefaultParams matches the paper.
@@ -245,12 +244,12 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		wT = newWarpTracker(p.params, minRetires)
 		wT.setMetrics(g.Metrics())
 	}
-	// Attach only the armed trackers: one directly, both through a fan-out,
+	// Attach only the armed trackers: one directly, both through bothTrackers,
 	// none as a nil observer (the timing machine's no-op).
 	var obs timing.Observer
 	switch {
 	case bbT != nil && wT != nil:
-		obs = stats.MultiObserver{bbT, wT}
+		obs = bothTrackers{bb: bbT, warp: wT}
 	case bbT != nil:
 		obs = bbT
 	case wT != nil:
@@ -334,6 +333,26 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	dec.WarpSlope, dec.WarpSlopeOK = wT.slope()
 	p.recordKernel(g, l.Name, profile, result, dec)
 	return result, nil
+}
+
+// bothTrackers is the observer of a kernel with both intra-kernel levels
+// armed. It forwards the two callbacks the trackers consume and nothing else:
+// OnInstIssued fires for every detailed instruction and neither listens.
+type bothTrackers struct {
+	timing.NopObserver
+	bb   *bbTracker
+	warp *warpTracker
+}
+
+// OnBlockRetired implements timing.Observer.
+func (o bothTrackers) OnBlockRetired(now event.Time, w *emu.Warp, blockIdx int, enter, exit event.Time) {
+	o.bb.OnBlockRetired(now, w, blockIdx, enter, exit)
+}
+
+// OnWarpRetired implements timing.Observer.
+func (o bothTrackers) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time) {
+	o.bb.OnWarpRetired(now, w, issue)
+	o.warp.OnWarpRetired(now, w, issue)
 }
 
 // EventTime converts a float cycle count to the event clock type, rounding

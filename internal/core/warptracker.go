@@ -47,7 +47,7 @@ func (t *warpTracker) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Tim
 	if t.triggered {
 		return
 	}
-	t.det.Add(float64(issue), float64(now))
+	t.det.Add(int64(issue), int64(now))
 	t.retires++
 	if t.retires >= t.minRetires && t.retires%t.params.CheckInterval == 0 {
 		if t.det.Stable() {

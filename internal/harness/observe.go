@@ -242,11 +242,7 @@ func fitPairs(pairs [][2]event.Time) (a, b float64) {
 	if len(pairs) < 2 {
 		return 0, 0
 	}
-	d := detect.New(len(pairs), 0.03)
-	for _, p := range pairs {
-		d.Add(float64(p[0]), float64(p[1]))
-	}
-	a, _ = d.Slope()
+	a, _ = fitPairsSlope(pairs)
 	// Intercept from means: b = mean(y) - a*mean(x).
 	var sx, sy float64
 	for _, p := range pairs {
@@ -270,7 +266,7 @@ func fitTail(pairs [][2]event.Time, window int) (a float64, ok bool) {
 func fitPairsSlope(pairs [][2]event.Time) (float64, bool) {
 	d := detect.New(len(pairs), 0.03)
 	for _, p := range pairs {
-		d.Add(float64(p[0]), float64(p[1]))
+		d.Add(int64(p[0]), int64(p[1]))
 	}
 	return d.Slope()
 }
