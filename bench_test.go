@@ -3,7 +3,7 @@
 // Each figure benchmark runs a representative slice of the corresponding
 // experiment and reports the paper's two metrics — sampling error (err%) and
 // wall-time speedup (speedup_x) — via b.ReportMetric. The full sweeps behind
-// the figures are regenerated by cmd/photon-bench and cmd/photon-observe.
+// the figures are regenerated by cmd/photon-bench.
 package photon
 
 import (
@@ -219,44 +219,31 @@ func BenchmarkFig17_VGG16_KernelWarp(b *testing.B) {
 
 func BenchmarkObserveFig1IPCSeries(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		app, err := workloads.BuildReLU(16384)
-		if err != nil {
+		if err := harness.Fig1(io.Discard, harness.DefaultOptions()); err != nil {
 			b.Fatal(err)
-		}
-		col := stats.NewIPCCollector(500)
-		g := gpu.New(gpu.R9Nano())
-		if _, err := g.RunDetailed(app.Launches[0], col, nil); err != nil {
-			b.Fatal(err)
-		}
-		if col.Total() == 0 {
-			b.Fatal("no instructions observed")
 		}
 	}
 }
 
 func BenchmarkObserveFig3BlockFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		samples, err := harness.SampleObs(gpu.R9Nano(), 0)
-		if err != nil {
+		if err := harness.Fig3(io.Discard, harness.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
-		harness.Fig3(io.Discard, samples)
 	}
 }
 
 func BenchmarkObserveFig4WarpFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		samples, err := harness.SampleObs(gpu.R9Nano(), 0)
-		if err != nil {
+		if err := harness.Fig4(io.Discard, harness.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
-		harness.Fig4(io.Discard, samples)
 	}
 }
 
 func BenchmarkObserveFig8Distributions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := harness.Fig8(io.Discard, 0); err != nil {
+		if err := harness.Fig8(io.Discard, harness.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,7 +251,7 @@ func BenchmarkObserveFig8Distributions(b *testing.B) {
 
 func BenchmarkObserveFig11WarpTypes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := harness.Fig11(io.Discard, 0); err != nil {
+		if err := harness.Fig11(io.Discard, harness.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
-// Command photon-bench regenerates the paper's tables and evaluation
-// figures (13-17). Every figure sweeps benchmarks × sizes × runners and
-// prints rows with kernel-time error vs full-detailed mode and host
-// wall-time speedup.
+// Command photon-bench regenerates the paper's tables, its Section 3
+// observation figures (1-4, 6, 8, 11) and its evaluation figures (13-17).
+// Every evaluation figure sweeps benchmarks × sizes × runners and prints rows
+// with kernel-time error vs full-detailed mode and host wall-time speedup.
 //
 // Each experiment is executed as a job graph on a bounded worker pool
 // (-parallel, default one worker per CPU); full-detailed baselines are
@@ -49,6 +49,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		jsonPath   = fs.String("json", "", "also write every comparison as JSON lines to this file")
 		parallel   = fs.Int("parallel", 0, "worker count for experiment jobs (<= 0: one per CPU)")
 		fixedWall  = fs.Bool("fixed-wall", false, "pin wall times in output so runs diff byte-identically")
+		svgDir     = fs.String("svg", "", "also render figures as SVG into this directory (fig1)")
 		check      = fs.Bool("check", false, "audit simulator invariants inline on every sampled run")
 		metricsOut = fs.String("metrics-out", "", "write a telemetry snapshot (metrics.json) to this file")
 		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event file (load in chrome://tracing or Perfetto)")
@@ -78,6 +79,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		jsonPath:   *jsonPath,
 		parallel:   *parallel,
 		fixedWall:  *fixedWall,
+		svgDir:     *svgDir,
 		check:      *check,
 		metricsOut: *metricsOut,
 		traceOut:   *traceOut,
@@ -102,6 +104,7 @@ type benchFlags struct {
 	jsonPath   string
 	parallel   int
 	fixedWall  bool
+	svgDir     string
 	check      bool
 	metricsOut string
 	traceOut   string
@@ -115,6 +118,7 @@ func runExperiments(f benchFlags, stdout, stderr io.Writer) int {
 	o.PRNodes = f.prNodes
 	o.Parallel = f.parallel
 	o.FixedWall = f.fixedWall
+	o.SVGDir = f.svgDir
 	o.Baselines = harness.NewBaselineCache()
 
 	var jsonFile *os.File

@@ -23,15 +23,12 @@ import (
 
 	"photon/internal/buildinfo"
 	"photon/internal/harness"
-	"photon/internal/obs"
 )
 
 func main() {
 	var (
-		accuracy   = flag.Bool("accuracy", false, "inputs are per-kernel accuracy ledgers (photon-bench -accuracy-out)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		version    = flag.Bool("version", false, "print version and exit")
+		accuracy = flag.Bool("accuracy", false, "inputs are per-kernel accuracy ledgers (photon-bench -accuracy-out)")
+		version  = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -42,16 +39,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: photon-report [-accuracy] <results.jsonl> [...]")
 		os.Exit(2)
 	}
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "photon-report: %v\n", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "photon-report: profiles: %v\n", err)
-		}
-	}()
 	if *accuracy {
 		var ledger []harness.AccuracyRecord
 		for _, path := range flag.Args() {

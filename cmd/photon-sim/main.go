@@ -176,7 +176,12 @@ func main() {
 		fmt.Printf("audit: %d kernels, invariants ok\n", len(res.PerKernel))
 		if app.Check == nil {
 			fmt.Println("check: not supported for this workload")
+		} else if k, stale := res.StaleKernel(); stale {
+			fmt.Printf("check: skipped (%s ran under %s, which predicts its remaining workgroups without executing them; DESIGN.md \"Memory contract per tier\")\n", k.Name, k.Mode)
 		} else if err := app.Check(); err != nil {
+			if *mode != "full" {
+				fatal("check failed: %v (a sampled mode's online analysis executes ~1%% of the workgroups against the live image before the run, which perturbs a non-idempotent kernel: ROADMAP item 1)", err)
+			}
 			fatal("check failed: %v", err)
 		} else {
 			fmt.Println("check: ok")

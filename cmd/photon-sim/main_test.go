@@ -112,4 +112,10 @@ func TestCheckComposesWithTraceAndStore(t *testing.T) {
 			t.Errorf("-check -mode %s %s wrote no %s (%v)", tc.mode, tc.flag, tc.artifact, err)
 		}
 	}
+	// A tier that predicts workgroups instead of executing them leaves the
+	// image stale by design: the functional check is skipped, not failed.
+	out, err := exec.Command(bin, "-check", "-bench", "relu", "-size", "65536", "-mode", "warp").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "check: skipped (relu ran under warp-sampling, ") {
+		t.Errorf("-check -mode warp on ReLU/65536: %v, output:\n%s", err, out)
+	}
 }

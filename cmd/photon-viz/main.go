@@ -16,17 +16,14 @@ import (
 
 	"photon/internal/buildinfo"
 	"photon/internal/harness"
-	"photon/internal/obs"
 	"photon/internal/viz"
 )
 
 func main() {
 	var (
-		jsonPath   = flag.String("json", "", "JSON-lines results from photon-bench -json")
-		outDir     = flag.String("out", ".", "directory for the SVG files")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		version    = flag.Bool("version", false, "print version and exit")
+		jsonPath = flag.String("json", "", "JSON-lines results from photon-bench -json")
+		outDir   = flag.String("out", ".", "directory for the SVG files")
+		version  = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -37,15 +34,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: photon-viz -json results.jsonl [-out dir]")
 		os.Exit(2)
 	}
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "photon-viz: profiles: %v\n", err)
-		}
-	}()
 	f, err := os.Open(*jsonPath)
 	if err != nil {
 		fatal(err)

@@ -46,6 +46,10 @@ func NewHistory(distThreshold float64, numCUs int) *History {
 // Len returns the number of recorded kernels.
 func (h *History) Len() int { return len(h.recs) }
 
+// Records returns the recorded kernels in completion order. The slice is the
+// history's own; callers must not modify it.
+func (h *History) Records() []KernelRecord { return h.recs }
+
 // Add records a completed kernel.
 func (h *History) Add(r KernelRecord) { h.recs = append(h.recs, r) }
 

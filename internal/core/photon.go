@@ -136,8 +136,8 @@ func (p *Photon) Name() string {
 	}
 }
 
-// History exposes the kernel history (tests and the observation tool use
-// it).
+// History exposes the kernel history (tests and the Figure 6 observation
+// use it).
 func (p *Photon) History() *History { return p.history }
 
 // recordKernel appends the decision to the ledger and publishes the

@@ -233,12 +233,12 @@ func runOne[T any](ctx context.Context, task Task[T]) (val T, err error) {
 	return task(ctx)
 }
 
-// Collect runs tasks like Run and returns the successful values in plan
-// order. It is the convenience form for callers that post-process the whole
-// result set instead of streaming it.
-func Collect[T any](ctx context.Context, parallel int, tasks []Task[T]) ([]T, error) {
+// Collect runs tasks like RunObserved and returns the successful values in
+// plan order. It is the convenience form for callers that post-process the
+// whole result set instead of streaming it.
+func Collect[T any](ctx context.Context, parallel int, tasks []Task[T], ins Instrumentation) ([]T, error) {
 	out := make([]T, 0, len(tasks))
-	err := Run(ctx, parallel, tasks, func(_ int, v T) error {
+	err := RunObserved(ctx, parallel, tasks, ins, func(_ int, v T, _ JobMeta) error {
 		out = append(out, v)
 		return nil
 	})

@@ -177,7 +177,7 @@ func TestCollect(t *testing.T) {
 			return fmt.Sprintf("v%d", i), nil
 		}
 	}
-	got, err := Collect(context.Background(), 4, tasks)
+	got, err := Collect(context.Background(), 4, tasks, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}

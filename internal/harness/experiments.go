@@ -65,6 +65,9 @@ type Options struct {
 	// in-flight simulations at the next kernel launch. photon-serve sets a
 	// per-request context here; the CLIs leave it nil (background).
 	Context context.Context
+	// SVGDir, when non-empty, makes fig1 also render its IPC series as
+	// fig1_ipc.svg in this directory (photon-bench -svg).
+	SVGDir string
 }
 
 // ctx resolves the experiment context (background when unset).

@@ -136,6 +136,20 @@ func audit(g *gpu.GPU, l *kernel.Launch, r gpu.KernelResult) error {
 	return nil
 }
 
+// StaleKernel returns the first kernel that ran under a tier which predicts
+// its remaining workgroups without executing them, leaving their outputs
+// missing from the memory image (DESIGN.md "Memory contract per tier"). The
+// app's functional Check only applies to a run that has none.
+func (r AppResult) StaleKernel() (KernelRow, bool) {
+	for _, k := range r.PerKernel {
+		switch k.Mode {
+		case "warp-sampling", "pka-sampled", "pka-kernel", "tbpoint-sampled":
+			return k, true
+		}
+	}
+	return KernelRow{}, false
+}
+
 // FinalizeMetrics derives run-level summary gauges — per-level cache hit
 // rates — from the registry's raw counters. Call it once, after all
 // simulation finished and before writing the snapshot.

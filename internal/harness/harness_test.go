@@ -198,16 +198,31 @@ func TestObservationDistributions(t *testing.T) {
 		t.Skip("functional sweeps take a few seconds")
 	}
 	var buf bytes.Buffer
-	if err := Fig8(&buf, 0); err != nil {
+	if err := Fig8(&buf, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Fig11(&buf, 0); err != nil {
+	if err := Fig11(&buf, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{"Figure 8", "Figure 11", "SC", "SpMV", "L1 divergence"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("observation output missing %q", want)
+		}
+	}
+}
+
+// TestStaleKernel: the tiers that predict workgroups without executing them
+// are exactly the ones whose image the functional check must not judge.
+func TestStaleKernel(t *testing.T) {
+	for mode, stale := range map[string]bool{
+		"full": false, "bb-sampling": false, "kernel-sampling": false, "pka-full": false, "tbpoint-full": false,
+		"warp-sampling": true, "pka-sampled": true, "pka-kernel": true, "tbpoint-sampled": true,
+	} {
+		res := AppResult{PerKernel: []KernelRow{{Name: "a", Mode: "full"}, {Name: "b", Mode: mode}}}
+		k, got := res.StaleKernel()
+		if got != stale || (stale && k.Name != "b") {
+			t.Errorf("StaleKernel with a %s kernel = %+v, %v; want stale=%v", mode, k, got, stale)
 		}
 	}
 }

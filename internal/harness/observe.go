@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"photon/internal/core"
@@ -15,6 +17,7 @@ import (
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/timing"
 	"photon/internal/stats"
+	"photon/internal/viz"
 	"photon/internal/workloads"
 	"photon/internal/workloads/dnn"
 )
@@ -23,67 +26,63 @@ import (
 // Figure 1 (IPC over time), Figures 2/3 (basic-block execution time and the
 // issue/retired relationship), Figure 4 (the same at warp level), Figure 6
 // (GPU-BBV clusters vs kernel IPC for VGG-16 layers), and Figures 8/11
-// (basic-block and warp-type distributions: all warps vs a 1% sample).
+// (basic-block and warp-type distributions: all warps vs a 1% sample). Each is
+// a registry entry like the evaluation figures: a pure function of
+// (w, Options), measured on the R9 Nano, its jobs on o.Parallel workers under
+// o.ctx(), and every simulation a RunAppInstrumented run.
 
-// obsSizes are moderate problem sizes so the observation runs finish fast.
-const (
-	obsReLUWarps = 16384
-	// MM needs to exceed the R9 Nano's 2560 resident warps, or every warp
-	// issues at t~0 and the warp-level issue/retire fit (Figure 4) is
-	// degenerate.
-	obsMMWarps   = 4096
-	obsSPMVWarps = 2048
-	obsSCWarps   = 1024
-)
+// The observation apps, at moderate problem sizes so the runs finish fast.
+// Every job builds its own: a run executes stores into the app's memory image.
+type appBuilder = func() (*workloads.App, error)
 
-func mustBuild(app *workloads.App, err error) *workloads.App {
-	if err != nil {
-		panic(err)
-	}
-	return app
+func obsReLU() (*workloads.App, error) { return workloads.BuildReLU(16384) }
+
+// MM needs to exceed the R9 Nano's 2560 resident warps, or every warp issues
+// at t~0 and the warp-level issue/retire fit (Figure 4) is degenerate.
+func obsMM() (*workloads.App, error)   { return workloads.BuildMM(4096) }
+func obsSPMV() (*workloads.App, error) { return workloads.BuildSPMV(2048) }
+func obsSC() (*workloads.App, error)   { return workloads.BuildSC(1024) }
+
+// observe runs a one-launch observation app in full detail on the R9 Nano
+// with obs attached to the timing machine.
+func (o Options) observe(ctx context.Context, tid int, app *workloads.App, obs timing.Observer) error {
+	_, err := RunAppInstrumented(ctx, gpu.R9Nano(), app, gpu.FullRunner{Observer: obs}, o.appObs(tid))
+	return err
 }
 
-// Fig1IPCWindow is the IPC sampling window for the Figure 1 series.
-const Fig1IPCWindow = 500
+// fig1IPCWindow is the IPC sampling window for the Figure 1 series.
+const fig1IPCWindow = 500
 
-// Fig1Data runs the Figure 1 kernels in full detailed mode (one engine job
-// per kernel, each on its own GPU instance) and returns their IPC series, in
-// presentation order.
-func Fig1Data(cfg gpu.Config, parallel int) ([]string, map[string][]float64, error) {
+// Fig1 prints the IPC series of a stabilizing kernel (ReLU) and a
+// fluctuating one (MM), reproducing Observation 1/2: one engine job per
+// kernel, each a full-detailed run on its own GPU. With o.SVGDir set it also
+// renders the series as a line chart.
+func Fig1(w io.Writer, o Options) error {
 	names := []string{"ReLU", "MM"}
-	apps := map[string]*workloads.App{
-		"ReLU": mustBuild(workloads.BuildReLU(obsReLUWarps)),
-		"MM":   mustBuild(workloads.BuildMM(obsMMWarps)),
-	}
-	tasks := make([]engine.Task[[]float64], len(names))
-	for i, name := range names {
-		name := name
-		tasks[i] = func(context.Context) ([]float64, error) {
-			col := stats.NewIPCCollector(Fig1IPCWindow)
-			g := gpu.New(cfg)
-			if _, err := g.RunDetailed(apps[name].Launches[0], col, nil); err != nil {
+	builds := []appBuilder{obsReLU, obsMM}
+	tasks := make([]engine.Task[[]float64], len(builds))
+	for i, build := range builds {
+		tasks[i] = func(ctx context.Context) ([]float64, error) {
+			app, err := build()
+			if err != nil {
+				return nil, err
+			}
+			col := stats.NewIPCCollector(fig1IPCWindow)
+			if err := o.observe(ctx, i, app, col); err != nil {
 				return nil, err
 			}
 			return col.Series(), nil
 		}
 	}
-	series, err := engine.Collect(context.Background(), parallel, tasks)
+	data, err := engine.Collect(o.ctx(), o.Parallel, tasks, o.engineIns())
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	out := make(map[string][]float64, len(names))
+	fmt.Fprintf(w, "# Figure 1: IPC over time (window = %d cycles)\n", fig1IPCWindow)
+	chart := make([]viz.Series, len(names))
 	for i, name := range names {
-		out[name] = series[i]
-	}
-	return names, out, nil
-}
-
-// Fig1 prints Fig1Data's IPC series of a stabilizing kernel (ReLU) and a
-// fluctuating one (MM), reproducing Observation 1/2.
-func Fig1(w io.Writer, names []string, data map[string][]float64) {
-	fmt.Fprintf(w, "# Figure 1: IPC over time (window = %d cycles)\n", Fig1IPCWindow)
-	for _, name := range names {
-		series := data[name]
+		series := data[i]
+		chart[i] = viz.Series{Name: name, Values: series}
 		// The steady-state cv (second half of the run) separates "IPC
 		// stabilizes after warm-up" from "IPC keeps fluctuating", which is
 		// the distinction Observation 2 draws.
@@ -93,6 +92,19 @@ func Fig1(w io.Writer, names []string, data map[string][]float64) {
 		fmt.Fprintf(w, "  IPC over time: %s\n", sparkline(series, 60))
 		printSeries(w, name, series, 24)
 	}
+	if o.SVGDir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(o.SVGDir, 0o755); err != nil {
+		return err
+	}
+	svg := viz.LineChart("Figure 1: IPC over time", "cycles", "IPC", fig1IPCWindow, chart)
+	path := filepath.Join(o.SVGDir, "fig1_ipc.svg")
+	if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", path)
+	return nil
 }
 
 func cv(xs []float64) float64 {
@@ -156,50 +168,39 @@ func dominantBlock(app *workloads.App) (int, error) {
 	return best, nil
 }
 
-func sampleBlocks(cfg gpu.Config, app *workloads.App) (*blockSampler, error) {
-	target, err := dominantBlock(app)
-	if err != nil {
-		return nil, err
-	}
-	s := &blockSampler{targetBlock: target, cap: 1 << 20}
-	g := gpu.New(cfg)
-	if _, err := g.RunDetailed(app.Launches[0], s, nil); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // obsBenchNames is the regular/irregular pair Figures 2-4 analyze.
 var obsBenchNames = []string{"MM", "SpMV"}
 
-// ObsSamples holds the detailed block/warp samples of the regular/irregular
-// pair (obsBenchNames order) that Figures 2-4 all print from.
-type ObsSamples []*blockSampler
-
-// SampleObs runs the detailed block/warp sampling for MM and SpMV as
-// parallel engine jobs (each builds its own app and GPU).
-func SampleObs(cfg gpu.Config, parallel int) (ObsSamples, error) {
-	builds := []func() (*workloads.App, error){
-		func() (*workloads.App, error) { return workloads.BuildMM(obsMMWarps) },
-		func() (*workloads.App, error) { return workloads.BuildSPMV(obsSPMVWarps) },
-	}
+// sampleObs runs the detailed block/warp sampling for MM and SpMV
+// (obsBenchNames order) as parallel engine jobs, each building its own app.
+// Figures 2-4 each print from one such pair of runs.
+func sampleObs(o Options) ([]*blockSampler, error) {
+	builds := []appBuilder{obsMM, obsSPMV}
 	tasks := make([]engine.Task[*blockSampler], len(builds))
 	for i, build := range builds {
-		build := build
-		tasks[i] = func(context.Context) (*blockSampler, error) {
+		tasks[i] = func(ctx context.Context) (*blockSampler, error) {
 			app, err := build()
 			if err != nil {
 				return nil, err
 			}
-			return sampleBlocks(cfg, app)
+			target, err := dominantBlock(app)
+			if err != nil {
+				return nil, err
+			}
+			s := &blockSampler{targetBlock: target, cap: 1 << 20}
+			return s, o.observe(ctx, i, app, s)
 		}
 	}
-	return engine.Collect(context.Background(), parallel, tasks)
+	return engine.Collect(o.ctx(), o.Parallel, tasks, o.engineIns())
 }
 
 // Fig2 prints the execution-time series and global variance of the
 // dominating basic block for MM (regular) and SpMV (irregular).
-func Fig2(w io.Writer, samples ObsSamples) {
+func Fig2(w io.Writer, o Options) error {
+	samples, err := sampleObs(o)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "# Figure 2: dominating basic block execution time over retirement order")
 	for i, s := range samples {
 		name := obsBenchNames[i]
@@ -212,11 +213,16 @@ func Fig2(w io.Writer, samples ObsSamples) {
 		fmt.Fprintf(w, "  exec time over retirement order: %s\n", sparkline(durs, 60))
 		printSeries(w, name+"-bbtime", durs, 20)
 	}
+	return nil
 }
 
 // Fig3 fits the least-squares line of the dominating block's issue/retired
 // relationship (slope should approach 1 once contention stabilizes).
-func Fig3(w io.Writer, samples ObsSamples) {
+func Fig3(w io.Writer, o Options) error {
+	samples, err := sampleObs(o)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "# Figure 3: dominating basic block issue vs retired time (least-squares)")
 	for i, s := range samples {
 		a, b := fitPairs(s.BlockPairs)
@@ -224,11 +230,16 @@ func Fig3(w io.Writer, samples ObsSamples) {
 		fmt.Fprintf(w, "%s: retired = %.4f * issue + %.1f over %d samples; tail-window slope %.4f\n",
 			obsBenchNames[i], a, b, len(s.BlockPairs), aTail)
 	}
+	return nil
 }
 
 // Fig4 does the same at warp level: regular applications' slope approaches
 // 1, irregular ones deviate.
-func Fig4(w io.Writer, samples ObsSamples) {
+func Fig4(w io.Writer, o Options) error {
+	samples, err := sampleObs(o)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "# Figure 4: warp issue vs retired time (least-squares)")
 	for i, s := range samples {
 		a, b := fitPairs(s.WarpPairs)
@@ -236,6 +247,7 @@ func Fig4(w io.Writer, samples ObsSamples) {
 		fmt.Fprintf(w, "%s: retired = %.4f * issue + %.1f over %d warps; tail-window slope %.4f\n",
 			obsBenchNames[i], a, b, len(s.WarpPairs), aTail)
 	}
+	return nil
 }
 
 func fitPairs(pairs [][2]event.Time) (a, b float64) {
@@ -273,35 +285,25 @@ func fitPairsSlope(pairs [][2]event.Time) (float64, bool) {
 
 // Fig6 clusters the VGG-16 layer kernels by GPU BBV and prints each
 // cluster's kernels with their full-detailed IPC: kernels in one cluster
-// should have similar IPC (Observation 5).
-func Fig6(w io.Writer, cfg gpu.Config, sc dnn.Scale) error {
+// should have similar IPC (Observation 5). A Photon with no level armed is
+// the measurement: per kernel it runs the 1% online analysis, simulates in
+// full detail, and records (GPU BBV, insts, cycles) in its history.
+func Fig6(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "# Figure 6: VGG-16 kernels clustered by GPU BBV vs their IPC")
-	app, err := dnn.BuildVGG(16, sc)
+	// A reduced DNN scale keeps the full-detailed VGG pass short.
+	app, err := dnn.BuildVGG(16, dnn.Scale{Input: 32, ChannelDiv: 8})
 	if err != nil {
 		return err
 	}
-	type kinfo struct {
-		name string
-		g    bbv.GPUBBV
-		ipc  float64
+	cfg := gpu.R9Nano()
+	p, err := core.New(cfg, o.Params, core.Levels{})
+	if err != nil {
+		return err
 	}
-	// The layer kernels must run serially: they share the app's memory
-	// image, and layer k+1 reads layer k's outputs (both the functional
-	// analysis and the detailed run execute stores). This loop is therefore
-	// a chain, not a fan-out — the parallel axis here would be whole apps.
-	var infos []kinfo
-	g := gpu.New(cfg)
-	for _, l := range app.Launches {
-		prof, err := core.AnalyzeOnline(l, 0.01)
-		if err != nil {
-			return err
-		}
-		res, err := (gpu.FullRunner{}).RunKernel(g, l)
-		if err != nil {
-			return err
-		}
-		infos = append(infos, kinfo{name: l.Name, g: prof.GPU, ipc: res.IPC()})
+	if _, err := RunAppInstrumented(o.ctx(), cfg, app, p, o.appObs(0)); err != nil {
+		return err
 	}
+	infos := p.History().Records()
 	// Single-linkage clustering at the kernel-sampling distance threshold.
 	const threshold = 0.05
 	cluster := make([]int, len(infos))
@@ -315,7 +317,7 @@ func Fig6(w io.Writer, cfg gpu.Config, sc dnn.Scale) error {
 		}
 		cluster[i] = next
 		for j := i + 1; j < len(infos); j++ {
-			if cluster[j] < 0 && bbv.Distance(infos[i].g, infos[j].g) < threshold {
+			if cluster[j] < 0 && bbv.Distance(infos[i].GPU, infos[j].GPU) < threshold {
 				cluster[j] = next
 			}
 		}
@@ -328,16 +330,16 @@ func Fig6(w io.Writer, cfg gpu.Config, sc dnn.Scale) error {
 	sort.Slice(order, func(a, b int) bool { return cluster[order[a]] < cluster[order[b]] })
 	fmt.Fprintf(w, "%-8s %-10s %8s\n", "cluster", "kernel", "IPC")
 	for _, i := range order {
-		fmt.Fprintf(w, "%-8d %-10s %8.2f\n", cluster[i], infos[i].name, infos[i].ipc)
+		fmt.Fprintf(w, "%-8d %-10s %8.2f\n", cluster[i], infos[i].Name, infos[i].IPC())
 	}
 	return nil
 }
 
 // Fig8 compares the basic-block instruction distribution of all warps vs a
 // 1% sample for SC (regular) and SpMV (irregular).
-func Fig8(w io.Writer, parallel int) error {
+func Fig8(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "# Figure 8: basic-block distribution — all warps vs 1% sample")
-	return distributionReport(w, parallel, func(app *workloads.App, fraction float64) (map[string]float64, error) {
+	return distributionReport(w, o, func(app *workloads.App, fraction float64) (map[string]float64, error) {
 		prof, err := core.AnalyzeOnline(app.Launches[0], fraction)
 		if err != nil {
 			return nil, err
@@ -354,9 +356,9 @@ func Fig8(w io.Writer, parallel int) error {
 }
 
 // Fig11 compares warp-type distributions of all warps vs a 1% sample.
-func Fig11(w io.Writer, parallel int) error {
+func Fig11(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "# Figure 11: warp-type distribution — all warps vs 1% sample")
-	return distributionReport(w, parallel, func(app *workloads.App, fraction float64) (map[string]float64, error) {
+	return distributionReport(w, o, func(app *workloads.App, fraction float64) (map[string]float64, error) {
 		prof, err := core.AnalyzeOnline(app.Launches[0], fraction)
 		if err != nil {
 			return nil, err
@@ -369,26 +371,21 @@ func Fig11(w io.Writer, parallel int) error {
 	})
 }
 
-func distributionReport(w io.Writer, parallel int,
+func distributionReport(w io.Writer, o Options,
 	dist func(app *workloads.App, fraction float64) (map[string]float64, error)) error {
 	benches := []struct {
 		name  string
-		build func() (*workloads.App, error)
-	}{
-		{"SC", func() (*workloads.App, error) { return workloads.BuildSC(obsSCWarps) }},
-		{"SpMV", func() (*workloads.App, error) { return workloads.BuildSPMV(obsSPMVWarps) }},
-	}
+		build appBuilder
+	}{{"SC", obsSC}, {"SpMV", obsSPMV}}
 	// One job per (bench, fraction). Each job builds a private app: the
 	// functional analysis executes stores into the app's memory image, so
 	// two jobs must never share one.
 	fractions := []float64{1.0, 0.01}
 	var tasks []engine.Task[map[string]float64]
 	for _, bench := range benches {
-		build := bench.build
 		for _, fraction := range fractions {
-			fraction := fraction
 			tasks = append(tasks, func(context.Context) (map[string]float64, error) {
-				app, err := build()
+				app, err := bench.build()
 				if err != nil {
 					return nil, err
 				}
@@ -396,7 +393,7 @@ func distributionReport(w io.Writer, parallel int,
 			})
 		}
 	}
-	dists, err := engine.Collect(context.Background(), parallel, tasks)
+	dists, err := engine.Collect(o.ctx(), o.Parallel, tasks, o.engineIns())
 	if err != nil {
 		return err
 	}

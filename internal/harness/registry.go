@@ -40,6 +40,13 @@ func Experiments() []Experiment {
 			func(w io.Writer, o Options) error { Table1(w); return nil }},
 		{"table2", "benchmark list (paper Table 2)",
 			func(w io.Writer, o Options) error { Table2(w); return nil }},
+		{"fig1", "IPC over time: ReLU stabilizes, MM fluctuates (Observations 1-2)", Fig1},
+		{"fig2", "dominating basic block's execution time over retirement order", Fig2},
+		{"fig3", "dominating basic block's issue vs retired time, least-squares", Fig3},
+		{"fig4", "warp issue vs retired time, least-squares", Fig4},
+		{"fig6", "VGG-16 kernels clustered by GPU BBV vs their IPC", Fig6},
+		{"fig8", "basic-block distribution: all warps vs 1% sample", Fig8},
+		{"fig11", "warp-type distribution: all warps vs 1% sample", Fig11},
 		{"fig13", "R9 Nano: Full vs PKA vs Photon (single-kernel benchmarks)", Fig13},
 		{"fig14", "MI100: Full vs Photon (micro-architecture independence)", Fig14},
 		{"fig15", "sampling levels: BB-only, warp-only, Photon", Fig15},

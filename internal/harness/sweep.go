@@ -92,9 +92,7 @@ func (o Options) runSweep(s Sweep, row func(Comparison)) error {
 				if err != nil {
 					return Comparison{}, err
 				}
-				res, err := RunAppInstrumented(ctx, s.Config, app, f.New(s.Config), AppObs{
-					Metrics: o.Metrics, Trace: o.Trace, Log: o.Log, TID: tid, Check: o.Check,
-				})
+				res, err := RunAppInstrumented(ctx, s.Config, app, f.New(s.Config), o.appObs(tid))
 				if err != nil {
 					return Comparison{}, err
 				}
@@ -102,8 +100,7 @@ func (o Options) runSweep(s Sweep, row func(Comparison)) error {
 			})
 		}
 	}
-	ins := engine.Instrumentation{Metrics: o.Metrics, Trace: o.Trace, Log: o.Log}
-	return engine.RunObserved(o.ctx(), o.Parallel, tasks, ins,
+	return engine.RunObserved(o.ctx(), o.Parallel, tasks, o.engineIns(),
 		func(_ int, c Comparison, meta engine.JobMeta) error {
 			c = o.normalize(c)
 			rec := ToRecord(s.Experiment, c, true)
@@ -122,6 +119,17 @@ func (o Options) runSweep(s Sweep, row func(Comparison)) error {
 			}
 			return o.JSON.Emit(rec)
 		})
+}
+
+// engineIns hands the experiment's sinks to the job engine.
+func (o Options) engineIns() engine.Instrumentation {
+	return engine.Instrumentation{Metrics: o.Metrics, Trace: o.Trace, Log: o.Log}
+}
+
+// appObs is the observability bundle of one application run an experiment
+// executes: the experiment's sinks and audit switch, spans on thread tid.
+func (o Options) appObs(tid int) AppObs {
+	return AppObs{Metrics: o.Metrics, Trace: o.Trace, Log: o.Log, TID: tid, Check: o.Check}
 }
 
 // normalize applies the FixedWall pinning to a comparison before emission.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,6 +178,22 @@ func TestCanonicalizeAdmitsRangeEdges(t *testing.T) {
 			t.Errorf("Canonicalize(%+v): %v", req, err)
 		} else if c.Size != req.Size || c.PRNodes != req.PRNodes {
 			t.Errorf("Canonicalize(%+v) moved the size: %+v", req, c)
+		}
+	}
+}
+
+// Every registered experiment is a servable name, the Section 3 observation
+// figures included; names outside the table stay a 400 (TestCanonicalizeRejects).
+func TestCanonicalizeAcceptsEveryExperiment(t *testing.T) {
+	names := harness.ExperimentNames()
+	for _, fig := range []string{"fig1", "fig2", "fig3", "fig4", "fig6", "fig8", "fig11"} {
+		if !slices.Contains(names, fig) {
+			t.Errorf("%s is not in the experiment table", fig)
+		}
+	}
+	for _, name := range names {
+		if c, err := Canonicalize(JobRequest{Experiment: name}); err != nil || c.Experiment != name {
+			t.Errorf("Canonicalize(experiment %q) = %+v, %v", name, c, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"photon/internal/harness"
 	"photon/internal/obs"
 )
 
@@ -644,6 +646,24 @@ func TestHarnessExecutorSmallCell(t *testing.T) {
 	}
 	if spans == 0 {
 		t.Error("no span events relayed from the trace hook")
+	}
+
+	// An observation figure is served from the same table: the artifact is
+	// the registry entry's bytes plus photon-bench's blank separator line.
+	st, err = s.Submit(JobRequest{Experiment: "fig8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, st.ID, StateDone)
+	if res, _, err = s.Result(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	var cli bytes.Buffer
+	if err := harness.Fig8(&cli, harness.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if want := cli.String() + "\n"; res.Output != want {
+		t.Errorf("served fig8 differs from the CLI bytes:\n--- served ---\n%s--- cli ---\n%s", res.Output, want)
 	}
 }
 
