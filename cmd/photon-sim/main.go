@@ -104,7 +104,7 @@ func main() {
 			"warp": trace.LevelWarp, "block": trace.LevelBlock, "inst": trace.LevelInst,
 		}[*traceLvl]
 		tracer = trace.New(f, level)
-		fr.Observer = tracer
+		fr.Observer = tracer.Observer()
 		runner = fr
 	}
 	var analysisStore *core.AnalysisStore

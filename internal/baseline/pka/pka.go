@@ -52,10 +52,9 @@ func DefaultParams() Params {
 	}
 }
 
-// ipcMonitor is a timing.Observer binning instruction issues per BinCycles
-// and testing IPC stability over the trailing window.
+// ipcMonitor bins instruction issues per BinCycles and tests IPC stability
+// over the trailing window.
 type ipcMonitor struct {
-	timing.NopObserver
 	p         Params
 	bins      []float64
 	evalBin   int
@@ -163,7 +162,7 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	}
 
 	mon := &ipcMonitor{p: r.params}
-	res, err := g.RunDetailed(l, mon, func() bool { return mon.triggered })
+	res, err := g.RunDetailed(l, timing.Observer{InstIssued: mon.OnInstIssued}, func() bool { return mon.triggered })
 	if err != nil {
 		return gpu.KernelResult{}, err
 	}

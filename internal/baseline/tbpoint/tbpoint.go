@@ -47,7 +47,6 @@ func (r *Runner) Name() string { return "tbpoint" }
 
 // groupTimer records per-workgroup durations during the detailed phase.
 type groupTimer struct {
-	timing.NopObserver
 	wpg      int
 	issues   map[int]event.Time // group id -> first warp issue
 	finishes map[int]event.Time // group id -> last warp retire
@@ -114,7 +113,8 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 
 	timer := newGroupTimer(l.WarpsPerGroup)
 	dispatched := 0
-	res, err := g.RunDetailed(l, timer, func() bool {
+	obs := timing.Observer{WarpStart: timer.OnWarpStart, WarpRetired: timer.OnWarpRetired}
+	res, err := g.RunDetailed(l, obs, func() bool {
 		dispatched++
 		return dispatched > sampleGroups
 	})

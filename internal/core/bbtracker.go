@@ -16,7 +16,6 @@ import (
 // simulation of further workgroups stops and the remaining warps are
 // predicted block-by-block (step 3).
 type bbTracker struct {
-	timing.NopObserver
 	params    Params
 	share     []float64 // per block index, instruction share from the profile
 	totalShr  float64   // share of non-rare blocks (the denominator)
@@ -66,7 +65,7 @@ func newBBTracker(profile *Profile, params Params, minWarpRetires int) *bbTracke
 	return t
 }
 
-// OnBlockRetired implements timing.Observer.
+// OnBlockRetired feeds one basic-block interval to its block type's detector.
 func (t *bbTracker) OnBlockRetired(now event.Time, w *emu.Warp, blockIdx int, enter, exit event.Time) {
 	if t.triggered {
 		return
@@ -83,7 +82,7 @@ func (t *bbTracker) OnBlockRetired(now event.Time, w *emu.Warp, blockIdx int, en
 	}
 }
 
-// OnWarpRetired implements timing.Observer (generation counting only).
+// OnWarpRetired counts retirements toward the first machine generation.
 func (t *bbTracker) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time) {
 	t.warpRetires++
 }

@@ -183,10 +183,9 @@ func TestLatencyModelFallbacks(t *testing.T) {
 }
 
 // floatLatencyTable is the observer the latency model used to be fed by: a
-// float sum and a count per class, one interface call per instruction. It
+// float sum and a count per class, one callback per instruction. It
 // stays here as the reference the machine's integer tallies are held to.
 type floatLatencyTable struct {
-	timing.NopObserver
 	sum   [isa.FUClassCount]float64
 	count [isa.FUClassCount]uint64
 }
@@ -208,7 +207,7 @@ func TestLatencyModelMatchesObservedMeans(t *testing.T) {
 	}
 	cfg := smallGPU()
 	ref := &floatLatencyTable{}
-	res, err := gpu.New(cfg).RunDetailed(app.Launches[0], ref, nil)
+	res, err := gpu.New(cfg).RunDetailed(app.Launches[0], timing.Observer{InstIssued: ref.OnInstIssued}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

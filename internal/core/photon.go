@@ -244,21 +244,10 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		wT = newWarpTracker(p.params, minRetires)
 		wT.setMetrics(g.Metrics())
 	}
-	// Attach only the armed trackers: one directly, both through bothTrackers,
-	// none as a nil observer (the timing machine's no-op).
-	var obs timing.Observer
-	switch {
-	case bbT != nil && wT != nil:
-		obs = bothTrackers{bb: bbT, warp: wT}
-	case bbT != nil:
-		obs = bbT
-	case wT != nil:
-		obs = wT
-	}
 	gate := func() bool {
 		return (wT != nil && wT.triggered) || (bbT != nil && bbT.triggered)
 	}
-	res, err := g.RunDetailed(l, obs, gate)
+	res, err := g.RunDetailed(l, trackerObserver(bbT, wT), gate)
 	if err != nil {
 		return gpu.KernelResult{}, err
 	}
@@ -335,24 +324,23 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	return result, nil
 }
 
-// bothTrackers is the observer of a kernel with both intra-kernel levels
-// armed. It forwards the two callbacks the trackers consume and nothing else:
-// OnInstIssued fires for every detailed instruction and neither listens.
-type bothTrackers struct {
-	timing.NopObserver
-	bb   *bbTracker
-	warp *warpTracker
-}
-
-// OnBlockRetired implements timing.Observer.
-func (o bothTrackers) OnBlockRetired(now event.Time, w *emu.Warp, blockIdx int, enter, exit event.Time) {
-	o.bb.OnBlockRetired(now, w, blockIdx, enter, exit)
-}
-
-// OnWarpRetired implements timing.Observer.
-func (o bothTrackers) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time) {
-	o.bb.OnWarpRetired(now, w, issue)
-	o.warp.OnWarpRetired(now, w, issue)
+// trackerObserver subscribes the armed trackers (either may be nil) to block
+// intervals and warp retirements: neither listens per instruction.
+func trackerObserver(bb *bbTracker, warp *warpTracker) timing.Observer {
+	var o timing.Observer
+	switch {
+	case bb != nil && warp != nil:
+		o.BlockRetired = bb.OnBlockRetired
+		o.WarpRetired = func(now event.Time, w *emu.Warp, issue event.Time) {
+			bb.OnWarpRetired(now, w, issue)
+			warp.OnWarpRetired(now, w, issue)
+		}
+	case bb != nil:
+		o.BlockRetired, o.WarpRetired = bb.OnBlockRetired, bb.OnWarpRetired
+	case warp != nil:
+		o.WarpRetired = warp.OnWarpRetired
+	}
+	return o
 }
 
 // EventTime converts a float cycle count to the event clock type, rounding

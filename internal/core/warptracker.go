@@ -5,7 +5,6 @@ import (
 	"photon/internal/obs"
 	"photon/internal/sim/emu"
 	"photon/internal/sim/event"
-	"photon/internal/sim/timing"
 )
 
 // warpTracker implements warp-sampling's detection phase (Figure 10): it is
@@ -15,7 +14,6 @@ import (
 // simulates only the scheduler: every remaining warp is predicted to take
 // the mean duration of the last window.
 type warpTracker struct {
-	timing.NopObserver
 	det    *detect.Detector
 	params Params
 	// minRetires delays the switch until one machine generation retired;
@@ -42,7 +40,7 @@ func (t *warpTracker) setMetrics(reg *obs.Registry) {
 	t.rejects = reg.Counter("photon_warp_stability_checks_total", obs.L("verdict", "reject"))
 }
 
-// OnWarpRetired implements timing.Observer.
+// OnWarpRetired feeds one warp's (issue, retired) pair to the detector.
 func (t *warpTracker) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time) {
 	if t.triggered {
 		return

@@ -68,7 +68,7 @@ func Fig1(w io.Writer, o Options) error {
 				return nil, err
 			}
 			col := stats.NewIPCCollector(fig1IPCWindow)
-			if err := o.observe(ctx, i, app, col); err != nil {
+			if err := o.observe(ctx, i, app, timing.Observer{InstIssued: col.OnInstIssued}); err != nil {
 				return nil, err
 			}
 			return col.Series(), nil
@@ -133,7 +133,6 @@ func printSeries(w io.Writer, name string, xs []float64, k int) {
 // blockSampler records (enter, exit) pairs of the dominating basic block
 // and (issue, retire) pairs of warps.
 type blockSampler struct {
-	timing.NopObserver
 	targetBlock int
 	BlockPairs  [][2]event.Time
 	WarpPairs   [][2]event.Time
@@ -188,7 +187,7 @@ func sampleObs(o Options) ([]*blockSampler, error) {
 				return nil, err
 			}
 			s := &blockSampler{targetBlock: target, cap: 1 << 20}
-			return s, o.observe(ctx, i, app, s)
+			return s, o.observe(ctx, i, app, timing.Observer{BlockRetired: s.OnBlockRetired, WarpRetired: s.OnWarpRetired})
 		}
 	}
 	return engine.Collect(o.ctx(), o.Parallel, tasks, o.engineIns())

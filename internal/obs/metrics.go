@@ -128,7 +128,7 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveN records n identical samples with one round of atomics (the
-// timing machine flushes per-run aggregates this way).
+// memory hierarchy publishes its per-level latency tallies this way).
 func (h *Histogram) ObserveN(v float64, n uint64) {
 	if h == nil || n == 0 {
 		return

@@ -55,11 +55,11 @@ func (g *GPU) Metrics() *obs.Registry { return g.metrics }
 // Log returns the attached logger; nil (a no-op logger) when none.
 func (g *GPU) Log() *obs.Logger { return g.log }
 
-// RunDetailed simulates the launch in detailed mode. obs may be nil; gate,
-// when non-nil, is polled before each workgroup dispatch and stops detailed
-// simulation when it returns true. Caches are reset so every kernel starts
-// cold, which keeps repeated kernels bit-identical (the property
-// kernel-sampling exploits).
+// RunDetailed simulates the launch in detailed mode. obs subscribes to timing
+// events (the zero Observer: none); gate, when non-nil, is polled before each
+// workgroup dispatch and stops detailed simulation when it returns true.
+// Caches are reset so every kernel starts cold, which keeps repeated kernels
+// bit-identical (the property kernel-sampling exploits).
 func (g *GPU) RunDetailed(l *kernel.Launch, obs timing.Observer, gate func() bool) (timing.Result, error) {
 	g.hier.Reset()
 	m := timing.NewMachine(g.cfg.Compute, g.hier, obs)
@@ -108,8 +108,8 @@ type Runner interface {
 // FullRunner simulates every kernel entirely in detailed mode; it is the
 // accuracy and wall-time baseline ("Full detailed MGPUSim" in the figures).
 type FullRunner struct {
-	// Observer, when non-nil, receives timing events (used by the
-	// observation experiments).
+	// Observer subscribes to timing events (used by the observation
+	// experiments); the zero value subscribes to none.
 	Observer timing.Observer
 }
 

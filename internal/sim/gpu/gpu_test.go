@@ -6,6 +6,7 @@ import (
 	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
 	"photon/internal/sim/mem"
+	"photon/internal/sim/timing"
 )
 
 func TestTable1R9Nano(t *testing.T) {
@@ -113,7 +114,7 @@ func TestFunctionalRunner(t *testing.T) {
 func TestRunDetailedResetsCaches(t *testing.T) {
 	g := New(R9Nano())
 	l1 := tinyLaunch()
-	r1, err := g.RunDetailed(l1, nil, nil)
+	r1, err := g.RunDetailed(l1, timing.Observer{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestRunDetailedResetsCaches(t *testing.T) {
 	// reset per kernel — this is what kernel-sampling's IPC-similarity
 	// assumption rests on.
 	l2 := tinyLaunch()
-	r2, err := g.RunDetailed(l2, nil, nil)
+	r2, err := g.RunDetailed(l2, timing.Observer{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"photon/internal/obs"
 	"photon/internal/sim/event"
 )
 
@@ -93,7 +92,7 @@ type Cache struct {
 	dram  *DRAM
 	lower Lower
 
-	lat *obs.Histogram // access-latency histogram; nil unless a registry is attached
+	lat *latTally // the level's access-latency tally; nil unless a registry is attached
 }
 
 // NewCache builds a standalone cache over the given lower level.
@@ -232,7 +231,7 @@ func (c *Cache) Access(now event.Time, lineAddr uint64, write bool) event.Time {
 		done = c.below(done, lineAddr, false)
 	}
 	if c.lat != nil {
-		c.lat.Observe(float64(done - now))
+		c.lat.observe(done - now)
 	}
 	return done
 }

@@ -44,7 +44,7 @@ type DRAM struct {
 	// it already holds since the last Reset.
 	mxAccesses  *obs.Counter
 	pubAccesses uint64
-	lat         *obs.Histogram
+	lat         latTally
 }
 
 // NewDRAM builds the DRAM model.
@@ -61,13 +61,15 @@ func (d *DRAM) Accesses() uint64 { return d.accesses }
 // setMetrics attaches the registry-backed stat set.
 func (d *DRAM) setMetrics(reg *obs.Registry) {
 	d.mxAccesses = reg.Counter("sim_dram_accesses_total")
-	d.lat = reg.Histogram("sim_dram_latency_cycles", obs.ExpBuckets(1, 2, 14))
+	d.lat.hist = reg.Histogram("sim_dram_latency_cycles", latBounds)
 }
 
-// flushMetrics publishes what the counter gained since the last flush.
+// flushMetrics publishes what the counter gained since the last flush and
+// the latencies tallied since.
 func (d *DRAM) flushMetrics() {
 	d.mxAccesses.Add(d.accesses - d.pubAccesses)
 	d.pubAccesses = d.accesses
+	d.lat.flush()
 }
 
 // Reset clears bank state and statistics.
@@ -87,8 +89,8 @@ func (d *DRAM) Access(now event.Time, lineAddr uint64, write bool) event.Time {
 	}
 	*free = start + d.cfg.BurstCycles
 	done := start + d.cfg.Latency
-	if d.lat != nil {
-		d.lat.Observe(float64(done - now))
+	if d.lat.hist != nil {
+		d.lat.observe(done - now)
 	}
 	return done
 }

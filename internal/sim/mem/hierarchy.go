@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"photon/internal/obs"
 	"photon/internal/sim/event"
@@ -62,6 +63,7 @@ type Hierarchy struct {
 	// of the level's plain counters it already holds since the last Reset.
 	counters  [len(levelNames)][4]*obs.Counter
 	published [len(levelNames)][4]uint64
+	lat       [len(levelNames)]latTally
 
 	// atomicAccesses counts per-lane atomic operations, which execute at the
 	// L2 coherence point and so reach L2 without a corresponding L1 miss;
@@ -114,12 +116,48 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
+// The access-latency histograms' upper bounds are powers of two (1 to 8192
+// cycles), so latTally finds a latency's bucket with a bit scan.
+const latBuckets = 14
+
+var latBounds = obs.ExpBuckets(1, 2, latBuckets)
+
+// latTally counts one level's access latencies per histogram bucket in plain
+// words, so an access with a registry attached pays a bit scan and two adds
+// where Histogram.Observe costs a bucket search and three atomics.
+type latTally struct {
+	hist   *obs.Histogram
+	n, sum [latBuckets + 1]uint64 // per bucket, overflow last: accesses and their cycles
+}
+
+func (t *latTally) observe(lat event.Time) {
+	b := 0
+	if lat > 1 {
+		b = min(bits.Len64(uint64(lat-1)), latBuckets)
+	}
+	t.n[b]++
+	t.sum[b] += uint64(lat)
+}
+
+// flush publishes a bucket's n latencies, adding up to q*n + r, as r samples
+// of q+1 cycles and n-r of q: both lie within the bucket's members' range, so
+// bucket counts, count and sum equal observing every access on its own.
+func (t *latTally) flush() {
+	for b, n := range t.n {
+		if n != 0 {
+			q, r := t.sum[b]/n, t.sum[b]%n
+			t.hist.ObserveN(float64(q), n-r)
+			t.hist.ObserveN(float64(q+1), r)
+			t.n[b], t.sum[b] = 0, 0
+		}
+	}
+}
+
 // SetMetrics attaches a telemetry registry: every cache level and the DRAM
 // publish cumulative hit/miss/eviction/writeback counts and access-latency
-// histograms into it, labeled by level. The counts are fed from the plain
-// per-cache counters by FlushMetrics; only the histograms are observed per
-// access, and only while a registry is attached. Safe to call with a nil
-// registry (detaches into no-ops).
+// histograms into it, labeled by level. Both are fed from plain per-level
+// tallies by FlushMetrics; latencies are tallied only while a registry is
+// attached. Safe to call with a nil registry (detaches into no-ops).
 func (h *Hierarchy) SetMetrics(reg *obs.Registry) {
 	for i, caches := range h.levels() {
 		l := obs.L("level", levelNames[i])
@@ -129,7 +167,11 @@ func (h *Hierarchy) SetMetrics(reg *obs.Registry) {
 			reg.Counter("sim_cache_evictions_total", l),
 			reg.Counter("sim_cache_writebacks_total", l),
 		}
-		lat := reg.Histogram("sim_cache_latency_cycles", obs.ExpBuckets(1, 2, 14), l)
+		lat := &h.lat[i]
+		lat.hist = reg.Histogram("sim_cache_latency_cycles", latBounds, l)
+		if lat.hist == nil {
+			lat = nil
+		}
 		for j := range caches {
 			caches[j].lat = lat
 		}
@@ -150,9 +192,10 @@ func totals(caches []Cache) (t [4]uint64) {
 }
 
 // FlushMetrics publishes what the plain per-cache and DRAM counters gained
-// since the last flush into the attached registry. The timing machine calls
-// it when a kernel drains and Reset calls it before clearing, so the
-// registry's run-cumulative totals keep growing across per-kernel resets.
+// since the last flush, and the latencies tallied since, into the attached
+// registry. The timing machine calls it when a kernel drains and Reset calls
+// it before clearing, so the registry's run-cumulative totals keep growing
+// across per-kernel resets.
 func (h *Hierarchy) FlushMetrics() {
 	for i, caches := range h.levels() {
 		sum := totals(caches)
@@ -160,6 +203,7 @@ func (h *Hierarchy) FlushMetrics() {
 			ctr.Add(sum[k] - h.published[i][k])
 		}
 		h.published[i] = sum
+		h.lat[i].flush()
 	}
 	h.dram.flushMetrics()
 }

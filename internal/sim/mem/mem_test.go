@@ -538,3 +538,33 @@ func TestHierarchyAccessZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestLatencyTallyMatchesPerAccessObservation: a level's batched latency
+// tally must leave its histogram exactly as observing every access on its own
+// does — bucket by bucket, count and sum — for latencies on both sides of
+// every bucket bound, past the last one, and in several flushes.
+func TestLatencyTallyMatchesPerAccessObservation(t *testing.T) {
+	lats := []event.Time{0, 1, 1, 2, 3}
+	for b := event.Time(4); b <= 1<<15; b *= 2 {
+		lats = append(lats, b-1, b, b, b+1)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 5000; i++ {
+		lats = append(lats, event.Time(rng.Int63n(1<<uint(rng.Intn(20)))))
+	}
+	batched, single := obs.NewRegistry(), obs.NewRegistry()
+	tally := latTally{hist: batched.Histogram("lat", latBounds)}
+	ref := single.Histogram("lat", latBounds)
+	for i, l := range lats {
+		tally.observe(l)
+		ref.Observe(float64(l))
+		if i%1000 == 999 {
+			tally.flush()
+		}
+	}
+	tally.flush()
+	got, want := batched.Snapshot().Histograms[0], single.Snapshot().Histograms[0]
+	if got.Count != want.Count || got.Sum != want.Sum || !slices.Equal(got.Buckets, want.Buckets) {
+		t.Fatalf("batched tally %+v\nper-access observation %+v", got, want)
+	}
+}

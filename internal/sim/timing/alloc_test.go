@@ -12,7 +12,7 @@ import (
 // the allocator zero times per run.
 func TestMachineRunZeroAllocSteadyState(t *testing.T) {
 	l, _ := scaleLaunch(8)
-	m := NewMachine(DefaultCompute(2), testHier(2), nil)
+	m := NewMachine(DefaultCompute(2), testHier(2), Observer{})
 	for i := 0; i < 2; i++ {
 		if _, err := m.Run(l); err != nil {
 			t.Fatal(err)
@@ -29,24 +29,22 @@ func TestMachineRunZeroAllocSteadyState(t *testing.T) {
 // reset completely: a reused machine computes the same timing as a fresh one.
 func TestMachineRunPooledMatchesFresh(t *testing.T) {
 	l, _ := scaleLaunch(8)
-	reused := NewMachine(DefaultCompute(2), testHier(2), nil)
-	var prev, warm Result
+	reused := NewMachine(DefaultCompute(2), testHier(2), Observer{})
+	var warm Result
 	for i := 0; i < 3; i++ {
-		r, err := reused.Run(l)
-		if err != nil {
+		var err error
+		if warm, err = reused.Run(l); err != nil {
 			t.Fatal(err)
 		}
-		prev, warm = warm, r
 	}
-	fresh, err := NewMachine(DefaultCompute(2), testHier(2), nil).Run(l)
+	fresh, err := NewMachine(DefaultCompute(2), testHier(2), Observer{}).Run(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The reused machine's clock, instruction and warp tallies accumulate
-	// across runs and its caches stay warm, so compare this run's deltas.
-	if warm.InstCount-prev.InstCount != fresh.InstCount ||
-		warm.WarpsSimulated-prev.WarpsSimulated != fresh.WarpsSimulated ||
-		!warm.Complete || warm.NextWG != fresh.NextWG {
-		t.Fatalf("pooled run diverged: reused %+v (prev %+v), fresh %+v", warm, prev, fresh)
+	// The reused machine's clock keeps running and its caches stay warm, so
+	// compare the counts, which are each run's own.
+	if warm.InstCount != fresh.InstCount || warm.WarpsSimulated != fresh.WarpsSimulated ||
+		warm.ClassIssued != fresh.ClassIssued || !warm.Complete || warm.NextWG != fresh.NextWG {
+		t.Fatalf("pooled run diverged: reused %+v, fresh %+v", warm, fresh)
 	}
 }

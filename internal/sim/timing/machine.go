@@ -55,18 +55,12 @@ type Machine struct {
 	freeGroups []*groupRT
 	freeLDS    [][]byte
 
-	progBase uint64 // synthetic address of the program for I-fetch
-
-	// Telemetry. Per-CU and per-FU-class tallies accumulate in plain local
-	// arrays on the simulation goroutine — the hot path never touches an
-	// atomic — and Run flushes them into the registry (when one is attached
-	// via SetMetrics) after the event loop drains.
+	// Telemetry. The per-FU-class tallies here and the per-CU ones on cu
+	// are plain words bumped on the simulation goroutine — the hot path
+	// never touches an atomic — and Run flushes them into the registry (when
+	// one is attached via SetMetrics) after the event loop drains.
 	metrics     *obs.Registry
 	log         *obs.Logger
-	issueCycles []uint64 // per CU: cycles the issue ports were occupied
-	issued      []uint64 // per CU: instructions issued
-	stallCycles []uint64 // per CU: cycles warps stalled at s_waitcnt
-	retired     []uint64 // per CU: warps retired
 	classIssued [isa.FUClassCount]uint64
 	classLatSum [isa.FUClassCount]uint64
 }
@@ -76,14 +70,21 @@ type cu struct {
 	freeSlots int
 	simds     []*simdUnit
 	rrSIMD    int
+
+	// This run's tallies, on the struct the issue path already holds.
+	issueCycles uint64 // cycles the issue ports were occupied
+	issued      uint64 // instructions issued
+	stallCycles uint64 // cycles warps stalled at s_waitcnt
+	retired     uint64 // warps retired
 }
 
 type simdUnit struct {
 	cu       *cu
 	nextFree event.Time
-	readyQ   []*warpCtx
-	pumpAt   event.Time    // time of the latest scheduled pump, -1 if none
-	pumpFn   event.Handler // cached pump closure, built once in NewMachine
+	// Warps waiting for the issue port, FIFO through warpCtx.nextReady.
+	readyHead, readyTail *warpCtx
+	pumpAt               event.Time    // time of the latest scheduled pump, -1 if none
+	pumpFn               event.Handler // cached pump closure, built once in NewMachine
 }
 
 type warpCtx struct {
@@ -94,6 +95,8 @@ type warpCtx struct {
 	simd *simdUnit
 	grp  *groupRT
 	info emu.StepInfo
+
+	nextReady *warpCtx // behind this warp in its SIMD's ready queue
 
 	// readyFn is the cached readiness closure, built once per context; it
 	// captures the context itself, so scheduling a readiness event never
@@ -119,7 +122,12 @@ type groupRT struct {
 	atBarrier int
 }
 
-// Result reports what the detailed mode simulated.
+// progBase is the synthetic address instruction fetches are charged at, one
+// for every program: the driver resets the hierarchy before each kernel.
+const progBase = 1 << 40
+
+// Result reports what one Run simulated in detailed mode: counts of that run
+// alone, times on the machine's clock (which a reused machine keeps running).
 type Result struct {
 	// EndTime is the drain time of the simulated portion (kernel execution
 	// time if Complete).
@@ -162,14 +170,7 @@ func NewMachineWithQueue(cfg Config, hier *mem.Hierarchy, obs Observer, q event.
 		panic(fmt.Sprintf("timing: CU count %d != hierarchy CU count %d",
 			cfg.NumCUs, hier.Config().NumCUs))
 	}
-	if obs == nil {
-		obs = NopObserver{}
-	}
 	m := &Machine{cfg: cfg, engine: q, hier: hier, obs: obs}
-	m.issueCycles = make([]uint64, cfg.NumCUs)
-	m.issued = make([]uint64, cfg.NumCUs)
-	m.stallCycles = make([]uint64, cfg.NumCUs)
-	m.retired = make([]uint64, cfg.NumCUs)
 	m.cus = make([]*cu, cfg.NumCUs)
 	for i := range m.cus {
 		c := &cu{id: i, freeSlots: cfg.WarpSlotsPerCU()}
@@ -197,20 +198,20 @@ func (m *Machine) SetMetrics(reg *obs.Registry) { m.metrics = reg }
 // whether the dispatch gate fired).
 func (m *Machine) SetLog(l *obs.Logger) { m.log = l }
 
-// flushMetrics publishes the run's tallies. Counters aggregate across
-// kernels and across machines sharing one registry; the sums are
-// deterministic because the simulation itself is.
+// flushMetrics publishes the run's tallies (Run zeroes them before it
+// starts). Counters aggregate across kernels and across machines sharing one
+// registry; the sums are deterministic because the simulation itself is.
 func (m *Machine) flushMetrics() {
 	reg := m.metrics
 	if reg == nil {
 		return
 	}
-	for cu := 0; cu < m.cfg.NumCUs; cu++ {
-		l := obs.L("cu", strconv.Itoa(cu))
-		reg.Counter("sim_cu_issue_cycles", l).Add(m.issueCycles[cu])
-		reg.Counter("sim_cu_insts_issued", l).Add(m.issued[cu])
-		reg.Counter("sim_cu_stall_cycles", l).Add(m.stallCycles[cu])
-		reg.Counter("sim_cu_warps_retired", l).Add(m.retired[cu])
+	for _, c := range m.cus {
+		l := obs.L("cu", strconv.Itoa(c.id))
+		reg.Counter("sim_cu_issue_cycles", l).Add(c.issueCycles)
+		reg.Counter("sim_cu_insts_issued", l).Add(c.issued)
+		reg.Counter("sim_cu_stall_cycles", l).Add(c.stallCycles)
+		reg.Counter("sim_cu_warps_retired", l).Add(c.retired)
 	}
 	for c := isa.FUClass(0); c < isa.FUClassCount; c++ {
 		if m.classIssued[c] == 0 {
@@ -238,9 +239,11 @@ func (m *Machine) Run(l *kernel.Launch) (Result, error) {
 	// than the launch itself needs. Alloc grows it in chunks if a later
 	// launch outruns the plan.
 	m.store.Configure(l, ResidentWarpSlots(m.cfg, l))
-	// Give each program a distinct, stable fetch-address region.
-	m.progBase = 1 << 40
-	m.nextWG = 0
+	m.nextWG, m.instCount, m.warpsDone, m.gated = 0, 0, 0, false
+	m.classIssued, m.classLatSum = [isa.FUClassCount]uint64{}, [isa.FUClassCount]uint64{}
+	for _, c := range m.cus {
+		c.issueCycles, c.issued, c.stallCycles, c.retired = 0, 0, 0, 0
+	}
 	m.countRoomyCUs()
 	m.dispatchPending(0)
 	m.engine.Run()
@@ -394,24 +397,35 @@ func (m *Machine) takeWarpCtx() *warpCtx {
 		return wc
 	}
 	wc := &warpCtx{}
-	wc.readyFn = func(now event.Time) {
-		wc.simd.readyQ = append(wc.simd.readyQ, wc)
-		m.pump(wc.simd, now)
-	}
+	wc.readyFn = func(now event.Time) { m.warpReady(wc, now) }
 	return wc
 }
 
-// warpReadyAt enqueues the warp on its SIMD's ready queue at time t.
+// warpReadyAt makes the warp ready to issue on its SIMD at time t.
 func (m *Machine) warpReadyAt(wc *warpCtx, t event.Time) {
 	m.engine.Schedule(t, wc.readyFn)
 }
 
-// pump issues from the SIMD's ready queue, respecting the one-issue-per-
-// occupancy-window port limit.
-func (m *Machine) pump(s *simdUnit, now event.Time) {
-	if len(s.readyQ) == 0 {
-		return
+// warpReady is the readiness event. A warp that finds its SIMD's queue empty
+// and the port free issues inside it; otherwise it queues behind the port.
+func (m *Machine) warpReady(wc *warpCtx, now event.Time) {
+	s := wc.simd
+	if s.readyHead == nil {
+		if s.nextFree <= now {
+			m.issue(wc, now)
+			return
+		}
+		s.readyHead = wc
+	} else {
+		s.readyTail.nextReady = wc
 	}
+	s.readyTail = wc
+	m.pump(s, now)
+}
+
+// pump issues from the SIMD's non-empty ready queue, respecting the
+// one-issue-per-occupancy-window port limit.
+func (m *Machine) pump(s *simdUnit, now event.Time) {
 	if s.nextFree > now {
 		if s.pumpAt != s.nextFree {
 			s.pumpAt = s.nextFree
@@ -419,11 +433,10 @@ func (m *Machine) pump(s *simdUnit, now event.Time) {
 		}
 		return
 	}
-	wc := s.readyQ[0]
-	copy(s.readyQ, s.readyQ[1:])
-	s.readyQ = s.readyQ[:len(s.readyQ)-1]
+	wc := s.readyHead
+	s.readyHead, wc.nextReady = wc.nextReady, nil
 	m.issue(wc, now)
-	if len(s.readyQ) > 0 && s.pumpAt != s.nextFree {
+	if s.readyHead != nil && s.pumpAt != s.nextFree {
 		s.pumpAt = s.nextFree
 		m.engine.Schedule(s.nextFree, s.pumpFn)
 	}
@@ -435,40 +448,42 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 	if !wc.started {
 		wc.started = true
 		wc.issueTime = now
-		m.obs.OnWarpStart(now, &wc.warp)
+		if f := m.obs.WarpStart; f != nil {
+			f(now, &wc.warp)
+		}
 	}
 	info := &wc.info
 	wc.warp.Step(info)
 	m.instCount++
+	c := wc.cu
 
 	// Basic-block accounting: a block's execution interval spans from the
 	// issue of its first instruction to the issue of the next block's first
 	// instruction (paper, Observation 3).
 	var fetchDone event.Time
 	if info.EnteredB {
-		if wc.inBlock {
-			m.obs.OnBlockRetired(now, &wc.warp, wc.curBlock, wc.curBlockEnter, now)
+		if f := m.obs.BlockRetired; f != nil && wc.inBlock {
+			f(now, &wc.warp, wc.curBlock, wc.curBlockEnter, now)
 		}
 		wc.inBlock = true
 		wc.curBlock = info.BlockIdx
 		wc.curBlockEnter = now
 		// Charge an I-cache fetch once per block entry; its delay extends
 		// this instruction's effective completion.
-		fetchDone = m.hier.InstFetch(now, wc.cu.id, m.progBase+uint64(info.Inst.PC)*8)
+		fetchDone = m.hier.InstFetch(now, c.id, progBase+uint64(info.Inst.PC)*8)
 	}
 
 	class := info.Class
 	ready := now + m.cfg.ExecLatency[class]
 	latency := m.cfg.ExecLatency[class]
-	s := wc.simd
-	s.nextFree = now + m.cfg.IssueOccupancy[class]
-	m.issued[wc.cu.id]++
-	m.issueCycles[wc.cu.id] += uint64(m.cfg.IssueOccupancy[class])
+	wc.simd.nextFree = now + m.cfg.IssueOccupancy[class]
+	c.issued++
+	c.issueCycles += uint64(m.cfg.IssueOccupancy[class])
 	m.classIssued[class]++
 
 	switch info.Kind {
 	case emu.StepVectorMem:
-		done := m.hier.VectorAccess(now, wc.cu.id, info.Addrs, info.IsStore)
+		done := m.hier.VectorAccess(now, c.id, info.Addrs, info.IsStore)
 		latency = done - now
 		wc.outstanding++
 		if done > wc.memDoneAt {
@@ -476,7 +491,7 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 		}
 		ready = now + m.cfg.VectorMemIssueCycles
 	case emu.StepAtomic:
-		done := m.hier.AtomicAccess(now, wc.cu.id, info.Addrs)
+		done := m.hier.AtomicAccess(now, c.id, info.Addrs)
 		latency = done - now
 		wc.outstanding++
 		if done > wc.memDoneAt {
@@ -484,72 +499,70 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 		}
 		ready = now + m.cfg.VectorMemIssueCycles
 	case emu.StepScalarMem:
-		done := m.hier.ScalarAccess(now, wc.cu.id, info.SAddr)
+		done := m.hier.ScalarAccess(now, c.id, info.SAddr)
 		latency = done - now
 		ready = done // blocking scalar load
 	case emu.StepWaitcnt:
 		if wc.outstanding > int(info.Inst.Offset) {
 			wc.outstanding = 0
 			if wc.memDoneAt > ready {
-				m.stallCycles[wc.cu.id] += uint64(wc.memDoneAt - ready)
+				c.stallCycles += uint64(wc.memDoneAt - ready)
 				ready = wc.memDoneAt
 			}
 		}
-	case emu.StepBarrier:
-		m.classLatSum[class] += uint64(latency)
-		m.obs.OnInstIssued(now, wc.cu.id, &wc.warp, class, latency)
-		m.arriveBarrier(wc, now)
-		return
-	case emu.StepDone:
-		m.classLatSum[class] += uint64(latency)
-		m.obs.OnInstIssued(now, wc.cu.id, &wc.warp, class, latency)
-		m.retireWarp(wc, now)
-		return
-	}
-
-	if fetchDone > ready {
-		ready = fetchDone
 	}
 	m.classLatSum[class] += uint64(latency)
-	m.obs.OnInstIssued(now, wc.cu.id, &wc.warp, class, latency)
-	m.warpReadyAt(wc, ready)
+	if f := m.obs.InstIssued; f != nil {
+		f(now, c.id, &wc.warp, class, latency)
+	}
+
+	switch info.Kind {
+	case emu.StepBarrier:
+		m.arriveBarrier(wc, now)
+	case emu.StepDone:
+		m.retireWarp(wc, now)
+	default:
+		if fetchDone > ready {
+			ready = fetchDone
+		}
+		m.warpReadyAt(wc, ready)
+	}
 }
 
 func (m *Machine) arriveBarrier(wc *warpCtx, now event.Time) {
 	g := wc.grp
-	g.atBarrier++
-	if g.atBarrier >= g.live {
-		g.atBarrier = 0
-		for _, sib := range g.warps {
-			if !sib.warp.Done() && sib.warp.AtBarrier() {
-				sib.warp.ClearBarrier()
-				m.warpReadyAt(sib, now+m.cfg.BarrierLatency)
-			}
+	if g.atBarrier++; g.atBarrier >= g.live {
+		m.releaseBarrier(g, now)
+	}
+}
+
+// releaseBarrier resumes the group's warps that wait at its barrier.
+func (m *Machine) releaseBarrier(g *groupRT, now event.Time) {
+	g.atBarrier = 0
+	for _, sib := range g.warps {
+		if !sib.warp.Done() && sib.warp.AtBarrier() {
+			sib.warp.ClearBarrier()
+			m.warpReadyAt(sib, now+m.cfg.BarrierLatency)
 		}
 	}
 }
 
 func (m *Machine) retireWarp(wc *warpCtx, now event.Time) {
-	if wc.inBlock {
-		m.obs.OnBlockRetired(now, &wc.warp, wc.curBlock, wc.curBlockEnter, now)
-		wc.inBlock = false
+	if f := m.obs.BlockRetired; f != nil && wc.inBlock {
+		f(now, &wc.warp, wc.curBlock, wc.curBlockEnter, now)
 	}
-	m.obs.OnWarpRetired(now, &wc.warp, wc.issueTime)
+	if f := m.obs.WarpRetired; f != nil {
+		f(now, &wc.warp, wc.issueTime)
+	}
 	m.warpsDone++
-	m.retired[wc.cu.id]++
+	wc.cu.retired++
 	g := wc.grp
 	g.live--
 	if g.live > 0 {
 		// A retired warp no longer participates in barriers; release
 		// siblings if it was the last one missing.
 		if g.atBarrier >= g.live && g.atBarrier > 0 {
-			g.atBarrier = 0
-			for _, sib := range g.warps {
-				if !sib.warp.Done() && sib.warp.AtBarrier() {
-					sib.warp.ClearBarrier()
-					m.warpReadyAt(sib, now+m.cfg.BarrierLatency)
-				}
-			}
+			m.releaseBarrier(g, now)
 		}
 		return
 	}

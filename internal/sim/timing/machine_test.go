@@ -68,7 +68,7 @@ func runDetailed(t *testing.T, numCUs int, l *kernel.Launch, obs Observer) Resul
 
 func TestDetailedMatchesFunctionalResults(t *testing.T) {
 	l, out := scaleLaunch(8)
-	res := runDetailed(t, 4, l, nil)
+	res := runDetailed(t, 4, l, Observer{})
 	if !res.Complete {
 		t.Fatal("run not complete")
 	}
@@ -97,9 +97,9 @@ func TestDetailedMatchesFunctionalResults(t *testing.T) {
 
 func TestMoreCUsRunFaster(t *testing.T) {
 	l1, _ := scaleLaunch(1024)
-	slow := runDetailed(t, 2, l1, nil)
+	slow := runDetailed(t, 2, l1, Observer{})
 	l2, _ := scaleLaunch(1024)
-	fast := runDetailed(t, 16, l2, nil)
+	fast := runDetailed(t, 16, l2, Observer{})
 	if fast.EndTime >= slow.EndTime {
 		t.Fatalf("16 CUs (%d) not faster than 2 CUs (%d)", fast.EndTime, slow.EndTime)
 	}
@@ -107,19 +107,17 @@ func TestMoreCUsRunFaster(t *testing.T) {
 
 func TestMoreWorkTakesLonger(t *testing.T) {
 	l1, _ := scaleLaunch(8)
-	small := runDetailed(t, 4, l1, nil)
+	small := runDetailed(t, 4, l1, Observer{})
 	l2, _ := scaleLaunch(256)
-	big := runDetailed(t, 4, l2, nil)
+	big := runDetailed(t, 4, l2, Observer{})
 	if big.EndTime <= small.EndTime {
 		t.Fatalf("256 warps (%d) not slower than 8 warps (%d)", big.EndTime, small.EndTime)
 	}
 }
 
 type countingObserver struct {
-	NopObserver
 	starts, retires, insts, blocks int
 	lastRetire                     event.Time
-	blockIntervalsOK               bool
 	badInterval                    bool
 }
 
@@ -143,10 +141,15 @@ func (o *countingObserver) OnBlockRetired(now event.Time, w *emu.Warp, b int, en
 	}
 }
 
+func (o *countingObserver) observer() Observer {
+	return Observer{WarpStart: o.OnWarpStart, WarpRetired: o.OnWarpRetired,
+		InstIssued: o.OnInstIssued, BlockRetired: o.OnBlockRetired}
+}
+
 func TestObserverCallbacks(t *testing.T) {
 	l, _ := scaleLaunch(8)
 	obs := &countingObserver{}
-	res := runDetailed(t, 4, l, obs)
+	res := runDetailed(t, 4, l, obs.observer())
 	if obs.starts != 8 || obs.retires != 8 {
 		t.Fatalf("starts=%d retires=%d, want 8/8", obs.starts, obs.retires)
 	}
@@ -168,7 +171,7 @@ func TestObserverCallbacks(t *testing.T) {
 func TestStopDispatchGate(t *testing.T) {
 	l, _ := scaleLaunch(64)
 	dispatched := 0
-	m := NewMachine(DefaultCompute(2), testHier(2), nil)
+	m := NewMachine(DefaultCompute(2), testHier(2), Observer{})
 	m.SetStopDispatch(func() bool {
 		dispatched++
 		return dispatched > 10 // allow ~10 dispatch checks
@@ -222,7 +225,7 @@ func barrierLaunch(groups, warpsPerGroup int) (*kernel.Launch, uint64) {
 func TestBarrierSynchronizationUnderTiming(t *testing.T) {
 	const groups, wpg = 6, 4
 	l, out := barrierLaunch(groups, wpg)
-	res := runDetailed(t, 2, l, nil)
+	res := runDetailed(t, 2, l, Observer{})
 	if !res.Complete {
 		t.Fatal("barrier kernel did not complete")
 	}
@@ -241,7 +244,7 @@ func TestWorkgroupTooLargeRejected(t *testing.T) {
 	l, _ := scaleLaunch(1)
 	l.WarpsPerGroup = 1000
 	l.NumWorkgroups = 1
-	m := NewMachine(DefaultCompute(2), testHier(2), nil)
+	m := NewMachine(DefaultCompute(2), testHier(2), Observer{})
 	if _, err := m.Run(l); err == nil {
 		t.Fatal("oversized workgroup accepted")
 	}
@@ -249,9 +252,9 @@ func TestWorkgroupTooLargeRejected(t *testing.T) {
 
 func TestDeterministicEndTimes(t *testing.T) {
 	l1, _ := scaleLaunch(32)
-	r1 := runDetailed(t, 4, l1, nil)
+	r1 := runDetailed(t, 4, l1, Observer{})
 	l2, _ := scaleLaunch(32)
-	r2 := runDetailed(t, 4, l2, nil)
+	r2 := runDetailed(t, 4, l2, Observer{})
 	if r1.EndTime != r2.EndTime || r1.InstCount != r2.InstCount {
 		t.Fatalf("nondeterministic: %v vs %v", r1, r2)
 	}
@@ -275,7 +278,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestGateTimeSemantics(t *testing.T) {
 	l, _ := scaleLaunch(512)
-	m := NewMachine(DefaultCompute(2), testHier(2), nil)
+	m := NewMachine(DefaultCompute(2), testHier(2), Observer{})
 	dispatches := 0
 	m.SetStopDispatch(func() bool {
 		dispatches++
@@ -298,7 +301,7 @@ func TestGateTimeSemantics(t *testing.T) {
 
 func TestGateTimeEqualsEndTimeWhenUngated(t *testing.T) {
 	l, _ := scaleLaunch(8)
-	m := NewMachine(DefaultCompute(2), testHier(2), nil)
+	m := NewMachine(DefaultCompute(2), testHier(2), Observer{})
 	res, err := m.Run(l)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +314,7 @@ func TestGateTimeEqualsEndTimeWhenUngated(t *testing.T) {
 func TestMachineMetricsFlushedAfterRun(t *testing.T) {
 	l, _ := scaleLaunch(8)
 	reg := obs.NewRegistry()
-	m := NewMachine(DefaultCompute(2), testHier(2), nil)
+	m := NewMachine(DefaultCompute(2), testHier(2), Observer{})
 	m.SetMetrics(reg)
 	res, err := m.Run(l)
 	if err != nil {
@@ -351,13 +354,39 @@ func TestMachineMetricsFlushedAfterRun(t *testing.T) {
 	}
 }
 
+// TestMachineMetricsArePerRun: a reused machine publishes each run's tallies
+// once, so after two runs of one launch the registry reads exactly double
+// what one run publishes (it used to re-add the machine's running totals on
+// every Run: 3x after two). The series compared do not depend on timing,
+// which a reused machine's warm caches and dispatch cursors shift.
+func TestMachineMetricsArePerRun(t *testing.T) {
+	publish := func(runs int) obs.Snapshot {
+		l, _ := scaleLaunch(64)
+		reg := obs.NewRegistry()
+		m := NewMachine(DefaultCompute(2), testHier(2), Observer{})
+		m.SetMetrics(reg)
+		for i := 0; i < runs; i++ {
+			if _, err := m.Run(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return reg.Snapshot()
+	}
+	once, twice := publish(1), publish(2)
+	for _, name := range []string{"sim_cu_insts_issued", "sim_cu_issue_cycles", "sim_cu_warps_retired", "sim_fu_insts_issued"} {
+		one, two := once.SumCounters(name), twice.SumCounters(name)
+		if one == 0 || two != 2*one {
+			t.Errorf("%s: %d after one run, %d after two", name, one, two)
+		}
+	}
+}
+
 // placementChecker compares, at every warp start and retirement, the
 // dispatch bookkeeping against a plain scan: roomyCUs must count exactly the
 // CUs with room for a workgroup, and findFreeCU — early-out, wrapped cursor
 // — must pick the CU the modulo scan from rrCU picks and leave the cursor
 // just past it.
 type placementChecker struct {
-	NopObserver
 	t      *testing.T
 	m      *Machine
 	checks int
@@ -400,7 +429,7 @@ func TestDispatchPlacementMatchesPlainScan(t *testing.T) {
 	for _, wpg := range []int{1, 16} { // 16 leaves 8 of a CU's 40 slots unusable
 		l, _ := barrierLaunch(4000/wpg, wpg)
 		o := &placementChecker{t: t}
-		o.m = NewMachine(DefaultCompute(4), testHier(4), o)
+		o.m = NewMachine(DefaultCompute(4), testHier(4), Observer{WarpStart: o.OnWarpStart, WarpRetired: o.OnWarpRetired})
 		if res, err := o.m.Run(l); err != nil || !res.Complete {
 			t.Fatalf("wpg=%d: run: %+v, %v", wpg, res, err)
 		}

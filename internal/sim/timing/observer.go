@@ -6,36 +6,23 @@ import (
 	"photon/internal/sim/isa"
 )
 
-// Observer receives the timing events the sampling methodologies consume.
-// All callbacks run synchronously on the simulation goroutine.
-type Observer interface {
-	// OnWarpStart fires when a warp issues its first instruction.
-	OnWarpStart(now event.Time, w *emu.Warp)
-	// OnWarpRetired fires when a warp executes s_endpgm. issue is the
+// Observer is the set of timing events a run subscribes to, one func field
+// per event; a nil field is not subscribed, and the machine pays one nil
+// test for it (the zero Observer costs a run nothing). All callbacks run
+// synchronously on the simulation goroutine, and the warp handle is valid
+// only for the duration of the call.
+type Observer struct {
+	// WarpStart fires when a warp issues its first instruction.
+	WarpStart func(now event.Time, w *emu.Warp)
+	// WarpRetired fires when a warp executes s_endpgm. issue is the
 	// warp's first-issue time (the paper's warp issue/retired pair).
-	OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time)
-	// OnInstIssued fires for every dynamic instruction. latency is the
+	WarpRetired func(now event.Time, w *emu.Warp, issue event.Time)
+	// InstIssued fires for every dynamic instruction. latency is the
 	// modeled completion latency (for memory ops: the full round trip).
-	OnInstIssued(now event.Time, cuID int, w *emu.Warp, class isa.FUClass, latency event.Time)
-	// OnBlockRetired fires when a warp leaves a basic block: the paper's
+	InstIssued func(now event.Time, cuID int, w *emu.Warp, class isa.FUClass, latency event.Time)
+	// BlockRetired fires when a warp leaves a basic block: the paper's
 	// basic-block execution interval [enter, exit) — from the issue of the
 	// block's first instruction to the issue of the next block's first
 	// instruction (or warp completion).
-	OnBlockRetired(now event.Time, w *emu.Warp, blockIdx int, enter, exit event.Time)
+	BlockRetired func(now event.Time, w *emu.Warp, blockIdx int, enter, exit event.Time)
 }
-
-// NopObserver is an Observer that ignores everything; embed it to implement
-// only the callbacks you need.
-type NopObserver struct{}
-
-// OnWarpStart implements Observer.
-func (NopObserver) OnWarpStart(event.Time, *emu.Warp) {}
-
-// OnWarpRetired implements Observer.
-func (NopObserver) OnWarpRetired(event.Time, *emu.Warp, event.Time) {}
-
-// OnInstIssued implements Observer.
-func (NopObserver) OnInstIssued(event.Time, int, *emu.Warp, isa.FUClass, event.Time) {}
-
-// OnBlockRetired implements Observer.
-func (NopObserver) OnBlockRetired(event.Time, *emu.Warp, int, event.Time, event.Time) {}

@@ -1,8 +1,8 @@
 // Package trace provides an execution tracer for the detailed timing model:
-// a timing.Observer that streams warp, basic-block and instruction events to
-// a writer, in the spirit of MGPUSim's visualization traces. Traces are the
-// tool of first resort when a kernel's timing behavior needs explaining
-// (why did the IPC dip? which block inflates a warp's runtime?).
+// a timing.Observer subscriber that streams warp, basic-block and instruction
+// events to a writer, in the spirit of MGPUSim's visualization traces. Traces
+// are the tool of first resort when a kernel's timing behavior needs
+// explaining (why did the IPC dip? which block inflates a warp's runtime?).
 package trace
 
 import (
@@ -29,7 +29,7 @@ const (
 	LevelInst
 )
 
-// Tracer is a timing.Observer that writes one event per line:
+// Tracer writes one event per line:
 //
 //	W+ <time> warp=<id>                      warp start
 //	W- <time> warp=<id> issue=<t>            warp retire
@@ -110,7 +110,20 @@ func (t *Tracer) field(name string, v int64) {
 	t.scratch = strconv.AppendInt(t.scratch, v, 10)
 }
 
-// OnWarpStart implements timing.Observer.
+// Observer subscribes the tracer to the events its level records, so a
+// warp-level trace costs a run nothing per instruction or block.
+func (t *Tracer) Observer() timing.Observer {
+	o := timing.Observer{WarpStart: t.OnWarpStart, WarpRetired: t.OnWarpRetired}
+	if t.level >= LevelBlock {
+		o.BlockRetired = t.OnBlockRetired
+	}
+	if t.level >= LevelInst {
+		o.InstIssued = t.OnInstIssued
+	}
+	return o
+}
+
+// OnWarpStart records a warp's first issue.
 func (t *Tracer) OnWarpStart(now event.Time, w *emu.Warp) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -120,7 +133,7 @@ func (t *Tracer) OnWarpStart(now event.Time, w *emu.Warp) {
 	t.emit()
 }
 
-// OnWarpRetired implements timing.Observer.
+// OnWarpRetired records a warp's retirement.
 func (t *Tracer) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -133,11 +146,8 @@ func (t *Tracer) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time) {
 	t.emit()
 }
 
-// OnBlockRetired implements timing.Observer.
+// OnBlockRetired records a basic-block interval.
 func (t *Tracer) OnBlockRetired(now event.Time, w *emu.Warp, blockIdx int, enter, exit event.Time) {
-	if t.level < LevelBlock {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.Blocks++
@@ -149,11 +159,8 @@ func (t *Tracer) OnBlockRetired(now event.Time, w *emu.Warp, blockIdx int, enter
 	t.emit()
 }
 
-// OnInstIssued implements timing.Observer.
+// OnInstIssued records one instruction issue.
 func (t *Tracer) OnInstIssued(now event.Time, cuID int, w *emu.Warp, class isa.FUClass, lat event.Time) {
-	if t.level < LevelInst {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.Insts++
@@ -166,5 +173,3 @@ func (t *Tracer) OnInstIssued(now event.Time, cuID int, w *emu.Warp, class isa.F
 	t.scratch = append(t.scratch, '\n')
 	t.emit()
 }
-
-var _ timing.Observer = (*Tracer)(nil)

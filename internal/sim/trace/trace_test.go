@@ -33,7 +33,7 @@ func runTraced(t *testing.T, level Level) (*Tracer, string) {
 	var buf bytes.Buffer
 	tr := New(&buf, level)
 	g := gpu.New(gpu.R9Nano())
-	if _, err := g.RunDetailed(traceLaunch(), tr, nil); err != nil {
+	if _, err := g.RunDetailed(traceLaunch(), tr.Observer(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Flush(); err != nil {
@@ -82,7 +82,9 @@ func TestTracerComposesWithOtherObservers(t *testing.T) {
 	tr := New(&buf, LevelWarp)
 	ipc := stats.NewIPCCollector(100)
 	g := gpu.New(gpu.R9Nano())
-	if _, err := g.RunDetailed(traceLaunch(), stats.MultiObserver{tr, ipc}, nil); err != nil {
+	obs := tr.Observer() // a warp-level trace leaves InstIssued free
+	obs.InstIssued = ipc.OnInstIssued
+	if _, err := g.RunDetailed(traceLaunch(), obs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Flush(); err != nil {
@@ -116,7 +118,7 @@ func TestTracerReportsWriteErrorsAndDrops(t *testing.T) {
 	l := traceLaunch()
 	l.NumWorkgroups = 64
 	g := gpu.New(gpu.R9Nano())
-	if _, err := g.RunDetailed(l, tr, nil); err != nil {
+	if _, err := g.RunDetailed(l, tr.Observer(), nil); err != nil {
 		t.Fatal(err)
 	}
 	err := tr.Flush()
@@ -142,7 +144,7 @@ func TestTracerFlushCleanOnHealthySink(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(&buf, LevelInst)
 	g := gpu.New(gpu.R9Nano())
-	if _, err := g.RunDetailed(traceLaunch(), tr, nil); err != nil {
+	if _, err := g.RunDetailed(traceLaunch(), tr.Observer(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Flush(); err != nil {

@@ -10,14 +10,11 @@ import (
 	"photon/internal/sim/emu"
 	"photon/internal/sim/event"
 	"photon/internal/sim/isa"
-	"photon/internal/sim/timing"
 )
 
-// IPCCollector is a timing.Observer that accumulates instructions issued
-// into fixed-width time windows, yielding an IPC series (warp instructions
-// per cycle per window).
+// IPCCollector accumulates instructions issued into fixed-width time
+// windows, yielding an IPC series (warp instructions per cycle per window).
 type IPCCollector struct {
-	timing.NopObserver
 	Window event.Time
 	bins   []uint64
 	total  uint64
@@ -35,7 +32,7 @@ func NewIPCCollector(window event.Time) *IPCCollector {
 	return &IPCCollector{Window: window}
 }
 
-// OnInstIssued implements timing.Observer.
+// OnInstIssued records one issue at time now (a timing.Observer's InstIssued).
 func (c *IPCCollector) OnInstIssued(now event.Time, cuID int, w *emu.Warp, class isa.FUClass, lat event.Time) {
 	idx := int(now / c.Window)
 	for idx >= len(c.bins) {
@@ -120,35 +117,4 @@ func Variance(xs []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(xs))
-}
-
-// MultiObserver fans timing events out to several observers.
-type MultiObserver []timing.Observer
-
-// OnWarpStart implements timing.Observer.
-func (m MultiObserver) OnWarpStart(now event.Time, w *emu.Warp) {
-	for _, o := range m {
-		o.OnWarpStart(now, w)
-	}
-}
-
-// OnWarpRetired implements timing.Observer.
-func (m MultiObserver) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time) {
-	for _, o := range m {
-		o.OnWarpRetired(now, w, issue)
-	}
-}
-
-// OnInstIssued implements timing.Observer.
-func (m MultiObserver) OnInstIssued(now event.Time, cuID int, w *emu.Warp, class isa.FUClass, lat event.Time) {
-	for _, o := range m {
-		o.OnInstIssued(now, cuID, w, class, lat)
-	}
-}
-
-// OnBlockRetired implements timing.Observer.
-func (m MultiObserver) OnBlockRetired(now event.Time, w *emu.Warp, blockIdx int, enter, exit event.Time) {
-	for _, o := range m {
-		o.OnBlockRetired(now, w, blockIdx, enter, exit)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"photon/internal/sim/emu"
 	"photon/internal/sim/event"
 	"photon/internal/sim/isa"
 )
@@ -116,32 +115,5 @@ func TestMeanVariance(t *testing.T) {
 	}
 	if Mean(nil) != 0 || Variance(nil) != 0 {
 		t.Fatal("empty-input stats nonzero")
-	}
-}
-
-type recordObs struct {
-	starts, retires, insts, blocks int
-}
-
-func (r *recordObs) OnWarpStart(event.Time, *emu.Warp)               { r.starts++ }
-func (r *recordObs) OnWarpRetired(event.Time, *emu.Warp, event.Time) { r.retires++ }
-func (r *recordObs) OnInstIssued(event.Time, int, *emu.Warp, isa.FUClass, event.Time) {
-	r.insts++
-}
-func (r *recordObs) OnBlockRetired(event.Time, *emu.Warp, int, event.Time, event.Time) {
-	r.blocks++
-}
-
-func TestMultiObserverFansOut(t *testing.T) {
-	a, b := &recordObs{}, &recordObs{}
-	m := MultiObserver{a, b}
-	m.OnWarpStart(0, nil)
-	m.OnWarpRetired(0, nil, 0)
-	m.OnInstIssued(0, 0, nil, isa.FUScalar, 0)
-	m.OnBlockRetired(0, nil, 0, 0, 0)
-	for _, o := range []*recordObs{a, b} {
-		if o.starts != 1 || o.retires != 1 || o.insts != 1 || o.blocks != 1 {
-			t.Fatalf("observer missed events: %+v", o)
-		}
 	}
 }

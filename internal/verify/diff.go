@@ -192,7 +192,6 @@ type timingRun struct {
 // captureObs snapshots warps as they retire; the pooled runtime recycles
 // them immediately after the callback, so this is the only safe moment.
 type captureObs struct {
-	timing.NopObserver
 	states   map[int]emu.WarpState
 	issued   map[int]uint64
 	retireAt map[int]event.Time
@@ -226,7 +225,8 @@ func runTiming(c *Case, q event.Queue) (*timingRun, error) {
 		issued:   make(map[int]uint64, c.TotalWarps()),
 		retireAt: make(map[int]event.Time, c.TotalWarps()),
 	}
-	m := timing.NewMachineWithQueue(compute, hier, obs, q)
+	m := timing.NewMachineWithQueue(compute, hier,
+		timing.Observer{InstIssued: obs.OnInstIssued, WarpRetired: obs.OnWarpRetired}, q)
 	res, err := m.Run(l)
 	if err != nil {
 		return nil, err
