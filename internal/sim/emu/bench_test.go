@@ -51,3 +51,30 @@ func BenchmarkGroupFunctional(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWarpStep measures detailed mode's emulator cost: one warp driven
+// to s_endpgm through Step, as timing.Machine.issue drives it — one call per
+// private run — in ns per instruction executed. The ALU loop's body is one
+// five-micro-op run; vecadd is the streaming shape, runs of one to five
+// between its loads, s_waitcnt and store.
+func BenchmarkWarpStep(b *testing.B) {
+	vecadd := &kernel.Launch{Name: "vecadd", Program: vecAddProgram(), Memory: mem.NewFlat(),
+		NumWorkgroups: 1, WarpsPerGroup: 1, Args: []uint32{1 << 16, 2 << 16, 3 << 16, 64}}
+	for _, l := range []*kernel.Launch{benchLoopLaunch(b, 1, 1), vecadd} {
+		b.Run(l.Name, func(b *testing.B) {
+			w := NewWarp(l, 0, nil)
+			var info StepInfo
+			var insts uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Reset(l, 0, nil)
+				for !w.Done() {
+					w.Step(&info)
+				}
+				insts += w.InstCount()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+		})
+	}
+}

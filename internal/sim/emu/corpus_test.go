@@ -28,7 +28,7 @@ func checkCase(t *testing.T, c *verify.Case) {
 
 // TestCorpusThreeWay runs verify's committed regression cases — multi-warp
 // programs with barriers, LDS phases, loops, divergence and atomics — through
-// the oracle, per-instruction Step and segment stepping.
+// the oracle, per-instruction StepOne, Step by private run and segment stepping.
 func TestCorpusThreeWay(t *testing.T) {
 	files, err := filepath.Glob("../../verify/testdata/*.case")
 	if err != nil || len(files) == 0 {

@@ -218,11 +218,11 @@ func TestStepReportsBlockEntry(t *testing.T) {
 	l, _, _, _ := vecAddLaunch(t, 64, 1)
 	w := NewWarp(l, 0, nil)
 	var info StepInfo
-	w.Step(&info)
+	w.StepOne(&info)
 	if !info.EnteredB || info.BlockIdx != 0 {
 		t.Fatalf("first step: EnteredB=%v BlockIdx=%d", info.EnteredB, info.BlockIdx)
 	}
-	w.Step(&info)
+	w.StepOne(&info)
 	if info.EnteredB {
 		t.Fatal("second instruction of a block reported as block entry")
 	}
@@ -249,6 +249,56 @@ func TestVectorMemReportsAddresses(t *testing.T) {
 	}
 	if info.Addrs[1] != a+4 {
 		t.Fatalf("lane1 address %#x, want %#x", info.Addrs[1], a+4)
+	}
+}
+
+// TestStepRunKeepsLoadAddrs: Step executes a vector load together with the
+// private run behind it — here ALU micro-ops that overwrite the address
+// register and the loaded value — and the StepInfo it hands back is still the
+// load's, lane addresses intact.
+func TestStepRunKeepsLoadAddrs(t *testing.T) {
+	m := mem.NewFlat()
+	buf := m.Alloc(4 * 64)
+	for i := 0; i < 64; i++ {
+		m.Write32(buf+uint64(4*i), uint32(100+i))
+	}
+	b := isa.NewBuilder("loadrun")
+	b.I(isa.OpVLShl, isa.V(1), isa.V(0), isa.Imm(2))
+	b.I(isa.OpVAdd, isa.V(1), isa.V(1), isa.S(8))
+	b.Waitcnt(0) // ends the first run, so the load starts its own Step
+	b.Load(isa.OpVLoad, isa.V(2), isa.V(1), 0)
+	b.I(isa.OpVAdd, isa.V(1), isa.V(1), isa.Imm(4096))
+	b.I(isa.OpVAdd, isa.V(3), isa.V(2), isa.Imm(1))
+	b.I(isa.OpVMov, isa.V(2), isa.Imm(0))
+	b.I(isa.OpSMov, isa.S(4), isa.Imm(7))
+	b.Waitcnt(0)
+	b.End()
+	l := &kernel.Launch{Name: "loadrun", Program: b.MustBuild(), Memory: m,
+		NumWorkgroups: 1, WarpsPerGroup: 1, Args: []uint32{uint32(buf)}}
+	w := NewWarp(l, 0, nil)
+	var info StepInfo
+	w.Step(&info) // the two address micro-ops
+	w.Step(&info) // s_waitcnt
+	if w.PC() != 3 || w.InstCount() != 3 {
+		t.Fatalf("before the load: pc=%d insts=%d, want 3, 3", w.PC(), w.InstCount())
+	}
+	w.Step(&info)
+	if info.Kind != StepVectorMem || info.Inst.Op != isa.OpVLoad || info.IsStore {
+		t.Fatalf("Step at the load reports %+v", info)
+	}
+	if w.PC() != 8 || w.InstCount() != 8 {
+		t.Fatalf("after the load and its 4-micro-op run: pc=%d insts=%d, want 8, 8", w.PC(), w.InstCount())
+	}
+	if len(info.Addrs) != 64 {
+		t.Fatalf("got %d lane addresses, want 64", len(info.Addrs))
+	}
+	for lane, a := range info.Addrs {
+		if a != buf+uint64(4*lane) {
+			t.Fatalf("lane %d address %#x, want the load's %#x", lane, a, buf+uint64(4*lane))
+		}
+	}
+	if w.VReg(3, 5) != 106 || w.VReg(2, 5) != 0 || w.VReg(1, 5) != uint32(buf)+20+4096 || w.SReg(4) != 7 {
+		t.Fatalf("the run did not execute: v3=%d v2=%d v1=%#x s4=%d", w.VReg(3, 5), w.VReg(2, 5), w.VReg(1, 5), w.SReg(4))
 	}
 }
 

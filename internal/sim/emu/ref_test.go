@@ -470,17 +470,18 @@ const (
 const refBufBase = 3<<16 - refBufWords*2
 
 // rig is one warp on its own memory and LDS. The differential tests load
-// identical images into three rigs, drive one through the oracle and the
-// others through Step and runSegment, and demand identical architectural
-// state. Memories are recycled from case to case (a fresh one costs four
-// 64 KiB pages); load rewrites every compared region.
+// identical images into four rigs, drive one through the oracle and the
+// others through StepOne (Step without the private run, so the oracle is
+// compared after every instruction), runSegment and Step, and demand
+// identical architectural state. Memories are recycled from case to case (a
+// fresh one costs four 64 KiB pages); load rewrites every compared region.
 type rig struct {
 	w   *Warp
 	m   *mem.Flat
 	lds []byte
 }
 
-type rigs [3]*rig
+type rigs [4]*rig
 
 func newRigs() *rigs {
 	var rs rigs
@@ -793,28 +794,28 @@ var refExecs = []struct {
 	{"random", func(r *rand.Rand) uint64 { return r.Uint64() }},
 }
 
-// checkInst runs one instruction through the oracle, Step and runSegment
+// checkInst runs one instruction through the oracle, StepOne and runSegment
 // from identical state and reports the first disagreement.
 func checkInst(t testing.TB, rs *rigs, in isa.Inst, r *rand.Rand, exec uint64) string {
 	rs.bind(refProgram(t, []isa.Inst{in}))
 	rs.load(genImage(r, 48, true), exec)
 	ref, step, seg := rs[0], rs[1], rs[2]
 	want := attempt(ref.w.refStep)
-	got := attempt(step.w.Step)
+	got := attempt(step.w.StepOne)
 	if d := diffOutcome(want, got); d != "" {
-		return "Step: " + d
+		return "StepOne: " + d
 	}
 	if d := diffRigs(ref, step, nanPayloadFree(in.Op)); d != "" {
-		return "Step: " + d
+		return "StepOne: " + d
 	}
 	if want.panicked {
 		return "" // a fault abandons the segment's batched counters
 	}
-	// Step and runSegment share exec, so they must agree to the bit.
-	step.w.Step(&got.info) // s_endpgm
+	// StepOne and runSegment share exec, so they must agree to the bit.
+	step.w.StepOne(&got.info) // s_endpgm
 	seg.w.runSegment()
 	if d := diffRigs(step, seg, false); d != "" {
-		return "runSegment vs Step: " + d
+		return "runSegment vs StepOne: " + d
 	}
 	return ""
 }
@@ -889,7 +890,7 @@ func TestLDSBoundsMatchOracle(t *testing.T) {
 						}
 						img.vgpr[refVLDSAddr*kernel.WavefrontSize+probe] = uint32(int32(edge) - off)
 						rs.load(img, exec)
-						want, got := attempt(rs[0].w.refStep), attempt(rs[1].w.Step)
+						want, got := attempt(rs[0].w.refStep), attempt(rs[1].w.StepOne)
 						d := diffOutcome(want, got)
 						if d == "" {
 							d = diffRigs(rs[0], rs[1], false)
@@ -968,34 +969,41 @@ func genProgram(c chooser, n int) []isa.Inst {
 	return insts
 }
 
-// checkProgram runs the program through the oracle and through Step,
-// comparing after every instruction, then through runSegment, comparing its
-// final state with Step's.
+// checkProgram runs the program through the oracle and through StepOne,
+// comparing after every instruction, then through runSegment and through
+// Step's private runs, comparing their final states with StepOne's.
 func checkProgram(t testing.TB, rs *rigs, insts []isa.Inst, seed int64) {
 	prog := refProgram(t, insts)
 	rs.bind(prog)
 	rs.load(genImage(rand.New(rand.NewSource(seed)), 0, false), ^uint64(0))
-	ref, step, seg := rs[0], rs[1], rs[2]
+	ref, step, seg, run := rs[0], rs[1], rs[2], rs[3]
 	for !ref.w.Done() {
 		pc := ref.w.PC()
 		want := attempt(ref.w.refStep)
-		got := attempt(step.w.Step)
+		got := attempt(step.w.StepOne)
 		d := diffOutcome(want, got)
 		if d == "" {
 			d = diffRigs(ref, step, nanPayloadFree(prog.Insts[pc].Op))
 		}
 		if d != "" {
-			t.Fatalf("Step diverged from the oracle at pc%d %v: %s\nprogram:\n%s",
+			t.Fatalf("StepOne diverged from the oracle at pc%d %v: %s\nprogram:\n%s",
 				pc, prog.Insts[pc], d, prog.Disassemble())
 		}
 		if want.panicked {
 			return
 		}
 	}
-	// Step and runSegment share exec, so they must agree to the bit.
+	// All three share exec, so they must agree to the bit.
 	seg.w.runSegment()
 	if d := diffRigs(step, seg, false); d != "" {
-		t.Fatalf("runSegment diverged from Step: %s\nprogram:\n%s", d, prog.Disassemble())
+		t.Fatalf("runSegment diverged from StepOne: %s\nprogram:\n%s", d, prog.Disassemble())
+	}
+	var info StepInfo
+	for !run.w.Done() {
+		run.w.Step(&info)
+	}
+	if d := diffRigs(step, run, false); d != "" {
+		t.Fatalf("Step's private runs diverged from StepOne: %s\nprogram:\n%s", d, prog.Disassemble())
 	}
 }
 
@@ -1029,21 +1037,25 @@ func FuzzLaneKernels(f *testing.F) {
 
 // ---- whole launches ----
 
-// checkLaunch runs a launch three ways — the oracle and Step in lockstep,
-// one instruction at a time under the group loop's barrier alternation, and
-// Group.RunFunctional's segment stepping — and requires identical warp
-// state (registers, masks, BBV, InstCount) and memory images. mk returns a
+// checkLaunch runs a launch four ways — the oracle and StepOne in lockstep,
+// one instruction at a time under the group loop's barrier alternation,
+// Step's private runs under the same alternation, and Group.RunFunctional's
+// segment stepping — and requires identical warp state (registers, masks,
+// BBV, InstCount) and memory images. mk returns a
 // fresh copy of the launch and a function reading back its memory image.
 func checkLaunch(t testing.TB, mk func() (*kernel.Launch, func() []uint32)) {
 	t.Helper()
 	lRef, memRef := mk()
 	lStep, memStep := mk()
 	lSeg, memSeg := mk()
-	var gRef, gStep, gSeg Group
+	lRun, memRun := mk()
+	var gRef, gStep, gSeg, gRun Group
+	var info StepInfo
 	for g := 0; g < lRef.NumWorkgroups; g++ {
 		gRef.Reset(lRef, g)
 		gStep.Reset(lStep, g)
 		gSeg.Reset(lSeg, g)
+		gRun.Reset(lRun, g)
 		for running := true; running; {
 			running = false
 			for i := range gRef.back {
@@ -1053,20 +1065,24 @@ func checkLaunch(t testing.TB, mk func() (*kernel.Launch, func() []uint32)) {
 					running = true
 					pc := ref.w.PC()
 					in := lRef.Program.Insts[pc]
-					want, got := attempt(ref.w.refStep), attempt(step.w.Step)
+					want, got := attempt(ref.w.refStep), attempt(step.w.StepOne)
 					d := diffOutcome(want, got)
 					if d == "" {
 						d = diffRigs(ref, step, nanPayloadFree(in.Op))
 					}
 					if d != "" || want.panicked {
-						t.Fatalf("%s group %d warp %d pc%d %v: Step vs oracle: %s (panicked: %v)",
+						t.Fatalf("%s group %d warp %d pc%d %v: StepOne vs oracle: %s (panicked: %v)",
 							lRef.Name, g, i, pc, in, d, want.panicked)
 					}
+				}
+				for w := &gRun.back[i]; !w.Done() && !w.AtBarrier(); {
+					w.Step(&info)
 				}
 			}
 			for i := range gRef.back {
 				gRef.back[i].ClearBarrier()
 				gStep.back[i].ClearBarrier()
+				gRun.back[i].ClearBarrier()
 			}
 		}
 		if err := gSeg.RunFunctional(); err != nil {
@@ -1075,14 +1091,21 @@ func checkLaunch(t testing.TB, mk func() (*kernel.Launch, func() []uint32)) {
 		for i := range gStep.back {
 			a, b := gStep.back[i].Snapshot(), gSeg.back[i].Snapshot()
 			if d := a.Diff(&b); d != "" {
-				t.Fatalf("%s group %d warp %d: segment stepping vs Step:\n%s", lRef.Name, g, i, d)
+				t.Fatalf("%s group %d warp %d: segment stepping vs StepOne:\n%s", lRef.Name, g, i, d)
+			}
+			r := gRun.back[i].Snapshot()
+			if d := a.Diff(&r); d != "" {
+				t.Fatalf("%s group %d warp %d: Step's private runs vs StepOne:\n%s", lRef.Name, g, i, d)
 			}
 		}
 	}
 	if a, b := memRef(), memStep(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("%s: memory image differs between the oracle and Step", lRef.Name)
+		t.Fatalf("%s: memory image differs between the oracle and StepOne", lRef.Name)
 	}
 	if a, b := memStep(), memSeg(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("%s: memory image differs between Step and segment stepping", lRef.Name)
+		t.Fatalf("%s: memory image differs between StepOne and segment stepping", lRef.Name)
+	}
+	if a, b := memStep(), memRun(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: memory image differs between StepOne and Step's private runs", lRef.Name)
 	}
 }

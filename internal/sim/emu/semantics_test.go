@@ -34,7 +34,7 @@ func execOne(t *testing.T, in isa.Inst, a, b uint32, laneA, laneB func(lane int)
 		}
 	}
 	var info StepInfo
-	w.Step(&info)
+	w.StepOne(&info)
 	return w
 }
 
@@ -210,23 +210,23 @@ func TestExecMaskOps(t *testing.T) {
 	l := &kernel.Launch{Name: "m", Program: prog, Memory: m, NumWorkgroups: 1, WarpsPerGroup: 1}
 	w := NewWarp(l, 0, nil)
 	var info StepInfo
-	w.Step(&info) // vcmp: lanes 0..3
+	w.StepOne(&info) // vcmp: lanes 0..3
 	if w.VCC() != 0xf {
 		t.Fatalf("VCC = %#x", w.VCC())
 	}
-	w.Step(&info) // saveexec
+	w.StepOne(&info) // saveexec
 	if w.Exec() != 0xf {
 		t.Fatalf("EXEC after and_saveexec = %#x", w.Exec())
 	}
-	w.Step(&info) // andnot: EXEC = saved &^ VCC = all &^ 0xf
+	w.StepOne(&info) // andnot: EXEC = saved &^ VCC = all &^ 0xf
 	if w.Exec() != ^uint64(0xf) {
 		t.Fatalf("EXEC after andn2 = %#x", w.Exec())
 	}
-	w.Step(&info) // setexec: restore saved
+	w.StepOne(&info) // setexec: restore saved
 	if w.Exec() != ^uint64(0) {
 		t.Fatalf("EXEC after set = %#x", w.Exec())
 	}
-	w.Step(&info) // movexecall
+	w.StepOne(&info) // movexecall
 	if w.Exec() != ^uint64(0) {
 		t.Fatalf("EXEC after mov_all = %#x", w.Exec())
 	}
@@ -269,7 +269,7 @@ func TestBranchSemantics(t *testing.T) {
 			setup(w)
 		}
 		var info StepInfo
-		w.Step(&info)
+		w.StepOne(&info)
 		return w.PC()
 	}
 	if run(isa.OpSBranch, nil) != 2 {

@@ -93,7 +93,7 @@ func TestWarpStoreGrowthMidLaunch(t *testing.T) {
 	w0 := s.Bind(s.Alloc(), 0, nil)
 	var info StepInfo
 	for i := 0; i < 5; i++ { // leave warp 0 mid-flight
-		w0.Step(&info)
+		w0.StepOne(&info)
 	}
 	midPC := w0.PC()
 

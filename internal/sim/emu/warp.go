@@ -1,6 +1,6 @@
 // Package emu is the functional emulator: it executes warps of a kernel
 // launch instruction-by-instruction over real register state, with lane
-// masking for divergence. The timing model drives it one instruction at a
+// masking for divergence. The timing model drives it one private run at a
 // time in detailed mode; fast-forward (sampled) modes run it in a tight loop
 // with no timing at all — the speed gap between those two paths is exactly
 // what sampled simulation exploits.
@@ -30,14 +30,14 @@ const (
 	StepDone      = isa.StepDone
 )
 
-// StepInfo reports the side effects of executing one instruction, for the
-// timing model's consumption. Step always sets the static fields (Kind
-// through BlockIdx, copied from the instruction's micro-op); the dynamic
-// ones are set only by the kinds that have them — Addrs by StepVectorMem and
-// StepAtomic, SAddr by StepScalarMem — and otherwise keep whatever an
-// earlier Step left. Addrs
-// aliases the warp's store-shared scratch buffer and is only valid until
-// the next Step on any warp of that store.
+// StepInfo reports the side effects of executing the instruction a Step
+// started at, for the timing model's consumption. Step always sets the static
+// fields (Kind through BlockIdx, copied from the instruction's micro-op); the
+// dynamic ones are set only by the kinds that have them — Addrs by
+// StepVectorMem and StepAtomic, SAddr by StepScalarMem — and otherwise keep
+// whatever an earlier Step left. Addrs aliases the warp's store-shared
+// scratch buffer and is only valid until the next Step on any warp of that
+// store; the private run the same Step executed does not touch it.
 type StepInfo struct {
 	Kind     StepKind
 	Class    isa.FUClass // functional unit the instruction issues to
@@ -148,37 +148,52 @@ func (w *Warp) SReg(i int) uint32 { return w.sregs()[i] }
 // VReg returns vector register i of the given lane (for tests).
 func (w *Warp) VReg(i, lane int) uint32 { return w.vregs()[i*kernel.WavefrontSize+lane] }
 
-// Step executes the instruction at PC and advances the warp: one exec of the
-// instruction's micro-op, plus the StepInfo the timing model consumes. It
-// must not be called on a Done warp; callers resume barriers by
-// ClearBarrier.
+// Step executes the instruction at PC together with its private run — the
+// MicroOp.Run register-only micro-ops behind it, which no other warp can
+// observe — under one frame, and advances the warp past them. info describes
+// the instruction at PC alone: the run's micro-ops are StepALU kind and have
+// no dynamic side effects to report (the timing machine reads their static
+// facts from the micro-op table), and they leave the address buffer alone,
+// so Addrs stays that instruction's. Step must not be called on a Done warp;
+// callers resume barriers by ClearBarrier.
 func (w *Warp) Step(info *StepInfo) {
 	st, slot := w.store, w.slot
 	if st.flags[slot]&flagDone != 0 {
 		panic(fmt.Sprintf("emu: %s warp %d stepped after s_endpgm", w.Launch.Name, w.GlobalID))
 	}
 	p := w.Launch.Program
+	uops := p.MicroOps()
 	pc := int(st.pc[slot])
-	u := &p.MicroOps()[pc]
+	u := &uops[pc]
 	if u.Head {
 		st.bb[slot*st.blocks+int(u.Block)]++
 	}
-	st.instCount[slot]++
+	st.instCount[slot] += 1 + uint64(u.Run)
 
 	var f frame
 	f.load(w)
-	st.pc[slot] = int32(f.exec(u, pc))
+	next := f.exec(u, pc)
+	// No block head lies inside a run, so the PC path through it is static
+	// and only its last micro-op (the block's branch) can leave it.
+	for i, end := pc+1, pc+1+int(u.Run); i < end; i++ {
+		next = f.exec(&uops[i], i)
+	}
+	st.pc[slot] = int32(next)
 	f.save()
+	info.fill(u, &p.Insts[pc], &f)
+}
 
+// fill reports the instruction with micro-op u that frame f just executed.
+func (info *StepInfo) fill(u *isa.MicroOp, in *isa.Inst, f *frame) {
 	info.Kind = u.Step
 	info.Class = u.Class
-	info.Inst = &p.Insts[pc]
+	info.Inst = in
 	info.IsStore = u.Store
 	info.EnteredB = u.Head
 	info.BlockIdx = int(u.Block)
 	switch u.Step {
 	case StepVectorMem, StepAtomic:
-		info.Addrs = st.addrBuf[:f.nAddr]
+		info.Addrs = f.st.addrBuf[:f.nAddr]
 	case StepScalarMem:
 		info.SAddr = f.saddr
 	}

@@ -163,8 +163,12 @@ func (p *Program) computeBlocks() {
 	flush := func(end int) {
 		b := BasicBlock{ID: len(p.Blocks), StartPC: blockStart, Len: end - blockStart}
 		p.Blocks = append(p.Blocks, b)
-		for pc := blockStart; pc < end; pc++ {
-			p.uops[pc] = decode(&p.Insts[pc], b)
+		for pc := end - 1; pc >= blockStart; pc-- {
+			u := decode(&p.Insts[pc], b)
+			if pc+1 < end && p.uops[pc+1].Step == StepALU {
+				u.Run = p.uops[pc+1].Run + 1
+			}
+			p.uops[pc] = u
 		}
 	}
 	for pc := 1; pc < len(p.Insts); pc++ {

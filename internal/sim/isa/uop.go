@@ -20,10 +20,11 @@ const (
 	StepDone
 )
 
-// MicroOp is one instruction pre-decoded for the emulator: everything
-// emu.Warp.Step and the segment loop would otherwise re-derive per executed
-// instruction (block membership, step kind, functional-unit class, operand
-// kinds and register offsets), resolved once at program build. The table is
+// MicroOp is one instruction pre-decoded for the emulator and the timing
+// machine: everything emu.Warp.Step, the segment loop and timing.Machine's
+// issue would otherwise re-derive per executed instruction (block membership,
+// step kind, functional-unit class, operand kinds and register offsets),
+// resolved once at program build. The table is
 // immutable and shared by every warp, harness worker and lane that runs the
 // program.
 type MicroOp struct {
@@ -39,6 +40,15 @@ type MicroOp struct {
 
 	Block    int32 // index of the containing basic block
 	BlockLen int32 // instruction count of that block
+
+	// Run is the length of the private run behind this instruction: how
+	// many micro-ops directly after it are StepALU kind and in the same
+	// basic block (scalar/vector ALU, compares, EXEC-mask ops, the block's
+	// terminating branch). They touch nothing another warp can see and the
+	// PC path through them is static, so emu.Warp.Step executes them
+	// together with this instruction and the timing machine issues them
+	// from this table.
+	Run int32
 
 	// Resolved operands. An immediate is its 32-bit value. A vector
 	// register of a lane instruction (vector ALU/compare, vector memory,

@@ -23,6 +23,12 @@ const (
 
 type page = [pageSize]byte
 
+// zeroPage is what a read of an untouched page sees: a read must not map
+// memory. It is shared by every Flat and never written — only readPage hands
+// it out, and never through a Flat's page cache, where a later write to the
+// same page number would find it.
+var zeroPage page
+
 // Flat is a sparse, byte-addressable functional memory with a bump
 // allocator. Buffers are allocated in the low 4 GiB so that 32-bit registers
 // can hold pointers, matching the kernels' 32-bit pointer convention.
@@ -91,16 +97,36 @@ func (m *Flat) Alloc(size uint64) uint64 {
 // Footprint returns the total bytes allocated so far.
 func (m *Flat) Footprint() uint64 { return m.brk - pageSize }
 
-func (m *Flat) page(addr uint64) *page {
+// readPage returns the page a load of addr reads: the mapped page, or the
+// shared zero page when addr was never written.
+func (m *Flat) readPage(addr uint64) *page {
 	if addr>>pageBits == m.lastPN {
 		return m.lastPage
 	}
-	return m.pageMiss(addr >> pageBits)
+	return m.readMiss(addr >> pageBits)
 }
 
-// pageMiss is page's path past the single-entry cache, kept out of line so
-// the hit path inlines into Read32 and Write32.
-func (m *Flat) pageMiss(pn uint64) *page {
+// writePage returns the page a store to addr writes, mapping it on first
+// touch.
+func (m *Flat) writePage(addr uint64) *page {
+	if addr>>pageBits == m.lastPN {
+		return m.lastPage
+	}
+	return m.writeMiss(addr >> pageBits)
+}
+
+// readMiss and writeMiss are the paths past the single-entry cache, kept out
+// of line so the hit path inlines into Read32 and Write32.
+func (m *Flat) readMiss(pn uint64) *page {
+	p := m.lookup(pn)
+	if p == nil {
+		return &zeroPage
+	}
+	m.lastPN, m.lastPage = pn, p
+	return p
+}
+
+func (m *Flat) writeMiss(pn uint64) *page {
 	p := m.lookup(pn)
 	if p == nil {
 		p = m.create(pn)
@@ -114,12 +140,12 @@ func (m *Flat) pageMiss(pn uint64) *page {
 func (m *Flat) Read32(addr uint64) uint32 {
 	off := addr & pageMask
 	if off+4 <= pageSize {
-		return binary.LittleEndian.Uint32(m.page(addr)[off:])
+		return binary.LittleEndian.Uint32(m.readPage(addr)[off:])
 	}
 	var b [4]byte
 	for i := range b {
 		a := addr + uint64(i)
-		b[i] = m.page(a)[a&pageMask]
+		b[i] = m.readPage(a)[a&pageMask]
 	}
 	return binary.LittleEndian.Uint32(b[:])
 }
@@ -128,14 +154,14 @@ func (m *Flat) Read32(addr uint64) uint32 {
 func (m *Flat) Write32(addr uint64, v uint32) {
 	off := addr & pageMask
 	if off+4 <= pageSize {
-		binary.LittleEndian.PutUint32(m.page(addr)[off:], v)
+		binary.LittleEndian.PutUint32(m.writePage(addr)[off:], v)
 		return
 	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
 	for i := range b {
 		a := addr + uint64(i)
-		m.page(a)[a&pageMask] = b[i]
+		m.writePage(a)[a&pageMask] = b[i]
 	}
 }
 
@@ -151,7 +177,7 @@ func (m *Flat) Gather32(addrs []uint64, out []uint32) {
 		return
 	}
 	out = out[:len(addrs)]
-	base, pg := addrs[0]&^pageMask, m.page(addrs[0])
+	base, pg := addrs[0]&^pageMask, m.readPage(addrs[0])
 	for i, a := range addrs {
 		off := a - base
 		if off > pageSize-4 { // another page, or the last bytes of this one
@@ -159,7 +185,7 @@ func (m *Flat) Gather32(addrs []uint64, out []uint32) {
 				out[i] = m.Read32(a)
 				continue
 			}
-			base, pg = a&^pageMask, m.page(a)
+			base, pg = a&^pageMask, m.readPage(a)
 			off = a - base
 		}
 		out[i] = binary.LittleEndian.Uint32(pg[off:])
@@ -173,7 +199,7 @@ func (m *Flat) Scatter32(addrs []uint64, vals []uint32) {
 		return
 	}
 	vals = vals[:len(addrs)]
-	base, pg := addrs[0]&^pageMask, m.page(addrs[0])
+	base, pg := addrs[0]&^pageMask, m.writePage(addrs[0])
 	for i, a := range addrs {
 		off := a - base
 		if off > pageSize-4 {
@@ -181,7 +207,7 @@ func (m *Flat) Scatter32(addrs []uint64, vals []uint32) {
 				m.Write32(a, vals[i])
 				continue
 			}
-			base, pg = a&^pageMask, m.page(a)
+			base, pg = a&^pageMask, m.writePage(a)
 			off = a - base
 		}
 		binary.LittleEndian.PutUint32(pg[off:], vals[i])
@@ -194,21 +220,24 @@ func (m *Flat) ReadF32(addr uint64) float32 { return math.Float32frombits(m.Read
 // WriteF32 stores a float32.
 func (m *Flat) WriteF32(addr uint64, v float32) { m.Write32(addr, math.Float32bits(v)) }
 
-// run returns the bytes of the words at addr, at most n, that lie in addr's
-// page: bulk access looks a page up per run, not per word. Bulk addresses
-// are word-aligned, so no word straddles two pages.
-func (m *Flat) run(addr uint64, n int) []byte {
+// run returns the bytes of pg, the page of addr, that hold the words at
+// addr, at most n of them: bulk access looks a page up per run, not per word.
+// Bulk addresses are word-aligned, so no word straddles two pages.
+func run(pg *page, addr uint64, n int) []byte {
 	if addr&3 != 0 {
 		panic(fmt.Sprintf("mem: unaligned bulk access at %#x", addr))
 	}
 	off := addr & pageMask
-	return m.page(addr)[off : off+min(4*uint64(n), pageSize-off)]
+	return pg[off : off+min(4*uint64(n), pageSize-off)]
 }
+
+func (m *Flat) readRun(addr uint64, n int) []byte  { return run(m.readPage(addr), addr, n) }
+func (m *Flat) writeRun(addr uint64, n int) []byte { return run(m.writePage(addr), addr, n) }
 
 // WriteWords stores a slice of 32-bit words starting at base.
 func (m *Flat) WriteWords(base uint64, words []uint32) {
 	for i := 0; i < len(words); {
-		for pg := m.run(base+4*uint64(i), len(words)-i); len(pg) > 0; pg, i = pg[4:], i+1 {
+		for pg := m.writeRun(base+4*uint64(i), len(words)-i); len(pg) > 0; pg, i = pg[4:], i+1 {
 			binary.LittleEndian.PutUint32(pg, words[i])
 		}
 	}
@@ -217,7 +246,7 @@ func (m *Flat) WriteWords(base uint64, words []uint32) {
 // WriteFloats stores a slice of float32 starting at base.
 func (m *Flat) WriteFloats(base uint64, vals []float32) {
 	for i := 0; i < len(vals); {
-		for pg := m.run(base+4*uint64(i), len(vals)-i); len(pg) > 0; pg, i = pg[4:], i+1 {
+		for pg := m.writeRun(base+4*uint64(i), len(vals)-i); len(pg) > 0; pg, i = pg[4:], i+1 {
 			binary.LittleEndian.PutUint32(pg, math.Float32bits(vals[i]))
 		}
 	}
@@ -227,7 +256,7 @@ func (m *Flat) WriteFloats(base uint64, vals []float32) {
 func (m *Flat) ReadFloats(base uint64, n int) []float32 {
 	out := make([]float32, n)
 	for i := 0; i < n; {
-		for pg := m.run(base+4*uint64(i), n-i); len(pg) > 0; pg, i = pg[4:], i+1 {
+		for pg := m.readRun(base+4*uint64(i), n-i); len(pg) > 0; pg, i = pg[4:], i+1 {
 			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(pg))
 		}
 	}
@@ -238,7 +267,7 @@ func (m *Flat) ReadFloats(base uint64, n int) []float32 {
 func (m *Flat) ReadWords(base uint64, n int) []uint32 {
 	out := make([]uint32, n)
 	for i := 0; i < n; {
-		for pg := m.run(base+4*uint64(i), n-i); len(pg) > 0; pg, i = pg[4:], i+1 {
+		for pg := m.readRun(base+4*uint64(i), n-i); len(pg) > 0; pg, i = pg[4:], i+1 {
 			out[i] = binary.LittleEndian.Uint32(pg)
 		}
 	}

@@ -98,3 +98,65 @@ func TestGatherScatterZeroAlloc(t *testing.T) {
 		m.Scatter32(addrs, vals)
 	})
 }
+
+// mapped counts the pages the memory has created.
+func (m *Flat) mapped() int {
+	n := len(m.far)
+	for _, p := range m.low {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReadsMapNoPage: every read entry point sees zeros over a range nobody
+// wrote without mapping a page there, and what a later store writes to that
+// range lands in the memory's own page — a second memory, whose reads of the
+// same addresses go through the same shared zero page, still sees zeros.
+func TestReadsMapNoPage(t *testing.T) {
+	m, other := NewFlat(), NewFlat()
+	addrs := gatherCases()["never-touched"]
+	addrs = append(addrs, 20*pageSize-2) // a word straddling two unmapped pages
+	out := make([]uint32, len(addrs))
+	zeros := func(m *Flat, when string) {
+		t.Helper()
+		m.Gather32(addrs, out)
+		for i, a := range addrs {
+			if out[i] != 0 || m.Read32(a) != 0 {
+				t.Fatalf("%s: untouched %#x reads %#x / %#x", when, a, out[i], m.Read32(a))
+			}
+		}
+		for _, w := range m.ReadWords(40*pageSize-8, 8) { // crosses into an unmapped page
+			if w != 0 {
+				t.Fatalf("%s: ReadWords over an untouched range = %#x", when, w)
+			}
+		}
+		if f := m.ReadFloats(41*pageSize, 4); f[0] != 0 || f[3] != 0 {
+			t.Fatalf("%s: ReadFloats over an untouched range = %v", when, f)
+		}
+		if n := m.mapped(); n != 0 {
+			t.Fatalf("%s: reads mapped %d pages", when, n)
+		}
+	}
+	zeros(m, "fresh memory")
+
+	vals := make([]uint32, len(addrs))
+	for i := range vals {
+		vals[i] = 0xc0de0000 + uint32(i)
+	}
+	m.Scatter32(addrs, vals)
+	m.Gather32(addrs, out)
+	for i := range addrs {
+		if i == 3 {
+			continue // the wrapping word after it overwrote its top half
+		}
+		if out[i] != vals[i] {
+			t.Fatalf("after Scatter32, %#x reads %#x, want %#x", addrs[i], out[i], vals[i])
+		}
+	}
+	if m.mapped() == 0 {
+		t.Fatal("Scatter32 mapped no page")
+	}
+	zeros(other, "after another memory's scatter")
+}

@@ -40,8 +40,10 @@ func aluLaunch(warps int) *kernel.Launch {
 
 // BenchmarkMachineIssue measures the per-instruction host cost of an
 // unobserved detailed run — a fresh machine over a cold hierarchy per
-// iteration, as gpu.RunDetailed runs a kernel — on an ALU-bound launch and on
-// a streaming one (load, multiply, store per thread). events/inst is the
+// iteration, as gpu.RunDetailed runs a kernel — on an ALU-bound launch (one
+// emulator call per eleven-instruction loop trip), on a streaming one (load,
+// multiply, store per thread) and on the run scenario of run_test.go (a load,
+// the six-micro-op run behind it, s_waitcnt, barrier). events/inst is the
 // event-queue traffic one instruction costs; it is a property of the model
 // and must not move when only the host path changes.
 func BenchmarkMachineIssue(b *testing.B) {
@@ -49,7 +51,7 @@ func BenchmarkMachineIssue(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		l    *kernel.Launch
-	}{{"alu", aluLaunch(1024)}, {"stream", stream}} {
+	}{{"alu", aluLaunch(1024)}, {"stream", stream}, {"run", runLaunch(2048)}} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg, hier := DefaultCompute(4), testHier(4)
 			var insts, events uint64

@@ -2,9 +2,9 @@
 // event-driven model of a GPU's compute units. Each CU hosts several SIMD
 // units; each SIMD issues at most one warp instruction per cycle from the
 // warps resident in its slots; vector memory flows through the cache/DRAM
-// hierarchy; barriers synchronize workgroups. The model drives the
-// functional emulator one instruction at a time, so it is execution-driven
-// like MGPUSim.
+// hierarchy; barriers synchronize workgroups. The model issues one
+// instruction at a time and drives the functional emulator one private run
+// (isa.MicroOp.Run) at a time, so it is execution-driven like MGPUSim.
 package timing
 
 import (

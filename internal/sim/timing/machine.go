@@ -21,6 +21,7 @@ type Machine struct {
 	engine event.Queue
 	hier   *mem.Hierarchy
 	launch *kernel.Launch
+	uops   []isa.MicroOp // the launch's micro-op table, indexed by PC
 	obs    Observer
 
 	// stopDispatch, when non-nil, is polled before each workgroup dispatch;
@@ -95,6 +96,13 @@ type warpCtx struct {
 	simd *simdUnit
 	grp  *groupRT
 	info emu.StepInfo
+
+	// The machine's own position in the warp's instruction stream. Step
+	// executes an instruction together with its private run, so the
+	// emulator's PC is ahead of the issue cursor by preExec instructions,
+	// which issue takes from the micro-op table without calling it again.
+	pc      int
+	preExec int32
 
 	nextReady *warpCtx // behind this warp in its SIMD's ready queue
 
@@ -234,6 +242,7 @@ func (m *Machine) Run(l *kernel.Launch) (Result, error) {
 			l.WarpsPerGroup, m.cfg.WarpSlotsPerCU())
 	}
 	m.launch = l
+	m.uops = l.Program.MicroOps()
 	// Size the warp store from the grid dimensions: enough slots for every
 	// warp that can be architecturally resident at once, but never more
 	// than the launch itself needs. Alloc grows it in chunks if a later
@@ -388,6 +397,7 @@ func (m *Machine) takeWarpCtx() *warpCtx {
 		wc := m.freeWCs[k-1]
 		m.freeWCs = m.freeWCs[:k-1]
 		wc.started = false
+		wc.preExec = 0
 		wc.issueTime = 0
 		wc.memDoneAt = 0
 		wc.outstanding = 0
@@ -442,8 +452,10 @@ func (m *Machine) pump(s *simdUnit, now event.Time) {
 	}
 }
 
-// issue executes one instruction of the warp and schedules its next
-// readiness.
+// issue issues the warp's next instruction and schedules its next readiness.
+// Everything the timing model needs of an instruction but its addresses is a
+// static fact of its micro-op, so the emulator is called only when the warp
+// has no pre-executed instruction left: once per private run.
 func (m *Machine) issue(wc *warpCtx, now event.Time) {
 	if !wc.started {
 		wc.started = true
@@ -452,28 +464,28 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 			f(now, &wc.warp)
 		}
 	}
-	info := &wc.info
-	wc.warp.Step(info)
+	// A block head is never inside a private run, so block entry — the
+	// BlockRetired callback, which therefore sees the warp exactly between
+	// the two blocks, and the instruction fetch — is on the Step side only.
+	var u *isa.MicroOp
+	var fetchDone event.Time
+	if wc.preExec > 0 {
+		wc.preExec--
+		wc.pc++
+		u = &m.uops[wc.pc]
+	} else {
+		wc.pc = wc.warp.PC()
+		u = &m.uops[wc.pc]
+		if u.Head {
+			fetchDone = m.enterBlock(wc, u, now)
+		}
+		wc.warp.Step(&wc.info)
+		wc.preExec = u.Run
+	}
 	m.instCount++
 	c := wc.cu
 
-	// Basic-block accounting: a block's execution interval spans from the
-	// issue of its first instruction to the issue of the next block's first
-	// instruction (paper, Observation 3).
-	var fetchDone event.Time
-	if info.EnteredB {
-		if f := m.obs.BlockRetired; f != nil && wc.inBlock {
-			f(now, &wc.warp, wc.curBlock, wc.curBlockEnter, now)
-		}
-		wc.inBlock = true
-		wc.curBlock = info.BlockIdx
-		wc.curBlockEnter = now
-		// Charge an I-cache fetch once per block entry; its delay extends
-		// this instruction's effective completion.
-		fetchDone = m.hier.InstFetch(now, c.id, progBase+uint64(info.Inst.PC)*8)
-	}
-
-	class := info.Class
+	class := u.Class
 	ready := now + m.cfg.ExecLatency[class]
 	latency := m.cfg.ExecLatency[class]
 	wc.simd.nextFree = now + m.cfg.IssueOccupancy[class]
@@ -481,9 +493,9 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 	c.issueCycles += uint64(m.cfg.IssueOccupancy[class])
 	m.classIssued[class]++
 
-	switch info.Kind {
+	switch u.Step {
 	case emu.StepVectorMem:
-		done := m.hier.VectorAccess(now, c.id, info.Addrs, info.IsStore)
+		done := m.hier.VectorAccess(now, c.id, wc.info.Addrs, u.Store)
 		latency = done - now
 		wc.outstanding++
 		if done > wc.memDoneAt {
@@ -491,7 +503,7 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 		}
 		ready = now + m.cfg.VectorMemIssueCycles
 	case emu.StepAtomic:
-		done := m.hier.AtomicAccess(now, c.id, info.Addrs)
+		done := m.hier.AtomicAccess(now, c.id, wc.info.Addrs)
 		latency = done - now
 		wc.outstanding++
 		if done > wc.memDoneAt {
@@ -499,11 +511,11 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 		}
 		ready = now + m.cfg.VectorMemIssueCycles
 	case emu.StepScalarMem:
-		done := m.hier.ScalarAccess(now, c.id, info.SAddr)
+		done := m.hier.ScalarAccess(now, c.id, wc.info.SAddr)
 		latency = done - now
 		ready = done // blocking scalar load
 	case emu.StepWaitcnt:
-		if wc.outstanding > int(info.Inst.Offset) {
+		if wc.outstanding > int(u.Offset) {
 			wc.outstanding = 0
 			if wc.memDoneAt > ready {
 				c.stallCycles += uint64(wc.memDoneAt - ready)
@@ -516,7 +528,7 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 		f(now, c.id, &wc.warp, class, latency)
 	}
 
-	switch info.Kind {
+	switch u.Step {
 	case emu.StepBarrier:
 		m.arriveBarrier(wc, now)
 	case emu.StepDone:
@@ -527,6 +539,22 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 		}
 		m.warpReadyAt(wc, ready)
 	}
+}
+
+// enterBlock does the basic-block accounting of the head instruction at the
+// warp's issue cursor: a block's execution interval spans from the issue of
+// its first instruction to the issue of the next block's first instruction
+// (paper, Observation 3). It charges an I-cache fetch once per block entry and
+// returns when that is done; the delay extends the head instruction's
+// effective completion.
+func (m *Machine) enterBlock(wc *warpCtx, head *isa.MicroOp, now event.Time) event.Time {
+	if f := m.obs.BlockRetired; f != nil && wc.inBlock {
+		f(now, &wc.warp, wc.curBlock, wc.curBlockEnter, now)
+	}
+	wc.inBlock = true
+	wc.curBlock = int(head.Block)
+	wc.curBlockEnter = now
+	return m.hier.InstFetch(now, wc.cu.id, progBase+uint64(wc.pc)*8)
 }
 
 func (m *Machine) arriveBarrier(wc *warpCtx, now event.Time) {

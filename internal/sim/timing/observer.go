@@ -11,6 +11,16 @@ import (
 // test for it (the zero Observer costs a run nothing). All callbacks run
 // synchronously on the simulation goroutine, and the warp handle is valid
 // only for the duration of the call.
+//
+// What a callback may read through the handle: the machine executes a warp
+// one private run at a time (isa.MicroOp.Run) and issues the run's
+// instructions one by one, so the architectural state behind *emu.Warp —
+// registers, EXEC/VCC/SCC, PC, InstCount — is exact at WarpStart,
+// BlockRetired and WarpRetired (everything issued before now has executed,
+// nothing else has; at BlockRetired the block just left is complete and the
+// one being entered not begun), and inside InstIssued it may be ahead of the
+// issued instruction by at most the rest of the current run. BBCounts is
+// exact in all four: no block head lies inside a run.
 type Observer struct {
 	// WarpStart fires when a warp issues its first instruction.
 	WarpStart func(now event.Time, w *emu.Warp)

@@ -147,19 +147,15 @@ func TestOneSIMDIssueOrder(t *testing.T) {
 		NumWorkgroups: 3, WarpsPerGroup: 1}
 	cfg := DefaultCompute(1)
 	cfg.SIMDsPerCU = 1
-	type issue struct {
-		at   event.Time
-		warp int
-	}
-	var got []issue
+	var got []issueAt
 	m := NewMachine(cfg, testHier(1), Observer{
 		InstIssued: func(now event.Time, _ int, w *emu.Warp, _ isa.FUClass, _ event.Time) {
-			got = append(got, issue{now, w.GlobalID})
+			got = append(got, issueAt{now, w.GlobalID})
 		}})
 	if _, err := m.Run(l); err != nil {
 		t.Fatal(err)
 	}
-	want := []issue{{16, 0}, {20, 1}, {24, 2}, {40, 1}, {41, 1}, {44, 2}, {45, 2}, {366, 0}, {367, 0}}
+	want := []issueAt{{16, 0}, {20, 1}, {24, 2}, {40, 1}, {41, 1}, {44, 2}, {45, 2}, {366, 0}, {367, 0}}
 	if !slices.Equal(got, want) {
 		t.Fatalf("issues (cycle, warp):\n got %v\nwant %v", got, want)
 	}
