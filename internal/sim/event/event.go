@@ -10,8 +10,8 @@
 // common "schedule a few cycles from now" case in O(1). Bucket slices and
 // the heap's backing array are retained across events, so a warmed-up
 // engine schedules and fires without touching the heap allocator at all.
-// RefEngine keeps the original container/heap implementation for
-// differential testing and benchmarking.
+// The package's tests keep the original container/heap implementation as
+// the reference the differential tests and fuzzer compare against.
 package event
 
 // Time is a virtual timestamp measured in cycles. All GPU components in this

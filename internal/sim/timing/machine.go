@@ -18,7 +18,7 @@ import (
 // is shared state passed in by the GPU driver.
 type Machine struct {
 	cfg    Config
-	engine event.Queue
+	engine *event.Engine
 	hier   *mem.Hierarchy
 	launch *kernel.Launch
 	uops   []isa.MicroOp // the launch's micro-op table, indexed by PC
@@ -163,14 +163,6 @@ type Result struct {
 
 // NewMachine builds a detailed-mode machine over the given hierarchy.
 func NewMachine(cfg Config, hier *mem.Hierarchy, obs Observer) *Machine {
-	return NewMachineWithQueue(cfg, hier, obs, event.New())
-}
-
-// NewMachineWithQueue is NewMachine with an explicit event queue. The verify
-// subsystem uses it to run the same launch on the production Engine and on
-// RefEngine and demand identical results; everything else should use
-// NewMachine.
-func NewMachineWithQueue(cfg Config, hier *mem.Hierarchy, obs Observer, q event.Queue) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -178,7 +170,7 @@ func NewMachineWithQueue(cfg Config, hier *mem.Hierarchy, obs Observer, q event.
 		panic(fmt.Sprintf("timing: CU count %d != hierarchy CU count %d",
 			cfg.NumCUs, hier.Config().NumCUs))
 	}
-	m := &Machine{cfg: cfg, engine: q, hier: hier, obs: obs}
+	m := &Machine{cfg: cfg, engine: event.New(), hier: hier, obs: obs}
 	m.cus = make([]*cu, cfg.NumCUs)
 	for i := range m.cus {
 		c := &cu{id: i, freeSlots: cfg.WarpSlotsPerCU()}

@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// TestBigSweep is the long random-program sweep, off by default:
+// VERIFY_BIG_SWEEP=n checks n more programs at seeds 5 000 000 onward. A
+// failure prints the serialized case; committed under testdata/, it is
+// replayed by TestRegressionCases.
 func TestBigSweep(t *testing.T) {
 	n, _ := strconv.Atoi(os.Getenv("VERIFY_BIG_SWEEP"))
 	if n == 0 {

@@ -125,6 +125,8 @@ func (c *Case) NewLaunch() (*kernel.Launch, *Segments, error) {
 	return l, seg, nil
 }
 
+// caseHeader opens every serialized case. It keeps the name of the CLI that
+// first wrote cases because the committed corpus carries it.
 const caseHeader = "photon-verify case v1"
 
 // Format renders the case as text. The format is line-oriented and fully

@@ -10,8 +10,9 @@ import (
 	"photon/internal/sim/timing"
 )
 
-// RunCase runs the case through every engine and returns all invariant
-// violations found (empty means the case passes):
+// RunCase runs the case through the functional emulator and the detailed
+// timing model and returns all invariant violations found (empty means the
+// case passes):
 //
 //   - the functional emulator vs the detailed timing model: per-warp final
 //     architectural state (registers, EXEC/VCC/SCC, mask slots, PC, BBVs)
@@ -19,10 +20,7 @@ import (
 //   - conservation: per-warp issued == retired instruction count, the sum of
 //     per-warp counts == the machine's total, BBV-weighted block lengths ==
 //     the instruction count, every warp retires, and the cache hierarchy's
-//     flow equations hold;
-//   - engine equivalence: the production event Engine and the reference
-//     RefEngine must produce identical results, retire times, states,
-//     memory, and cache statistics.
+//     flow equations hold.
 func RunCase(c *Case) []Violation {
 	var vs []Violation
 	fail := func(kind, format string, args ...any) {
@@ -39,34 +37,29 @@ func RunCase(c *Case) []Violation {
 		fail("functional", "%v", err)
 		return vs
 	}
-	t1, err := runTiming(c, event.New())
+	tr, err := runTiming(c)
 	if err != nil {
 		fail("timing", "%v", err)
-		return vs
-	}
-	t2, err := runTiming(c, event.NewRef())
-	if err != nil {
-		fail("timing-ref", "%v", err)
 		return vs
 	}
 
 	total := c.TotalWarps()
 
 	// Completeness and conserved counters on the timing run.
-	if !t1.res.Complete {
+	if !tr.res.Complete {
 		fail("conservation", "timing run incomplete: nextWG %d of %d",
-			t1.res.NextWG, c.NumWorkgroups)
+			tr.res.NextWG, c.NumWorkgroups)
 	}
-	if t1.res.WarpsSimulated != total {
-		fail("conservation", "warps simulated %d != launched %d", t1.res.WarpsSimulated, total)
+	if tr.res.WarpsSimulated != total {
+		fail("conservation", "warps simulated %d != launched %d", tr.res.WarpsSimulated, total)
 	}
-	if len(t1.states) != total {
-		fail("conservation", "%d warps retired, want %d", len(t1.states), total)
+	if len(tr.states) != total {
+		fail("conservation", "%d warps retired, want %d", len(tr.states), total)
 	}
 	var sum uint64
-	for id, st := range t1.states {
+	for id, st := range tr.states {
 		sum += st.InstCount
-		if got := t1.issued[id]; got != st.InstCount {
+		if got := tr.issued[id]; got != st.InstCount {
 			fail("conservation", "warp %d: %d instructions issued but %d retired", id, got, st.InstCount)
 		}
 		var bb uint64
@@ -77,12 +70,12 @@ func RunCase(c *Case) []Violation {
 			fail("conservation", "warp %d: BBV-weighted instruction count %d != %d", id, bb, st.InstCount)
 		}
 	}
-	if sum != t1.res.InstCount {
+	if sum != tr.res.InstCount {
 		fail("conservation", "per-warp instruction counts sum to %d, machine reports %d",
-			sum, t1.res.InstCount)
+			sum, tr.res.InstCount)
 	}
-	if t1.conserv != nil {
-		fail("conservation", "%v", t1.conserv)
+	if tr.conserv != nil {
+		fail("conservation", "%v", tr.conserv)
 	}
 
 	// Functional vs timing: identical architectural outcomes.
@@ -95,7 +88,7 @@ func RunCase(c *Case) []Violation {
 	}
 	for id := 0; id < total; id++ {
 		fs, fok := fstates[id]
-		ts, tok := t1.states[id]
+		ts, tok := tr.states[id]
 		if !fok || !tok {
 			fail("diff", "warp %d missing (functional retired: %v, timing retired: %v)", id, fok, tok)
 			continue
@@ -104,54 +97,29 @@ func RunCase(c *Case) []Violation {
 			fail("diff", "warp %d final state differs (functional vs timing):\n%s", id, d)
 		}
 	}
-	diffWords(&vs, "diff", "functional", "timing", fmem, t1.mem)
-
-	// Engine equivalence: Engine vs RefEngine.
-	if t1.res != t2.res {
-		fail("engine", "results differ: Engine %+v vs RefEngine %+v", t1.res, t2.res)
-	}
-	for id := 0; id < total; id++ {
-		if t1.retireAt[id] != t2.retireAt[id] {
-			fail("engine", "warp %d retires at %d on Engine, %d on RefEngine",
-				id, t1.retireAt[id], t2.retireAt[id])
-		}
-		s1, ok1 := t1.states[id]
-		s2, ok2 := t2.states[id]
-		if ok1 && ok2 {
-			if d := s1.Diff(&s2); d != "" {
-				fail("engine", "warp %d final state differs (Engine vs RefEngine):\n%s", id, d)
-			}
-		}
-	}
-	diffWords(&vs, "engine", "Engine", "RefEngine", t1.mem, t2.mem)
-	if t1.stats != t2.stats {
-		fail("engine", "memory stats differ: Engine %+v vs RefEngine %+v", t1.stats, t2.stats)
-	}
+	diffMemory(fail, fmem, tr.mem)
 	return vs
 }
 
-// diffWords compares two memory images word by word, reporting the first few
-// mismatches.
-func diffWords(vs *[]Violation, kind, aName, bName string, a, b []uint32) {
-	if len(a) != len(b) {
-		*vs = append(*vs, Violation{kind, fmt.Sprintf(
-			"memory image sizes differ: %s %d words, %s %d", aName, len(a), bName, len(b))})
+// diffMemory compares the functional and timing memory images word by word,
+// reporting the first few mismatches.
+func diffMemory(fail func(kind, format string, args ...any), f, t []uint32) {
+	if len(f) != len(t) {
+		fail("diff", "memory image sizes differ: functional %d words, timing %d", len(f), len(t))
 		return
 	}
 	const maxReports = 8
 	n := 0
-	for i := range a {
-		if a[i] != b[i] {
+	for i := range f {
+		if f[i] != t[i] {
 			if n < maxReports {
-				*vs = append(*vs, Violation{kind, fmt.Sprintf(
-					"memory word %d: %s %#x, %s %#x", i, aName, a[i], bName, b[i])})
+				fail("diff", "memory word %d: functional %#x, timing %#x", i, f[i], t[i])
 			}
 			n++
 		}
 	}
 	if n > maxReports {
-		*vs = append(*vs, Violation{kind, fmt.Sprintf(
-			"... %d memory words differ in total", n)})
+		fail("diff", "... %d memory words differ in total", n)
 	}
 }
 
@@ -178,23 +146,20 @@ func runFunctional(c *Case) (map[int]emu.WarpState, []uint32, error) {
 	return states, segWords(l.Memory, seg), nil
 }
 
-// timingRun captures everything observable about one detailed-mode run.
+// timingRun captures what the checks read of one detailed-mode run.
 type timingRun struct {
-	res      timing.Result
-	states   map[int]emu.WarpState
-	issued   map[int]uint64
-	retireAt map[int]event.Time
-	mem      []uint32
-	stats    mem.Stats
-	conserv  error
+	res     timing.Result
+	states  map[int]emu.WarpState
+	issued  map[int]uint64
+	mem     []uint32
+	conserv error
 }
 
 // captureObs snapshots warps as they retire; the pooled runtime recycles
 // them immediately after the callback, so this is the only safe moment.
 type captureObs struct {
-	states   map[int]emu.WarpState
-	issued   map[int]uint64
-	retireAt map[int]event.Time
+	states map[int]emu.WarpState
+	issued map[int]uint64
 }
 
 func (o *captureObs) OnInstIssued(now event.Time, cuID int, w *emu.Warp, class isa.FUClass, lat event.Time) {
@@ -209,11 +174,10 @@ func (o *captureObs) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time
 	st := o.states[w.GlobalID]
 	w.SnapshotInto(&st)
 	o.states[w.GlobalID] = st
-	o.retireAt[w.GlobalID] = now
 }
 
-// runTiming executes the case in detailed mode on the given event queue.
-func runTiming(c *Case, q event.Queue) (*timingRun, error) {
+// runTiming executes the case in detailed mode.
+func runTiming(c *Case) (*timingRun, error) {
 	l, seg, err := c.NewLaunch()
 	if err != nil {
 		return nil, err
@@ -221,24 +185,21 @@ func runTiming(c *Case, q event.Queue) (*timingRun, error) {
 	compute, hcfg := SmallConfig()
 	hier := mem.NewHierarchy(hcfg)
 	obs := &captureObs{
-		states:   make(map[int]emu.WarpState, c.TotalWarps()),
-		issued:   make(map[int]uint64, c.TotalWarps()),
-		retireAt: make(map[int]event.Time, c.TotalWarps()),
+		states: make(map[int]emu.WarpState, c.TotalWarps()),
+		issued: make(map[int]uint64, c.TotalWarps()),
 	}
-	m := timing.NewMachineWithQueue(compute, hier,
-		timing.Observer{InstIssued: obs.OnInstIssued, WarpRetired: obs.OnWarpRetired}, q)
+	m := timing.NewMachine(compute, hier,
+		timing.Observer{InstIssued: obs.OnInstIssued, WarpRetired: obs.OnWarpRetired})
 	res, err := m.Run(l)
 	if err != nil {
 		return nil, err
 	}
 	return &timingRun{
-		res:      res,
-		states:   obs.states,
-		issued:   obs.issued,
-		retireAt: obs.retireAt,
-		mem:      segWords(l.Memory, seg),
-		stats:    hier.CollectStats(),
-		conserv:  hier.CheckConservation(),
+		res:     res,
+		states:  obs.states,
+		issued:  obs.issued,
+		mem:     segWords(l.Memory, seg),
+		conserv: hier.CheckConservation(),
 	}, nil
 }
 

@@ -5,7 +5,7 @@ import "testing"
 // FuzzEmuProgram is the native-fuzzing entry into the differential harness:
 // arbitrary bytes decode (via DecodeCase's structural generator) into a
 // race-free runnable program, which then goes through the full functional-vs-
-// timing and engine-equivalence battery. The committed corpus under
+// timing and conservation battery. The committed corpus under
 // testdata/fuzz/FuzzEmuProgram runs as part of plain `go test`; CI
 // additionally explores with -fuzz.
 func FuzzEmuProgram(f *testing.F) {

@@ -5,16 +5,16 @@
 // register state, execution masks, memory contents, and the conserved
 // counters (instructions issued == instructions retired per warp, cache
 // accesses == hits + misses, L2 traffic == L1 misses + writebacks, and so
-// on). It also checks the event-engine metamorphic property — the production
-// Engine and the reference RefEngine must produce bit-identical schedules.
-// The CLIs' -check is not here: the harness run loop applies the conservation
-// check itself after every kernel (harness.AppObs.Check).
+// on). The event engine's own ordering property is checked where the engine
+// lives, against a reference engine in its tests. The CLIs' -check is not
+// here: the harness run loop applies the conservation check itself after
+// every kernel (harness.AppObs.Check).
 //
 // Generated programs are constructed to be schedule-independent: warps write
 // only their own output segment, the shared segment is touched only through
 // one commutative atomic op per program, and LDS follows a write-own/
 // read-any phase discipline separated by barriers. Under those rules any
-// divergence between the engines is a simulator bug, not a program race.
+// divergence between the two models is a simulator bug, not a program race.
 package verify
 
 import (
@@ -24,7 +24,7 @@ import (
 )
 
 // Violation is one invariant breach found while checking a case. Kind is a
-// short category ("diff", "conservation", "engine", ...) and Detail the
+// short category ("diff", "conservation", ...) and Detail the
 // human-readable evidence.
 type Violation struct {
 	Kind   string

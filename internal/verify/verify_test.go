@@ -33,7 +33,7 @@ func checkCase(t *testing.T, c *Case) {
 
 // TestRandomPrograms is the main differential sweep: 500 seeded random
 // programs, every one run through the functional emulator, the timing model
-// on both event engines, and the full invariant battery. Any violation is a
+// and the full invariant battery. Any violation is a
 // simulator bug; the failure message includes the serialized case so it can
 // be minimized and committed under testdata/.
 func TestRandomPrograms(t *testing.T) {
