@@ -138,9 +138,14 @@ func runExperiments(f benchFlags, stdout, stderr io.Writer) int {
 		o.Trace = obs.NewTraceBuffer()
 	}
 	if f.logLevel != "" {
+		level, err := obs.ParseLevel(f.logLevel)
+		if err != nil {
+			fmt.Fprintf(stderr, "photon-bench: -log-level: %v\n", err)
+			return 2
+		}
 		// Structured logs go to stderr, never stdout: row output must stay
 		// byte-identical with logging on.
-		o.Log = obs.NewTextLogger(stderr, obs.ParseLevel(f.logLevel))
+		o.Log = obs.NewTextLogger(stderr, level)
 	}
 	// The accuracy ledger always rides along: the sink keeps the run-end
 	// roll-up even when no -accuracy-out file is requested.

@@ -37,6 +37,7 @@ func TestExitCodes(t *testing.T) {
 		{"version", []string{"-version"}, 0},
 		{"table1 ok", []string{"-exp", "table1"}, 0},
 		{"json path unwritable", []string{"-exp", "table1", "-json", "/nonexistent-dir/x.jsonl"}, 1},
+		{"unknown log level", []string{"-exp", "table1", "-log-level", "verbose"}, 2},
 	}
 	for _, tc := range cases {
 		var out, errBuf bytes.Buffer

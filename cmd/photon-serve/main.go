@@ -58,7 +58,6 @@ import (
 	"time"
 
 	"photon/internal/buildinfo"
-	"photon/internal/harness"
 	"photon/internal/obs"
 	"photon/internal/serve"
 )
@@ -97,12 +96,20 @@ func realMain(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 
-	level := obs.ParseLevel(*logLevel)
+	level, err := obs.ParseLevel(*logLevel)
+	if err != nil {
+		fmt.Fprintf(stderr, "photon-serve: -log-level: %v\n", err)
+		return 2
+	}
 	var log *obs.Logger
-	if *logFormat == "json" {
-		log = obs.NewJSONLogger(stderr, level)
-	} else {
+	switch *logFormat {
+	case "text":
 		log = obs.NewTextLogger(stderr, level)
+	case "json":
+		log = obs.NewJSONLogger(stderr, level)
+	default:
+		fmt.Fprintf(stderr, "photon-serve: -log-format: unknown encoding %q (want text or json)\n", *logFormat)
+		return 2
 	}
 	var flight *obs.FlightRecorder
 	if *flightCap > 0 {
@@ -147,7 +154,6 @@ func realMain(args []string, stdout, stderr *os.File) int {
 		Metrics:        reg,
 		Log:            log,
 		Flight:         flight,
-		Baselines:      harness.NewBaselineCache(),
 		Store:          store,
 	})
 	srv := &http.Server{

@@ -155,3 +155,32 @@ func waitFor(t *testing.T, limit time.Duration, cond func() bool, what string) {
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
+
+// TestUnknownEnumFlagValues: an unknown value of an enum flag is a usage
+// error (exit 2) naming the accepted values, not a silent default. The
+// unopenable -cas-dir makes a daemon that accepted the value exit 1 instead
+// of serving.
+func TestUnknownEnumFlagValues(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flag, value, want string
+	}{
+		{"-log-format", "yaml", "(want text or json)"},
+		{"-log-level", "verbose", "(want debug, info, warn or error)"},
+	} {
+		ef, err := os.CreateTemp(t.TempDir(), "stderr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"-addr", freePort(t), "-cas-dir", filepath.Join(notDir, "cas"), tc.flag, tc.value}
+		code := realMain(args, os.Stdout, ef)
+		ef.Close()
+		stderr, _ := os.ReadFile(ef.Name())
+		if code != 2 || !strings.Contains(string(stderr), tc.want) {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit 2 naming %s", tc.flag, tc.value, code, stderr, tc.want)
+		}
+	}
+}

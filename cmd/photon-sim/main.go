@@ -47,6 +47,13 @@ func main() {
 		fmt.Println(buildinfo.Print("photon-sim"))
 		return
 	}
+	traceLevel, ok := map[string]trace.Level{
+		"warp": trace.LevelWarp, "block": trace.LevelBlock, "inst": trace.LevelInst,
+	}[*traceLvl]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "photon-sim: unknown -trace-level %q (want warp|block|inst)\n", *traceLvl)
+		os.Exit(2)
+	}
 
 	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -100,10 +107,7 @@ func main() {
 			fatal("%v", err)
 		}
 		defer f.Close()
-		level := map[string]trace.Level{
-			"warp": trace.LevelWarp, "block": trace.LevelBlock, "inst": trace.LevelInst,
-		}[*traceLvl]
-		tracer = trace.New(f, level)
+		tracer = trace.New(f, traceLevel)
 		fr.Observer = tracer.Observer()
 		runner = fr
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -80,6 +81,16 @@ func TestBenchNamesMeanWhatTheServiceMeans(t *testing.T) {
 	}
 }
 
+// buildSim builds the photon-sim binary into dir.
+func buildSim(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "photon-sim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestCheckComposesWithTraceAndStore: -check is a switch of the run loop, not
 // a wrapper around the runner, so the options that assert on the runner's
 // concrete type (-trace, -analysis-store) work with it in any order.
@@ -88,10 +99,7 @@ func TestCheckComposesWithTraceAndStore(t *testing.T) {
 		t.Skip("builds and runs the binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "photon-sim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildSim(t, dir)
 	for _, tc := range []struct {
 		mode, flag, artifact, want string
 	}{
@@ -117,5 +125,27 @@ func TestCheckComposesWithTraceAndStore(t *testing.T) {
 	out, err := exec.Command(bin, "-check", "-bench", "relu", "-size", "65536", "-mode", "warp").CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "check: skipped (relu ran under warp-sampling, ") {
 		t.Errorf("-check -mode warp on ReLU/65536: %v, output:\n%s", err, out)
+	}
+}
+
+// TestUnknownEnumFlagValues: an unknown value of an enum flag is a usage
+// error (exit 2) naming the accepted values, not a silent default.
+func TestUnknownEnumFlagValues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	dir := t.TempDir()
+	bin := buildSim(t, dir)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trace-level", "blocks", "-mode", "full", "-trace", filepath.Join(dir, "trace.txt")}, "(want warp|block|inst)"},
+	} {
+		out, err := exec.Command(bin, append(tc.args, "-bench", "FIR", "-size", "384")...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: %v, output %q; want exit 2 naming %s", tc.args, err, out, tc.want)
+		}
 	}
 }

@@ -59,7 +59,7 @@ func TestGroupTimer(t *testing.T) {
 	b.End()
 	l := &kernel.Launch{Name: "nop", Program: b.MustBuild(), Memory: mem.NewFlat(),
 		NumWorkgroups: 2, WarpsPerGroup: 2}
-	warp := func(id int) *emu.Warp { return emu.NewWarp(l, id, nil) }
+	warp := func(id int) *emu.Warp { return &emu.Warp{GlobalID: id, GroupID: id / l.WarpsPerGroup} }
 
 	gt := newGroupTimer(2)
 	gt.OnWarpStart(10, warp(0)) // group 0

@@ -45,30 +45,23 @@ func (m *LatencyModel) Latency(c isa.FUClass) float64 { return m.lat[c] }
 // interval model, mirroring the in-order pipeline: ALU-class instructions
 // advance time by their latency; vector memory issues asynchronously and
 // completes at issue + memory latency; s_waitcnt joins outstanding memory.
+// Class and step kind come from the program's micro-op table, as in the
+// timing machine.
 func EstimateBlockTime(prog *isa.Program, blockIdx int, m *LatencyModel, cfg timing.Config) float64 {
 	blk := prog.Blocks[blockIdx]
+	uops := prog.MicroOps()[blk.StartPC : blk.StartPC+blk.Len]
 	t := 0.0
 	memDone := 0.0
-	for pc := blk.StartPC; pc < blk.StartPC+blk.Len; pc++ {
-		in := &prog.Insts[pc]
-		class := in.Op.Class()
-		switch {
-		case in.Op == isa.OpSWaitcnt:
-			if memDone > t {
-				t = memDone
-			}
-			t++
-		case class == isa.FUVectorMem:
-			issue := float64(cfg.VectorMemIssueCycles)
-			done := t + m.Latency(class)
-			if done > memDone {
-				memDone = done
-			}
-			t += issue
-		case class == isa.FUScalarMem:
-			t += m.Latency(class) // blocking scalar load
-		default:
-			t += m.Latency(class)
+	for i := range uops {
+		u := &uops[i]
+		switch u.Step {
+		case isa.StepWaitcnt:
+			t = max(t, memDone) + 1
+		case isa.StepVectorMem, isa.StepAtomic:
+			memDone = max(memDone, t+m.Latency(u.Class))
+			t += float64(cfg.VectorMemIssueCycles)
+		default: // ALU, LDS, and the blocking scalar load
+			t += m.Latency(u.Class)
 		}
 	}
 	return t

@@ -51,12 +51,12 @@ func TestLargeGridSampledMode(t *testing.T) {
 
 	// Every warp runs the same straight 32-trip loop; one reference warp
 	// gives the exact per-warp instruction count.
-	ref := emu.NewWarp(l, 0, nil)
-	var info emu.StepInfo
-	for !ref.Done() {
-		ref.Step(&info)
+	var ref emu.Group
+	ref.Reset(l, 0)
+	if err := ref.RunFunctional(); err != nil {
+		t.Fatal(err)
 	}
-	perWarp := ref.InstCount()
+	perWarp := ref.Warps[0].InstCount()
 
 	ph := MustNew(smallGPU(), testParams(), Levels{Kernel: true})
 	prof, err := AnalyzeOnline(l, ph.params.SampleFraction)

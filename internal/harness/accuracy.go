@@ -22,36 +22,15 @@ import (
 // that answers "which kernels got sampled, on what evidence, and what did
 // it cost in accuracy" — per kernel, not just per benchmark.
 
-// AccuracyRecord is one kernel launch's ledger entry.
+// AccuracyRecord is one kernel launch's ledger entry: where the run sits
+// in the sweep, then the controller's decision with the baseline join
+// (DetailedCycles, ErrPct) filled in.
 type AccuracyRecord struct {
 	Experiment string `json:"experiment,omitempty"`
 	Bench      string `json:"bench"`
 	Size       int    `json:"size,omitempty"`
 	Runner     string `json:"runner"`
-	Kernel     string `json:"kernel"`
-	Index      int    `json:"index"`
-	// Tier is the mechanism that produced the kernel's time: "full",
-	// "bb-sampling", "warp-sampling", "kernel-sampling".
-	Tier string `json:"tier"`
-	// PredictedCycles is the sampled run's reported kernel time;
-	// DetailedCycles is the full baseline's time for the same kernel (0
-	// when no baseline kernel lines up); ErrPct is their absolute relative
-	// error when both exist.
-	PredictedCycles float64 `json:"predicted_cycles"`
-	DetailedCycles  float64 `json:"detailed_cycles,omitempty"`
-	ErrPct          float64 `json:"err_pct,omitempty"`
-	// Instruction attribution: total, through the detailed timing model,
-	// and through the online functional analysis.
-	Insts         uint64 `json:"insts"`
-	DetailedInsts uint64 `json:"detailed_insts"`
-	SampledInsts  uint64 `json:"sampled_insts,omitempty"`
-	// Detector evidence (zero-valued for tiers that did not consult it).
-	BBStableShare     float64 `json:"bb_stable_share,omitempty"`
-	WarpSlope         float64 `json:"warp_slope,omitempty"`
-	WarpSlopeOK       bool    `json:"warp_slope_ok,omitempty"`
-	DominantWarpShare float64 `json:"dominant_warp_share,omitempty"`
-	GateCycles        float64 `json:"gate_cycles,omitempty"`
-	KernelMatch       bool    `json:"kernel_match,omitempty"`
+	core.TierDecision
 }
 
 // accuracyRecords builds the ledger entries for one comparison: the
@@ -64,33 +43,16 @@ func accuracyRecords(experiment string, c Comparison) []AccuracyRecord {
 	}
 	out := make([]AccuracyRecord, 0, len(c.Sampled.Decisions))
 	for i, d := range c.Sampled.Decisions {
-		rec := AccuracyRecord{
-			Experiment:        experiment,
-			Bench:             c.Bench,
-			Size:              c.Size,
-			Runner:            c.Runner,
-			Kernel:            d.Kernel,
-			Index:             d.Index,
-			Tier:              d.Tier,
-			PredictedCycles:   d.PredictedCycles,
-			Insts:             d.Insts,
-			DetailedInsts:     d.DetailedInsts,
-			SampledInsts:      d.SampledInsts,
-			BBStableShare:     d.BBStableShare,
-			WarpSlope:         d.WarpSlope,
-			WarpSlopeOK:       d.WarpSlopeOK,
-			DominantWarpShare: d.DominantShare,
-			GateCycles:        d.GateCycles,
-			KernelMatch:       d.KernelMatch,
-		}
 		if i < len(c.Full.PerKernel) {
 			det := float64(c.Full.PerKernel[i].SimTime)
-			rec.DetailedCycles = det
+			d.DetailedCycles = det
 			if det > 0 {
-				rec.ErrPct = math.Abs(rec.PredictedCycles-det) / det * 100
+				d.ErrPct = math.Abs(d.PredictedCycles-det) / det * 100
 			}
 		}
-		out = append(out, rec)
+		out = append(out, AccuracyRecord{
+			Experiment: experiment, Bench: c.Bench, Size: c.Size, Runner: c.Runner, TierDecision: d,
+		})
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"photon/internal/core"
 	"photon/internal/obs"
 )
 
@@ -118,12 +119,12 @@ func TestAccuracyLedgerDeterministic(t *testing.T) {
 func TestAccuracySinkRollup(t *testing.T) {
 	s := NewAccuracySink(nil)
 	recs := []AccuracyRecord{
-		{Bench: "FIR", Runner: "photon", Kernel: "fir", Index: 0, Tier: "bb-sampling",
-			PredictedCycles: 102, DetailedCycles: 100, ErrPct: 2},
-		{Bench: "FIR", Runner: "photon", Kernel: "fir", Index: 1, Tier: "kernel-sampling",
-			PredictedCycles: 95, DetailedCycles: 100, ErrPct: 5},
-		{Bench: "FIR", Runner: "photon", Kernel: "fir", Index: 2, Tier: "bb-sampling",
-			PredictedCycles: 10, Insts: 1},
+		{Bench: "FIR", Runner: "photon", TierDecision: core.TierDecision{Kernel: "fir", Index: 0, Tier: "bb-sampling",
+			PredictedCycles: 102, DetailedCycles: 100, ErrPct: 2}},
+		{Bench: "FIR", Runner: "photon", TierDecision: core.TierDecision{Kernel: "fir", Index: 1, Tier: "kernel-sampling",
+			PredictedCycles: 95, DetailedCycles: 100, ErrPct: 5}},
+		{Bench: "FIR", Runner: "photon", TierDecision: core.TierDecision{Kernel: "fir", Index: 2, Tier: "bb-sampling",
+			PredictedCycles: 10, Insts: 1}},
 	}
 	for _, r := range recs {
 		if err := s.Emit(r); err != nil {
@@ -182,11 +183,11 @@ func TestAccuracyNoBaselineRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewAccuracySink(&buf)
 	recs := []AccuracyRecord{
-		{Bench: "Xfmr-L2", Runner: "photon", Kernel: "L1.ln1", Index: 0, Tier: "full",
-			PredictedCycles: 120, DetailedCycles: 100, ErrPct: 20, Insts: 10},
+		{Bench: "Xfmr-L2", Runner: "photon", TierDecision: core.TierDecision{Kernel: "L1.ln1", Index: 0, Tier: "full",
+			PredictedCycles: 120, DetailedCycles: 100, ErrPct: 20, Insts: 10}},
 		// The satellite's record shape: a sampled kernel with no baseline.
-		{Bench: "Xfmr-L2", Runner: "photon", Kernel: "L2.ln1", Index: 9, Tier: "kernel-sampling",
-			PredictedCycles: 100, Insts: 10},
+		{Bench: "Xfmr-L2", Runner: "photon", TierDecision: core.TierDecision{Kernel: "L2.ln1", Index: 9, Tier: "kernel-sampling",
+			PredictedCycles: 100, Insts: 10}},
 	}
 	for _, r := range recs {
 		if err := s.Emit(r); err != nil {
@@ -252,9 +253,9 @@ func TestReadAccuracyRecordsRejectsGarbage(t *testing.T) {
 
 func TestSummarizeAccuracy(t *testing.T) {
 	recs := []AccuracyRecord{
-		{Bench: "FIR", Runner: "photon", Tier: "bb-sampling", DetailedCycles: 100, ErrPct: 2},
-		{Bench: "FIR", Runner: "photon", Tier: "full"},
-		{Bench: "MM", Runner: "photon", Tier: "kernel-sampling", DetailedCycles: 50, ErrPct: 6},
+		{Bench: "FIR", Runner: "photon", TierDecision: core.TierDecision{Tier: "bb-sampling", DetailedCycles: 100, ErrPct: 2}},
+		{Bench: "FIR", Runner: "photon", TierDecision: core.TierDecision{Tier: "full"}},
+		{Bench: "MM", Runner: "photon", TierDecision: core.TierDecision{Tier: "kernel-sampling", DetailedCycles: 50, ErrPct: 6}},
 	}
 	sums := SummarizeAccuracy(recs)
 	want := []AccuracySummary{

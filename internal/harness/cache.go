@@ -141,7 +141,7 @@ func runFull(ctx context.Context, cfg gpu.Config, build func() (*workloads.App, 
 	if err != nil {
 		return AppResult{}, err
 	}
-	return RunAppCtx(ctx, cfg, app, gpu.FullRunner{})
+	return RunAppInstrumented(ctx, cfg, app, gpu.FullRunner{}, AppObs{})
 }
 
 // Simulated reports how many full baseline runs were actually started.

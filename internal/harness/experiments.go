@@ -298,20 +298,21 @@ func Table2(w io.Writer) {
 // first Photon run of VGG-16 populates the analysis store; the second run
 // reuses it, shaving the online-analysis cost off the wall time. The two
 // runs are inherently sequential (the second consumes the first's store),
-// so this experiment does not use the job engine.
+// so this experiment does not use the job engine; each still publishes into
+// the experiment's sinks and audit switch, spans on threads 0 and 1.
 func Offline(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "# Section 6.3: online vs offline Photon (VGG-16 wall time)")
 	cfg := gpu.R9Nano()
 	store := core.NewAnalysisStore()
 
-	runWith := func(label string) (AppResult, error) {
+	runWith := func(label string, tid int) (AppResult, error) {
 		app, err := dnn.BuildVGG(16, o.DNNScale)
 		if err != nil {
 			return AppResult{}, err
 		}
 		ph := core.MustNew(cfg, o.Params, core.AllLevels())
 		ph.SetStore(store)
-		res, err := RunAppCtx(o.ctx(), cfg, app, ph)
+		res, err := RunAppInstrumented(o.ctx(), cfg, app, ph, o.appObs(tid))
 		if err != nil {
 			return AppResult{}, err
 		}
@@ -319,11 +320,11 @@ func Offline(w io.Writer, o Options) error {
 			label, res.KernelTime, res.Wall.Round(time.Millisecond), store.Len(), store.Hits())
 		return res, nil
 	}
-	online, err := runWith("photon (online)")
+	online, err := runWith("photon (online)", 0)
 	if err != nil {
 		return err
 	}
-	offline, err := runWith("photon (offline)")
+	offline, err := runWith("photon (offline)", 1)
 	if err != nil {
 		return err
 	}

@@ -47,11 +47,6 @@ func RunApp(cfg gpu.Config, app *workloads.App, runner gpu.Runner) (AppResult, e
 	return RunAppInstrumented(context.Background(), cfg, app, runner, AppObs{})
 }
 
-// RunAppCtx is RunApp with cancellation at kernel-launch granularity.
-func RunAppCtx(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner) (AppResult, error) {
-	return RunAppInstrumented(ctx, cfg, app, runner, AppObs{})
-}
-
 // simPID is the trace-event process id under which per-kernel simulation
 // spans are grouped (harness-engine jobs use their own pid).
 const simPID = 2

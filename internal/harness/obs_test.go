@@ -22,6 +22,7 @@ import (
 	"photon/internal/obs"
 	"photon/internal/sim/gpu"
 	"photon/internal/workloads"
+	"photon/internal/workloads/dnn"
 )
 
 // runObservedSweep runs the determinism sweep with telemetry attached and
@@ -249,3 +250,37 @@ sim_cache_writebacks_total{L1V} 572
 sim_cache_writebacks_total{L2} 0
 sim_dram_accesses_total{} 3077
 sim_dram_latency_cycles{} count=3077 sum=799532`
+
+// TestOfflineReachesTheSinks: both Photon passes of -exp offline run through
+// RunAppInstrumented, so the experiment's registry sees Photon's telemetry,
+// its trace buffer gets one kernel span per launch of each pass, and Check
+// audits every kernel.
+func TestOfflineReachesTheSinks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a reduced VGG-16 twice under Photon")
+	}
+	o := DefaultOptions()
+	o.DNNScale = dnn.Scale{Input: 32, ChannelDiv: 16}
+	o.Check = true
+	o.Metrics = obs.NewRegistry()
+	o.Trace = obs.NewTraceBuffer()
+	kernels := 0
+	o.Trace.OnEvent(func(ev obs.TraceEvent) {
+		if ev.Cat == "kernel" {
+			kernels++
+		}
+	})
+	if err := Offline(io.Discard, o); err != nil {
+		t.Fatal(err)
+	}
+	if n := o.Metrics.Snapshot().SumCounters("photon_insts_detailed_total"); n == 0 {
+		t.Error("offline's Photon runs published no photon_* telemetry")
+	}
+	app, err := dnn.BuildVGG(16, o.DNNScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * len(app.Launches); kernels != want {
+		t.Errorf("%d kernel spans, want %d: one per launch of each pass", kernels, want)
+	}
+}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"sync/atomic"
@@ -79,19 +80,20 @@ func NewJSONLogger(w io.Writer, level slog.Leveler) *Logger {
 	return NewLogger(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level}))
 }
 
-// ParseLevel resolves the CLI spellings of a log level; unknown strings
-// fall back to Info.
-func ParseLevel(s string) slog.Level {
+// ParseLevel resolves the CLI spellings of a log level; any other string is
+// an error naming the accepted ones.
+func ParseLevel(s string) (slog.Level, error) {
 	switch s {
 	case "debug":
-		return slog.LevelDebug
+		return slog.LevelDebug, nil
+	case "info":
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return slog.LevelWarn
+		return slog.LevelWarn, nil
 	case "error":
-		return slog.LevelError
-	default:
-		return slog.LevelInfo
+		return slog.LevelError, nil
 	}
+	return slog.LevelInfo, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", s)
 }
 
 // Handler exposes the logger's underlying slog.Handler (nil for the no-op

@@ -71,11 +71,16 @@ func TestParseLevel(t *testing.T) {
 	cases := map[string]slog.Level{
 		"debug": slog.LevelDebug, "info": slog.LevelInfo,
 		"warn": slog.LevelWarn, "warning": slog.LevelWarn,
-		"error": slog.LevelError, "bogus": slog.LevelInfo, "": slog.LevelInfo,
+		"error": slog.LevelError,
 	}
 	for in, want := range cases {
-		if got := ParseLevel(in); got != want {
-			t.Errorf("ParseLevel(%q) = %v, want %v", in, got, want)
+		if got, err := ParseLevel(in); got != want || err != nil {
+			t.Errorf("ParseLevel(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"bogus", "verbose", ""} {
+		if _, err := ParseLevel(in); err == nil || !strings.Contains(err.Error(), "debug, info, warn or error") {
+			t.Errorf("ParseLevel(%q) error = %v, want one naming the accepted levels", in, err)
 		}
 	}
 }

@@ -75,12 +75,13 @@ const hubLogBudget = 512
 // a one-point SimSweep. Each execution gets a private TraceBuffer whose
 // events feed the job's progress stream, a job-scoped structured logger
 // teeing into the same stream, and a private accuracy ledger returned in
-// Output.Accuracy; the shared baseline cache, metrics registry and daemon
-// logger (flight ring included) flow in through Hooks. The text artifact
-// reproduces photon-bench stdout byte-for-byte (header, rows, and the blank
-// line photon-bench prints after each experiment), so a served result diffs
-// clean against the CLI's.
+// Output.Accuracy. Every execution of one executor shares the baseline cache
+// it creates; the metrics registry and daemon logger (flight ring included)
+// flow in through Hooks. The text artifact reproduces photon-bench stdout
+// byte-for-byte (header, rows, and the blank line photon-bench prints after
+// each experiment), so a served result diffs clean against the CLI's.
 func HarnessExecutor() Executor {
+	baselines := harness.NewBaselineCache()
 	return func(ctx context.Context, req JobRequest, h Hooks) (Output, error) {
 		o := harness.DefaultOptions()
 		o.Quick = req.Quick
@@ -89,10 +90,7 @@ func HarnessExecutor() Executor {
 			o.PRNodes = req.PRNodes
 		}
 		o.Parallel = h.Parallel
-		o.Baselines = h.Baselines
-		if o.Baselines == nil {
-			o.Baselines = harness.NewBaselineCache()
-		}
+		o.Baselines = baselines
 		o.Metrics = h.Metrics
 		o.Context = ctx
 		o.Log = jobLogger(h)

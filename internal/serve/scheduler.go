@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"photon/internal/harness"
 	"photon/internal/obs"
 )
 
@@ -24,13 +23,11 @@ type Output struct {
 
 // Hooks is what the scheduler lends an executor for one run: the progress
 // sink feeding the job's SSE stream, the engine worker count, and the
-// process-wide shared state (baseline cache, metrics registry, daemon
-// logger).
+// process-wide shared state (metrics registry, daemon logger).
 type Hooks struct {
-	Progress  func(Event)
-	Parallel  int
-	Baselines *harness.BaselineCache
-	Metrics   *obs.Registry
+	Progress func(Event)
+	Parallel int
+	Metrics  *obs.Registry
 	// Log is the daemon's base logger, flight ring included; executors
 	// derive job-scoped loggers from it (and may fan records out to the
 	// job's SSE hub as well).
@@ -79,8 +76,6 @@ type Config struct {
 	// cache-hit, state transitions and drain phases, and through Hooks.Log
 	// the executions' tier decisions — at any level. Nil disables.
 	Flight *obs.FlightRecorder
-	// Baselines is shared by every job; nil allocates a fresh cache.
-	Baselines *harness.BaselineCache
 	// Executor runs jobs; nil uses HarnessExecutor(). Tests inject stubs.
 	Executor Executor
 	// Store is the content-addressed result store: every successful
@@ -99,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 2 * time.Second
-	}
-	if c.Baselines == nil {
-		c.Baselines = harness.NewBaselineCache()
 	}
 	if c.Executor == nil {
 		c.Executor = HarnessExecutor()
@@ -434,12 +426,11 @@ func (s *Scheduler) execute(e *execution) (out Output, err error) {
 		}
 	}()
 	return s.cfg.Executor(e.ctx, e.req, Hooks{
-		Progress:  e.hub.publish,
-		Parallel:  e.parallel,
-		Baselines: s.cfg.Baselines,
-		Metrics:   s.cfg.Metrics,
-		Log:       s.cfg.Log,
-		Job:       short(e.hash),
+		Progress: e.hub.publish,
+		Parallel: e.parallel,
+		Metrics:  s.cfg.Metrics,
+		Log:      s.cfg.Log,
+		Job:      short(e.hash),
 	})
 }
 

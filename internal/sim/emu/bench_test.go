@@ -62,15 +62,15 @@ func BenchmarkWarpStep(b *testing.B) {
 		NumWorkgroups: 1, WarpsPerGroup: 1, Args: []uint32{1 << 16, 2 << 16, 3 << 16, 64}}
 	for _, l := range []*kernel.Launch{benchLoopLaunch(b, 1, 1), vecadd} {
 		b.Run(l.Name, func(b *testing.B) {
-			w := NewWarp(l, 0, nil)
-			var info StepInfo
+			var s WarpStore
+			s.Configure(l, 1)
 			var insts uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.Reset(l, 0, nil)
+				w := s.Bind(0, 0, nil)
 				for !w.Done() {
-					w.Step(&info)
+					w.Step()
 				}
 				insts += w.InstCount()
 			}

@@ -81,7 +81,7 @@ func TestWarpDispatchConventions(t *testing.T) {
 	l, _, _, _ := vecAddLaunch(t, 64, 1)
 	l.WarpsPerGroup = 2
 	l.NumWorkgroups = 3
-	w := NewWarp(l, 5, nil)
+	w := newWarp(l, 5, nil)
 	if w.GroupID != 2 || w.IDInGroup != 1 {
 		t.Fatalf("warp 5: group=%d idInGroup=%d, want 2,1", w.GroupID, w.IDInGroup)
 	}
@@ -108,10 +108,9 @@ func TestBBCountsMatchLoopTripCount(t *testing.T) {
 	p := b.MustBuild()
 	m := mem.NewFlat()
 	l := &kernel.Launch{Name: "loop10", Program: p, Memory: m, NumWorkgroups: 1, WarpsPerGroup: 1}
-	w := NewWarp(l, 0, nil)
-	var info StepInfo
+	w := newWarp(l, 0, nil)
 	for !w.Done() {
-		w.Step(&info)
+		w.Step()
 	}
 	// Blocks: [0,1) entry, [1,4) body, [4,5) end.
 	if got := w.BBCounts()[1]; got != 10 {
@@ -148,10 +147,9 @@ func TestDivergentLaneLoop(t *testing.T) {
 	p := b.MustBuild()
 	m := mem.NewFlat()
 	l := &kernel.Launch{Name: "divloop", Program: p, Memory: m, NumWorkgroups: 1, WarpsPerGroup: 1}
-	w := NewWarp(l, 0, nil)
-	var info StepInfo
+	w := newWarp(l, 0, nil)
 	for !w.Done() {
-		w.Step(&info)
+		w.Step()
 	}
 	for lane := 0; lane < kernel.WavefrontSize; lane++ {
 		if got, want := w.VReg(3, lane), uint32(lane%4); got != want {
@@ -202,7 +200,8 @@ func ldsExchangeLaunch(groups int) (l *kernel.Launch, out uint64) {
 func TestGroupBarrierLDSExchange(t *testing.T) {
 	l, out := ldsExchangeLaunch(1)
 	warps := l.WarpsPerGroup
-	g := NewGroup(l, 0)
+	var g Group
+	g.Reset(l, 0)
 	if err := g.RunFunctional(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,48 +213,38 @@ func TestGroupBarrierLDSExchange(t *testing.T) {
 	}
 }
 
-func TestStepReportsBlockEntry(t *testing.T) {
-	l, _, _, _ := vecAddLaunch(t, 64, 1)
-	w := NewWarp(l, 0, nil)
-	var info StepInfo
-	w.StepOne(&info)
-	if !info.EnteredB || info.BlockIdx != 0 {
-		t.Fatalf("first step: EnteredB=%v BlockIdx=%d", info.EnteredB, info.BlockIdx)
-	}
-	w.StepOne(&info)
-	if info.EnteredB {
-		t.Fatal("second instruction of a block reported as block entry")
-	}
-}
-
+// TestVectorMemReportsAddresses: Step returns nil until the first vector
+// load, then that load's lane addresses in lane order.
 func TestVectorMemReportsAddresses(t *testing.T) {
 	l, a, _, _ := vecAddLaunch(t, 64, 1)
-	w := NewWarp(l, 0, nil)
-	var info StepInfo
-	for {
-		w.Step(&info)
-		if info.Kind == StepVectorMem {
-			break
-		}
+	w := newWarp(l, 0, nil)
+	var addrs []uint64
+	var pc int
+	for addrs == nil {
 		if w.Done() {
 			t.Fatal("no vector memory op executed")
 		}
+		pc = w.PC()
+		addrs = w.Step()
 	}
-	if len(info.Addrs) != 64 {
-		t.Fatalf("got %d lane addresses, want 64", len(info.Addrs))
+	if op := l.Program.Insts[pc].Op; op != isa.OpVLoad {
+		t.Fatalf("first addresses came from %s at pc%d, want the first v_load", op, pc)
 	}
-	if info.Addrs[0] != a {
-		t.Fatalf("lane0 address %#x, want %#x", info.Addrs[0], a)
+	if len(addrs) != 64 {
+		t.Fatalf("got %d lane addresses, want 64", len(addrs))
 	}
-	if info.Addrs[1] != a+4 {
-		t.Fatalf("lane1 address %#x, want %#x", info.Addrs[1], a+4)
+	if addrs[0] != a {
+		t.Fatalf("lane0 address %#x, want %#x", addrs[0], a)
+	}
+	if addrs[1] != a+4 {
+		t.Fatalf("lane1 address %#x, want %#x", addrs[1], a+4)
 	}
 }
 
 // TestStepRunKeepsLoadAddrs: Step executes a vector load together with the
 // private run behind it — here ALU micro-ops that overwrite the address
-// register and the loaded value — and the StepInfo it hands back is still the
-// load's, lane addresses intact.
+// register and the loaded value — and the addresses it returns are still the
+// load's.
 func TestStepRunKeepsLoadAddrs(t *testing.T) {
 	m := mem.NewFlat()
 	buf := m.Alloc(4 * 64)
@@ -275,24 +264,21 @@ func TestStepRunKeepsLoadAddrs(t *testing.T) {
 	b.End()
 	l := &kernel.Launch{Name: "loadrun", Program: b.MustBuild(), Memory: m,
 		NumWorkgroups: 1, WarpsPerGroup: 1, Args: []uint32{uint32(buf)}}
-	w := NewWarp(l, 0, nil)
-	var info StepInfo
-	w.Step(&info) // the two address micro-ops
-	w.Step(&info) // s_waitcnt
+	w := newWarp(l, 0, nil)
+	if w.Step() != nil || w.Step() != nil { // the two address micro-ops, s_waitcnt
+		t.Fatal("Step returned addresses for register-only micro-ops or s_waitcnt")
+	}
 	if w.PC() != 3 || w.InstCount() != 3 {
 		t.Fatalf("before the load: pc=%d insts=%d, want 3, 3", w.PC(), w.InstCount())
 	}
-	w.Step(&info)
-	if info.Kind != StepVectorMem || info.Inst.Op != isa.OpVLoad || info.IsStore {
-		t.Fatalf("Step at the load reports %+v", info)
-	}
+	addrs := w.Step()
 	if w.PC() != 8 || w.InstCount() != 8 {
 		t.Fatalf("after the load and its 4-micro-op run: pc=%d insts=%d, want 8, 8", w.PC(), w.InstCount())
 	}
-	if len(info.Addrs) != 64 {
-		t.Fatalf("got %d lane addresses, want 64", len(info.Addrs))
+	if len(addrs) != 64 {
+		t.Fatalf("got %d lane addresses, want 64", len(addrs))
 	}
-	for lane, a := range info.Addrs {
+	for lane, a := range addrs {
 		if a != buf+uint64(4*lane) {
 			t.Fatalf("lane %d address %#x, want the load's %#x", lane, a, buf+uint64(4*lane))
 		}
@@ -314,7 +300,8 @@ func TestBarrierWithExitedWarpReleases(t *testing.T) {
 	p := b.MustBuild()
 	m := mem.NewFlat()
 	l := &kernel.Launch{Name: "exitbar", Program: p, Memory: m, NumWorkgroups: 1, WarpsPerGroup: 2}
-	g := NewGroup(l, 0)
+	var g Group
+	g.Reset(l, 0)
 	if err := g.RunFunctional(); err != nil {
 		t.Fatalf("group with exited warp did not complete: %v", err)
 	}
@@ -335,11 +322,9 @@ func TestScalarMemLoad(t *testing.T) {
 	p := b.MustBuild()
 	l := &kernel.Launch{Name: "sload", Program: p, Memory: m,
 		NumWorkgroups: 1, WarpsPerGroup: 1, Args: []uint32{uint32(tbl)}}
-	w := NewWarp(l, 0, nil)
-	var info StepInfo
-	w.Step(&info)
-	if info.Kind != StepScalarMem || info.SAddr != tbl+8 {
-		t.Fatalf("scalar load info: kind=%d addr=%#x", info.Kind, info.SAddr)
+	w := newWarp(l, 0, nil)
+	if addrs := w.Step(); len(addrs) != 1 || addrs[0] != tbl+8 {
+		t.Fatalf("scalar load returned addresses %#x, want [%#x]", addrs, tbl+8)
 	}
 	if w.SReg(4) != 777 {
 		t.Fatalf("s4 = %d, want 777", w.SReg(4))
@@ -359,10 +344,9 @@ func TestAtomicAdd(t *testing.T) {
 	p := b.MustBuild()
 	l := &kernel.Launch{Name: "atomic_add", Program: p, Memory: m,
 		NumWorkgroups: 1, WarpsPerGroup: 1, Args: []uint32{uint32(counter)}}
-	w := NewWarp(l, 0, nil)
-	var info StepInfo
+	w := newWarp(l, 0, nil)
 	for !w.Done() {
-		w.Step(&info)
+		w.Step()
 	}
 	if got := m.Read32(counter); got != 64 {
 		t.Fatalf("counter = %d, want 64", got)
@@ -390,12 +374,11 @@ func TestAtomicMax(t *testing.T) {
 	p := b.MustBuild()
 	l := &kernel.Launch{Name: "atomic_max", Program: p, Memory: m,
 		NumWorkgroups: 1, WarpsPerGroup: 1, Args: []uint32{uint32(cell)}}
-	w := NewWarp(l, 0, nil)
-	var info StepInfo
+	w := newWarp(l, 0, nil)
 	for !w.Done() {
-		w.Step(&info)
-		if info.Kind == StepAtomic && len(info.Addrs) != 64 {
-			t.Fatalf("atomic reported %d lane addresses, want 64", len(info.Addrs))
+		op := l.Program.Insts[w.PC()].Op
+		if addrs := w.Step(); op.IsAtomic() && len(addrs) != 64 {
+			t.Fatalf("atomic returned %d lane addresses, want 64", len(addrs))
 		}
 	}
 	if got := m.Read32(cell); got != 63 {
@@ -441,10 +424,9 @@ func TestPropertyRandomALUPrograms(t *testing.T) {
 			m := mem.NewFlat()
 			l := &kernel.Launch{Name: "fuzz", Program: p, Memory: m,
 				NumWorkgroups: 1, WarpsPerGroup: 1}
-			w := NewWarp(l, 0, nil)
-			var info StepInfo
+			w := newWarp(l, 0, nil)
 			for !w.Done() {
-				w.Step(&info)
+				w.Step()
 			}
 			if w.InstCount() != uint64(nInsts+1) {
 				t.Fatalf("seed %d: InstCount %d != %d", seed, w.InstCount(), nInsts+1)
@@ -495,10 +477,9 @@ func TestPropertyDivergenceMaskInvariant(t *testing.T) {
 		m := mem.NewFlat()
 		l := &kernel.Launch{Name: "divfuzz", Program: p, Memory: m,
 			NumWorkgroups: 1, WarpsPerGroup: 1}
-		w := NewWarp(l, 0, nil)
-		var info StepInfo
+		w := newWarp(l, 0, nil)
 		for !w.Done() {
-			w.Step(&info)
+			w.Step()
 		}
 		if w.Exec() != ^uint64(0) {
 			return false

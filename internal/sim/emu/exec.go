@@ -23,11 +23,9 @@ type frame struct {
 	vcc    uint64
 	flags  uint8
 
-	// What the last memory micro-op left behind for Step's StepInfo fill:
-	// the number of lane addresses in st.addrBuf, and a scalar load's
-	// address.
-	nAddr int
-	saddr uint64
+	// addrs is what the last memory micro-op touched, a window of
+	// st.addrBuf; Step returns it.
+	addrs []uint64
 }
 
 func (f *frame) load(w *Warp) {
@@ -197,8 +195,10 @@ func (f *frame) exec(u *isa.MicroOp, pc int) int {
 
 	// ---- memory ----
 	case isa.OpSLoad:
-		f.saddr = uint64(f.s0(u)) + uint64(int64(u.Offset))
-		sgpr[u.Dst] = f.st.mem.Read32(f.saddr)
+		a := &f.st.addrBuf
+		a[0] = uint64(f.s0(u)) + uint64(int64(u.Offset))
+		f.addrs = a[:1]
+		sgpr[u.Dst] = f.st.mem.Read32(a[0])
 	case isa.OpVLoad:
 		f.vectorLoad(u)
 	case isa.OpVStore:

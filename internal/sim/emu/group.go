@@ -23,13 +23,6 @@ type Group struct {
 	back  []Warp
 }
 
-// NewGroup instantiates workgroup groupID of the launch.
-func NewGroup(l *kernel.Launch, groupID int) *Group {
-	g := &Group{}
-	g.Reset(l, groupID)
-	return g
-}
-
 // Reset points the group at workgroup groupID, reusing the LDS backing and
 // the store's register slabs when possible. The sampling loops run many
 // workgroups of a kernel through one recycled Group, so steady-state

@@ -541,8 +541,8 @@ func (f *frame) vectorCmp(u *isa.MicroOp) {
 }
 
 // laneAddrs fills the store's address scratch with the active lanes' byte
-// addresses, compacted in lane order, and returns how many there are.
-func (f *frame) laneAddrs(u *isa.MicroOp) int {
+// addresses, compacted in lane order, and leaves them in f.addrs.
+func (f *frame) laneAddrs(u *isa.MicroOp) {
 	a, am := f.vsrc(0, u.Kind0, u.Src0)
 	off := uint64(int64(u.Offset))
 	addrs := &f.st.addrBuf
@@ -553,26 +553,26 @@ func (f *frame) laneAddrs(u *isa.MicroOp) int {
 			addrs[i+2] = uint64(a[i+2]) + off
 			addrs[i+3] = uint64(a[i+3]) + off
 		}
-		return len(addrs)
+		f.addrs = addrs[:]
+		return
 	}
 	n := 0
 	for m := f.active; m != 0; m &= m - 1 {
 		addrs[n] = uint64(a[lane(m)&am]) + off
 		n++
 	}
-	return n
+	f.addrs = addrs[:n]
 }
 
 func (f *frame) vectorLoad(u *isa.MicroOp) {
 	st := f.st
-	n := f.laneAddrs(u)
-	f.nAddr = n
+	f.laneAddrs(u)
 	d := f.window(u.Dst)
 	if f.active == allLanes {
-		st.mem.Gather32(st.addrBuf[:], d[:])
+		st.mem.Gather32(f.addrs, d[:])
 	} else {
-		vals := st.valBuf[:n]
-		st.mem.Gather32(st.addrBuf[:n], vals)
+		vals := st.valBuf[:len(f.addrs)]
+		st.mem.Gather32(f.addrs, vals)
 		k := 0
 		for m := f.active; m != 0; m &= m - 1 {
 			d[lane(m)] = vals[k]
@@ -584,19 +584,18 @@ func (f *frame) vectorLoad(u *isa.MicroOp) {
 
 func (f *frame) vectorStore(u *isa.MicroOp) {
 	st := f.st
-	n := f.laneAddrs(u)
-	f.nAddr = n
+	f.laneAddrs(u)
 	v, vm := f.vsrc(1, u.Kind1, u.Src1)
 	vals := v[:]
 	if f.active != allLanes {
-		vals = st.valBuf[:n]
+		vals = st.valBuf[:len(f.addrs)]
 		k := 0
 		for m := f.active; m != 0; m &= m - 1 {
 			vals[k] = v[lane(m)&vm]
 			k++
 		}
 	}
-	st.mem.Scatter32(st.addrBuf[:n], vals)
+	st.mem.Scatter32(f.addrs, vals)
 	st.outMem[f.w.slot]++
 }
 
@@ -620,8 +619,7 @@ func atomicRMW(op isa.Op) func(old, val uint32) uint32 {
 // order, making intra-warp conflicts on one address deterministic.
 func (f *frame) atomicMem(u *isa.MicroOp) {
 	st := f.st
-	n := f.laneAddrs(u)
-	f.nAddr = n
+	f.laneAddrs(u)
 	v, vm := f.vsrc(1, u.Kind1, u.Src1)
 	st.outMem[f.w.slot]++
 	d := &st.valBuf // old values land here when the instruction names no destination
@@ -632,7 +630,7 @@ func (f *frame) atomicMem(u *isa.MicroOp) {
 	k := 0
 	for m := f.active; m != 0; m &= m - 1 {
 		i := lane(m)
-		addr := st.addrBuf[k]
+		addr := f.addrs[k]
 		k++
 		old := st.mem.Read32(addr)
 		st.mem.Write32(addr, rmw(old, v[i&vm]))

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"photon/internal/sim/isa"
@@ -64,8 +65,11 @@ func refVdst(vgpr []uint32, o isa.Operand) []uint32 {
 // Step executes the instruction at PC and advances the warp. It must not be
 // called on a Done warp; callers resume barriers by ClearBarrier. The SGPR
 // and VGPR windows are hoisted once per instruction so the hot loop indexes
-// flat slices instead of re-slicing the slabs per operand.
-func (w *Warp) refStep(info *StepInfo) {
+// flat slices instead of re-slicing the slabs per operand. It returns the
+// addresses a global memory instruction touched — the active lanes' for
+// vector memory and atomics, the one of s_load — never nil for those, and
+// nil for everything else.
+func (w *Warp) refStep() (addrs []uint64) {
 	st := w.store
 	slot := w.slot
 	if st.flags[slot]&flagDone != 0 {
@@ -74,10 +78,8 @@ func (w *Warp) refStep(info *StepInfo) {
 	p := w.Launch.Program
 	pc := int(st.pc[slot])
 	in := &p.Insts[pc]
-	*info = StepInfo{Kind: StepALU, Inst: in, BlockIdx: p.BlockIndexAt(pc)}
-	if p.BlockAt(pc).StartPC == pc {
-		info.EnteredB = true
-		st.bb[slot*st.blocks+info.BlockIdx]++
+	if b := p.BlockAt(pc); b.StartPC == pc {
+		st.bb[slot*st.blocks+b.ID]++
 	}
 	st.instCount[slot]++
 	nextPC := pc + 1
@@ -161,18 +163,17 @@ func (w *Warp) refStep(info *StepInfo) {
 	case isa.OpSLoad:
 		addr := uint64(w.refSread(sgpr, in.Src0)) + uint64(int64(in.Offset))
 		sgpr[in.Dst.Idx] = st.mem.Read32(addr)
-		info.Kind = StepScalarMem
-		info.SAddr = addr
+		addrs = []uint64{addr}
 	case isa.OpVLoad:
-		w.refVectorMem(in, info, sgpr, false)
+		addrs = w.refVectorMem(in, sgpr, false)
 	case isa.OpVStore:
-		w.refVectorMem(in, info, sgpr, true)
+		addrs = w.refVectorMem(in, sgpr, true)
 	case isa.OpVAtomicAdd, isa.OpVAtomicMax, isa.OpVAtomicMin, isa.OpVAtomicFAdd:
-		w.refAtomicMem(in, info, sgpr)
+		addrs = w.refAtomicMem(in, sgpr)
 	case isa.OpLDSLoad:
-		w.refLDSAccess(in, info, sgpr, false)
+		w.refLDSAccess(in, sgpr, false)
 	case isa.OpLDSStore:
-		w.refLDSAccess(in, info, sgpr, true)
+		w.refLDSAccess(in, sgpr, true)
 
 	// ---- control ----
 	case isa.OpSBranch:
@@ -203,20 +204,18 @@ func (w *Warp) refStep(info *StepInfo) {
 		}
 	case isa.OpSBarrier:
 		st.flags[slot] |= flagBarrier
-		info.Kind = StepBarrier
 	case isa.OpSWaitcnt:
 		st.outMem[slot] = 0
-		info.Kind = StepWaitcnt
 	case isa.OpSNop:
 		// nothing
 	case isa.OpSEndpgm:
 		st.flags[slot] |= flagDone
-		info.Kind = StepDone
 	default:
 		panic(fmt.Sprintf("emu: %s: unimplemented op %s", w.Launch.Name, in.Op))
 	}
 
 	st.pc[slot] = int32(nextPC)
+	return addrs
 }
 
 func (w *Warp) refVectorALU(in *isa.Inst, sgpr []uint32) {
@@ -335,9 +334,7 @@ func (w *Warp) refVectorCmp(in *isa.Inst, sgpr []uint32) {
 	w.store.vcc[w.slot] = vcc
 }
 
-func (w *Warp) refVectorMem(in *isa.Inst, info *StepInfo, sgpr []uint32, store bool) {
-	info.Kind = StepVectorMem
-	info.IsStore = store
+func (w *Warp) refVectorMem(in *isa.Inst, sgpr []uint32, store bool) []uint64 {
 	st := w.store
 	vgpr := w.vregs()
 	exec := st.exec[w.slot]
@@ -347,30 +344,27 @@ func (w *Warp) refVectorMem(in *isa.Inst, info *StepInfo, sgpr []uint32, store b
 	if !store {
 		dst = refVdst(vgpr, in.Dst)
 	}
-	n := 0
+	addrs := make([]uint64, 0, kernel.WavefrontSize)
 	memArena := st.mem
 	for lane := 0; lane < kernel.WavefrontSize; lane++ {
 		if exec&(1<<uint(lane)) == 0 {
 			continue
 		}
 		addr := uint64(refLv(la, ba, lane)) + uint64(int64(in.Offset))
-		st.addrBuf[n] = addr
-		n++
+		addrs = append(addrs, addr)
 		if store {
 			memArena.Write32(addr, refLv(lval, bval, lane))
 		} else {
 			dst[lane] = memArena.Read32(addr)
 		}
 	}
-	info.Addrs = st.addrBuf[:n]
 	st.outMem[w.slot]++
+	return addrs
 }
 
 // atomicMem executes a per-lane read-modify-write. Lanes resolve in lane
 // order, making intra-warp conflicts on one address deterministic.
-func (w *Warp) refAtomicMem(in *isa.Inst, info *StepInfo, sgpr []uint32) {
-	info.Kind = StepAtomic
-	info.IsStore = true
+func (w *Warp) refAtomicMem(in *isa.Inst, sgpr []uint32) []uint64 {
 	st := w.store
 	vgpr := w.vregs()
 	exec := st.exec[w.slot]
@@ -380,15 +374,14 @@ func (w *Warp) refAtomicMem(in *isa.Inst, info *StepInfo, sgpr []uint32) {
 	if in.Dst.Kind == isa.OperandVReg {
 		dst = refVdst(vgpr, in.Dst)
 	}
-	n := 0
+	addrs := make([]uint64, 0, kernel.WavefrontSize)
 	memArena := st.mem
 	for lane := 0; lane < kernel.WavefrontSize; lane++ {
 		if exec&(1<<uint(lane)) == 0 {
 			continue
 		}
 		addr := uint64(refLv(la, ba, lane)) + uint64(int64(in.Offset))
-		st.addrBuf[n] = addr
-		n++
+		addrs = append(addrs, addr)
 		old := memArena.Read32(addr)
 		val := refLv(lval, bval, lane)
 		next := refAtomicRMW(in.Op, old, val)
@@ -397,8 +390,8 @@ func (w *Warp) refAtomicMem(in *isa.Inst, info *StepInfo, sgpr []uint32) {
 			dst[lane] = old
 		}
 	}
-	info.Addrs = st.addrBuf[:n]
 	st.outMem[w.slot]++
+	return addrs
 }
 
 // atomicRMW computes the next memory value of one atomic lane.
@@ -422,9 +415,7 @@ func refAtomicRMW(op isa.Op, old, val uint32) uint32 {
 	panic(fmt.Sprintf("emu: atomicRMW on non-atomic op %s", op))
 }
 
-func (w *Warp) refLDSAccess(in *isa.Inst, info *StepInfo, sgpr []uint32, store bool) {
-	info.Kind = StepLDS
-	info.IsStore = store
+func (w *Warp) refLDSAccess(in *isa.Inst, sgpr []uint32, store bool) {
 	vgpr := w.vregs()
 	exec := w.store.exec[w.slot]
 	la, ba := refVsrc(sgpr, vgpr, in.Src0)
@@ -495,7 +486,7 @@ func newRigs() *rigs {
 func (rs *rigs) bind(prog *isa.Program) {
 	for _, g := range rs {
 		l := &kernel.Launch{Name: "ref", Program: prog, Memory: g.m, NumWorkgroups: 1, WarpsPerGroup: 1}
-		g.w = NewWarp(l, 0, g.lds)
+		g.w = newWarp(l, 0, g.lds)
 	}
 }
 
@@ -627,12 +618,11 @@ func (rs *rigs) load(img *image, exec uint64) {
 // outcome is what one attempt to execute left behind besides warp state.
 type outcome struct {
 	panicked bool
-	msg      string // message of a string panic (ours); "" for runtime errors
-	info     StepInfo
-	addrs    []uint64
+	msg      string   // message of a string panic (ours); "" for runtime errors
+	addrs    []uint64 // a copy of the returned addresses; nil stays nil
 }
 
-func attempt(step func(*StepInfo)) (o outcome) {
+func attempt(step func() []uint64) (o outcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			o.panicked = true
@@ -641,35 +631,46 @@ func attempt(step func(*StepInfo)) (o outcome) {
 			}
 		}
 	}()
-	step(&o.info)
-	switch o.info.Kind {
-	case StepVectorMem, StepAtomic:
-		o.addrs = append([]uint64(nil), o.info.Addrs...)
+	if a := step(); a != nil {
+		o.addrs = append(make([]uint64, 0, len(a)), a...)
 	}
 	return o
 }
 
-// diffOutcome compares what Step reported with what the oracle reported.
-func diffOutcome(ref, got outcome) string {
+// kindAt is the micro-op table's step kind of the instruction at the warp's
+// PC, the kind the timing machine switches on.
+func kindAt(w *Warp) isa.StepKind { return w.Launch.Program.MicroOps()[w.PC()].Step }
+
+// diffOutcome compares what a step of an instruction of the given kind
+// returned with what the oracle returned: the same addresses, and nil
+// exactly for the kinds that touch no global memory.
+func diffOutcome(kind isa.StepKind, ref, got outcome) string {
 	if ref.panicked != got.panicked || ref.msg != got.msg {
 		return fmt.Sprintf("panic: oracle (%v, %q) vs (%v, %q)", ref.panicked, ref.msg, got.panicked, got.msg)
 	}
 	if ref.panicked {
 		return ""
 	}
-	a, b := ref.info, got.info
-	if a.Kind != b.Kind || a.Inst != b.Inst || a.IsStore != b.IsStore ||
-		a.EnteredB != b.EnteredB || a.BlockIdx != b.BlockIdx {
-		return fmt.Sprintf("StepInfo: oracle %+v vs %+v", a, b)
+	memory := kind == isa.StepVectorMem || kind == isa.StepAtomic || kind == isa.StepScalarMem
+	if (got.addrs != nil) != memory {
+		return fmt.Sprintf("step kind %d returned addresses %#x (nil: %v)", kind, got.addrs, got.addrs == nil)
 	}
-	if b.Class != b.Inst.Op.Class() {
-		return fmt.Sprintf("StepInfo.Class = %v, want %v", b.Class, b.Inst.Op.Class())
+	if (ref.addrs == nil) != (got.addrs == nil) || !slices.Equal(ref.addrs, got.addrs) {
+		return fmt.Sprintf("addresses: oracle %#x vs %#x", ref.addrs, got.addrs)
 	}
-	if a.Kind == StepScalarMem && a.SAddr != b.SAddr {
-		return fmt.Sprintf("SAddr: oracle %#x vs %#x", a.SAddr, b.SAddr)
+	return ""
+}
+
+// stepAgainst advances the warp by one Step and compares the addresses it
+// returns with trace, the oracle's per dynamic instruction of that warp.
+func stepAgainst(w *Warp, trace [][]uint64) string {
+	k := w.InstCount()
+	if k >= uint64(len(trace)) {
+		return fmt.Sprintf("Step at dynamic instruction %d, past the oracle's %d", k, len(trace))
 	}
-	if !reflect.DeepEqual(ref.addrs, got.addrs) {
-		return fmt.Sprintf("Addrs: oracle %#x vs %#x", ref.addrs, got.addrs)
+	kind := kindAt(w)
+	if d := diffOutcome(kind, outcome{addrs: trace[k]}, attempt(w.Step)); d != "" {
+		return fmt.Sprintf("Step at dynamic instruction %d: %s", k, d)
 	}
 	return ""
 }
@@ -752,7 +753,7 @@ func isLDS(op isa.Op) bool { return op == isa.OpLDSLoad || op == isa.OpLDSStore 
 // refOperand builds a source of the given kind in the role the opcode gives
 // that position: position 0 of a memory op is its address.
 func refOperand(op isa.Op, pos int, kind isa.OperandKind, pick int) isa.Operand {
-	addrPos := pos == 0 && (op.IsVectorMemory() || isLDS(op))
+	addrPos := pos == 0 && (op.Class() == isa.FUVectorMem || isLDS(op))
 	switch kind {
 	case isa.OperandVReg:
 		switch {
@@ -800,9 +801,10 @@ func checkInst(t testing.TB, rs *rigs, in isa.Inst, r *rand.Rand, exec uint64) s
 	rs.bind(refProgram(t, []isa.Inst{in}))
 	rs.load(genImage(r, 48, true), exec)
 	ref, step, seg := rs[0], rs[1], rs[2]
+	kind := kindAt(step.w)
 	want := attempt(ref.w.refStep)
 	got := attempt(step.w.StepOne)
-	if d := diffOutcome(want, got); d != "" {
+	if d := diffOutcome(kind, want, got); d != "" {
 		return "StepOne: " + d
 	}
 	if d := diffRigs(ref, step, nanPayloadFree(in.Op)); d != "" {
@@ -812,7 +814,7 @@ func checkInst(t testing.TB, rs *rigs, in isa.Inst, r *rand.Rand, exec uint64) s
 		return "" // a fault abandons the segment's batched counters
 	}
 	// StepOne and runSegment share exec, so they must agree to the bit.
-	step.w.StepOne(&got.info) // s_endpgm
+	step.w.StepOne() // s_endpgm
 	seg.w.runSegment()
 	if d := diffRigs(step, seg, false); d != "" {
 		return "runSegment vs StepOne: " + d
@@ -890,8 +892,9 @@ func TestLDSBoundsMatchOracle(t *testing.T) {
 						}
 						img.vgpr[refVLDSAddr*kernel.WavefrontSize+probe] = uint32(int32(edge) - off)
 						rs.load(img, exec)
+						kind := kindAt(rs[1].w)
 						want, got := attempt(rs[0].w.refStep), attempt(rs[1].w.StepOne)
-						d := diffOutcome(want, got)
+						d := diffOutcome(kind, want, got)
 						if d == "" {
 							d = diffRigs(rs[0], rs[1], false)
 						}
@@ -971,17 +974,21 @@ func genProgram(c chooser, n int) []isa.Inst {
 
 // checkProgram runs the program through the oracle and through StepOne,
 // comparing after every instruction, then through runSegment and through
-// Step's private runs, comparing their final states with StepOne's.
+// Step's private runs, comparing their final states with StepOne's and each
+// Step's addresses with the oracle's.
 func checkProgram(t testing.TB, rs *rigs, insts []isa.Inst, seed int64) {
 	prog := refProgram(t, insts)
 	rs.bind(prog)
 	rs.load(genImage(rand.New(rand.NewSource(seed)), 0, false), ^uint64(0))
 	ref, step, seg, run := rs[0], rs[1], rs[2], rs[3]
+	var trace [][]uint64 // the oracle's addresses per dynamic instruction
 	for !ref.w.Done() {
 		pc := ref.w.PC()
+		kind := kindAt(step.w)
 		want := attempt(ref.w.refStep)
 		got := attempt(step.w.StepOne)
-		d := diffOutcome(want, got)
+		trace = append(trace, want.addrs)
+		d := diffOutcome(kind, want, got)
 		if d == "" {
 			d = diffRigs(ref, step, nanPayloadFree(prog.Insts[pc].Op))
 		}
@@ -998,9 +1005,10 @@ func checkProgram(t testing.TB, rs *rigs, insts []isa.Inst, seed int64) {
 	if d := diffRigs(step, seg, false); d != "" {
 		t.Fatalf("runSegment diverged from StepOne: %s\nprogram:\n%s", d, prog.Disassemble())
 	}
-	var info StepInfo
 	for !run.w.Done() {
-		run.w.Step(&info)
+		if d := stepAgainst(run.w, trace); d != "" {
+			t.Fatalf("%s\nprogram:\n%s", d, prog.Disassemble())
+		}
 	}
 	if d := diffRigs(step, run, false); d != "" {
 		t.Fatalf("Step's private runs diverged from StepOne: %s\nprogram:\n%s", d, prog.Disassemble())
@@ -1041,7 +1049,8 @@ func FuzzLaneKernels(f *testing.F) {
 // one instruction at a time under the group loop's barrier alternation,
 // Step's private runs under the same alternation, and Group.RunFunctional's
 // segment stepping — and requires identical warp state (registers, masks,
-// BBV, InstCount) and memory images. mk returns a
+// BBV, InstCount) and memory images, and from StepOne and every Step the
+// oracle's addresses. mk returns a
 // fresh copy of the launch and a function reading back its memory image.
 func checkLaunch(t testing.TB, mk func() (*kernel.Launch, func() []uint32)) {
 	t.Helper()
@@ -1050,12 +1059,15 @@ func checkLaunch(t testing.TB, mk func() (*kernel.Launch, func() []uint32)) {
 	lSeg, memSeg := mk()
 	lRun, memRun := mk()
 	var gRef, gStep, gSeg, gRun Group
-	var info StepInfo
+	traces := make([][][]uint64, lRef.WarpsPerGroup) // the oracle's addresses per warp and dynamic instruction
 	for g := 0; g < lRef.NumWorkgroups; g++ {
 		gRef.Reset(lRef, g)
 		gStep.Reset(lStep, g)
 		gSeg.Reset(lSeg, g)
 		gRun.Reset(lRun, g)
+		for i := range traces {
+			traces[i] = traces[i][:0]
+		}
 		for running := true; running; {
 			running = false
 			for i := range gRef.back {
@@ -1065,8 +1077,10 @@ func checkLaunch(t testing.TB, mk func() (*kernel.Launch, func() []uint32)) {
 					running = true
 					pc := ref.w.PC()
 					in := lRef.Program.Insts[pc]
+					kind := kindAt(step.w)
 					want, got := attempt(ref.w.refStep), attempt(step.w.StepOne)
-					d := diffOutcome(want, got)
+					traces[i] = append(traces[i], want.addrs)
+					d := diffOutcome(kind, want, got)
 					if d == "" {
 						d = diffRigs(ref, step, nanPayloadFree(in.Op))
 					}
@@ -1076,7 +1090,9 @@ func checkLaunch(t testing.TB, mk func() (*kernel.Launch, func() []uint32)) {
 					}
 				}
 				for w := &gRun.back[i]; !w.Done() && !w.AtBarrier(); {
-					w.Step(&info)
+					if d := stepAgainst(w, traces[i]); d != "" {
+						t.Fatalf("%s group %d warp %d: %s", lRef.Name, g, i, d)
+					}
 				}
 			}
 			for i := range gRef.back {

@@ -21,7 +21,7 @@ func execOne(t *testing.T, in isa.Inst, a, b uint32, laneA, laneB func(lane int)
 	prog := isa.MustProgram("sem", []isa.Inst{in, {Op: isa.OpSEndpgm}}, 0)
 	m := mem.NewFlat()
 	l := &kernel.Launch{Name: "sem", Program: prog, Memory: m, NumWorkgroups: 1, WarpsPerGroup: 1}
-	w := NewWarp(l, 0, nil)
+	w := newWarp(l, 0, nil)
 	w.sregs()[4], w.sregs()[5] = a, b
 	if prog.NumVRegs > 2 {
 		for lane := 0; lane < kernel.WavefrontSize; lane++ {
@@ -33,8 +33,7 @@ func execOne(t *testing.T, in isa.Inst, a, b uint32, laneA, laneB func(lane int)
 			}
 		}
 	}
-	var info StepInfo
-	w.StepOne(&info)
+	w.StepOne()
 	return w
 }
 
@@ -208,25 +207,24 @@ func TestExecMaskOps(t *testing.T) {
 	}, 0)
 	m := mem.NewFlat()
 	l := &kernel.Launch{Name: "m", Program: prog, Memory: m, NumWorkgroups: 1, WarpsPerGroup: 1}
-	w := NewWarp(l, 0, nil)
-	var info StepInfo
-	w.StepOne(&info) // vcmp: lanes 0..3
+	w := newWarp(l, 0, nil)
+	w.StepOne() // vcmp: lanes 0..3
 	if w.VCC() != 0xf {
 		t.Fatalf("VCC = %#x", w.VCC())
 	}
-	w.StepOne(&info) // saveexec
+	w.StepOne() // saveexec
 	if w.Exec() != 0xf {
 		t.Fatalf("EXEC after and_saveexec = %#x", w.Exec())
 	}
-	w.StepOne(&info) // andnot: EXEC = saved &^ VCC = all &^ 0xf
+	w.StepOne() // andnot: EXEC = saved &^ VCC = all &^ 0xf
 	if w.Exec() != ^uint64(0xf) {
 		t.Fatalf("EXEC after andn2 = %#x", w.Exec())
 	}
-	w.StepOne(&info) // setexec: restore saved
+	w.StepOne() // setexec: restore saved
 	if w.Exec() != ^uint64(0) {
 		t.Fatalf("EXEC after set = %#x", w.Exec())
 	}
-	w.StepOne(&info) // movexecall
+	w.StepOne() // movexecall
 	if w.Exec() != ^uint64(0) {
 		t.Fatalf("EXEC after mov_all = %#x", w.Exec())
 	}
@@ -241,10 +239,9 @@ func TestMaskedLanesDoNotWrite(t *testing.T) {
 	}, 0)
 	m := mem.NewFlat()
 	l := &kernel.Launch{Name: "mask", Program: prog, Memory: m, NumWorkgroups: 1, WarpsPerGroup: 1}
-	w := NewWarp(l, 0, nil)
-	var info StepInfo
+	w := newWarp(l, 0, nil)
 	for !w.Done() {
-		w.Step(&info)
+		w.Step()
 	}
 	if w.VReg(1, 0) != 99 || w.VReg(1, 1) != 99 {
 		t.Fatal("active lanes not written")
@@ -264,12 +261,11 @@ func TestBranchSemantics(t *testing.T) {
 		}, 0)
 		m := mem.NewFlat()
 		l := &kernel.Launch{Name: "br", Program: prog, Memory: m, NumWorkgroups: 1, WarpsPerGroup: 1}
-		w := NewWarp(l, 0, nil)
+		w := newWarp(l, 0, nil)
 		if setup != nil {
 			setup(w)
 		}
-		var info StepInfo
-		w.StepOne(&info)
+		w.StepOne()
 		return w.PC()
 	}
 	if run(isa.OpSBranch, nil) != 2 {

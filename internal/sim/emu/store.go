@@ -11,11 +11,6 @@ import (
 // operands of s_and_saveexec / s_set_exec).
 const maskSlots = 8
 
-// slotChunk is the granularity WarpStore capacity grows in when Alloc runs
-// out of free slots mid-launch. Growing in chunks keeps the amortized cost
-// of a grow O(1) per slot while bounding slack to one chunk.
-const slotChunk = 64
-
 // Per-slot flag bits packed into WarpStore.flags.
 const (
 	flagDone    uint8 = 1 << iota // warp executed s_endpgm
@@ -30,8 +25,9 @@ const (
 // slot handle into a store, so stepping, resetting and snapshotting warps
 // sweeps contiguous memory instead of chasing per-warp heap objects.
 //
-// Stores are sized at launch time (Configure) and grow in slotChunk chunks
-// if a launch needs more resident warps than planned (Alloc). A store is
+// A store is sized once per launch (Configure) to an exact bound on the
+// warps its owner keeps bound at once — timing.ResidentWarpSlots for the
+// detailed machine, WarpsPerGroup for a Group — and never grows. It is
 // bound to one launch at a time; Configure rebinds it, reusing the slabs
 // whenever the new launch's register shape fits. Stores are not safe for
 // concurrent use — the parallel harness gives each job its own.
@@ -49,9 +45,7 @@ type WarpStore struct {
 	vwords int // VGPR words per slot (NumVRegs * 64 lanes)
 	blocks int // BBV counters per slot
 
-	slots int // allocated slot count (slab length / stride)
-
-	// One lane per slot.
+	// One lane per slot; len(pc) is the slot count.
 	pc        []int32
 	exec      []uint64
 	vcc       []uint64
@@ -70,7 +64,7 @@ type WarpStore struct {
 	// LIFO free list of slot indices for Alloc/Release.
 	free []int32
 
-	// addrBuf is the scratch address buffer StepInfo.Addrs aliases. One per
+	// addrBuf is the scratch address buffer Step's result aliases. One per
 	// store (not per warp): Step's caller consumes the addresses before the
 	// next Step on the same store, so sharing it saves 512 bytes per slot.
 	addrBuf [kernel.WavefrontSize]uint64
@@ -83,81 +77,52 @@ type WarpStore struct {
 	bcast  [3]lanes
 }
 
-// NewWarpStore builds a store for the launch with the given slot capacity.
-func NewWarpStore(l *kernel.Launch, slots int) *WarpStore {
-	s := &WarpStore{}
-	s.Configure(l, slots)
-	return s
-}
-
-// Configure binds the store to a launch and (re)sizes it to the given slot
+// Configure binds the store to a launch and sizes it to the given slot
 // count, reusing the existing slabs whenever their capacity fits the new
 // shape. All slots become free; live handles from a previous configuration
 // are invalid. The pooled simulation paths call this once per kernel, so
 // steady-state reconfiguration with a stable shape does not allocate.
 func (s *WarpStore) Configure(l *kernel.Launch, slots int) {
-	if slots < 1 {
-		slots = 1
-	}
 	p := l.Program
 	s.launch = l
 	s.mem = l.Memory
 	s.sregs = max(p.NumSRegs, kernel.ArgSGPRBase+len(l.Args))
 	s.vwords = p.NumVRegs * kernel.WavefrontSize
 	s.blocks = p.NumBlocks()
-	s.slots = 0
-	s.grow(slots)
+	s.pc = resize(s.pc, slots)
+	s.exec = resize(s.exec, slots)
+	s.vcc = resize(s.vcc, slots)
+	s.instCount = resize(s.instCount, slots)
+	s.outMem = resize(s.outMem, slots)
+	s.flags = resize(s.flags, slots)
+	s.masks = resize(s.masks, slots*maskSlots)
+	s.sgpr = resize(s.sgpr, slots*s.sregs)
+	s.vgpr = resize(s.vgpr, slots*s.vwords)
+	s.bb = resize(s.bb, slots*s.blocks)
 	s.free = s.free[:0]
 	for i := slots - 1; i >= 0; i-- {
 		s.free = append(s.free, int32(i))
 	}
 }
 
-// grow extends every slab to cover `to` slots, preserving the contents of
-// existing slots (mid-launch growth must not disturb live warps). Growth
-// only ever happens between instructions — at Configure or Alloc, never
-// inside Step — so no caller holds a stale sub-slice across it.
-func (s *WarpStore) grow(to int) {
-	if to <= s.slots {
-		return
-	}
-	s.pc = growSlab(s.pc, to, 1)
-	s.exec = growSlab(s.exec, to, 1)
-	s.vcc = growSlab(s.vcc, to, 1)
-	s.instCount = growSlab(s.instCount, to, 1)
-	s.outMem = growSlab(s.outMem, to, 1)
-	s.flags = growSlab(s.flags, to, 1)
-	s.masks = growSlab(s.masks, to, maskSlots)
-	s.sgpr = growSlab(s.sgpr, to, s.sregs)
-	s.vgpr = growSlab(s.vgpr, to, s.vwords)
-	s.bb = growSlab(s.bb, to, s.blocks)
-	s.slots = to
-}
-
-// growSlab returns the slab resized to slots*stride elements, reusing its
-// backing array when the capacity suffices and copying the old contents
-// over otherwise.
-func growSlab[T any](slab []T, slots, stride int) []T {
-	n := slots * stride
+// resize returns a slab of n elements, reusing slab's backing array when
+// its capacity suffices. The contents are stale until Bind.
+func resize[T any](slab []T, n int) []T {
 	if cap(slab) >= n {
 		return slab[:n]
 	}
-	ns := make([]T, n)
-	copy(ns, slab)
-	return ns
+	return make([]T, n)
 }
 
-// Alloc pops a free slot, growing the store by slotChunk slots when none is
-// left. The returned slot's contents are stale until Bind.
+// Alloc pops a free slot; its contents are stale until Bind. The store
+// never grows, so Alloc on an exhausted store is a broken sizing bound and
+// panics.
 func (s *WarpStore) Alloc() int {
-	if len(s.free) == 0 {
-		old := s.slots
-		s.grow(old + slotChunk)
-		for i := s.slots - 1; i >= old; i-- {
-			s.free = append(s.free, int32(i))
-		}
-	}
 	k := len(s.free) - 1
+	if k < 0 {
+		panic(fmt.Sprintf("emu: %s: warp store exhausted: all %d slots bound (the bound Configure sized it to)",
+			s.launch.Name, len(s.pc)))
+	}
 	slot := int(s.free[k])
 	s.free = s.free[:k]
 	return slot
@@ -169,19 +134,13 @@ func (s *WarpStore) Release(slot int) {
 	s.free = append(s.free, int32(slot))
 }
 
-// Slots returns the allocated slot capacity.
-func (s *WarpStore) Slots() int { return s.slots }
-
-// FreeSlots returns how many slots are currently unbound.
-func (s *WarpStore) FreeSlots() int { return len(s.free) }
-
 // Bind resets the slot to warp globalID's dispatch state and returns a
 // handle for it. lds is the workgroup's local-data-share backing, shared
 // between sibling warps.
 func (s *WarpStore) Bind(slot, globalID int, lds []byte) Warp {
-	if slot < 0 || slot >= s.slots {
+	if slot < 0 || slot >= len(s.pc) {
 		panic(fmt.Sprintf("emu: %s: bind of slot %d in a %d-slot store",
-			s.launch.Name, slot, s.slots))
+			s.launch.Name, slot, len(s.pc)))
 	}
 	l := s.launch
 	w := Warp{
@@ -227,11 +186,3 @@ func (s *WarpStore) resetSlot(slot int, w *Warp) {
 }
 
 func (s *WarpStore) scc(slot int) bool { return s.flags[slot]&flagSCC != 0 }
-
-func (s *WarpStore) setSCC(slot int, v bool) {
-	if v {
-		s.flags[slot] |= flagSCC
-	} else {
-		s.flags[slot] &^= flagSCC
-	}
-}

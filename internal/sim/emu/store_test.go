@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"strings"
 	"testing"
 
 	"photon/internal/sim/isa"
@@ -14,10 +15,9 @@ import (
 // allocate (Snapshot allocated three slices per retired warp).
 func TestSnapshotIntoZeroAlloc(t *testing.T) {
 	l, _, _, _ := vecAddLaunch(t, 2*64, 2)
-	w := NewWarp(l, 0, nil)
-	var info StepInfo
+	w := newWarp(l, 0, nil)
 	for !w.Done() {
-		w.Step(&info)
+		w.Step()
 	}
 	var st WarpState
 	w.SnapshotInto(&st) // size the buffers
@@ -36,20 +36,20 @@ func ptr[T any](v T) *T { return &v }
 // occupant must be indistinguishable from a warp bound to a never-used slot.
 func TestWarpStoreSlotRecycling(t *testing.T) {
 	l, _, _, _ := vecAddLaunch(t, 3*64, 3)
-	s := NewWarpStore(l, 2)
-	if s.Slots() != 2 || s.FreeSlots() != 2 {
-		t.Fatalf("fresh store: %d slots, %d free; want 2, 2", s.Slots(), s.FreeSlots())
+	var s WarpStore
+	s.Configure(l, 2)
+	if len(s.pc) != 2 || len(s.free) != 2 {
+		t.Fatalf("fresh store: %d slots, %d free; want 2, 2", len(s.pc), len(s.free))
 	}
 
 	slot := s.Alloc()
 	w := s.Bind(slot, 0, nil)
-	var info StepInfo
 	for !w.Done() {
-		w.Step(&info)
+		w.Step()
 	}
 	s.Release(slot)
-	if s.FreeSlots() != 2 {
-		t.Fatalf("after release: %d free slots, want 2", s.FreeSlots())
+	if len(s.free) != 2 {
+		t.Fatalf("after release: %d free slots, want 2", len(s.free))
 	}
 
 	// LIFO reuse: the recycled slot is handed out first and must carry no
@@ -73,55 +73,39 @@ func TestWarpStoreSlotRecycling(t *testing.T) {
 			w2.SReg(0), w2.SReg(1), w2.SReg(2), w2.SReg(3))
 	}
 	for !w2.Done() {
-		w2.Step(&info)
+		w2.Step()
 	}
-	ref := NewWarp(l, 1, nil)
+	ref := newWarp(l, 1, nil)
 	for !ref.Done() {
-		ref.Step(&info)
+		ref.Step()
 	}
 	if d := ptr(w2.Snapshot()).Diff(ptr(ref.Snapshot())); d != "" {
 		t.Fatalf("recycled-slot warp diverged from fresh warp:\n%s", d)
 	}
 }
 
-// TestWarpStoreGrowthMidLaunch checks that Alloc-triggered slab growth
-// preserves the state of warps already in flight: a warp stepped halfway,
-// surviving a grow, must finish exactly like an ungrown one.
-func TestWarpStoreGrowthMidLaunch(t *testing.T) {
+// TestWarpStoreExhaustedPanics pins the sizing contract: a store never
+// grows, so an Alloc past the slot count Configure sized it to means its
+// owner's bound is broken, and it panics naming that bound. A released slot
+// makes Alloc succeed again.
+func TestWarpStoreExhaustedPanics(t *testing.T) {
 	l, _, _, _ := vecAddLaunch(t, 3*64, 3)
-	s := NewWarpStore(l, 1)
-	w0 := s.Bind(s.Alloc(), 0, nil)
-	var info StepInfo
-	for i := 0; i < 5; i++ { // leave warp 0 mid-flight
-		w0.StepOne(&info)
-	}
-	midPC := w0.PC()
-
-	slot1 := s.Alloc() // free list is empty: this grows the slabs
-	if s.Slots() <= 1 {
-		t.Fatalf("store did not grow: %d slots", s.Slots())
-	}
-	if w0.PC() != midPC || w0.InstCount() != 5 {
-		t.Fatalf("growth disturbed in-flight warp: pc=%d insts=%d", w0.PC(), w0.InstCount())
-	}
-
-	w1 := s.Bind(slot1, 1, nil)
-	for !w0.Done() {
-		w0.Step(&info)
-	}
-	for !w1.Done() {
-		w1.Step(&info)
-	}
-	for id, w := range map[int]Warp{0: w0, 1: w1} {
-		// Fresh launch state so the reference run replays the same memory.
-		rl, _, _, _ := vecAddLaunch(t, 3*64, 3)
-		ref := NewWarp(rl, id, nil)
-		for !ref.Done() {
-			ref.Step(&info)
-		}
-		if d := ptr(w.Snapshot()).Diff(ptr(ref.Snapshot())); d != "" {
-			t.Fatalf("warp %d diverged across mid-launch growth:\n%s", id, d)
-		}
+	var s WarpStore
+	s.Configure(l, 2)
+	s.Alloc()
+	last := s.Alloc()
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "vecadd: warp store exhausted: all 2 slots bound") {
+				t.Fatalf("Alloc on a full 2-slot store: panic %q, want one naming the 2-slot bound", msg)
+			}
+		}()
+		s.Alloc()
+	}()
+	s.Release(last)
+	if got := s.Alloc(); got != last {
+		t.Fatalf("Alloc after Release = slot %d, want %d", got, last)
 	}
 }
 

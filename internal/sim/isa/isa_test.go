@@ -61,8 +61,8 @@ func TestBasicBlockStructure(t *testing.T) {
 			t.Errorf("block %d = %v, want %v", i, got, w)
 		}
 	}
-	if p.BlockIndexAt(3) != 1 {
-		t.Errorf("BlockIndexAt(3) = %d, want 1", p.BlockIndexAt(3))
+	if b := p.BlockAt(3); b.ID != 1 {
+		t.Errorf("BlockAt(3) = block %d, want 1", b.ID)
 	}
 }
 
@@ -209,8 +209,8 @@ func TestWithBlockOptionsSplitsAtWaitcnt(t *testing.T) {
 
 func TestAtomicOpsClassification(t *testing.T) {
 	for _, op := range []Op{OpVAtomicAdd, OpVAtomicMax, OpVAtomicMin, OpVAtomicFAdd} {
-		if !op.IsAtomic() || !op.IsVectorMemory() {
-			t.Errorf("%s not classified as atomic vector memory", op)
+		if !op.IsAtomic() {
+			t.Errorf("%s not classified as atomic", op)
 		}
 		if op.Class() != FUVectorMem {
 			t.Errorf("%s class = %s, want vmem", op, op.Class())

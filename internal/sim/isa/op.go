@@ -240,11 +240,6 @@ func (o Op) classOf() FUClass {
 // branch.
 func (o Op) IsBranch() bool { return o >= OpSBranch && o <= OpCBranchExecNZ }
 
-// IsVectorMemory reports whether the opcode accesses global memory per lane.
-func (o Op) IsVectorMemory() bool {
-	return o == OpVLoad || o == OpVStore || o.IsAtomic()
-}
-
 // IsAtomic reports whether the opcode is an atomic read-modify-write.
 func (o Op) IsAtomic() bool {
 	return o == OpVAtomicAdd || o == OpVAtomicMax || o == OpVAtomicMin || o == OpVAtomicFAdd

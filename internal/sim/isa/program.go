@@ -230,9 +230,6 @@ func (p *Program) WithBlockOptions(o BlockOptions) *Program {
 // BlockAt returns the basic block containing pc.
 func (p *Program) BlockAt(pc int) BasicBlock { return p.Blocks[p.uops[pc].Block] }
 
-// BlockIndexAt returns the index of the basic block containing pc.
-func (p *Program) BlockIndexAt(pc int) int { return int(p.uops[pc].Block) }
-
 // MicroOps returns the program's pre-decoded instruction table, indexed by
 // PC. It is built once with the block structure and never written again, so
 // concurrent readers need no synchronization; callers must not modify it.

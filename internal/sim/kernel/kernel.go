@@ -36,14 +36,11 @@ type Launch struct {
 }
 
 // ArgSGPRBase is the first scalar register holding kernel arguments.
-// Registers s0..s3 carry the dispatch IDs (see emu.NewWarp).
+// Registers s0..s3 carry the dispatch IDs (see emu.WarpStore.Bind).
 const ArgSGPRBase = 8
 
 // TotalWarps returns the warp count of the launch.
 func (l *Launch) TotalWarps() int { return l.NumWorkgroups * l.WarpsPerGroup }
-
-// TotalThreads returns the thread (work-item) count of the launch.
-func (l *Launch) TotalThreads() int { return l.TotalWarps() * WavefrontSize }
 
 // Validate checks the launch for consistency.
 func (l *Launch) Validate() error {

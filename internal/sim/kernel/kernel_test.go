@@ -22,9 +22,6 @@ func TestLaunchCounts(t *testing.T) {
 	if l.TotalWarps() != 6 {
 		t.Fatalf("TotalWarps = %d", l.TotalWarps())
 	}
-	if l.TotalThreads() != 6*WavefrontSize {
-		t.Fatalf("TotalThreads = %d", l.TotalThreads())
-	}
 }
 
 func TestLaunchValidate(t *testing.T) {

@@ -94,9 +94,6 @@ func (m *Flat) Alloc(size uint64) uint64 {
 	return base
 }
 
-// Footprint returns the total bytes allocated so far.
-func (m *Flat) Footprint() uint64 { return m.brk - pageSize }
-
 // readPage returns the page a load of addr reads: the mapped page, or the
 // shared zero page when addr was never written.
 func (m *Flat) readPage(addr uint64) *page {

@@ -46,18 +46,14 @@ func (c Config) WarpSlotsPerCU() int { return c.SIMDsPerCU * c.WarpSlotsPerSIMD 
 
 // ResidentWarpSlots returns how many warps of launch l can be
 // architecturally resident at once under this geometry: the device-wide
-// slot capacity, capped by the launch's own warp count. The machine sizes
-// its structure-of-arrays WarpStore to this at launch time, so small grids
-// pay only for the slots they can occupy.
+// slot capacity, capped by the launch's own warp count. It is an exact
+// bound — dispatch places a workgroup only on a CU with WarpsPerGroup free
+// slots and a workgroup's store slots are released with its CU slots — so
+// the machine sizes its structure-of-arrays WarpStore to it at launch time
+// and the store never runs out; small grids pay only for the slots they can
+// occupy.
 func ResidentWarpSlots(c Config, l *kernel.Launch) int {
-	slots := c.NumCUs * c.WarpSlotsPerCU()
-	if t := l.TotalWarps(); t < slots {
-		slots = t
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	return slots
+	return min(c.NumCUs*c.WarpSlotsPerCU(), l.TotalWarps())
 }
 
 // Validate checks the configuration.

@@ -95,7 +95,6 @@ type warpCtx struct {
 	cu   *cu
 	simd *simdUnit
 	grp  *groupRT
-	info emu.StepInfo
 
 	// The machine's own position in the warp's instruction stream. Step
 	// executes an instruction together with its private run, so the
@@ -237,8 +236,8 @@ func (m *Machine) Run(l *kernel.Launch) (Result, error) {
 	m.uops = l.Program.MicroOps()
 	// Size the warp store from the grid dimensions: enough slots for every
 	// warp that can be architecturally resident at once, but never more
-	// than the launch itself needs. Alloc grows it in chunks if a later
-	// launch outruns the plan.
+	// than the launch itself needs. The bound is exact, so the store never
+	// runs out.
 	m.store.Configure(l, ResidentWarpSlots(m.cfg, l))
 	m.nextWG, m.instCount, m.warpsDone, m.gated = 0, 0, 0, false
 	m.classIssued, m.classLatSum = [isa.FUClassCount]uint64{}, [isa.FUClassCount]uint64{}
@@ -447,7 +446,9 @@ func (m *Machine) pump(s *simdUnit, now event.Time) {
 // issue issues the warp's next instruction and schedules its next readiness.
 // Everything the timing model needs of an instruction but its addresses is a
 // static fact of its micro-op, so the emulator is called only when the warp
-// has no pre-executed instruction left: once per private run.
+// has no pre-executed instruction left: once per private run. Step returns
+// the addresses; a run holds no memory instruction, so a pre-executed one
+// needs none.
 func (m *Machine) issue(wc *warpCtx, now event.Time) {
 	if !wc.started {
 		wc.started = true
@@ -460,6 +461,7 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 	// BlockRetired callback, which therefore sees the warp exactly between
 	// the two blocks, and the instruction fetch — is on the Step side only.
 	var u *isa.MicroOp
+	var addrs []uint64
 	var fetchDone event.Time
 	if wc.preExec > 0 {
 		wc.preExec--
@@ -471,7 +473,7 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 		if u.Head {
 			fetchDone = m.enterBlock(wc, u, now)
 		}
-		wc.warp.Step(&wc.info)
+		addrs = wc.warp.Step()
 		wc.preExec = u.Run
 	}
 	m.instCount++
@@ -486,27 +488,27 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 	m.classIssued[class]++
 
 	switch u.Step {
-	case emu.StepVectorMem:
-		done := m.hier.VectorAccess(now, c.id, wc.info.Addrs, u.Store)
+	case isa.StepVectorMem:
+		done := m.hier.VectorAccess(now, c.id, addrs, u.Store)
 		latency = done - now
 		wc.outstanding++
 		if done > wc.memDoneAt {
 			wc.memDoneAt = done
 		}
 		ready = now + m.cfg.VectorMemIssueCycles
-	case emu.StepAtomic:
-		done := m.hier.AtomicAccess(now, c.id, wc.info.Addrs)
+	case isa.StepAtomic:
+		done := m.hier.AtomicAccess(now, c.id, addrs)
 		latency = done - now
 		wc.outstanding++
 		if done > wc.memDoneAt {
 			wc.memDoneAt = done
 		}
 		ready = now + m.cfg.VectorMemIssueCycles
-	case emu.StepScalarMem:
-		done := m.hier.ScalarAccess(now, c.id, wc.info.SAddr)
+	case isa.StepScalarMem:
+		done := m.hier.ScalarAccess(now, c.id, addrs[0])
 		latency = done - now
 		ready = done // blocking scalar load
-	case emu.StepWaitcnt:
+	case isa.StepWaitcnt:
 		if wc.outstanding > int(u.Offset) {
 			wc.outstanding = 0
 			if wc.memDoneAt > ready {
@@ -521,9 +523,9 @@ func (m *Machine) issue(wc *warpCtx, now event.Time) {
 	}
 
 	switch u.Step {
-	case emu.StepBarrier:
+	case isa.StepBarrier:
 		m.arriveBarrier(wc, now)
-	case emu.StepDone:
+	case isa.StepDone:
 		m.retireWarp(wc, now)
 	default:
 		if fetchDone > ready {

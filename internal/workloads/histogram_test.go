@@ -4,10 +4,11 @@ import (
 	"hash/fnv"
 	"math"
 
-	"photon/internal/sim/emu"
 	"testing"
 
+	"photon/internal/sim/emu"
 	"photon/internal/sim/gpu"
+	"photon/internal/sim/kernel"
 )
 
 func TestHistogramFunctional(t *testing.T) {
@@ -85,7 +86,7 @@ func TestHistogramContentionCosts(t *testing.T) {
 			t.Fatal(err)
 		}
 		l := app.Launches[0]
-		n := l.TotalThreads()
+		n := l.TotalWarps() * kernel.WavefrontSize
 		data := uint64(l.Args[0])
 		host := make([]uint32, n)
 		mutate(host)
