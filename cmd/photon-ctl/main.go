@@ -195,7 +195,7 @@ func (c *client) submit(args []string) int {
 		bench     = fs.String("bench", "", "benchmark for a single-cell job: "+strings.Join(harness.WorkloadNames(), "|"))
 		size      = fs.Int("size", 0, "problem size (0: the benchmark's default)")
 		arch      = fs.String("arch", "", "gpu config: r9nano (default) or mi100")
-		modes     = fs.String("modes", "", "comma-separated runner modes (photon,pka,bb,warp,kernel,tbpoint)")
+		modes     = fs.String("modes", "", "comma-separated runner modes ("+strings.Join(harness.ModeNames(), ",")+"; the full baseline row is always included)")
 		quick     = fs.Bool("quick", false, "quick mode (smallest sizes) for experiment jobs")
 		fixedWall = fs.Bool("fixed-wall", false, "pin wall times for byte-identical output")
 		prNodes   = fs.Int("pr-nodes", 0, "PageRank node count for experiment jobs")

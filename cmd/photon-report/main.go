@@ -123,7 +123,7 @@ func renderExperiment(dir, exp string, recs []harness.Record) error {
 	groupOrder := []gkey{}
 	vals := map[gkey]map[string]harness.Record{}
 	for _, r := range recs {
-		if r.Runner == "full" {
+		if r.Runner == harness.BaselineMode {
 			continue
 		}
 		if !seenRunner[r.Runner] {

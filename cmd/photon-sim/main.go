@@ -28,7 +28,7 @@ func main() {
 		bench      = flag.String("bench", "MM", "benchmark: "+strings.Join(harness.WorkloadNames(), "|"))
 		size       = flag.Int("size", 0, "problem size in warps (single-kernel benchmarks; 0 = first figure size); node count for pr, layers for transformer, batch for trainstep")
 		arch       = flag.String("arch", "r9nano", "GPU configuration: r9nano or mi100")
-		mode       = flag.String("mode", "photon", "runner: full|photon|bb|warp|kernel|pka|tbpoint")
+		mode       = flag.String("mode", "photon", "runner: "+strings.Join(harness.ModeNames(), "|"))
 		perKernel  = flag.Bool("per-kernel", false, "print one row per kernel launch")
 		check      = flag.Bool("check", false, "audit simulator invariants inline and verify functional correctness after simulation (where supported)")
 		store      = flag.String("analysis-store", "", "offline Photon: JSON file caching online-analysis profiles (created if missing)")
@@ -51,8 +51,19 @@ func main() {
 		"warp": trace.LevelWarp, "block": trace.LevelBlock, "inst": trace.LevelInst,
 	}[*traceLvl]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "photon-sim: unknown -trace-level %q (want warp|block|inst)\n", *traceLvl)
-		os.Exit(2)
+		usageError("unknown -trace-level %q (want warp|block|inst)", *traceLvl)
+	}
+	cfg, ok := gpu.Configs(*arch)
+	if !ok {
+		usageError("unknown -arch %q (want r9nano|mi100)", *arch)
+	}
+	wl, err := harness.FindWorkload(*bench)
+	if err != nil {
+		usageError("%v", err)
+	}
+	factory, err := harness.FactoryForMode(*mode, core.DefaultParams())
+	if err != nil {
+		usageError("%v", err)
 	}
 
 	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
@@ -65,14 +76,6 @@ func main() {
 		}
 	}()
 
-	cfg, ok := gpu.Configs(*arch)
-	if !ok {
-		fatal("unknown arch %q", *arch)
-	}
-	wl, err := harness.FindWorkload(*bench)
-	if err != nil {
-		fatal("%v", err)
-	}
 	app, err := wl.Point(*size, harness.DefaultOptions().DNNScale).Build()
 	if err != nil {
 		fatal("%v", err)
@@ -90,10 +93,6 @@ func main() {
 			fmt.Println(l.Program.Disassemble())
 		}
 		return
-	}
-	factory, err := harness.FactoryForMode(*mode, core.DefaultParams())
-	if err != nil {
-		fatal("%v", err)
 	}
 	runner := factory.New(cfg)
 	var tracer *trace.Tracer
@@ -115,7 +114,14 @@ func main() {
 	if *store != "" {
 		ph, ok := runner.(*core.Photon)
 		if !ok {
-			fatal("-analysis-store requires a Photon mode (photon|bb|warp|kernel)")
+			var photonModes []string
+			for _, m := range harness.ModeNames() {
+				f, _ := harness.FactoryForMode(m, core.DefaultParams())
+				if _, ok := f.New(cfg).(*core.Photon); ok {
+					photonModes = append(photonModes, m)
+				}
+			}
+			fatal("-analysis-store requires a Photon mode (%s)", strings.Join(photonModes, "|"))
 		}
 		analysisStore = core.NewAnalysisStore()
 		if err := analysisStore.LoadFile(*store); err != nil && !os.IsNotExist(err) {
@@ -183,7 +189,7 @@ func main() {
 		} else if k, stale := res.StaleKernel(); stale {
 			fmt.Printf("check: skipped (%s ran under %s, which predicts its remaining workgroups without executing them; DESIGN.md \"Memory contract per tier\")\n", k.Name, k.Mode)
 		} else if err := app.Check(); err != nil {
-			if *mode != "full" {
+			if *mode != harness.BaselineMode {
 				fatal("check failed: %v (a sampled mode's online analysis executes ~1%% of the workgroups against the live image before the run, which perturbs a non-idempotent kernel: ROADMAP item 1)", err)
 			}
 			fatal("check failed: %v", err)
@@ -196,4 +202,11 @@ func main() {
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "photon-sim: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// usageError reports a flag value outside its accepted set: exit 2, like a
+// flag parse error.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "photon-sim: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -141,8 +141,11 @@ func TestUnknownEnumFlagValues(t *testing.T) {
 		want string
 	}{
 		{[]string{"-trace-level", "blocks", "-mode", "full", "-trace", filepath.Join(dir, "trace.txt")}, "(want warp|block|inst)"},
+		{[]string{"-mode", "bogus"}, "(want " + strings.Join(harness.ModeNames(), "|") + ")"},
+		{[]string{"-arch", "bogus"}, "(want r9nano|mi100)"},
+		{[]string{"-bench", "bogus"}, "(want one of " + strings.Join(harness.WorkloadNames(), ", ") + ")"},
 	} {
-		out, err := exec.Command(bin, append(tc.args, "-bench", "FIR", "-size", "384")...).CombinedOutput()
+		out, err := exec.Command(bin, append([]string{"-bench", "FIR", "-size", "384"}, tc.args...)...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
 			t.Errorf("%v: %v, output %q; want exit 2 naming %s", tc.args, err, out, tc.want)

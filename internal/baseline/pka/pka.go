@@ -132,6 +132,14 @@ func New(params Params) *Runner {
 // Name implements gpu.Runner.
 func (r *Runner) Name() string { return "pka" }
 
+// PKA's tiers. Both kernel-level reuse and IPC extrapolation predict
+// workgroups the runner never executes, so their results are stale.
+const (
+	TierFull    = "pka-full"
+	TierKernel  = "pka-kernel"
+	TierSampled = "pka-sampled"
+)
+
 func bucket(v float64) int {
 	if v <= 0 {
 		return 0
@@ -156,7 +164,8 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		return gpu.KernelResult{
 			SimTime: prev.simTime,
 			Insts:   prev.insts,
-			Mode:    "pka-kernel",
+			Mode:    TierKernel,
+			Stale:   true,
 			Wall:    time.Since(start),
 		}, nil
 	}
@@ -169,7 +178,7 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 
 	result := gpu.KernelResult{DetailedInsts: res.InstCount, Wall: 0}
 	if res.Complete || !mon.triggered {
-		result.Mode = "pka-full"
+		result.Mode = TierFull
 		result.SimTime = res.EndTime
 		result.Insts = res.InstCount
 	} else {
@@ -177,7 +186,7 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		// counting from the moment the monitor fired (the detailed model
 		// drains in-flight workgroups past that point; PKA's model charges
 		// the remainder at the stable rate).
-		result.Mode = "pka-sampled"
+		result.Mode, result.Stale = TierSampled, true
 		remaining := totalInsts - float64(res.InstCount)
 		if remaining < 0 {
 			remaining = 0

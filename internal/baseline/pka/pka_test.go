@@ -40,8 +40,8 @@ func TestPKASamplesStableWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Mode != "pka-sampled" {
-		t.Fatalf("mode = %s, want pka-sampled (IPC of ReLU should stabilize)", r.Mode)
+	if r.Mode != TierSampled || !r.Stale {
+		t.Fatalf("mode = %s (stale=%v), want a stale %s (IPC of ReLU should stabilize)", r.Mode, r.Stale, TierSampled)
 	}
 	app2, _ := workloads.BuildReLU(8192)
 	full, err := (gpu.FullRunner{}).RunKernel(gpu.New(smallGPU()), app2.Launches[0])
@@ -65,16 +65,17 @@ func TestPKAKernelLevelReuse(t *testing.T) {
 	g := gpu.New(smallGPU())
 	runner := New(DefaultParams())
 	var modes []string
+	reused := 0
 	for _, l := range app.Launches {
 		r, err := runner.RunKernel(g, l)
 		if err != nil {
 			t.Fatal(err)
 		}
 		modes = append(modes, r.Mode)
-	}
-	reused := 0
-	for _, m := range modes {
-		if m == "pka-kernel" {
+		if r.Mode == TierKernel {
+			if !r.Stale {
+				t.Fatalf("%s result not stale: a reused kernel executes no workgroup", TierKernel)
+			}
 			reused++
 		}
 	}
@@ -97,8 +98,8 @@ func TestPKAFallsBackToFullWhenUnstable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Mode != "pka-full" {
-		t.Fatalf("mode = %s, want pka-full", r.Mode)
+	if r.Mode != TierFull || r.Stale {
+		t.Fatalf("mode = %s (stale=%v), want an image-exact %s", r.Mode, r.Stale, TierFull)
 	}
 }
 

@@ -45,6 +45,13 @@ func New(params Params) *Runner { return &Runner{params: params} }
 // Name implements gpu.Runner.
 func (r *Runner) Name() string { return "tbpoint" }
 
+// TBPoint's tiers. A sampled kernel's remaining workgroups are extrapolated,
+// not executed, so its result is stale.
+const (
+	TierFull    = "tbpoint-full"
+	TierSampled = "tbpoint-sampled"
+)
+
 // groupTimer records per-workgroup durations during the detailed phase.
 type groupTimer struct {
 	wpg      int
@@ -123,11 +130,11 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	}
 	result := gpu.KernelResult{DetailedInsts: res.InstCount}
 	if res.Complete {
-		result.Mode = "tbpoint-full"
+		result.Mode = TierFull
 		result.SimTime = res.EndTime
 		result.Insts = res.InstCount
 	} else {
-		result.Mode = "tbpoint-sampled"
+		result.Mode, result.Stale = TierSampled, true
 		remaining := l.NumWorkgroups - res.NextWG
 		end := core.UniformMakespan(float64(res.GateTime), float64(res.EndTime),
 			timer.meanGroupDuration(), remaining, shape)

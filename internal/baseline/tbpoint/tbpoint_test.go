@@ -22,8 +22,8 @@ func TestTBPointSamplesRegularWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Mode != "tbpoint-sampled" {
-		t.Fatalf("mode = %s, want tbpoint-sampled", r.Mode)
+	if r.Mode != TierSampled || !r.Stale {
+		t.Fatalf("mode = %s (stale=%v), want a stale %s", r.Mode, r.Stale, TierSampled)
 	}
 	app2, _ := workloads.BuildReLU(8192)
 	full, err := (gpu.FullRunner{}).RunKernel(gpu.New(gpu.R9Nano()), app2.Launches[0])
@@ -49,8 +49,8 @@ func TestTBPointFallsBackOnSmallKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Mode != "tbpoint-full" {
-		t.Fatalf("mode = %s, want tbpoint-full (kernel below MinGroups)", r.Mode)
+	if r.Mode != TierFull || r.Stale {
+		t.Fatalf("mode = %s (stale=%v), want an image-exact %s (kernel below MinGroups)", r.Mode, r.Stale, TierFull)
 	}
 }
 

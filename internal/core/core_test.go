@@ -244,9 +244,9 @@ func TestHistoryMatchRules(t *testing.T) {
 	if _, ok := h.Match(g, 1000, 1e4); ok {
 		t.Fatal("empty history matched")
 	}
-	h.Add(KernelRecord{Name: "a", GPU: g, Warps: 900, Insts: 9e6, SampledInsts: 9e4, SimTime: 1e5})
-	h.Add(KernelRecord{Name: "b", GPU: g, Warps: 100, Insts: 1e6, SampledInsts: 1e4, SimTime: 2e4})
-	h.Add(KernelRecord{Name: "c", GPU: mkGBBV(9, 1), Warps: 1000, Insts: 9e6, SampledInsts: 9e4, SimTime: 1e5})
+	h.Add(KernelRecord{Name: "a", GPU: g, Warps: 900, Insts: 9e6, SimTime: 1e5})
+	h.Add(KernelRecord{Name: "b", GPU: g, Warps: 100, Insts: 1e6, SimTime: 2e4})
+	h.Add(KernelRecord{Name: "c", GPU: mkGBBV(9, 1), Warps: 1000, Insts: 9e6, SimTime: 1e5})
 
 	// Closest warp count among BBV matches wins. Records a and b both run
 	// 1e4 insts per warp.
@@ -274,7 +274,7 @@ func TestHistoryMatchRules(t *testing.T) {
 	}
 	// Below the CU count, warp counts must be exactly equal.
 	h2 := NewHistory(0.05, 64)
-	h2.Add(KernelRecord{Name: "small", GPU: g, Warps: 32, Insts: 1e4, SampledInsts: 100, SimTime: 1e3})
+	h2.Add(KernelRecord{Name: "small", GPU: g, Warps: 32, Insts: 1e4, SimTime: 1e3})
 	if _, ok := h2.Match(g, 33, 312.5); ok {
 		t.Fatal("sub-CU-count kernel matched an unequal warp count")
 	}
@@ -283,20 +283,10 @@ func TestHistoryMatchRules(t *testing.T) {
 	}
 }
 
-func TestKernelRecordPredict(t *testing.T) {
-	rec := KernelRecord{Insts: 1e6, SampledInsts: 1e4, SimTime: 5e4}
-	insts, simTime := rec.Predict(2e4)
-	if insts != 2e6 {
-		t.Fatalf("predicted insts = %v, want 2e6", insts)
-	}
-	if simTime != 1e5 {
-		t.Fatalf("predicted time = %v, want 1e5", simTime)
-	}
-}
-
 // runBoth runs an app's kernels under full detailed and under the given
-// runner on fresh GPU instances, returning total kernel times.
-func runBoth(t *testing.T, build func() *workloads.App, sampled gpu.Runner) (full, pred event.Time, modes []string) {
+// runner on fresh GPU instances, returning total kernel times and the
+// sampled runner's per-kernel results.
+func runBoth(t *testing.T, build func() *workloads.App, sampled gpu.Runner) (full, pred event.Time, rs []gpu.KernelResult) {
 	t.Helper()
 	gFull := gpu.New(smallGPU())
 	appFull := build()
@@ -315,9 +305,9 @@ func runBoth(t *testing.T, build func() *workloads.App, sampled gpu.Runner) (ful
 			t.Fatal(err)
 		}
 		pred += r.SimTime
-		modes = append(modes, r.Mode)
+		rs = append(rs, r)
 	}
-	return full, pred, modes
+	return full, pred, rs
 }
 
 func TestPhotonWarpSamplingOnReLU(t *testing.T) {
@@ -329,14 +319,14 @@ func TestPhotonWarpSamplingOnReLU(t *testing.T) {
 		return app
 	}
 	ph := MustNew(smallGPU(), testParams(), AllLevels())
-	full, pred, modes := runBoth(t, build, ph)
-	if modes[0] == "full" {
-		t.Fatalf("sampling never triggered on ReLU (mode=%s)", modes[0])
+	full, pred, rs := runBoth(t, build, ph)
+	if rs[0].Mode != TierWarp || !rs[0].Stale {
+		t.Fatalf("ReLU ran under %s (stale=%v), want a stale %s result", rs[0].Mode, rs[0].Stale, TierWarp)
 	}
 	err := stats.AbsErrorPct(float64(full), float64(pred))
 	if err > 35 {
 		t.Fatalf("ReLU sampling error %.1f%% too high (full=%d pred=%d mode=%s)",
-			err, full, pred, modes[0])
+			err, full, pred, rs[0].Mode)
 	}
 }
 
@@ -354,9 +344,9 @@ func TestPhotonBBSamplingOnSPMV(t *testing.T) {
 	p := testParams()
 	p.BBWindow = 1024
 	ph := MustNew(smallGPU(), p, Levels{BB: true})
-	full, pred, modes := runBoth(t, build, ph)
-	if modes[0] != "bb-sampling" {
-		t.Fatalf("SPMV mode = %s, want bb-sampling", modes[0])
+	full, pred, rs := runBoth(t, build, ph)
+	if rs[0].Mode != TierBB || rs[0].Stale {
+		t.Fatalf("SPMV ran under %s (stale=%v), want an image-exact %s result", rs[0].Mode, rs[0].Stale, TierBB)
 	}
 	err := stats.AbsErrorPct(float64(full), float64(pred))
 	if err > 35 {
@@ -373,9 +363,9 @@ func TestWarpSamplingDisabledForIrregular(t *testing.T) {
 		return app
 	}
 	ph := MustNew(smallGPU(), testParams(), Levels{Warp: true})
-	_, _, modes := runBoth(t, build, ph)
-	if modes[0] != "full" {
-		t.Fatalf("warp-sampling ran on an irregular workload (mode=%s)", modes[0])
+	_, _, rs := runBoth(t, build, ph)
+	if rs[0].Mode != gpu.TierFull {
+		t.Fatalf("warp-sampling ran on an irregular workload (mode=%s)", rs[0].Mode)
 	}
 }
 
@@ -388,18 +378,21 @@ func TestPhotonKernelSamplingOnPageRank(t *testing.T) {
 		return app
 	}
 	ph := MustNew(smallGPU(), testParams(), Levels{Kernel: true})
-	full, pred, modes := runBoth(t, build, ph)
+	full, pred, rs := runBoth(t, build, ph)
 	kernelSampled := 0
-	for _, m := range modes {
-		if m == "kernel-sampling" {
+	for _, r := range rs {
+		if r.Mode == TierKernel {
 			kernelSampled++
+		}
+		if r.Stale {
+			t.Fatalf("%s result is stale; kernel-sampling executes every workgroup", r.Mode)
 		}
 	}
 	// 16 launches of 2 alternating kernels: every launch after the first
 	// pair should be predicted from history.
 	if kernelSampled < 12 {
-		t.Fatalf("only %d/%d kernels were kernel-sampled (modes=%v)",
-			kernelSampled, len(modes), modes)
+		t.Fatalf("only %d/%d kernels were kernel-sampled (results=%+v)",
+			kernelSampled, len(rs), rs)
 	}
 	err := stats.AbsErrorPct(float64(full), float64(pred))
 	if err > 25 {
@@ -418,7 +411,7 @@ func TestPhotonSkipsDetailedWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Mode == "full" {
+	if r.Mode == gpu.TierFull {
 		t.Fatal("no sampling on 4096-warp ReLU")
 	}
 	if r.DetailedInsts >= r.Insts {
@@ -434,13 +427,13 @@ func TestPhotonNameByLevels(t *testing.T) {
 	if MustNew(cfg, testParams(), AllLevels()).Name() != "photon" {
 		t.Fatal("full-level name wrong")
 	}
-	if MustNew(cfg, testParams(), Levels{BB: true}).Name() != "bb-sampling" {
+	if MustNew(cfg, testParams(), Levels{BB: true}).Name() != TierBB {
 		t.Fatal("bb-level name wrong")
 	}
-	if MustNew(cfg, testParams(), Levels{Warp: true}).Name() != "warp-sampling" {
+	if MustNew(cfg, testParams(), Levels{Warp: true}).Name() != TierWarp {
 		t.Fatal("warp-level name wrong")
 	}
-	if MustNew(cfg, testParams(), Levels{Kernel: true}).Name() != "kernel-sampling" {
+	if MustNew(cfg, testParams(), Levels{Kernel: true}).Name() != TierKernel {
 		t.Fatal("kernel-level name wrong")
 	}
 }

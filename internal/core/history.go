@@ -7,16 +7,14 @@ import (
 )
 
 // KernelRecord summarizes one completed kernel invocation for kernel-
-// sampling (Figure 12): its GPU BBV, warp count, total instruction count,
-// the instruction count of its online-analysis sample, and its (measured or
-// predicted) execution time.
+// sampling (Figure 12): its GPU BBV, warp count, total instruction count and
+// (measured or predicted) execution time.
 type KernelRecord struct {
-	Name         string
-	GPU          bbv.GPUBBV
-	Warps        int
-	Insts        float64
-	SampledInsts float64
-	SimTime      float64
+	Name    string
+	GPU     bbv.GPUBBV
+	Warps   int
+	Insts   float64
+	SimTime float64
 }
 
 // IPC returns the record's instructions per cycle.
@@ -112,17 +110,4 @@ func (h *History) Match(g bbv.GPUBBV, warps int, meanWarpInsts float64) (KernelR
 		return KernelRecord{}, false
 	}
 	return h.recs[best], true
-}
-
-// Predict extrapolates the querying kernel's instruction count and time
-// from the matched record (Figure 12, step 4):
-//
-//	#insts = #insts^K' * #insts_sample / #insts^K'_sample
-//	time   = #insts / IPC^K'
-func (r KernelRecord) Predict(sampledInsts float64) (insts, simTime float64) {
-	if r.SampledInsts == 0 || r.IPC() == 0 {
-		return r.Insts, r.SimTime
-	}
-	insts = r.Insts * sampledInsts / r.SampledInsts
-	return insts, insts / r.IPC()
 }

@@ -66,19 +66,18 @@ func TestLargeGridSampledMode(t *testing.T) {
 	// Seed history with a matching prior kernel so RunKernel takes the
 	// functional fast-forward branch instead of detailed simulation.
 	ph.History().Add(KernelRecord{
-		Name:         "large-grid-prior",
-		GPU:          prof.GPU,
-		Warps:        warps,
-		Insts:        float64(warps) * prof.MeanWarpInsts,
-		SampledInsts: float64(prof.SampledInsts),
-		SimTime:      float64(warps) * prof.MeanWarpInsts / 2, // IPC 2
+		Name:    "large-grid-prior",
+		GPU:     prof.GPU,
+		Warps:   warps,
+		Insts:   float64(warps) * prof.MeanWarpInsts,
+		SimTime: float64(warps) * prof.MeanWarpInsts / 2, // IPC 2
 	})
 
 	res, err := ph.RunKernel(gpu.New(smallGPU()), l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != "kernel-sampling" {
+	if res.Mode != TierKernel {
 		t.Fatalf("mode = %q, want kernel-sampling (history did not match)", res.Mode)
 	}
 	if want := perWarp * uint64(warps); res.Insts != want {

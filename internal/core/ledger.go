@@ -12,8 +12,8 @@ type TierDecision struct {
 	// this Photon instance (one instance per application run).
 	Kernel string `json:"kernel"`
 	Index  int    `json:"index"`
-	// Tier is the mechanism that produced the result: "full",
-	// "bb-sampling", "warp-sampling", "kernel-sampling".
+	// Tier is the mechanism that produced the result: gpu.TierFull, TierBB,
+	// TierWarp or TierKernel.
 	Tier string `json:"tier"`
 	// PredictedCycles is the reported kernel time. DetailedCycles is the
 	// full baseline's time for the same kernel and ErrPct their absolute

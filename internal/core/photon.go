@@ -83,6 +83,15 @@ type Levels struct {
 // AllLevels is full Photon.
 func AllLevels() Levels { return Levels{BB: true, Warp: true, Kernel: true} }
 
+// Photon's sampling tiers: the KernelResult.Mode of a kernel each one
+// produced, and the Name of a Photon running that tier alone. A kernel no
+// tier sampled reports gpu.TierFull.
+const (
+	TierBB     = "bb-sampling"
+	TierWarp   = "warp-sampling"
+	TierKernel = "kernel-sampling"
+)
+
 // Photon is the sampled-simulation controller; it implements gpu.Runner.
 // A Photon instance carries kernel history across launches of one
 // application, so create one per application run.
@@ -125,11 +134,11 @@ func (p *Photon) Name() string {
 	case Levels{BB: true, Warp: true, Kernel: true}:
 		return "photon"
 	case Levels{BB: true}:
-		return "bb-sampling"
+		return TierBB
 	case Levels{Warp: true}:
-		return "warp-sampling"
+		return TierWarp
 	case Levels{Kernel: true}:
-		return "kernel-sampling"
+		return TierKernel
 	default:
 		return fmt.Sprintf("photon(bb=%v,warp=%v,kernel=%v)",
 			p.levels.BB, p.levels.Warp, p.levels.Kernel)
@@ -201,8 +210,7 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	// run this kernel in fast-forward (functional) mode only — keeping the
 	// memory image correct for later kernels whose control flow may depend
 	// on its outputs — and borrow the prior kernel's IPC for timing. The
-	// exact functional instruction count replaces the sample-scaled
-	// estimate in the prediction.
+	// instruction count is exact: the fast-forward counts it.
 	if p.levels.Kernel {
 		if rec, ok := p.history.Match(profile.GPU, l.TotalWarps(), profile.MeanWarpInsts); ok && rec.IPC() > 0 {
 			insts, err := emu.RunKernelFunctional(l)
@@ -211,17 +219,16 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 			}
 			simTime := float64(insts) / rec.IPC()
 			p.history.Add(KernelRecord{
-				Name:         l.Name,
-				GPU:          profile.GPU,
-				Warps:        l.TotalWarps(),
-				Insts:        float64(insts),
-				SampledInsts: float64(profile.SampledInsts),
-				SimTime:      simTime,
+				Name:    l.Name,
+				GPU:     profile.GPU,
+				Warps:   l.TotalWarps(),
+				Insts:   float64(insts),
+				SimTime: simTime,
 			})
 			result := gpu.KernelResult{
 				SimTime: EventTime(simTime),
 				Insts:   insts,
-				Mode:    "kernel-sampling",
+				Mode:    TierKernel,
 				Wall:    time.Since(start),
 			}
 			p.recordKernel(g, l.Name, profile, result, TierDecision{KernelMatch: true})
@@ -257,14 +264,15 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	}
 	switch {
 	case res.Complete:
-		result.Mode = "full"
+		result.Mode = gpu.TierFull
 		result.SimTime = res.EndTime
 		result.Insts = res.InstCount
 
 	case wT != nil && wT.triggered:
 		// Warp-sampling (Figure 10, step 3): simulate only the scheduler;
-		// every remaining warp takes the window's mean duration.
-		result.Mode = "warp-sampling"
+		// every remaining warp takes the window's mean duration, and none of
+		// them executes.
+		result.Mode, result.Stale = TierWarp, true
 		remainingGroups := l.NumWorkgroups - res.NextWG
 		end := UniformMakespan(float64(res.GateTime), float64(res.EndTime),
 			wT.meanWarpTime(), remainingGroups, shape)
@@ -275,7 +283,7 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	case bbT != nil && bbT.triggered:
 		// Basic-block-sampling (Figure 7, step 3): functionally simulate
 		// the remaining warps and accumulate their blocks' predicted times.
-		result.Mode = "bb-sampling"
+		result.Mode = TierBB
 		lm := NewLatencyModel(res, g.Config().Compute, p.params.DefaultMemLatency)
 		durations := make([]float64, 0, l.NumWorkgroups-res.NextWG)
 		insts := res.InstCount
@@ -301,18 +309,17 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	default:
 		// The gate never fired and the run is incomplete — impossible by
 		// construction, but fall back to reporting the detailed portion.
-		result.Mode = "full"
+		result.Mode = gpu.TierFull
 		result.SimTime = res.EndTime
 		result.Insts = res.InstCount
 	}
 
 	p.history.Add(KernelRecord{
-		Name:         l.Name,
-		GPU:          profile.GPU,
-		Warps:        l.TotalWarps(),
-		Insts:        float64(result.Insts),
-		SampledInsts: float64(profile.SampledInsts),
-		SimTime:      float64(result.SimTime),
+		Name:    l.Name,
+		GPU:     profile.GPU,
+		Warps:   l.TotalWarps(),
+		Insts:   float64(result.Insts),
+		SimTime: float64(result.SimTime),
 	})
 	result.Wall = time.Since(start)
 	dec := TierDecision{

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"photon/internal/core"
 	"photon/internal/obs"
 	"photon/internal/sim/gpu"
+	"photon/internal/stats"
 )
 
 // Sampling-accuracy ledger: one JSONL record per kernel launch of every
@@ -38,17 +38,11 @@ type AccuracyRecord struct {
 // by launch index. Emission happens on the engine's plan-order callback,
 // so ledger order is deterministic for any worker count.
 func accuracyRecords(experiment string, c Comparison) []AccuracyRecord {
-	if len(c.Sampled.Decisions) == 0 || c.Runner == "full" {
-		return nil
-	}
 	out := make([]AccuracyRecord, 0, len(c.Sampled.Decisions))
 	for i, d := range c.Sampled.Decisions {
 		if i < len(c.Full.PerKernel) {
-			det := float64(c.Full.PerKernel[i].SimTime)
-			d.DetailedCycles = det
-			if det > 0 {
-				d.ErrPct = math.Abs(d.PredictedCycles-det) / det * 100
-			}
+			d.DetailedCycles = float64(c.Full.PerKernel[i].SimTime)
+			d.ErrPct = stats.AbsErrorPct(d.DetailedCycles, d.PredictedCycles)
 		}
 		out = append(out, AccuracyRecord{
 			Experiment: experiment, Bench: c.Bench, Size: c.Size, Runner: c.Runner, TierDecision: d,
@@ -241,11 +235,11 @@ func SummarizeAccuracy(recs []AccuracyRecord) []AccuracySummary {
 // PrintAccuracySummaries writes the -accuracy view as an aligned table.
 func PrintAccuracySummaries(w io.Writer, sums []AccuracySummary) {
 	fmt.Fprintf(w, "%-10s %-14s %8s %8s %8s %8s %8s %9s %9s\n",
-		"bench", "runner", "kernels", "full", "bb", "warp", "kmatch", "mean_err%", "max_err%")
+		"bench", "runner", "kernels", gpu.TierFull, "bb", "warp", "kmatch", "mean_err%", "max_err%")
 	for _, s := range sums {
 		fmt.Fprintf(w, "%-10s %-14s %8d %8d %8d %8d %8d %9.2f %9.2f\n",
 			s.Bench, s.Runner, s.Kernels,
-			s.Tiers["full"], s.Tiers["bb-sampling"], s.Tiers["warp-sampling"], s.Tiers["kernel-sampling"],
+			s.Tiers[gpu.TierFull], s.Tiers[core.TierBB], s.Tiers[core.TierWarp], s.Tiers[core.TierKernel],
 			s.MeanErr, s.MaxErr)
 	}
 }

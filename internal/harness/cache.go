@@ -62,20 +62,16 @@ func NewBaselineCache() *BaselineCache {
 	return &BaselineCache{entries: make(map[BaselineKey]*baselineEntry)}
 }
 
-// Full returns the full-detailed AppResult for key, simulating it with
+// FullCtx returns the full-detailed AppResult for key, simulating it with
 // build() on first use. Concurrent callers of the same key block until the
 // single simulation finishes; callers of different keys proceed in parallel.
-// A nil cache simply runs the baseline uncached.
-func (c *BaselineCache) Full(key BaselineKey, cfg gpu.Config, build func() (*workloads.App, error)) (AppResult, error) {
-	return c.FullCtx(context.Background(), key, cfg, build)
-}
-
-// FullCtx is Full with cancellation: the context governs both this caller's
-// wait and, when this caller is the one elected to simulate, the run itself
-// (checked between kernel launches). If the elected run dies of its own
-// context, waiting callers see that context error too — they coalesced onto
-// a run that never finished — but the entry returns to idle so the next
-// lookup re-simulates rather than replaying the cancellation forever.
+// A nil cache simply runs the baseline uncached. The context governs both
+// this caller's wait and, when this caller is the one elected to simulate,
+// the run itself (checked between kernel launches). If the elected run dies
+// of its own context, waiting callers see that context error too — they
+// coalesced onto a run that never finished — but the entry returns to idle
+// so the next lookup re-simulates rather than replaying the cancellation
+// forever.
 func (c *BaselineCache) FullCtx(ctx context.Context, key BaselineKey, cfg gpu.Config, build func() (*workloads.App, error)) (AppResult, error) {
 	if c == nil {
 		return runFull(ctx, cfg, build)

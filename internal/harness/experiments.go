@@ -10,6 +10,7 @@ import (
 	"photon/internal/obs"
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/isa"
+	"photon/internal/stats"
 	"photon/internal/workloads"
 	"photon/internal/workloads/dnn"
 )
@@ -123,11 +124,8 @@ func Fig13(w io.Writer, o Options) error {
 	return o.RunSweep(w, Sweep{
 		Experiment: "fig13",
 		Config:     gpu.R9Nano(),
-		Factories: []RunnerFactory{
-			PKAFactory(),
-			PhotonFactory("photon", o.Params, core.AllLevels()),
-		},
-		Points: o.specPoints(workloads.Table2()),
+		Factories:  o.factories("pka", "photon"),
+		Points:     o.specPoints(workloads.Table2()),
 	})
 }
 
@@ -138,7 +136,7 @@ func Fig14(w io.Writer, o Options) error {
 	return o.RunSweep(w, Sweep{
 		Experiment: "fig14",
 		Config:     gpu.MI100(),
-		Factories:  []RunnerFactory{PhotonFactory("photon", o.Params, core.AllLevels())},
+		Factories:  o.factories("photon"),
 		Points:     o.specPoints(workloads.Table2()),
 	})
 }
@@ -151,12 +149,8 @@ func Fig15(w io.Writer, o Options) error {
 	return o.RunSweep(w, Sweep{
 		Experiment: "fig15",
 		Config:     gpu.R9Nano(),
-		Factories: []RunnerFactory{
-			PhotonFactory("bb-sampling", o.Params, core.Levels{BB: true}),
-			PhotonFactory("warp-sampling", o.Params, core.Levels{Warp: true}),
-			PhotonFactory("photon", o.Params, core.AllLevels()),
-		},
-		Points: o.specPoints(workloads.Table2()),
+		Factories:  o.factories("bb", "warp", "photon"),
+		Points:     o.specPoints(workloads.Table2()),
 	})
 }
 
@@ -183,7 +177,7 @@ func Fig16(w io.Writer, o Options) error {
 	return o.RunSweep(w, Sweep{
 		Experiment: "fig16",
 		Config:     gpu.R9Nano(),
-		Factories:  []RunnerFactory{PhotonFactory("photon", o.Params, core.AllLevels())},
+		Factories:  o.factories("photon"),
 		Points:     realWorldPoints(o),
 	})
 }
@@ -195,17 +189,16 @@ func Fig16(w io.Writer, o Options) error {
 // jobs — whose rows are collected into a per-layer table instead of printed.
 func Fig17(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "# Figure 17: VGG-16 per-layer error and speedup by sampling level (R9 Nano)")
-	variants := []RunnerFactory{
-		PhotonFactory("kernel", o.Params, core.Levels{Kernel: true}),
-		PhotonFactory("kernel+warp", o.Params, core.Levels{Kernel: true, Warp: true}),
-		PhotonFactory("photon", o.Params, core.AllLevels()),
-	}
 	var comparisons []Comparison
 	err := o.runSweep(Sweep{
 		Experiment: "fig17",
 		Config:     gpu.R9Nano(),
-		Factories:  variants,
-		Points:     []Point{vgg(16).Point(0, o.DNNScale)},
+		Factories: []RunnerFactory{
+			PhotonFactory("kernel", o.Params, core.Levels{Kernel: true}),
+			PhotonFactory("kernel+warp", o.Params, core.Levels{Kernel: true, Warp: true}),
+			o.factories("photon")[0],
+		},
+		Points: []Point{vgg(16).Point(0, o.DNNScale)},
 	}, func(c Comparison) { comparisons = append(comparisons, c) })
 	if err != nil {
 		return err
@@ -213,52 +206,40 @@ func Fig17(w io.Writer, o Options) error {
 	full, results := comparisons[0].Full, comparisons[1:]
 
 	fmt.Fprintf(w, "%-10s %14s", "layer", "full_cycles")
-	for _, f := range variants {
-		fmt.Fprintf(w, " %12s %6s", f.Name+"_err%", "mode")
+	for _, r := range results {
+		fmt.Fprintf(w, " %12s %6s", r.Runner+"_err%", "mode")
 	}
 	fmt.Fprintln(w)
 	for k, fr := range full.PerKernel {
 		fmt.Fprintf(w, "%-10s %14d", fr.Name, fr.SimTime)
-		for i := range variants {
-			pr := results[i].Sampled.PerKernel[k]
-			errPct := 100.0
-			if fr.SimTime > 0 {
-				diff := float64(pr.SimTime - fr.SimTime)
-				if diff < 0 {
-					diff = -diff
-				}
-				errPct = diff / float64(fr.SimTime) * 100
-			}
+		for _, r := range results {
+			pr := r.Sampled.PerKernel[k]
+			errPct := stats.AbsErrorPct(float64(fr.SimTime), float64(pr.SimTime))
 			fmt.Fprintf(w, " %12.2f %6s", errPct, shortMode(pr.Mode))
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "%-10s %14d", "TOTAL", full.KernelTime)
-	for i := range variants {
-		fmt.Fprintf(w, " %12.2f %6s", results[i].ErrPct(), "-")
+	for _, r := range results {
+		fmt.Fprintf(w, " %12.2f %6s", r.ErrPct(), "-")
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "whole-inference speedups:")
-	for i, f := range variants {
-		fmt.Fprintf(w, " %s=%.2fx", f.Name, results[i].Speedup())
+	for _, r := range results {
+		fmt.Fprintf(w, " %s=%.2fx", r.Runner, r.Speedup())
 	}
 	fmt.Fprintln(w)
 	return nil
 }
 
+// shortModes abbreviates Photon's tiers in Fig. 17's mode columns.
+var shortModes = map[string]string{core.TierKernel: "K", core.TierWarp: "W", core.TierBB: "BB", gpu.TierFull: "F"}
+
 func shortMode(m string) string {
-	switch m {
-	case "kernel-sampling":
-		return "K"
-	case "warp-sampling":
-		return "W"
-	case "bb-sampling":
-		return "BB"
-	case "full":
-		return "F"
-	default:
-		return m
+	if short, ok := shortModes[m]; ok {
+		return short
 	}
+	return m
 }
 
 // Table1 prints the two hardware configurations (paper Table 1).
@@ -362,18 +343,16 @@ func WaitcntAblation(w io.Writer, o Options) error {
 				}
 				return app, nil
 			}
-			name := "bb-sampling"
+			factories := o.factories("bb")
 			if split {
-				name = "bb-waitcnt"
+				factories = []RunnerFactory{PhotonFactory("bb-waitcnt", o.Params, core.Levels{BB: true})}
 			}
 			pts = append(pts, Point{
-				Bench: bench.name,
-				Size:  size,
-				Build: build,
-				Block: isa.BlockOptions{SplitAtWaitcnt: split},
-				Factories: []RunnerFactory{{Name: name, New: func(cfg gpu.Config) gpu.Runner {
-					return core.MustNew(cfg, o.Params, core.Levels{BB: true})
-				}}},
+				Bench:     bench.name,
+				Size:      size,
+				Build:     build,
+				Block:     isa.BlockOptions{SplitAtWaitcnt: split},
+				Factories: factories,
 			})
 		}
 	}
@@ -393,7 +372,7 @@ func ExtensionsExperiment(w io.Writer, o Options) error {
 	return o.RunSweep(w, Sweep{
 		Experiment: "extensions",
 		Config:     gpu.R9Nano(),
-		Factories:  []RunnerFactory{PhotonFactory("photon", o.Params, core.AllLevels())},
+		Factories:  o.factories("photon"),
 		Points:     o.specPoints(workloads.Extensions()),
 	})
 }
@@ -417,11 +396,7 @@ func Baselines(w io.Writer, o Options) error {
 	return o.RunSweep(w, Sweep{
 		Experiment: "baselines",
 		Config:     gpu.R9Nano(),
-		Factories: []RunnerFactory{
-			PKAFactory(),
-			TBPointFactory(),
-			PhotonFactory("photon", o.Params, core.AllLevels()),
-		},
-		Points: pts,
+		Factories:  o.factories("pka", "tbpoint", "photon"),
+		Points:     pts,
 	})
 }

@@ -10,8 +10,6 @@ import (
 	"io"
 	"time"
 
-	"photon/internal/baseline/pka"
-	"photon/internal/baseline/tbpoint"
 	"photon/internal/core"
 	"photon/internal/obs"
 	"photon/internal/sim/event"
@@ -33,13 +31,11 @@ type AppResult struct {
 	Decisions []core.TierDecision
 }
 
-// KernelRow is one kernel's outcome.
+// KernelRow is one kernel's outcome: the launch name and what the runner
+// reported for it.
 type KernelRow struct {
-	Name    string
-	SimTime event.Time
-	Insts   uint64
-	Mode    string
-	Wall    time.Duration
+	Name string
+	gpu.KernelResult
 }
 
 // RunApp executes every launch of the app under the runner on a fresh GPU.
@@ -112,9 +108,7 @@ func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App,
 		res.KernelTime += r.SimTime
 		res.Insts += r.Insts
 		res.Wall += r.Wall
-		res.PerKernel = append(res.PerKernel, KernelRow{
-			Name: l.Name, SimTime: r.SimTime, Insts: r.Insts, Mode: r.Mode, Wall: r.Wall,
-		})
+		res.PerKernel = append(res.PerKernel, KernelRow{Name: l.Name, KernelResult: r})
 	}
 	res.Decisions = decisionsOf(runner)
 	return res, nil
@@ -131,14 +125,13 @@ func audit(g *gpu.GPU, l *kernel.Launch, r gpu.KernelResult) error {
 	return nil
 }
 
-// StaleKernel returns the first kernel that ran under a tier which predicts
-// its remaining workgroups without executing them, leaving their outputs
-// missing from the memory image (DESIGN.md "Memory contract per tier"). The
-// app's functional Check only applies to a run that has none.
+// StaleKernel returns the first kernel whose runner reported it Stale: it
+// predicted workgroups without executing them, leaving their outputs missing
+// from the memory image (DESIGN.md "Memory contract per tier"). The app's
+// functional Check only applies to a run that has none.
 func (r AppResult) StaleKernel() (KernelRow, bool) {
 	for _, k := range r.PerKernel {
-		switch k.Mode {
-		case "warp-sampling", "pka-sampled", "pka-kernel", "tbpoint-sampled":
+		if k.Stale {
 			return k, true
 		}
 	}
@@ -189,28 +182,19 @@ func WriteTelemetry(stderr io.Writer, prog, traceWord string, reg *obs.Registry,
 }
 
 // RunnerFactory builds a fresh runner per application (Photon and PKA carry
-// per-application kernel history).
+// per-application kernel history). A sweep labels the runner's rows with its
+// own Name(), or with Label when the figure relabels a variant.
 type RunnerFactory struct {
-	Name string
-	New  func(cfg gpu.Config) gpu.Runner
+	Label string
+	New   func(cfg gpu.Config) gpu.Runner
 }
 
-// FullFactory is the full-detailed baseline.
-func FullFactory() RunnerFactory {
-	return RunnerFactory{Name: "full", New: func(gpu.Config) gpu.Runner { return gpu.FullRunner{} }}
-}
-
-// PhotonFactory builds Photon with the given levels.
-func PhotonFactory(name string, params core.Params, levels core.Levels) RunnerFactory {
-	return RunnerFactory{Name: name, New: func(cfg gpu.Config) gpu.Runner {
+// PhotonFactory builds Photon with the given levels under a figure's own
+// label (Fig. 17's "kernel+warp"); a methodology of the mode table needs no
+// label.
+func PhotonFactory(label string, params core.Params, levels core.Levels) RunnerFactory {
+	return RunnerFactory{Label: label, New: func(cfg gpu.Config) gpu.Runner {
 		return core.MustNew(cfg, params, levels)
-	}}
-}
-
-// PKAFactory builds the PKA baseline.
-func PKAFactory() RunnerFactory {
-	return RunnerFactory{Name: "pka", New: func(gpu.Config) gpu.Runner {
-		return pka.New(pka.DefaultParams())
 	}}
 }
 
@@ -245,11 +229,4 @@ func PrintRow(w io.Writer, c Comparison) {
 		c.Bench, c.Size, c.Runner,
 		c.Sampled.KernelTime, c.Full.KernelTime,
 		c.ErrPct(), float64(c.Sampled.Wall.Microseconds())/1000, c.Speedup())
-}
-
-// TBPointFactory builds the TBPoint-style baseline.
-func TBPointFactory() RunnerFactory {
-	return RunnerFactory{Name: "tbpoint", New: func(gpu.Config) gpu.Runner {
-		return tbpoint.New(tbpoint.DefaultParams())
-	}}
 }

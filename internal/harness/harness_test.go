@@ -163,17 +163,29 @@ func TestTableOutputs(t *testing.T) {
 	}
 }
 
+// TestFactories: every row of the mode table builds a runner that names
+// itself, and an unknown mode's error lists the table.
 func TestFactories(t *testing.T) {
 	cfg := testGPU()
-	if r := FullFactory().New(cfg); r.Name() != "full" {
-		t.Error("full factory wrong")
+	want := map[string]string{
+		BaselineMode: gpu.TierFull, "photon": "photon", "bb": core.TierBB, "warp": core.TierWarp,
+		"kernel": core.TierKernel, "pka": "pka", "tbpoint": "tbpoint",
 	}
-	if r := PKAFactory().New(cfg); r.Name() != "pka" {
-		t.Error("pka factory wrong")
+	if names := ModeNames(); len(names) != len(want) || names[0] != BaselineMode {
+		t.Fatalf("ModeNames() = %v, want the %d modes, baseline first", names, len(want))
 	}
-	f := PhotonFactory("photon", core.DefaultParams(), core.AllLevels())
-	if r := f.New(cfg); r.Name() != "photon" {
-		t.Error("photon factory wrong")
+	for _, name := range ModeNames() {
+		f, err := FactoryForMode(name, core.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.New(cfg).Name(); got != want[name] || f.Label != "" {
+			t.Errorf("mode %s builds runner %q labelled %q, want %q and no label", name, got, f.Label, want[name])
+		}
+	}
+	_, err := FactoryForMode("bogus", core.DefaultParams())
+	if err == nil || !strings.Contains(err.Error(), "(want "+strings.Join(ModeNames(), "|")+")") {
+		t.Errorf("unknown mode error = %v, want the table's names", err)
 	}
 }
 
@@ -212,17 +224,17 @@ func TestObservationDistributions(t *testing.T) {
 	}
 }
 
-// TestStaleKernel: the tiers that predict workgroups without executing them
-// are exactly the ones whose image the functional check must not judge.
+// TestStaleKernel: the functional check is skipped exactly when a kernel's
+// runner reported it Stale, whatever its tier.
 func TestStaleKernel(t *testing.T) {
-	for mode, stale := range map[string]bool{
-		"full": false, "bb-sampling": false, "kernel-sampling": false, "pka-full": false, "tbpoint-full": false,
-		"warp-sampling": true, "pka-sampled": true, "pka-kernel": true, "tbpoint-sampled": true,
-	} {
-		res := AppResult{PerKernel: []KernelRow{{Name: "a", Mode: "full"}, {Name: "b", Mode: mode}}}
+	row := func(name string, stale bool) KernelRow {
+		return KernelRow{Name: name, KernelResult: gpu.KernelResult{Mode: "some-tier", Stale: stale}}
+	}
+	for _, stale := range []bool{false, true} {
+		res := AppResult{PerKernel: []KernelRow{row("a", false), row("b", stale), row("c", stale)}}
 		k, got := res.StaleKernel()
 		if got != stale || (stale && k.Name != "b") {
-			t.Errorf("StaleKernel with a %s kernel = %+v, %v; want stale=%v", mode, k, got, stale)
+			t.Errorf("StaleKernel with Stale=%v on b and c = %+v, %v; want the first stale row", stale, k, got)
 		}
 	}
 }
@@ -248,7 +260,7 @@ func TestJSONSink(t *testing.T) {
 		Bench: "MM", Size: 64, Runner: "photon",
 		Full: AppResult{KernelTime: 100, Wall: time.Second},
 		Sampled: AppResult{KernelTime: 90, Wall: time.Second / 2,
-			PerKernel: []KernelRow{{Name: "mm", Mode: "bb-sampling", SimTime: 90}}},
+			PerKernel: []KernelRow{{Name: "mm", KernelResult: gpu.KernelResult{Mode: "bb-sampling", SimTime: 90}}}},
 	}
 	if err := sink.Emit(ToRecord("fig13", c, true)); err != nil {
 		t.Fatal(err)

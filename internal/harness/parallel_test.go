@@ -6,6 +6,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -14,7 +15,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"photon/internal/core"
 	"photon/internal/obs"
 	"photon/internal/workloads"
 )
@@ -36,7 +36,7 @@ func TestBaselineCacheSimulatesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := cache.Full(key, cfg, build)
+			res, err := cache.FullCtx(context.Background(), key, cfg, build)
 			if err != nil {
 				t.Error(err)
 				return
@@ -64,7 +64,7 @@ func TestBaselineCacheSimulatesOnce(t *testing.T) {
 	// A different key is a separate simulation.
 	key2 := key
 	key2.Size = 768
-	if _, err := cache.Full(key2, cfg, func() (*workloads.App, error) { return workloads.BuildFIR(768) }); err != nil {
+	if _, err := cache.FullCtx(context.Background(), key2, cfg, func() (*workloads.App, error) { return workloads.BuildFIR(768) }); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Simulated() != 2 {
@@ -74,7 +74,7 @@ func TestBaselineCacheSimulatesOnce(t *testing.T) {
 
 func TestBaselineCacheNil(t *testing.T) {
 	var cache *BaselineCache
-	res, err := cache.Full(BaselineKey{}, testGPU(), func() (*workloads.App, error) {
+	res, err := cache.FullCtx(context.Background(), BaselineKey{}, testGPU(), func() (*workloads.App, error) {
 		return workloads.BuildFIR(384)
 	})
 	if err != nil || res.KernelTime == 0 {
@@ -90,7 +90,7 @@ func TestBaselineCachePropagatesErrors(t *testing.T) {
 	boom := errors.New("build failed")
 	key := BaselineKey{Bench: "broken"}
 	for i := 0; i < 2; i++ {
-		_, err := cache.Full(key, testGPU(), func() (*workloads.App, error) { return nil, boom })
+		_, err := cache.FullCtx(context.Background(), key, testGPU(), func() (*workloads.App, error) { return nil, boom })
 		if !errors.Is(err, boom) {
 			t.Fatalf("call %d: err = %v, want boom", i, err)
 		}
@@ -148,10 +148,7 @@ func detSweep(o Options) Sweep {
 	return Sweep{
 		Experiment: "det",
 		Config:     testGPU(),
-		Factories: []RunnerFactory{
-			PKAFactory(),
-			PhotonFactory("photon", o.Params, core.AllLevels()),
-		},
+		Factories:  o.factories("pka", "photon"),
 		Points: []Point{
 			{Bench: "FIR", Size: 384, Build: func() (*workloads.App, error) { return workloads.BuildFIR(384) }},
 			{Bench: "SPMV", Size: 256, Build: func() (*workloads.App, error) { return workloads.BuildSPMV(256) }},
@@ -223,7 +220,7 @@ func TestSweepPropagatesJobErrors(t *testing.T) {
 	s := Sweep{
 		Experiment: "err",
 		Config:     testGPU(),
-		Factories:  []RunnerFactory{PKAFactory()},
+		Factories:  o.factories("pka"),
 		Points: []Point{{
 			Bench: "BAD", Size: 1,
 			Build: func() (*workloads.App, error) { return nil, boom },

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 
+	"photon/internal/baseline/pka"
+	"photon/internal/baseline/tbpoint"
 	"photon/internal/core"
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/kernel"
@@ -15,20 +17,19 @@ import (
 
 // This file holds the harness's three name tables, shared by the one-shot
 // CLIs and photon-serve so they always agree on what a name means:
-// Experiments (experiment name -> runner), FactoryForMode (mode name ->
-// runner factory) and Workloads (benchmark name -> canonical name, admissible
-// sizes, row label and builder). Every experiment entry is a pure function of
-// (w, Options) — all cross-run state lives in the caller-supplied Options
-// (baseline cache, JSON sink, metrics registry), each of which is
-// individually concurrency-safe — so concurrent jobs may run different (or
-// the same) experiments with a shared Options.Baselines and never share
-// mutable state beyond it.
+// Experiments (experiment name -> runner), the mode table (mode name ->
+// runner, read through ModeNames and FactoryForMode) and Workloads
+// (benchmark name -> canonical name, admissible sizes, row label and
+// builder). Every experiment entry is a pure function of (w, Options) — all
+// cross-run state lives in the caller-supplied Options (baseline cache, JSON
+// sink, metrics registry), each of which is individually concurrency-safe —
+// so concurrent jobs may run different (or the same) experiments with a
+// shared Options.Baselines and never share mutable state beyond it.
 
 // Experiment is one registered experiment: a stable name (the -exp /
-// request value), a one-line description, and its runner.
+// request value) and its runner.
 type Experiment struct {
 	Name string
-	Desc string
 	Run  func(w io.Writer, o Options) error
 }
 
@@ -36,27 +37,25 @@ type Experiment struct {
 // photon-bench -exp all prints them.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"table1", "GPU configurations (paper Table 1)",
-			func(w io.Writer, o Options) error { Table1(w); return nil }},
-		{"table2", "benchmark list (paper Table 2)",
-			func(w io.Writer, o Options) error { Table2(w); return nil }},
-		{"fig1", "IPC over time: ReLU stabilizes, MM fluctuates (Observations 1-2)", Fig1},
-		{"fig2", "dominating basic block's execution time over retirement order", Fig2},
-		{"fig3", "dominating basic block's issue vs retired time, least-squares", Fig3},
-		{"fig4", "warp issue vs retired time, least-squares", Fig4},
-		{"fig6", "VGG-16 kernels clustered by GPU BBV vs their IPC", Fig6},
-		{"fig8", "basic-block distribution: all warps vs 1% sample", Fig8},
-		{"fig11", "warp-type distribution: all warps vs 1% sample", Fig11},
-		{"fig13", "R9 Nano: Full vs PKA vs Photon (single-kernel benchmarks)", Fig13},
-		{"fig14", "MI100: Full vs Photon (micro-architecture independence)", Fig14},
-		{"fig15", "sampling levels: BB-only, warp-only, Photon", Fig15},
-		{"fig16", "real-world applications: PageRank, VGG, ResNet", Fig16},
-		{"fig17", "VGG-16 per-layer error and speedup by sampling level", Fig17},
-		{"offline", "online vs offline Photon (Section 6.3)", Offline},
-		{"waitcnt", "basic blocks split at s_waitcnt (paper future work)", WaitcntAblation},
-		{"extensions", "Photon on atomics workloads (HIST, KMEANS, BFS)", ExtensionsExperiment},
-		{"baselines", "PKA vs TBPoint vs Photon, one size per benchmark", Baselines},
-		{"transformer", "transformer & training-step accuracy envelope (modern ML)", TransformerEnvelope},
+		{"table1", func(w io.Writer, o Options) error { Table1(w); return nil }},
+		{"table2", func(w io.Writer, o Options) error { Table2(w); return nil }},
+		{"fig1", Fig1},
+		{"fig2", Fig2},
+		{"fig3", Fig3},
+		{"fig4", Fig4},
+		{"fig6", Fig6},
+		{"fig8", Fig8},
+		{"fig11", Fig11},
+		{"fig13", Fig13},
+		{"fig14", Fig14},
+		{"fig15", Fig15},
+		{"fig16", Fig16},
+		{"fig17", Fig17},
+		{"offline", Offline},
+		{"waitcnt", WaitcntAblation},
+		{"extensions", ExtensionsExperiment},
+		{"baselines", Baselines},
+		{"transformer", TransformerEnvelope},
 	}
 }
 
@@ -72,35 +71,74 @@ func FindExperiment(name string) (Experiment, bool) {
 
 // ExperimentNames returns the registered names in presentation order.
 func ExperimentNames() []string {
-	es := Experiments()
-	names := make([]string, len(es))
-	for i, e := range es {
-		names[i] = e.Name
-	}
-	return names
+	return names(Experiments(), func(e Experiment) string { return e.Name })
 }
 
-// FactoryForMode resolves a photon-sim style mode name into the runner
-// factory the sweeps use. Sampled modes that need Photon's knobs take them
-// from params.
-func FactoryForMode(mode string, params core.Params) (RunnerFactory, error) {
-	switch mode {
-	case "full":
-		return FullFactory(), nil
-	case "photon":
-		return PhotonFactory("photon", params, core.AllLevels()), nil
-	case "bb":
-		return PhotonFactory("bb-sampling", params, core.Levels{BB: true}), nil
-	case "warp":
-		return PhotonFactory("warp-sampling", params, core.Levels{Warp: true}), nil
-	case "kernel":
-		return PhotonFactory("kernel-sampling", params, core.Levels{Kernel: true}), nil
-	case "pka":
-		return PKAFactory(), nil
-	case "tbpoint":
-		return TBPointFactory(), nil
+// names lists the name of every row of a table, in table order.
+func names[T any](rows []T, name func(T) string) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = name(r)
 	}
-	return RunnerFactory{}, fmt.Errorf("unknown mode %q (want full|photon|bb|warp|kernel|pka|tbpoint)", mode)
+	return out
+}
+
+// mode is one methodology a run can ask for: its name (photon-sim -mode, a
+// request's "modes", a sweep's runner list) and the runner it builds. The
+// runner names itself: a mode's rows carry its runner's Name().
+type mode struct {
+	name string
+	new  func(cfg gpu.Config, params core.Params) gpu.Runner
+}
+
+// BaselineMode is the mode table's full-detailed baseline: every sweep emits
+// its row before the sampled ones, under this label.
+const BaselineMode = gpu.TierFull
+
+// modes is the methodology table, baseline first.
+var modes = []mode{
+	{BaselineMode, func(gpu.Config, core.Params) gpu.Runner { return gpu.FullRunner{} }},
+	{"photon", photonMode(core.AllLevels())},
+	{"bb", photonMode(core.Levels{BB: true})},
+	{"warp", photonMode(core.Levels{Warp: true})},
+	{"kernel", photonMode(core.Levels{Kernel: true})},
+	{"pka", func(gpu.Config, core.Params) gpu.Runner { return pka.New(pka.DefaultParams()) }},
+	{"tbpoint", func(gpu.Config, core.Params) gpu.Runner { return tbpoint.New(tbpoint.DefaultParams()) }},
+}
+
+func photonMode(levels core.Levels) func(gpu.Config, core.Params) gpu.Runner {
+	return func(cfg gpu.Config, params core.Params) gpu.Runner { return core.MustNew(cfg, params, levels) }
+}
+
+// ModeNames returns the mode names in table order — the list every -mode
+// help string and the unknown-mode error print.
+func ModeNames() []string {
+	return names(modes, func(m mode) string { return m.name })
+}
+
+// FactoryForMode resolves a mode name into the runner factory a sweep runs;
+// the Photon modes take their knobs from params.
+func FactoryForMode(name string, params core.Params) (RunnerFactory, error) {
+	for _, m := range modes {
+		if m.name == name {
+			return RunnerFactory{New: func(cfg gpu.Config) gpu.Runner { return m.new(cfg, params) }}, nil
+		}
+	}
+	return RunnerFactory{}, fmt.Errorf("unknown mode %q (want %s)", name, strings.Join(ModeNames(), "|"))
+}
+
+// factories resolves the modes an experiment compares. Experiments name
+// rows of the table, so an unknown name is a programming error.
+func (o Options) factories(modeNames ...string) []RunnerFactory {
+	fs := make([]RunnerFactory, len(modeNames))
+	for i, name := range modeNames {
+		f, err := FactoryForMode(name, o.Params)
+		if err != nil {
+			panic(err)
+		}
+		fs[i] = f
+	}
+	return fs
 }
 
 // Workload is one entry of the workload catalog, the table that says what a
@@ -199,11 +237,7 @@ func Workloads() []Workload { return append([]Workload(nil), catalog...) }
 // WorkloadNames returns the canonical names in catalog order — the list
 // every -bench help string and the unknown-benchmark error print.
 func WorkloadNames() []string {
-	names := make([]string, len(catalog))
-	for i, wl := range catalog {
-		names[i] = wl.Name
-	}
-	return names
+	return names(catalog, func(wl Workload) string { return wl.Name })
 }
 
 // FindWorkload resolves a name or alias, case-insensitively.
@@ -277,14 +311,14 @@ func FindBench(bench string, size int) (Point, error) {
 // one benchmark cell compared under the given modes (the full baseline row
 // is always emitted first, like every sweep). An empty mode list measures
 // just the baseline.
-func SimSweep(cfg gpu.Config, bench string, size int, modes []string, params core.Params) (Sweep, error) {
+func SimSweep(cfg gpu.Config, bench string, size int, modeNames []string, params core.Params) (Sweep, error) {
 	pt, err := FindBench(bench, size)
 	if err != nil {
 		return Sweep{}, err
 	}
 	var factories []RunnerFactory
-	for _, m := range modes {
-		if m == "full" {
+	for _, m := range modeNames {
+		if m == BaselineMode {
 			continue // the baseline row is implicit in every sweep
 		}
 		f, err := FactoryForMode(m, params)

@@ -42,12 +42,12 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 }
 
 // Summarize groups records by (experiment, runner). The full baseline rows
-// (runner == "full") are skipped — they compare a run against itself.
+// (runner BaselineMode) are skipped — they compare a run against itself.
 func Summarize(records []Record) []Summary {
 	type key struct{ exp, runner string }
 	groups := map[key][]Record{}
 	for _, r := range records {
-		if r.Runner == "full" {
+		if r.Runner == BaselineMode {
 			continue
 		}
 		k := key{r.Experiment, r.Runner}

@@ -74,7 +74,7 @@ func (o Options) runSweep(s Sweep, row func(Comparison)) error {
 			if err != nil {
 				return Comparison{}, err
 			}
-			return Comparison{Bench: pt.Bench, Size: pt.Size, Runner: "full", Full: full, Sampled: full}, nil
+			return Comparison{Bench: pt.Bench, Size: pt.Size, Runner: BaselineMode, Full: full, Sampled: full}, nil
 		})
 		factories := pt.Factories
 		if factories == nil {
@@ -96,7 +96,11 @@ func (o Options) runSweep(s Sweep, row func(Comparison)) error {
 				if err != nil {
 					return Comparison{}, err
 				}
-				return Comparison{Bench: pt.Bench, Size: pt.Size, Runner: f.Name, Full: full, Sampled: res}, nil
+				label := f.Label
+				if label == "" {
+					label = res.Runner
+				}
+				return Comparison{Bench: pt.Bench, Size: pt.Size, Runner: label, Full: full, Sampled: res}, nil
 			})
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"photon/internal/core"
 	"photon/internal/sim/gpu"
 	"photon/internal/workloads"
 	"photon/internal/workloads/dnn"
@@ -68,10 +67,7 @@ func TransformerEnvelope(w io.Writer, o Options) error {
 	return o.RunSweep(w, Sweep{
 		Experiment: "transformer",
 		Config:     gpu.R9Nano(),
-		Factories: []RunnerFactory{
-			PhotonFactory("kernel-sampling", o.Params, core.Levels{Kernel: true}),
-			PhotonFactory("photon", o.Params, core.AllLevels()),
-		},
-		Points: pts,
+		Factories:  o.factories("kernel", "photon"),
+		Points:     pts,
 	})
 }

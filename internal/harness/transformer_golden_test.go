@@ -2,14 +2,18 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"photon/internal/core"
 	"photon/internal/obs"
+	"photon/internal/sim/gpu"
 )
 
 // The transformer golden files pin the quick transformer/training-step
@@ -102,23 +106,50 @@ func TestTransformerGoldenArtifacts(t *testing.T) {
 		t.Fatalf("golden covers %v, missing the training-step point", benches)
 	}
 
-	af, err := os.Open(filepath.FromSlash(xfmrGoldenAcc))
+	acc, err := os.ReadFile(filepath.FromSlash(xfmrGoldenAcc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer af.Close()
-	ledger, err := ReadAccuracyRecords(af)
+	ledger, err := ReadAccuracyRecords(bytes.NewReader(acc))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A Photon ledger names only Photon's tiers; every golden record carries
+	// a baseline whose error is the relative distance to it.
+	tiers := map[string]bool{gpu.TierFull: true, core.TierBB: true, core.TierWarp: true, core.TierKernel: true}
 	kmatch := 0
-	for _, r := range ledger {
-		if r.Tier == "kernel-sampling" {
+	for i, r := range ledger {
+		if !tiers[r.Tier] {
+			t.Fatalf("ledger record %d: tier %q is not one of Photon's", i, r.Tier)
+		}
+		if r.Bench == "" || r.Runner == "" || r.Kernel == "" || r.PredictedCycles <= 0 || r.Insts == 0 {
+			t.Fatalf("ledger record %d is incomplete: %+v", i, r)
+		}
+		if r.DetailedCycles <= 0 {
+			t.Fatalf("ledger record %d has no baseline: %+v", i, r)
+		}
+		want := math.Abs(r.PredictedCycles-r.DetailedCycles) / r.DetailedCycles * 100
+		if math.Abs(r.ErrPct-want) > 1e-6 {
+			t.Fatalf("ledger record %d: err_pct %v, want |predicted - detailed| / detailed = %v", i, r.ErrPct, want)
+		}
+		if r.Tier == core.TierKernel {
 			kmatch++
 		}
 	}
 	if kmatch == 0 {
 		t.Fatalf("accuracy golden has %d records but the kernel-sampling tier never fired", len(ledger))
+	}
+	// A record without a baseline omits both baseline fields rather than
+	// writing zeros: the golden's last record, with its baseline kernel gone.
+	c := Comparison{Bench: "b", Runner: "photon",
+		Sampled: AppResult{Decisions: []core.TierDecision{ledger[len(ledger)-1].TierDecision}}}
+	c.Sampled.Decisions[0].DetailedCycles, c.Sampled.Decisions[0].ErrPct = 0, 0
+	line, err := json.Marshal(accuracyRecords("transformer", c)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(line, []byte(`"detailed_cycles"`)) || bytes.Contains(line, []byte(`"err_pct"`)) {
+		t.Fatalf("a record without a baseline writes baseline fields: %s", line)
 	}
 }
 

@@ -5,19 +5,14 @@ import (
 	"strings"
 )
 
-// Handler exposes a registry's Snapshot over HTTP with content
+// HandlerWithSampler exposes a registry's Snapshot over HTTP with content
 // negotiation: the default response is the same indented JSON document
 // WriteFile produces (the metrics.json artifact schema, kept for existing
 // tooling), while an Accept header preferring text/plain — what a
 // Prometheus scraper sends — selects the 0.0.4 text exposition. A nil
-// registry serves the empty snapshot, keeping the endpoint total.
-func Handler(r *Registry) http.Handler {
-	return HandlerWithSampler(r, nil)
-}
-
-// HandlerWithSampler is Handler plus a per-scrape hook, run before the
-// snapshot is taken; photon-serve passes SampleRuntime so every scrape
-// carries fresh runtime vitals.
+// registry serves the empty snapshot, keeping the endpoint total. sample,
+// when non-nil, runs before each snapshot is taken; photon-serve passes
+// SampleRuntime so every scrape carries fresh runtime vitals.
 func HandlerWithSampler(r *Registry, sample func(*Registry)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if sample != nil {
@@ -38,7 +33,7 @@ func HandlerWithSampler(r *Registry, sample func(*Registry)) http.Handler {
 }
 
 // WantsProm reports whether an Accept header prefers the Prometheus text
-// exposition over JSON — the same negotiation Handler applies. Exported for
+// exposition over JSON — the same negotiation HandlerWithSampler applies. Exported for
 // endpoints that serve merged snapshots (the cluster router's /metrics)
 // rather than a single registry.
 func WantsProm(accept string) bool { return wantsProm(accept) }

@@ -94,7 +94,7 @@ func TestWritePromSanitizesNames(t *testing.T) {
 // default (existing CI and photon-ctl parse it), Prometheus text when the
 // Accept header asks for it.
 func TestHandlerContentNegotiation(t *testing.T) {
-	h := Handler(promTestRegistry())
+	h := HandlerWithSampler(promTestRegistry(), nil)
 
 	get := func(accept string) (string, string) {
 		req := httptest.NewRequest("GET", "/metrics", nil)
@@ -142,7 +142,7 @@ func TestHandlerContentNegotiation(t *testing.T) {
 }
 
 func TestHandlerNilRegistry(t *testing.T) {
-	h := Handler(nil)
+	h := HandlerWithSampler(nil, nil)
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, req)

@@ -18,7 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"photon/internal/harness"
@@ -40,7 +40,7 @@ type JobRequest struct {
 	// alias of the workload catalog (harness.Workloads) and Size one of that
 	// entry's admissible sizes, 0 picking its default; Arch defaults to
 	// r9nano; Modes defaults to ["photon"] (the full baseline row is always
-	// included).
+	// included, so "full" is kept only as the sole mode).
 	Bench string   `json:"bench,omitempty"`
 	Size  int      `json:"size,omitempty"`
 	Arch  string   `json:"arch,omitempty"`
@@ -241,20 +241,19 @@ func Canonicalize(req JobRequest) (JobRequest, error) {
 		return JobRequest{}, err
 	}
 	c.Bench, c.Size = pt.Name, pt.Size
-	seen := map[string]bool{}
-	modes := c.Modes[:0:0]
 	for _, m := range c.Modes {
-		if m != "full" {
-			if _, err := harness.FactoryForMode(m, harness.DefaultOptions().Params); err != nil {
-				return JobRequest{}, err
-			}
-		}
-		if !seen[m] {
-			seen[m] = true
-			modes = append(modes, m)
+		if _, err := harness.FactoryForMode(m, harness.DefaultOptions().Params); err != nil {
+			return JobRequest{}, err
 		}
 	}
-	sort.Strings(modes)
+	modes := slices.Clone(c.Modes)
+	slices.Sort(modes)
+	modes = slices.Compact(modes)
+	// Every sweep emits the baseline row, so naming it beside a sampled mode
+	// asks for nothing more; alone it still means "baseline only".
+	if len(modes) > 1 {
+		modes = slices.DeleteFunc(modes, func(m string) bool { return m == harness.BaselineMode })
+	}
 	c.Modes = modes
 	return c, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"photon/internal/harness"
+	"photon/internal/sim/gpu"
 )
 
 func TestCanonicalizeAppliesDefaults(t *testing.T) {
@@ -115,6 +116,42 @@ func TestCanonicalizeNormalizesEquivalentRequests(t *testing.T) {
 	c2, _ := Canonicalize(JobRequest{Bench: "mm", Modes: []string{"photon", "pka", "photon"}})
 	if Hash(c1) != Hash(c2) {
 		t.Error("mode order/duplicates changed the hash")
+	}
+	// Every sweep emits the baseline row, so naming it beside a sampled mode
+	// is the same job; alone it still means "baseline only".
+	withFull, _ := Canonicalize(JobRequest{Bench: "mm", Modes: []string{"full", "photon"}})
+	if Hash(withFull) != Hash(b) {
+		t.Errorf("modes [full photon] and [photon] hash differently: %v vs %v", withFull.Modes, b.Modes)
+	}
+	if only, _ := Canonicalize(JobRequest{Bench: "mm", Modes: []string{"full", "full"}}); !slices.Equal(only.Modes, []string{"full"}) {
+		t.Errorf("modes [full full] canonicalize to %v, want [full]", only.Modes)
+	}
+}
+
+// TestEveryModeServes: each name of the harness mode table is a servable
+// mode, and its canonical request builds a sweep of the baseline row plus
+// that mode's runner (none beyond the baseline for the baseline itself).
+func TestEveryModeServes(t *testing.T) {
+	for _, mode := range harness.ModeNames() {
+		c, err := Canonicalize(JobRequest{Bench: "mm", Modes: []string{mode}})
+		if err != nil {
+			t.Fatalf("mode %s: %v", mode, err)
+		}
+		if !slices.Equal(c.Modes, []string{mode}) {
+			t.Errorf("mode %s canonicalizes to %v", mode, c.Modes)
+		}
+		cfg, _ := gpu.Configs(c.Arch)
+		sw, err := harness.SimSweep(cfg, c.Bench, c.Size, c.Modes, harness.DefaultOptions().Params)
+		if err != nil {
+			t.Fatalf("mode %s: SimSweep: %v", mode, err)
+		}
+		want := 1
+		if mode == harness.BaselineMode {
+			want = 0
+		}
+		if len(sw.Factories) != want {
+			t.Errorf("mode %s: sweep runs %d sampled runners, want %d", mode, len(sw.Factories), want)
+		}
 	}
 }
 

@@ -308,7 +308,7 @@ func TestJobLogEventsReachHub(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, s, st.ID, StateDone)
-	replay, _, cancel, err := s.Subscribe(st.ID)
+	replay, _, cancel, err := s.SubscribeFrom(st.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -558,16 +558,11 @@ func (s *Scheduler) List() []JobStatus {
 	return out
 }
 
-// Subscribe attaches to a job's event stream: a replay of everything so
-// far plus a live channel (nil when the job already finished).
-func (s *Scheduler) Subscribe(id string) ([]Event, <-chan Event, func(), error) {
-	return s.SubscribeFrom(id, 0)
-}
-
-// SubscribeFrom is Subscribe resuming after a known event sequence number:
-// the replay carries only events with Seq > after. A reconnecting SSE
-// client passes its Last-Event-ID so a dropped proxy connection resumes
-// the stream instead of duplicating it.
+// SubscribeFrom attaches to a job's event stream: a replay of the events
+// with Seq > after (after = 0: everything so far) plus a live channel (nil
+// when the job already finished). A reconnecting SSE client passes its
+// Last-Event-ID so a dropped proxy connection resumes the stream instead of
+// duplicating it.
 func (s *Scheduler) SubscribeFrom(id string, after uint64) ([]Event, <-chan Event, func(), error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]

@@ -381,7 +381,7 @@ func TestSubscribeReplaysLifecycle(t *testing.T) {
 	a, _ := s.Submit(JobRequest{Bench: "mm"})
 	waitState(t, s, a.ID, StateDone)
 
-	replay, live, cancel, err := s.Subscribe(a.ID)
+	replay, live, cancel, err := s.SubscribeFrom(a.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestConcurrentDuplicateSubmissionStress(t *testing.T) {
 				case 3:
 					s.Cancel(st.ID)
 				case 4:
-					if _, _, cancel, err := s.Subscribe(st.ID); err == nil {
+					if _, _, cancel, err := s.SubscribeFrom(st.ID, 0); err == nil {
 						cancel()
 					}
 				}
@@ -633,7 +633,7 @@ func TestHarnessExecutorSmallCell(t *testing.T) {
 		t.Errorf("jsonl missing sim record: %q", res.JSONL)
 	}
 	// The span hook must have streamed progress events.
-	replay, _, cancel, err := s.Subscribe(st.ID)
+	replay, _, cancel, err := s.SubscribeFrom(st.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

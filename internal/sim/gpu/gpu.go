@@ -71,6 +71,13 @@ func (g *GPU) RunDetailed(l *kernel.Launch, obs timing.Observer, gate func() boo
 	return m.Run(l)
 }
 
+// The tiers of the two runners below. Every other tier name is a constant of
+// the package whose runner reports it (core, baseline/pka, baseline/tbpoint).
+const (
+	TierFull       = "full"
+	TierFunctional = "functional"
+)
+
 // KernelResult is the outcome of running one kernel under some runner.
 type KernelResult struct {
 	// SimTime is the kernel's (measured or predicted) execution time in
@@ -82,9 +89,11 @@ type KernelResult struct {
 	// DetailedInsts counts instructions that went through the detailed
 	// timing model.
 	DetailedInsts uint64
-	// Mode names the mechanism that produced SimTime (e.g. "full",
-	// "bb-sampling", "warp-sampling", "kernel-sampling").
+	// Mode names the tier that produced SimTime (TierFull, core.TierBB, …).
 	Mode string
+	// Stale reports that the result predicts workgroups the runner never
+	// executed, so their outputs are missing from the memory image.
+	Stale bool
 	// Wall is the host time spent producing this result.
 	Wall time.Duration
 }
@@ -114,7 +123,7 @@ type FullRunner struct {
 }
 
 // Name implements Runner.
-func (FullRunner) Name() string { return "full" }
+func (FullRunner) Name() string { return TierFull }
 
 // RunKernel implements Runner.
 func (f FullRunner) RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error) {
@@ -127,7 +136,7 @@ func (f FullRunner) RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error) {
 		SimTime:       res.EndTime,
 		Insts:         res.InstCount,
 		DetailedInsts: res.InstCount,
-		Mode:          "full",
+		Mode:          TierFull,
 		Wall:          time.Since(start),
 	}, nil
 }
@@ -137,7 +146,7 @@ func (f FullRunner) RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error) {
 type FunctionalRunner struct{}
 
 // Name implements Runner.
-func (FunctionalRunner) Name() string { return "functional" }
+func (FunctionalRunner) Name() string { return TierFunctional }
 
 // RunKernel implements Runner.
 func (FunctionalRunner) RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error) {
@@ -146,5 +155,5 @@ func (FunctionalRunner) RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error
 	if err != nil {
 		return KernelResult{}, err
 	}
-	return KernelResult{Insts: insts, Mode: "functional", Wall: time.Since(start)}, nil
+	return KernelResult{Insts: insts, Mode: TierFunctional, Wall: time.Since(start)}, nil
 }
