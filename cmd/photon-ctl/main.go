@@ -12,8 +12,7 @@
 //	photon-ctl cancel 3f9a1c0be2d4-1
 //	photon-ctl list | health | metrics
 //
-// A job id is <first 12 hex digits of the request hash>-<sequence number>; a
-// cluster router hands out <node>.<that id>.
+// A job id is <first 12 hex digits of the request hash>-<sequence number>.
 //
 // Exit codes: 0 success, 1 job failed or request error, 2 usage error.
 package main
@@ -319,9 +318,9 @@ func (c *client) cancel(args []string) int {
 }
 
 // watch streams the job's SSE events, one JSON line per event, until the
-// job finishes. A dropped connection (a proxy or the cluster router going
-// away mid-stream) reconnects with Last-Event-ID, so the stream resumes
-// where it left off instead of replaying — no duplicate lines.
+// job finishes. A dropped connection (a proxy going away mid-stream)
+// reconnects with Last-Event-ID, so the stream resumes where it left off
+// instead of replaying — no duplicate lines.
 func (c *client) watch(args []string) int {
 	fs := flag.NewFlagSet("watch", flag.ContinueOnError)
 	fs.SetOutput(c.stderr)

@@ -31,18 +31,6 @@
 // it is held in memory; with -cas-dir it is a directory of files, so a
 // restarted daemon answers previously-completed jobs without re-executing
 // them.
-//
-// With -router, the process serves the same API as a cluster router over N
-// workers instead of executing jobs itself:
-//
-//	photon-serve -router -nodes http://host1:8080,http://host2:8080
-//
-// Jobs are consistent-hashed across workers by their canonical request
-// hash, so a repeat lands on the worker whose store holds the result; the
-// router fails over along the ring's preference order when a worker dies
-// (health from /readyz polls every -probe-interval). It keeps no per-job
-// state — a job id it hands out is <node>.<worker job id> — so a restarted
-// router, or a second one over the same -nodes, answers for any id.
 package main
 
 import (
@@ -79,10 +67,6 @@ func realMain(args []string, stdout, stderr *os.File) int {
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight jobs")
 		casDir       = fs.String("cas-dir", "", "result store directory: completed results survive restarts (empty: memory only)")
 		casMaxBytes  = fs.Int64("cas-max-bytes", 0, "result store size cap in bytes (<= 0: 1 GiB)")
-		router       = fs.Bool("router", false, "run as a cluster router over -nodes instead of executing jobs")
-		nodes        = fs.String("nodes", "", "router mode: comma-separated worker URLs (or name=URL pairs)")
-		routeRep     = fs.Int("route-replicas", 0, "router mode: virtual nodes per worker on the hash ring (<= 0: 64)")
-		probeEvery   = fs.Duration("probe-interval", time.Second, "router mode: /readyz health-poll period")
 		logLevel     = fs.String("log-level", "info", "minimum stderr log level (debug, info, warn, error)")
 		logFormat    = fs.String("log-format", "text", "stderr log encoding (text or json)")
 		flightCap    = fs.Int("flight-cap", 1024, "flight recorder ring capacity (0: disabled)")
@@ -114,21 +98,6 @@ func realMain(args []string, stdout, stderr *os.File) int {
 	var flight *obs.FlightRecorder
 	if *flightCap > 0 {
 		flight = obs.NewFlightRecorder(*flightCap)
-	}
-
-	if *router {
-		return runRouter(routerOptions{
-			addr:       *addr,
-			nodes:      *nodes,
-			replicas:   *routeRep,
-			probeEvery: *probeEvery,
-			log:        log,
-			stderr:     stderr,
-		})
-	}
-	if *nodes != "" {
-		fmt.Fprintln(stderr, "photon-serve: -nodes only applies with -router")
-		return 2
 	}
 
 	reg := obs.NewRegistry()

@@ -118,9 +118,10 @@ func TypeID(prog *isa.Program, counts []uint32) uint64 {
 	return sum
 }
 
-// MaxTypes caps how many warp types contribute to a GPU BBV; beyond this the
-// tail types' weight is folded into a residual slot. (The paper tracks "the
-// last 1024 warps"; a cap serves the same bounded-state purpose.)
+// MaxTypes caps how many warp types contribute to a GPU BBV: BuildGPU keeps
+// the MaxTypes heaviest and drops the rest, weight included, which is why a
+// GPUBBV's entries sum to at most 1. (The paper tracks "the last 1024
+// warps"; a cap serves the same bounded-state purpose.)
 const MaxTypes = 16
 
 // GPUBBV characterizes one kernel invocation (Figure 5): the per-type BBVs,

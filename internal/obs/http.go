@@ -32,12 +32,6 @@ func HandlerWithSampler(r *Registry, sample func(*Registry)) http.Handler {
 	})
 }
 
-// WantsProm reports whether an Accept header prefers the Prometheus text
-// exposition over JSON — the same negotiation HandlerWithSampler applies. Exported for
-// endpoints that serve merged snapshots (the cluster router's /metrics)
-// rather than a single registry.
-func WantsProm(accept string) bool { return wantsProm(accept) }
-
 // wantsProm reports whether an Accept header prefers the Prometheus text
 // format over JSON. Prometheus sends something like
 //

@@ -75,10 +75,6 @@ type JobStatus struct {
 	Request     JobRequest `json:"request"`
 	RequestHash string     `json:"request_hash"`
 
-	// Node is the worker that owns this job, filled in only by the cluster
-	// router (internal/cluster); a single-node daemon leaves it empty.
-	Node string `json:"node,omitempty"`
-
 	// CacheHit marks a submission answered instantly from the result
 	// store; Coalesced marks one attached to an execution that was already
 	// queued or running when it arrived.
@@ -145,30 +141,6 @@ type Event struct {
 	Level  string            `json:"level,omitempty"`
 	Msg    string            `json:"msg,omitempty"`
 	Fields map[string]string `json:"fields,omitempty"`
-}
-
-// Load is the scheduler's instantaneous load signal, reported by /readyz so
-// the cluster router's health table and per-node gauges show real queue
-// pressure instead of a bare 200. Existing probes keep working: the
-// endpoint still answers plain 200-when-ready / 503-when-draining and the
-// body stays valid JSON.
-type Load struct {
-	// QueueDepth is the number of admitted executions waiting for a worker.
-	QueueDepth int `json:"queue_depth"`
-	// InFlight is the number of executions currently running.
-	InFlight int `json:"in_flight"`
-	// Workers is the configured execution concurrency.
-	Workers int `json:"workers"`
-}
-
-// CacheEntry is the body of GET /v1/cache/{hash}: a completed execution's
-// artifacts looked up in the result store by content address, without
-// submitting anything.
-type CacheEntry struct {
-	Hash     string `json:"hash"`
-	Output   string `json:"output"`
-	JSONL    string `json:"jsonl,omitempty"`
-	Accuracy string `json:"accuracy,omitempty"`
 }
 
 // errorBody is the JSON error envelope every non-2xx response carries.

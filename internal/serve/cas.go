@@ -19,8 +19,7 @@ import (
 // execution, keyed by the canonical request's SHA-256 hash. It is the only
 // place the scheduler finds a finished result — every successful execution
 // is Put before it is reported done, and every submission that is not
-// already queued or running is answered from Get or executed — and what
-// GET /v1/cache/{hash} reads.
+// already queued or running is answered from Get or executed.
 //
 // A store opened with OpenCAS keeps each record as a JSON file named by the
 // hash, which is what makes a worker's cache survive restarts; one built

@@ -362,12 +362,79 @@ func TestSchedulerAnswersFromDiskCASAfterRestart(t *testing.T) {
 		t.Fatalf("after two hits: serve_cas_hits = %v, serve_cache_hits = %v, want 2 and 2",
 			snap.SumCounters("serve_cas_hits"), snap.SumCounters("serve_cache_hits"))
 	}
-	// CachedResult is the GET /v1/cache surface; it must see the entry.
+	// CachedResult reads the same store; it must see the entry.
 	canonical, err := Canonicalize(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out, ok := s2.CachedResult(Hash(canonical)); !ok || out.Text != want.Text {
 		t.Fatalf("CachedResult = %+v %v", out, ok)
+	}
+}
+
+// TestFailedPutCostsOneReexecution: a store that cannot write — its
+// directory was removed after OpenCAS — does not fail the job, but keeps
+// nothing, so the next submission of the request executes again. Once the
+// directory is back, that re-execution is stored and the third submission
+// is a hit. Removing the directory, unlike a chmod, also fails as root.
+func TestFailedPutCostsOneReexecution(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cas")
+	reg := obs.NewRegistry()
+	cas, err := OpenCAS(dir, 1<<20, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	want := Output{Text: "mm-output\n", JSONL: `{"bench":"mm"}` + "\n"}
+	s := NewScheduler(Config{
+		Metrics: reg,
+		Store:   cas,
+		Executor: func(ctx context.Context, r JobRequest, h Hooks) (Output, error) {
+			return want, nil
+		},
+	})
+	submit := func() JobStatus {
+		t.Helper()
+		st, err := s.Submit(JobRequest{Bench: "mm"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = s.Wait(context.Background(), st.ID); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	snap := func(name string) uint64 { return reg.Snapshot().SumCounters(name) }
+
+	if st := submit(); st.State != StateDone || st.CacheHit {
+		t.Fatalf("first submit = %+v, want an executed done job", st)
+	}
+	if got := snap("serve_cas_errors"); got != 1 {
+		t.Fatalf("serve_cas_errors = %v, want 1", got)
+	}
+	if cas.Len() != 0 || snap("serve_cas_puts") != 0 {
+		t.Fatalf("failed put stored something: Len = %d, serve_cas_puts = %v", cas.Len(), snap("serve_cas_puts"))
+	}
+
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if st := submit(); st.State != StateDone || st.CacheHit {
+		t.Fatalf("resubmit after a failed put = %+v, want a re-execution", st)
+	}
+	if got := snap("serve_jobs_executed"); got != 2 {
+		t.Fatalf("serve_jobs_executed = %v, want 2", got)
+	}
+	if cas.Len() != 1 || snap("serve_cas_puts") != 1 {
+		t.Fatalf("re-execution not stored: Len = %d, serve_cas_puts = %v", cas.Len(), snap("serve_cas_puts"))
+	}
+
+	if st := submit(); !st.CacheHit {
+		t.Fatalf("third submit = %+v, want a cache hit", st)
+	}
+	if got := snap("serve_jobs_executed"); got != 2 {
+		t.Fatalf("serve_jobs_executed = %v after the hit, want 2", got)
 	}
 }

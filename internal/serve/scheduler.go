@@ -324,7 +324,7 @@ func short(hash string) string {
 // jobs beyond the table cap. The id leads with the request hash so that an
 // id outliving a restart (the sequence starts over) can only ever name a
 // submission of the same request, whose artifacts are identical; it holds
-// no '.', which the cluster router relies on to split its own ids.
+// no '.', which the benchmark's router relies on to split its own ids.
 func (s *Scheduler) newJobLocked(e *execution) *job {
 	s.nextID++
 	j := &job{
@@ -629,23 +629,9 @@ func (s *Scheduler) statusLocked(j *job) JobStatus {
 	return st
 }
 
-// Load reports the scheduler's instantaneous load: queue depth, running
-// executions and the worker count. /readyz serves it so the cluster
-// router's health table and per-node gauges show real pressure.
-func (s *Scheduler) Load() Load {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inFlight := 0
-	for _, e := range s.execs {
-		if e.state == StateRunning {
-			inFlight++
-		}
-	}
-	return Load{QueueDepth: len(s.queue), InFlight: inFlight, Workers: s.cfg.Workers}
-}
-
-// CachedResult looks a finished result up by content address, for
-// GET /v1/cache/{hash}. It never schedules anything.
+// CachedResult looks a finished result up by content address without
+// scheduling anything. Only benchmark/serve.go calls it, to record a real
+// Output for its CAS micro-driver; it leaves with that call.
 func (s *Scheduler) CachedResult(hash string) (Output, bool) {
 	return s.cfg.Store.Get(hash)
 }

@@ -267,6 +267,10 @@ func TestCancelLastRiderStopsRunAndUncaches(t *testing.T) {
 		t.Fatalf("post-cancel submit attached to dead execution: %+v", b)
 	}
 	waitState(t, s, b.ID, StateRunning)
+	// The state turns running just before the worker calls the executor.
+	for deadline := time.Now().Add(5 * time.Second); runs.Load() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := runs.Load(); got != 2 {
 		t.Fatalf("executor ran %d times, want 2", got)
 	}

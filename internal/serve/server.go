@@ -41,7 +41,6 @@ func NewServer(sched *Scheduler, reg *obs.Registry) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/accuracy", s.accuracy)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.events)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.cancel)
-	s.mux.HandleFunc("GET /v1/cache/{hash}", s.cache)
 	s.mux.HandleFunc("GET /healthz", s.healthz)
 	s.mux.HandleFunc("GET /readyz", s.readyz)
 	s.mux.HandleFunc("GET /debug/flight", s.flight)
@@ -77,12 +76,12 @@ func retryAfterSeconds(d time.Duration) int {
 }
 
 // MaxRequestBytes caps the body of POST /v1/jobs, on a worker and on the
-// cluster router alike.
+// benchmark's router (internal/cluster) alike.
 const MaxRequestBytes = 1 << 20
 
 // ReadJobRequest reads the body of a POST /v1/jobs, at most MaxRequestBytes
 // of it, and decodes it strictly (unknown fields are errors). It returns the
-// raw bytes too, which is what the cluster router forwards.
+// raw bytes too, which is what the benchmark's router forwards.
 func ReadJobRequest(w http.ResponseWriter, r *http.Request) (JobRequest, []byte, error) {
 	var req JobRequest
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
@@ -294,10 +293,7 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // readyz reports readiness: 503 once draining starts, so load balancers
-// stop routing new jobs while in-flight ones finish. The 200 body carries
-// the scheduler's load signal (queue depth, in-flight count, workers) for
-// the cluster router's health table; probes that only check the status code
-// are unaffected.
+// stop routing new jobs while in-flight ones finish.
 func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 	if s.sched.Draining() {
 		writeErr(w, http.StatusServiceUnavailable, ErrDraining)
@@ -305,20 +301,5 @@ func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
-		Load
-	}{"ok", s.sched.Load()})
-}
-
-// cache is GET /v1/cache/{hash}: a result-store lookup by content address.
-// 404 means this node has never completed (or has evicted) the request.
-func (s *Server) cache(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	out, ok := s.sched.CachedResult(hash)
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no cached result for %s", hash))
-		return
-	}
-	writeJSON(w, http.StatusOK, CacheEntry{
-		Hash: hash, Output: out.Text, JSONL: out.JSONL, Accuracy: out.Accuracy,
-	})
+	}{"ok"})
 }
