@@ -24,8 +24,10 @@ type AppResult struct {
 	Runner     string
 	KernelTime event.Time // summed simulated kernel execution time
 	Insts      uint64
-	Wall       time.Duration
-	PerKernel  []KernelRow
+	// Wall is the host time of the kernels summed (KernelResult.Wall), not
+	// the run's elapsed time: kernels that ran concurrently count in full.
+	Wall      time.Duration
+	PerKernel []KernelRow
 	// Decisions is the runner's per-kernel tier ledger, when it keeps one
 	// (Photon); nil otherwise. Baseline caches drop it before sharing.
 	Decisions []core.TierDecision
@@ -76,42 +78,38 @@ type AppObs struct {
 // track. The runner's tier ledger, when it keeps one, is returned in
 // AppResult.Decisions.
 //
+// With a runner that keeps no state across kernels, the detailed runs of an
+// app's kernels may overlap on helper goroutines (DESIGN.md "Kernel-level
+// parallelism"); results, spans and audits still merge in kernel order, so
+// the result equals a serial run's but for wall times.
+//
 // It checks ctx between kernel launches, so a cancelled or deadline-exceeded
 // job stops within one kernel of the signal instead of simulating the rest
-// of the application. The partial result accumulated so far is returned
-// alongside the context error (callers that checkpoint in-flight work keep
-// it; everyone else discards).
+// of the application. The in-order prefix of the kernels finished so far is
+// returned alongside the context error (callers that checkpoint in-flight
+// work keep it; everyone else discards).
 func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppObs) (AppResult, error) {
-	g := gpu.New(cfg)
-	if ao.Metrics != nil { // wiring a registry walks every cache; skip it unobserved
-		g.SetMetrics(ao.Metrics)
-	}
-	g.SetLog(ao.Log)
+	running.Add(1)
+	defer running.Add(-1)
 	ao.Trace.NameProcess(simPID, "simulation")
-	res := AppResult{Runner: runner.Name()}
-	for _, l := range app.Launches {
+	p := newPipeline(cfg, app, runner, ao)
+	for i, l := range app.Launches {
 		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("harness: %s/%s under %s: %w", app.Name, l.Name, runner.Name(), err)
+			if merr := p.mergeAll(); merr != nil {
+				return p.res, merr
+			}
+			return p.res, p.fail(l, err)
 		}
-		start := time.Now()
-		r, err := runner.RunKernel(g, l)
-		if err == nil && ao.Check {
-			err = audit(g, l, r)
+		step := p.inline
+		if p.handsOff(i) {
+			step = p.handOff
 		}
-		if err != nil {
-			return res, fmt.Errorf("harness: %s/%s under %s: %w", app.Name, l.Name, runner.Name(), err)
+		if err := step(l); err != nil {
+			return p.res, err
 		}
-		ao.Trace.Complete(app.Name+"/"+l.Name, "kernel", simPID, ao.TID, start, r.Wall, map[string]any{
-			"runner": runner.Name(), "mode": r.Mode,
-			"sim_cycles": r.SimTime, "insts": r.Insts,
-		})
-		res.KernelTime += r.SimTime
-		res.Insts += r.Insts
-		res.Wall += r.Wall
-		res.PerKernel = append(res.PerKernel, KernelRow{Name: l.Name, KernelResult: r})
 	}
-	res.Decisions = decisionsOf(runner)
-	return res, nil
+	p.res.Decisions = decisionsOf(runner)
+	return p.res, nil
 }
 
 // audit checks the invariants a finished kernel must have left behind.

@@ -1,0 +1,232 @@
+package harness
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"photon/internal/obs"
+	"photon/internal/sim/gpu"
+	"photon/internal/sim/mem"
+	"photon/internal/workloads"
+	"photon/internal/workloads/dnn"
+)
+
+// pipelineCase is one app whose pipelined and serial full-detailed runs must
+// agree.
+type pipelineCase struct {
+	name  string
+	build func() (*workloads.App, error)
+}
+
+// tinyScale is the reduced DNN scale the harness tests run the CNNs and the
+// transformer at.
+var tinyScale = dnn.Scale{Input: 32, ChannelDiv: 16}
+
+// pipelineCases lists every Table-2 benchmark at its smallest size, the
+// atomic extensions (HIST, BFS and KMeans fall back to inline runs) and the
+// multi-pass reduction, PageRank, and the three multi-kernel DNNs at
+// tinyScale.
+func pipelineCases() []pipelineCase {
+	var cs []pipelineCase
+	for _, spec := range append(workloads.Table2(), workloads.Extensions()...) {
+		size := spec.Sizes[0]
+		cs = append(cs, pipelineCase{spec.Abbr, func() (*workloads.App, error) { return spec.Build(size) }})
+	}
+	return append(cs,
+		pipelineCase{"PR", func() (*workloads.App, error) { return workloads.BuildPageRank(4096) }},
+		pipelineCase{"Xfmr-L2", func() (*workloads.App, error) {
+			cfg, err := dnn.ScaledTransformer(2, tinyScale)
+			if err != nil {
+				return nil, err
+			}
+			return dnn.BuildTransformer(cfg)
+		}},
+		pipelineCase{"ResNet-18", func() (*workloads.App, error) { return dnn.BuildResNet(18, tinyScale) }},
+		pipelineCase{"VGG-16", func() (*workloads.App, error) { return dnn.BuildVGG(16, tinyScale) }},
+	)
+}
+
+func findPipelineCase(t *testing.T, name string) pipelineCase {
+	for _, c := range pipelineCases() {
+		if c.name == name {
+			return c
+		}
+	}
+	t.Fatalf("no pipeline case %q", name)
+	return pipelineCase{}
+}
+
+// setProcs sets GOMAXPROCS until the test ends.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// pipelineProcs is the GOMAXPROCS the pipelined legs run at: at least two,
+// so kernels go to helpers even on a one-CPU host.
+func pipelineProcs() int { return max(2, runtime.NumCPU()) }
+
+// image reads every allocated word of m.
+func image(m *mem.Flat) []uint32 {
+	end := m.Alloc(0) // the break: every allocation lies below it
+	return m.ReadWords(0, int(end/4))
+}
+
+// runDetailedAt builds c's app and runs it full-detailed at GOMAXPROCS procs. It
+// returns the result with host times zeroed, the final image, and how many
+// kernels went to helpers.
+func runDetailedAt(t *testing.T, ctx context.Context, c pipelineCase, procs int, ao AppObs) (AppResult, []uint32, int64, error) {
+	t.Helper()
+	app, err := c.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(procs)
+	before := handedOff.Load()
+	res, err := RunAppInstrumented(ctx, gpu.R9Nano(), app, gpu.FullRunner{}, ao)
+	res.Wall = 0
+	for i := range res.PerKernel {
+		res.PerKernel[i].Wall = 0
+	}
+	return res, image(app.Mem), handedOff.Load() - before, err
+}
+
+// pipelinable counts the launches of c's app a pipelined run hands off:
+// every one but the last that has no atomic.
+func pipelinable(t *testing.T, c pipelineCase) int64 {
+	app, err := c.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(0)
+	for _, l := range app.Launches[:len(app.Launches)-1] {
+		if !hasAtomic(l.Program) {
+			n++
+		}
+	}
+	return n
+}
+
+// The pipelined run must reproduce the serial one: every per-kernel row,
+// the totals and the final memory image, byte for byte.
+func TestPipelinedRunMatchesSerial(t *testing.T) {
+	for _, c := range pipelineCases() {
+		t.Run(c.name, func(t *testing.T) {
+			setProcs(t, 1)
+			want, wantImg, n, err := runDetailedAt(t, context.Background(), c, 1, AppObs{})
+			if err != nil || n != 0 {
+				t.Fatalf("serial run: err %v, %d kernels handed off", err, n)
+			}
+			got, gotImg, n, err := runDetailedAt(t, context.Background(), c, pipelineProcs(), AppObs{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := pipelinable(t, c); n != w {
+				t.Errorf("%d kernels handed off, want %d", n, w)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got, want)
+			}
+			if !slices.Equal(gotImg, wantImg) {
+				i := 0
+				for i < min(len(gotImg), len(wantImg)) && gotImg[i] == wantImg[i] {
+					i++
+				}
+				t.Errorf("final images differ first at %#x (%d and %d words)", 4*i, len(gotImg), len(wantImg))
+			}
+		})
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its n+1st Err
+// call on: RunAppInstrumented asks once per launch, so the run is cancelled
+// just before launch n.
+type cancelAfter struct {
+	context.Context
+	n     int32
+	calls atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A cancelled pipelined run returns exactly the kernels before the signal,
+// in order, with the context error, and leaves no helper running.
+func TestPipelinedRunCancelsMidApp(t *testing.T) {
+	c := findPipelineCase(t, "Xfmr-L2")
+	setProcs(t, 1)
+	want, _, _, err := runDetailedAt(t, context.Background(), c, 1, AppObs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stop := range []int{1, 5, len(want.PerKernel) - 1} {
+		base := runtime.NumGoroutine()
+		ctx := &cancelAfter{Context: context.Background(), n: int32(stop)}
+		got, _, n, err := runDetailedAt(t, ctx, c, pipelineProcs(), AppObs{})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("stop before %d: err %v, want context.Canceled", stop, err)
+		}
+		if n == 0 {
+			t.Errorf("stop before %d: no kernel was handed off", stop)
+		}
+		if !reflect.DeepEqual(got.PerKernel, want.PerKernel[:stop]) {
+			t.Errorf("stop before %d: got %d kernels, want the serial prefix of %d", stop, len(got.PerKernel), stop)
+		}
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("stop before %d: %d goroutines outlive the run (%d before)", stop, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+}
+
+// Telemetry merges as if the run were serial: the same registry snapshot,
+// one kernel span per launch in launch order, and every kernel audited on
+// the GPU that ran it (a read of another GPU's hierarchy would race).
+func TestPipelinedRunMergesTelemetry(t *testing.T) {
+	c := findPipelineCase(t, "ResNet-18")
+	observed := func(procs int) (obs.Snapshot, []string, int64) {
+		reg, tr := obs.NewRegistry(), obs.NewTraceBuffer()
+		var spans []string
+		tr.OnEvent(func(ev obs.TraceEvent) {
+			if ev.Cat == "kernel" {
+				spans = append(spans, ev.Name)
+			}
+		})
+		_, _, n, err := runDetailedAt(t, context.Background(), c, procs, AppObs{Metrics: reg, Trace: tr, Check: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg.Snapshot(), spans, n
+	}
+	setProcs(t, 1)
+	wantSnap, wantSpans, _ := observed(1)
+	gotSnap, gotSpans, n := observed(pipelineProcs())
+	if n == 0 {
+		t.Fatal("no kernel was handed off")
+	}
+	if len(wantSnap.Counters) == 0 || len(wantSnap.Histograms) == 0 {
+		t.Fatal("the serial run published no counters or histograms")
+	}
+	if !reflect.DeepEqual(gotSnap, wantSnap) {
+		t.Errorf("pipelined registry snapshot differs from serial:\n got %+v\nwant %+v", gotSnap, wantSnap)
+	}
+	app, _ := c.build()
+	var names []string
+	for _, l := range app.Launches {
+		names = append(names, app.Name+"/"+l.Name)
+	}
+	if !slices.Equal(gotSpans, names) || !slices.Equal(wantSpans, names) {
+		t.Errorf("kernel spans out of launch order:\npipelined %v\nserial    %v\nlaunches  %v", gotSpans, wantSpans, names)
+	}
+}

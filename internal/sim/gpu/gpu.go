@@ -13,7 +13,10 @@ import (
 
 // GPU is one simulated device. It owns the (stateful) memory-hierarchy
 // timing model; a fresh timing machine is created per kernel so each kernel
-// starts at cycle zero. GPUs are not safe for concurrent use.
+// starts at cycle zero. GPUs are not safe for concurrent use, but distinct
+// GPUs are independent: each kernel starts cold, so two GPUs of the same
+// Config may run kernels of one app concurrently, each over its own memory
+// image (a mem.Flat.Fork), and publish into one shared metrics registry.
 //
 // The GPU also carries the run's telemetry sinks. Every RunKernel receives
 // the GPU, so a runner reads its sinks from there (Metrics, Log) and a
@@ -94,7 +97,9 @@ type KernelResult struct {
 	// Stale reports that the result predicts workgroups the runner never
 	// executed, so their outputs are missing from the memory image.
 	Stale bool
-	// Wall is the host time spent producing this result.
+	// Wall is the host time spent producing this result. Two kernels'
+	// walls may overlap when they ran on different GPUs, so a sum of them
+	// is host time spent, not elapsed time.
 	Wall time.Duration
 }
 

@@ -8,7 +8,9 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 const (
@@ -32,27 +34,84 @@ var zeroPage page
 // Flat is a sparse, byte-addressable functional memory with a bump
 // allocator. Buffers are allocated in the low 4 GiB so that 32-bit registers
 // can hold pointers, matching the kernels' 32-bit pointer convention.
+//
+// A Flat is not safe for concurrent use, but a Fork and its parent are
+// independent images and may be used from different goroutines.
 type Flat struct {
 	// low is the page table of the 32-bit pointer space, indexed by page
 	// number and grown on demand; an untouched page is nil. A kernel that
 	// alternates between buffers changes page on every access, so the
-	// lookup behind the single-entry cache is an index, not a hash. far
+	// lookup behind the single-entry caches is an index, not a hash. far
 	// holds the pages above it, which only wrapped or wild addresses reach.
 	low []*page
 	far map[uint64]*page
 	brk uint64
 
-	// Single-entry page cache: GPU kernels stream through buffers, so
-	// consecutive accesses overwhelmingly hit the same 64 KiB page and skip
-	// the table lookup.
-	lastPN   uint64
-	lastPage *page
+	// shared is the ownership bit of every page: set while the page may be
+	// mapped by another image since a Fork, so a store must copy it first.
+	// Bit pn&63 of shared[pn>>6] covers low page pn, farShared the far
+	// pages. Both are nil on a Flat that was never forked.
+	shared    []uint64
+	farShared map[uint64]bool
+
+	// Single-entry page caches, one for loads and one for stores: GPU
+	// kernels stream through buffers, so consecutive accesses
+	// overwhelmingly hit the same 64 KiB page and skip the table lookup.
+	// The store cache holds only pages this image owns.
+	rPN, wPN     uint64
+	rPage, wPage *page
 }
 
 // NewFlat returns an empty memory. Allocation starts at 64 KiB so that
 // address 0 stays unmapped (helps catch null-pointer bugs in kernels).
 func NewFlat() *Flat {
-	return &Flat{brk: pageSize, lastPN: ^uint64(0)}
+	return &Flat{brk: pageSize, rPN: ^uint64(0), wPN: ^uint64(0)}
+}
+
+// Fork returns a copy-on-write clone of the image. The two images share
+// every page; whichever side stores to a shared page first copies it, so
+// the other never sees the store. Forking costs one pass over the page
+// table, and each side then pays one page copy per page it writes.
+func (m *Flat) Fork() *Flat {
+	m.shared = make([]uint64, (len(m.low)+63)/64)
+	for pn, p := range m.low {
+		if p != nil {
+			m.shared[pn>>6] |= 1 << (pn & 63)
+		}
+	}
+	m.farShared = make(map[uint64]bool, len(m.far))
+	for pn := range m.far {
+		m.farShared[pn] = true
+	}
+	m.wPN, m.wPage = ^uint64(0), nil // the cached page is shared now
+	return &Flat{
+		low: slices.Clone(m.low), far: maps.Clone(m.far), brk: m.brk,
+		shared: slices.Clone(m.shared), farShared: maps.Clone(m.farShared),
+		rPN: ^uint64(0), wPN: ^uint64(0),
+	}
+}
+
+// owns reports whether page pn, which must be mapped, is this image's alone.
+func (m *Flat) owns(pn uint64) bool {
+	if pn < lowPages {
+		w := pn >> 6
+		return w >= uint64(len(m.shared)) || m.shared[w]&(1<<(pn&63)) == 0
+	}
+	return !m.farShared[pn]
+}
+
+// own replaces shared page pn by a private copy and returns the copy.
+func (m *Flat) own(pn uint64, p *page) *page {
+	c := new(page)
+	*c = *p
+	if pn < lowPages {
+		m.low[pn] = c
+		m.shared[pn>>6] &^= 1 << (pn & 63)
+	} else {
+		m.far[pn] = c
+		delete(m.farShared, pn)
+	}
+	return c
 }
 
 // lookup returns page pn, or nil if it was never touched.
@@ -97,38 +156,44 @@ func (m *Flat) Alloc(size uint64) uint64 {
 // readPage returns the page a load of addr reads: the mapped page, or the
 // shared zero page when addr was never written.
 func (m *Flat) readPage(addr uint64) *page {
-	if addr>>pageBits == m.lastPN {
-		return m.lastPage
+	if addr>>pageBits == m.rPN {
+		return m.rPage
 	}
 	return m.readMiss(addr >> pageBits)
 }
 
 // writePage returns the page a store to addr writes, mapping it on first
-// touch.
+// touch and copying it first when it is shared with a fork.
 func (m *Flat) writePage(addr uint64) *page {
-	if addr>>pageBits == m.lastPN {
-		return m.lastPage
+	if addr>>pageBits == m.wPN {
+		return m.wPage
 	}
 	return m.writeMiss(addr >> pageBits)
 }
 
-// readMiss and writeMiss are the paths past the single-entry cache, kept out
-// of line so the hit path inlines into Read32 and Write32.
+// readMiss and writeMiss are the paths past the single-entry caches, kept
+// out of line so the hit paths inline into Read32 and Write32.
 func (m *Flat) readMiss(pn uint64) *page {
 	p := m.lookup(pn)
 	if p == nil {
 		return &zeroPage
 	}
-	m.lastPN, m.lastPage = pn, p
+	m.rPN, m.rPage = pn, p
 	return p
 }
 
 func (m *Flat) writeMiss(pn uint64) *page {
 	p := m.lookup(pn)
-	if p == nil {
+	switch {
+	case p == nil:
 		p = m.create(pn)
+	case !m.owns(pn):
+		p = m.own(pn, p)
+		if m.rPN == pn { // the load cache must not keep the shared original
+			m.rPage = p
+		}
 	}
-	m.lastPN, m.lastPage = pn, p
+	m.wPN, m.wPage = pn, p
 	return p
 }
 
