@@ -100,24 +100,29 @@ func TestCheckComposesWithTraceAndStore(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := buildSim(t, dir)
+	// HIST's atomic bins count every executed workgroup, so its check holds
+	// only if the online analysis, cold or served from a warm store, leaves
+	// the image alone.
 	for _, tc := range []struct {
-		mode, flag, artifact, want string
+		bench, size, mode, flag, artifact, want string
 	}{
-		{"full", "-trace", "trace.txt", "trace: "},
-		{"photon", "-analysis-store", "store.json", "analysis store: 1 profiles"},
+		{"FIR", "384", "full", "-trace", "trace.txt", "trace: "},
+		{"FIR", "384", "photon", "-analysis-store", "store.json", "analysis store: 1 profiles"},
+		{"HIST", "4096", "photon", "-analysis-store", "hist.json", "analysis store: 1 profiles, 0 hits, 1 misses"},
+		{"HIST", "4096", "photon", "-analysis-store", "hist.json", "analysis store: 1 profiles, 1 hits, 0 misses"},
 	} {
 		path := filepath.Join(dir, tc.artifact)
-		out, err := exec.Command(bin, "-check", "-bench", "FIR", "-size", "384", "-mode", tc.mode, tc.flag, path).CombinedOutput()
+		out, err := exec.Command(bin, "-check", "-bench", tc.bench, "-size", tc.size, "-mode", tc.mode, tc.flag, path).CombinedOutput()
 		if err != nil {
-			t.Fatalf("-check -mode %s %s: %v\n%s", tc.mode, tc.flag, err, out)
+			t.Fatalf("-check %s -mode %s %s: %v\n%s", tc.bench, tc.mode, tc.flag, err, out)
 		}
 		for _, want := range []string{tc.want, "audit: 1 kernels, invariants ok", "check: ok"} {
 			if !strings.Contains(string(out), want) {
-				t.Errorf("-check -mode %s %s: output lacks %q:\n%s", tc.mode, tc.flag, want, out)
+				t.Errorf("-check %s -mode %s %s: output lacks %q:\n%s", tc.bench, tc.mode, tc.flag, want, out)
 			}
 		}
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-			t.Errorf("-check -mode %s %s wrote no %s (%v)", tc.mode, tc.flag, tc.artifact, err)
+			t.Errorf("-check %s -mode %s %s wrote no %s (%v)", tc.bench, tc.mode, tc.flag, tc.artifact, err)
 		}
 	}
 	// A tier that predicts workgroups instead of executing them leaves the
@@ -125,6 +130,10 @@ func TestCheckComposesWithTraceAndStore(t *testing.T) {
 	out, err := exec.Command(bin, "-check", "-bench", "relu", "-size", "65536", "-mode", "warp").CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "check: skipped (relu ran under warp-sampling, ") {
 		t.Errorf("-check -mode warp on ReLU/65536: %v, output:\n%s", err, out)
+	}
+	out, err = exec.Command(bin, "-check", "-bench", "HIST", "-size", "4096", "-mode", "pka").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "check: ok") && !strings.Contains(string(out), "check: skipped (") {
+		t.Errorf("-check -mode pka on HIST/4096: %v, output:\n%s", err, out)
 	}
 }
 

@@ -33,8 +33,10 @@ type Profile struct {
 }
 
 // AnalyzeOnline functionally simulates ~fraction of the launch's warps
-// (sampled at workgroup granularity, spread evenly across the grid) and
-// summarizes their behavior. The paper uses fraction = 1%.
+// (sampled at workgroup granularity, spread evenly across the grid; the paper
+// uses 1%) and summarizes their behavior. It runs them on a Fork of the image
+// and drops it, so only the run writes the program's image; Fork writes the
+// parent's ownership bits, so never analyze one image from two goroutines.
 func AnalyzeOnline(l *kernel.Launch, fraction float64) (*Profile, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -53,9 +55,11 @@ func AnalyzeOnline(l *kernel.Launch, fraction float64) (*Profile, error) {
 		Types:      make(map[uint64]*bbv.TypeProfile),
 		BlockInsts: make([]uint64, l.Program.NumBlocks()),
 	}
+	fork := *l
+	fork.Memory = l.Memory.Fork()
 	var grp emu.Group
 	for i := 0; i < sampleWGs; i++ {
-		grp.Reset(l, i*stride)
+		grp.Reset(&fork, i*stride)
 		if err := grp.RunFunctional(); err != nil {
 			return nil, fmt.Errorf("core: online analysis of %s: %w", l.Name, err)
 		}

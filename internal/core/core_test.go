@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"photon/internal/core/bbv"
@@ -90,6 +92,47 @@ func TestAnalyzeOnlineSPMVIsIrregular(t *testing.T) {
 	}
 	if prof.GPU.DominantShare >= 0.95 {
 		t.Fatalf("SpMV dominant share %v; warp-sampling must stay disabled", prof.GPU.DominantShare)
+	}
+}
+
+// The online analysis observes a kernel and leaves the program alone: its
+// sample runs on a dropped Fork, so every word below the break reads the
+// same afterwards and a second analysis sees the same kernel. HIST's atomic
+// bins and KMeans' atomic sums would count the sampled groups twice
+// otherwise.
+func TestAnalyzeOnlineLeavesImage(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func(int) (*workloads.App, error)
+		size  int
+	}{{"HIST", workloads.BuildHistogram, 4096}, {"KMeans", workloads.BuildKMeans, 1024}} {
+		t.Run(c.name, func(t *testing.T) {
+			app, err := c.build(c.size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			words := func() []uint32 { return app.Mem.ReadWords(0, int(app.Mem.Alloc(0)/4)) }
+			before := words()
+			l := app.Launches[0]
+			first, err := AnalyzeOnline(l, DefaultParams().SampleFraction)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := words(); !slices.Equal(before, after) {
+				n := 0
+				for n < len(before) && before[n] == after[n] {
+					n++
+				}
+				t.Fatalf("analysis wrote the image: first difference at %#x", 4*n)
+			}
+			second, err := AnalyzeOnline(l, DefaultParams().SampleFraction)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("second analysis differs:\n got %+v\nwant %+v", second, first)
+			}
+		})
 	}
 }
 

@@ -376,9 +376,8 @@ func distributionReport(w io.Writer, o Options,
 		name  string
 		build appBuilder
 	}{{"SC", obsSC}, {"SpMV", obsSPMV}}
-	// One job per (bench, fraction). Each job builds a private app: the
-	// functional analysis executes stores into the app's memory image, so
-	// two jobs must never share one.
+	// One job per (bench, fraction), each on a private app: the analysis's
+	// Fork writes the image's page-ownership bits, so jobs must not share one.
 	fractions := []float64{1.0, 0.01}
 	var tasks []engine.Task[map[string]float64]
 	for _, bench := range benches {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"photon/internal/core"
 	"photon/internal/obs"
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/mem"
@@ -134,13 +135,61 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 				t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got, want)
 			}
 			if !slices.Equal(gotImg, wantImg) {
-				i := 0
-				for i < min(len(gotImg), len(wantImg)) && gotImg[i] == wantImg[i] {
-					i++
-				}
-				t.Errorf("final images differ first at %#x (%d and %d words)", 4*i, len(gotImg), len(wantImg))
+				t.Errorf("final images differ first at %#x (%d and %d words)", firstDiff(gotImg, wantImg), len(gotImg), len(wantImg))
 			}
 		})
+	}
+}
+
+// firstDiff returns the byte address of the first word where two images
+// differ.
+func firstDiff(a, b []uint32) int {
+	i := 0
+	for i < min(len(a), len(b)) && a[i] == b[i] {
+		i++
+	}
+	return 4 * i
+}
+
+// Every mode leaves the serial full run's image unless its runner reports a
+// kernel Stale: a sampled tier executes each workgroup it does not predict
+// exactly once, and the online analysis runs on a dropped fork. KMeans'
+// v_atomic_fadd sums in schedule order, so its bytes may differ from the
+// full run's and its image is held to the app's Check instead.
+func TestEveryModeLeavesFullRunImage(t *testing.T) {
+	setProcs(t, 1)
+	for _, name := range []string{"HIST", "KMEANS", "BFS", "REDUCE"} {
+		c := findPipelineCase(t, name)
+		_, want, _, err := runDetailedAt(t, context.Background(), c, 1, AppObs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range modes {
+			t.Run(name+"/"+m.name, func(t *testing.T) {
+				app, err := c.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := gpu.R9Nano()
+				res, err := RunAppInstrumented(context.Background(), cfg, app, m.new(cfg, core.DefaultParams()), AppObs{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k, stale := res.StaleKernel(); stale {
+					if !k.Stale {
+						t.Fatalf("StaleKernel returned %s, which is not Stale", k.Name)
+					}
+					t.Skipf("%s ran under %s: no checkable image", k.Name, k.Mode)
+				}
+				if name == "KMEANS" {
+					if err := app.Check(); err != nil {
+						t.Error(err)
+					}
+				} else if got := image(app.Mem); !slices.Equal(got, want) {
+					t.Errorf("image differs from the full run's first at %#x (%d and %d words)", firstDiff(got, want), len(got), len(want))
+				}
+			})
+		}
 	}
 }
 
