@@ -12,7 +12,6 @@ package pka
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"photon/internal/core"
 	"photon/internal/sim/emu"
@@ -149,8 +148,6 @@ func bucket(v float64) int {
 
 // RunKernel implements gpu.Runner.
 func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
-	start := time.Now()
-
 	// Instruction-count estimate from a functional sample (stands in for
 	// PKA's profiling counters).
 	profile, err := core.AnalyzeOnline(l, r.params.SampleFraction)
@@ -166,7 +163,6 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 			Insts:   prev.insts,
 			Mode:    TierKernel,
 			Stale:   true,
-			Wall:    time.Since(start),
 		}, nil
 	}
 
@@ -176,7 +172,7 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		return gpu.KernelResult{}, err
 	}
 
-	result := gpu.KernelResult{DetailedInsts: res.InstCount, Wall: 0}
+	result := gpu.KernelResult{DetailedInsts: res.InstCount}
 	if res.Complete || !mon.triggered {
 		result.Mode = TierFull
 		result.SimTime = res.EndTime
@@ -196,7 +192,6 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		result.Insts = uint64(totalInsts)
 	}
 	r.history[key] = kernelEntry{simTime: result.SimTime, insts: result.Insts}
-	result.Wall = time.Since(start)
 	return result, nil
 }
 

@@ -8,8 +8,6 @@
 package tbpoint
 
 import (
-	"time"
-
 	"photon/internal/core"
 	"photon/internal/sim/emu"
 	"photon/internal/sim/event"
@@ -98,7 +96,6 @@ func (g *groupTimer) meanGroupDuration() float64 {
 
 // RunKernel implements gpu.Runner.
 func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
-	start := time.Now()
 	profile, err := core.AnalyzeOnline(l, r.params.SampleFraction)
 	if err != nil {
 		return gpu.KernelResult{}, err
@@ -142,7 +139,6 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		skipped := float64(remaining*l.WarpsPerGroup) * profile.MeanWarpInsts
 		result.Insts = res.InstCount + uint64(skipped)
 	}
-	result.Wall = time.Since(start)
 	return result, nil
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"log/slog"
-	"time"
 
 	"photon/internal/obs"
 	"photon/internal/sim/emu"
@@ -192,7 +191,6 @@ func (p *Photon) recordKernel(g *gpu.GPU, name string, profile *Profile, r gpu.K
 
 // RunKernel implements gpu.Runner: the full Photon flow for one kernel.
 func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
-	start := time.Now()
 	shape := MachineShape{
 		NumCUs:        g.Config().Compute.NumCUs,
 		WarpSlotsPer:  g.Config().Compute.WarpSlotsPerCU(),
@@ -229,7 +227,6 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 				SimTime: EventTime(simTime),
 				Insts:   insts,
 				Mode:    TierKernel,
-				Wall:    time.Since(start),
 			}
 			p.recordKernel(g, l.Name, profile, result, TierDecision{KernelMatch: true})
 			return result, nil
@@ -321,7 +318,6 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		Insts:   float64(result.Insts),
 		SimTime: float64(result.SimTime),
 	})
-	result.Wall = time.Since(start)
 	dec := TierDecision{
 		GateCycles:    float64(res.GateTime),
 		BBStableShare: bbT.stableShare(),

@@ -24,8 +24,8 @@ type AppResult struct {
 	Runner     string
 	KernelTime event.Time // summed simulated kernel execution time
 	Insts      uint64
-	// Wall is the host time of the kernels summed (KernelResult.Wall), not
-	// the run's elapsed time: kernels that ran concurrently count in full.
+	// Wall is the run's elapsed host time; the rows' walls sum to more
+	// exactly when kernels overlapped.
 	Wall      time.Duration
 	PerKernel []KernelRow
 	// Decisions is the runner's per-kernel tier ledger, when it keeps one
@@ -75,20 +75,23 @@ type AppObs struct {
 // and timing machines publish into ao.Metrics and log through ao.Log, and a
 // runner that publishes telemetry (Photon) reads them from the GPU. Every
 // kernel emits one Chrome trace span onto thread ao.TID of the simulation
-// track. The runner's tier ledger, when it keeps one, is returned in
-// AppResult.Decisions.
+// track, or its GPU's own thread when a helper ran it. The run loop stamps
+// every kernel's Wall and the run's elapsed Wall. The runner's tier ledger,
+// when it keeps one, is returned in AppResult.Decisions.
 //
 // With a runner that keeps no state across kernels, the detailed runs of an
 // app's kernels may overlap on helper goroutines (DESIGN.md "Kernel-level
 // parallelism"); results, spans and audits still merge in kernel order, so
-// the result equals a serial run's but for wall times.
+// the result equals a serial run's but for wall times and span threads.
 //
 // It checks ctx between kernel launches, so a cancelled or deadline-exceeded
 // job stops within one kernel of the signal instead of simulating the rest
 // of the application. The in-order prefix of the kernels finished so far is
 // returned alongside the context error (callers that checkpoint in-flight
 // work keep it; everyone else discards).
-func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppObs) (AppResult, error) {
+func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppObs) (res AppResult, err error) {
+	start := time.Now()
+	defer func() { res.Wall = time.Since(start) }()
 	running.Add(1)
 	defer running.Add(-1)
 	ao.Trace.NameProcess(simPID, "simulation")
@@ -210,7 +213,7 @@ func (c Comparison) ErrPct() float64 {
 	return stats.AbsErrorPct(float64(c.Full.KernelTime), float64(c.Sampled.KernelTime))
 }
 
-// Speedup is the wall-time ratio.
+// Speedup is the ratio of the two runs' elapsed wall times (AppResult.Wall).
 func (c Comparison) Speedup() float64 {
 	return stats.Speedup(c.Full.Wall, c.Sampled.Wall)
 }

@@ -38,13 +38,15 @@ type pipeline struct {
 	window int
 	gpus   chan *gpu.GPU // idle GPUs; at most window are ever made
 	made   int
-	queue  []*kernelRun // handed off and not merged yet, in kernel order
+	tids   map[*gpu.GPU]int // the trace thread of each GPU's handed-off kernels
+	queue  []*kernelRun     // handed off and not merged yet, in kernel order
 	res    AppResult
 }
 
 // kernelRun is one kernel's detailed run, audited on the GPU that ran it.
 type kernelRun struct {
 	l     *kernel.Launch // the app's launch, not its fork
+	tid   int            // trace thread: ao.TID inline, its GPU's when handed off
 	r     gpu.KernelResult
 	start time.Time
 	err   error
@@ -57,7 +59,7 @@ func newPipeline(cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppOb
 		window = runtime.GOMAXPROCS(0)
 	}
 	return &pipeline{cfg: cfg, app: app, runner: runner, ao: ao, window: window,
-		gpus: make(chan *gpu.GPU, window), res: AppResult{Runner: runner.Name()}}
+		gpus: make(chan *gpu.GPU, window), tids: map[*gpu.GPU]int{}, res: AppResult{Runner: runner.Name()}}
 }
 
 // stateless reports whether the runner carries nothing from one kernel to
@@ -98,15 +100,18 @@ func (p *pipeline) gpu() *gpu.GPU {
 			g.SetMetrics(p.ao.Metrics)
 		}
 		g.SetLog(p.ao.Log)
+		p.tids[g] = 1<<16 + p.made // above any caller's TID (DESIGN.md "Trace threads")
 		return g
 	}
 	return <-p.gpus
 }
 
-// run runs l on g and, under Check, audits what it left in g's hierarchy.
+// run runs l on g, stamps the call's host time as the kernel's wall (runners
+// leave it zero) and, under Check, audits what it left in g's hierarchy.
 func (p *pipeline) run(g *gpu.GPU, l *kernel.Launch) (r gpu.KernelResult, start time.Time, err error) {
 	start = time.Now()
 	r, err = p.runner.RunKernel(g, l)
+	r.Wall = time.Since(start)
 	if err == nil && p.ao.Check {
 		err = audit(g, l, r)
 	}
@@ -117,7 +122,7 @@ func (p *pipeline) run(g *gpu.GPU, l *kernel.Launch) (r gpu.KernelResult, start 
 // inline runs launch l on the live image, then merges every earlier kernel
 // and l, in that order.
 func (p *pipeline) inline(l *kernel.Launch) error {
-	k := kernelRun{l: l}
+	k := kernelRun{l: l, tid: p.ao.TID}
 	k.r, k.start, k.err = p.run(p.gpu(), l)
 	if err := p.mergeAll(); err != nil {
 		return err
@@ -137,14 +142,17 @@ func (p *pipeline) handOff(l *kernel.Launch) error {
 	}
 	fork := *l
 	fork.Memory = l.Memory.Fork()
-	k := &kernelRun{l: l, done: make(chan struct{})}
+	k := &kernelRun{l: l, tid: p.tids[g], done: make(chan struct{})}
 	p.queue = append(p.queue, k)
 	handedOff.Add(1)
 	go func() {
 		k.r, k.start, k.err = p.run(g, &fork)
 		close(k.done)
 	}()
-	if _, err := emu.RunKernelFunctional(l); err != nil {
+	start := time.Now()
+	_, err := emu.RunKernelFunctional(l)
+	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
+	if err != nil {
 		// The detailed run of l most likely failed the same way: report
 		// its error, as a serial run would, when it has one.
 		if merr := p.mergeAll(); merr != nil {
@@ -207,13 +215,12 @@ func (p *pipeline) merge(k *kernelRun) error {
 		return p.fail(k.l, k.err)
 	}
 	r := k.r
-	p.ao.Trace.Complete(p.app.Name+"/"+k.l.Name, "kernel", simPID, p.ao.TID, k.start, r.Wall, map[string]any{
+	p.ao.Trace.Complete(p.app.Name+"/"+k.l.Name, "kernel", simPID, k.tid, k.start, r.Wall, map[string]any{
 		"runner": p.runner.Name(), "mode": r.Mode,
 		"sim_cycles": r.SimTime, "insts": r.Insts,
 	})
 	p.res.KernelTime += r.SimTime
 	p.res.Insts += r.Insts
-	p.res.Wall += r.Wall
 	p.res.PerKernel = append(p.res.PerKernel, KernelRow{Name: k.l.Name, KernelResult: r})
 	return nil
 }

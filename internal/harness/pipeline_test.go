@@ -175,6 +175,18 @@ func TestEveryModeLeavesFullRunImage(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Only the run loop sets a wall, so every row has one, and a
+				// serial run lasts at least as long as its kernels.
+				var sum time.Duration
+				for _, k := range res.PerKernel {
+					if k.Wall <= 0 {
+						t.Errorf("%s: wall %v, want > 0", k.Name, k.Wall)
+					}
+					sum += k.Wall
+				}
+				if res.Wall < sum {
+					t.Errorf("run wall %v below its kernels' %v", res.Wall, sum)
+				}
 				if k, stale := res.StaleKernel(); stale {
 					if !k.Stale {
 						t.Fatalf("StaleKernel returned %s, which is not Stale", k.Name)
@@ -241,20 +253,44 @@ func TestPipelinedRunCancelsMidApp(t *testing.T) {
 
 // Telemetry merges as if the run were serial: the same registry snapshot,
 // one kernel span per launch in launch order, and every kernel audited on
-// the GPU that ran it (a read of another GPU's hierarchy would race).
+// the GPU that ran it (a read of another GPU's hierarchy would race). Spans
+// go on the thread that ran them, so on each thread any two nest or are
+// disjoint, which is all the Chrome trace format can draw; a serial run
+// keeps every span on the run's own thread.
 func TestPipelinedRunMergesTelemetry(t *testing.T) {
 	c := findPipelineCase(t, "ResNet-18")
 	observed := func(procs int) (obs.Snapshot, []string, int64) {
 		reg, tr := obs.NewRegistry(), obs.NewTraceBuffer()
 		var spans []string
+		var evs []obs.TraceEvent
 		tr.OnEvent(func(ev obs.TraceEvent) {
+			if ev.Ph == "X" {
+				evs = append(evs, ev)
+			}
 			if ev.Cat == "kernel" {
 				spans = append(spans, ev.Name)
 			}
 		})
-		_, _, n, err := runDetailedAt(t, context.Background(), c, procs, AppObs{Metrics: reg, Trace: tr, Check: true})
+		const tid = 3
+		_, _, n, err := runDetailedAt(t, context.Background(), c, procs, AppObs{Metrics: reg, Trace: tr, TID: tid, Check: true})
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i, a := range evs {
+			if n == 0 && a.TID != tid {
+				t.Errorf("serial run: span %s on thread %d, want %d", a.Name, a.TID, tid)
+			}
+			for _, b := range evs[i+1:] {
+				if a.PID != b.PID || a.TID != b.TID {
+					continue
+				}
+				if b.TS < a.TS || b.TS == a.TS && b.Dur > a.Dur {
+					a, b = b, a
+				}
+				if b.TS < a.TS+a.Dur && b.TS+b.Dur > a.TS+a.Dur {
+					t.Errorf("spans %s and %s partially overlap on (%d, %d)", a.Name, b.Name, a.PID, a.TID)
+				}
+			}
 		}
 		return reg.Snapshot(), spans, n
 	}
@@ -277,5 +313,36 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 	}
 	if !slices.Equal(gotSpans, names) || !slices.Equal(wantSpans, names) {
 		t.Errorf("kernel spans out of launch order:\npipelined %v\nserial    %v\nlaunches  %v", gotSpans, wantSpans, names)
+	}
+}
+
+// AppResult.Wall is the run's elapsed time: it fits inside a stopwatch
+// around the call, and a pipelined run, whose kernels overlap, lasts less
+// than its kernels' walls summed.
+func TestPipelinedRunWallIsElapsed(t *testing.T) {
+	app, err := findPipelineCase(t, "ResNet-18").build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	setProcs(t, pipelineProcs())
+	before := handedOff.Load()
+	start := time.Now()
+	res, err := RunAppInstrumented(context.Background(), gpu.R9Nano(), app, gpu.FullRunner{}, AppObs{})
+	stopwatch := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if handedOff.Load() == before {
+		t.Fatal("no kernel was handed off")
+	}
+	if res.Wall > stopwatch {
+		t.Errorf("run wall %v exceeds the %v around the call", res.Wall, stopwatch)
+	}
+	var sum time.Duration
+	for _, k := range res.PerKernel {
+		sum += k.Wall
+	}
+	if sum <= res.Wall {
+		t.Errorf("kernel walls sum to %v, want more than the run's %v", sum, res.Wall)
 	}
 }

@@ -97,9 +97,9 @@ type KernelResult struct {
 	// Stale reports that the result predicts workgroups the runner never
 	// executed, so their outputs are missing from the memory image.
 	Stale bool
-	// Wall is the host time spent producing this result. Two kernels'
-	// walls may overlap when they ran on different GPUs, so a sum of them
-	// is host time spent, not elapsed time.
+	// Wall is the host time of the RunKernel call, stamped by the run loop.
+	// Kernels that ran on different GPUs may overlap, so a sum of walls is
+	// host time spent, not elapsed time.
 	Wall time.Duration
 }
 
@@ -113,7 +113,8 @@ func (r KernelResult) IPC() float64 {
 
 // Runner executes kernels under some simulation methodology. Implementations
 // are the full-detailed runner below, the Photon controller
-// (internal/core) and the PKA baseline (internal/baseline/pka).
+// (internal/core) and the PKA baseline (internal/baseline/pka). Runners
+// leave KernelResult.Wall zero: the run loop times the call.
 type Runner interface {
 	Name() string
 	RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error)
@@ -132,7 +133,6 @@ func (FullRunner) Name() string { return TierFull }
 
 // RunKernel implements Runner.
 func (f FullRunner) RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error) {
-	start := time.Now()
 	res, err := g.RunDetailed(l, f.Observer, nil)
 	if err != nil {
 		return KernelResult{}, err
@@ -142,7 +142,6 @@ func (f FullRunner) RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error) {
 		Insts:         res.InstCount,
 		DetailedInsts: res.InstCount,
 		Mode:          TierFull,
-		Wall:          time.Since(start),
 	}, nil
 }
 
@@ -155,10 +154,9 @@ func (FunctionalRunner) Name() string { return TierFunctional }
 
 // RunKernel implements Runner.
 func (FunctionalRunner) RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error) {
-	start := time.Now()
 	insts, err := emu.RunKernelFunctional(l)
 	if err != nil {
 		return KernelResult{}, err
 	}
-	return KernelResult{Insts: insts, Mode: TierFunctional, Wall: time.Since(start)}, nil
+	return KernelResult{Insts: insts, Mode: TierFunctional}, nil
 }
