@@ -483,7 +483,7 @@ func (c *client) accuracy(args []string) int {
 		fmt.Fprint(c.stdout, string(data))
 		return 0
 	}
-	recs, err := harness.ReadAccuracyRecords(bytes.NewReader(data))
+	recs, err := harness.ReadJSONLines[harness.AccuracyRecord](bytes.NewReader(data))
 	if err != nil {
 		return c.fail(err)
 	}

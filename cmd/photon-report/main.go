@@ -20,6 +20,9 @@
 //
 //	photon-bench -exp fig13 -quick -accuracy-out accuracy.jsonl
 //	photon-report -accuracy accuracy.jsonl
+//
+// Every input is read strictly as one record type, so a ledger without
+// -accuracy, or a -json file with it, exits 1 naming the file.
 package main
 
 import (
@@ -36,60 +39,77 @@ import (
 )
 
 func main() {
-	var (
-		accuracy = flag.Bool("accuracy", false, "inputs are per-kernel accuracy ledgers (photon-bench -accuracy-out)")
-		svgDir   = flag.String("svg", "", "also write per-experiment error and speedup bar charts to this directory")
-		version  = flag.Bool("version", false, "print version and exit")
-	)
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Print("photon-report"))
-		return
-	}
-	if flag.NArg() == 0 || (*accuracy && *svgDir != "") {
-		fmt.Fprintln(os.Stderr, "usage: photon-report [-accuracy | -svg dir] <results.jsonl> [...]")
-		os.Exit(2)
-	}
-	if *accuracy {
-		ledger := readAll(harness.ReadAccuracyRecords)
-		harness.PrintAccuracySummaries(os.Stdout, harness.SummarizeAccuracy(ledger))
-		return
-	}
-	all := readAll(harness.ReadRecords)
-	harness.PrintSummaries(os.Stdout, harness.Summarize(all))
-	if *svgDir != "" {
-		if err := writeCharts(*svgDir, all); err != nil {
-			fatal(err)
-		}
-	}
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// readAll parses every input file with read, in argument order.
-func readAll[T any](read func(io.Reader) ([]T, error)) []T {
+// realMain runs photon-report and returns its exit code: 0, 1 when an
+// input cannot be read or is not the record type the flags ask for (a
+// ledger without -accuracy, a -json file with it), 2 on a usage error.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("photon-report", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		accuracy = fs.Bool("accuracy", false, "inputs are per-kernel accuracy ledgers (photon-bench -accuracy-out)")
+		svgDir   = fs.String("svg", "", "also write per-experiment error and speedup bar charts to this directory")
+		version  = fs.Bool("version", false, "print version and exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *version {
+		fmt.Fprintln(stdout, buildinfo.Print("photon-report"))
+		return 0
+	}
+	if fs.NArg() == 0 || (*accuracy && *svgDir != "") {
+		fmt.Fprintln(stderr, "usage: photon-report [-accuracy | -svg dir] <results.jsonl> [...]")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "photon-report: %v\n", err)
+		return 1
+	}
+	if *accuracy {
+		ledger, err := readAll[harness.AccuracyRecord](fs.Args())
+		if err != nil {
+			return fail(err)
+		}
+		harness.PrintAccuracySummaries(stdout, harness.SummarizeAccuracy(ledger))
+		return 0
+	}
+	all, err := readAll[harness.Record](fs.Args())
+	if err != nil {
+		return fail(err)
+	}
+	harness.PrintSummaries(stdout, harness.Summarize(all))
+	if *svgDir != "" {
+		if err := writeCharts(*svgDir, all, stderr); err != nil {
+			return fail(err)
+		}
+	}
+	return 0
+}
+
+// readAll parses every input file as records of type T, in argument order.
+func readAll[T any](paths []string) ([]T, error) {
 	var all []T
-	for _, path := range flag.Args() {
+	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		recs, err := read(f)
+		recs, err := harness.ReadJSONLines[T](f)
 		f.Close()
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		all = append(all, recs...)
 	}
-	return all
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "photon-report: %v\n", err)
-	os.Exit(1)
+	return all, nil
 }
 
 // writeCharts renders every experiment in recs into dir, in experiment-name
 // order; the notices go to stderr so stdout stays the summary table.
-func writeCharts(dir string, recs []harness.Record) error {
+func writeCharts(dir string, recs []harness.Record, stderr io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -103,7 +123,7 @@ func writeCharts(dir string, recs []harness.Record) error {
 	}
 	sort.Strings(exps)
 	for _, exp := range exps {
-		if err := renderExperiment(dir, exp, byExp[exp]); err != nil {
+		if err := renderExperiment(dir, exp, byExp[exp], stderr); err != nil {
 			return err
 		}
 	}
@@ -113,7 +133,7 @@ func writeCharts(dir string, recs []harness.Record) error {
 // renderExperiment writes <exp>_error.svg and <exp>_speedup.svg: one bar
 // group per (bench, size) in first-appearance order, one bar per sampling
 // runner (the full baseline compares a run against itself and is skipped).
-func renderExperiment(dir, exp string, recs []harness.Record) error {
+func renderExperiment(dir, exp string, recs []harness.Record, stderr io.Writer) error {
 	runners := []string{}
 	seenRunner := map[string]bool{}
 	type gkey struct {
@@ -162,7 +182,7 @@ func renderExperiment(dir, exp string, recs []harness.Record) error {
 	if err := os.WriteFile(filepath.Join(dir, exp+"_speedup.svg"), []byte(spdSVG), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s_error.svg and %s_speedup.svg (%d groups, %d runners)\n",
+	fmt.Fprintf(stderr, "wrote %s_error.svg and %s_speedup.svg (%d groups, %d runners)\n",
 		exp, exp, len(groupOrder), len(runners))
 	return nil
 }

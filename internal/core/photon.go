@@ -100,10 +100,9 @@ type Photon struct {
 	history *History
 	store   *AnalysisStore // optional offline-analysis cache
 
-	// decisions is the per-kernel tier ledger (see ledger.go); launches
-	// numbers kernels within this instance.
+	// decisions is the per-kernel tier ledger (see ledger.go), one entry
+	// per launch, so its length numbers the next kernel.
 	decisions []TierDecision
-	launches  int
 }
 
 // New creates a Photon runner for the given GPU configuration.
@@ -157,8 +156,7 @@ func (p *Photon) History() *History { return p.history }
 // Unattached sinks are nil no-ops.
 func (p *Photon) recordKernel(g *gpu.GPU, name string, profile *Profile, r gpu.KernelResult, dec TierDecision) {
 	dec.Kernel = name
-	dec.Index = p.launches
-	p.launches++
+	dec.Index = len(p.decisions)
 	dec.Tier = r.Mode
 	dec.Insts = r.Insts
 	dec.DetailedInsts = r.DetailedInsts

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -51,29 +49,58 @@ func accuracyRecords(experiment string, c Comparison) []AccuracyRecord {
 	return out
 }
 
-// AccuracySink streams ledger records as JSON lines and accumulates the
-// per-tier roll-up behind PublishGauges and Summary. A nil sink discards;
+// accuracyRollup is the one roll-up of ledger records, behind the sink's
+// run-end line and gauges and photon-report's -accuracy table: kernels per
+// tier, and the error distribution over the records with a baseline
+// (DetailedCycles > 0; a kernel no baseline lined up with is not a 0 %
+// error).
+type accuracyRollup struct {
+	Kernels int
+	Tiers   map[string]int
+	MaxErr  float64
+	maxRec  AccuracyRecord // the record behind MaxErr; of equal maxima the last
+	errSum  float64
+	errN    int
+}
+
+func (a *accuracyRollup) add(r AccuracyRecord) {
+	if a.Tiers == nil {
+		a.Tiers = make(map[string]int)
+	}
+	a.Kernels++
+	a.Tiers[r.Tier]++
+	if r.DetailedCycles > 0 {
+		a.errSum += r.ErrPct
+		a.errN++
+		if r.ErrPct >= a.MaxErr {
+			a.MaxErr = r.ErrPct
+			a.maxRec = r
+		}
+	}
+}
+
+// meanErr is the mean |err| over the records with a baseline (0 if none).
+func (a *accuracyRollup) meanErr() float64 {
+	if a.errN == 0 {
+		return 0
+	}
+	return a.errSum / float64(a.errN)
+}
+
+// AccuracySink streams ledger records as JSON lines and keeps the run's
+// roll-up behind Kernels, Summary and PublishGauges. A nil sink discards;
 // Emit is safe for concurrent use (though the sweep emits in plan order
 // from one goroutine).
 type AccuracySink struct {
-	mu      sync.Mutex
-	enc     *json.Encoder
-	kernels int
-	tiers   map[string]int
-	errSum  float64 // sum of |err| over records with a baseline
-	errN    int
-	maxErr  float64
-	maxRec  AccuracyRecord
+	mu   sync.Mutex
+	out  *jsonLines[AccuracyRecord]
+	roll accuracyRollup
 }
 
 // NewAccuracySink wraps a writer; pass nil to accumulate the roll-up
 // without writing JSONL.
 func NewAccuracySink(w io.Writer) *AccuracySink {
-	s := &AccuracySink{tiers: make(map[string]int)}
-	if w != nil {
-		s.enc = json.NewEncoder(w)
-	}
-	return s
+	return &AccuracySink{out: newJSONLines[AccuracyRecord](w)}
 }
 
 // Emit appends one ledger record.
@@ -83,20 +110,8 @@ func (s *AccuracySink) Emit(r AccuracyRecord) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.kernels++
-	s.tiers[r.Tier]++
-	if r.DetailedCycles > 0 {
-		s.errSum += r.ErrPct
-		s.errN++
-		if r.ErrPct >= s.maxErr {
-			s.maxErr = r.ErrPct
-			s.maxRec = r
-		}
-	}
-	if s.enc == nil {
-		return nil
-	}
-	return s.enc.Encode(r)
+	s.roll.add(r)
+	return s.out.Emit(r)
 }
 
 // Kernels returns how many ledger records were emitted.
@@ -106,7 +121,7 @@ func (s *AccuracySink) Kernels() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.kernels
+	return s.roll.Kernels
 }
 
 // PublishGauges writes the roll-up into a registry:
@@ -118,12 +133,12 @@ func (s *AccuracySink) PublishGauges(reg *obs.Registry) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for tier, n := range s.tiers {
+	for tier, n := range s.roll.Tiers {
 		reg.Gauge("photon_accuracy_kernels_total", obs.L("tier", tier)).Set(float64(n))
 	}
-	if s.errN > 0 {
-		reg.Gauge("photon_accuracy_mean_err_pct").Set(s.errSum / float64(s.errN))
-		reg.Gauge("photon_accuracy_max_err_pct").Set(s.maxErr)
+	if s.roll.errN > 0 {
+		reg.Gauge("photon_accuracy_mean_err_pct").Set(s.roll.meanErr())
+		reg.Gauge("photon_accuracy_max_err_pct").Set(s.roll.MaxErr)
 	}
 }
 
@@ -136,98 +151,55 @@ func (s *AccuracySink) Summary() string {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.kernels == 0 {
+	a := &s.roll
+	if a.Kernels == 0 {
 		return ""
 	}
-	tiers := make([]string, 0, len(s.tiers))
-	for t := range s.tiers {
+	tiers := make([]string, 0, len(a.Tiers))
+	for t := range a.Tiers {
 		tiers = append(tiers, t)
 	}
 	// Most-used tier first; ties break alphabetically for stable output.
 	sort.Slice(tiers, func(i, j int) bool {
-		if s.tiers[tiers[i]] != s.tiers[tiers[j]] {
-			return s.tiers[tiers[i]] > s.tiers[tiers[j]]
+		if a.Tiers[tiers[i]] != a.Tiers[tiers[j]] {
+			return a.Tiers[tiers[i]] > a.Tiers[tiers[j]]
 		}
 		return tiers[i] < tiers[j]
 	})
 	parts := make([]string, len(tiers))
 	for i, t := range tiers {
-		parts[i] = fmt.Sprintf("%s %d", t, s.tiers[t])
+		parts[i] = fmt.Sprintf("%s %d", t, a.Tiers[t])
 	}
-	out := fmt.Sprintf("accuracy: %d kernels (%s)", s.kernels, strings.Join(parts, ", "))
-	if s.errN > 0 {
+	out := fmt.Sprintf("accuracy: %d kernels (%s)", a.Kernels, strings.Join(parts, ", "))
+	if a.errN > 0 {
 		out += fmt.Sprintf("; mean |err| %.2f%%, max %.2f%% (%s/%s #%d)",
-			s.errSum/float64(s.errN), s.maxErr, s.maxRec.Bench, s.maxRec.Kernel, s.maxRec.Index)
+			a.meanErr(), a.MaxErr, a.maxRec.Bench, a.maxRec.Kernel, a.maxRec.Index)
 	}
 	return out
 }
 
-// ReadAccuracyRecords parses a ledger (accuracy.jsonl) back; blank lines
-// are skipped, any malformed line is an error.
-func ReadAccuracyRecords(r io.Reader) ([]AccuracyRecord, error) {
-	var out []AccuracyRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var rec AccuracyRecord
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return nil, fmt.Errorf("harness: accuracy record line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SummarizeAccuracy aggregates parsed ledger records per (bench, runner):
-// kernel counts per tier and the error distribution — photon-report's
-// -accuracy view.
+// AccuracySummary is the roll-up of one (bench, runner) pair's ledger
+// records — photon-report's -accuracy view.
 type AccuracySummary struct {
-	Bench   string
-	Runner  string
-	Kernels int
-	Tiers   map[string]int
-	MeanErr float64
-	MaxErr  float64
+	Bench  string
+	Runner string
+	accuracyRollup
 }
 
 // SummarizeAccuracy groups records by (bench, runner), ordered by first
 // appearance.
 func SummarizeAccuracy(recs []AccuracyRecord) []AccuracySummary {
-	idx := map[string]int{}
+	idx := map[[2]string]int{}
 	var out []AccuracySummary
-	errN := map[string]int{}
 	for _, r := range recs {
-		k := r.Bench + "\x00" + r.Runner
+		k := [2]string{r.Bench, r.Runner}
 		i, ok := idx[k]
 		if !ok {
 			i = len(out)
 			idx[k] = i
-			out = append(out, AccuracySummary{Bench: r.Bench, Runner: r.Runner, Tiers: map[string]int{}})
+			out = append(out, AccuracySummary{Bench: r.Bench, Runner: r.Runner})
 		}
-		s := &out[i]
-		s.Kernels++
-		s.Tiers[r.Tier]++
-		if r.DetailedCycles > 0 {
-			s.MeanErr += r.ErrPct
-			errN[k]++
-			if r.ErrPct > s.MaxErr {
-				s.MaxErr = r.ErrPct
-			}
-		}
-	}
-	for k, i := range idx {
-		if n := errN[k]; n > 0 {
-			out[i].MeanErr /= float64(n)
-		}
+		out[i].add(r)
 	}
 	return out
 }
@@ -240,7 +212,7 @@ func PrintAccuracySummaries(w io.Writer, sums []AccuracySummary) {
 		fmt.Fprintf(w, "%-10s %-14s %8d %8d %8d %8d %8d %9.2f %9.2f\n",
 			s.Bench, s.Runner, s.Kernels,
 			s.Tiers[gpu.TierFull], s.Tiers[core.TierBB], s.Tiers[core.TierWarp], s.Tiers[core.TierKernel],
-			s.MeanErr, s.MaxErr)
+			s.meanErr(), s.MaxErr)
 	}
 }
 

@@ -24,7 +24,7 @@ func runAccuracySweep(t *testing.T, parallel int) ([]byte, *AccuracySink, []Reco
 	if err := o.RunSweep(&text, detSweep(o)); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadRecords(&jsonBuf)
+	recs, err := ReadJSONLines[Record](&jsonBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestAccuracyLedgerRoundTrip(t *testing.T) {
 		t.Skip("runs several small simulations")
 	}
 	raw, sink, recs := runAccuracySweep(t, 4)
-	ledger, err := ReadAccuracyRecords(bytes.NewReader(raw))
+	ledger, err := ReadJSONLines[AccuracyRecord](bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestAccuracyNoBaselineRoundTrip(t *testing.T) {
 		}
 	}
 
-	back, err := ReadAccuracyRecords(bytes.NewReader(buf.Bytes()))
+	back, err := ReadJSONLines[AccuracyRecord](bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,18 +231,18 @@ func TestAccuracyNoBaselineRoundTrip(t *testing.T) {
 	}
 	// The readers' guard, same as Emit's: mean/max over baselined records
 	// only. Were the zero DetailedCycles counted, the mean would halve.
-	if got.MeanErr != 20 || got.MaxErr != 20 {
+	if got.meanErr() != 20 || got.MaxErr != 20 {
 		t.Fatalf("no-baseline record leaked into error stats: mean %v max %v, want 20/20",
-			got.MeanErr, got.MaxErr)
+			got.meanErr(), got.MaxErr)
 	}
 }
 
 func TestReadAccuracyRecordsRejectsGarbage(t *testing.T) {
-	_, err := ReadAccuracyRecords(strings.NewReader("{\"bench\":\"FIR\"}\nnot json\n"))
+	_, err := ReadJSONLines[AccuracyRecord](strings.NewReader("{\"bench\":\"FIR\"}\nnot json\n"))
 	if err == nil {
 		t.Fatal("malformed line must error")
 	}
-	recs, err := ReadAccuracyRecords(strings.NewReader("\n{\"bench\":\"FIR\",\"runner\":\"photon\"}\n\n"))
+	recs, err := ReadJSONLines[AccuracyRecord](strings.NewReader("\n{\"bench\":\"FIR\",\"runner\":\"photon\"}\n\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +258,23 @@ func TestSummarizeAccuracy(t *testing.T) {
 		{Bench: "MM", Runner: "photon", TierDecision: core.TierDecision{Tier: "kernel-sampling", DetailedCycles: 50, ErrPct: 6}},
 	}
 	sums := SummarizeAccuracy(recs)
-	want := []AccuracySummary{
-		{Bench: "FIR", Runner: "photon", Kernels: 2, Tiers: map[string]int{"bb-sampling": 1, "full": 1}, MeanErr: 2, MaxErr: 2},
-		{Bench: "MM", Runner: "photon", Kernels: 1, Tiers: map[string]int{"kernel-sampling": 1}, MeanErr: 6, MaxErr: 6},
+	type row struct {
+		bench   string
+		kernels int
+		tiers   map[string]int
+		mean    float64
+		max     float64
 	}
-	if !reflect.DeepEqual(sums, want) {
-		t.Fatalf("got %+v\nwant %+v", sums, want)
+	var got []row
+	for _, s := range sums {
+		got = append(got, row{s.Bench, s.Kernels, s.Tiers, s.meanErr(), s.MaxErr})
+	}
+	want := []row{
+		{"FIR", 2, map[string]int{"bb-sampling": 1, "full": 1}, 2, 2},
+		{"MM", 1, map[string]int{"kernel-sampling": 1}, 6, 6},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v\nwant %+v", got, want)
 	}
 	var buf bytes.Buffer
 	PrintAccuracySummaries(&buf, sums)

@@ -143,7 +143,10 @@ func RunObserved[T any](ctx context.Context, parallel int, tasks []Task[T], ins 
 					continue
 				}
 				start := time.Now()
-				r.val, r.err = runOne(ctx, tasks[i])
+				r.err = Try(func() (err error) {
+					r.val, err = tasks[i](ctx)
+					return err
+				})
 				wall := time.Since(start)
 				r.meta = JobMeta{Worker: w, Wall: wall, QueueWait: start.Sub(runStart)}
 				busy[w] += wall
@@ -222,15 +225,16 @@ func RunObserved[T any](ctx context.Context, parallel int, tasks []Task[T], ins 
 	return errors.Join(errs...)
 }
 
-// runOne invokes a task with panic recovery, so one crashing job surfaces as
-// an error (with its stack) instead of killing the whole process.
-func runOne[T any](ctx context.Context, task Task[T]) (val T, err error) {
+// Try calls f and turns a panic into an error carrying its stack, so one
+// crashing job, or one crashing kernel of a run, surfaces as an error
+// instead of killing the whole process.
+func Try(f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return task(ctx)
+	return f()
 }
 
 // Collect runs tasks like RunObserved and returns the successful values in

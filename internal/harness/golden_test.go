@@ -34,7 +34,7 @@ func TestFig13GoldenArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jf.Close()
-	recs, err := ReadRecords(jf)
+	recs, err := ReadJSONLines[Record](jf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,6 +96,7 @@ func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App,
 	defer running.Add(-1)
 	ao.Trace.NameProcess(simPID, "simulation")
 	p := newPipeline(cfg, app, runner, ao)
+	defer p.wait()
 	for i, l := range app.Launches {
 		if err := ctx.Err(); err != nil {
 			if merr := p.mergeAll(); merr != nil {

@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -262,7 +264,7 @@ func TestJSONSink(t *testing.T) {
 		Sampled: AppResult{KernelTime: 90, Wall: time.Second / 2,
 			PerKernel: []KernelRow{{Name: "mm", KernelResult: gpu.KernelResult{Mode: "bb-sampling", SimTime: 90}}}},
 	}
-	if err := sink.Emit(ToRecord("fig13", c, true)); err != nil {
+	if err := sink.Emit(ToRecord("fig13", c)); err != nil {
 		t.Fatal(err)
 	}
 	var rec Record
@@ -319,7 +321,7 @@ func TestReadRecordsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, err := ReadRecords(&buf)
+	recs, err := ReadJSONLines[Record](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,6 +332,46 @@ func TestReadRecordsRoundTrip(t *testing.T) {
 	PrintSummaries(&out, Summarize(recs))
 	if !strings.Contains(out.String(), "photon") {
 		t.Fatal("summary table missing runner")
+	}
+}
+
+// countRecords reads data strictly as records of type T.
+func countRecords[T any](data []byte) (int, error) {
+	recs, err := ReadJSONLines[T](bytes.NewReader(data))
+	return len(recs), err
+}
+
+// Every committed artifact parses strictly as its own record type, one
+// record per line, and fails as the other: a ledger is not a -json file.
+func TestReadJSONLinesIsStrict(t *testing.T) {
+	results, err := filepath.Glob("../../results/*.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, _ := filepath.Glob("testdata/*.jsonl")
+	checked := 0
+	for _, p := range append(results, golden...) {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 {
+			continue
+		}
+		own, other := countRecords[Record], countRecords[AccuracyRecord]
+		if strings.HasSuffix(p, ".accuracy.jsonl") {
+			own, other = other, own
+		}
+		if n, err := own(data); err != nil || n != bytes.Count(data, []byte("\n")) {
+			t.Errorf("%s: %d records, err %v; want one per line", p, n, err)
+		}
+		if _, err := other(data); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s read as the other record type: err %v, want an unknown field", p, err)
+		}
+		checked++
+	}
+	if checked < 8 {
+		t.Fatalf("checked %d artifacts, want every non-empty committed one", checked)
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -43,8 +44,9 @@ type KernelRecordJSON struct {
 	WallMS    float64 `json:"wall_ms"`
 }
 
-// ToRecord converts a comparison into its serializable form.
-func ToRecord(experiment string, c Comparison, perKernel bool) Record {
+// ToRecord converts a comparison into its serializable form, one
+// per-kernel row per launch of the sampled run.
+func ToRecord(experiment string, c Comparison) Record {
 	r := Record{
 		Experiment: experiment,
 		Bench:      c.Bench,
@@ -58,42 +60,69 @@ func ToRecord(experiment string, c Comparison, perKernel bool) Record {
 		ErrPct:     c.ErrPct(),
 		Speedup:    c.Speedup(),
 	}
-	if perKernel {
-		for _, k := range c.Sampled.PerKernel {
-			r.PerKernel = append(r.PerKernel, KernelRecordJSON{
-				Name: k.Name, Mode: k.Mode, SimCycles: int64(k.SimTime),
-				Insts: k.Insts, WallMS: ms(k.Wall),
-			})
-		}
+	for _, k := range c.Sampled.PerKernel {
+		r.PerKernel = append(r.PerKernel, KernelRecordJSON{
+			Name: k.Name, Mode: k.Mode, SimCycles: int64(k.SimTime),
+			Insts: k.Insts, WallMS: ms(k.Wall),
+		})
 	}
 	return r
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// JSONSink streams records as JSON lines. A nil sink discards records, so
-// callers can emit unconditionally. Emit is safe for concurrent use: one
-// sink is shared by every job of an experiment's job graph, and the mutex
-// keeps records whole (one line each) no matter which goroutine emits.
-type JSONSink struct {
+// jsonLines writes records of type T as JSON lines: the one writer under
+// both of a sweep's artifacts, JSONSink and AccuracySink. A nil writer, or
+// one made over a nil io.Writer, discards, so callers can emit
+// unconditionally. Emit is safe for concurrent use: one writer is shared by
+// every job of an experiment's job graph, and the mutex keeps each record
+// whole on its own line no matter which goroutine emits.
+type jsonLines[T any] struct {
 	mu  sync.Mutex
 	enc *json.Encoder
 }
 
-// NewJSONSink wraps a writer; pass nil to get a discarding sink.
-func NewJSONSink(w io.Writer) *JSONSink {
+func newJSONLines[T any](w io.Writer) *jsonLines[T] {
 	if w == nil {
-		return &JSONSink{}
+		return &jsonLines[T]{}
 	}
-	return &JSONSink{enc: json.NewEncoder(w)}
+	return &jsonLines[T]{enc: json.NewEncoder(w)}
 }
 
-// Emit writes one record (no-op for a discarding sink).
-func (s *JSONSink) Emit(r Record) error {
+// Emit writes one record (no-op for a discarding writer).
+func (s *jsonLines[T]) Emit(r T) error {
 	if s == nil || s.enc == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.enc.Encode(r)
+}
+
+// JSONSink streams a sweep's records (photon-bench -json) as JSON lines.
+type JSONSink = jsonLines[Record]
+
+// NewJSONSink wraps a writer; pass nil to get a discarding sink.
+func NewJSONSink(w io.Writer) *JSONSink { return newJSONLines[Record](w) }
+
+// ReadJSONLines parses a JSON-lines artifact back into records of type T:
+// Record for a -json file, AccuracyRecord for a ledger. It is strict: a
+// field T does not declare is an error, so each record type rejects the
+// other's file. Whitespace between records, blank lines included, is
+// skipped.
+func ReadJSONLines[T any](r io.Reader) ([]T, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var out []T
+	for {
+		var rec T
+		switch err := dec.Decode(&rec); err {
+		case nil:
+			out = append(out, rec)
+		case io.EOF:
+			return out, nil
+		default:
+			return nil, fmt.Errorf("harness: record %d: %w", len(out)+1, err)
+		}
+	}
 }

@@ -61,7 +61,7 @@ func runObservedSweep(t *testing.T, parallel int) (string, []Record, []byte, []b
 	if err := o.Trace.WriteJSON(&trace); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadRecords(&jsonBuf)
+	recs, err := ReadJSONLines[Record](&jsonBuf)
 	if err != nil {
 		t.Fatal(err)
 	}

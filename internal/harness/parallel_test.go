@@ -124,7 +124,7 @@ func TestJSONSinkConcurrentEmit(t *testing.T) {
 	}
 	wg.Wait()
 
-	recs, err := ReadRecords(&buf)
+	recs, err := ReadJSONLines[Record](&buf)
 	if err != nil {
 		t.Fatalf("concurrent emission corrupted the stream: %v", err)
 	}
@@ -167,7 +167,7 @@ func runDetSweep(t *testing.T, parallel int) (string, []Record, *BaselineCache) 
 	if err := o.RunSweep(&text, detSweep(o)); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadRecords(&jsonBuf)
+	recs, err := ReadJSONLines[Record](&jsonBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +251,14 @@ func TestFig17EmitsRecords(t *testing.T) {
 	}
 	// Fig17 is a sweep like any other: its sampled runs feed the accuracy
 	// ledger and the metrics registry.
-	ledger, err := ReadAccuracyRecords(&accBuf)
+	ledger, err := ReadJSONLines[AccuracyRecord](&accBuf)
 	if err != nil || len(ledger) == 0 || ledger[0].Experiment != "fig17" {
 		t.Fatalf("accuracy ledger = %d records, %v; want fig17's sampled kernels", len(ledger), err)
 	}
 	if n := o.Metrics.Snapshot().SumCounters("photon_insts_detailed_total"); n == 0 {
 		t.Fatal("fig17's sampled runs published no photon_* telemetry")
 	}
-	recs, err := ReadRecords(&jsonBuf)
+	recs, err := ReadJSONLines[Record](&jsonBuf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"photon/internal/harness/engine"
 	"photon/internal/sim/emu"
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/isa"
@@ -107,10 +108,15 @@ func (p *pipeline) gpu() *gpu.GPU {
 }
 
 // run runs l on g, stamps the call's host time as the kernel's wall (runners
-// leave it zero) and, under Check, audits what it left in g's hierarchy.
+// leave it zero) and, under Check, audits what it left in g's hierarchy. A
+// panic becomes the kernel's error, inline as on a helper, and g goes back
+// to the pool: RunDetailed resets what a kernel leaves in it.
 func (p *pipeline) run(g *gpu.GPU, l *kernel.Launch) (r gpu.KernelResult, start time.Time, err error) {
 	start = time.Now()
-	r, err = p.runner.RunKernel(g, l)
+	err = engine.Try(func() (err error) {
+		r, err = p.runner.RunKernel(g, l)
+		return err
+	})
 	r.Wall = time.Since(start)
 	if err == nil && p.ao.Check {
 		err = audit(g, l, r)
@@ -150,7 +156,10 @@ func (p *pipeline) handOff(l *kernel.Launch) error {
 		close(k.done)
 	}()
 	start := time.Now()
-	_, err := emu.RunKernelFunctional(l)
+	err := engine.Try(func() error {
+		_, err := emu.RunKernelFunctional(l)
+		return err
+	})
 	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
 	if err != nil {
 		// The detailed run of l most likely failed the same way: report
@@ -168,11 +177,7 @@ func (p *pipeline) mergeHead() error {
 	k := p.queue[0]
 	<-k.done
 	p.queue = p.queue[1:]
-	if err := p.merge(k); err != nil {
-		p.wait()
-		return err
-	}
-	return nil
+	return p.merge(k)
 }
 
 // mergeDone merges the finished kernels at the head of the queue.
@@ -190,8 +195,7 @@ func (p *pipeline) mergeDone() error {
 	return nil
 }
 
-// mergeAll merges every handed-off kernel in order, up to the first failure;
-// on return no helper is running.
+// mergeAll merges every handed-off kernel in order, up to the first failure.
 func (p *pipeline) mergeAll() error {
 	for len(p.queue) > 0 {
 		if err := p.mergeHead(); err != nil {
@@ -201,7 +205,8 @@ func (p *pipeline) mergeAll() error {
 	return nil
 }
 
-// wait discards the queue once every helper in it has finished.
+// wait discards the queue once every helper in it has finished; the run
+// defers it, so it never returns or unwinds past a running helper.
 func (p *pipeline) wait() {
 	for _, k := range p.queue {
 		<-k.done

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +14,8 @@ import (
 	"photon/internal/core"
 	"photon/internal/obs"
 	"photon/internal/sim/gpu"
+	"photon/internal/sim/isa"
+	"photon/internal/sim/kernel"
 	"photon/internal/sim/mem"
 	"photon/internal/workloads"
 	"photon/internal/workloads/dnn"
@@ -344,5 +347,53 @@ func TestPipelinedRunWallIsElapsed(t *testing.T) {
 	}
 	if sum <= res.Wall {
 		t.Errorf("kernel walls sum to %v, want more than the run's %v", sum, res.Wall)
+	}
+}
+
+// ldsFaultApp is a two-launch app whose first kernel stores far outside its
+// (empty) LDS, which panics the emulator under every runner; the second
+// kernel only ends.
+func ldsFaultApp() *workloads.App {
+	m := mem.NewFlat()
+	fault := isa.NewBuilder("lds_fault")
+	fault.Store(isa.OpLDSStore, isa.V(0), isa.V(0), 1<<20)
+	fault.End()
+	idle := isa.NewBuilder("idle")
+	idle.End()
+	launch := func(p *isa.Program) *kernel.Launch {
+		return &kernel.Launch{Name: p.Name, Program: p, Memory: m, NumWorkgroups: 1, WarpsPerGroup: 1}
+	}
+	return &workloads.App{Name: "Fault", Mem: m,
+		Launches: []*kernel.Launch{launch(fault.MustBuild()), launch(idle.MustBuild())}}
+}
+
+// A kernel that panics the simulator fails its run with an error that names
+// it and carries the stack, whether it ran inline or on a helper: the
+// helper's panic must not take the process down, and the error is the
+// serial run's.
+func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
+	setProcs(t, 1)
+	var first string
+	for _, procs := range []int{1, pipelineProcs()} {
+		runtime.GOMAXPROCS(procs)
+		before := handedOff.Load()
+		_, err := RunAppInstrumented(context.Background(), gpu.R9Nano(), ldsFaultApp(), gpu.FullRunner{}, AppObs{})
+		if n := handedOff.Load() - before; n != int64(min(procs-1, 1)) {
+			t.Fatalf("procs %d: %d kernels handed off", procs, n)
+		}
+		if err == nil {
+			t.Fatalf("procs %d: the faulting kernel did not fail the run", procs)
+		}
+		msg := err.Error()
+		line, _, _ := strings.Cut(msg, "\n")
+		if !strings.HasPrefix(line, "harness: Fault/lds_fault under full: panic: emu: lds_fault") ||
+			!strings.Contains(msg, "goroutine ") {
+			t.Fatalf("procs %d: error %q, want the kernel's panic with its stack", procs, msg)
+		}
+		if first == "" {
+			first = line
+		} else if line != first {
+			t.Errorf("pipelined error %q, serial %q", line, first)
+		}
 	}
 }

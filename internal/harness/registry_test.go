@@ -148,7 +148,7 @@ func TestQuickTransformerStaysOutOfSharedBaselines(t *testing.T) {
 		if err := o.RunSweep(&bytes.Buffer{}, sweep); err != nil {
 			t.Fatal(err)
 		}
-		recs, err := ReadRecords(&buf)
+		recs, err := ReadJSONLines[Record](&buf)
 		if err != nil || len(recs) != 1 || recs[0].Bench != "Xfmr-L2" {
 			t.Fatalf("records = %+v, %v; want the one Xfmr-L2 baseline row", recs, err)
 		}
@@ -166,7 +166,7 @@ func TestQuickTransformerStaysOutOfSharedBaselines(t *testing.T) {
 	if err := TransformerEnvelope(&bytes.Buffer{}, o); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadRecords(&quick)
+	recs, err := ReadJSONLines[Record](&quick)
 	if err != nil || len(recs) == 0 || recs[0].Bench != "Xfmr-L2" {
 		t.Fatalf("quick sweep records = %+v, %v", recs, err)
 	}

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -20,25 +18,6 @@ type Summary struct {
 	MaxErrPct      float64
 	GeoMeanSpeedup float64
 	MaxSpeedup     float64
-}
-
-// ReadRecords parses JSON-lines records produced by a JSONSink.
-func ReadRecords(r io.Reader) ([]Record, error) {
-	var out []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("harness: parsing record %d: %w", len(out)+1, err)
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
 }
 
 // Summarize groups records by (experiment, runner). The full baseline rows

@@ -107,7 +107,7 @@ func (o Options) runSweep(s Sweep, row func(Comparison)) error {
 	return engine.RunObserved(o.ctx(), o.Parallel, tasks, o.engineIns(),
 		func(_ int, c Comparison, meta engine.JobMeta) error {
 			c = o.normalize(c)
-			rec := ToRecord(s.Experiment, c, true)
+			rec := ToRecord(s.Experiment, c)
 			rec.Worker = meta.Worker
 			rec.JobWallMS = ms(meta.Wall)
 			if o.FixedWall {

@@ -69,7 +69,7 @@ func TestTransformerGoldenArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jf.Close()
-	recs, err := ReadRecords(jf)
+	recs, err := ReadJSONLines[Record](jf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTransformerGoldenArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger, err := ReadAccuracyRecords(bytes.NewReader(acc))
+	ledger, err := ReadJSONLines[AccuracyRecord](bytes.NewReader(acc))
 	if err != nil {
 		t.Fatal(err)
 	}

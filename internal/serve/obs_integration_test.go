@@ -387,7 +387,7 @@ func TestHTTPAccuracyEndpoint(t *testing.T) {
 	if string(body) != ledger {
 		t.Errorf("accuracy body drifted:\n%s", body)
 	}
-	recs, err := harness.ReadAccuracyRecords(strings.NewReader(string(body)))
+	recs, err := harness.ReadJSONLines[harness.AccuracyRecord](strings.NewReader(string(body)))
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("served ledger does not parse: %v (%d records)", err, len(recs))
 	}
@@ -440,11 +440,11 @@ func TestHarnessExecutorObservability(t *testing.T) {
 	if res.Accuracy == "" {
 		t.Fatal("real run produced no accuracy ledger")
 	}
-	recs, err := harness.ReadAccuracyRecords(strings.NewReader(res.Accuracy))
+	recs, err := harness.ReadJSONLines[harness.AccuracyRecord](strings.NewReader(res.Accuracy))
 	if err != nil {
 		t.Fatalf("ledger does not parse: %v", err)
 	}
-	sweep, err := harness.ReadRecords(strings.NewReader(res.JSONL))
+	sweep, err := harness.ReadJSONLines[harness.Record](strings.NewReader(res.JSONL))
 	if err != nil {
 		t.Fatal(err)
 	}

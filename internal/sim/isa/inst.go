@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // OperandKind identifies what an instruction operand refers to.
 type OperandKind uint8
@@ -28,6 +31,10 @@ func V(i int) Operand { return Operand{Kind: OperandVReg, Idx: uint16(i)} }
 
 // Imm returns an immediate operand.
 func Imm(v int32) Operand { return Operand{Kind: OperandImm, Imm: v} }
+
+// ImmF32 returns the bit pattern of a float32 as an immediate operand (the
+// ISA's registers are untyped 32-bit values).
+func ImmF32(v float32) Operand { return Imm(int32(math.Float32bits(v))) }
 
 // Mask returns a mask save-slot operand (used by exec-mask instructions).
 func Mask(i int) Operand { return Operand{Kind: OperandMask, Idx: uint16(i)} }

@@ -229,9 +229,9 @@ func BuildAES(warps int) (*App, error) {
 	out := m.Alloc(uint64(16 * nBlocks))
 
 	var key [32]byte
-	rng := newRNG(0xae5)
+	rng := NewRNG(0xae5)
 	for i := range key {
-		key[i] = byte(rng.next())
+		key[i] = byte(rng.Uint64())
 	}
 	rk := aesExpandKey256(key)
 	rkBuf := m.Alloc(4 * 60)
@@ -248,7 +248,7 @@ func BuildAES(warps int) (*App, error) {
 
 	hostIn := make([]uint32, 4*nBlocks)
 	for i := range hostIn {
-		hostIn[i] = uint32(rng.next())
+		hostIn[i] = uint32(rng.Uint64())
 	}
 	m.WriteWords(in, hostIn)
 

@@ -85,7 +85,7 @@ func attnScoresProgram(seq, dHead, stride int) *isa.Program {
 	// K row pointer per lane: v3 = K + j*stride*4.
 	b.I(isa.OpVMul, isa.V(3), isa.V(1), isa.Imm(int32(4*stride)))
 	b.I(isa.OpVAdd, isa.V(3), isa.V(3), isa.S(9))
-	b.I(isa.OpVMov, isa.V(5), f32imm(0))
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(0))
 	b.I(isa.OpSMov, isa.S(15), isa.Imm(0)) // d
 	b.Label("d")
 	b.Load(isa.OpSLoad, isa.S(20), isa.S(13), 0)
@@ -97,7 +97,7 @@ func attnScoresProgram(seq, dHead, stride int) *isa.Program {
 	b.I(isa.OpSAdd, isa.S(15), isa.S(15), isa.Imm(1))
 	b.I(isa.OpSCmpLt, isa.Operand{}, isa.S(15), isa.Imm(int32(dHead)))
 	b.Br(isa.OpCBranchSCC1, "d")
-	b.I(isa.OpVFMul, isa.V(5), isa.V(5), f32imm(scale))
+	b.I(isa.OpVFMul, isa.V(5), isa.V(5), isa.ImmF32(scale))
 	// scores[q][j]: s16 = scores + q*seq*4.
 	b.I(isa.OpSMul, isa.S(16), isa.S(4), isa.Imm(int32(4*seq)))
 	b.I(isa.OpSAdd, isa.S(16), isa.S(16), isa.S(10))
@@ -122,7 +122,7 @@ func softmaxProgram(seq int) *isa.Program {
 	b.I(isa.OpSMul, isa.S(5), isa.S(0), isa.Imm(int32(4*seq)))
 	b.I(isa.OpSAdd, isa.S(6), isa.S(5), isa.S(8))
 	// x = t < seq ? in[row][t] : -inf (identity of max).
-	b.I(isa.OpVMov, isa.V(3), f32imm(float32(math.Inf(-1))))
+	b.I(isa.OpVMov, isa.V(3), isa.ImmF32(float32(math.Inf(-1))))
 	b.I(isa.OpVCmpLt, isa.Operand{}, isa.V(1), isa.Imm(int32(seq)))
 	b.I(isa.OpSAndSaveExec, isa.Mask(0))
 	b.Br(isa.OpCBranchExecZ, "noload")
@@ -141,7 +141,7 @@ func softmaxProgram(seq int) *isa.Program {
 	// e = t < seq ? exp(x - m) : 0 (identity of sum).
 	b.I(isa.OpVFSub, isa.V(10), isa.V(3), isa.V(9))
 	b.I(isa.OpVFExp, isa.V(10), isa.V(10))
-	b.I(isa.OpVMov, isa.V(11), f32imm(0))
+	b.I(isa.OpVMov, isa.V(11), isa.ImmF32(0))
 	b.I(isa.OpVCmpLt, isa.Operand{}, isa.V(1), isa.Imm(int32(seq)))
 	b.I(isa.OpSAndSaveExec, isa.Mask(0))
 	b.I(isa.OpVMov, isa.V(11), isa.V(10))
@@ -184,7 +184,7 @@ func attnPVProgram(seq, dHead, stride int) *isa.Program {
 	// V column pointer per lane: v3 = V + d*4 (advances stride*4 per j).
 	b.I(isa.OpVLShl, isa.V(2), isa.V(0), isa.Imm(2))
 	b.I(isa.OpVAdd, isa.V(3), isa.V(2), isa.S(9))
-	b.I(isa.OpVMov, isa.V(5), f32imm(0))
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(0))
 	b.I(isa.OpSMov, isa.S(15), isa.Imm(0)) // j
 	b.Label("j")
 	b.Load(isa.OpSLoad, isa.S(20), isa.S(13), 0)
@@ -221,7 +221,7 @@ func layerNormProgram(dim int) *isa.Program {
 	b.I(isa.OpSMul, isa.S(5), isa.S(0), isa.Imm(int32(4*dim)))
 	b.I(isa.OpSAdd, isa.S(6), isa.S(5), isa.S(8))
 	// x = t < dim ? x[row][t] : 0 (identity of sum).
-	b.I(isa.OpVMov, isa.V(3), f32imm(0))
+	b.I(isa.OpVMov, isa.V(3), isa.ImmF32(0))
 	b.I(isa.OpVCmpLt, isa.Operand{}, isa.V(1), isa.Imm(int32(dim)))
 	b.I(isa.OpSAndSaveExec, isa.Mask(0))
 	b.Br(isa.OpCBranchExecZ, "noload")
@@ -237,11 +237,11 @@ func layerNormProgram(dim int) *isa.Program {
 	b.I(isa.OpVMov, isa.V(8), isa.Imm(0))
 	b.Load(isa.OpLDSLoad, isa.V(9), isa.V(8), 0)
 	b.Barrier()
-	b.I(isa.OpVFMul, isa.V(9), isa.V(9), f32imm(1/float32(dim))) // mean
+	b.I(isa.OpVFMul, isa.V(9), isa.V(9), isa.ImmF32(1/float32(dim))) // mean
 	// var = sum((x-mean)^2)/dim; masked lanes contribute 0.
 	b.I(isa.OpVFSub, isa.V(10), isa.V(3), isa.V(9)) // centered
 	b.I(isa.OpVFMul, isa.V(11), isa.V(10), isa.V(10))
-	b.I(isa.OpVMov, isa.V(12), f32imm(0))
+	b.I(isa.OpVMov, isa.V(12), isa.ImmF32(0))
 	b.I(isa.OpVCmpLt, isa.Operand{}, isa.V(1), isa.Imm(int32(dim)))
 	b.I(isa.OpSAndSaveExec, isa.Mask(0))
 	b.I(isa.OpVMov, isa.V(12), isa.V(11))
@@ -250,9 +250,9 @@ func layerNormProgram(dim int) *isa.Program {
 	b.Barrier()
 	emitTreeReduce(b, threads, isa.OpVFAdd)
 	b.Load(isa.OpLDSLoad, isa.V(13), isa.V(8), 0)
-	b.I(isa.OpVFMul, isa.V(13), isa.V(13), f32imm(1/float32(dim)))
+	b.I(isa.OpVFMul, isa.V(13), isa.V(13), isa.ImmF32(1/float32(dim)))
 	// rstd = 1/sqrt(var + eps).
-	b.I(isa.OpVFAdd, isa.V(13), isa.V(13), f32imm(lnEps))
+	b.I(isa.OpVFAdd, isa.V(13), isa.V(13), isa.ImmF32(lnEps))
 	b.I(isa.OpVFSqrt, isa.V(13), isa.V(13))
 	b.I(isa.OpVFRcp, isa.V(13), isa.V(13))
 	// out = centered*rstd*gamma[t] + beta[t] for t < dim.

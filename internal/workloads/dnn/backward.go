@@ -28,7 +28,7 @@ func fcBwdDXProgram(inN, outN, batch int) *isa.Program {
 	// Per-lane weight-row pointer: &w[i][0].
 	b.I(isa.OpVMul, isa.V(3), isa.V(1), isa.Imm(int32(4*outN)))
 	b.I(isa.OpVAdd, isa.V(3), isa.V(3), isa.S(9))
-	b.I(isa.OpVMov, isa.V(5), f32imm(0))
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(0))
 	b.I(isa.OpSMov, isa.S(12), isa.Imm(0))
 	b.I(isa.OpSMov, isa.S(13), isa.S(8)) // dY cursor
 	b.Label("o")
@@ -72,7 +72,7 @@ func fcBwdDWProgram(inN, outN, batch int) *isa.Program {
 	b.I(isa.OpSLShl, isa.S(13), isa.S(4), isa.Imm(2))
 	b.I(isa.OpSAdd, isa.S(13), isa.S(13), isa.S(8))
 	b.I(isa.OpVAdd, isa.V(3), isa.V(2), isa.S(9))
-	b.I(isa.OpVMov, isa.V(5), f32imm(0))
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(0))
 	b.I(isa.OpSMov, isa.S(12), isa.Imm(0))
 	b.Label("b")
 	b.Load(isa.OpSLoad, isa.S(15), isa.S(13), 0)
@@ -105,7 +105,7 @@ func fcBwdDBProgram(outN, batch int) *isa.Program {
 	b.Br(isa.OpCBranchExecZ, "done")
 	b.I(isa.OpVLShl, isa.V(2), isa.V(1), isa.Imm(2))
 	b.I(isa.OpVAdd, isa.V(3), isa.V(2), isa.S(8))
-	b.I(isa.OpVMov, isa.V(5), f32imm(0))
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(0))
 	for s := 0; s < batch; s++ {
 		b.Load(isa.OpVLoad, isa.V(7), isa.V(3), int32(4*s*outN))
 		b.Waitcnt(0)
@@ -154,9 +154,9 @@ func reluBwdProgram(post, dPost, dPre Tensor) *isa.Program {
 	bb.Load(isa.OpVLoad, isa.V(10), isa.V(7), 0)
 	bb.Waitcnt(0)
 	// Write 0 everywhere, then overwrite with dPost where post > 0.
-	bb.I(isa.OpVMov, isa.V(11), f32imm(0))
+	bb.I(isa.OpVMov, isa.V(11), isa.ImmF32(0))
 	bb.Store(isa.OpVStore, isa.V(8), isa.V(11), 0)
-	bb.I(isa.OpVFCmpGt, isa.Operand{}, isa.V(9), f32imm(0))
+	bb.I(isa.OpVFCmpGt, isa.Operand{}, isa.V(9), isa.ImmF32(0))
 	bb.I(isa.OpSAndSaveExec, isa.Mask(1))
 	bb.Store(isa.OpVStore, isa.V(8), isa.V(10), 0)
 	bb.I(isa.OpSSetExec, isa.Operand{}, isa.Mask(1))
@@ -200,7 +200,7 @@ func convBwdDXProgram(cs ConvSpec, dY, dX Tensor) *isa.Program {
 	b.I(isa.OpVMul, isa.V(4), isa.V(1), isa.Imm(int32(dxRS)))
 	b.I(isa.OpVAdd, isa.V(4), isa.V(4), isa.V(2))
 	b.I(isa.OpVLShl, isa.V(4), isa.V(4), isa.Imm(2))
-	b.I(isa.OpVMov, isa.V(5), f32imm(0))
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(0))
 	// Weight cursor: w[co=0][ci], advancing CI*taps words per co.
 	b.I(isa.OpSMul, isa.S(7), isa.S(4), isa.Imm(int32(4*taps)))
 	b.I(isa.OpSAdd, isa.S(7), isa.S(7), isa.S(9))
@@ -272,7 +272,7 @@ func convBwdDWProgram(cs ConvSpec, x, dY Tensor) *isa.Program {
 	b.I(isa.OpVMul, isa.V(3), isa.V(1), isa.Imm(int32(inRS)))
 	b.I(isa.OpVAdd, isa.V(3), isa.V(3), isa.V(2))
 	b.I(isa.OpVLShl, isa.V(3), isa.V(3), isa.Imm(2))
-	b.I(isa.OpVMov, isa.V(5), f32imm(0))
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(0))
 	// X plane base for (b=0, ci) at logical (0,0) shifted by -pad plus halo:
 	// x + ci*inCS*4 + (Pad_x-pad)*(inRS+1)*4.
 	b.I(isa.OpSMul, isa.S(13), isa.S(5), isa.Imm(int32(4*inCS)))
@@ -335,7 +335,7 @@ func sgdProgram(n int, lr float32) *isa.Program {
 	b.Load(isa.OpVLoad, isa.V(7), isa.V(3), 0)
 	b.Load(isa.OpVLoad, isa.V(8), isa.V(4), 0)
 	b.Waitcnt(0)
-	b.I(isa.OpVFFma, isa.V(7), isa.V(8), f32imm(-lr), isa.V(7))
+	b.I(isa.OpVFFma, isa.V(7), isa.V(8), isa.ImmF32(-lr), isa.V(7))
 	b.Store(isa.OpVStore, isa.V(3), isa.V(7), 0)
 	b.Label("done")
 	b.I(isa.OpSSetExec, isa.Operand{}, isa.Mask(0))

@@ -61,7 +61,7 @@ func gemmProgram(gs GemmSpec) *isa.Program {
 	b.I(isa.OpSAdd, isa.S(13), isa.S(13), isa.S(8))
 	// W column pointer: v3 = W + col*4 (advanced by tile strides).
 	b.I(isa.OpVAdd, isa.V(3), isa.V(2), isa.S(9))
-	b.I(isa.OpVMov, isa.V(5), f32imm(0)) // acc
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(0)) // acc
 	tile := gemmKTile
 	if gs.K%tile != 0 {
 		tile = 1
@@ -98,7 +98,7 @@ func gemmProgram(gs GemmSpec) *isa.Program {
 		b.I(isa.OpVFAdd, isa.V(5), isa.V(5), isa.V(9))
 	}
 	if gs.ReLU {
-		b.I(isa.OpVFMax, isa.V(5), isa.V(5), f32imm(0))
+		b.I(isa.OpVFMax, isa.V(5), isa.V(5), isa.ImmF32(0))
 	}
 	b.I(isa.OpSAdd, isa.S(16), isa.S(16), isa.S(10))
 	b.I(isa.OpVAdd, isa.V(10), isa.V(2), isa.S(16))

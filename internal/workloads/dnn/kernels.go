@@ -8,8 +8,6 @@ import (
 	"photon/internal/sim/kernel"
 )
 
-func f32imm(v float32) isa.Operand { return isa.Imm(int32(math.Float32bits(v))) }
-
 func log2(n int) int {
 	assertPow2("log2 argument", n)
 	k := 0
@@ -133,7 +131,7 @@ func convProgram(cs ConvSpec, in, out Tensor) *isa.Program {
 	b.I(isa.OpVMul, isa.V(4), isa.V(1), isa.Imm(int32(outRS)))
 	b.I(isa.OpVAdd, isa.V(4), isa.V(4), isa.V(2))
 	b.I(isa.OpVLShl, isa.V(4), isa.V(4), isa.Imm(2))
-	b.I(isa.OpVMov, isa.V(5), f32imm(0)) // acc
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(0)) // acc
 	// Weight base for this channel: s7 = weights + co*CI*taps*4.
 	b.I(isa.OpSMul, isa.S(7), isa.S(4), isa.Imm(int32(cs.CI*taps*4)))
 	b.I(isa.OpSAdd, isa.S(7), isa.S(7), isa.S(9))
@@ -165,7 +163,7 @@ func convProgram(cs ConvSpec, in, out Tensor) *isa.Program {
 	b.Br(isa.OpCBranchSCC1, "ci")
 
 	if cs.ReLU {
-		b.I(isa.OpVFMax, isa.V(5), isa.V(5), f32imm(0))
+		b.I(isa.OpVFMax, isa.V(5), isa.V(5), isa.ImmF32(0))
 	}
 	// Store: out + (co*outCS + (oyBase+P)*outRS + P)*4 + vRowOffOut.
 	b.I(isa.OpSMul, isa.S(14), isa.S(4), isa.Imm(int32(4*outCS)))
@@ -231,7 +229,7 @@ func poolProgram(c, ih, iw, k, stride, pad int, in, out Tensor) *isa.Program {
 		b.I(isa.OpSAdd, isa.S(13), isa.S(13), isa.Imm(int32(4*extra*(inRS+1))))
 	}
 	b.I(isa.OpVAdd, isa.V(6), isa.V(3), isa.S(13))
-	b.I(isa.OpVMov, isa.V(5), f32imm(float32(math.Inf(-1))))
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(float32(math.Inf(-1))))
 	for ky := 0; ky < k; ky++ {
 		for kx := 0; kx < k; kx++ {
 			b.Load(isa.OpVLoad, isa.V(7), isa.V(6), int32(4*(ky*inRS+kx)))
@@ -284,7 +282,7 @@ func fcProgram(inN, outN, batch int, relu bool) *isa.Program {
 	b.Br(isa.OpCBranchExecZ, "done")
 	b.I(isa.OpVLShl, isa.V(2), isa.V(1), isa.Imm(2)) // o*4
 	b.I(isa.OpVAdd, isa.V(3), isa.V(2), isa.S(9))    // &wT[0][o]
-	b.I(isa.OpVMov, isa.V(5), f32imm(0))
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(0))
 	b.I(isa.OpSMov, isa.S(12), isa.Imm(0))
 	b.I(isa.OpSMov, isa.S(13), isa.S(8))
 	b.Label("i")
@@ -302,7 +300,7 @@ func fcProgram(inN, outN, batch int, relu bool) *isa.Program {
 	b.Waitcnt(0)
 	b.I(isa.OpVFAdd, isa.V(5), isa.V(5), isa.V(8))
 	if relu {
-		b.I(isa.OpVFMax, isa.V(5), isa.V(5), f32imm(0))
+		b.I(isa.OpVFMax, isa.V(5), isa.V(5), isa.ImmF32(0))
 	}
 	b.I(isa.OpVAdd, isa.V(9), isa.V(2), isa.S(10))
 	b.Store(isa.OpVStore, isa.V(9), isa.V(5), 0)
@@ -365,7 +363,7 @@ func addProgram(a, b, out Tensor) *isa.Program {
 	bb.Load(isa.OpVLoad, isa.V(10), isa.V(7), 0)
 	bb.Waitcnt(0)
 	bb.I(isa.OpVFAdd, isa.V(11), isa.V(9), isa.V(10))
-	bb.I(isa.OpVFMax, isa.V(11), isa.V(11), f32imm(0))
+	bb.I(isa.OpVFMax, isa.V(11), isa.V(11), isa.ImmF32(0))
 	bb.Store(isa.OpVStore, isa.V(8), isa.V(11), 0)
 	bb.Label("done")
 	bb.I(isa.OpSSetExec, isa.Operand{}, isa.Mask(0))
@@ -402,7 +400,7 @@ func gapProgram(in Tensor) *isa.Program {
 	b.Br(isa.OpCBranchExecZ, "done")
 	b.I(isa.OpVMul, isa.V(2), isa.V(1), isa.Imm(int32(4*in.chanStride())))
 	b.I(isa.OpVAdd, isa.V(2), isa.V(2), isa.S(8))
-	b.I(isa.OpVMov, isa.V(5), f32imm(0))
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(0))
 	for y := 0; y < in.H; y++ {
 		for x := 0; x < in.W; x++ {
 			off := int32(4 * ((y+in.Pad)*in.rowStride() + x + in.Pad))
@@ -411,7 +409,7 @@ func gapProgram(in Tensor) *isa.Program {
 			b.I(isa.OpVFAdd, isa.V(5), isa.V(5), isa.V(7))
 		}
 	}
-	b.I(isa.OpVFMul, isa.V(5), isa.V(5), f32imm(1/float32(in.H*in.W)))
+	b.I(isa.OpVFMul, isa.V(5), isa.V(5), isa.ImmF32(1/float32(in.H*in.W)))
 	b.I(isa.OpVLShl, isa.V(3), isa.V(1), isa.Imm(2))
 	b.I(isa.OpVAdd, isa.V(3), isa.V(3), isa.S(9))
 	b.Store(isa.OpVStore, isa.V(3), isa.V(5), 0)

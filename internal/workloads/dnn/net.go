@@ -119,31 +119,15 @@ func (m Mat) at(r, c int) uint64 { return m.Base + uint64(4*(r*m.C+c)) }
 // Net accumulates layers into a workloads.App.
 type Net struct {
 	app   *workloads.App
-	rng   *splitmix
+	rng   *workloads.RNG
 	progs map[string]*isa.Program
 }
-
-type splitmix struct{ s uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Float32 returns a value in [0, 1).
-func (r *splitmix) Float32() float32 { return float32(r.next()>>40) / float32(1<<24) }
-
-// Intn returns a value in [0, n).
-func (r *splitmix) Intn(n int) int { return int(r.next() % uint64(n)) }
 
 // NewNet creates an empty network named name.
 func NewNet(name string, seed uint64) *Net {
 	return &Net{
 		app:   &workloads.App{Name: name, Mem: mem.NewFlat()},
-		rng:   &splitmix{s: seed},
+		rng:   workloads.NewRNG(seed),
 		progs: make(map[string]*isa.Program),
 	}
 }

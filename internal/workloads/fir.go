@@ -20,7 +20,7 @@ func firProgram() *isa.Program {
 	emitBoundsGuard(b, 1, 11, 0, "done")
 	b.I(isa.OpVLShl, isa.V(2), isa.V(1), isa.Imm(2)) // byte index of out[tid]
 	b.I(isa.OpVAdd, isa.V(3), isa.V(2), isa.S(8))    // &in[tid]
-	b.I(isa.OpVMov, isa.V(4), f32imm(0))             // acc
+	b.I(isa.OpVMov, isa.V(4), isa.ImmF32(0))         // acc
 	b.I(isa.OpSMov, isa.S(5), isa.Imm(0))            // k
 	b.I(isa.OpSMov, isa.S(6), isa.S(9))              // &coeff[k]
 	b.Label("loop")
@@ -51,14 +51,14 @@ func BuildFIR(warps int) (*App, error) {
 	coeff := m.Alloc(4 * firTaps)
 	out := m.Alloc(uint64(4 * n))
 
-	rng := newRNG(0xf12)
+	rng := NewRNG(0xf12)
 	hostIn := make([]float32, n+firTaps)
 	for i := range hostIn {
-		hostIn[i] = rng.float32n()*2 - 1
+		hostIn[i] = rng.Float32()*2 - 1
 	}
 	hostCo := make([]float32, firTaps)
 	for i := range hostCo {
-		hostCo[i] = rng.float32n()
+		hostCo[i] = rng.Float32()
 	}
 	m.WriteFloats(in, hostIn)
 	m.WriteFloats(coeff, hostCo)

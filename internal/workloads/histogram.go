@@ -47,16 +47,16 @@ func BuildHistogram(warps int) (*App, error) {
 	data := m.Alloc(uint64(4 * n))
 	bins := m.Alloc(4 * histBins)
 
-	rng := newRNG(0x415)
+	rng := NewRNG(0x415)
 	hostData := make([]uint32, n)
 	want := make([]uint32, histBins)
 	for i := range hostData {
 		// Skewed: half the values land in 8 hot bins.
 		var v int
-		if rng.intn(2) == 0 {
-			v = rng.intn(8) * 32
+		if rng.Intn(2) == 0 {
+			v = rng.Intn(8) * 32
 		} else {
-			v = rng.intn(histBins)
+			v = rng.Intn(histBins)
 		}
 		hostData[i] = uint32(v)
 		want[v]++

@@ -34,12 +34,12 @@ func kmAssignProgram() *isa.Program {
 		b.Load(isa.OpVLoad, isa.V(10+d), isa.V(2), int32(4*d)) // coords
 	}
 	b.Waitcnt(0)
-	b.I(isa.OpVMov, isa.V(5), f32imm(math.MaxFloat32)) // best distance
-	b.I(isa.OpVMov, isa.V(6), isa.Imm(0))              // best index
-	b.I(isa.OpSMov, isa.S(5), isa.Imm(0))              // k
-	b.I(isa.OpSMov, isa.S(6), isa.S(9))                // &centroids[k][0]
+	b.I(isa.OpVMov, isa.V(5), isa.ImmF32(math.MaxFloat32)) // best distance
+	b.I(isa.OpVMov, isa.V(6), isa.Imm(0))                  // best index
+	b.I(isa.OpSMov, isa.S(5), isa.Imm(0))                  // k
+	b.I(isa.OpSMov, isa.S(6), isa.S(9))                    // &centroids[k][0]
 	b.Label("k")
-	b.I(isa.OpVMov, isa.V(7), f32imm(0)) // dist
+	b.I(isa.OpVMov, isa.V(7), isa.ImmF32(0)) // dist
 	for d := 0; d < kmDims; d++ {
 		b.Load(isa.OpSLoad, isa.S(7), isa.S(6), int32(4*d))
 		b.I(isa.OpVFSub, isa.V(8), isa.V(10+d), isa.S(7))
@@ -153,15 +153,15 @@ func BuildKMeans(warps int) (*App, error) {
 		return nil, fmt.Errorf("kmeans: sums/counts not contiguous")
 	}
 
-	rng := newRNG(0x4235)
+	rng := NewRNG(0x4235)
 	hostPts := make([]float32, n*kmDims)
 	for i := range hostPts {
-		hostPts[i] = rng.float32n() * 10
+		hostPts[i] = rng.Float32() * 10
 	}
 	m.WriteFloats(points, hostPts)
 	hostInit := make([]float32, kmClusters*kmDims)
 	for i := range hostInit {
-		hostInit[i] = rng.float32n() * 10
+		hostInit[i] = rng.Float32() * 10
 	}
 	m.WriteFloats(centroids, hostInit)
 

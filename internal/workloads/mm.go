@@ -35,7 +35,7 @@ func mmProgram(n int) *isa.Program {
 	b.I(isa.OpVAdd, isa.V(4), isa.V(3), isa.S(7))             // row
 	b.I(isa.OpSLShl, isa.S(12), isa.S(5), isa.Imm(4))         // bx*16
 	b.I(isa.OpVAdd, isa.V(5), isa.V(2), isa.S(12))            // col
-	b.I(isa.OpVMov, isa.V(6), f32imm(0))                      // acc
+	b.I(isa.OpVMov, isa.V(6), isa.ImmF32(0))                  // acc
 	b.I(isa.OpVLShl, isa.V(11), isa.V(1), isa.Imm(2))         // LDS addr of this thread
 	b.I(isa.OpSMov, isa.S(13), isa.Imm(0))                    // tile index
 
@@ -105,12 +105,12 @@ func BuildMM(warps int) (*App, error) {
 	a := m.Alloc(words)
 	bb := m.Alloc(words)
 	c := m.Alloc(words)
-	rng := newRNG(0x3434)
+	rng := NewRNG(0x3434)
 	hostA := make([]float32, n*n)
 	hostB := make([]float32, n*n)
 	for i := range hostA {
-		hostA[i] = rng.float32n() - 0.5
-		hostB[i] = rng.float32n() - 0.5
+		hostA[i] = rng.Float32() - 0.5
+		hostB[i] = rng.Float32() - 0.5
 	}
 	m.WriteFloats(a, hostA)
 	m.WriteFloats(bb, hostB)

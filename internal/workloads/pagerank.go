@@ -50,7 +50,7 @@ func prGatherProgram(base float32) *isa.Program {
 	b.Load(isa.OpVLoad, isa.V(4), isa.V(3), 0)
 	b.Load(isa.OpVLoad, isa.V(5), isa.V(3), 4)
 	b.Waitcnt(0)
-	b.I(isa.OpVMov, isa.V(6), f32imm(0))
+	b.I(isa.OpVMov, isa.V(6), isa.ImmF32(0))
 	b.Label("loop")
 	b.I(isa.OpVCmpLt, isa.Operand{}, isa.V(4), isa.V(5))
 	b.I(isa.OpSAndSaveExec, isa.Mask(1))
@@ -69,8 +69,8 @@ func prGatherProgram(base float32) *isa.Program {
 	b.Br(isa.OpSBranch, "loop")
 	b.Label("exit")
 	b.I(isa.OpSSetExec, isa.Operand{}, isa.Mask(1))
-	b.I(isa.OpVFMul, isa.V(6), isa.V(6), f32imm(prDamping))
-	b.I(isa.OpVFAdd, isa.V(6), isa.V(6), f32imm(base))
+	b.I(isa.OpVFMul, isa.V(6), isa.V(6), isa.ImmF32(prDamping))
+	b.I(isa.OpVFAdd, isa.V(6), isa.V(6), isa.ImmF32(base))
 	b.I(isa.OpVAdd, isa.V(12), isa.V(2), isa.S(11))
 	b.Store(isa.OpVStore, isa.V(12), isa.V(6), 0)
 	emitEpilogue(b, 0, "done")

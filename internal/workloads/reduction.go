@@ -28,7 +28,7 @@ func reductionProgram() *isa.Program {
 	b.I(isa.OpSMul, isa.S(5), isa.S(0), isa.Imm(redGroupSize))
 	b.I(isa.OpVAdd, isa.V(2), isa.V(1), isa.S(5)) // global index
 	// Guarded load: x = idx < n ? in[idx] : 0.
-	b.I(isa.OpVMov, isa.V(3), f32imm(0))
+	b.I(isa.OpVMov, isa.V(3), isa.ImmF32(0))
 	b.I(isa.OpVCmpLt, isa.Operand{}, isa.V(2), isa.S(10))
 	b.I(isa.OpSAndSaveExec, isa.Mask(0))
 	b.Br(isa.OpCBranchExecZ, "noload")
@@ -77,10 +77,10 @@ func BuildReduction(warps int) (*App, error) {
 	m := mem.NewFlat()
 	n := warps * kernel.WavefrontSize
 	in := m.Alloc(uint64(4 * n))
-	rng := newRNG(0x4edc)
+	rng := NewRNG(0x4edc)
 	host := make([]float32, n)
 	for i := range host {
-		host[i] = rng.float32n()
+		host[i] = rng.Float32()
 	}
 	m.WriteFloats(in, host)
 

@@ -18,7 +18,7 @@ func reluProgram() *isa.Program {
 	b.I(isa.OpVAdd, isa.V(3), isa.V(2), isa.S(8))
 	b.Load(isa.OpVLoad, isa.V(4), isa.V(3), 0)
 	b.Waitcnt(0)
-	b.I(isa.OpVFMax, isa.V(5), isa.V(4), f32imm(0))
+	b.I(isa.OpVFMax, isa.V(5), isa.V(4), isa.ImmF32(0))
 	b.I(isa.OpVAdd, isa.V(6), isa.V(2), isa.S(9))
 	b.Store(isa.OpVStore, isa.V(6), isa.V(5), 0)
 	emitEpilogue(b, 0, "done")
@@ -35,10 +35,10 @@ func BuildReLU(warps int) (*App, error) {
 	n := warps * kernel.WavefrontSize
 	in := m.Alloc(uint64(4 * n))
 	out := m.Alloc(uint64(4 * n))
-	rng := newRNG(0x2e1a)
+	rng := NewRNG(0x2e1a)
 	host := make([]float32, n)
 	for i := range host {
-		host[i] = rng.float32n()*2 - 1
+		host[i] = rng.Float32()*2 - 1
 	}
 	m.WriteFloats(in, host)
 

@@ -25,7 +25,7 @@ func scProgram(w, h int) *isa.Program {
 	emitBoundsGuard(b, 1, 11, 0, "done")
 	b.I(isa.OpVAnd, isa.V(2), isa.V(1), isa.Imm(int32(w-1))) // x
 	b.I(isa.OpVLShr, isa.V(3), isa.V(1), isa.Imm(int32(lw))) // y
-	b.I(isa.OpVMov, isa.V(4), f32imm(0))                     // acc
+	b.I(isa.OpVMov, isa.V(4), isa.ImmF32(0))                 // acc
 	b.I(isa.OpSMov, isa.S(5), isa.Imm(0))                    // k
 	b.I(isa.OpSMov, isa.S(14), isa.S(9))                     // &mask[k]
 	b.Label("loop")
@@ -74,14 +74,14 @@ func BuildSC(warps int) (*App, error) {
 	maskBuf := m.Alloc(4 * scMaskDim * scMaskDim)
 	out := m.Alloc(uint64(4 * n))
 
-	rng := newRNG(0x5c)
+	rng := NewRNG(0x5c)
 	hostIn := make([]float32, n)
 	for i := range hostIn {
-		hostIn[i] = rng.float32n()
+		hostIn[i] = rng.Float32()
 	}
 	hostMask := make([]float32, scMaskDim*scMaskDim)
 	for i := range hostMask {
-		hostMask[i] = rng.float32n() - 0.5
+		hostMask[i] = rng.Float32() - 0.5
 	}
 	m.WriteFloats(in, hostIn)
 	m.WriteFloats(maskBuf, hostMask)

@@ -22,24 +22,24 @@ type csr struct {
 }
 
 func makeCSR(rows, cols int, seed uint64) *csr {
-	rng := newRNG(seed)
+	rng := NewRNG(seed)
 	// The mean row is 0.8*4.5 + 0.2*35.5 = 10.7 entries long: size the entry
 	// arrays for that once, so append rarely has to grow and copy them.
 	c := &csr{rows: rows, cols: cols, rowPtr: make([]uint32, rows+1),
 		colIdx: make([]uint32, 0, 11*rows), values: make([]float32, 0, 11*rows)}
 	for r := 0; r < rows; r++ {
 		var rowLen int
-		if rng.intn(100) < 80 {
-			rowLen = 1 + rng.intn(8) // short row
+		if rng.Intn(100) < 80 {
+			rowLen = 1 + rng.Intn(8) // short row
 		} else {
-			rowLen = 8 + rng.intn(56) // long tail, up to 64
+			rowLen = 8 + rng.Intn(56) // long tail, up to 64
 		}
 		if rowLen > c.maxilen {
 			c.maxilen = rowLen
 		}
 		for k := 0; k < rowLen; k++ {
-			c.colIdx = append(c.colIdx, uint32(rng.intn(cols)))
-			c.values = append(c.values, rng.float32n()-0.5)
+			c.colIdx = append(c.colIdx, uint32(rng.Intn(cols)))
+			c.values = append(c.values, rng.Float32()-0.5)
 		}
 		c.rowPtr[r+1] = uint32(len(c.colIdx))
 	}
@@ -59,7 +59,7 @@ func spmvProgram() *isa.Program {
 	b.Load(isa.OpVLoad, isa.V(4), isa.V(3), 0) // k = rowPtr[tid]
 	b.Load(isa.OpVLoad, isa.V(5), isa.V(3), 4) // end = rowPtr[tid+1]
 	b.Waitcnt(0)
-	b.I(isa.OpVMov, isa.V(6), f32imm(0)) // acc
+	b.I(isa.OpVMov, isa.V(6), isa.ImmF32(0)) // acc
 	b.Label("loop")
 	b.I(isa.OpVCmpLt, isa.Operand{}, isa.V(4), isa.V(5))
 	b.I(isa.OpSAndSaveExec, isa.Mask(1))
@@ -105,10 +105,10 @@ func BuildSPMV(warps int) (*App, error) {
 	m.WriteWords(rowPtr, c.rowPtr)
 	m.WriteWords(colIdx, c.colIdx)
 	m.WriteFloats(vals, c.values)
-	rng := newRNG(0x77)
+	rng := NewRNG(0x77)
 	hostX := make([]float32, rows)
 	for i := range hostX {
-		hostX[i] = rng.float32n()
+		hostX[i] = rng.Float32()
 	}
 	m.WriteFloats(x, hostX)
 

@@ -2,18 +2,20 @@ package workloads
 
 import (
 	"fmt"
-	"math"
 
 	"photon/internal/sim/isa"
 )
 
-// splitmix is a deterministic 64-bit PRNG (SplitMix64); every workload's
-// synthetic data derives from fixed seeds so runs are bit-reproducible.
-type splitmix struct{ s uint64 }
+// RNG is a deterministic 64-bit PRNG (SplitMix64); every workload's
+// synthetic data, the DNNs' included, derives from fixed seeds so runs are
+// bit-reproducible.
+type RNG struct{ s uint64 }
 
-func newRNG(seed uint64) *splitmix { return &splitmix{s: seed} }
+// NewRNG returns a generator seeded with seed.
+func NewRNG(seed uint64) *RNG { return &RNG{s: seed} }
 
-func (r *splitmix) next() uint64 {
+// Uint64 returns the next value.
+func (r *RNG) Uint64() uint64 {
 	r.s += 0x9e3779b97f4a7c15
 	z := r.s
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -21,12 +23,12 @@ func (r *splitmix) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// intn returns a value in [0, n).
-func (r *splitmix) intn(n int) int { return int(r.next() % uint64(n)) }
+// Intn returns a value in [0, n).
+func (r *RNG) Intn(n int) int { return int(r.Uint64() % uint64(n)) }
 
-// float32n returns a value in [0, 1).
-func (r *splitmix) float32n() float32 {
-	return float32(r.next()>>40) / float32(1<<24)
+// Float32 returns a value in [0, 1).
+func (r *RNG) Float32() float32 {
+	return float32(r.Uint64()>>40) / float32(1<<24)
 }
 
 // log2 returns log2(n), requiring n to be a power of two.
@@ -39,12 +41,6 @@ func log2(n int) int {
 		k++
 	}
 	return k
-}
-
-// f32imm returns the float32 bit pattern as an immediate operand (the ISA's
-// registers are untyped 32-bit values).
-func f32imm(v float32) isa.Operand {
-	return isa.Imm(int32(math.Float32bits(v)))
 }
 
 // emitTID emits the global-thread-id computation into vTID using sScratch:

@@ -77,10 +77,10 @@ func TestAESFunctional(t *testing.T) {
 // kernel, which app.Check compares against it) implements real AES-256 by
 // checking it against crypto/aes.
 func TestAESReferenceMatchesStdlib(t *testing.T) {
-	rng := newRNG(42)
+	rng := NewRNG(42)
 	var key [32]byte
 	for i := range key {
-		key[i] = byte(rng.next())
+		key[i] = byte(rng.Uint64())
 	}
 	rk := aesExpandKey256(key)
 	block, err := aes.NewCipher(key[:])
@@ -90,7 +90,7 @@ func TestAESReferenceMatchesStdlib(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		var pt [16]byte
 		for i := range pt {
-			pt[i] = byte(rng.next())
+			pt[i] = byte(rng.Uint64())
 		}
 		var want [16]byte
 		block.Encrypt(want[:], pt[:])
