@@ -293,13 +293,13 @@ func TestHistoryMatchRules(t *testing.T) {
 
 	// Closest warp count among BBV matches wins. Records a and b both run
 	// 1e4 insts per warp.
-	rec, ok := h.Match(g, 950, 1e4)
-	if !ok || rec.Name != "a" {
-		t.Fatalf("matched %v, want a", rec.Name)
+	i, ok := h.Match(g, 950, 1e4)
+	if !ok || i != 0 {
+		t.Fatalf("matched %d (%v), want a", i, ok)
 	}
-	rec, ok = h.Match(g, 150, 1e4)
-	if !ok || rec.Name != "b" {
-		t.Fatalf("matched %v, want b", rec.Name)
+	i, ok = h.Match(g, 150, 1e4)
+	if !ok || i != 1 {
+		t.Fatalf("matched %d (%v), want b", i, ok)
 	}
 	// Distant BBV never matches even with exact warp count.
 	if _, ok := h.Match(mkGBBV(5, 1), 1000, 1e4); ok {
@@ -321,7 +321,7 @@ func TestHistoryMatchRules(t *testing.T) {
 	if _, ok := h2.Match(g, 33, 312.5); ok {
 		t.Fatal("sub-CU-count kernel matched an unequal warp count")
 	}
-	if rec, ok := h2.Match(g, 32, 312.5); !ok || rec.Name != "small" {
+	if i, ok := h2.Match(g, 32, 312.5); !ok || h2.Records()[i].Name != "small" {
 		t.Fatal("sub-CU-count exact match failed")
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"photon/internal/core/bbv"
 )
 
-// KernelRecord summarizes one completed kernel invocation for kernel-
-// sampling (Figure 12): its GPU BBV, warp count, total instruction count and
+// KernelRecord summarizes one kernel invocation for kernel-sampling
+// (Figure 12): its GPU BBV, warp count, total instruction count and
 // (measured or predicted) execution time.
 type KernelRecord struct {
 	Name    string
@@ -44,11 +44,13 @@ func NewHistory(distThreshold float64, numCUs int) *History {
 // Len returns the number of recorded kernels.
 func (h *History) Len() int { return len(h.recs) }
 
-// Records returns the recorded kernels in completion order. The slice is the
-// history's own; callers must not modify it.
+// Records returns the recorded kernels in launch order. Photon appends a
+// kernel's record when it plans the kernel and fills its SimTime when it
+// commits it, so a run in progress may hold pending records with SimTime 0.
+// The slice is the history's own; callers must not modify it.
 func (h *History) Records() []KernelRecord { return h.recs }
 
-// Add records a completed kernel.
+// Add appends a kernel's record.
 func (h *History) Add(r KernelRecord) { h.recs = append(h.recs, r) }
 
 // Matching guards beyond the BBV distance, following the paper's
@@ -75,10 +77,11 @@ func ratioTooFar(a, b, limit float64) bool {
 	return r > limit
 }
 
-// Match finds the prior kernel to predict from, per Figure 12 steps 2-3.
-// meanWarpInsts is the query kernel's per-warp dynamic instruction count
-// from the online analysis.
-func (h *History) Match(g bbv.GPUBBV, warps int, meanWarpInsts float64) (KernelRecord, bool) {
+// Match finds the prior kernel to predict from, per Figure 12 steps 2-3,
+// and returns its index in Records. meanWarpInsts is the query kernel's
+// per-warp dynamic instruction count from the online analysis. Match reads
+// only a record's shape (GPU BBV, warps, Insts), never its SimTime.
+func (h *History) Match(g bbv.GPUBBV, warps int, meanWarpInsts float64) (int, bool) {
 	best := -1
 	bestWarpDiff := math.MaxInt
 	bestDist := math.Inf(1)
@@ -106,8 +109,5 @@ func (h *History) Match(g bbv.GPUBBV, warps int, meanWarpInsts float64) (KernelR
 			bestDist = d
 		}
 	}
-	if best < 0 {
-		return KernelRecord{}, false
-	}
-	return h.recs[best], true
+	return best, best >= 0
 }

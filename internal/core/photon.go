@@ -93,7 +93,9 @@ const (
 
 // Photon is the sampled-simulation controller; it implements gpu.Runner.
 // A Photon instance carries kernel history across launches of one
-// application, so create one per application run.
+// application, so create one per application run. Its plans are made, and
+// committed, in launch order on one goroutine; only a plan's Execute may run
+// on another.
 type Photon struct {
 	params  Params
 	levels  Levels
@@ -187,63 +189,125 @@ func (p *Photon) recordKernel(g *gpu.GPU, name string, profile *Profile, r gpu.K
 	}
 }
 
-// RunKernel implements gpu.Runner: the full Photon flow for one kernel.
+// RunKernel implements gpu.Runner: the full Photon flow for one kernel, its
+// three steps in a row.
 func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
-	shape := MachineShape{
-		NumCUs:        g.Config().Compute.NumCUs,
-		WarpSlotsPer:  g.Config().Compute.WarpSlotsPerCU(),
-		WarpsPerGroup: l.WarpsPerGroup,
+	plan, err := p.Plan(g, l)
+	if err != nil {
+		return gpu.KernelResult{}, err
 	}
+	return plan.Run(g, l)
+}
 
+// Plan plans a kernel for a pipelined run (gpu.Plan). It runs the online
+// analysis and the History match, then appends the kernel's pending record:
+// its shape now, its Insts from the functional advance or the commit, its
+// SimTime at the commit.
+//
+// A matched kernel needs no Execute. An unmatched one runs detailed with the
+// trackers armed, and its plan may overlap its neighbours when no tracker
+// can gate: none is armed, or the kernel has fewer warps than one machine
+// generation (minRetires), so neither can count enough retirements. Such a
+// kernel ends full, its image is the functional one and its Insts are
+// exact.
+func (p *Photon) Plan(g *gpu.GPU, l *kernel.Launch) (*gpu.Plan, error) {
 	// Step 1 (all levels): online analysis over a sample of warps (served
 	// from the offline store when one is attached and warm).
 	profile, err := p.analyze(l)
 	if err != nil {
-		return gpu.KernelResult{}, err
+		return nil, err
 	}
+	k := &kernelPlan{p: p, g: g, name: l.Name, profile: profile, rec: p.history.Len()}
+	matched := false
+	if p.levels.Kernel {
+		k.match, matched = p.history.Match(profile.GPU, l.TotalWarps(), profile.MeanWarpInsts)
+	}
+	p.history.Add(KernelRecord{Name: l.Name, GPU: profile.GPU, Warps: l.TotalWarps()})
 
 	// Kernel-sampling: when a prior kernel with a matching GPU BBV exists,
 	// run this kernel in fast-forward (functional) mode only — keeping the
 	// memory image correct for later kernels whose control flow may depend
 	// on its outputs — and borrow the prior kernel's IPC for timing. The
 	// instruction count is exact: the fast-forward counts it.
-	if p.levels.Kernel {
-		if rec, ok := p.history.Match(profile.GPU, l.TotalWarps(), profile.MeanWarpInsts); ok && rec.IPC() > 0 {
-			insts, err := emu.RunKernelFunctional(l)
-			if err != nil {
-				return gpu.KernelResult{}, fmt.Errorf("core: kernel-sampling fast-forward: %w", err)
-			}
-			simTime := float64(insts) / rec.IPC()
-			p.history.Add(KernelRecord{
-				Name:    l.Name,
-				GPU:     profile.GPU,
-				Warps:   l.TotalWarps(),
-				Insts:   float64(insts),
-				SimTime: simTime,
-			})
-			result := gpu.KernelResult{
-				SimTime: EventTime(simTime),
-				Insts:   insts,
-				Mode:    TierKernel,
-			}
-			p.recordKernel(g, l.Name, profile, result, TierDecision{KernelMatch: true})
-			return result, nil
-		}
+	if matched {
+		return &gpu.Plan{Advanced: k.advanced, Commit: k.commitMatched}, nil
 	}
+	k.armBB = p.levels.BB
+	k.armWarp = p.levels.Warp && profile.GPU.DominantShare >= p.params.DominantWarpShare
+	canGate := (k.armBB || k.armWarp) && l.TotalWarps() >= minRetires(g)
+	return &gpu.Plan{Execute: k.execute, Overlap: !canGate, Advanced: k.advanced, Commit: k.commit}, nil
+}
 
-	// Detailed simulation with the per-level detectors attached. Switching
-	// is allowed only after one full machine generation retired (every
-	// initially-resident warp slot turned over), so the recorded means are
-	// not dominated by the cold-start transient.
-	minRetires := g.Config().Compute.NumCUs * g.Config().Compute.WarpSlotsPerCU()
+// minRetires is the warp retirements both trackers wait for before they may
+// gate: one full machine generation (every initially-resident warp slot
+// turned over), so the recorded means are not dominated by the cold-start
+// transient.
+func minRetires(g *gpu.GPU) int {
+	return g.Config().Compute.NumCUs * g.Config().Compute.WarpSlotsPerCU()
+}
+
+// kernelPlan is one kernel between Photon's Plan and its Commit. Execute
+// may run on another goroutine; it writes only complete and dec, which the
+// Commit reads after it.
+type kernelPlan struct {
+	p       *Photon
+	g       *gpu.GPU // the plan's sinks
+	name    string
+	profile *Profile
+	rec     int // the kernel's History record
+	match   int // the matched History record, when kernel-sampled
+
+	armBB, armWarp bool
+
+	advance  bool // a functional advance ran and counted insts
+	insts    uint64
+	complete bool // Execute's detailed run dispatched every workgroup
+	dec      TierDecision
+}
+
+// advanced takes the functional advance's count: the pending record's exact
+// Insts, known before the next kernel's Match reads it.
+func (k *kernelPlan) advanced(insts uint64) {
+	k.advance, k.insts = true, insts
+	k.p.history.recs[k.rec].Insts = float64(insts)
+}
+
+// commitMatched predicts a kernel-sampled kernel from its matched record,
+// which is earlier in launch order and so committed.
+func (k *kernelPlan) commitMatched(gpu.KernelResult) (gpu.KernelResult, error) {
+	rec := k.p.history.recs[k.match]
+	ipc := rec.IPC()
+	if !(ipc > 0) {
+		return gpu.KernelResult{}, fmt.Errorf("core: %s: matched record %s has IPC %v, want > 0", k.name, rec.Name, ipc)
+	}
+	simTime := float64(k.insts) / ipc
+	k.p.history.recs[k.rec].SimTime = simTime
+	result := gpu.KernelResult{
+		SimTime: EventTime(simTime),
+		Insts:   k.insts,
+		Mode:    TierKernel,
+	}
+	k.p.recordKernel(k.g, k.name, k.profile, result, TierDecision{KernelMatch: true})
+	return result, nil
+}
+
+// execute is the detailed simulation with the per-level detectors attached.
+// Switching is allowed only after minRetires warps retired.
+func (k *kernelPlan) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
+	shape := MachineShape{
+		NumCUs:        g.Config().Compute.NumCUs,
+		WarpSlotsPer:  g.Config().Compute.WarpSlotsPerCU(),
+		WarpsPerGroup: l.WarpsPerGroup,
+	}
+	params, profile := k.p.params, k.profile
 	var bbT *bbTracker
-	if p.levels.BB {
-		bbT = newBBTracker(profile, p.params, minRetires)
+	if k.armBB {
+		bbT = newBBTracker(profile, params, minRetires(g))
 		bbT.setMetrics(g.Metrics())
 	}
 	var wT *warpTracker
-	if p.levels.Warp && profile.GPU.DominantShare >= p.params.DominantWarpShare {
-		wT = newWarpTracker(p.params, minRetires)
+	if k.armWarp {
+		wT = newWarpTracker(params, minRetires(g))
 		wT.setMetrics(g.Metrics())
 	}
 	gate := func() bool {
@@ -279,7 +343,7 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		// Basic-block-sampling (Figure 7, step 3): functionally simulate
 		// the remaining warps and accumulate their blocks' predicted times.
 		result.Mode = TierBB
-		lm := NewLatencyModel(res, g.Config().Compute, p.params.DefaultMemLatency)
+		lm := NewLatencyModel(res, g.Config().Compute, params.DefaultMemLatency)
 		durations := make([]float64, 0, l.NumWorkgroups-res.NextWG)
 		insts := res.InstCount
 		var grp emu.Group
@@ -309,20 +373,32 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		result.Insts = res.InstCount
 	}
 
-	p.history.Add(KernelRecord{
-		Name:    l.Name,
-		GPU:     profile.GPU,
-		Warps:   l.TotalWarps(),
-		Insts:   float64(result.Insts),
-		SimTime: float64(result.SimTime),
-	})
-	dec := TierDecision{
+	k.complete = res.Complete
+	k.dec = TierDecision{
 		GateCycles:    float64(res.GateTime),
 		BBStableShare: bbT.stableShare(),
 	}
-	dec.WarpSlope, dec.WarpSlopeOK = wT.slope()
-	p.recordKernel(g, l.Name, profile, result, dec)
+	k.dec.WarpSlope, k.dec.WarpSlopeOK = wT.slope()
 	return result, nil
+}
+
+// commit fills the kernel's record from its detailed result. A kernel whose
+// image was advanced functionally ran on a helper, so its plan promised a
+// complete full run with the advance's instruction count: a broken promise
+// is the kernel's error.
+func (k *kernelPlan) commit(r gpu.KernelResult) (gpu.KernelResult, error) {
+	if k.advance {
+		if !k.complete || r.Mode != gpu.TierFull {
+			return gpu.KernelResult{}, fmt.Errorf("core: %s: planned to end full, ended %s (complete %v)", k.name, r.Mode, k.complete)
+		}
+		if r.Insts != k.insts {
+			return gpu.KernelResult{}, fmt.Errorf("core: %s: %d instructions in the detailed run, %d in the functional advance", k.name, r.Insts, k.insts)
+		}
+	}
+	rec := &k.p.history.recs[k.rec]
+	rec.Insts, rec.SimTime = float64(r.Insts), float64(r.SimTime)
+	k.p.recordKernel(k.g, k.name, k.profile, r, k.dec)
+	return r, nil
 }
 
 // trackerObserver subscribes the armed trackers (either may be nil) to block

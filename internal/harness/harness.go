@@ -14,7 +14,6 @@ import (
 	"photon/internal/obs"
 	"photon/internal/sim/event"
 	"photon/internal/sim/gpu"
-	"photon/internal/sim/kernel"
 	"photon/internal/stats"
 	"photon/internal/workloads"
 )
@@ -79,10 +78,11 @@ type AppObs struct {
 // every kernel's Wall and the run's elapsed Wall. The runner's tier ledger,
 // when it keeps one, is returned in AppResult.Decisions.
 //
-// With a runner that keeps no state across kernels, the detailed runs of an
-// app's kernels may overlap on helper goroutines (DESIGN.md "Kernel-level
-// parallelism"); results, spans and audits still merge in kernel order, so
-// the result equals a serial run's but for wall times and span threads.
+// With a runner that plans its kernels (the full-detailed runner and
+// Photon), the detailed runs of the kernels whose plans allow it may overlap
+// on helper goroutines (DESIGN.md "Kernel-level parallelism"); plans commit,
+// and results, spans and audits merge, in kernel order, so the result equals
+// a serial run's but for wall times and span threads.
 //
 // It checks ctx between kernel launches, so a cancelled or deadline-exceeded
 // job stops within one kernel of the signal instead of simulating the rest
@@ -99,32 +99,17 @@ func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App,
 	defer p.wait()
 	for i, l := range app.Launches {
 		if err := ctx.Err(); err != nil {
-			if merr := p.mergeAll(); merr != nil {
-				return p.res, merr
-			}
-			return p.res, p.fail(l, err)
+			return p.res, p.failAt(l, err)
 		}
-		step := p.inline
-		if p.handsOff(i) {
-			step = p.handOff
-		}
-		if err := step(l); err != nil {
+		if err := p.step(i, l); err != nil {
 			return p.res, err
 		}
 	}
+	if err := p.mergeAll(); err != nil { // the last launch may queue behind helpers
+		return p.res, err
+	}
 	p.res.Decisions = decisionsOf(runner)
 	return p.res, nil
-}
-
-// audit checks the invariants a finished kernel must have left behind.
-func audit(g *gpu.GPU, l *kernel.Launch, r gpu.KernelResult) error {
-	if err := g.Hierarchy().CheckConservation(); err != nil {
-		return fmt.Errorf("audit: %w", err)
-	}
-	if warps := l.TotalWarps(); r.Insts < uint64(warps) {
-		return fmt.Errorf("audit: %d instructions reported for %d warps (each warp executes at least s_endpgm)", r.Insts, warps)
-	}
-	return nil
 }
 
 // StaleKernel returns the first kernel whose runner reported it Stale: it

@@ -25,11 +25,14 @@ var running atomic.Int32
 var handedOff atomic.Int64
 
 // pipeline runs the kernels of one app and merges their results in kernel
-// order (DESIGN.md "Kernel-level parallelism"). With a runner that keeps no
-// state across kernels, a kernel may go to a helper goroutine, which runs it
-// on its own GPU over a copy-on-write fork of the image at launch, while the
-// run's goroutine advances the live image with the functional emulator.
-// Every other kernel runs inline on the live image, as a serial run would.
+// order (DESIGN.md "Kernel-level parallelism"). It asks the runner for each
+// kernel's plan, on the run's goroutine in launch order. A kernel whose plan
+// allows it may go to a helper goroutine, which runs it on its own GPU over
+// a copy-on-write fork of the image at launch, while the run's goroutine
+// advances the live image with the functional emulator. A kernel whose plan
+// needs no Execute is that functional advance alone. Every other kernel
+// runs inline on the live image, as a serial run would. Plans commit at
+// merge, in launch order.
 type pipeline struct {
 	cfg    gpu.Config
 	app    *workloads.App
@@ -39,15 +42,17 @@ type pipeline struct {
 	window int
 	gpus   chan *gpu.GPU // idle GPUs; at most window are ever made
 	made   int
+	home   *gpu.GPU         // the first GPU made: it lends every plan the run's config and sinks
 	tids   map[*gpu.GPU]int // the trace thread of each GPU's handed-off kernels
-	queue  []*kernelRun     // handed off and not merged yet, in kernel order
+	queue  []*kernelRun     // not merged yet, in kernel order
 	res    AppResult
 }
 
-// kernelRun is one kernel's detailed run, audited on the GPU that ran it.
+// kernelRun is one kernel's run, audited on the GPU that ran it.
 type kernelRun struct {
 	l     *kernel.Launch // the app's launch, not its fork
-	tid   int            // trace thread: ao.TID inline, its GPU's when handed off
+	plan  *gpu.Plan
+	tid   int // trace thread: ao.TID on the run's goroutine, its GPU's when handed off
 	r     gpu.KernelResult
 	start time.Time
 	err   error
@@ -55,21 +60,12 @@ type kernelRun struct {
 }
 
 func newPipeline(cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppObs) *pipeline {
-	window := 1
-	if stateless(runner) {
-		window = runtime.GOMAXPROCS(0)
-	}
-	return &pipeline{cfg: cfg, app: app, runner: runner, ao: ao, window: window,
+	window := runtime.GOMAXPROCS(0)
+	p := &pipeline{cfg: cfg, app: app, runner: runner, ao: ao, window: window,
 		gpus: make(chan *gpu.GPU, window), tids: map[*gpu.GPU]int{}, res: AppResult{Runner: runner.Name()}}
-}
-
-// stateless reports whether the runner carries nothing from one kernel to
-// the next, so that any GPU may run any kernel: today only the full-detailed
-// runner without an observer.
-func stateless(r gpu.Runner) bool {
-	f, ok := r.(gpu.FullRunner)
-	o := f.Observer
-	return ok && o.WarpStart == nil && o.WarpRetired == nil && o.InstIssued == nil && o.BlockRetired == nil
+	p.home = p.gpu()
+	p.gpus <- p.home
+	return p
 }
 
 // hasAtomic reports whether the program contains an atomic, whose returned
@@ -79,11 +75,50 @@ func hasAtomic(p *isa.Program) bool {
 	return slices.ContainsFunc(p.Insts, func(in isa.Inst) bool { return in.Op.IsAtomic() })
 }
 
-// handsOff reports whether launch i goes to a helper. The last launch runs
-// inline, so the final image is the detailed one, as in a serial run.
+// handsOff reports whether launch i, whose plan may overlap, goes to a
+// helper. The last launch runs inline, so the final image is the detailed
+// one, as in a serial run.
 func (p *pipeline) handsOff(i int) bool {
 	return p.window > 1 && i < len(p.app.Launches)-1 && running.Load() == 1 &&
 		!hasAtomic(p.app.Launches[i].Program)
+}
+
+// planner is a runner that plans its kernels (gpu.FullRunner, core.Photon).
+// g lends the plan the run's configuration and sinks; the plan never
+// simulates on it.
+type planner interface {
+	Plan(g *gpu.GPU, l *kernel.Launch) (*gpu.Plan, error)
+}
+
+// plan asks the runner how launch l runs. A runner that does not plan runs
+// every kernel inline through its RunKernel.
+func (p *pipeline) plan(l *kernel.Launch) (plan *gpu.Plan, err error) {
+	pl, ok := p.runner.(planner)
+	if !ok {
+		return &gpu.Plan{Execute: p.runner.RunKernel}, nil
+	}
+	err = engine.Try(func() (err error) {
+		plan, err = pl.Plan(p.home, l)
+		return err
+	})
+	return plan, err
+}
+
+// step plans launch i and runs it.
+func (p *pipeline) step(i int, l *kernel.Launch) error {
+	start := time.Now()
+	plan, err := p.plan(l)
+	if err != nil {
+		return p.failAt(l, err)
+	}
+	switch {
+	case plan.Execute == nil:
+		return p.advanceOnly(l, plan, start)
+	case plan.Overlap && p.handsOff(i):
+		return p.handOff(l, plan)
+	default:
+		return p.inline(l, plan, start)
+	}
 }
 
 // gpu returns an idle GPU, building one while fewer than window exist, and
@@ -107,72 +142,98 @@ func (p *pipeline) gpu() *gpu.GPU {
 	return <-p.gpus
 }
 
-// run runs l on g, stamps the call's host time as the kernel's wall (runners
-// leave it zero) and, under Check, audits what it left in g's hierarchy. A
-// panic becomes the kernel's error, inline as on a helper, and g goes back
-// to the pool: RunDetailed resets what a kernel leaves in it.
-func (p *pipeline) run(g *gpu.GPU, l *kernel.Launch) (r gpu.KernelResult, start time.Time, err error) {
-	start = time.Now()
-	err = engine.Try(func() (err error) {
-		r, err = p.runner.RunKernel(g, l)
+// run executes k's plan on g over l, k.l or its fork, and stamps the host
+// time since k.start as the kernel's wall (runners leave it zero). Under
+// Check it audits what the kernel left in g's hierarchy. A panic becomes the
+// kernel's error, inline as on a helper, and g goes back to the pool:
+// RunDetailed resets what a kernel leaves in it.
+func (p *pipeline) run(g *gpu.GPU, l *kernel.Launch, k *kernelRun) {
+	k.err = engine.Try(func() (err error) {
+		k.r, err = k.plan.Execute(g, l)
 		return err
 	})
-	r.Wall = time.Since(start)
-	if err == nil && p.ao.Check {
-		err = audit(g, l, r)
+	k.r.Wall = time.Since(k.start)
+	if k.err == nil && p.ao.Check {
+		if err := g.Hierarchy().CheckConservation(); err != nil {
+			k.err = fmt.Errorf("audit: %w", err)
+		}
 	}
 	p.gpus <- g
-	return r, start, err
 }
 
 // inline runs launch l on the live image, then merges every earlier kernel
-// and l, in that order.
-func (p *pipeline) inline(l *kernel.Launch) error {
-	k := kernelRun{l: l, tid: p.ao.TID}
-	k.r, k.start, k.err = p.run(p.gpu(), l)
+// and l, in that order. Its span and wall cover its plan, which began at
+// start, and its run, but not a wait for an idle GPU.
+func (p *pipeline) inline(l *kernel.Launch, plan *gpu.Plan, start time.Time) error {
+	planned := time.Since(start)
+	g := p.gpu()
+	k := kernelRun{l: l, plan: plan, tid: p.ao.TID, start: time.Now().Add(-planned)}
+	p.run(g, l, &k)
 	if err := p.mergeAll(); err != nil {
 		return err
 	}
 	return p.merge(&k)
 }
 
-// handOff runs launch l's detailed run on a helper over a fork of the image,
+// advance runs l functionally on the live image and gives the plan its
+// instruction count.
+func (p *pipeline) advance(l *kernel.Launch, plan *gpu.Plan) error {
+	return engine.Try(func() error {
+		insts, err := emu.RunKernelFunctional(l)
+		if err == nil && plan.Advanced != nil {
+			plan.Advanced(insts)
+		}
+		return err
+	})
+}
+
+// advanceOnly runs a kernel whose plan needs no Execute: the functional
+// advance of the live image is all of it, and its span and wall cover the
+// plan and the advance. It queues behind the handed-off kernels, so it
+// commits in launch order.
+func (p *pipeline) advanceOnly(l *kernel.Launch, plan *gpu.Plan, start time.Time) error {
+	if err := p.advance(l, plan); err != nil {
+		return p.failAt(l, err)
+	}
+	k := &kernelRun{l: l, plan: plan, tid: p.ao.TID, start: start, done: make(chan struct{})}
+	k.r.Wall = time.Since(start)
+	close(k.done)
+	p.queue = append(p.queue, k)
+	return p.mergeDone()
+}
+
+// handOff runs launch l's Execute on a helper over a fork of the image,
 // then advances the live image past l functionally. It waits for an idle
 // GPU first, so at most window detailed runs, and their forks, are alive;
 // finished ones wait in the queue to merge in order without holding back
 // the next hand-off.
-func (p *pipeline) handOff(l *kernel.Launch) error {
+func (p *pipeline) handOff(l *kernel.Launch, plan *gpu.Plan) error {
 	g := p.gpu()
 	if err := p.mergeDone(); err != nil {
 		return err
 	}
 	fork := *l
 	fork.Memory = l.Memory.Fork()
-	k := &kernelRun{l: l, tid: p.tids[g], done: make(chan struct{})}
+	k := &kernelRun{l: l, plan: plan, tid: p.tids[g], done: make(chan struct{})}
 	p.queue = append(p.queue, k)
 	handedOff.Add(1)
 	go func() {
-		k.r, k.start, k.err = p.run(g, &fork)
+		k.start = time.Now()
+		p.run(g, &fork, k)
 		close(k.done)
 	}()
 	start := time.Now()
-	err := engine.Try(func() error {
-		_, err := emu.RunKernelFunctional(l)
-		return err
-	})
+	err := p.advance(l, plan)
 	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
 	if err != nil {
 		// The detailed run of l most likely failed the same way: report
 		// its error, as a serial run would, when it has one.
-		if merr := p.mergeAll(); merr != nil {
-			return merr
-		}
-		return p.fail(l, err)
+		return p.failAt(l, err)
 	}
 	return nil
 }
 
-// mergeHead waits for the oldest handed-off kernel and merges it.
+// mergeHead waits for the oldest queued kernel and merges it.
 func (p *pipeline) mergeHead() error {
 	k := p.queue[0]
 	<-k.done
@@ -195,7 +256,7 @@ func (p *pipeline) mergeDone() error {
 	return nil
 }
 
-// mergeAll merges every handed-off kernel in order, up to the first failure.
+// mergeAll merges every queued kernel in order, up to the first failure.
 func (p *pipeline) mergeAll() error {
 	for len(p.queue) > 0 {
 		if err := p.mergeHead(); err != nil {
@@ -214,12 +275,23 @@ func (p *pipeline) wait() {
 	p.queue = nil
 }
 
-// merge appends one finished kernel to the result and emits its trace span.
+// merge commits one finished kernel's plan, audits its instruction count
+// under Check, appends it to the result and emits its trace span.
 func (p *pipeline) merge(k *kernelRun) error {
 	if k.err != nil {
 		return p.fail(k.l, k.err)
 	}
 	r := k.r
+	if k.plan.Commit != nil {
+		var err error
+		if r, err = k.plan.Commit(r); err != nil {
+			return p.fail(k.l, err)
+		}
+		r.Wall = k.r.Wall
+	}
+	if warps := k.l.TotalWarps(); p.ao.Check && r.Insts < uint64(warps) {
+		return p.fail(k.l, fmt.Errorf("audit: %d instructions reported for %d warps (each warp executes at least s_endpgm)", r.Insts, warps))
+	}
 	p.ao.Trace.Complete(p.app.Name+"/"+k.l.Name, "kernel", simPID, k.tid, k.start, r.Wall, map[string]any{
 		"runner": p.runner.Name(), "mode": r.Mode,
 		"sim_cycles": r.SimTime, "insts": r.Insts,
@@ -228,6 +300,15 @@ func (p *pipeline) merge(k *kernelRun) error {
 	p.res.Insts += r.Insts
 	p.res.PerKernel = append(p.res.PerKernel, KernelRow{Name: k.l.Name, KernelResult: r})
 	return nil
+}
+
+// failAt fails the run at launch l, unless a kernel before it failed first:
+// a serial run would have stopped there.
+func (p *pipeline) failAt(l *kernel.Launch, err error) error {
+	if merr := p.mergeAll(); merr != nil {
+		return merr
+	}
+	return p.fail(l, err)
 }
 
 func (p *pipeline) fail(l *kernel.Launch, err error) error {

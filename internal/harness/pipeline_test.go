@@ -82,65 +82,125 @@ func image(m *mem.Flat) []uint32 {
 	return m.ReadWords(0, int(end/4))
 }
 
-// runDetailedAt builds c's app and runs it full-detailed at GOMAXPROCS procs. It
-// returns the result with host times zeroed, the final image, and how many
-// kernels went to helpers.
-func runDetailedAt(t *testing.T, ctx context.Context, c pipelineCase, procs int, ao AppObs) (AppResult, []uint32, int64, error) {
+// pipelineRun is one run of a pipeline case: the result with host times
+// zeroed, the final image, how many kernels went to helpers, and the runner.
+type pipelineRun struct {
+	res    AppResult
+	image  []uint32
+	handed int64
+	runner gpu.Runner
+}
+
+// runAt builds c's app and runs it under m at GOMAXPROCS procs.
+func runAt(t *testing.T, ctx context.Context, c pipelineCase, m mode, procs int, ao AppObs) (pipelineRun, error) {
 	t.Helper()
 	app, err := c.build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := gpu.R9Nano()
+	runner := m.new(cfg, core.DefaultParams())
 	runtime.GOMAXPROCS(procs)
 	before := handedOff.Load()
-	res, err := RunAppInstrumented(ctx, gpu.R9Nano(), app, gpu.FullRunner{}, ao)
+	res, err := RunAppInstrumented(ctx, cfg, app, runner, ao)
 	res.Wall = 0
 	for i := range res.PerKernel {
 		res.PerKernel[i].Wall = 0
 	}
-	return res, image(app.Mem), handedOff.Load() - before, err
+	return pipelineRun{res, image(app.Mem), handedOff.Load() - before, runner}, err
 }
 
-// pipelinable counts the launches of c's app a pipelined run hands off:
-// every one but the last that has no atomic.
-func pipelinable(t *testing.T, c pipelineCase) int64 {
+// modeNamed returns the mode table's row called name.
+func modeNamed(t *testing.T, name string) mode {
+	for _, m := range modes {
+		if m.name == name {
+			return m
+		}
+	}
+	t.Fatalf("no mode %q", name)
+	return mode{}
+}
+
+// pipelinable counts the launches of c's app a pipelined run under m hands
+// off. It walks the app serially and asks the runner for each launch's plan:
+// a plan that executes and may overlap goes to a helper, unless its launch
+// has an atomic. The last launch always runs inline, so the walk stops
+// before it. A runner that does not plan hands off none.
+func pipelinable(t *testing.T, c pipelineCase, m mode) int64 {
 	app, err := c.build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := gpu.R9Nano()
+	pl, ok := m.new(cfg, core.DefaultParams()).(planner)
+	if !ok {
+		return 0
+	}
+	g := gpu.New(cfg)
 	n := int64(0)
 	for _, l := range app.Launches[:len(app.Launches)-1] {
-		if !hasAtomic(l.Program) {
+		plan, err := pl.Plan(g, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Execute != nil && plan.Overlap && !hasAtomic(l.Program) {
 			n++
+		}
+		if _, err := plan.Run(g, l); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return n
 }
 
-// The pipelined run must reproduce the serial one: every per-kernel row,
-// the totals and the final memory image, byte for byte.
+// The pipelined run must reproduce the serial one under every mode: every
+// per-kernel row, the totals, the tier ledger and the final memory image,
+// byte for byte, with every kernel audited. The baselines PKA and TBPoint
+// do not plan, so they stay serial; Photon hands off the kernels it can
+// bound, most of ResNet-18's. An app of one launch runs it inline, the
+// serial path, so only the full baseline runs it.
 func TestPipelinedRunMatchesSerial(t *testing.T) {
 	for _, c := range pipelineCases() {
 		t.Run(c.name, func(t *testing.T) {
-			setProcs(t, 1)
-			want, wantImg, n, err := runDetailedAt(t, context.Background(), c, 1, AppObs{})
-			if err != nil || n != 0 {
-				t.Fatalf("serial run: err %v, %d kernels handed off", err, n)
-			}
-			got, gotImg, n, err := runDetailedAt(t, context.Background(), c, pipelineProcs(), AppObs{})
+			app, err := c.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w := pipelinable(t, c); n != w {
-				t.Errorf("%d kernels handed off, want %d", n, w)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got, want)
-			}
-			if !slices.Equal(gotImg, wantImg) {
-				t.Errorf("final images differ first at %#x (%d and %d words)", firstDiff(gotImg, wantImg), len(gotImg), len(wantImg))
+			for _, m := range modes {
+				if len(app.Launches) == 1 && m.name != BaselineMode {
+					continue
+				}
+				t.Run(m.name, func(t *testing.T) { matchesSerial(t, c, m) })
 			}
 		})
+	}
+}
+
+func matchesSerial(t *testing.T, c pipelineCase, m mode) {
+	setProcs(t, 1)
+	ao := AppObs{Check: true}
+	want, err := runAt(t, context.Background(), c, m, 1, ao)
+	if err != nil || want.handed != 0 {
+		t.Fatalf("serial run: err %v, %d kernels handed off", err, want.handed)
+	}
+	got, err := runAt(t, context.Background(), c, m, pipelineProcs(), ao)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := pipelinable(t, c, m); got.handed != w {
+		t.Errorf("%d kernels handed off, want %d", got.handed, w)
+	}
+	switch {
+	case (m.name == "pka" || m.name == "tbpoint") && got.handed != 0:
+		t.Errorf("%d kernels handed off under a baseline that does not plan", got.handed)
+	case m.name == "photon" && c.name == "ResNet-18" && got.handed == 0:
+		t.Error("Photon handed off no kernel of ResNet-18")
+	}
+	if !reflect.DeepEqual(got.res, want.res) {
+		t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got.res, want.res)
+	}
+	if !slices.Equal(got.image, want.image) {
+		t.Errorf("final images differ first at %#x (%d and %d words)", firstDiff(got.image, want.image), len(got.image), len(want.image))
 	}
 }
 
@@ -163,10 +223,11 @@ func TestEveryModeLeavesFullRunImage(t *testing.T) {
 	setProcs(t, 1)
 	for _, name := range []string{"HIST", "KMEANS", "BFS", "REDUCE"} {
 		c := findPipelineCase(t, name)
-		_, want, _, err := runDetailedAt(t, context.Background(), c, 1, AppObs{})
+		full, err := runAt(t, context.Background(), c, modeNamed(t, BaselineMode), 1, AppObs{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := full.image
 		for _, m := range modes {
 			t.Run(name+"/"+m.name, func(t *testing.T) {
 				app, err := c.build()
@@ -225,44 +286,52 @@ func (c *cancelAfter) Err() error {
 }
 
 // A cancelled pipelined run returns exactly the kernels before the signal,
-// in order, with the context error, and leaves no helper running.
+// in order, with the context error, and leaves no helper running. Under
+// Photon the tier ledger holds exactly those kernels too: no plan made
+// before the signal stays uncommitted, and none is made after it.
 func TestPipelinedRunCancelsMidApp(t *testing.T) {
 	c := findPipelineCase(t, "Xfmr-L2")
 	setProcs(t, 1)
-	want, _, _, err := runDetailedAt(t, context.Background(), c, 1, AppObs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, stop := range []int{1, 5, len(want.PerKernel) - 1} {
-		base := runtime.NumGoroutine()
-		ctx := &cancelAfter{Context: context.Background(), n: int32(stop)}
-		got, _, n, err := runDetailedAt(t, ctx, c, pipelineProcs(), AppObs{})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("stop before %d: err %v, want context.Canceled", stop, err)
+	for _, m := range []mode{modeNamed(t, BaselineMode), modeNamed(t, "photon")} {
+		want, err := runAt(t, context.Background(), c, m, 1, AppObs{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n == 0 {
-			t.Errorf("stop before %d: no kernel was handed off", stop)
-		}
-		if !reflect.DeepEqual(got.PerKernel, want.PerKernel[:stop]) {
-			t.Errorf("stop before %d: got %d kernels, want the serial prefix of %d", stop, len(got.PerKernel), stop)
-		}
-		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("stop before %d: %d goroutines outlive the run (%d before)", stop, runtime.NumGoroutine(), base)
+		for _, stop := range []int{1, 5, len(want.res.PerKernel) - 1} {
+			base := runtime.NumGoroutine()
+			ctx := &cancelAfter{Context: context.Background(), n: int32(stop)}
+			got, err := runAt(t, ctx, c, m, pipelineProcs(), AppObs{})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, stop before %d: err %v, want context.Canceled", m.name, stop, err)
+			}
+			if got.handed == 0 {
+				t.Errorf("%s, stop before %d: no kernel was handed off", m.name, stop)
+			}
+			if !reflect.DeepEqual(got.res.PerKernel, want.res.PerKernel[:stop]) {
+				t.Errorf("%s, stop before %d: got %d kernels, want the serial prefix of %d", m.name, stop, len(got.res.PerKernel), stop)
+			}
+			if ds := decisionsOf(got.runner); want.res.Decisions != nil && !reflect.DeepEqual(ds, want.res.Decisions[:stop]) {
+				t.Errorf("%s, stop before %d: ledger holds %d decisions, want the serial prefix of %d", m.name, stop, len(ds), stop)
+			}
+			for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s, stop before %d: %d goroutines outlive the run (%d before)", m.name, stop, runtime.NumGoroutine(), base)
+				}
 			}
 		}
 	}
 }
 
-// Telemetry merges as if the run were serial: the same registry snapshot,
-// one kernel span per launch in launch order, and every kernel audited on
-// the GPU that ran it (a read of another GPU's hierarchy would race). Spans
-// go on the thread that ran them, so on each thread any two nest or are
-// disjoint, which is all the Chrome trace format can draw; a serial run
-// keeps every span on the run's own thread.
+// Telemetry merges as if the run were serial, under the full baseline and
+// under Photon: the same registry snapshot, one kernel span per launch in
+// launch order, and every kernel audited on the GPU that ran it (a read of
+// another GPU's hierarchy would race). Spans go on the thread that ran them,
+// so on each thread any two nest or are disjoint, which is all the Chrome
+// trace format can draw; a serial run keeps every span on the run's own
+// thread.
 func TestPipelinedRunMergesTelemetry(t *testing.T) {
 	c := findPipelineCase(t, "ResNet-18")
-	observed := func(procs int) (obs.Snapshot, []string, int64) {
+	observed := func(m mode, procs int) (obs.Snapshot, []string, int64) {
 		reg, tr := obs.NewRegistry(), obs.NewTraceBuffer()
 		var spans []string
 		var evs []obs.TraceEvent
@@ -275,13 +344,13 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 			}
 		})
 		const tid = 3
-		_, _, n, err := runDetailedAt(t, context.Background(), c, procs, AppObs{Metrics: reg, Trace: tr, TID: tid, Check: true})
+		run, err := runAt(t, context.Background(), c, m, procs, AppObs{Metrics: reg, Trace: tr, TID: tid, Check: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, a := range evs {
-			if n == 0 && a.TID != tid {
-				t.Errorf("serial run: span %s on thread %d, want %d", a.Name, a.TID, tid)
+			if run.handed == 0 && a.TID != tid {
+				t.Errorf("%s serial run: span %s on thread %d, want %d", m.name, a.Name, a.TID, tid)
 			}
 			for _, b := range evs[i+1:] {
 				if a.PID != b.PID || a.TID != b.TID {
@@ -291,31 +360,33 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 					a, b = b, a
 				}
 				if b.TS < a.TS+a.Dur && b.TS+b.Dur > a.TS+a.Dur {
-					t.Errorf("spans %s and %s partially overlap on (%d, %d)", a.Name, b.Name, a.PID, a.TID)
+					t.Errorf("%s: spans %s and %s partially overlap on (%d, %d)", m.name, a.Name, b.Name, a.PID, a.TID)
 				}
 			}
 		}
-		return reg.Snapshot(), spans, n
+		return reg.Snapshot(), spans, run.handed
 	}
 	setProcs(t, 1)
-	wantSnap, wantSpans, _ := observed(1)
-	gotSnap, gotSpans, n := observed(pipelineProcs())
-	if n == 0 {
-		t.Fatal("no kernel was handed off")
-	}
-	if len(wantSnap.Counters) == 0 || len(wantSnap.Histograms) == 0 {
-		t.Fatal("the serial run published no counters or histograms")
-	}
-	if !reflect.DeepEqual(gotSnap, wantSnap) {
-		t.Errorf("pipelined registry snapshot differs from serial:\n got %+v\nwant %+v", gotSnap, wantSnap)
-	}
 	app, _ := c.build()
 	var names []string
 	for _, l := range app.Launches {
 		names = append(names, app.Name+"/"+l.Name)
 	}
-	if !slices.Equal(gotSpans, names) || !slices.Equal(wantSpans, names) {
-		t.Errorf("kernel spans out of launch order:\npipelined %v\nserial    %v\nlaunches  %v", gotSpans, wantSpans, names)
+	for _, m := range []mode{modeNamed(t, BaselineMode), modeNamed(t, "photon")} {
+		wantSnap, wantSpans, _ := observed(m, 1)
+		gotSnap, gotSpans, n := observed(m, pipelineProcs())
+		if n == 0 {
+			t.Fatalf("%s: no kernel was handed off", m.name)
+		}
+		if len(wantSnap.Counters) == 0 || len(wantSnap.Histograms) == 0 {
+			t.Fatalf("%s: the serial run published no counters or histograms", m.name)
+		}
+		if !reflect.DeepEqual(gotSnap, wantSnap) {
+			t.Errorf("%s: pipelined registry snapshot differs from serial:\n got %+v\nwant %+v", m.name, gotSnap, wantSnap)
+		}
+		if !slices.Equal(gotSpans, names) || !slices.Equal(wantSpans, names) {
+			t.Errorf("%s: kernel spans out of launch order:\npipelined %v\nserial    %v\nlaunches  %v", m.name, gotSpans, wantSpans, names)
+		}
 	}
 }
 
@@ -350,50 +421,61 @@ func TestPipelinedRunWallIsElapsed(t *testing.T) {
 	}
 }
 
-// ldsFaultApp is a two-launch app whose first kernel stores far outside its
-// (empty) LDS, which panics the emulator under every runner; the second
-// kernel only ends.
+// ldsFaultApp is a two-launch app whose first kernel has two workgroups:
+// the first stores inside its LDS and the second far outside it, which
+// panics the emulator under every runner, while Photon's online analysis,
+// which samples only the first, passes. The second kernel only ends.
 func ldsFaultApp() *workloads.App {
 	m := mem.NewFlat()
 	fault := isa.NewBuilder("lds_fault")
-	fault.Store(isa.OpLDSStore, isa.V(0), isa.V(0), 1<<20)
+	fault.SetLDS(256)
+	fault.I(isa.OpVMul, isa.V(1), isa.S(0), isa.Imm(1<<20)) // s0 is the workgroup ID
+	fault.Store(isa.OpLDSStore, isa.V(1), isa.V(0), 0)
 	fault.End()
 	idle := isa.NewBuilder("idle")
 	idle.End()
-	launch := func(p *isa.Program) *kernel.Launch {
-		return &kernel.Launch{Name: p.Name, Program: p, Memory: m, NumWorkgroups: 1, WarpsPerGroup: 1}
+	launch := func(p *isa.Program, groups int) *kernel.Launch {
+		return &kernel.Launch{Name: p.Name, Program: p, Memory: m, NumWorkgroups: groups, WarpsPerGroup: 1}
 	}
 	return &workloads.App{Name: "Fault", Mem: m,
-		Launches: []*kernel.Launch{launch(fault.MustBuild()), launch(idle.MustBuild())}}
+		Launches: []*kernel.Launch{launch(fault.MustBuild(), 2), launch(idle.MustBuild(), 1)}}
 }
 
 // A kernel that panics the simulator fails its run with an error that names
-// it and carries the stack, whether it ran inline or on a helper: the
-// helper's panic must not take the process down, and the error is the
-// serial run's.
+// it and carries the stack, whether it ran inline or on a helper, under the
+// full baseline and under Photon: the helper's panic must not take the
+// process down, the error is the serial run's, and no helper outlives the
+// run.
 func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
 	setProcs(t, 1)
-	var first string
-	for _, procs := range []int{1, pipelineProcs()} {
-		runtime.GOMAXPROCS(procs)
-		before := handedOff.Load()
-		_, err := RunAppInstrumented(context.Background(), gpu.R9Nano(), ldsFaultApp(), gpu.FullRunner{}, AppObs{})
-		if n := handedOff.Load() - before; n != int64(min(procs-1, 1)) {
-			t.Fatalf("procs %d: %d kernels handed off", procs, n)
-		}
-		if err == nil {
-			t.Fatalf("procs %d: the faulting kernel did not fail the run", procs)
-		}
-		msg := err.Error()
-		line, _, _ := strings.Cut(msg, "\n")
-		if !strings.HasPrefix(line, "harness: Fault/lds_fault under full: panic: emu: lds_fault") ||
-			!strings.Contains(msg, "goroutine ") {
-			t.Fatalf("procs %d: error %q, want the kernel's panic with its stack", procs, msg)
-		}
-		if first == "" {
-			first = line
-		} else if line != first {
-			t.Errorf("pipelined error %q, serial %q", line, first)
+	for _, name := range []string{BaselineMode, "photon"} {
+		var first string
+		for _, procs := range []int{1, pipelineProcs()} {
+			runtime.GOMAXPROCS(procs)
+			base := runtime.NumGoroutine()
+			before := handedOff.Load()
+			cfg := gpu.R9Nano()
+			_, err := RunAppInstrumented(context.Background(), cfg, ldsFaultApp(), modeNamed(t, name).new(cfg, core.DefaultParams()), AppObs{})
+			if n := handedOff.Load() - before; n != int64(min(procs-1, 1)) {
+				t.Fatalf("%s, procs %d: %d kernels handed off", name, procs, n)
+			}
+			if err == nil {
+				t.Fatalf("%s, procs %d: the faulting kernel did not fail the run", name, procs)
+			}
+			msg := err.Error()
+			line, _, _ := strings.Cut(msg, "\n")
+			if !strings.HasPrefix(line, "harness: Fault/lds_fault under "+name+": panic: emu: lds_fault") ||
+				!strings.Contains(msg, "goroutine ") {
+				t.Fatalf("%s, procs %d: error %q, want the kernel's panic with its stack", name, procs, msg)
+			}
+			if first == "" {
+				first = line
+			} else if line != first {
+				t.Errorf("%s: pipelined error %q, serial %q", name, line, first)
+			}
+			if g := runtime.NumGoroutine(); g > base {
+				t.Errorf("%s, procs %d: %d goroutines outlive the run (%d before)", name, procs, g, base)
+			}
 		}
 	}
 }

@@ -97,9 +97,10 @@ type KernelResult struct {
 	// Stale reports that the result predicts workgroups the runner never
 	// executed, so their outputs are missing from the memory image.
 	Stale bool
-	// Wall is the host time of the RunKernel call, stamped by the run loop.
-	// Kernels that ran on different GPUs may overlap, so a sum of walls is
-	// host time spent, not elapsed time.
+	// Wall is the host time of the kernel's trace span, stamped by the run
+	// loop (DESIGN.md "Kernel-level parallelism", Wall). Kernels that ran on
+	// different GPUs may overlap, so a sum of walls is host time spent, not
+	// elapsed time.
 	Wall time.Duration
 }
 
@@ -118,6 +119,46 @@ func (r KernelResult) IPC() float64 {
 type Runner interface {
 	Name() string
 	RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error)
+}
+
+// Plan is one kernel's run split in three steps that a pipelined run may
+// pull apart (DESIGN.md "Kernel-level parallelism"). A runner's Plan method
+// makes it on the run's goroutine, in launch order, from what is known
+// before the kernel runs; Execute simulates the kernel; Commit finishes it,
+// in launch order.
+type Plan struct {
+	// Execute simulates the kernel on g over l's image. Nil when the
+	// functional advance of the image is the kernel's whole execution.
+	Execute func(g *GPU, l *kernel.Launch) (KernelResult, error)
+	// Overlap is set when Execute touches none of the runner's cross-kernel
+	// state and leaves exactly the image the functional emulator would: it
+	// may run on another GPU over a Fork of the image at launch while the
+	// run advances the image functionally.
+	Overlap bool
+	// Advanced, when set, receives the instruction count of a functional
+	// advance of the image past the kernel, before the next kernel is
+	// planned.
+	Advanced func(insts uint64)
+	// Commit, when set, turns Execute's result (the zero result when
+	// Execute is nil) into the kernel's.
+	Commit func(r KernelResult) (KernelResult, error)
+}
+
+// Run is RunKernel for a planned kernel: Execute on g over l's own image,
+// or the functional advance when the plan needs none, then Commit.
+func (p *Plan) Run(g *GPU, l *kernel.Launch) (r KernelResult, err error) {
+	if p.Execute != nil {
+		r, err = p.Execute(g, l)
+	} else {
+		var insts uint64
+		if insts, err = emu.RunKernelFunctional(l); err == nil && p.Advanced != nil {
+			p.Advanced(insts)
+		}
+	}
+	if err != nil || p.Commit == nil {
+		return r, err
+	}
+	return p.Commit(r)
 }
 
 // FullRunner simulates every kernel entirely in detailed mode; it is the
@@ -143,6 +184,15 @@ func (f FullRunner) RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error) {
 		DetailedInsts: res.InstCount,
 		Mode:          TierFull,
 	}, nil
+}
+
+// Plan plans a kernel for a pipelined run: it is one RunKernel, which may
+// overlap its neighbours unless an observer listens, since observers keep
+// their state across kernels.
+func (f FullRunner) Plan(*GPU, *kernel.Launch) (*Plan, error) {
+	o := f.Observer
+	return &Plan{Execute: f.RunKernel,
+		Overlap: o.WarpStart == nil && o.WarpRetired == nil && o.InstIssued == nil && o.BlockRetired == nil}, nil
 }
 
 // FunctionalRunner runs kernels functionally only (no timing); it reports a
