@@ -146,8 +146,13 @@ func bucket(v float64) int {
 	return int(math.Round(math.Log2(v) * 4)) // quarter-octave buckets
 }
 
-// RunKernel implements gpu.Runner.
-func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
+// Plan implements gpu.Runner. PKA's kernel-level reuse reads and writes
+// the runner's history, so its plans never overlap.
+func (r *Runner) Plan(*gpu.GPU, *kernel.Launch) (*gpu.Plan, error) {
+	return &gpu.Plan{Execute: r.execute}, nil
+}
+
+func (r *Runner) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
 	// Instruction-count estimate from a functional sample (stands in for
 	// PKA's profiling counters).
 	profile, err := core.AnalyzeOnline(l, r.params.SampleFraction)
@@ -172,24 +177,26 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		return gpu.KernelResult{}, err
 	}
 
-	result := gpu.KernelResult{DetailedInsts: res.InstCount}
-	if res.Complete || !mon.triggered {
-		result.Mode = TierFull
-		result.SimTime = res.EndTime
-		result.Insts = res.InstCount
-	} else {
+	var result gpu.KernelResult
+	switch {
+	case res.Complete:
+		result = gpu.Complete(res, TierFull)
+	case mon.triggered:
 		// Extrapolate the remaining instructions at the stable IPC,
 		// counting from the moment the monitor fired (the detailed model
 		// drains in-flight workgroups past that point; PKA's model charges
 		// the remainder at the stable rate).
-		result.Mode, result.Stale = TierSampled, true
-		remaining := totalInsts - float64(res.InstCount)
-		if remaining < 0 {
-			remaining = 0
+		remaining := max(totalInsts-float64(res.InstCount), 0)
+		result = gpu.KernelResult{
+			SimTime:       res.EndTime + event.Time(remaining/mon.stableIPC),
+			Insts:         uint64(totalInsts),
+			DetailedInsts: res.InstCount,
+			Mode:          TierSampled,
+			Stale:         true,
 		}
-		extra := event.Time(remaining / mon.stableIPC)
-		result.SimTime = res.EndTime + extra
-		result.Insts = uint64(totalInsts)
+	default:
+		// The gate stops dispatch only once the monitor has triggered.
+		return gpu.KernelResult{}, fmt.Errorf("pka: %s: detailed run stopped at workgroup %d with no monitor triggered", l.Name, res.NextWG)
 	}
 	r.history[key] = kernelEntry{simTime: result.SimTime, insts: result.Insts}
 	return result, nil

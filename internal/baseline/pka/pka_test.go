@@ -36,7 +36,7 @@ func TestPKASamplesStableWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gpu.New(smallGPU())
-	r, err := New(DefaultParams()).RunKernel(g, app.Launches[0])
+	r, err := gpu.RunKernel(New(DefaultParams()), g, app.Launches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPKASamplesStableWorkload(t *testing.T) {
 		t.Fatalf("mode = %s (stale=%v), want a stale %s (IPC of ReLU should stabilize)", r.Mode, r.Stale, TierSampled)
 	}
 	app2, _ := workloads.BuildReLU(8192)
-	full, err := (gpu.FullRunner{}).RunKernel(gpu.New(smallGPU()), app2.Launches[0])
+	full, err := gpu.RunKernel(gpu.FullRunner{}, gpu.New(smallGPU()), app2.Launches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPKAKernelLevelReuse(t *testing.T) {
 	var modes []string
 	reused := 0
 	for _, l := range app.Launches {
-		r, err := runner.RunKernel(g, l)
+		r, err := gpu.RunKernel(runner, g, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestPKAFallsBackToFullWhenUnstable(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gpu.New(smallGPU())
-	r, err := New(DefaultParams()).RunKernel(g, app.Launches[0])
+	r, err := gpu.RunKernel(New(DefaultParams()), g, app.Launches[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,16 +94,16 @@ func (g *groupTimer) meanGroupDuration() float64 {
 	return sum / float64(n)
 }
 
-// RunKernel implements gpu.Runner.
-func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
+// Plan implements gpu.Runner. Its plans never overlap: a sampled kernel
+// leaves its remaining workgroups unexecuted.
+func (r *Runner) Plan(*gpu.GPU, *kernel.Launch) (*gpu.Plan, error) {
+	return &gpu.Plan{Execute: r.execute}, nil
+}
+
+func (r *Runner) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
 	profile, err := core.AnalyzeOnline(l, r.params.SampleFraction)
 	if err != nil {
 		return gpu.KernelResult{}, err
-	}
-	shape := core.MachineShape{
-		NumCUs:        g.Config().Compute.NumCUs,
-		WarpSlotsPer:  g.Config().Compute.WarpSlotsPerCU(),
-		WarpsPerGroup: l.WarpsPerGroup,
 	}
 	sampleGroups := int(float64(l.NumWorkgroups)*r.params.Fraction + 0.5)
 	if sampleGroups < r.params.MinGroups {
@@ -111,7 +111,7 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	}
 	// Sampling fewer groups than the machine holds would profile the kernel
 	// at artificially low occupancy; take at least two full generations.
-	if floor := 2 * shape.GroupServers(); sampleGroups < floor {
+	if floor := 2 * core.ShapeOf(g, l).GroupServers(); sampleGroups < floor {
 		sampleGroups = floor
 	}
 
@@ -125,21 +125,10 @@ func (r *Runner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	if err != nil {
 		return gpu.KernelResult{}, err
 	}
-	result := gpu.KernelResult{DetailedInsts: res.InstCount}
 	if res.Complete {
-		result.Mode = TierFull
-		result.SimTime = res.EndTime
-		result.Insts = res.InstCount
-	} else {
-		result.Mode, result.Stale = TierSampled, true
-		remaining := l.NumWorkgroups - res.NextWG
-		end := core.UniformMakespan(float64(res.GateTime), float64(res.EndTime),
-			timer.meanGroupDuration(), remaining, shape)
-		result.SimTime = core.EventTime(end)
-		skipped := float64(remaining*l.WarpsPerGroup) * profile.MeanWarpInsts
-		result.Insts = res.InstCount + uint64(skipped)
+		return gpu.Complete(res, TierFull), nil
 	}
-	return result, nil
+	return core.PredictRemainder(g, l, res, timer.meanGroupDuration(), profile.MeanWarpInsts, TierSampled), nil
 }
 
 var _ gpu.Runner = (*Runner)(nil)

@@ -18,7 +18,7 @@ func TestTBPointSamplesRegularWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gpu.New(gpu.R9Nano())
-	r, err := New(DefaultParams()).RunKernel(g, app.Launches[0])
+	r, err := gpu.RunKernel(New(DefaultParams()), g, app.Launches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestTBPointSamplesRegularWorkload(t *testing.T) {
 		t.Fatalf("mode = %s (stale=%v), want a stale %s", r.Mode, r.Stale, TierSampled)
 	}
 	app2, _ := workloads.BuildReLU(8192)
-	full, err := (gpu.FullRunner{}).RunKernel(gpu.New(gpu.R9Nano()), app2.Launches[0])
+	full, err := gpu.RunKernel(gpu.FullRunner{}, gpu.New(gpu.R9Nano()), app2.Launches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestTBPointFallsBackOnSmallKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gpu.New(gpu.R9Nano())
-	r, err := New(DefaultParams()).RunKernel(g, app.Launches[0])
+	r, err := gpu.RunKernel(New(DefaultParams()), g, app.Launches[0])
 	if err != nil {
 		t.Fatal(err)
 	}

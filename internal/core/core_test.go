@@ -164,8 +164,8 @@ func TestPredictMakespan(t *testing.T) {
 	if got != 120 {
 		t.Fatalf("makespan = %v, want 120", got)
 	}
-	if u := UniformMakespan(100, 100, 10, 8, shape); u != got {
-		t.Fatalf("UniformMakespan %v != PredictMakespan %v", u, got)
+	if u := uniformMakespan(100, 100, 10, 8, shape); u != got {
+		t.Fatalf("uniformMakespan %v != PredictMakespan %v", u, got)
 	}
 	// Unequal durations, no ramp: greedy packs short ones behind the long one.
 	got = PredictMakespan(0, 0, []float64{40, 10, 10, 10, 10, 10}, shape)
@@ -334,7 +334,7 @@ func runBoth(t *testing.T, build func() *workloads.App, sampled gpu.Runner) (ful
 	gFull := gpu.New(smallGPU())
 	appFull := build()
 	for _, l := range appFull.Launches {
-		r, err := (gpu.FullRunner{}).RunKernel(gFull, l)
+		r, err := gpu.RunKernel(gpu.FullRunner{}, gFull, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func runBoth(t *testing.T, build func() *workloads.App, sampled gpu.Runner) (ful
 	gS := gpu.New(smallGPU())
 	appS := build()
 	for _, l := range appS.Launches {
-		r, err := sampled.RunKernel(gS, l)
+		r, err := gpu.RunKernel(sampled, gS, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +450,7 @@ func TestPhotonSkipsDetailedWork(t *testing.T) {
 	}
 	g := gpu.New(smallGPU())
 	ph := MustNew(smallGPU(), testParams(), AllLevels())
-	r, err := ph.RunKernel(g, app.Launches[0])
+	r, err := gpu.RunKernel(ph, g, app.Launches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestPhotonMetricsRecorded(t *testing.T) {
 	ph := MustNew(smallGPU(), testParams(), AllLevels())
 	var kernels, insts uint64
 	for _, l := range app.Launches {
-		r, err := ph.RunKernel(g, l)
+		r, err := gpu.RunKernel(ph, g, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -606,7 +606,7 @@ func refPredictMakespan(rampStart, rampEnd float64, groupDurations []float64, sh
 }
 
 // TestMakespanMatchesContainerHeap checks PredictMakespan and
-// UniformMakespan against the reference on randomized shapes, ramps and
+// uniformMakespan against the reference on randomized shapes, ramps and
 // durations, comparing float64 bits.
 func TestMakespanMatchesContainerHeap(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
@@ -632,8 +632,8 @@ func TestMakespanMatchesContainerHeap(t *testing.T) {
 			uniform[i] = d
 		}
 		want = refPredictMakespan(start, end, uniform, shape)
-		if got := UniformMakespan(start, end, d, n, shape); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d: UniformMakespan(%v x %d) = %v, container/heap reference %v", trial, d, n, got, want)
+		if got := uniformMakespan(start, end, d, n, shape); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: uniformMakespan(%v x %d) = %v, container/heap reference %v", trial, d, n, got, want)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestLargeGridSampledMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed history with a matching prior kernel so RunKernel takes the
+	// Seed history with a matching prior kernel so the plan takes the
 	// functional fast-forward branch instead of detailed simulation.
 	ph.History().Add(KernelRecord{
 		Name:    "large-grid-prior",
@@ -73,7 +73,7 @@ func TestLargeGridSampledMode(t *testing.T) {
 		SimTime: float64(warps) * prof.MeanWarpInsts / 2, // IPC 2
 	})
 
-	res, err := ph.RunKernel(gpu.New(smallGPU()), l)
+	res, err := gpu.RunKernel(ph, gpu.New(smallGPU()), l)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package core
 
 // TierDecision is the controller's per-kernel accounting entry: which
 // sampling tier produced the kernel's result and the detector evidence
-// behind the choice. Photon accumulates one per RunKernel; the harness
+// behind the choice. Photon accumulates one per kernel commit; the harness
 // drains them into the run's accuracy ledger (accuracy.jsonl), where they
 // meet the full-detailed baseline for error attribution. The struct is the
 // ledger line's body — its fields carry the ledger's JSON names, in the

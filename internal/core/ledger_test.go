@@ -30,7 +30,7 @@ func TestDecisionLedger(t *testing.T) {
 
 	var modes []string
 	for _, l := range app.Launches {
-		r, err := ph.RunKernel(g, l)
+		r, err := gpu.RunKernel(ph, g, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestDecisionLedgerDeterministic(t *testing.T) {
 	}
 
 	bare := MustNew(smallGPU(), testParams(), AllLevels())
-	r1, err := bare.RunKernel(gpu.New(smallGPU()), app1.Launches[0])
+	r1, err := gpu.RunKernel(bare, gpu.New(smallGPU()), app1.Launches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDecisionLedgerDeterministic(t *testing.T) {
 	wired.SetLog(obs.NewLogger(obs.Fanout(
 		slog.NewJSONHandler(&bytes.Buffer{}, &slog.HandlerOptions{Level: slog.LevelDebug}),
 		obs.NewFlightRecorder(32).Handler())))
-	r2, err := MustNew(smallGPU(), testParams(), AllLevels()).RunKernel(wired, app2.Launches[0])
+	r2, err := gpu.RunKernel(MustNew(smallGPU(), testParams(), AllLevels()), wired, app2.Launches[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestOfflinePhotonMatchesOnline(t *testing.T) {
 		ph.SetStore(store)
 		var out []gpu.KernelResult
 		for _, l := range build().Launches {
-			r, err := ph.RunKernel(g, l)
+			r, err := gpu.RunKernel(ph, g, l)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -189,20 +189,10 @@ func (p *Photon) recordKernel(g *gpu.GPU, name string, profile *Profile, r gpu.K
 	}
 }
 
-// RunKernel implements gpu.Runner: the full Photon flow for one kernel, its
-// three steps in a row.
-func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
-	plan, err := p.Plan(g, l)
-	if err != nil {
-		return gpu.KernelResult{}, err
-	}
-	return plan.Run(g, l)
-}
-
-// Plan plans a kernel for a pipelined run (gpu.Plan). It runs the online
-// analysis and the History match, then appends the kernel's pending record:
-// its shape now, its Insts from the functional advance or the commit, its
-// SimTime at the commit.
+// Plan implements gpu.Runner: the full Photon flow for one kernel. It runs
+// the online analysis and the History match, then appends the kernel's
+// pending record: its shape now, its Insts from the functional advance or
+// the commit, its SimTime at the commit.
 //
 // A matched kernel needs no Execute. An unmatched one runs detailed with the
 // trackers armed, and its plan may overlap its neighbours when no tracker
@@ -294,11 +284,6 @@ func (k *kernelPlan) commitMatched(gpu.KernelResult) (gpu.KernelResult, error) {
 // execute is the detailed simulation with the per-level detectors attached.
 // Switching is allowed only after minRetires warps retired.
 func (k *kernelPlan) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
-	shape := MachineShape{
-		NumCUs:        g.Config().Compute.NumCUs,
-		WarpSlotsPer:  g.Config().Compute.WarpSlotsPerCU(),
-		WarpsPerGroup: l.WarpsPerGroup,
-	}
 	params, profile := k.p.params, k.profile
 	var bbT *bbTracker
 	if k.armBB {
@@ -318,31 +303,20 @@ func (k *kernelPlan) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, er
 		return gpu.KernelResult{}, err
 	}
 
-	result := gpu.KernelResult{
-		DetailedInsts: res.InstCount,
-	}
+	var result gpu.KernelResult
 	switch {
 	case res.Complete:
-		result.Mode = gpu.TierFull
-		result.SimTime = res.EndTime
-		result.Insts = res.InstCount
+		result = gpu.Complete(res, gpu.TierFull)
 
 	case wT != nil && wT.triggered:
 		// Warp-sampling (Figure 10, step 3): simulate only the scheduler;
 		// every remaining warp takes the window's mean duration, and none of
 		// them executes.
-		result.Mode, result.Stale = TierWarp, true
-		remainingGroups := l.NumWorkgroups - res.NextWG
-		end := UniformMakespan(float64(res.GateTime), float64(res.EndTime),
-			wT.meanWarpTime(), remainingGroups, shape)
-		result.SimTime = EventTime(end)
-		skippedWarps := float64(remainingGroups * l.WarpsPerGroup)
-		result.Insts = res.InstCount + uint64(skippedWarps*profile.MeanWarpInsts)
+		result = PredictRemainder(g, l, res, wT.meanWarpTime(), profile.MeanWarpInsts, TierWarp)
 
 	case bbT != nil && bbT.triggered:
 		// Basic-block-sampling (Figure 7, step 3): functionally simulate
 		// the remaining warps and accumulate their blocks' predicted times.
-		result.Mode = TierBB
 		lm := NewLatencyModel(res, g.Config().Compute, params.DefaultMemLatency)
 		durations := make([]float64, 0, l.NumWorkgroups-res.NextWG)
 		insts := res.InstCount
@@ -361,16 +335,12 @@ func (k *kernelPlan) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, er
 		if err != nil {
 			return gpu.KernelResult{}, fmt.Errorf("core: bb-sampling fast-forward: %w", err)
 		}
-		end := PredictMakespan(float64(res.GateTime), float64(res.EndTime), durations, shape)
-		result.SimTime = EventTime(end)
-		result.Insts = insts
+		end := PredictMakespan(float64(res.GateTime), float64(res.EndTime), durations, ShapeOf(g, l))
+		result = gpu.KernelResult{SimTime: EventTime(end), Insts: insts, DetailedInsts: res.InstCount, Mode: TierBB}
 
 	default:
-		// The gate never fired and the run is incomplete — impossible by
-		// construction, but fall back to reporting the detailed portion.
-		result.Mode = gpu.TierFull
-		result.SimTime = res.EndTime
-		result.Insts = res.InstCount
+		// The gate stops dispatch only once a tracker has triggered.
+		return gpu.KernelResult{}, fmt.Errorf("core: %s: detailed run stopped at workgroup %d with no tracker triggered", l.Name, res.NextWG)
 	}
 
 	k.complete = res.Complete

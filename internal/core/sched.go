@@ -1,5 +1,11 @@
 package core
 
+import (
+	"photon/internal/sim/gpu"
+	"photon/internal/sim/kernel"
+	"photon/internal/sim/timing"
+)
+
 // MachineShape is what the scheduler-only model needs to know about the GPU:
 // how many workgroups can be resident at once. Warp-sampling "only simulates
 // the scheduler" (Section 4.2); this greedy list-scheduler is that model.
@@ -7,6 +13,12 @@ type MachineShape struct {
 	NumCUs        int
 	WarpSlotsPer  int // warp slots per CU
 	WarpsPerGroup int
+}
+
+// ShapeOf is the shape of g's machine running l's workgroups.
+func ShapeOf(g *gpu.GPU, l *kernel.Launch) MachineShape {
+	c := g.Config().Compute
+	return MachineShape{NumCUs: c.NumCUs, WarpSlotsPer: c.WarpSlotsPerCU(), WarpsPerGroup: l.WarpsPerGroup}
 }
 
 // GroupServers returns how many workgroups can be resident simultaneously.
@@ -89,9 +101,26 @@ func PredictMakespan(rampStart, rampEnd float64, groupDurations []float64, shape
 		func(i int) float64 { return groupDurations[i] }, shape)
 }
 
-// UniformMakespan is the makespan of count groups of equal duration (used by
-// warp-sampling, where every remaining group gets the same predicted
-// duration).
-func UniformMakespan(rampStart, rampEnd, duration float64, count int, shape MachineShape) float64 {
+// uniformMakespan is the makespan of count groups of equal duration.
+func uniformMakespan(rampStart, rampEnd, duration float64, count int, shape MachineShape) float64 {
 	return makespan(rampStart, rampEnd, count, func(int) float64 { return duration }, shape)
+}
+
+// PredictRemainder completes a detailed run of l on g that stopped dispatch
+// at its gate (res) with the scheduler-only model: every workgroup it never
+// dispatched lasts groupTime cycles, backfilled from the gate to the drain,
+// and each of its warps executes meanWarpInsts instructions. None of them
+// ran, so the result, of tier mode, is Stale. Warp-sampling and TBPoint
+// both predict the remainder this way.
+func PredictRemainder(g *gpu.GPU, l *kernel.Launch, res timing.Result, groupTime, meanWarpInsts float64, mode string) gpu.KernelResult {
+	remaining := l.NumWorkgroups - res.NextWG
+	end := uniformMakespan(float64(res.GateTime), float64(res.EndTime), groupTime, remaining, ShapeOf(g, l))
+	skipped := float64(remaining*l.WarpsPerGroup) * meanWarpInsts
+	return gpu.KernelResult{
+		SimTime:       EventTime(end),
+		Insts:         res.InstCount + uint64(skipped),
+		DetailedInsts: res.InstCount,
+		Mode:          mode,
+		Stale:         true,
+	}
 }

@@ -70,7 +70,7 @@ type AppObs struct {
 }
 
 // RunAppInstrumented runs the app with the observability bundle attached.
-// The sinks ride on the GPU every RunKernel receives: its memory hierarchy
+// The sinks ride on the GPU every plan receives: its memory hierarchy
 // and timing machines publish into ao.Metrics and log through ao.Log, and a
 // runner that publishes telemetry (Photon) reads them from the GPU. Every
 // kernel emits one Chrome trace span onto thread ao.TID of the simulation

@@ -88,10 +88,12 @@ type brokenRunner struct {
 
 func (brokenRunner) Name() string { return "broken" }
 
-func (b brokenRunner) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
-	res, err := gpu.FullRunner{}.RunKernel(g, l)
-	b.spoil(g, &res)
-	return res, err
+func (b brokenRunner) Plan(*gpu.GPU, *kernel.Launch) (*gpu.Plan, error) {
+	return &gpu.Plan{Execute: func(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
+		res, err := gpu.RunKernel(gpu.FullRunner{}, g, l)
+		b.spoil(g, &res)
+		return res, err
+	}}, nil
 }
 
 // TestCheckFailsTheViolatingKernel: under AppObs.Check a result reporting

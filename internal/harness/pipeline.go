@@ -68,53 +68,38 @@ func newPipeline(cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppOb
 	return p
 }
 
-// hasAtomic reports whether the program contains an atomic, whose returned
-// values, and so the addresses that depend on them, follow the order the
-// detailed run happens to execute it in.
-func hasAtomic(p *isa.Program) bool {
-	return slices.ContainsFunc(p.Insts, func(in isa.Inst) bool { return in.Op.IsAtomic() })
+// overlaps reports whether launch l, planned as plan, may run on a helper
+// over a fork of the image: its plan executes and may overlap, and its
+// program has no atomic, whose returned values, and so the addresses that
+// depend on them, follow the order the detailed run happens to execute it
+// in.
+func overlaps(plan *gpu.Plan, l *kernel.Launch) bool {
+	return plan.Execute != nil && plan.Overlap &&
+		!slices.ContainsFunc(l.Program.Insts, func(in isa.Inst) bool { return in.Op.IsAtomic() })
 }
 
-// handsOff reports whether launch i, whose plan may overlap, goes to a
-// helper. The last launch runs inline, so the final image is the detailed
-// one, as in a serial run.
+// handsOff reports whether launch i, which overlaps, goes to a helper. The
+// last launch runs inline, so the final image is the detailed one, as in a
+// serial run.
 func (p *pipeline) handsOff(i int) bool {
-	return p.window > 1 && i < len(p.app.Launches)-1 && running.Load() == 1 &&
-		!hasAtomic(p.app.Launches[i].Program)
-}
-
-// planner is a runner that plans its kernels (gpu.FullRunner, core.Photon).
-// g lends the plan the run's configuration and sinks; the plan never
-// simulates on it.
-type planner interface {
-	Plan(g *gpu.GPU, l *kernel.Launch) (*gpu.Plan, error)
-}
-
-// plan asks the runner how launch l runs. A runner that does not plan runs
-// every kernel inline through its RunKernel.
-func (p *pipeline) plan(l *kernel.Launch) (plan *gpu.Plan, err error) {
-	pl, ok := p.runner.(planner)
-	if !ok {
-		return &gpu.Plan{Execute: p.runner.RunKernel}, nil
-	}
-	err = engine.Try(func() (err error) {
-		plan, err = pl.Plan(p.home, l)
-		return err
-	})
-	return plan, err
+	return p.window > 1 && i < len(p.app.Launches)-1 && running.Load() == 1
 }
 
 // step plans launch i and runs it.
 func (p *pipeline) step(i int, l *kernel.Launch) error {
 	start := time.Now()
-	plan, err := p.plan(l)
+	var plan *gpu.Plan
+	err := engine.Try(func() (err error) {
+		plan, err = p.runner.Plan(p.home, l)
+		return err
+	})
 	if err != nil {
 		return p.failAt(l, err)
 	}
 	switch {
 	case plan.Execute == nil:
 		return p.advanceOnly(l, plan, start)
-	case plan.Overlap && p.handsOff(i):
+	case overlaps(plan, l) && p.handsOff(i):
 		return p.handOff(l, plan)
 	default:
 		return p.inline(l, plan, start)
@@ -175,28 +160,30 @@ func (p *pipeline) inline(l *kernel.Launch, plan *gpu.Plan, start time.Time) err
 	return p.merge(&k)
 }
 
-// advance runs l functionally on the live image and gives the plan its
-// instruction count.
-func (p *pipeline) advance(l *kernel.Launch, plan *gpu.Plan) error {
-	return engine.Try(func() error {
-		insts, err := emu.RunKernelFunctional(l)
+// advance runs l functionally on the live image, gives the plan its
+// instruction count and returns it.
+func (p *pipeline) advance(l *kernel.Launch, plan *gpu.Plan) (insts uint64, err error) {
+	err = engine.Try(func() (err error) {
+		insts, err = emu.RunKernelFunctional(l)
 		if err == nil && plan.Advanced != nil {
 			plan.Advanced(insts)
 		}
 		return err
 	})
+	return insts, err
 }
 
 // advanceOnly runs a kernel whose plan needs no Execute: the functional
-// advance of the live image is all of it, and its span and wall cover the
-// plan and the advance. It queues behind the handed-off kernels, so it
-// commits in launch order.
+// advance of the live image is all of it, its count is the result's Insts,
+// and its span and wall cover the plan and the advance. It queues behind the
+// handed-off kernels, so it commits in launch order.
 func (p *pipeline) advanceOnly(l *kernel.Launch, plan *gpu.Plan, start time.Time) error {
-	if err := p.advance(l, plan); err != nil {
+	insts, err := p.advance(l, plan)
+	if err != nil {
 		return p.failAt(l, err)
 	}
 	k := &kernelRun{l: l, plan: plan, tid: p.ao.TID, start: start, done: make(chan struct{})}
-	k.r.Wall = time.Since(start)
+	k.r = gpu.KernelResult{Insts: insts, Wall: time.Since(start)}
 	close(k.done)
 	p.queue = append(p.queue, k)
 	return p.mergeDone()
@@ -223,7 +210,7 @@ func (p *pipeline) handOff(l *kernel.Launch, plan *gpu.Plan) error {
 		close(k.done)
 	}()
 	start := time.Now()
-	err := p.advance(l, plan)
+	_, err := p.advance(l, plan)
 	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
 	if err != nil {
 		// The detailed run of l most likely failed the same way: report

@@ -121,29 +121,29 @@ func modeNamed(t *testing.T, name string) mode {
 	return mode{}
 }
 
+// functionalMode runs gpu.FunctionalRunner, which the mode table does not
+// list: each kernel's plan is the functional advance alone.
+var functionalMode = mode{gpu.TierFunctional, func(gpu.Config, core.Params) gpu.Runner { return gpu.FunctionalRunner{} }}
+
 // pipelinable counts the launches of c's app a pipelined run under m hands
 // off. It walks the app serially and asks the runner for each launch's plan:
-// a plan that executes and may overlap goes to a helper, unless its launch
-// has an atomic. The last launch always runs inline, so the walk stops
-// before it. A runner that does not plan hands off none.
+// one that overlaps goes to a helper. The last launch always runs inline, so
+// the walk stops before it.
 func pipelinable(t *testing.T, c pipelineCase, m mode) int64 {
 	app, err := c.build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := gpu.R9Nano()
-	pl, ok := m.new(cfg, core.DefaultParams()).(planner)
-	if !ok {
-		return 0
-	}
+	runner := m.new(cfg, core.DefaultParams())
 	g := gpu.New(cfg)
 	n := int64(0)
 	for _, l := range app.Launches[:len(app.Launches)-1] {
-		plan, err := pl.Plan(g, l)
+		plan, err := runner.Plan(g, l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.Execute != nil && plan.Overlap && !hasAtomic(l.Program) {
+		if overlaps(plan, l) {
 			n++
 		}
 		if _, err := plan.Run(g, l); err != nil {
@@ -153,12 +153,13 @@ func pipelinable(t *testing.T, c pipelineCase, m mode) int64 {
 	return n
 }
 
-// The pipelined run must reproduce the serial one under every mode: every
-// per-kernel row, the totals, the tier ledger and the final memory image,
-// byte for byte, with every kernel audited. The baselines PKA and TBPoint
-// do not plan, so they stay serial; Photon hands off the kernels it can
-// bound, most of ResNet-18's. An app of one launch runs it inline, the
-// serial path, so only the full baseline runs it.
+// The pipelined run must reproduce the serial one under every mode, and
+// under the functional runner: every per-kernel row, the totals, the tier
+// ledger and the final memory image, byte for byte, with every kernel
+// audited. The plans of the baselines PKA and TBPoint, and of the
+// functional runner, never overlap, so they stay serial; Photon hands off
+// the kernels it can bound, most of ResNet-18's. An app of one launch runs
+// it inline, the serial path, so only the full baseline runs it.
 func TestPipelinedRunMatchesSerial(t *testing.T) {
 	for _, c := range pipelineCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -166,7 +167,7 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range modes {
+			for _, m := range append(modes, functionalMode) {
 				if len(app.Launches) == 1 && m.name != BaselineMode {
 					continue
 				}
@@ -191,8 +192,8 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode) {
 		t.Errorf("%d kernels handed off, want %d", got.handed, w)
 	}
 	switch {
-	case (m.name == "pka" || m.name == "tbpoint") && got.handed != 0:
-		t.Errorf("%d kernels handed off under a baseline that does not plan", got.handed)
+	case (m.name == "pka" || m.name == "tbpoint" || m.name == gpu.TierFunctional) && got.handed != 0:
+		t.Errorf("%d kernels handed off under a runner whose plans never overlap", got.handed)
 	case m.name == "photon" && c.name == "ResNet-18" && got.handed == 0:
 		t.Error("Photon handed off no kernel of ResNet-18")
 	}
@@ -201,6 +202,28 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode) {
 	}
 	if !slices.Equal(got.image, want.image) {
 		t.Errorf("final images differ first at %#x (%d and %d words)", firstDiff(got.image, want.image), len(got.image), len(want.image))
+	}
+	if m.name == gpu.TierFunctional {
+		functionalMatchesFull(t, c, got)
+	}
+}
+
+// functionalMatchesFull holds a functional run to the full run of the same
+// app: the advance is each kernel's whole execution, so it counts the full
+// run's instructions and leaves its image. KMeans' v_atomic_fadd sums in
+// schedule order, so its bytes may differ.
+func functionalMatchesFull(t *testing.T, c pipelineCase, got pipelineRun) {
+	full, err := runAt(t, context.Background(), c, modeNamed(t, BaselineMode), 1, AppObs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range got.res.PerKernel {
+		if f := full.res.PerKernel[i]; k.Mode != gpu.TierFunctional || k.Insts != f.Insts {
+			t.Errorf("%s: %s, %d instructions; the full run counted %d", k.Name, k.Mode, k.Insts, f.Insts)
+		}
+	}
+	if c.name != "KMEANS" && !slices.Equal(got.image, full.image) {
+		t.Errorf("image differs from the full run's first at %#x", firstDiff(got.image, full.image))
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // Config may run kernels of one app concurrently, each over its own memory
 // image (a mem.Flat.Fork), and publish into one shared metrics registry.
 //
-// The GPU also carries the run's telemetry sinks. Every RunKernel receives
-// the GPU, so a runner reads its sinks from there (Metrics, Log) and a
+// The GPU also carries the run's telemetry sinks. A runner's Plan and its
+// plan's Execute receive a GPU, so a runner reads its sinks from there (Metrics, Log) and a
 // wrapper around the runner cannot hide them.
 type GPU struct {
 	cfg     Config
@@ -112,53 +112,71 @@ func (r KernelResult) IPC() float64 {
 	return float64(r.Insts) / float64(r.SimTime)
 }
 
-// Runner executes kernels under some simulation methodology. Implementations
-// are the full-detailed runner below, the Photon controller
-// (internal/core) and the PKA baseline (internal/baseline/pka). Runners
-// leave KernelResult.Wall zero: the run loop times the call.
+// Runner executes kernels under some simulation methodology:
+// FullRunner and FunctionalRunner below, the Photon controller
+// (internal/core) and the PKA and TBPoint baselines (internal/baseline/pka,
+// internal/baseline/tbpoint). Its one kernel entry point is Plan, made on
+// the run's goroutine in launch order; g lends the plan the run's
+// configuration and sinks, and the plan never simulates on it. RunKernel
+// runs one kernel serially. Runners leave KernelResult.Wall zero: the run
+// loop times the kernel.
 type Runner interface {
 	Name() string
-	RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error)
+	Plan(g *GPU, l *kernel.Launch) (*Plan, error)
+}
+
+// RunKernel is the serial run of one kernel under r: its Plan, then Run.
+func RunKernel(r Runner, g *GPU, l *kernel.Launch) (KernelResult, error) {
+	p, err := r.Plan(g, l)
+	if err != nil {
+		return KernelResult{}, err
+	}
+	return p.Run(g, l)
 }
 
 // Plan is one kernel's run split in three steps that a pipelined run may
 // pull apart (DESIGN.md "Kernel-level parallelism"). A runner's Plan method
-// makes it on the run's goroutine, in launch order, from what is known
-// before the kernel runs; Execute simulates the kernel; Commit finishes it,
-// in launch order.
+// makes it from what is known before the kernel runs; Execute simulates the
+// kernel; Commit finishes it, in launch order.
 type Plan struct {
 	// Execute simulates the kernel on g over l's image. Nil when the
 	// functional advance of the image is the kernel's whole execution.
 	Execute func(g *GPU, l *kernel.Launch) (KernelResult, error)
 	// Overlap is set when Execute touches none of the runner's cross-kernel
-	// state and leaves exactly the image the functional emulator would: it
-	// may run on another GPU over a Fork of the image at launch while the
-	// run advances the image functionally.
+	// state and, for a program without atomics, leaves exactly the image
+	// the functional emulator would: it may run on another GPU over a Fork
+	// of the image at launch while the run advances the image functionally.
+	// The run loop keeps a program with an atomic inline, whatever its plan
+	// says: the values an atomic returns follow the detailed run's order.
 	Overlap bool
 	// Advanced, when set, receives the instruction count of a functional
 	// advance of the image past the kernel, before the next kernel is
 	// planned.
 	Advanced func(insts uint64)
-	// Commit, when set, turns Execute's result (the zero result when
-	// Execute is nil) into the kernel's.
+	// Commit, when set, turns Execute's result into the kernel's. A plan
+	// with no Execute commits the zero result with Insts set to the
+	// advance's count.
 	Commit func(r KernelResult) (KernelResult, error)
 }
 
-// Run is RunKernel for a planned kernel: Execute on g over l's own image,
-// or the functional advance when the plan needs none, then Commit.
+// Run executes the plan serially: Execute on g over l's own image, or the
+// functional advance when the plan needs none, then Commit.
 func (p *Plan) Run(g *GPU, l *kernel.Launch) (r KernelResult, err error) {
 	if p.Execute != nil {
 		r, err = p.Execute(g, l)
-	} else {
-		var insts uint64
-		if insts, err = emu.RunKernelFunctional(l); err == nil && p.Advanced != nil {
-			p.Advanced(insts)
-		}
+	} else if r.Insts, err = emu.RunKernelFunctional(l); err == nil && p.Advanced != nil {
+		p.Advanced(r.Insts)
 	}
 	if err != nil || p.Commit == nil {
 		return r, err
 	}
 	return p.Commit(r)
+}
+
+// Complete is the result of a detailed run that dispatched every workgroup,
+// under the tier name tier: all of its time and instructions are measured.
+func Complete(res timing.Result, tier string) KernelResult {
+	return KernelResult{SimTime: res.EndTime, Insts: res.InstCount, DetailedInsts: res.InstCount, Mode: tier}
 }
 
 // FullRunner simulates every kernel entirely in detailed mode; it is the
@@ -172,27 +190,21 @@ type FullRunner struct {
 // Name implements Runner.
 func (FullRunner) Name() string { return TierFull }
 
-// RunKernel implements Runner.
-func (f FullRunner) RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error) {
+// Plan implements Runner: the kernel runs in detail, and may overlap its
+// neighbours unless an observer listens, since observers keep their state
+// across kernels.
+func (f FullRunner) Plan(*GPU, *kernel.Launch) (*Plan, error) {
+	o := f.Observer
+	return &Plan{Execute: f.execute,
+		Overlap: o.WarpStart == nil && o.WarpRetired == nil && o.InstIssued == nil && o.BlockRetired == nil}, nil
+}
+
+func (f FullRunner) execute(g *GPU, l *kernel.Launch) (KernelResult, error) {
 	res, err := g.RunDetailed(l, f.Observer, nil)
 	if err != nil {
 		return KernelResult{}, err
 	}
-	return KernelResult{
-		SimTime:       res.EndTime,
-		Insts:         res.InstCount,
-		DetailedInsts: res.InstCount,
-		Mode:          TierFull,
-	}, nil
-}
-
-// Plan plans a kernel for a pipelined run: it is one RunKernel, which may
-// overlap its neighbours unless an observer listens, since observers keep
-// their state across kernels.
-func (f FullRunner) Plan(*GPU, *kernel.Launch) (*Plan, error) {
-	o := f.Observer
-	return &Plan{Execute: f.RunKernel,
-		Overlap: o.WarpStart == nil && o.WarpRetired == nil && o.InstIssued == nil && o.BlockRetired == nil}, nil
+	return Complete(res, TierFull), nil
 }
 
 // FunctionalRunner runs kernels functionally only (no timing); it reports a
@@ -202,11 +214,10 @@ type FunctionalRunner struct{}
 // Name implements Runner.
 func (FunctionalRunner) Name() string { return TierFunctional }
 
-// RunKernel implements Runner.
-func (FunctionalRunner) RunKernel(g *GPU, l *kernel.Launch) (KernelResult, error) {
-	insts, err := emu.RunKernelFunctional(l)
-	if err != nil {
-		return KernelResult{}, err
-	}
-	return KernelResult{Insts: insts, Mode: TierFunctional}, nil
+// Plan implements Runner: the functional advance is the whole kernel.
+func (FunctionalRunner) Plan(*GPU, *kernel.Launch) (*Plan, error) {
+	return &Plan{Commit: func(r KernelResult) (KernelResult, error) {
+		r.Mode = TierFunctional
+		return r, nil
+	}}, nil
 }

@@ -82,7 +82,7 @@ func tinyLaunch() *kernel.Launch {
 
 func TestFullRunner(t *testing.T) {
 	g := New(R9Nano())
-	res, err := (FullRunner{}).RunKernel(g, tinyLaunch())
+	res, err := RunKernel(FullRunner{}, g, tinyLaunch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFullRunner(t *testing.T) {
 
 func TestFunctionalRunner(t *testing.T) {
 	g := New(R9Nano())
-	res, err := (FunctionalRunner{}).RunKernel(g, tinyLaunch())
+	res, err := RunKernel(FunctionalRunner{}, g, tinyLaunch())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestHistogramUnderTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gpu.New(gpu.R9Nano())
-	res, err := (gpu.FullRunner{}).RunKernel(g, app.Launches[0])
+	res, err := gpu.RunKernel(gpu.FullRunner{}, g, app.Launches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestHistogramContentionCosts(t *testing.T) {
 		mutate(host)
 		l.Memory.WriteWords(data, host)
 		g := gpu.New(gpu.R9Nano())
-		res, err := (gpu.FullRunner{}).RunKernel(g, l)
+		res, err := gpu.RunKernel(gpu.FullRunner{}, g, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestKMeansUnderTiming(t *testing.T) {
 	}
 	g := gpu.New(gpu.R9Nano())
 	for _, l := range app.Launches {
-		if _, err := (gpu.FullRunner{}).RunKernel(g, l); err != nil {
+		if _, err := gpu.RunKernel(gpu.FullRunner{}, g, l); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func TestBFSUnderTiming(t *testing.T) {
 	}
 	g := gpu.New(gpu.R9Nano())
 	for _, l := range app.Launches {
-		if _, err := (gpu.FullRunner{}).RunKernel(g, l); err != nil {
+		if _, err := gpu.RunKernel(gpu.FullRunner{}, g, l); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestReductionUnderTiming(t *testing.T) {
 	}
 	g := gpu.New(gpu.R9Nano())
 	for _, l := range app.Launches {
-		if _, err := (gpu.FullRunner{}).RunKernel(g, l); err != nil {
+		if _, err := gpu.RunKernel(gpu.FullRunner{}, g, l); err != nil {
 			t.Fatal(err)
 		}
 	}

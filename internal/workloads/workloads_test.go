@@ -148,7 +148,7 @@ func TestBenchmarksUnderDetailedTiming(t *testing.T) {
 			}
 			runner := gpu.FullRunner{}
 			for _, l := range app.Launches {
-				res, err := runner.RunKernel(g, l)
+				res, err := gpu.RunKernel(runner, g, l)
 				if err != nil {
 					t.Fatal(err)
 				}
