@@ -6,6 +6,7 @@ import (
 	"photon/internal/sim/emu"
 	"photon/internal/sim/event"
 	"photon/internal/sim/isa"
+	"photon/internal/sim/kernel"
 	"photon/internal/sim/timing"
 )
 
@@ -125,4 +126,23 @@ func (t *bbTracker) predictWarpTime(counts []uint32, lm *LatencyModel, prog *isa
 		sum += float64(c) * t.blockTime(i, lm, prog, cfg)
 	}
 	return sum
+}
+
+// predictGroups predicts, in dispatch order, the duration of every
+// workgroup of l the tally holds from workgroup from on, which is its
+// longest warp's predicted time, and sums their instructions.
+func (t *bbTracker) predictGroups(tally *emu.Tally, from int, l *kernel.Launch, lm *LatencyModel, cfg timing.Config) (durations []float64, insts uint64) {
+	durations = make([]float64, 0, tally.End()-from)
+	for wg := from; wg < tally.End(); wg++ {
+		groupDur := 0.0
+		for i := range l.WarpsPerGroup {
+			n, counts := tally.Warp(wg, i)
+			insts += n
+			if d := t.predictWarpTime(counts, lm, l.Program, cfg); d > groupDur {
+				groupDur = d
+			}
+		}
+		durations = append(durations, groupDur)
+	}
+	return durations, insts
 }

@@ -637,3 +637,61 @@ func TestMakespanMatchesContainerHeap(t *testing.T) {
 		}
 	}
 }
+
+// uniformMakespan reads the count-th smallest slot-free time off the chains
+// without the heap; it must equal the list scheduler bit for bit whatever
+// the ramp, the count and the duration: zero, shorter than the ramp (chains
+// interleave), and longer (round robin).
+func TestUniformMakespanMatchesListScheduler(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	for trial := 0; trial < 4000; trial++ {
+		shape := MachineShape{NumCUs: 1 + r.Intn(64), WarpSlotsPer: 1 + r.Intn(40), WarpsPerGroup: 1 + r.Intn(4)}
+		start := r.Float64() * math.Pow(10, float64(r.Intn(9)))
+		ramp := r.Float64() * math.Pow(10, float64(r.Intn(7)))
+		if r.Intn(10) == 0 {
+			ramp = 0
+		}
+		end := start + ramp
+		if r.Intn(10) == 0 {
+			end = start - ramp // the clamp
+		}
+		var d float64
+		switch r.Intn(4) {
+		case 0: // zero
+		case 1: // shorter than the ramp
+			d = ramp * r.Float64()
+		case 2: // longer
+			d = ramp * (1 + 4*r.Float64())
+		default: // from far shorter to far longer
+			d = ramp * math.Pow(10, 3-6*r.Float64())
+		}
+		if r.Intn(8) == 0 {
+			d = math.Round(d) // integer times tie often
+		}
+		count := r.Intn(20 * shape.GroupServers())
+		want := makespan(start, end, count, func(int) float64 { return d }, shape)
+		if got := uniformMakespan(start, end, d, count, shape); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: uniformMakespan(%v, %v, d=%v, count=%d, %d slots) = %v, list scheduler %v",
+				trial, start, end, d, count, shape.GroupServers(), got, want)
+		}
+	}
+}
+
+// BenchmarkUniformMakespan prices warp-sampling's remainder on
+// ReLU/131072 (R9 Nano, one warp per group): 121 857 groups of 7 243.7
+// cycles behind a 7 568-cycle ramp over 2 560 slots, by the list
+// scheduler's heap and by uniformMakespan's window.
+func BenchmarkUniformMakespan(b *testing.B) {
+	shape := MachineShape{NumCUs: 64, WarpSlotsPer: 40, WarpsPerGroup: 1}
+	const start, end, d, count = 14810, 22378, 7243.728, 121857
+	b.Run("heap", func(b *testing.B) {
+		for b.Loop() {
+			makespan(start, end, count, func(int) float64 { return d }, shape)
+		}
+	})
+	b.Run("window", func(b *testing.B) {
+		for b.Loop() {
+			uniformMakespan(start, end, d, count, shape)
+		}
+	})
+}

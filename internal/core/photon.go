@@ -199,7 +199,9 @@ func (p *Photon) recordKernel(g *gpu.GPU, name string, profile *Profile, r gpu.K
 // can gate: none is armed, or the kernel has fewer warps than one machine
 // generation (minRetires), so neither can count enough retirements. Such a
 // kernel ends full, its image is the functional one and its Insts are
-// exact.
+// exact. A kernel that can end bb-sampling with workgroups left asks for a
+// gpu.Pass: when the run loop starts it, the workgroups after the gate are
+// read from the pass instead of run after the prefix.
 func (p *Photon) Plan(g *gpu.GPU, l *kernel.Launch) (*gpu.Plan, error) {
 	// Step 1 (all levels): online analysis over a sample of warps (served
 	// from the offline store when one is attached and warm).
@@ -225,7 +227,15 @@ func (p *Photon) Plan(g *gpu.GPU, l *kernel.Launch) (*gpu.Plan, error) {
 	k.armBB = p.levels.BB
 	k.armWarp = p.levels.Warp && profile.GPU.DominantShare >= p.params.DominantWarpShare
 	canGate := (k.armBB || k.armWarp) && l.TotalWarps() >= minRetires(g)
-	return &gpu.Plan{Execute: k.execute, Overlap: !canGate, Advanced: k.advanced, Commit: k.commit}, nil
+	plan := &gpu.Plan{Execute: k.execute, Overlap: !canGate, Advanced: k.advanced, Commit: k.commit}
+	// A kernel that may end bb-sampling with a workgroup still undispatched
+	// when the earliest gate fires, after one generation of retirements with
+	// every slot refilled, asks for a functional pass beside its prefix.
+	if k.armBB && l.TotalWarps() > minRetires(g)+ShapeOf(g, l).GroupServers()*l.WarpsPerGroup {
+		k.pass = new(gpu.Pass)
+		plan.Pass = k.pass
+	}
+	return plan, nil
 }
 
 // minRetires is the warp retirements both trackers wait for before they may
@@ -248,6 +258,7 @@ type kernelPlan struct {
 	match   int // the matched History record, when kernel-sampled
 
 	armBB, armWarp bool
+	pass           *gpu.Pass // the functional pass the plan asked for, if any
 
 	advance  bool // a functional advance ran and counted insts
 	insts    uint64
@@ -317,26 +328,14 @@ func (k *kernelPlan) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, er
 	case bbT != nil && bbT.triggered:
 		// Basic-block-sampling (Figure 7, step 3): functionally simulate
 		// the remaining warps and accumulate their blocks' predicted times.
-		lm := NewLatencyModel(res, g.Config().Compute, params.DefaultMemLatency)
-		durations := make([]float64, 0, l.NumWorkgroups-res.NextWG)
-		insts := res.InstCount
-		var grp emu.Group
-		err := grp.RunRange(l, res.NextWG, l.NumWorkgroups-res.NextWG, func(warps []*emu.Warp) {
-			groupDur := 0.0
-			for _, w := range warps {
-				insts += w.InstCount()
-				d := bbT.predictWarpTime(w.BBCounts(), lm, l.Program, g.Config().Compute)
-				if d > groupDur {
-					groupDur = d
-				}
-			}
-			durations = append(durations, groupDur)
-		})
+		rest, err := k.rest(l, res.NextWG)
 		if err != nil {
 			return gpu.KernelResult{}, fmt.Errorf("core: bb-sampling fast-forward: %w", err)
 		}
+		lm := NewLatencyModel(res, g.Config().Compute, params.DefaultMemLatency)
+		durations, insts := bbT.predictGroups(rest, res.NextWG, l, lm, g.Config().Compute)
 		end := PredictMakespan(float64(res.GateTime), float64(res.EndTime), durations, ShapeOf(g, l))
-		result = gpu.KernelResult{SimTime: EventTime(end), Insts: insts, DetailedInsts: res.InstCount, Mode: TierBB}
+		result = gpu.KernelResult{SimTime: EventTime(end), Insts: res.InstCount + insts, DetailedInsts: res.InstCount, Mode: TierBB}
 
 	default:
 		// The gate stops dispatch only once a tracker has triggered.
@@ -350,6 +349,17 @@ func (k *kernelPlan) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, er
 	}
 	k.dec.WarpSlope, k.dec.WarpSlopeOK = wT.slope()
 	return result, nil
+}
+
+// rest tallies workgroups [from, NumWorkgroups) of l: the plan's pass read
+// them beside the detailed prefix when the run loop started it, and
+// otherwise they run now on the live image, after the prefix.
+func (k *kernelPlan) rest(l *kernel.Launch, from int) (*emu.Tally, error) {
+	if t, ok, err := k.pass.Take(from); ok {
+		return t, err
+	}
+	var t emu.Tally
+	return &t, t.Record(l, from, l.NumWorkgroups-from, nil)
 }
 
 // commit fills the kernel's record from its detailed result. A kernel whose

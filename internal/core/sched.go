@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/kernel"
 	"photon/internal/sim/timing"
@@ -101,9 +103,57 @@ func PredictMakespan(rampStart, rampEnd float64, groupDurations []float64, shape
 		func(i int) float64 { return groupDurations[i] }, shape)
 }
 
-// uniformMakespan is the makespan of count groups of equal duration.
-func uniformMakespan(rampStart, rampEnd, duration float64, count int, shape MachineShape) float64 {
-	return makespan(rampStart, rampEnd, count, func(int) float64 { return duration }, shape)
+// uniformMakespan is makespan for count groups of one duration d, without
+// the heap. Slot i's free times are then t_i, t_i+d, t_i+d+d, … (repeated
+// addition, as place adds), every chain ascends, and float addition is
+// monotone, so the list scheduler starts its groups at the count smallest
+// of those times in ascending order: the makespan is max(rampEnd, v+d) for
+// v the count-th smallest. The ramp ascends in i, so chain i lies below
+// chain i+1 element by element. Hence fewer than count times lie below
+// lo = c_0(q) and at least count lie at or below hi = c_{n-1}(q), for
+// q = (count-1)/n: v is in [lo, hi], found by sorting the times in that
+// window. A chain crosses the window in about 1 + (t_{n-1}-t_0)/d steps, so
+// when the ramp is much longer than d, or d adds nothing, the heap is
+// cheaper and makespan answers.
+func uniformMakespan(rampStart, rampEnd, d float64, count int, shape MachineShape) float64 {
+	if count <= 0 {
+		return rampEnd
+	}
+	if rampEnd < rampStart {
+		rampEnd = rampStart
+	}
+	heap := func() float64 {
+		return makespan(rampStart, rampEnd, count, func(int) float64 { return d }, shape)
+	}
+	t := rampSlots(rampStart, rampEnd, shape)
+	n := len(t)
+	if !(d > 0) || !(t[n-1]-t[0] <= 8*d) {
+		return heap()
+	}
+	q := (count - 1) / n
+	lo, hi := t[0], t[n-1]
+	for range q {
+		lo, hi = lo+d, hi+d
+	}
+	below := 0
+	window := make([]float64, 0, 2*n)
+	for _, v := range t {
+		for ; v <= hi; v += d {
+			if v < lo {
+				below++
+			} else {
+				window = append(window, v)
+			}
+			if v+d == v {
+				return heap()
+			}
+		}
+	}
+	slices.Sort(window)
+	if end := window[count-1-below] + d; end > rampEnd {
+		return end
+	}
+	return rampEnd
 }
 
 // PredictRemainder completes a detailed run of l on g that stopped dispatch

@@ -24,6 +24,10 @@ var running atomic.Int32
 // it to tell a pipelined run from a serial one.
 var handedOff atomic.Int64
 
+// passesUsed counts the functional passes whose tally a kernel read, so
+// whose fork became the live image; tests read it as they read handedOff.
+var passesUsed atomic.Int64
+
 // pipeline runs the kernels of one app and merges their results in kernel
 // order (DESIGN.md "Kernel-level parallelism"). It asks the runner for each
 // kernel's plan, on the run's goroutine in launch order. A kernel whose plan
@@ -31,8 +35,9 @@ var handedOff atomic.Int64
 // a copy-on-write fork of the image at launch, while the run's goroutine
 // advances the live image with the functional emulator. A kernel whose plan
 // needs no Execute is that functional advance alone. Every other kernel
-// runs inline on the live image, as a serial run would. Plans commit at
-// merge, in launch order.
+// runs inline on the live image, as a serial run would, with the functional
+// pass its plan asks for over a fork beside it when the run may spare a CPU.
+// Plans commit at merge, in launch order.
 type pipeline struct {
 	cfg    gpu.Config
 	app    *workloads.App
@@ -74,15 +79,23 @@ func newPipeline(cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppOb
 // depend on them, follow the order the detailed run happens to execute it
 // in.
 func overlaps(plan *gpu.Plan, l *kernel.Launch) bool {
-	return plan.Execute != nil && plan.Overlap &&
-		!slices.ContainsFunc(l.Program.Insts, func(in isa.Inst) bool { return in.Op.IsAtomic() })
+	return plan.Execute != nil && plan.Overlap && !hasAtomic(l)
 }
 
+// hasAtomic reports whether l's program has an atomic: a run over a fork
+// of its image need not leave the image the detailed run does.
+func hasAtomic(l *kernel.Launch) bool {
+	return slices.ContainsFunc(l.Program.Insts, func(in isa.Inst) bool { return in.Op.IsAtomic() })
+}
+
+// alone reports whether this run may use a second CPU: GOMAXPROCS is at
+// least two, and no other run is in flight in the process.
+func (p *pipeline) alone() bool { return p.window > 1 && running.Load() == 1 }
+
 // handsOff reports whether launch i, which overlaps, goes to a helper. The
-// last launch runs inline, so the final image is the detailed one, as in a
-// serial run.
+// last launch runs inline: an app of one launch takes the serial path.
 func (p *pipeline) handsOff(i int) bool {
-	return p.window > 1 && i < len(p.app.Launches)-1 && running.Load() == 1
+	return p.alone() && i < len(p.app.Launches)-1
 }
 
 // step plans launch i and runs it.
@@ -146,18 +159,67 @@ func (p *pipeline) run(g *gpu.GPU, l *kernel.Launch, k *kernelRun) {
 	p.gpus <- g
 }
 
-// inline runs launch l on the live image, then merges every earlier kernel
-// and l, in that order. Its span and wall cover its plan, which began at
-// start, and its run, but not a wait for an idle GPU.
+// inline runs launch l on the live image, with its plan's functional pass
+// beside it when one may start, then merges every earlier kernel and l, in
+// that order. Its span and wall cover its plan, which began at start, and
+// its run, but not a wait for an idle GPU.
 func (p *pipeline) inline(l *kernel.Launch, plan *gpu.Plan, start time.Time) error {
 	planned := time.Since(start)
 	g := p.gpu()
 	k := kernelRun{l: l, plan: plan, tid: p.ao.TID, start: time.Now().Add(-planned)}
+	pass := p.startPass(l, plan, p.tids[g])
 	p.run(g, l, &k)
+	p.endPass(l, pass)
 	if err := p.mergeAll(); err != nil {
 		return err
 	}
 	return p.merge(&k)
+}
+
+// passRun is a functional pass the run loop started beside an inline
+// kernel.
+type passRun struct {
+	*gpu.Pass
+	fork  *kernel.Launch
+	tid   int
+	start time.Time
+	wall  time.Duration // written by the pass's goroutine before it ends
+}
+
+// startPass starts the functional pass launch l's plan asks for, over a
+// fork of the image at launch, when this run may spare a CPU and l's
+// program has no atomic; it returns nil when no pass started. The pass's
+// span goes on tid, the thread of the GPU that runs l, which no helper can
+// take before the pass has ended.
+func (p *pipeline) startPass(l *kernel.Launch, plan *gpu.Plan, tid int) *passRun {
+	if plan.Pass == nil || !p.alone() || hasAtomic(l) {
+		return nil
+	}
+	fork := *l
+	fork.Memory = l.Memory.Fork()
+	r := &passRun{Pass: plan.Pass, fork: &fork, tid: tid}
+	r.Go(r.fork, func(body func()) {
+		r.start = time.Now()
+		body()
+		r.wall = time.Since(r.start)
+	})
+	return r
+}
+
+// endPass stops launch l's pass, when one started, waits for it and emits
+// its span. When the kernel read the pass's tally, the pass ran every
+// workgroup over its fork, which becomes the live image: the image a serial
+// run leaves, which ran the same workgroups on the live one.
+func (p *pipeline) endPass(l *kernel.Launch, r *passRun) {
+	if r == nil {
+		return
+	}
+	used := r.Stop()
+	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, r.tid, r.start, r.wall, nil)
+	if used {
+		l.Memory.Adopt(r.fork.Memory)
+		passesUsed.Add(1)
+	}
 }
 
 // advance runs l functionally on the live image, gives the plan its

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -26,6 +27,18 @@ import (
 type pipelineCase struct {
 	name  string
 	build func() (*workloads.App, error)
+	// gates marks a one-launch app whose Photon gates fire with workgroups
+	// left, so it runs under the gating modes, with a pass beside it.
+	gates bool
+}
+
+// oneLaunchModes are the modes a one-launch case runs under: the baseline,
+// whose one launch takes the serial path, or the gating modes.
+func (c pipelineCase) oneLaunchModes() []string {
+	if c.gates {
+		return []string{"photon", "bb", "warp"}
+	}
+	return []string{BaselineMode}
 }
 
 // tinyScale is the reduced DNN scale the harness tests run the CNNs and the
@@ -34,25 +47,28 @@ var tinyScale = dnn.Scale{Input: 32, ChannelDiv: 16}
 
 // pipelineCases lists every Table-2 benchmark at its smallest size, the
 // atomic extensions (HIST, BFS and KMeans fall back to inline runs) and the
-// multi-pass reduction, PageRank, and the three multi-kernel DNNs at
-// tinyScale.
+// multi-pass reduction, PageRank, the three multi-kernel DNNs at
+// tinyScale, and two one-launch apps past the pass bound: FIR/16384, which
+// ends bb-sampling, and ReLU/16384, which ends warp-sampling under Photon.
 func pipelineCases() []pipelineCase {
 	var cs []pipelineCase
 	for _, spec := range append(workloads.Table2(), workloads.Extensions()...) {
 		size := spec.Sizes[0]
-		cs = append(cs, pipelineCase{spec.Abbr, func() (*workloads.App, error) { return spec.Build(size) }})
+		cs = append(cs, pipelineCase{name: spec.Abbr, build: func() (*workloads.App, error) { return spec.Build(size) }})
 	}
 	return append(cs,
-		pipelineCase{"PR", func() (*workloads.App, error) { return workloads.BuildPageRank(4096) }},
-		pipelineCase{"Xfmr-L2", func() (*workloads.App, error) {
+		pipelineCase{name: "PR", build: func() (*workloads.App, error) { return workloads.BuildPageRank(4096) }},
+		pipelineCase{name: "Xfmr-L2", build: func() (*workloads.App, error) {
 			cfg, err := dnn.ScaledTransformer(2, tinyScale)
 			if err != nil {
 				return nil, err
 			}
 			return dnn.BuildTransformer(cfg)
 		}},
-		pipelineCase{"ResNet-18", func() (*workloads.App, error) { return dnn.BuildResNet(18, tinyScale) }},
-		pipelineCase{"VGG-16", func() (*workloads.App, error) { return dnn.BuildVGG(16, tinyScale) }},
+		pipelineCase{name: "ResNet-18", build: func() (*workloads.App, error) { return dnn.BuildResNet(18, tinyScale) }},
+		pipelineCase{name: "VGG-16", build: func() (*workloads.App, error) { return dnn.BuildVGG(16, tinyScale) }},
+		pipelineCase{name: "FIR-16384", build: func() (*workloads.App, error) { return workloads.BuildFIR(16384) }, gates: true},
+		pipelineCase{name: "ReLU-16384", build: func() (*workloads.App, error) { return workloads.BuildReLU(16384) }, gates: true},
 	)
 }
 
@@ -83,11 +99,13 @@ func image(m *mem.Flat) []uint32 {
 }
 
 // pipelineRun is one run of a pipeline case: the result with host times
-// zeroed, the final image, how many kernels went to helpers, and the runner.
+// zeroed, the final image, how many kernels went to helpers, how many
+// functional passes a kernel used, and the runner.
 type pipelineRun struct {
 	res    AppResult
 	image  []uint32
 	handed int64
+	passes int64
 	runner gpu.Runner
 }
 
@@ -101,13 +119,13 @@ func runAt(t *testing.T, ctx context.Context, c pipelineCase, m mode, procs int,
 	cfg := gpu.R9Nano()
 	runner := m.new(cfg, core.DefaultParams())
 	runtime.GOMAXPROCS(procs)
-	before := handedOff.Load()
+	before, passes := handedOff.Load(), passesUsed.Load()
 	res, err := RunAppInstrumented(ctx, cfg, app, runner, ao)
 	res.Wall = 0
 	for i := range res.PerKernel {
 		res.PerKernel[i].Wall = 0
 	}
-	return pipelineRun{res, image(app.Mem), handedOff.Load() - before, runner}, err
+	return pipelineRun{res, image(app.Mem), handedOff.Load() - before, passesUsed.Load() - passes, runner}, err
 }
 
 // modeNamed returns the mode table's row called name.
@@ -159,7 +177,10 @@ func pipelinable(t *testing.T, c pipelineCase, m mode) int64 {
 // audited. The plans of the baselines PKA and TBPoint, and of the
 // functional runner, never overlap, so they stay serial; Photon hands off
 // the kernels it can bound, most of ResNet-18's. An app of one launch runs
-// it inline, the serial path, so only the full baseline runs it.
+// it inline, the serial path, so only the full baseline runs it, unless its
+// gates fire with workgroups left: then it runs under the gating modes, with
+// a functional pass beside it, which FIR/16384's bb-sampling uses and whose
+// fork becomes the final image.
 func TestPipelinedRunMatchesSerial(t *testing.T) {
 	for _, c := range pipelineCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -168,7 +189,7 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range append(modes, functionalMode) {
-				if len(app.Launches) == 1 && m.name != BaselineMode {
+				if len(app.Launches) == 1 && !slices.Contains(c.oneLaunchModes(), m.name) {
 					continue
 				}
 				t.Run(m.name, func(t *testing.T) { matchesSerial(t, c, m) })
@@ -181,12 +202,24 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode) {
 	setProcs(t, 1)
 	ao := AppObs{Check: true}
 	want, err := runAt(t, context.Background(), c, m, 1, ao)
-	if err != nil || want.handed != 0 {
-		t.Fatalf("serial run: err %v, %d kernels handed off", err, want.handed)
+	if err != nil || want.handed != 0 || want.passes != 0 {
+		t.Fatalf("serial run: err %v, %d kernels handed off, %d passes used", err, want.handed, want.passes)
 	}
 	got, err := runAt(t, context.Background(), c, m, pipelineProcs(), ao)
 	if err != nil {
 		t.Fatal(err)
+	}
+	bb := 0
+	for _, k := range got.res.PerKernel {
+		if k.Mode == core.TierBB {
+			bb++
+		}
+	}
+	if got.passes > int64(bb) {
+		t.Errorf("%d passes used by %d bb-sampled kernels", got.passes, bb)
+	}
+	if c.name == "FIR-16384" && (m.name == "photon" || m.name == "bb") && got.passes == 0 {
+		t.Errorf("no functional pass used (%d bb-sampled kernels)", bb)
 	}
 	if w := pipelinable(t, c, m); got.handed != w {
 		t.Errorf("%d kernels handed off, want %d", got.handed, w)
@@ -336,11 +369,19 @@ func TestPipelinedRunCancelsMidApp(t *testing.T) {
 			if ds := decisionsOf(got.runner); want.res.Decisions != nil && !reflect.DeepEqual(ds, want.res.Decisions[:stop]) {
 				t.Errorf("%s, stop before %d: ledger holds %d decisions, want the serial prefix of %d", m.name, stop, len(ds), stop)
 			}
-			for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("%s, stop before %d: %d goroutines outlive the run (%d before)", m.name, stop, runtime.NumGoroutine(), base)
-				}
-			}
+			noGoroutinesAbove(t, base, fmt.Sprintf("%s, stop before %d", m.name, stop))
+		}
+	}
+}
+
+// noGoroutinesAbove fails the test unless the process is back to at most
+// base goroutines within ten seconds: a goroutine that closed its done
+// channel may take a moment to exit.
+func noGoroutinesAbove(t *testing.T, base int, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines outlive the run (%d before)", what, runtime.NumGoroutine(), base)
 		}
 	}
 }
@@ -351,10 +392,12 @@ func TestPipelinedRunCancelsMidApp(t *testing.T) {
 // another GPU's hierarchy would race). Spans go on the thread that ran them,
 // so on each thread any two nest or are disjoint, which is all the Chrome
 // trace format can draw; a serial run keeps every span on the run's own
-// thread.
+// thread. ResNet-18 hands kernels off; ReLU/16384 under bb-sampling runs
+// its one kernel inline with a functional pass beside it, whose span
+// (category functional) goes on a helper GPU's thread.
 func TestPipelinedRunMergesTelemetry(t *testing.T) {
-	c := findPipelineCase(t, "ResNet-18")
-	observed := func(m mode, procs int) (obs.Snapshot, []string, int64) {
+	const tid = 3
+	observed := func(c pipelineCase, m mode, procs int) (obs.Snapshot, []string, []obs.TraceEvent, pipelineRun) {
 		reg, tr := obs.NewRegistry(), obs.NewTraceBuffer()
 		var spans []string
 		var evs []obs.TraceEvent
@@ -366,13 +409,12 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 				spans = append(spans, ev.Name)
 			}
 		})
-		const tid = 3
 		run, err := runAt(t, context.Background(), c, m, procs, AppObs{Metrics: reg, Trace: tr, TID: tid, Check: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, a := range evs {
-			if run.handed == 0 && a.TID != tid {
+			if run.handed == 0 && run.passes == 0 && a.TID != tid {
 				t.Errorf("%s serial run: span %s on thread %d, want %d", m.name, a.Name, a.TID, tid)
 			}
 			for _, b := range evs[i+1:] {
@@ -387,28 +429,42 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 				}
 			}
 		}
-		return reg.Snapshot(), spans, run.handed
+		return reg.Snapshot(), spans, evs, run
 	}
 	setProcs(t, 1)
-	app, _ := c.build()
-	var names []string
-	for _, l := range app.Launches {
-		names = append(names, app.Name+"/"+l.Name)
-	}
-	for _, m := range []mode{modeNamed(t, BaselineMode), modeNamed(t, "photon")} {
-		wantSnap, wantSpans, _ := observed(m, 1)
-		gotSnap, gotSpans, n := observed(m, pipelineProcs())
-		if n == 0 {
-			t.Fatalf("%s: no kernel was handed off", m.name)
+	for _, tc := range []struct {
+		c     pipelineCase
+		modes []string
+	}{
+		{findPipelineCase(t, "ResNet-18"), []string{BaselineMode, "photon"}},
+		{findPipelineCase(t, "ReLU-16384"), []string{"bb"}},
+	} {
+		app, _ := tc.c.build()
+		var names []string
+		for _, l := range app.Launches {
+			names = append(names, app.Name+"/"+l.Name)
 		}
-		if len(wantSnap.Counters) == 0 || len(wantSnap.Histograms) == 0 {
-			t.Fatalf("%s: the serial run published no counters or histograms", m.name)
-		}
-		if !reflect.DeepEqual(gotSnap, wantSnap) {
-			t.Errorf("%s: pipelined registry snapshot differs from serial:\n got %+v\nwant %+v", m.name, gotSnap, wantSnap)
-		}
-		if !slices.Equal(gotSpans, names) || !slices.Equal(wantSpans, names) {
-			t.Errorf("%s: kernel spans out of launch order:\npipelined %v\nserial    %v\nlaunches  %v", m.name, gotSpans, wantSpans, names)
+		for _, name := range tc.modes {
+			m := modeNamed(t, name)
+			wantSnap, wantSpans, _, _ := observed(tc.c, m, 1)
+			gotSnap, gotSpans, evs, run := observed(tc.c, m, pipelineProcs())
+			if run.handed+run.passes == 0 {
+				t.Fatalf("%s/%s: no kernel was handed off and no pass used", tc.c.name, m.name)
+			}
+			if run.passes > 0 && !slices.ContainsFunc(evs, func(ev obs.TraceEvent) bool {
+				return ev.Cat == "functional" && ev.TID > 1<<16 && ev.Dur > 0
+			}) {
+				t.Errorf("%s/%s: no functional pass span on a helper thread", tc.c.name, m.name)
+			}
+			if len(wantSnap.Counters) == 0 || len(wantSnap.Histograms) == 0 {
+				t.Fatalf("%s/%s: the serial run published no counters or histograms", tc.c.name, m.name)
+			}
+			if !reflect.DeepEqual(gotSnap, wantSnap) {
+				t.Errorf("%s/%s: pipelined registry snapshot differs from serial:\n got %+v\nwant %+v", tc.c.name, m.name, gotSnap, wantSnap)
+			}
+			if !slices.Equal(gotSpans, names) || !slices.Equal(wantSpans, names) {
+				t.Errorf("%s/%s: kernel spans out of launch order:\npipelined %v\nserial    %v\nlaunches  %v", tc.c.name, m.name, gotSpans, wantSpans, names)
+			}
 		}
 	}
 }
@@ -500,5 +556,105 @@ func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
 				t.Errorf("%s, procs %d: %d goroutines outlive the run (%d before)", name, procs, g, base)
 			}
 		}
+	}
+}
+
+// lateFaultApp is one launch of 8192 one-warp workgroups whose last one
+// stores far outside its LDS, which panics the emulator; every other one
+// stores inside it. The online analysis samples every 99th workgroup, never
+// the last, and either gate fires long before the last is dispatched, so
+// only a functional run of the workgroups after the gate meets the fault.
+func lateFaultApp() *workloads.App {
+	const groups = 8192
+	m := mem.NewFlat()
+	b := isa.NewBuilder("late_fault")
+	b.SetLDS(256)
+	b.I(isa.OpVAdd, isa.V(1), isa.S(0), isa.Imm(1))   // s0 is the workgroup ID
+	b.I(isa.OpVLShr, isa.V(1), isa.V(1), isa.Imm(13)) // 1 in the last workgroup, 0 before it
+	b.I(isa.OpVMul, isa.V(1), isa.V(1), isa.Imm(1<<20))
+	b.Store(isa.OpLDSStore, isa.V(1), isa.V(0), 0)
+	b.End()
+	l := &kernel.Launch{Name: "late_fault", Program: b.MustBuild(), Memory: m, NumWorkgroups: groups, WarpsPerGroup: 1}
+	return &workloads.App{Name: "LateFault", Mem: m, Launches: []*kernel.Launch{l}}
+}
+
+// A pass fails only where the serial run does. Under bb-sampling the
+// workgroups after the gate run functionally, serially after the prefix or
+// in the pass beside it, and the last one's panic fails the run with the
+// serial run's error either way, raised again from the pass. Under Photon
+// the warp gate fires first and predicts those workgroups without running
+// them: the serial run succeeds, and the pass that met the fault is dropped
+// without a word. No pass outlives its run.
+func TestPipelinedPassFailsLikeSerial(t *testing.T) {
+	setProcs(t, 1)
+	c := pipelineCase{name: "LateFault", build: func() (*workloads.App, error) { return lateFaultApp(), nil }}
+	for _, name := range []string{"bb", "photon"} {
+		m := modeNamed(t, name)
+		want, wantErr := runAt(t, context.Background(), c, m, 1, AppObs{})
+		base := runtime.NumGoroutine()
+		got, err := runAt(t, context.Background(), c, m, pipelineProcs(), AppObs{})
+		noGoroutinesAbove(t, base, name)
+		switch name {
+		case "bb":
+			if wantErr == nil || err == nil {
+				t.Fatalf("bb: serial error %v, pipelined error %v; want the late workgroup's panic", wantErr, err)
+			}
+			line, _, _ := strings.Cut(err.Error(), "\n")
+			wantLine, _, _ := strings.Cut(wantErr.Error(), "\n")
+			if !strings.HasPrefix(wantLine, "harness: LateFault/late_fault under bb-sampling: panic: emu: ") || line != wantLine {
+				t.Errorf("bb: pipelined error %q, serial %q", line, wantLine)
+			}
+			if !strings.Contains(err.Error(), "functional pass:") {
+				t.Errorf("bb: the pipelined error does not carry the pass's stack:\n%v", err)
+			}
+		case "photon":
+			if wantErr != nil || err != nil {
+				t.Fatalf("photon: serial error %v, pipelined error %v; want none", wantErr, err)
+			}
+			if k := got.res.PerKernel[0]; k.Mode != core.TierWarp {
+				t.Fatalf("photon: the kernel ended %s, want %s", k.Mode, core.TierWarp)
+			}
+			if !reflect.DeepEqual(got.res, want.res) || got.passes != 0 {
+				t.Errorf("photon: pipelined result %+v (%d passes used), serial %+v", got.res, got.passes, want.res)
+			}
+		}
+	}
+}
+
+// A run cancelled while a kernel with a pass runs stops at the next launch,
+// as a serial run does, and leaves no pass behind, whether the kernel used
+// its pass (ReLU/16384 under bb-sampling) or dropped it (under Photon,
+// where warp-sampling fires first). The app launches its kernel twice; the
+// signal comes during the first launch.
+func TestPipelinedPassCancelsMidKernel(t *testing.T) {
+	setProcs(t, 1)
+	c := pipelineCase{name: "ReLU-16384x2", build: func() (*workloads.App, error) {
+		app, err := workloads.BuildReLU(16384)
+		if err == nil {
+			app.Launches = append(app.Launches, app.Launches[0])
+		}
+		return app, err
+	}}
+	for _, tc := range []struct {
+		mode string
+		used int64
+	}{{"bb", 1}, {"photon", 0}} {
+		m := modeNamed(t, tc.mode)
+		want, err := runAt(t, context.Background(), c, m, 1, AppObs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		got, err := runAt(t, &cancelAfter{Context: context.Background(), n: 1}, c, m, pipelineProcs(), AppObs{})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err %v, want context.Canceled", tc.mode, err)
+		}
+		if got.passes != tc.used {
+			t.Errorf("%s: %d passes used, want %d", tc.mode, got.passes, tc.used)
+		}
+		if !reflect.DeepEqual(got.res.PerKernel, want.res.PerKernel[:1]) {
+			t.Errorf("%s: got kernels %+v, want the serial first %+v", tc.mode, got.res.PerKernel, want.res.PerKernel[:1])
+		}
+		noGoroutinesAbove(t, base, tc.mode)
 	}
 }

@@ -33,10 +33,11 @@ func TestGroupRunRangeZeroAlloc(t *testing.T) {
 	l, _ := ldsExchangeLaunch(4)
 	var grp Group
 	var insts uint64
-	visit := func(warps []*Warp) {
+	visit := func(warps []*Warp) bool {
 		for _, w := range warps {
 			insts += w.InstCount()
 		}
+		return true
 	}
 	if err := grp.RunRange(l, 0, l.NumWorkgroups, visit); err != nil {
 		t.Fatal(err)

@@ -69,16 +69,17 @@ func (g *Group) RunFunctional() error {
 // RunRange runs workgroups [first, first+count) of the launch functionally
 // through this group, recycling it per workgroup. Workgroups execute
 // strictly in ascending ID order: cross-workgroup atomics make global-memory
-// ordering observable. After each workgroup completes, visit (when non-nil)
-// receives its warps, valid only during the callback.
-func (g *Group) RunRange(l *kernel.Launch, first, count int, visit func(warps []*Warp)) error {
+// ordering observable. After each workgroup completes, visit receives its
+// warps, valid only during the callback, and the run goes on only while
+// visit returns true.
+func (g *Group) RunRange(l *kernel.Launch, first, count int, visit func(warps []*Warp) bool) error {
 	for wg := first; wg < first+count; wg++ {
 		g.Reset(l, wg)
 		if err := g.RunFunctional(); err != nil {
 			return err
 		}
-		if visit != nil {
-			visit(g.Warps)
+		if !visit(g.Warps) {
+			return nil
 		}
 	}
 	return nil
@@ -92,10 +93,11 @@ func RunKernelFunctional(l *kernel.Launch) (insts uint64, err error) {
 		return 0, err
 	}
 	var grp Group
-	err = grp.RunRange(l, 0, l.NumWorkgroups, func(warps []*Warp) {
+	err = grp.RunRange(l, 0, l.NumWorkgroups, func(warps []*Warp) bool {
 		for _, w := range warps {
 			insts += w.InstCount()
 		}
+		return true
 	})
 	return insts, err
 }

@@ -149,6 +149,11 @@ type Plan struct {
 	// The run loop keeps a program with an atomic inline, whatever its plan
 	// says: the values an atomic returns follow the detailed run's order.
 	Overlap bool
+	// Pass, when set, is a functional pass Execute can read the workgroups
+	// after its gate from. A run loop may start it over a fork of the image
+	// at launch beside an inline Execute, for a program without atomics; Run
+	// never does.
+	Pass *Pass
 	// Advanced, when set, receives the instruction count of a functional
 	// advance of the image past the kernel, before the next kernel is
 	// planned.

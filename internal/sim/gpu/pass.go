@@ -1,0 +1,95 @@
+package gpu
+
+import (
+	"fmt"
+	"runtime/debug"
+	"sync/atomic"
+
+	"photon/internal/sim/emu"
+	"photon/internal/sim/kernel"
+)
+
+// Pass is a functional pass of one launch that may run beside its Execute
+// (Plan.Pass): every workgroup in order, over a fork of the image at
+// launch, each warp tallied. A run loop that may spare a CPU starts it with
+// Go; Execute then reads the workgroups after its gate from the tally with
+// Take instead of running them on the live image, and the run loop ends the
+// pass with Stop, which reports whether Execute used it, in which case the
+// fork's image is the kernel's. A pass nobody started is the serial run:
+// Take sends Execute to the live image.
+type Pass struct {
+	done  chan struct{} // closed when the pass ends; nil until Go
+	stop  atomic.Bool
+	tally emu.Tally
+	err   error
+	crash *passPanic
+	used  bool
+}
+
+// passPanic is a panic of the pass, carried to Take, which raises it again
+// on Execute's goroutine, where a serial run would have raised it.
+type passPanic struct {
+	v     any
+	stack []byte
+}
+
+func (p *passPanic) String() string {
+	return fmt.Sprintf("%v\n\nfunctional pass:\n%s", p.v, p.stack)
+}
+
+// Go starts the pass over l, a launch over a fork of the image at launch,
+// on a new goroutine, which hands the pass's body to wrap: wrap runs it
+// once, so the caller can time and trace it there. The pass has ended, and
+// wrap has returned, when Take or Stop returns.
+func (p *Pass) Go(l *kernel.Launch, wrap func(body func())) {
+	p.done = make(chan struct{})
+	go func() {
+		defer close(p.done)
+		wrap(func() { p.run(l) })
+	}()
+}
+
+func (p *Pass) run(l *kernel.Launch) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.crash = &passPanic{v, debug.Stack()}
+		}
+	}()
+	p.err = p.tally.Record(l, 0, l.NumWorkgroups, p.stop.Load)
+}
+
+// Take waits for a started pass to end and returns its tally, which holds
+// workgroups [from, NumWorkgroups). ok is false when the pass was never
+// started, or failed before workgroup from, which the detailed run executed
+// instead: the caller then runs the workgroups itself, as a serial run
+// does. A failure at workgroup from or later is the one the serial run
+// meets: its error is returned, and its panic raised again.
+func (p *Pass) Take(from int) (t *emu.Tally, ok bool, err error) {
+	if p == nil || p.done == nil {
+		return nil, false, nil
+	}
+	<-p.done
+	failed := p.err != nil || p.crash != nil
+	switch {
+	case failed && p.tally.End() < from:
+		return nil, false, nil
+	case p.crash != nil:
+		panic(p.crash)
+	case p.err != nil:
+		return nil, true, p.err
+	}
+	p.used = true
+	return &p.tally, true, nil
+}
+
+// Stop ends a started pass at its next workgroup boundary and waits for
+// it. It reports whether Execute took the pass's tally: the pass then ran
+// every workgroup, and its fork holds the kernel's image.
+func (p *Pass) Stop() (used bool) {
+	if p.done == nil {
+		return false
+	}
+	p.stop.Store(true)
+	<-p.done
+	return p.used
+}

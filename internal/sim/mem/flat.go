@@ -91,6 +91,14 @@ func (m *Flat) Fork() *Flat {
 	}
 }
 
+// Adopt makes m the image f holds, f a fork of m or of a relative of m,
+// and empties f, which must not be used again. m drops its own pages; the
+// pages f shares with another image stay marked shared, so whichever side
+// stores to one still copies it first.
+func (m *Flat) Adopt(f *Flat) {
+	*m, *f = *f, Flat{}
+}
+
 // owns reports whether page pn, which must be mapped, is this image's alone.
 func (m *Flat) owns(pn uint64) bool {
 	if pn < lowPages {

@@ -41,6 +41,14 @@ func (r *forkRig) fork(i int) {
 	r.refs = append(r.refs, maps.Clone(r.refs[i]))
 }
 
+// adopt makes image i the image j holds and drops j from the rig.
+func (r *forkRig) adopt(i, j int) {
+	r.imgs[i].Adopt(r.imgs[j])
+	r.refs[i] = r.refs[j]
+	r.imgs = append(r.imgs[:j], r.imgs[j+1:]...)
+	r.refs = append(r.refs[:j], r.refs[j+1:]...)
+}
+
 func (r *forkRig) write32(i int, addr uint64, v uint32) {
 	r.imgs[i].Write32(addr, v)
 	r.refs[i].write32(addr, v)
@@ -168,9 +176,10 @@ func fuzzAddr(b []byte, aligned bool) uint64 {
 }
 
 // FuzzFlatFork interleaves stores and loads of every form on a parent image
-// and its forks, and forks at any point, checking each image against its own
-// byte-granular reference. Each op is eight bytes: kind, image, a three-byte
-// address, a length and a two-byte value seed.
+// and its forks, forks at any point, and makes one image adopt another's,
+// checking each image against its own byte-granular reference. Each op is
+// eight bytes: kind, image, a three-byte address (whose first byte picks the
+// adopted image), a length and a two-byte value seed.
 func FuzzFlatFork(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 0, 0x10, 0, 1, 0xaa, 0xbb, // parent stores
@@ -180,6 +189,9 @@ func FuzzFlatFork(f *testing.F) {
 		2, 2, 4, 0, 0, 40, 1, 2, // bulk store across a page end
 		4, 1, 5, 0x20, 0, 9, 0, 0, // gather
 		5, 2, 2, 0, 0, 30, 0, 0, // bulk load
+		7, 0, 1, 0, 0, 0, 0, 0, // the parent adopts the first fork
+		0, 0, 0, 0x10, 0, 1, 0xcc, 0xdd, // and stores to a page it shares
+		3, 1, 0, 0x10, 0, 0, 0, 0, // which the other fork still reads as before
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := newForkRig(t)
@@ -205,7 +217,7 @@ func FuzzFlatFork(f *testing.F) {
 				}
 				return v
 			}
-			switch data[0] % 7 {
+			switch data[0] % 8 {
 			case 0:
 				r.write32(i, addr, seed*0x01010101)
 			case 1:
@@ -221,6 +233,10 @@ func FuzzFlatFork(f *testing.F) {
 			case 6:
 				if len(r.imgs) < 6 {
 					r.fork(i)
+				}
+			case 7:
+				if j := int(data[2]) % len(r.imgs); j != i {
+					r.adopt(i, j)
 				}
 			}
 		}
