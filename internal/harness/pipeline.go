@@ -28,12 +28,20 @@ var handedOff atomic.Int64
 // whose fork became the live image; tests read it as they read handedOff.
 var passesUsed atomic.Int64
 
+// timingOnly counts the hand-offs whose helper ran timing-only: the
+// kernel's program is independent, so its run over the dropped fork skips
+// the values no timing decision reads. Tests read it as they read
+// handedOff.
+var timingOnly atomic.Int64
+
 // pipeline runs the kernels of one app and merges their results in kernel
 // order (DESIGN.md "Kernel-level parallelism"). It asks the runner for each
 // kernel's plan, on the run's goroutine in launch order. A kernel whose plan
 // allows it may go to a helper goroutine, which runs it on its own GPU over
 // a copy-on-write fork of the image at launch, while the run's goroutine
-// advances the live image with the functional emulator. A kernel whose plan
+// advances the live image with the functional emulator. The fork is
+// dropped, so the helper runs timing-only when the kernel's program is
+// independent (isa.Program.Independent). A kernel whose plan
 // needs no Execute is that functional advance alone. Every other kernel
 // runs inline on the live image, as a serial run would, with the functional
 // pass its plan asks for over a fork beside it when the run may spare a CPU.
@@ -92,10 +100,12 @@ func hasAtomic(l *kernel.Launch) bool {
 // least two, and no other run is in flight in the process.
 func (p *pipeline) alone() bool { return p.window > 1 && running.Load() == 1 }
 
-// handsOff reports whether launch i, which overlaps, goes to a helper. The
-// last launch runs inline: an app of one launch takes the serial path.
-func (p *pipeline) handsOff(i int) bool {
-	return p.alone() && i < len(p.app.Launches)-1
+// handsOff reports whether launch i, l, which overlaps, goes to a helper.
+// The last launch runs inline unless its program is independent: then a
+// timing-only helper beside the functional advance takes less wall than
+// one inline detailed run, whose values nothing after it reads.
+func (p *pipeline) handsOff(i int, l *kernel.Launch) bool {
+	return p.alone() && (i < len(p.app.Launches)-1 || l.Program.Independent())
 }
 
 // step plans launch i and runs it.
@@ -112,7 +122,7 @@ func (p *pipeline) step(i int, l *kernel.Launch) error {
 	switch {
 	case plan.Execute == nil:
 		return p.advanceOnly(l, plan, start)
-	case overlaps(plan, l) && p.handsOff(i):
+	case overlaps(plan, l) && p.handsOff(i, l):
 		return p.handOff(l, plan)
 	default:
 		return p.inline(l, plan, start)
@@ -252,8 +262,9 @@ func (p *pipeline) advanceOnly(l *kernel.Launch, plan *gpu.Plan, start time.Time
 }
 
 // handOff runs launch l's Execute on a helper over a fork of the image,
-// then advances the live image past l functionally. It waits for an idle
-// GPU first, so at most window detailed runs, and their forks, are alive;
+// which it drops, so timing-only when l's program is independent, then
+// advances the live image past l functionally. It waits for an idle GPU
+// first, so at most window detailed runs, and their forks, are alive;
 // finished ones wait in the queue to merge in order without holding back
 // the next hand-off.
 func (p *pipeline) handOff(l *kernel.Launch, plan *gpu.Plan) error {
@@ -263,9 +274,13 @@ func (p *pipeline) handOff(l *kernel.Launch, plan *gpu.Plan) error {
 	}
 	fork := *l
 	fork.Memory = l.Memory.Fork()
+	fork.TimingOnly = true
 	k := &kernelRun{l: l, plan: plan, tid: p.tids[g], done: make(chan struct{})}
 	p.queue = append(p.queue, k)
 	handedOff.Add(1)
+	if l.Program.Independent() {
+		timingOnly.Add(1)
+	}
 	go func() {
 		k.start = time.Now()
 		p.run(g, &fork, k)
@@ -276,8 +291,14 @@ func (p *pipeline) handOff(l *kernel.Launch, plan *gpu.Plan) error {
 	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
 	if err != nil {
 		// The detailed run of l most likely failed the same way: report
-		// its error, as a serial run would, when it has one.
-		return p.failAt(l, err)
+		// its error, as a serial run would, when it has one. A timing-only
+		// run skips the values, LDS accesses and dead divisions a fault
+		// can come from, so it may have none.
+		<-k.done
+		if k.err == nil {
+			k.err = err
+		}
+		return p.mergeAll()
 	}
 	return nil
 }

@@ -99,12 +99,14 @@ func image(m *mem.Flat) []uint32 {
 }
 
 // pipelineRun is one run of a pipeline case: the result with host times
-// zeroed, the final image, how many kernels went to helpers, how many
-// functional passes a kernel used, and the runner.
+// zeroed, the final image, how many kernels went to helpers and how many of
+// those ran timing-only, how many functional passes a kernel used, and the
+// runner.
 type pipelineRun struct {
 	res    AppResult
 	image  []uint32
 	handed int64
+	timed  int64
 	passes int64
 	runner gpu.Runner
 }
@@ -119,13 +121,14 @@ func runAt(t *testing.T, ctx context.Context, c pipelineCase, m mode, procs int,
 	cfg := gpu.R9Nano()
 	runner := m.new(cfg, core.DefaultParams())
 	runtime.GOMAXPROCS(procs)
-	before, passes := handedOff.Load(), passesUsed.Load()
+	before, timed, passes := handedOff.Load(), timingOnly.Load(), passesUsed.Load()
 	res, err := RunAppInstrumented(ctx, cfg, app, runner, ao)
 	res.Wall = 0
 	for i := range res.PerKernel {
 		res.PerKernel[i].Wall = 0
 	}
-	return pipelineRun{res, image(app.Mem), handedOff.Load() - before, passesUsed.Load() - passes, runner}, err
+	return pipelineRun{res, image(app.Mem), handedOff.Load() - before, timingOnly.Load() - timed,
+		passesUsed.Load() - passes, runner}, err
 }
 
 // modeNamed returns the mode table's row called name.
@@ -145,8 +148,9 @@ var functionalMode = mode{gpu.TierFunctional, func(gpu.Config, core.Params) gpu.
 
 // pipelinable counts the launches of c's app a pipelined run under m hands
 // off. It walks the app serially and asks the runner for each launch's plan:
-// one that overlaps goes to a helper. The last launch always runs inline, so
-// the walk stops before it.
+// one that overlaps goes to a helper, unless it is the last launch and its
+// program is not independent. No plan follows the last launch's, so the
+// walk does not run it.
 func pipelinable(t *testing.T, c pipelineCase, m mode) int64 {
 	app, err := c.build()
 	if err != nil {
@@ -156,13 +160,17 @@ func pipelinable(t *testing.T, c pipelineCase, m mode) int64 {
 	runner := m.new(cfg, core.DefaultParams())
 	g := gpu.New(cfg)
 	n := int64(0)
-	for _, l := range app.Launches[:len(app.Launches)-1] {
+	for i, l := range app.Launches {
 		plan, err := runner.Plan(g, l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if overlaps(plan, l) {
+		last := i == len(app.Launches)-1
+		if overlaps(plan, l) && (!last || l.Program.Independent()) {
 			n++
+		}
+		if last {
+			break
 		}
 		if _, err := plan.Run(g, l); err != nil {
 			t.Fatal(err)
@@ -176,11 +184,14 @@ func pipelinable(t *testing.T, c pipelineCase, m mode) int64 {
 // ledger and the final memory image, byte for byte, with every kernel
 // audited. The plans of the baselines PKA and TBPoint, and of the
 // functional runner, never overlap, so they stay serial; Photon hands off
-// the kernels it can bound, most of ResNet-18's. An app of one launch runs
-// it inline, the serial path, so only the full baseline runs it, unless its
-// gates fire with workgroups left: then it runs under the gating modes, with
-// a functional pass beside it, which FIR/16384's bb-sampling uses and whose
-// fork becomes the final image.
+// the kernels it can bound, most of ResNet-18's. A handed-off kernel of an
+// independent program runs timing-only, every one of ResNet-18's under the
+// full baseline and none of SPMV's, whose gathers make it dependent. An
+// app of one launch runs under the full baseline, which hands its launch
+// off when the program is independent and runs it inline otherwise, or,
+// when its gates fire with workgroups left, under the gating modes, inline
+// with a functional pass beside it, which FIR/16384's bb-sampling uses and
+// whose fork becomes the final image.
 func TestPipelinedRunMatchesSerial(t *testing.T) {
 	for _, c := range pipelineCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -229,6 +240,10 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode) {
 		t.Errorf("%d kernels handed off under a runner whose plans never overlap", got.handed)
 	case m.name == "photon" && c.name == "ResNet-18" && got.handed == 0:
 		t.Error("Photon handed off no kernel of ResNet-18")
+	case m.name == BaselineMode && c.name == "ResNet-18" && (got.timed == 0 || got.timed != got.handed):
+		t.Errorf("%d of %d handed-off kernels of ResNet-18 ran timing-only, want all", got.timed, got.handed)
+	case c.name == "SPMV" && got.timed != 0:
+		t.Errorf("%d kernels of SPMV ran timing-only", got.timed)
 	}
 	if !reflect.DeepEqual(got.res, want.res) {
 		t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got.res, want.res)
@@ -524,7 +539,9 @@ func ldsFaultApp() *workloads.App {
 // it and carries the stack, whether it ran inline or on a helper, under the
 // full baseline and under Photon: the helper's panic must not take the
 // process down, the error is the serial run's, and no helper outlives the
-// run.
+// run. The faulting kernel is independent, so its helper runs timing-only
+// and skips the LDS store; the functional advance beside it meets the
+// fault.
 func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
 	setProcs(t, 1)
 	for _, name := range []string{BaselineMode, "photon"} {

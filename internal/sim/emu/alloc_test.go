@@ -51,3 +51,25 @@ func TestGroupRunRangeZeroAlloc(t *testing.T) {
 		t.Fatal("fast-forward executed no instructions")
 	}
 }
+
+// TestWarpStepTimingOnlyZeroAlloc pins the timing-only Step: a warp of an
+// independent TimingOnly launch, stepped through its loads, store, EXEC
+// region and waitcnt to s_endpgm, allocates nothing.
+func TestWarpStepTimingOnlyZeroAlloc(t *testing.T) {
+	l, _, _, _ := vecAddLaunch(t, 100, 2)
+	l.TimingOnly = true
+	var s WarpStore
+	s.Configure(l, 1)
+	if !s.timingOnly {
+		t.Fatal("the store is not timing-only")
+	}
+	var w Warp
+	warp := 0
+	testutil.MustZeroAllocs(t, "emu.Warp.Step (timing-only)", func() {
+		w = s.Bind(0, warp%2, nil)
+		warp++
+		for !w.Done() {
+			w.Step()
+		}
+	})
+}

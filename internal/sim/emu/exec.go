@@ -121,6 +121,25 @@ func fabs(a uint32) uint32  { return bits32(float32(math.Abs(float64(f32(a))))) 
 func i2f(a uint32) uint32   { return bits32(float32(sext(a))) }
 func f2i(a uint32) uint32   { return uint32(int32(f32(a))) }
 
+// execTiming is exec for a timing-only run of an independent program
+// (isa.Program.Independent), whose image the caller drops. It skips a Dead
+// micro-op, and a vector load or store computes its lane addresses and
+// counts towards s_waitcnt but moves no data; everything else goes through
+// exec. So the next PC, EXEC, VCC, SCC, the counters and the addresses Step
+// returns are a full run's, while the registers only values flow into are
+// stale.
+func (f *frame) execTiming(u *isa.MicroOp, pc int) int {
+	switch {
+	case u.Dead:
+		return pc + 1
+	case u.Step == isa.StepVectorMem:
+		f.laneAddrs(u)
+		f.st.outMem[f.w.slot]++
+		return pc + 1
+	}
+	return f.exec(u, pc)
+}
+
 // exec executes micro-op u, the instruction at pc, against the frame and
 // returns the next PC. Every per-instruction decision — opcode, operand
 // kinds, full or partial EXEC, memory path — is taken here or in the handler

@@ -21,7 +21,11 @@ func (w *Warp) StepOne() []uint64 {
 	st.instCount[slot]++
 	var f frame
 	f.load(w)
-	st.pc[slot] = int32(f.exec(u, pc))
+	if st.timingOnly {
+		st.pc[slot] = int32(f.execTiming(u, pc))
+	} else {
+		st.pc[slot] = int32(f.exec(u, pc))
+	}
 	f.save()
 	return f.addrs
 }

@@ -40,6 +40,10 @@ type WarpStore struct {
 	// lane-ordered atomics.
 	mem *mem.Flat
 
+	// timingOnly is set for a TimingOnly launch of an independent program:
+	// Step then runs frame.execTiming.
+	timingOnly bool
+
 	// Per-slot strides into the shared slabs.
 	sregs  int // SGPR words per slot
 	vwords int // VGPR words per slot (NumVRegs * 64 lanes)
@@ -86,6 +90,7 @@ func (s *WarpStore) Configure(l *kernel.Launch, slots int) {
 	p := l.Program
 	s.launch = l
 	s.mem = l.Memory
+	s.timingOnly = l.TimingOnly && p.Independent()
 	s.sregs = max(p.NumSRegs, kernel.ArgSGPRBase+len(l.Args))
 	s.vwords = p.NumVRegs * kernel.WavefrontSize
 	s.blocks = p.NumBlocks()

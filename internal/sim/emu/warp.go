@@ -68,7 +68,10 @@ func (w *Warp) BBCounts() []uint32 {
 // touch no memory, so nothing else is owed. The slice aliases the store's
 // scratch buffer and is valid until the next Step on any warp of that store.
 // Step must not be called on a Done warp; callers resume barriers by
-// ClearBarrier.
+// ClearBarrier. For a TimingOnly launch of an independent program Step
+// computes only what timing reads (frame.execTiming): the instruction
+// counts, BB counts, PCs, s_waitcnt bookkeeping and returned addresses are
+// those of a full run, the register values timing never reads are not.
 func (w *Warp) Step() []uint64 {
 	st, slot := w.store, w.slot
 	if st.flags[slot]&flagDone != 0 {
@@ -84,11 +87,17 @@ func (w *Warp) Step() []uint64 {
 
 	var f frame
 	f.load(w)
-	next := f.exec(u, pc)
 	// No block head lies inside a run, so the PC path through it is static
 	// and only its last micro-op (the block's branch) can leave it.
-	for i, end := pc+1, pc+1+int(u.Run); i < end; i++ {
-		next = f.exec(&uops[i], i)
+	var next int
+	if end := pc + 1 + int(u.Run); st.timingOnly {
+		for i := pc; i < end; i++ {
+			next = f.execTiming(&uops[i], i)
+		}
+	} else {
+		for i := pc; i < end; i++ {
+			next = f.exec(&uops[i], i)
+		}
 	}
 	st.pc[slot] = int32(next)
 	f.save()

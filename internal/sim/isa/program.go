@@ -51,7 +51,8 @@ type Program struct {
 	// collide.
 	Fingerprint uint64
 
-	opts BlockOptions
+	opts        BlockOptions
+	independent bool // see Independent
 }
 
 // BlockOptions selects the basic-block boundary rules.
@@ -77,6 +78,7 @@ func NewProgram(name string, insts []Inst, ldsBytes int) (*Program, error) {
 	}
 	p.computeRegCounts()
 	p.computeBlocks()
+	p.computeDataflow()
 	p.computeFingerprint()
 	return p, nil
 }
@@ -223,6 +225,7 @@ func (p *Program) WithBlockOptions(o BlockOptions) *Program {
 		opts:     o,
 	}
 	q.computeBlocks()
+	q.computeDataflow()
 	q.computeFingerprint()
 	return q
 }

@@ -33,6 +33,11 @@ type MicroOp struct {
 	Class FUClass
 	Head  bool // first instruction of its basic block
 	Store bool // writes global memory or LDS
+	// Dead marks, in a Program.Independent program, a micro-op whose work a
+	// timing-only run skips: an ALU op whose result reaches no memory
+	// address, compare, EXEC-mask op or branch, or an LDS op, whose
+	// addresses and data the timing model never reads (dataflow.go).
+	Dead bool
 
 	// Operand kinds as written in the instruction; the emulator's
 	// bad-operand checks read them.

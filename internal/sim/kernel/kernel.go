@@ -33,6 +33,12 @@ type Launch struct {
 	// Args is loaded into scalar registers starting at ArgSGPRBase when a
 	// warp initializes (pointers, sizes, scalar constants).
 	Args []uint32
+
+	// TimingOnly is set by a caller that drops Memory after a detailed run
+	// and reads only its timing. For an isa.Program.Independent program
+	// the emulator then skips the values no timing decision reads
+	// (emu.Warp.Step), so Memory is never written.
+	TimingOnly bool
 }
 
 // ArgSGPRBase is the first scalar register holding kernel arguments.

@@ -25,6 +25,27 @@ func TestMachineRunZeroAllocSteadyState(t *testing.T) {
 	})
 }
 
+// TestMachineRunTimingOnlyZeroAllocSteadyState pins the same pooling for a
+// TimingOnly launch, whose warps step timing-only.
+func TestMachineRunTimingOnlyZeroAllocSteadyState(t *testing.T) {
+	l, _ := scaleLaunch(8)
+	l.TimingOnly = true
+	if !l.Program.Independent() {
+		t.Fatal("scale is not independent")
+	}
+	m := NewMachine(DefaultCompute(2), testHier(2), Observer{})
+	for i := 0; i < 2; i++ {
+		if _, err := m.Run(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testutil.MustZeroAllocs(t, "timing.Machine.Run (timing-only, pooled steady state)", func() {
+		if _, err := m.Run(l); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestMachineRunPooledMatchesFresh checks that recycled runtime objects are
 // reset completely: a reused machine computes the same timing as a fresh one.
 func TestMachineRunPooledMatchesFresh(t *testing.T) {

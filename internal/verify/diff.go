@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"photon/internal/sim/emu"
 	"photon/internal/sim/event"
@@ -20,7 +21,11 @@ import (
 //   - conservation: per-warp issued == retired instruction count, the sum of
 //     per-warp counts == the machine's total, BBV-weighted block lengths ==
 //     the instruction count, every warp retires, and the cache hierarchy's
-//     flow equations hold.
+//     flow equations hold;
+//   - for an independent program (isa.Program.Independent), a timing-only
+//     run (kernel.Launch.TimingOnly) vs the detailed run: the same end time,
+//     instruction count and stream of issues and retirements, and no memory
+//     written.
 func RunCase(c *Case) []Violation {
 	var vs []Violation
 	fail := func(kind, format string, args ...any) {
@@ -37,7 +42,7 @@ func RunCase(c *Case) []Violation {
 		fail("functional", "%v", err)
 		return vs
 	}
-	tr, err := runTiming(c)
+	tr, err := runTiming(c, false)
 	if err != nil {
 		fail("timing", "%v", err)
 		return vs
@@ -98,7 +103,66 @@ func RunCase(c *Case) []Violation {
 		}
 	}
 	diffMemory(fail, fmem, tr.mem)
+	if prog.Independent() {
+		diffTimingOnly(fail, c, tr)
+	}
 	return vs
+}
+
+// diffTimingOnly runs the case timing-only and holds it to the detailed run
+// tr: every timing decision reads only what the run still computes, so the
+// two runs issue and retire identically, and a run that drops its image
+// writes none of it.
+func diffTimingOnly(fail func(kind, format string, args ...any), c *Case, tr *timingRun) {
+	to, err := runTiming(c, true)
+	if err != nil {
+		fail("timing-only", "%v", err)
+		return
+	}
+	if to.res.EndTime != tr.res.EndTime || to.res.InstCount != tr.res.InstCount {
+		fail("timing-only", "end time %d, %d instructions; the detailed run %d, %d",
+			to.res.EndTime, to.res.InstCount, tr.res.EndTime, tr.res.InstCount)
+	}
+	if i := firstStreamDiff(to.stream, tr.stream); i >= 0 {
+		at := func(s []streamEvent) string {
+			if i < len(s) {
+				return fmt.Sprintf("%+v", s[i])
+			}
+			return "end of stream"
+		}
+		fail("timing-only", "event %d of %d: %s; the detailed run: %s (of %d)",
+			i, len(to.stream), at(to.stream), at(tr.stream), len(tr.stream))
+	}
+	l, seg, err := c.NewLaunch()
+	if err != nil {
+		fail("timing-only", "%v", err)
+		return
+	}
+	if fresh := segWords(l.Memory, seg); !slices.Equal(to.mem, fresh) {
+		fail("timing-only", "the run wrote memory, first at word %d", firstWordDiff(to.mem, fresh))
+	}
+}
+
+// firstStreamDiff returns the index of the first event where a and b
+// differ, or -1 when they are equal.
+func firstStreamDiff(a, b []streamEvent) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+func firstWordDiff(a, b []uint32) int {
+	i := 0
+	for i < min(len(a), len(b)) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // diffMemory compares the functional and timing memory images word by word,
@@ -151,8 +215,21 @@ type timingRun struct {
 	res     timing.Result
 	states  map[int]emu.WarpState
 	issued  map[int]uint64
+	stream  []streamEvent
 	mem     []uint32
 	conserv error
+}
+
+// streamEvent is one issue (Retired false) or retirement the timing model
+// reported: for an issue, the CU, FU class and latency; for a retirement,
+// the warp's first issue time in Latency.
+type streamEvent struct {
+	Now     event.Time
+	Warp    int
+	CU      int
+	Class   isa.FUClass
+	Latency event.Time
+	Retired bool
 }
 
 // captureObs snapshots warps as they retire; the pooled runtime recycles
@@ -160,15 +237,18 @@ type timingRun struct {
 type captureObs struct {
 	states map[int]emu.WarpState
 	issued map[int]uint64
+	stream []streamEvent
 }
 
 func (o *captureObs) OnInstIssued(now event.Time, cuID int, w *emu.Warp, class isa.FUClass, lat event.Time) {
 	if w != nil {
 		o.issued[w.GlobalID]++
+		o.stream = append(o.stream, streamEvent{Now: now, Warp: w.GlobalID, CU: cuID, Class: class, Latency: lat})
 	}
 }
 
 func (o *captureObs) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time) {
+	o.stream = append(o.stream, streamEvent{Now: now, Warp: w.GlobalID, Latency: issue, Retired: true})
 	// SnapshotInto reuses the slices of any previous snapshot under this
 	// warp ID, so steady-state capture does not allocate per retirement.
 	st := o.states[w.GlobalID]
@@ -176,12 +256,13 @@ func (o *captureObs) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time
 	o.states[w.GlobalID] = st
 }
 
-// runTiming executes the case in detailed mode.
-func runTiming(c *Case) (*timingRun, error) {
+// runTiming executes the case in detailed mode, timing-only when asked.
+func runTiming(c *Case, timingOnly bool) (*timingRun, error) {
 	l, seg, err := c.NewLaunch()
 	if err != nil {
 		return nil, err
 	}
+	l.TimingOnly = timingOnly
 	compute, hcfg := SmallConfig()
 	hier := mem.NewHierarchy(hcfg)
 	obs := &captureObs{
@@ -198,6 +279,7 @@ func runTiming(c *Case) (*timingRun, error) {
 		res:     res,
 		states:  obs.states,
 		issued:  obs.issued,
+		stream:  obs.stream,
 		mem:     segWords(l.Memory, seg),
 		conserv: hier.CheckConservation(),
 	}, nil
