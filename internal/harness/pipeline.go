@@ -34,6 +34,11 @@ var passesUsed atomic.Int64
 // handedOff.
 var timingOnly atomic.Int64
 
+// eligible counts the launches mayHandOff admits, whether or not their run
+// could spare a CPU: a serial run counts the launches its pipelined run
+// hands off. Tests read it as they read handedOff.
+var eligible atomic.Int64
+
 // pipeline runs the kernels of one app and merges their results in kernel
 // order (DESIGN.md "Kernel-level parallelism"). It asks the runner for each
 // kernel's plan, on the run's goroutine in launch order. A kernel whose plan
@@ -90,6 +95,15 @@ func overlaps(plan *gpu.Plan, l *kernel.Launch) bool {
 	return plan.Execute != nil && plan.Overlap && !hasAtomic(l)
 }
 
+// mayHandOff reports whether launch i of n, l, planned as plan, goes to a
+// helper when its run may spare a CPU: it overlaps, and it is not the last
+// launch unless its program is independent. Then a timing-only helper
+// beside the functional advance takes less wall than one inline detailed
+// run, whose values nothing after it reads.
+func mayHandOff(plan *gpu.Plan, i, n int, l *kernel.Launch) bool {
+	return overlaps(plan, l) && (i < n-1 || l.Program.Independent())
+}
+
 // hasAtomic reports whether l's program has an atomic: a run over a fork
 // of its image need not leave the image the detailed run does.
 func hasAtomic(l *kernel.Launch) bool {
@@ -99,14 +113,6 @@ func hasAtomic(l *kernel.Launch) bool {
 // alone reports whether this run may use a second CPU: GOMAXPROCS is at
 // least two, and no other run is in flight in the process.
 func (p *pipeline) alone() bool { return p.window > 1 && running.Load() == 1 }
-
-// handsOff reports whether launch i, l, which overlaps, goes to a helper.
-// The last launch runs inline unless its program is independent: then a
-// timing-only helper beside the functional advance takes less wall than
-// one inline detailed run, whose values nothing after it reads.
-func (p *pipeline) handsOff(i int, l *kernel.Launch) bool {
-	return p.alone() && (i < len(p.app.Launches)-1 || l.Program.Independent())
-}
 
 // step plans launch i and runs it.
 func (p *pipeline) step(i int, l *kernel.Launch) error {
@@ -119,10 +125,14 @@ func (p *pipeline) step(i int, l *kernel.Launch) error {
 	if err != nil {
 		return p.failAt(l, err)
 	}
+	hand := mayHandOff(plan, i, len(p.app.Launches), l)
+	if hand {
+		eligible.Add(1)
+	}
 	switch {
 	case plan.Execute == nil:
 		return p.advanceOnly(l, plan, start)
-	case overlaps(plan, l) && p.handsOff(i, l):
+	case hand && p.alone():
 		return p.handOff(l, plan)
 	default:
 		return p.inline(l, plan, start)
@@ -278,7 +288,7 @@ func (p *pipeline) handOff(l *kernel.Launch, plan *gpu.Plan) error {
 	k := &kernelRun{l: l, plan: plan, tid: p.tids[g], done: make(chan struct{})}
 	p.queue = append(p.queue, k)
 	handedOff.Add(1)
-	if l.Program.Independent() {
+	if fork.StepsTimingOnly() {
 		timingOnly.Add(1)
 	}
 	go func() {

@@ -50,10 +50,14 @@ var tinyScale = dnn.Scale{Input: 32, ChannelDiv: 16}
 // multi-pass reduction, PageRank, the three multi-kernel DNNs at
 // tinyScale, and two one-launch apps past the pass bound: FIR/16384, which
 // ends bb-sampling, and ReLU/16384, which ends warp-sampling under Photon.
+// KMeans and BFS run below their smallest catalog size (atomicWarps).
 func pipelineCases() []pipelineCase {
 	var cs []pipelineCase
 	for _, spec := range append(workloads.Table2(), workloads.Extensions()...) {
 		size := spec.Sizes[0]
+		if w, ok := atomicWarps[spec.Abbr]; ok {
+			size = w
+		}
 		cs = append(cs, pipelineCase{name: spec.Abbr, build: func() (*workloads.App, error) { return spec.Build(size) }})
 	}
 	return append(cs,
@@ -71,6 +75,14 @@ func pipelineCases() []pipelineCase {
 		pipelineCase{name: "ReLU-16384", build: func() (*workloads.App, error) { return workloads.BuildReLU(16384) }, gates: true},
 	)
 }
+
+// atomicWarps sizes KMeans and BFS below their smallest catalog size, 1 024
+// warps, at which the two took more than half of this package's time under
+// -race. Their atomics keep every launch inline under every mode, Photon's
+// tiers cannot gate below minRetires warps (2 560 on the R9 Nano) at
+// either size, and PKA leaves each of them stale at either size, so the
+// smaller apps take the same paths.
+var atomicWarps = map[string]int{"KMEANS": 256, "BFS": 512}
 
 func findPipelineCase(t *testing.T, name string) pipelineCase {
 	for _, c := range pipelineCases() {
@@ -99,16 +111,17 @@ func image(m *mem.Flat) []uint32 {
 }
 
 // pipelineRun is one run of a pipeline case: the result with host times
-// zeroed, the final image, how many kernels went to helpers and how many of
-// those ran timing-only, how many functional passes a kernel used, and the
-// runner.
+// zeroed, the final image, how many launches mayHandOff admitted, how many
+// kernels went to helpers and how many of those ran timing-only, how many
+// functional passes a kernel used, and the runner.
 type pipelineRun struct {
-	res    AppResult
-	image  []uint32
-	handed int64
-	timed  int64
-	passes int64
-	runner gpu.Runner
+	res      AppResult
+	image    []uint32
+	eligible int64
+	handed   int64
+	timed    int64
+	passes   int64
+	runner   gpu.Runner
 }
 
 // runAt builds c's app and runs it under m at GOMAXPROCS procs.
@@ -121,14 +134,14 @@ func runAt(t *testing.T, ctx context.Context, c pipelineCase, m mode, procs int,
 	cfg := gpu.R9Nano()
 	runner := m.new(cfg, core.DefaultParams())
 	runtime.GOMAXPROCS(procs)
-	before, timed, passes := handedOff.Load(), timingOnly.Load(), passesUsed.Load()
+	admitted, before, timed, passes := eligible.Load(), handedOff.Load(), timingOnly.Load(), passesUsed.Load()
 	res, err := RunAppInstrumented(ctx, cfg, app, runner, ao)
 	res.Wall = 0
 	for i := range res.PerKernel {
 		res.PerKernel[i].Wall = 0
 	}
-	return pipelineRun{res, image(app.Mem), handedOff.Load() - before, timingOnly.Load() - timed,
-		passesUsed.Load() - passes, runner}, err
+	return pipelineRun{res, image(app.Mem), eligible.Load() - admitted, handedOff.Load() - before,
+		timingOnly.Load() - timed, passesUsed.Load() - passes, runner}, err
 }
 
 // modeNamed returns the mode table's row called name.
@@ -146,39 +159,6 @@ func modeNamed(t *testing.T, name string) mode {
 // list: each kernel's plan is the functional advance alone.
 var functionalMode = mode{gpu.TierFunctional, func(gpu.Config, core.Params) gpu.Runner { return gpu.FunctionalRunner{} }}
 
-// pipelinable counts the launches of c's app a pipelined run under m hands
-// off. It walks the app serially and asks the runner for each launch's plan:
-// one that overlaps goes to a helper, unless it is the last launch and its
-// program is not independent. No plan follows the last launch's, so the
-// walk does not run it.
-func pipelinable(t *testing.T, c pipelineCase, m mode) int64 {
-	app, err := c.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := gpu.R9Nano()
-	runner := m.new(cfg, core.DefaultParams())
-	g := gpu.New(cfg)
-	n := int64(0)
-	for i, l := range app.Launches {
-		plan, err := runner.Plan(g, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := i == len(app.Launches)-1
-		if overlaps(plan, l) && (!last || l.Program.Independent()) {
-			n++
-		}
-		if last {
-			break
-		}
-		if _, err := plan.Run(g, l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return n
-}
-
 // The pipelined run must reproduce the serial one under every mode, and
 // under the functional runner: every per-kernel row, the totals, the tier
 // ledger and the final memory image, byte for byte, with every kernel
@@ -191,7 +171,8 @@ func pipelinable(t *testing.T, c pipelineCase, m mode) int64 {
 // off when the program is independent and runs it inline otherwise, or,
 // when its gates fire with workgroups left, under the gating modes, inline
 // with a functional pass beside it, which FIR/16384's bb-sampling uses and
-// whose fork becomes the final image.
+// whose fork becomes the final image. The pipelined run hands off exactly
+// the launches its serial run's plans let go (mayHandOff).
 func TestPipelinedRunMatchesSerial(t *testing.T) {
 	for _, c := range pipelineCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -199,17 +180,26 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var full *pipelineRun // the serial full run, once its leg has run
 			for _, m := range append(modes, functionalMode) {
 				if len(app.Launches) == 1 && !slices.Contains(c.oneLaunchModes(), m.name) {
 					continue
 				}
-				t.Run(m.name, func(t *testing.T) { matchesSerial(t, c, m) })
+				t.Run(m.name, func(t *testing.T) {
+					want := matchesSerial(t, c, m, full)
+					if m.name == BaselineMode {
+						full = &want
+					}
+				})
 			}
 		})
 	}
 }
 
-func matchesSerial(t *testing.T, c pipelineCase, m mode) {
+// matchesSerial holds c's pipelined run under m to its serial run, which
+// it returns. full is the case's serial full run, or nil when its leg has
+// not run.
+func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) pipelineRun {
 	setProcs(t, 1)
 	ao := AppObs{Check: true}
 	want, err := runAt(t, context.Background(), c, m, 1, ao)
@@ -232,8 +222,8 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode) {
 	if c.name == "FIR-16384" && (m.name == "photon" || m.name == "bb") && got.passes == 0 {
 		t.Errorf("no functional pass used (%d bb-sampled kernels)", bb)
 	}
-	if w := pipelinable(t, c, m); got.handed != w {
-		t.Errorf("%d kernels handed off, want %d", got.handed, w)
+	if got.handed != want.eligible || got.eligible != want.eligible {
+		t.Errorf("%d kernels handed off of %d admitted, want the serial run's %d", got.handed, got.eligible, want.eligible)
 	}
 	switch {
 	case (m.name == "pka" || m.name == "tbpoint" || m.name == gpu.TierFunctional) && got.handed != 0:
@@ -252,18 +242,22 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode) {
 		t.Errorf("final images differ first at %#x (%d and %d words)", firstDiff(got.image, want.image), len(got.image), len(want.image))
 	}
 	if m.name == gpu.TierFunctional {
-		functionalMatchesFull(t, c, got)
+		functionalMatchesFull(t, c, got, full)
 	}
+	return want
 }
 
-// functionalMatchesFull holds a functional run to the full run of the same
-// app: the advance is each kernel's whole execution, so it counts the full
-// run's instructions and leaves its image. KMeans' v_atomic_fadd sums in
-// schedule order, so its bytes may differ.
-func functionalMatchesFull(t *testing.T, c pipelineCase, got pipelineRun) {
-	full, err := runAt(t, context.Background(), c, modeNamed(t, BaselineMode), 1, AppObs{})
-	if err != nil {
-		t.Fatal(err)
+// functionalMatchesFull holds a functional run to the serial full run of
+// the same app, full, run here when nil: the advance is each kernel's whole
+// execution, so it counts the full run's instructions and leaves its image.
+// KMeans' v_atomic_fadd sums in schedule order, so its bytes may differ.
+func functionalMatchesFull(t *testing.T, c pipelineCase, got pipelineRun, full *pipelineRun) {
+	if full == nil {
+		run, err := runAt(t, context.Background(), c, modeNamed(t, BaselineMode), 1, AppObs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full = &run
 	}
 	for i, k := range got.res.PerKernel {
 		if f := full.res.PerKernel[i]; k.Mode != gpu.TierFunctional || k.Insts != f.Insts {
@@ -518,59 +512,94 @@ func TestPipelinedRunWallIsElapsed(t *testing.T) {
 // ldsFaultApp is a two-launch app whose first kernel has two workgroups:
 // the first stores inside its LDS and the second far outside it, which
 // panics the emulator under every runner, while Photon's online analysis,
-// which samples only the first, passes. The second kernel only ends.
-func ldsFaultApp() *workloads.App {
+// which samples only the first, passes. The second kernel only ends. When
+// dependent, the faulting kernel first loads a zero word and branches past
+// the store unless it reads zero: a loaded value then reaches a compare, so
+// the program is dependent and a helper moves its values.
+func ldsFaultApp(dependent bool) *workloads.App {
 	m := mem.NewFlat()
 	fault := isa.NewBuilder("lds_fault")
 	fault.SetLDS(256)
+	var args []uint32
+	if dependent {
+		args = []uint32{uint32(m.Alloc(4))}
+		fault.Load(isa.OpSLoad, isa.S(4), isa.S(8), 0) // s8 is the zero word's address
+		fault.Waitcnt(0)
+		fault.I(isa.OpSCmpEq, isa.Operand{}, isa.S(4), isa.Imm(0))
+		fault.Br(isa.OpCBranchSCC0, "end")
+	}
 	fault.I(isa.OpVMul, isa.V(1), isa.S(0), isa.Imm(1<<20)) // s0 is the workgroup ID
 	fault.Store(isa.OpLDSStore, isa.V(1), isa.V(0), 0)
+	fault.Label("end")
 	fault.End()
 	idle := isa.NewBuilder("idle")
 	idle.End()
-	launch := func(p *isa.Program, groups int) *kernel.Launch {
-		return &kernel.Launch{Name: p.Name, Program: p, Memory: m, NumWorkgroups: groups, WarpsPerGroup: 1}
+	launch := func(p *isa.Program, groups int, args []uint32) *kernel.Launch {
+		return &kernel.Launch{Name: p.Name, Program: p, Memory: m, NumWorkgroups: groups, WarpsPerGroup: 1, Args: args}
 	}
 	return &workloads.App{Name: "Fault", Mem: m,
-		Launches: []*kernel.Launch{launch(fault.MustBuild(), 2), launch(idle.MustBuild(), 1)}}
+		Launches: []*kernel.Launch{launch(fault.MustBuild(), 2, args), launch(idle.MustBuild(), 1, nil)}}
 }
 
 // A kernel that panics the simulator fails its run with an error that names
 // it and carries the stack, whether it ran inline or on a helper, under the
 // full baseline and under Photon: the helper's panic must not take the
 // process down, the error is the serial run's, and no helper outlives the
-// run. The faulting kernel is independent, so its helper runs timing-only
-// and skips the LDS store; the functional advance beside it meets the
-// fault.
+// run. The dependent faulting kernel's helper moves its values, meets the
+// fault itself, and the error carries the helper's stack. The independent
+// one's helper runs timing-only and skips the LDS store, so the error is
+// the functional advance's beside it, from the run's goroutine.
 func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
 	setProcs(t, 1)
-	for _, name := range []string{BaselineMode, "photon"} {
-		var first string
-		for _, procs := range []int{1, pipelineProcs()} {
-			runtime.GOMAXPROCS(procs)
-			base := runtime.NumGoroutine()
-			before := handedOff.Load()
-			cfg := gpu.R9Nano()
-			_, err := RunAppInstrumented(context.Background(), cfg, ldsFaultApp(), modeNamed(t, name).new(cfg, core.DefaultParams()), AppObs{})
-			if n := handedOff.Load() - before; n != int64(min(procs-1, 1)) {
-				t.Fatalf("%s, procs %d: %d kernels handed off", name, procs, n)
-			}
-			if err == nil {
-				t.Fatalf("%s, procs %d: the faulting kernel did not fail the run", name, procs)
-			}
-			msg := err.Error()
-			line, _, _ := strings.Cut(msg, "\n")
-			if !strings.HasPrefix(line, "harness: Fault/lds_fault under "+name+": panic: emu: lds_fault") ||
-				!strings.Contains(msg, "goroutine ") {
-				t.Fatalf("%s, procs %d: error %q, want the kernel's panic with its stack", name, procs, msg)
-			}
-			if first == "" {
-				first = line
-			} else if line != first {
-				t.Errorf("%s: pipelined error %q, serial %q", name, line, first)
-			}
-			if g := runtime.NumGoroutine(); g > base {
-				t.Errorf("%s, procs %d: %d goroutines outlive the run (%d before)", name, procs, g, base)
+	for _, dependent := range []bool{false, true} {
+		if got := ldsFaultApp(dependent).Launches[0].Program.Independent(); got == dependent {
+			t.Fatalf("the faulting program built with dependent %v reports Independent %v", dependent, got)
+		}
+		for _, name := range []string{BaselineMode, "photon"} {
+			var first string
+			for _, procs := range []int{1, pipelineProcs()} {
+				runtime.GOMAXPROCS(procs)
+				base := runtime.NumGoroutine()
+				before, timed := handedOff.Load(), timingOnly.Load()
+				cfg := gpu.R9Nano()
+				_, err := RunAppInstrumented(context.Background(), cfg, ldsFaultApp(dependent), modeNamed(t, name).new(cfg, core.DefaultParams()), AppObs{})
+				handed := handedOff.Load() - before
+				if handed != int64(min(procs-1, 1)) {
+					t.Fatalf("%s, dependent %v, procs %d: %d kernels handed off", name, dependent, procs, handed)
+				}
+				if n := timingOnly.Load() - timed; dependent && n != 0 || !dependent && n != handed {
+					t.Errorf("%s, dependent %v, procs %d: %d of %d handed-off kernels ran timing-only", name, dependent, procs, n, handed)
+				}
+				if err == nil {
+					t.Fatalf("%s, dependent %v, procs %d: the faulting kernel did not fail the run", name, dependent, procs)
+				}
+				msg := err.Error()
+				line, _, _ := strings.Cut(msg, "\n")
+				if !strings.HasPrefix(line, "harness: Fault/lds_fault under "+name+": panic: emu: lds_fault") ||
+					!strings.Contains(msg, "goroutine ") {
+					t.Fatalf("%s, dependent %v, procs %d: error %q, want the kernel's panic with its stack", name, dependent, procs, msg)
+				}
+				// The stack names the frame that met the fault: the inline
+				// run, the helper's goroutine, or the functional advance.
+				origin := "(*pipeline).inline"
+				switch {
+				case handed == 0:
+				case dependent:
+					origin = "(*pipeline).handOff.func"
+				default:
+					origin = "(*pipeline).advance"
+				}
+				if !strings.Contains(msg, origin) {
+					t.Errorf("%s, dependent %v, procs %d: the error's stack does not pass through %s:\n%s", name, dependent, procs, origin, msg)
+				}
+				if first == "" {
+					first = line
+				} else if line != first {
+					t.Errorf("%s, dependent %v: pipelined error %q, serial %q", name, dependent, line, first)
+				}
+				if g := runtime.NumGoroutine(); g > base {
+					t.Errorf("%s, dependent %v, procs %d: %d goroutines outlive the run (%d before)", name, dependent, procs, g, base)
+				}
 			}
 		}
 	}

@@ -40,8 +40,8 @@ type WarpStore struct {
 	// lane-ordered atomics.
 	mem *mem.Flat
 
-	// timingOnly is set for a TimingOnly launch of an independent program:
-	// Step then runs frame.execTiming.
+	// timingOnly is the launch's StepsTimingOnly: Step then runs
+	// frame.execTiming.
 	timingOnly bool
 
 	// Per-slot strides into the shared slabs.
@@ -90,7 +90,7 @@ func (s *WarpStore) Configure(l *kernel.Launch, slots int) {
 	p := l.Program
 	s.launch = l
 	s.mem = l.Memory
-	s.timingOnly = l.TimingOnly && p.Independent()
+	s.timingOnly = l.StepsTimingOnly()
 	s.sregs = max(p.NumSRegs, kernel.ArgSGPRBase+len(l.Args))
 	s.vwords = p.NumVRegs * kernel.WavefrontSize
 	s.blocks = p.NumBlocks()

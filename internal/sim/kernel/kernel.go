@@ -37,9 +37,14 @@ type Launch struct {
 	// TimingOnly is set by a caller that drops Memory after a detailed run
 	// and reads only its timing. For an isa.Program.Independent program
 	// the emulator then skips the values no timing decision reads
-	// (emu.Warp.Step), so Memory is never written.
+	// (emu.Warp.Step), so Memory is never written; see StepsTimingOnly.
 	TimingOnly bool
 }
+
+// StepsTimingOnly reports whether the emulator runs l timing-only: its
+// caller set TimingOnly and its program is independent. A dependent
+// program ignores TimingOnly and moves every value.
+func (l *Launch) StepsTimingOnly() bool { return l.TimingOnly && l.Program.Independent() }
 
 // ArgSGPRBase is the first scalar register holding kernel arguments.
 // Registers s0..s3 carry the dispatch IDs (see emu.WarpStore.Bind).
