@@ -196,12 +196,13 @@ func (p *Photon) recordKernel(g *gpu.GPU, name string, profile *Profile, r gpu.K
 //
 // A matched kernel needs no Execute. An unmatched one runs detailed with the
 // trackers armed, and its plan may overlap its neighbours when no tracker
-// can gate: none is armed, or the kernel has fewer warps than one machine
-// generation (minRetires), so neither can count enough retirements. Such a
-// kernel ends full, its image is the functional one and its Insts are
-// exact. A kernel that can end bb-sampling with workgroups left asks for a
-// gpu.Pass: when the run loop starts it, the workgroups after the gate are
-// read from the pass instead of run after the prefix.
+// can stop dispatch: none is armed, or the machine has dispatched every
+// workgroup by the earliest poll at which a gate may fire
+// (canStopDispatch). Such a kernel ends full, its image is the functional
+// one and its Insts are exact. A kernel that can end bb-sampling with
+// workgroups left asks for a gpu.Pass: when the run loop starts it, the
+// workgroups after the gate are read from the pass instead of run after
+// the prefix.
 func (p *Photon) Plan(g *gpu.GPU, l *kernel.Launch) (*gpu.Plan, error) {
 	// Step 1 (all levels): online analysis over a sample of warps (served
 	// from the offline store when one is attached and warm).
@@ -226,12 +227,11 @@ func (p *Photon) Plan(g *gpu.GPU, l *kernel.Launch) (*gpu.Plan, error) {
 	}
 	k.armBB = p.levels.BB
 	k.armWarp = p.levels.Warp && profile.GPU.DominantShare >= p.params.DominantWarpShare
-	canGate := (k.armBB || k.armWarp) && l.TotalWarps() >= minRetires(g)
-	plan := &gpu.Plan{Execute: k.execute, Overlap: !canGate, Advanced: k.advanced, Commit: k.commit}
-	// A kernel that may end bb-sampling with a workgroup still undispatched
-	// when the earliest gate fires, after one generation of retirements with
-	// every slot refilled, asks for a functional pass beside its prefix.
-	if k.armBB && l.TotalWarps() > minRetires(g)+ShapeOf(g, l).GroupServers()*l.WarpsPerGroup {
+	k.canGate = (k.armBB || k.armWarp) && canStopDispatch(g, l)
+	plan := &gpu.Plan{Execute: k.execute, Overlap: !k.canGate, Advanced: k.advanced, Commit: k.commit}
+	// A kernel that may end bb-sampling with workgroups left asks for a
+	// functional pass beside its prefix.
+	if k.armBB && k.canGate {
 		k.pass = new(gpu.Pass)
 		plan.Pass = k.pass
 	}
@@ -246,6 +246,31 @@ func minRetires(g *gpu.GPU) int {
 	return g.Config().Compute.NumCUs * g.Config().Compute.WarpSlotsPerCU()
 }
 
+// canStopDispatch reports whether a tracker armed on l can stop g's
+// dispatch: whether the earliest poll at which a gate may read true can
+// still find a workgroup undispatched. When it cannot, the detailed run
+// dispatches every workgroup and the kernel ends full.
+func canStopDispatch(g *gpu.GPU, l *kernel.Launch) bool {
+	return l.NumWorkgroups > dispatchedAtGate(ShapeOf(g, l), minRetires(g))
+}
+
+// dispatchedAtGate is the fewest workgroups a machine of shape s has
+// dispatched, while any remain, when it first polls its gate after r warp
+// retirements. The machine polls only when a workgroup drains, before it
+// refills the freed slots. It starts full, with GroupServers resident
+// groups, and each drain before that poll refilled one group, so the poll
+// finds GroupServers + c dispatched, c the drains before it. At the poll
+// the draining group has retired all its warps, and the other resident
+// groups at most WarpsPerGroup-1 each. So r <= (c+1)·WarpsPerGroup +
+// (GroupServers-1)·(WarpsPerGroup-1), which bounds c from below. At one
+// warp per group c is exactly r-1: the r-th warp's callback may trigger a
+// tracker before its own group is recycled.
+func dispatchedAtGate(s MachineShape, r int) int {
+	servers, w := s.GroupServers(), s.WarpsPerGroup
+	drains := max(0, r-1-servers*(w-1))
+	return servers + (drains+w-1)/w
+}
+
 // kernelPlan is one kernel between Photon's Plan and its Commit. Execute
 // may run on another goroutine; it writes only complete and dec, which the
 // Commit reads after it.
@@ -258,6 +283,7 @@ type kernelPlan struct {
 	match   int // the matched History record, when kernel-sampled
 
 	armBB, armWarp bool
+	canGate        bool      // an armed tracker can stop dispatch (canStopDispatch)
 	pass           *gpu.Pass // the functional pass the plan asked for, if any
 
 	advance  bool // a functional advance ran and counted insts
@@ -312,6 +338,12 @@ func (k *kernelPlan) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, er
 	res, err := g.RunDetailed(l, trackerObserver(bbT, wT), gate)
 	if err != nil {
 		return gpu.KernelResult{}, err
+	}
+	if !res.Complete && !k.canGate {
+		// The plan ruled the gate out, and a pipelined run may have handed
+		// the kernel off on that promise: serial or not, a gated run here
+		// is a wrong bound.
+		return gpu.KernelResult{}, fmt.Errorf("core: %s: planned unable to stop dispatch, gated at workgroup %d of %d", l.Name, res.NextWG, l.NumWorkgroups)
 	}
 
 	var result gpu.KernelResult

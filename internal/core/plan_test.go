@@ -6,6 +6,9 @@ import (
 
 	"photon/internal/sim/emu"
 	"photon/internal/sim/gpu"
+	"photon/internal/sim/isa"
+	"photon/internal/sim/kernel"
+	"photon/internal/sim/mem"
 	"photon/internal/workloads"
 )
 
@@ -79,5 +82,73 @@ func TestPlanCommitChecksPromises(t *testing.T) {
 	}
 	if ds := ph.Decisions(); len(ds) != 2 || ds[0].Tier != gpu.TierFull || ds[1].Tier != TierKernel {
 		t.Errorf("ledger %+v, want the two commits that succeeded", ds)
+	}
+}
+
+// aluLaunch is a grid of groups workgroups of wpg warps running a few
+// vector adds: every warp is of one type, and it touches no memory, so any
+// grid is valid.
+func aluLaunch(groups, wpg int) *kernel.Launch {
+	b := isa.NewBuilder("alu")
+	b.I(isa.OpVAdd, isa.V(1), isa.V(0), isa.Imm(1))
+	b.I(isa.OpVAdd, isa.V(2), isa.V(1), isa.V(0))
+	b.I(isa.OpVAdd, isa.V(3), isa.V(2), isa.V(1))
+	b.End()
+	return &kernel.Launch{Name: "alu", Program: b.MustBuild(), Memory: mem.NewFlat(),
+		NumWorkgroups: groups, WarpsPerGroup: wpg}
+}
+
+// A kernel plans Overlap exactly when no armed tracker can stop dispatch,
+// and one that may end bb-sampling with workgroups left asks for a Pass. On
+// the R9 Nano a gate may fire only after 2 560 retirements: at one warp per
+// group 5 119 warps are dispatched by then, at four 3 200 at the fewest.
+func TestPlanOverlapsKernelsThatCannotStopDispatch(t *testing.T) {
+	cfg := gpu.R9Nano()
+	g := gpu.New(cfg)
+	cases := []struct {
+		groups, wpg int
+		canGate     bool
+	}{
+		{2560, 1, false}, {4096, 1, false}, {5119, 1, false},
+		{5120, 1, true}, {16384, 1, true},
+		{800, 4, false}, {801, 4, true},
+	}
+	for _, levels := range []Levels{{BB: true}, {Warp: true}, {BB: true, Warp: true}} {
+		ph := MustNew(cfg, testParams(), levels)
+		for _, c := range cases {
+			plan, err := ph.Plan(g, aluLaunch(c.groups, c.wpg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Overlap == c.canGate {
+				t.Errorf("%+v, %d×%d warps: Overlap %v, want %v", levels, c.groups, c.wpg, plan.Overlap, !c.canGate)
+			}
+			if wantPass := c.canGate && levels.BB; (plan.Pass != nil) != wantPass {
+				t.Errorf("%+v, %d×%d warps: Pass %v, want one %v", levels, c.groups, c.wpg, plan.Pass != nil, wantPass)
+			}
+		}
+	}
+}
+
+// A detailed run that gated although its plan ruled the gate out is the
+// kernel's error, serial or handed off: here a warp tracker armed on a
+// kernel that can stop dispatch, under a plan told it cannot.
+func TestExecuteFailsWhenARuledOutGateFires(t *testing.T) {
+	g := gpu.New(smallGPU())
+	ph := MustNew(smallGPU(), testParams(), Levels{Warp: true})
+	l := aluLaunch(4096, 1)
+	profile, err := ph.analyze(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := &kernelPlan{p: ph, g: g, name: l.Name, profile: profile, armWarp: true}
+	_, err = k.execute(g, l)
+	if err == nil || !strings.Contains(err.Error(), "planned unable to stop dispatch") {
+		t.Fatalf("execute: error %v, want a broken dispatch promise", err)
+	}
+	k.canGate = true
+	r, err := k.execute(g, l)
+	if err != nil || r.Mode != TierWarp {
+		t.Fatalf("execute as planned: %+v, %v; want a warp-sampled result", r, err)
 	}
 }
