@@ -14,21 +14,23 @@ import (
 )
 
 // drainLaunch is a grid of groups workgroups of wpg warps that touches no
-// memory, so any grid is valid. The last warp of workgroup i runs i
-// iterations of a loop of vector adds and its siblings end at once, so
-// every group holds one warp long after the rest retired and the groups
+// memory, so any grid is valid. The last warp of workgroup i runs a loop of
+// vector adds i mod 128 times (once at least) and its siblings end at once,
+// so every group holds one warp long after the rest retired and the groups
 // drain one at a time: the order in which the machine has dispatched the
-// fewest workgroups by a given retirement.
+// fewest workgroups by a given retirement. A shorter cycle of lengths
+// leaves the three-warp bound untight.
 func drainLaunch(groups, wpg int) *kernel.Launch {
 	b := isa.NewBuilder("drain")
 	b.I(isa.OpSAdd, isa.S(4), isa.S(1), isa.Imm(1))
 	b.I(isa.OpSCmpLt, isa.Operand{}, isa.S(4), isa.S(3))
 	b.Br(isa.OpCBranchSCC1, "end")
+	b.I(isa.OpSAnd, isa.S(6), isa.S(0), isa.Imm(127))
 	b.I(isa.OpSMov, isa.S(5), isa.Imm(0))
 	b.Label("loop")
 	b.I(isa.OpVAdd, isa.V(1), isa.V(1), isa.V(0))
 	b.I(isa.OpSAdd, isa.S(5), isa.S(5), isa.Imm(1))
-	b.I(isa.OpSCmpLt, isa.Operand{}, isa.S(5), isa.S(0))
+	b.I(isa.OpSCmpLt, isa.Operand{}, isa.S(5), isa.S(6))
 	b.Br(isa.OpCBranchSCC1, "loop")
 	b.Label("end")
 	b.End()
