@@ -34,13 +34,28 @@ type Profile struct {
 
 // AnalyzeOnline functionally simulates ~fraction of the launch's warps
 // (sampled at workgroup granularity, spread evenly across the grid; the paper
-// uses 1%) and summarizes their behavior. It runs them on a Fork of the image
-// and drops it, so only the run writes the program's image; Fork writes the
-// parent's ownership bits, so never analyze one image from two goroutines.
+// uses 1%) and summarizes their behavior, leaving the image as it was. A
+// profile reads only control flow, so an independent program's sample runs
+// timing-only (kernel.Launch.TimingOnly) over no image at all. Any other
+// program's runs on a Fork of the image, which is dropped; Fork writes the
+// parent's ownership bits, so never analyze one image of such a program
+// from two goroutines.
 func AnalyzeOnline(l *kernel.Launch, fraction float64) (*Profile, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
+	sample := *l
+	if l.Program.Independent() {
+		sample.Memory, sample.TimingOnly = nil, true
+	} else {
+		sample.Memory = l.Memory.Fork()
+	}
+	return analyze(&sample, fraction)
+}
+
+// analyze profiles ~fraction of l's warps, run functionally over l's own
+// image, which the caller made a dropped fork or none.
+func analyze(l *kernel.Launch, fraction float64) (*Profile, error) {
 	numWG := l.NumWorkgroups
 	sampleWGs := int(float64(numWG)*fraction + 0.5)
 	if sampleWGs < 1 {
@@ -55,11 +70,9 @@ func AnalyzeOnline(l *kernel.Launch, fraction float64) (*Profile, error) {
 		Types:      make(map[uint64]*bbv.TypeProfile),
 		BlockInsts: make([]uint64, l.Program.NumBlocks()),
 	}
-	fork := *l
-	fork.Memory = l.Memory.Fork()
 	var grp emu.Group
 	for i := 0; i < sampleWGs; i++ {
-		grp.Reset(&fork, i*stride)
+		grp.Reset(l, i*stride)
 		if err := grp.RunFunctional(); err != nil {
 			return nil, fmt.Errorf("core: online analysis of %s: %w", l.Name, err)
 		}

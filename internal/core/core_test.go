@@ -18,6 +18,7 @@ import (
 	"photon/internal/sim/timing"
 	"photon/internal/stats"
 	"photon/internal/workloads"
+	"photon/internal/workloads/dnn"
 )
 
 // smallGPU returns a 4-CU configuration so integration tests have far more
@@ -694,4 +695,64 @@ func BenchmarkUniformMakespan(b *testing.B) {
 			uniformMakespan(start, end, d, count, shape)
 		}
 	})
+}
+
+// An independent program's online analysis runs timing-only over no image,
+// and its profile equals the value path's over a dropped fork: every
+// independent launch of every generator TestGeneratorsIndependence
+// classifies (FIR, SC, MM, ReLU, REDUCE, the transformer, VGG, ResNet and
+// the training step's independent launches), at the smallest catalog size
+// and the DNNs at a reduced scale.
+func TestAnalyzeOnlineTimingOnlyMatchesValuePath(t *testing.T) {
+	sc := dnn.Scale{Input: 32, ChannelDiv: 8}
+	builds := map[string]func() (*workloads.App, error){
+		"transformer": func() (*workloads.App, error) {
+			cfg, err := dnn.ScaledTransformer(1, sc)
+			if err != nil {
+				return nil, err
+			}
+			return dnn.BuildTransformer(cfg)
+		},
+		"VGG-16":    func() (*workloads.App, error) { return dnn.BuildVGG(16, sc) },
+		"ResNet-18": func() (*workloads.App, error) { return dnn.BuildResNet(18, sc) },
+		"trainstep": func() (*workloads.App, error) { return dnn.BuildTrainingStep(1) },
+	}
+	for _, spec := range append(workloads.Table2(), workloads.Extensions()...) {
+		if slices.Contains([]string{"FIR", "SC", "MM", "ReLU", "REDUCE"}, spec.Abbr) {
+			builds[spec.Abbr] = func() (*workloads.App, error) { return spec.Build(slices.Min(spec.Sizes)) }
+		}
+	}
+	const fraction = 0.1
+	for name, build := range builds {
+		app, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n := 0
+		for _, l := range app.Launches {
+			if !l.Program.Independent() {
+				continue
+			}
+			n++
+			got, err := AnalyzeOnline(l, fraction)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, l.Name, err)
+			}
+			forked := *l
+			forked.Memory = l.Memory.Fork()
+			want, err := analyze(&forked, fraction)
+			if err != nil {
+				t.Fatalf("%s/%s value path: %v", name, l.Name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: timing-only profile differs from the value path's:\n got %+v\nwant %+v", name, l.Name, got, want)
+			}
+		}
+		if n == 0 {
+			t.Errorf("%s: no independent launch", name)
+		}
+	}
+	if len(builds) != 9 {
+		t.Errorf("%d generators, want 9", len(builds))
+	}
 }

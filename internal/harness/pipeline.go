@@ -28,9 +28,15 @@ var handedOff atomic.Int64
 // whose fork became the live image; tests read it as they read handedOff.
 var passesUsed atomic.Int64
 
+// timedPrefixes counts the inline kernels whose Execute ran timing-only
+// over no image beside their started pass: the kernel's program is
+// independent, so the pass, or the advance of its prefix, made the image.
+// Tests read it as they read handedOff.
+var timedPrefixes atomic.Int64
+
 // timingOnly counts the hand-offs whose helper ran timing-only: the
-// kernel's program is independent, so its run over the dropped fork skips
-// the values no timing decision reads. Tests read it as they read
+// kernel's program is independent, so its run skips the values no timing
+// decision reads, and needs no image. Tests read it as they read
 // handedOff.
 var timingOnly atomic.Int64
 
@@ -45,12 +51,14 @@ var eligible atomic.Int64
 // allows it may go to a helper goroutine, which runs it on its own GPU over
 // a copy-on-write fork of the image at launch, while the run's goroutine
 // advances the live image with the functional emulator. The fork is
-// dropped, so the helper runs timing-only when the kernel's program is
-// independent (isa.Program.Independent). A kernel whose plan
-// needs no Execute is that functional advance alone. Every other kernel
-// runs inline on the live image, as a serial run would, with the functional
-// pass its plan asks for over a fork beside it when the run may spare a CPU.
-// Plans commit at merge, in launch order.
+// dropped, so when the kernel's program is independent
+// (isa.Program.Independent) the helper runs timing-only over no image, and
+// no fork is made. A kernel whose plan needs no Execute is that functional
+// advance alone. Every other kernel runs inline on the live image, as a
+// serial run would, with the functional pass its plan asks for over a fork
+// beside it when the run may spare a CPU; beside a pass an independent
+// program's kernel runs timing-only over no image, and the pass makes the
+// image. Plans commit at merge, in launch order.
 type pipeline struct {
 	cfg    gpu.Config
 	app    *workloads.App
@@ -181,15 +189,23 @@ func (p *pipeline) run(g *gpu.GPU, l *kernel.Launch, k *kernelRun) {
 
 // inline runs launch l on the live image, with its plan's functional pass
 // beside it when one may start, then merges every earlier kernel and l, in
-// that order. Its span and wall cover its plan, which began at start, and
-// its run, but not a wait for an idle GPU.
+// that order. Beside a pass an independent program's run is timing-only
+// over no image. Its span and wall cover its plan, which began at start,
+// its run and the end of its pass, but not a wait for an idle GPU.
 func (p *pipeline) inline(l *kernel.Launch, plan *gpu.Plan, start time.Time) error {
 	planned := time.Since(start)
 	g := p.gpu()
 	k := kernelRun{l: l, plan: plan, tid: p.ao.TID, start: time.Now().Add(-planned)}
 	pass := p.startPass(l, plan, p.tids[g])
-	p.run(g, l, &k)
-	p.endPass(l, pass)
+	run := l
+	if pass != nil && pass.timed != nil {
+		run = pass.timed
+	}
+	p.run(g, run, &k)
+	if err := p.endPass(l, pass, k.err == nil); k.err == nil {
+		k.err = err
+	}
+	k.r.Wall = time.Since(k.start)
 	if err := p.mergeAll(); err != nil {
 		return err
 	}
@@ -200,7 +216,10 @@ func (p *pipeline) inline(l *kernel.Launch, plan *gpu.Plan, start time.Time) err
 // kernel.
 type passRun struct {
 	*gpu.Pass
-	fork  *kernel.Launch
+	fork *kernel.Launch
+	// timed is the launch the kernel's Execute runs over when its program
+	// is independent: timing-only, with no image. Nil otherwise.
+	timed *kernel.Launch
 	tid   int
 	start time.Time
 	wall  time.Duration // written by the pass's goroutine before it ends
@@ -208,9 +227,10 @@ type passRun struct {
 
 // startPass starts the functional pass launch l's plan asks for, over a
 // fork of the image at launch, when this run may spare a CPU and l's
-// program has no atomic; it returns nil when no pass started. The pass's
-// span goes on tid, the thread of the GPU that runs l, which no helper can
-// take before the pass has ended.
+// program has no atomic; it returns nil when no pass started. When l's
+// program is independent, the pass alone moves values, and the kernel runs
+// timing-only beside it. The pass's span goes on tid, the thread of the GPU
+// that runs l, which no helper can take before the pass has ended.
 func (p *pipeline) startPass(l *kernel.Launch, plan *gpu.Plan, tid int) *passRun {
 	if plan.Pass == nil || !p.alone() || hasAtomic(l) {
 		return nil
@@ -218,6 +238,12 @@ func (p *pipeline) startPass(l *kernel.Launch, plan *gpu.Plan, tid int) *passRun
 	fork := *l
 	fork.Memory = l.Memory.Fork()
 	r := &passRun{Pass: plan.Pass, fork: &fork, tid: tid}
+	if l.Program.Independent() {
+		timed := *l
+		timed.Memory, timed.TimingOnly = nil, true
+		r.timed = &timed
+		timedPrefixes.Add(1)
+	}
 	r.Go(r.fork, func(body func()) {
 		r.start = time.Now()
 		body()
@@ -226,20 +252,38 @@ func (p *pipeline) startPass(l *kernel.Launch, plan *gpu.Plan, tid int) *passRun
 	return r
 }
 
-// endPass stops launch l's pass, when one started, waits for it and emits
-// its span. When the kernel read the pass's tally, the pass ran every
-// workgroup over its fork, which becomes the live image: the image a serial
-// run leaves, which ran the same workgroups on the live one.
-func (p *pipeline) endPass(l *kernel.Launch, r *passRun) {
+// endPass stops launch l's pass, when one started, waits for it, emits its
+// span and leaves the image a serial run would, once Execute ran without
+// error (ran). When the kernel read the pass's tally, the pass ran every
+// workgroup over its fork, which becomes the live image: a serial run ran
+// the same workgroups on the live one. When the kernel ran over no image
+// and named a prefix instead (warp-sampling), the pass is dropped and the
+// live image advances over the prefix's workgroups, which a serial run's
+// detailed prefix executed; the advance's error is the kernel's. Otherwise
+// the kernel ran on the live image, and the pass is dropped.
+func (p *pipeline) endPass(l *kernel.Launch, r *passRun, ran bool) error {
 	if r == nil {
-		return
+		return nil
 	}
-	used := r.Stop()
-	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, r.tid, r.start, r.wall, nil)
-	if used {
+	used, prefix := r.Stop()
+	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, r.tid, r.start, r.wall, map[string]any{"adopted": used})
+	switch {
+	case used:
 		l.Memory.Adopt(r.fork.Memory)
 		passesUsed.Add(1)
+	case r.timed == nil || !ran:
+	case prefix < 0:
+		return fmt.Errorf("ran with no image, and neither took its functional pass nor named a prefix")
+	default:
+		start := time.Now()
+		err := engine.Try(func() error {
+			var g emu.Group
+			return g.RunRange(l, 0, prefix, func([]*emu.Warp) bool { return true })
+		})
+		p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
+		return err
 	}
+	return nil
 }
 
 // advance runs l functionally on the live image, gives the plan its
@@ -272,25 +316,27 @@ func (p *pipeline) advanceOnly(l *kernel.Launch, plan *gpu.Plan, start time.Time
 }
 
 // handOff runs launch l's Execute on a helper over a fork of the image,
-// which it drops, so timing-only when l's program is independent, then
-// advances the live image past l functionally. It waits for an idle GPU
-// first, so at most window detailed runs, and their forks, are alive;
-// finished ones wait in the queue to merge in order without holding back
-// the next hand-off.
+// which it drops, or, when l's program is independent, timing-only over no
+// image, then advances the live image past l functionally. It waits for an
+// idle GPU first, so at most window detailed runs, and their forks, are
+// alive; finished ones wait in the queue to merge in order without holding
+// back the next hand-off.
 func (p *pipeline) handOff(l *kernel.Launch, plan *gpu.Plan) error {
 	g := p.gpu()
 	if err := p.mergeDone(); err != nil {
 		return err
 	}
 	fork := *l
-	fork.Memory = l.Memory.Fork()
 	fork.TimingOnly = true
+	if fork.StepsTimingOnly() {
+		fork.Memory = nil
+		timingOnly.Add(1)
+	} else {
+		fork.Memory = l.Memory.Fork()
+	}
 	k := &kernelRun{l: l, plan: plan, tid: p.tids[g], done: make(chan struct{})}
 	p.queue = append(p.queue, k)
 	handedOff.Add(1)
-	if fork.StepsTimingOnly() {
-		timingOnly.Add(1)
-	}
 	go func() {
 		k.start = time.Now()
 		p.run(g, &fork, k)

@@ -113,7 +113,9 @@ func image(m *mem.Flat) []uint32 {
 // pipelineRun is one run of a pipeline case: the result with host times
 // zeroed, the final image, how many launches mayHandOff admitted, how many
 // kernels went to helpers and how many of those ran timing-only, how many
-// functional passes a kernel used, and the runner.
+// functional passes a kernel used, how many inline kernels ran timing-only
+// beside their pass, the kernels whose pass became the image, by the name
+// of their kernels, when the run had no trace of its own, and the runner.
 type pipelineRun struct {
 	res      AppResult
 	image    []uint32
@@ -121,6 +123,8 @@ type pipelineRun struct {
 	handed   int64
 	timed    int64
 	passes   int64
+	prefixes int64
+	adopted  []string
 	runner   gpu.Runner
 }
 
@@ -132,16 +136,29 @@ func runAt(t *testing.T, ctx context.Context, c pipelineCase, m mode, procs int,
 		t.Fatal(err)
 	}
 	cfg := gpu.R9Nano()
-	runner := m.new(cfg, core.DefaultParams())
+	return runAppAt(ctx, cfg, app, m.new(cfg, core.DefaultParams()), procs, ao)
+}
+
+// runAppAt runs app under runner at GOMAXPROCS procs.
+func runAppAt(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, procs int, ao AppObs) (pipelineRun, error) {
+	var adopted []string
+	if ao.Trace == nil {
+		ao.Trace = obs.NewTraceBuffer()
+		ao.Trace.OnEvent(func(ev obs.TraceEvent) {
+			if ev.Cat == "functional" && ev.Args["adopted"] == true {
+				adopted = append(adopted, strings.TrimPrefix(ev.Name, app.Name+"/"))
+			}
+		})
+	}
 	runtime.GOMAXPROCS(procs)
-	admitted, before, timed, passes := eligible.Load(), handedOff.Load(), timingOnly.Load(), passesUsed.Load()
+	admitted, before, timed, passes, prefixes := eligible.Load(), handedOff.Load(), timingOnly.Load(), passesUsed.Load(), timedPrefixes.Load()
 	res, err := RunAppInstrumented(ctx, cfg, app, runner, ao)
 	res.Wall = 0
 	for i := range res.PerKernel {
 		res.PerKernel[i].Wall = 0
 	}
 	return pipelineRun{res, image(app.Mem), eligible.Load() - admitted, handedOff.Load() - before,
-		timingOnly.Load() - timed, passesUsed.Load() - passes, runner}, err
+		timingOnly.Load() - timed, passesUsed.Load() - passes, timedPrefixes.Load() - prefixes, adopted, runner}, err
 }
 
 // modeNamed returns the mode table's row called name.
@@ -171,8 +188,11 @@ var functionalMode = mode{gpu.TierFunctional, func(gpu.Config, core.Params) gpu.
 // off when the program is independent and runs it inline otherwise, or,
 // when its gates fire with workgroups left, under the gating modes, inline
 // with a functional pass beside it, which FIR/16384's bb-sampling uses and
-// whose fork becomes the final image. The pipelined run hands off exactly
-// the launches its serial run's plans let go (mayHandOff).
+// whose fork becomes the final image. Both of those programs are
+// independent, so beside the pass the kernel runs timing-only, over no
+// image, under each gating mode. A pass becomes the image only of a kernel
+// that ended bb-sampling or full. The pipelined run hands off exactly the
+// launches its serial run's plans let go (mayHandOff).
 func TestPipelinedRunMatchesSerial(t *testing.T) {
 	for _, c := range pipelineCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -203,24 +223,28 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) pipe
 	setProcs(t, 1)
 	ao := AppObs{Check: true}
 	want, err := runAt(t, context.Background(), c, m, 1, ao)
-	if err != nil || want.handed != 0 || want.passes != 0 {
-		t.Fatalf("serial run: err %v, %d kernels handed off, %d passes used", err, want.handed, want.passes)
+	if err != nil || want.handed != 0 || want.passes != 0 || want.prefixes != 0 {
+		t.Fatalf("serial run: err %v, %d kernels handed off, %d passes used, %d timing-only prefixes", err, want.handed, want.passes, want.prefixes)
 	}
 	got, err := runAt(t, context.Background(), c, m, pipelineProcs(), ao)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := 0
-	for _, k := range got.res.PerKernel {
-		if k.Mode == core.TierBB {
-			bb++
+	if int64(len(got.adopted)) != got.passes {
+		t.Errorf("%d passes used, %d pass spans say so", got.passes, len(got.adopted))
+	}
+	for _, name := range got.adopted {
+		if !slices.ContainsFunc(got.res.PerKernel, func(k KernelRow) bool {
+			return k.Name == name && (k.Mode == core.TierBB || k.Mode == gpu.TierFull)
+		}) {
+			t.Errorf("%s used its pass, but no kernel of that name ended %s or %s", name, core.TierBB, gpu.TierFull)
 		}
 	}
-	if got.passes > int64(bb) {
-		t.Errorf("%d passes used by %d bb-sampled kernels", got.passes, bb)
-	}
 	if c.name == "FIR-16384" && (m.name == "photon" || m.name == "bb") && got.passes == 0 {
-		t.Errorf("no functional pass used (%d bb-sampled kernels)", bb)
+		t.Error("no functional pass used")
+	}
+	if c.gates && got.prefixes == 0 {
+		t.Error("no kernel ran timing-only beside its pass")
 	}
 	if got.handed != want.eligible || got.eligible != want.eligible {
 		t.Errorf("%d kernels handed off of %d admitted, want the serial run's %d", got.handed, got.eligible, want.eligible)
@@ -605,24 +629,35 @@ func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
 	}
 }
 
-// lateFaultApp is one launch of 8192 one-warp workgroups whose last one
-// stores far outside its LDS, which panics the emulator; every other one
-// stores inside it. The online analysis samples every 99th workgroup, never
-// the last, and either gate fires long before the last is dispatched, so
-// only a functional run of the workgroups after the gate meets the fault.
-func lateFaultApp() *workloads.App {
+// faultApp is one launch, called kernel, of 8192 one-warp workgroups whose
+// workgroup fault stores far outside its LDS, which panics the emulator;
+// every other one stores inside it. The program is independent: the store
+// is an LDS op, which a timing-only run skips.
+func faultApp(app, kernelName string, fault int) *workloads.App {
 	const groups = 8192
 	m := mem.NewFlat()
-	b := isa.NewBuilder("late_fault")
+	b := isa.NewBuilder(kernelName)
 	b.SetLDS(256)
-	b.I(isa.OpVAdd, isa.V(1), isa.S(0), isa.Imm(1))   // s0 is the workgroup ID
-	b.I(isa.OpVLShr, isa.V(1), isa.V(1), isa.Imm(13)) // 1 in the last workgroup, 0 before it
+	b.I(isa.OpVXor, isa.V(1), isa.S(0), isa.Imm(int32(fault))) // s0 is the workgroup ID
+	b.I(isa.OpVSub, isa.V(1), isa.V(1), isa.Imm(1))
+	b.I(isa.OpVLShr, isa.V(1), isa.V(1), isa.Imm(31)) // 1 in workgroup fault, 0 in every other
 	b.I(isa.OpVMul, isa.V(1), isa.V(1), isa.Imm(1<<20))
 	b.Store(isa.OpLDSStore, isa.V(1), isa.V(0), 0)
 	b.End()
-	l := &kernel.Launch{Name: "late_fault", Program: b.MustBuild(), Memory: m, NumWorkgroups: groups, WarpsPerGroup: 1}
-	return &workloads.App{Name: "LateFault", Mem: m, Launches: []*kernel.Launch{l}}
+	l := &kernel.Launch{Name: kernelName, Program: b.MustBuild(), Memory: m, NumWorkgroups: groups, WarpsPerGroup: 1}
+	return &workloads.App{Name: app, Mem: m, Launches: []*kernel.Launch{l}}
 }
+
+// lateFaultApp faults in its last workgroup. The online analysis samples
+// every 99th workgroup, never the last, and either gate fires long before
+// the last is dispatched, so only a functional run of the workgroups after
+// the gate meets the fault.
+func lateFaultApp() *workloads.App { return faultApp("LateFault", "late_fault", 8191) }
+
+// earlyFaultApp faults in workgroup 1, which the online analysis does not
+// sample and every run executes: a serial run's detailed prefix meets the
+// fault.
+func earlyFaultApp() *workloads.App { return faultApp("EarlyFault", "early_fault", 1) }
 
 // A pass fails only where the serial run does. Under bb-sampling the
 // workgroups after the gate run functionally, serially after the prefix or
@@ -663,6 +698,52 @@ func TestPipelinedPassFailsLikeSerial(t *testing.T) {
 			if !reflect.DeepEqual(got.res, want.res) || got.passes != 0 {
 				t.Errorf("photon: pipelined result %+v (%d passes used), serial %+v", got.res, got.passes, want.res)
 			}
+		}
+	}
+}
+
+// A fault in a workgroup the prefix executes fails the pipelined run as it
+// fails the serial one, whatever the kernel's outcome. Serially the
+// detailed prefix meets it. Beside a pass the prefix runs timing-only,
+// skips the LDS store and gates as if nothing happened, so the pass or the
+// run loop meets the fault instead: under bb-sampling the kernel takes the
+// whole pass, whose panic is raised again in Execute; under Photon the warp
+// gate fires, and the run loop's functional advance over the prefix panics;
+// under a Photon whose trackers can never trigger, the kernel ends full and
+// takes the whole pass, which panics as under bb-sampling. Each error's
+// first line is the serial run's, and no goroutine outlives the run.
+func TestPipelinedPrefixFaultFailsLikeSerial(t *testing.T) {
+	setProcs(t, 1)
+	cfg := gpu.R9Nano()
+	never := core.DefaultParams()
+	never.StableBBRate, never.DominantWarpShare = 2, 2 // no share reaches 2
+	for _, tc := range []struct {
+		name   string
+		runner func() gpu.Runner
+		origin string // a frame or line the pipelined error carries
+	}{
+		{"bb", func() gpu.Runner { return modeNamed(t, "bb").new(cfg, core.DefaultParams()) }, "functional pass:"},
+		{"photon", func() gpu.Runner { return modeNamed(t, "photon").new(cfg, core.DefaultParams()) }, "(*pipeline).endPass"},
+		{"full", func() gpu.Runner { return core.MustNew(cfg, never, core.AllLevels()) }, "functional pass:"},
+	} {
+		_, wantErr := runAppAt(context.Background(), cfg, earlyFaultApp(), tc.runner(), 1, AppObs{})
+		base := runtime.NumGoroutine()
+		got, err := runAppAt(context.Background(), cfg, earlyFaultApp(), tc.runner(), pipelineProcs(), AppObs{})
+		noGoroutinesAbove(t, base, tc.name)
+		if wantErr == nil || err == nil {
+			t.Fatalf("%s: serial error %v, pipelined error %v; want workgroup 1's panic", tc.name, wantErr, err)
+		}
+		line, _, _ := strings.Cut(err.Error(), "\n")
+		wantLine, _, _ := strings.Cut(wantErr.Error(), "\n")
+		if !strings.HasPrefix(wantLine, "harness: EarlyFault/early_fault under ") ||
+			!strings.Contains(wantLine, ": panic: emu: early_fault warp 1: LDS access") || line != wantLine {
+			t.Errorf("%s: pipelined error %q, serial %q", tc.name, line, wantLine)
+		}
+		if got.prefixes != 1 {
+			t.Errorf("%s: %d timing-only prefixes, want 1", tc.name, got.prefixes)
+		}
+		if !strings.Contains(err.Error(), tc.origin) {
+			t.Errorf("%s: the pipelined error does not carry %q:\n%v", tc.name, tc.origin, err)
 		}
 	}
 }

@@ -122,15 +122,19 @@ func i2f(a uint32) uint32   { return bits32(float32(sext(a))) }
 func f2i(a uint32) uint32   { return uint32(int32(f32(a))) }
 
 // execTiming is exec for a timing-only run of an independent program
-// (isa.Program.Independent), whose image the caller drops. It skips a Dead
-// micro-op, and a vector load or store computes its lane addresses and
-// counts towards s_waitcnt but moves no data; everything else goes through
-// exec. So the next PC, EXEC, VCC, SCC, the counters and the addresses Step
-// returns are a full run's, while the registers only values flow into are
-// stale.
+// (isa.Program.Independent), which may have no image. It skips a Dead
+// micro-op; an s_load computes its address and a vector load or store its
+// lane addresses, counting towards s_waitcnt, but none reads or writes
+// memory; everything else goes through exec. So the next PC, EXEC, VCC,
+// SCC, the counters and the addresses Step returns are a full run's, while
+// the registers only values flow into are stale: every loaded value is
+// tainted, and no live micro-op reads a tainted register.
 func (f *frame) execTiming(u *isa.MicroOp, pc int) int {
 	switch {
 	case u.Dead:
+		return pc + 1
+	case u.Step == isa.StepScalarMem:
+		f.scalarAddr(u)
 		return pc + 1
 	case u.Step == isa.StepVectorMem:
 		f.laneAddrs(u)
@@ -138,6 +142,15 @@ func (f *frame) execTiming(u *isa.MicroOp, pc int) int {
 		return pc + 1
 	}
 	return f.exec(u, pc)
+}
+
+// scalarAddr computes the address of s_load u, the one address Step
+// returns for it, and returns it.
+func (f *frame) scalarAddr(u *isa.MicroOp) uint64 {
+	a := &f.st.addrBuf
+	a[0] = uint64(f.s0(u)) + uint64(int64(u.Offset))
+	f.addrs = a[:1]
+	return a[0]
 }
 
 // exec executes micro-op u, the instruction at pc, against the frame and
@@ -214,10 +227,7 @@ func (f *frame) exec(u *isa.MicroOp, pc int) int {
 
 	// ---- memory ----
 	case isa.OpSLoad:
-		a := &f.st.addrBuf
-		a[0] = uint64(f.s0(u)) + uint64(int64(u.Offset))
-		f.addrs = a[:1]
-		sgpr[u.Dst] = f.st.mem.Read32(a[0])
+		sgpr[u.Dst] = f.st.mem.Read32(f.scalarAddr(u))
 	case isa.OpVLoad:
 		f.vectorLoad(u)
 	case isa.OpVStore:

@@ -22,7 +22,7 @@ type stepTrace struct {
 }
 
 func traceWarp(l *kernel.Launch, globalID int) (stepTrace, *Warp) {
-	w := newWarp(l, globalID, nil)
+	w := newWarp(l, globalID, make([]byte, l.Program.LDSBytes))
 	var tr stepTrace
 	for !w.Done() {
 		tr.pcs = append(tr.pcs, w.PC())
@@ -87,5 +87,92 @@ func TestTimingOnlyIgnoredForDependentProgram(t *testing.T) {
 	}
 	if got := m.Read32(out); got != 63 { // the last lane's store wins
 		t.Errorf("out = %d, want 63", got)
+	}
+}
+
+// scaleLaunch is an independent launch of two workgroups of two warps over
+// n words: each lane loads its word, multiplies it by a scale factor that
+// an s_load reads, passes it through LDS across a barrier and stores it.
+// The scale, the loaded word and the LDS round trip reach only the stored
+// data, so the s_load, the v_load and both LDS ops are what a timing-only
+// run must not read.
+func scaleLaunch(t *testing.T) *kernel.Launch {
+	t.Helper()
+	const n = 4 * 64
+	m := mem.NewFlat()
+	scale, in, out := m.Alloc(4), m.Alloc(4*n), m.Alloc(4*n)
+	m.Write32(scale, 3)
+	for i := range n {
+		m.Write32(in+uint64(4*i), uint32(i))
+	}
+	b := isa.NewBuilder("scale")
+	b.SetLDS(2 * 64 * 4)
+	b.Load(isa.OpSLoad, isa.S(4), isa.S(8), 0)
+	b.I(isa.OpSLShl, isa.S(5), isa.S(2), isa.Imm(8)) // s5 = global warp * 256 bytes
+	b.I(isa.OpVLShl, isa.V(1), isa.V(0), isa.Imm(2))
+	b.I(isa.OpVAdd, isa.V(1), isa.V(1), isa.S(5))
+	b.I(isa.OpVAdd, isa.V(2), isa.V(1), isa.S(9))
+	b.Load(isa.OpVLoad, isa.V(3), isa.V(2), 0)
+	b.Waitcnt(0)
+	b.I(isa.OpVMul, isa.V(3), isa.V(3), isa.S(4))
+	b.I(isa.OpSLShl, isa.S(6), isa.S(1), isa.Imm(8)) // s6 = warp in group * 256 bytes
+	b.I(isa.OpVLShl, isa.V(4), isa.V(0), isa.Imm(2))
+	b.I(isa.OpVAdd, isa.V(4), isa.V(4), isa.S(6))
+	b.Store(isa.OpLDSStore, isa.V(4), isa.V(3), 0)
+	b.Barrier()
+	b.Load(isa.OpLDSLoad, isa.V(5), isa.V(4), 0)
+	b.I(isa.OpVAdd, isa.V(6), isa.V(1), isa.S(10))
+	b.Store(isa.OpVStore, isa.V(6), isa.V(5), 0)
+	b.End()
+	l := &kernel.Launch{Name: "scale", Program: b.MustBuild(), Memory: m,
+		NumWorkgroups: 2, WarpsPerGroup: 2, Args: []uint32{uint32(scale), uint32(in), uint32(out)}}
+	if !l.Program.Independent() {
+		t.Fatalf("scale is not independent:\n%s", l.Program.Disassemble())
+	}
+	return l
+}
+
+// A timing-only launch of an independent program needs no image: with a
+// nil Memory, stepping each warp and running each workgroup's segments
+// through the functional group loop follow the value run's PCs, EXEC,
+// s_waitcnt counts and addresses, and end with its instruction and BB
+// counts. A read of the s_load's, the v_load's or an LDS op's data, or a
+// store, would dereference the missing image.
+func TestTimingOnlyRunsWithNoImage(t *testing.T) {
+	value := scaleLaunch(t)
+	timed := *value
+	timed.Memory, timed.TimingOnly = nil, true
+	if err := timed.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for warp := range value.TotalWarps() {
+		want, _ := traceWarp(value, warp)
+		got, _ := traceWarp(&timed, warp)
+		if !slices.Equal(got.pcs, want.pcs) || !slices.EqualFunc(got.addrs, want.addrs, slices.Equal) ||
+			!slices.Equal(got.exec, want.exec) || !slices.Equal(got.outMem, want.outMem) ||
+			got.insts != want.insts || !slices.Equal(got.bb, want.bb) {
+			t.Fatalf("warp %d: timing-only steps differ:\n got %+v\nwant %+v", warp, got, want)
+		}
+	}
+	var vg, tg Group
+	for wg := range value.NumWorkgroups {
+		vg.Reset(value, wg)
+		tg.Reset(&timed, wg)
+		if err := vg.RunFunctional(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tg.RunFunctional(); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range tg.Warps {
+			v := vg.Warps[i]
+			if w.InstCount() != v.InstCount() || !slices.Equal(w.BBCounts(), v.BBCounts()) || w.PC() != v.PC() {
+				t.Errorf("workgroup %d warp %d: timing-only segments ran %d instructions, BBV %v to PC %d; the value run %d, %v to %d",
+					wg, i, w.InstCount(), w.BBCounts(), w.PC(), v.InstCount(), v.BBCounts(), v.PC())
+			}
+		}
+	}
+	if got := value.Memory.Read32(uint64(value.Args[2]) + 4*5); got != 15 {
+		t.Errorf("the value run stored %d for word 5, want 15", got)
 	}
 }

@@ -108,7 +108,10 @@ func (w *Warp) Step() []uint64 {
 // unit the functional group loop schedules — with the frame hoisted once
 // for the whole run. Basic blocks end at branches, barriers and s_endpgm and
 // are only ever entered at their head, so the BBV and the instruction count
-// are bumped once per block entry rather than once per instruction.
+// are bumped once per block entry rather than once per instruction. A
+// TimingOnly launch of an independent program runs frame.execTiming, so
+// the counts and PCs are a full run's and no memory is touched; the choice
+// is made once per segment, outside the loop.
 func (w *Warp) runSegment() {
 	st, slot := w.store, w.slot
 	var f frame
@@ -127,13 +130,24 @@ func (w *Warp) runSegment() {
 		b := p.Blocks[u.Block]
 		insts += uint64(b.StartPC + b.Len - pc)
 	}
-	for f.flags&(flagDone|flagBarrier) == 0 {
-		u := &uops[pc]
-		if u.Head {
-			bb[u.Block]++
-			insts += uint64(u.BlockLen)
+	if st.timingOnly {
+		for f.flags&(flagDone|flagBarrier) == 0 {
+			u := &uops[pc]
+			if u.Head {
+				bb[u.Block]++
+				insts += uint64(u.BlockLen)
+			}
+			pc = f.execTiming(u, pc)
 		}
-		pc = f.exec(u, pc)
+	} else {
+		for f.flags&(flagDone|flagBarrier) == 0 {
+			u := &uops[pc]
+			if u.Head {
+				bb[u.Block]++
+				insts += uint64(u.BlockLen)
+			}
+			pc = f.exec(u, pc)
+		}
 	}
 	st.pc[slot] = int32(pc)
 	st.instCount[slot] = insts

@@ -151,8 +151,9 @@ type Plan struct {
 	Overlap bool
 	// Pass, when set, is a functional pass Execute can read the workgroups
 	// after its gate from. A run loop may start it over a fork of the image
-	// at launch beside an inline Execute, for a program without atomics; Run
-	// never does.
+	// at launch beside an inline Execute, for a program without atomics, and
+	// then run an independent program's Execute timing-only over no image,
+	// leaving the image to the pass (see Pass); Run never does.
 	Pass *Pass
 	// Advanced, when set, receives the instruction count of a functional
 	// advance of the image past the kernel, before the next kernel is

@@ -17,13 +17,21 @@ import (
 // pass with Stop, which reports whether Execute used it, in which case the
 // fork's image is the kernel's. A pass nobody started is the serial run:
 // Take sends Execute to the live image.
+//
+// Beside a started pass, the run loop may run an independent program's
+// Execute timing-only over a launch with no image. The pass then makes the
+// kernel's image on every outcome: Execute takes the whole pass when it ran
+// every workgroup, or gated and reads the rest from the tally, and
+// otherwise names the workgroups it executed with Prefix, which the run
+// loop advances the image over.
 type Pass struct {
-	done  chan struct{} // closed when the pass ends; nil until Go
-	stop  atomic.Bool
-	tally emu.Tally
-	err   error
-	crash *passPanic
-	used  bool
+	done   chan struct{} // closed when the pass ends; nil until Go
+	stop   atomic.Bool
+	tally  emu.Tally
+	err    error
+	crash  *passPanic
+	used   bool
+	prefix int // 1 + the workgroup count Prefix named; 0 when it named none
 }
 
 // passPanic is a panic of the pass, carried to Take, which raises it again
@@ -82,14 +90,25 @@ func (p *Pass) Take(from int) (t *emu.Tally, ok bool, err error) {
 	return &p.tally, true, nil
 }
 
-// Stop ends a started pass at its next workgroup boundary and waits for
-// it. It reports whether Execute took the pass's tally: the pass then ran
-// every workgroup, and its fork holds the kernel's image.
-func (p *Pass) Stop() (used bool) {
-	if p.done == nil {
-		return false
+// Prefix tells the pass that Execute executed only workgroups [0, n) and
+// predicted the rest without running them: the pass's image is not the
+// kernel's, and a run loop that ran Execute with no image advances the
+// image over those n workgroups itself. A nil pass ignores it.
+func (p *Pass) Prefix(n int) {
+	if p != nil {
+		p.prefix = n + 1
 	}
-	p.stop.Store(true)
-	<-p.done
-	return p.used
+}
+
+// Stop ends a started pass at its next workgroup boundary and waits for
+// it. It reports how Execute left the kernel's image: used when Execute
+// took the pass's tally, so that the pass ran every workgroup and its fork
+// holds the image; otherwise prefix, the workgroup count Execute named with
+// Prefix, or -1 when it named none.
+func (p *Pass) Stop() (used bool, prefix int) {
+	if p.done != nil {
+		p.stop.Store(true)
+		<-p.done
+	}
+	return p.used, p.prefix - 1
 }

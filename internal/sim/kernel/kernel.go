@@ -34,10 +34,11 @@ type Launch struct {
 	// warp initializes (pointers, sizes, scalar constants).
 	Args []uint32
 
-	// TimingOnly is set by a caller that drops Memory after a detailed run
-	// and reads only its timing. For an isa.Program.Independent program
-	// the emulator then skips the values no timing decision reads
-	// (emu.Warp.Step), so Memory is never written; see StepsTimingOnly.
+	// TimingOnly is set by a caller that reads only a run's timing. For an
+	// isa.Program.Independent program the emulator then skips the values no
+	// timing decision reads (emu.Warp.Step and the functional segment loop)
+	// and neither reads nor writes Memory, which may then be nil: the
+	// launch has no image. See StepsTimingOnly.
 	TimingOnly bool
 }
 
@@ -58,7 +59,7 @@ func (l *Launch) Validate() error {
 	if l.Program == nil {
 		return fmt.Errorf("kernel %q: nil program", l.Name)
 	}
-	if l.Memory == nil {
+	if l.Memory == nil && !l.StepsTimingOnly() {
 		return fmt.Errorf("kernel %q: nil memory", l.Name)
 	}
 	if l.NumWorkgroups <= 0 || l.WarpsPerGroup <= 0 {

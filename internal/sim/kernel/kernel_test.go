@@ -38,6 +38,19 @@ func TestLaunchValidate(t *testing.T) {
 	if l.Validate() == nil {
 		t.Error("nil memory accepted")
 	}
+	// A timing-only run of an independent program touches no image.
+	l.TimingOnly = true
+	if err := l.Validate(); err != nil {
+		t.Errorf("timing-only launch of an independent program with no memory: %v", err)
+	}
+	b := isa.NewBuilder("dep")
+	b.Load(isa.OpSLoad, isa.S(4), isa.S(8), 0)
+	b.I(isa.OpSCmpEq, isa.Operand{}, isa.S(4), isa.Imm(0))
+	b.End()
+	l.Program = b.MustBuild()
+	if l.Validate() == nil {
+		t.Error("timing-only launch of a dependent program with no memory accepted")
+	}
 	l = validLaunch()
 	l.NumWorkgroups = 0
 	if l.Validate() == nil {

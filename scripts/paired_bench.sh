@@ -2,8 +2,12 @@
 # paired_bench.sh <workload> <pairs> [parent-ref] [seconds]
 #
 # Judges the working tree against a parent commit on one workload of the
-# repository benchmark. The parent (default HEAD~1) is exported with
-# `git archive` into a temporary directory; <pairs> alternating
+# repository benchmark. The parent (default HEAD~1) and the head are each
+# exported with `git archive` into a temporary directory, so both sides
+# build from equal exports: the head is the working tree's tracked files,
+# staged or not (`git stash create`, which touches neither the tree nor the
+# stash list), or HEAD on a clean tree; untracked files are left out, so
+# `git add` new ones first. <pairs> alternating
 # parent/head pairs of `go run ./benchmark -workload <workload>` run for
 # [seconds] each (default: the benchmark's own 22), the side that goes first
 # swapping every pair and both sides of pair i running `-seed i`, so N pairs
@@ -26,8 +30,10 @@ seconds=${4:-22}
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-mkdir "$tmp/parent"
+mkdir "$tmp/parent" "$tmp/head"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/parent"
+tree=$(git -C "$root" stash create)
+git -C "$root" archive "${tree:-HEAD}" | tar -x -C "$tmp/head"
 
 # run <pair> <side> <dir>: one benchmark run, appended to $tmp/<side>.jsonl,
 # printed as one line of its end-to-end metrics.
@@ -85,9 +91,9 @@ ratios() {
 for i in $(seq 1 "$pairs"); do
 	if ((i % 2)); then
 		run "$i" parent "$tmp/parent"
-		run "$i" head "$root"
+		run "$i" head "$tmp/head"
 	else
-		run "$i" head "$root"
+		run "$i" head "$tmp/head"
 		run "$i" parent "$tmp/parent"
 	fi
 done
