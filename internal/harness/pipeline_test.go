@@ -114,8 +114,9 @@ func image(m *mem.Flat) []uint32 {
 // zeroed, the final image, how many launches mayHandOff admitted, how many
 // kernels went to helpers and how many of those ran timing-only, how many
 // functional passes a kernel used, how many inline kernels ran timing-only
-// beside their pass, the kernels whose pass became the image, by the name
-// of their kernels, when the run had no trace of its own, and the runner.
+// beside their pass, the names of the kernels whose pass became the image
+// (read off the pass spans when the run had no trace of its own), and the
+// runner.
 type pipelineRun struct {
 	res      AppResult
 	image    []uint32
