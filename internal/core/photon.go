@@ -199,11 +199,10 @@ func (p *Photon) recordKernel(g *gpu.GPU, name string, profile *Profile, r gpu.K
 // can stop dispatch: none is armed, or the machine has dispatched every
 // workgroup by the earliest poll at which a gate may fire
 // (canStopDispatch). Such a kernel ends full, its image is the functional
-// one and its Insts are exact. A kernel that can stop dispatch asks for a
-// gpu.Pass when the pass can be of use: it can end bb-sampling, whose
-// workgroups after the gate are then read from the pass instead of run
-// after the prefix, or its program is independent, whose prefix the run
-// loop then runs timing-only over no image (see execute).
+// one and its Insts are exact. A kernel that can end bb-sampling with
+// workgroups left asks for a gpu.Pass: when the run loop starts it, the
+// workgroups after the gate are read from the pass instead of run after
+// the prefix. Warp-sampling alone asks for none: it would drop the pass.
 func (p *Photon) Plan(g *gpu.GPU, l *kernel.Launch) (*gpu.Plan, error) {
 	// Step 1 (all levels): online analysis over a sample of warps (served
 	// from the offline store when one is attached and warm).
@@ -230,9 +229,9 @@ func (p *Photon) Plan(g *gpu.GPU, l *kernel.Launch) (*gpu.Plan, error) {
 	k.armWarp = p.levels.Warp && profile.GPU.DominantShare >= p.params.DominantWarpShare
 	k.canGate = (k.armBB || k.armWarp) && canStopDispatch(g, l)
 	plan := &gpu.Plan{Execute: k.execute, Overlap: !k.canGate, Advanced: k.advanced, Commit: k.commit}
-	// A kernel that may stop dispatch asks for a functional pass beside its
-	// prefix when bb-sampling may read it or the prefix may need no image.
-	if k.canGate && (k.armBB || l.Program.Independent()) {
+	// A kernel that may end bb-sampling with workgroups left asks for a
+	// functional pass beside its prefix.
+	if k.armBB && k.canGate {
 		k.pass = new(gpu.Pass)
 		plan.Pass = k.pass
 	}
@@ -324,13 +323,10 @@ func (k *kernelPlan) commitMatched(gpu.KernelResult) (gpu.KernelResult, error) {
 //
 // A run loop may run it over a launch with no image (a nil Memory, which
 // kernel.Launch.StepsTimingOnly allows): handed off, beside a functional
-// advance of the image, or inline beside the plan's started pass. Inline,
-// the pass alone makes the kernel's image, on every outcome: a kernel that
-// ends full or bb-sampling takes the whole pass, whose fork becomes the
-// image and whose failure, wherever it happened, is the kernel's, since a
-// timing-only prefix meets no value fault; one that ends warp-sampling
-// names its prefix (gpu.Pass.Prefix), which the run loop then advances the
-// image over.
+// advance of the image, or inline beside the plan's started pass, which
+// then makes the kernel's image. A kernel that ends warp-sampling names its
+// prefix (gpu.Pass.Prefix), the workgroups the run loop must advance the
+// image over instead.
 func (k *kernelPlan) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
 	params, profile := k.p.params, k.profile
 	var bbT *bbTracker
@@ -361,11 +357,6 @@ func (k *kernelPlan) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, er
 	switch {
 	case res.Complete:
 		result = gpu.Complete(res, gpu.TierFull)
-		if l.Memory == nil && k.pass != nil {
-			if _, err := k.whole(); err != nil {
-				return gpu.KernelResult{}, err
-			}
-		}
 
 	case wT != nil && wT.triggered:
 		// Warp-sampling (Figure 10, step 3): simulate only the scheduler;
@@ -402,28 +393,22 @@ func (k *kernelPlan) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, er
 
 // rest tallies workgroups [from, NumWorkgroups) of l: the plan's pass read
 // them beside the detailed prefix when the run loop started it, and
-// otherwise they run now on the live image, after the prefix. A launch with
-// no image never runs them itself.
+// otherwise they run now on the live image, after the prefix. Beside a
+// prefix that ran with no image, and so met no value fault, the pass's
+// failure at any workgroup is the kernel's; such a launch never runs the
+// workgroups itself.
 func (k *kernelPlan) rest(l *kernel.Launch, from int) (*emu.Tally, error) {
 	if l.Memory == nil {
-		return k.whole()
+		from = 0
 	}
 	if t, ok, err := k.pass.Take(from); ok {
 		return t, err
 	}
-	var t emu.Tally
-	return &t, t.Record(l, from, l.NumWorkgroups-from, nil)
-}
-
-// whole takes the tally of every workgroup from the pass beside a prefix
-// that ran with no image: the pass then made the kernel's image, and its
-// failure at any workgroup is the kernel's, raised here as Take raises it.
-func (k *kernelPlan) whole() (*emu.Tally, error) {
-	t, ok, err := k.pass.Take(0)
-	if !ok {
+	if l.Memory == nil {
 		return nil, fmt.Errorf("core: %s: ran with no image and no functional pass beside it", k.name)
 	}
-	return t, err
+	var t emu.Tally
+	return &t, t.Record(l, from, l.NumWorkgroups-from, nil)
 }
 
 // commit fills the kernel's record from its detailed result. A kernel whose

@@ -98,28 +98,11 @@ func aluLaunch(groups, wpg int) *kernel.Launch {
 		NumWorkgroups: groups, WarpsPerGroup: wpg}
 }
 
-// dependentLaunch is aluLaunch's grid running a program that compares a
-// loaded word, so it is not independent.
-func dependentLaunch(groups, wpg int) *kernel.Launch {
-	m := mem.NewFlat()
-	b := isa.NewBuilder("dependent")
-	b.Load(isa.OpSLoad, isa.S(4), isa.S(8), 0) // s8 is a zero word's address
-	b.Waitcnt(0)
-	b.I(isa.OpSCmpEq, isa.Operand{}, isa.S(4), isa.Imm(0))
-	b.End()
-	return &kernel.Launch{Name: "dependent", Program: b.MustBuild(), Memory: m,
-		NumWorkgroups: groups, WarpsPerGroup: wpg, Args: []uint32{uint32(m.Alloc(4))}}
-}
-
-// A kernel plans Overlap exactly when no armed tracker can stop dispatch.
-// One that can asks for a Pass when bb-sampling may read it, or when its
-// program is independent, so its prefix may run timing-only beside it. On
+// A kernel plans Overlap exactly when no armed tracker can stop dispatch,
+// and one that may end bb-sampling with workgroups left asks for a Pass. On
 // the R9 Nano a gate may fire only after 2 560 retirements: at one warp per
 // group 5 119 warps are dispatched by then, at four 3 200 at the fewest.
 func TestPlanOverlapsKernelsThatCannotStopDispatch(t *testing.T) {
-	if !aluLaunch(1, 1).Program.Independent() || dependentLaunch(1, 1).Program.Independent() {
-		t.Fatal("alu must be independent and dependent not")
-	}
 	cfg := gpu.R9Nano()
 	g := gpu.New(cfg)
 	cases := []struct {
@@ -133,17 +116,15 @@ func TestPlanOverlapsKernelsThatCannotStopDispatch(t *testing.T) {
 	for _, levels := range []Levels{{BB: true}, {Warp: true}, {BB: true, Warp: true}} {
 		ph := MustNew(cfg, testParams(), levels)
 		for _, c := range cases {
-			for _, l := range []*kernel.Launch{aluLaunch(c.groups, c.wpg), dependentLaunch(c.groups, c.wpg)} {
-				plan, err := ph.Plan(g, l)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if plan.Overlap == c.canGate {
-					t.Errorf("%+v, %s %d×%d warps: Overlap %v, want %v", levels, l.Name, c.groups, c.wpg, plan.Overlap, !c.canGate)
-				}
-				if wantPass := c.canGate && (levels.BB || l.Program.Independent()); (plan.Pass != nil) != wantPass {
-					t.Errorf("%+v, %s %d×%d warps: Pass %v, want one %v", levels, l.Name, c.groups, c.wpg, plan.Pass != nil, wantPass)
-				}
+			plan, err := ph.Plan(g, aluLaunch(c.groups, c.wpg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Overlap == c.canGate {
+				t.Errorf("%+v, %d×%d warps: Overlap %v, want %v", levels, c.groups, c.wpg, plan.Overlap, !c.canGate)
+			}
+			if wantPass := c.canGate && levels.BB; (plan.Pass != nil) != wantPass {
+				t.Errorf("%+v, %d×%d warps: Pass %v, want one %v", levels, c.groups, c.wpg, plan.Pass != nil, wantPass)
 			}
 		}
 	}

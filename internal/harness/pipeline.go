@@ -252,38 +252,47 @@ func (p *pipeline) startPass(l *kernel.Launch, plan *gpu.Plan, tid int) *passRun
 	return r
 }
 
-// endPass stops launch l's pass, when one started, waits for it, emits its
-// span and leaves the image a serial run would, once Execute ran without
-// error (ran). When the kernel read the pass's tally, the pass ran every
-// workgroup over its fork, which becomes the live image: a serial run ran
-// the same workgroups on the live one. When the kernel ran over no image
-// and named a prefix instead (warp-sampling), the pass is dropped and the
-// live image advances over the prefix's workgroups, which a serial run's
-// detailed prefix executed; the advance's error is the kernel's. Otherwise
-// the kernel ran on the live image, and the pass is dropped.
+// endPass ends launch l's pass, when one started, emits its span and
+// leaves the image a serial run would, once Execute ran without error
+// (ran). Beside a kernel that ran on the live image, the pass is stopped,
+// and its fork becomes the live image when the kernel read its tally: the
+// pass then ran every workgroup, as the serial run did on the live one.
+// Beside a kernel that ran with no image, the pass is the image: the run
+// loop waits for all of it and adopts its fork, and its failure, wherever
+// it happened, is the kernel's. Only a kernel that named a prefix
+// (warp-sampling) executed fewer workgroups: its pass is dropped, and the
+// live image advances over the prefix's workgroups, as the serial run's
+// detailed prefix did.
 func (p *pipeline) endPass(l *kernel.Launch, r *passRun, ran bool) error {
 	if r == nil {
 		return nil
 	}
-	used, prefix := r.Stop()
+	prefix, named := r.Prefixed()
+	var used bool
+	var err error
+	if r.timed != nil && ran && !named {
+		err = engine.Try(func() (err error) {
+			_, _, err = r.Take(0)
+			return err
+		})
+		used = err == nil
+	} else {
+		used = r.Stop()
+	}
 	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, r.tid, r.start, r.wall, map[string]any{"adopted": used})
 	switch {
 	case used:
 		l.Memory.Adopt(r.fork.Memory)
 		passesUsed.Add(1)
-	case r.timed == nil || !ran:
-	case prefix < 0:
-		return fmt.Errorf("ran with no image, and neither took its functional pass nor named a prefix")
-	default:
+	case r.timed != nil && ran && named:
 		start := time.Now()
-		err := engine.Try(func() error {
+		err = engine.Try(func() error {
 			var g emu.Group
 			return g.RunRange(l, 0, prefix, func([]*emu.Warp) bool { return true })
 		})
 		p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
-		return err
 	}
-	return nil
+	return err
 }
 
 // advance runs l functionally on the live image, gives the plan its

@@ -189,10 +189,11 @@ var functionalMode = mode{gpu.TierFunctional, func(gpu.Config, core.Params) gpu.
 // off when the program is independent and runs it inline otherwise, or,
 // when its gates fire with workgroups left, under the gating modes, inline
 // with a functional pass beside it, which FIR/16384's bb-sampling uses and
-// whose fork becomes the final image. Both of those programs are
-// independent, so beside the pass the kernel runs timing-only, over no
-// image, under each gating mode. A pass becomes the image only of a kernel
-// that ended bb-sampling or full. The pipelined run hands off exactly the
+// whose fork becomes the final image. Only bb-sampling asks for a pass, so
+// only under Photon and bb-sampling is there one. Both of those programs
+// are independent, so beside the pass the kernel runs timing-only, over no
+// image. A pass becomes the image only of a kernel that ended bb-sampling
+// or full. The pipelined run hands off exactly the
 // launches its serial run's plans let go (mayHandOff).
 func TestPipelinedRunMatchesSerial(t *testing.T) {
 	for _, c := range pipelineCases() {
@@ -244,7 +245,10 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) pipe
 	if c.name == "FIR-16384" && (m.name == "photon" || m.name == "bb") && got.passes == 0 {
 		t.Error("no functional pass used")
 	}
-	if c.gates && got.prefixes == 0 {
+	switch {
+	case m.name == "warp" && got.prefixes != 0:
+		t.Errorf("%d kernels ran timing-only beside a pass under warp-sampling alone, which asks for none", got.prefixes)
+	case c.gates && m.name != "warp" && got.prefixes == 0:
 		t.Error("no kernel ran timing-only beside its pass")
 	}
 	if got.handed != want.eligible || got.eligible != want.eligible {
@@ -711,13 +715,12 @@ func TestPipelinedPassFailsLikeSerial(t *testing.T) {
 // whole pass, whose panic is raised again in Execute; under Photon the warp
 // gate fires, and the run loop's functional advance over the prefix panics;
 // under a Photon whose trackers can never trigger, the kernel ends full and
-// takes the whole pass, which panics as under bb-sampling. Each error's
-// first line is the serial run's, and no goroutine outlives the run.
+// the run loop waits for the whole pass, which panics. Each error's first
+// line is the serial run's, and no goroutine outlives the run.
 func TestPipelinedPrefixFaultFailsLikeSerial(t *testing.T) {
 	setProcs(t, 1)
 	cfg := gpu.R9Nano()
-	never := core.DefaultParams()
-	never.StableBBRate, never.DominantWarpShare = 2, 2 // no share reaches 2
+	never := neverGates()
 	for _, tc := range []struct {
 		name   string
 		runner func() gpu.Runner
@@ -746,6 +749,52 @@ func TestPipelinedPrefixFaultFailsLikeSerial(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.origin) {
 			t.Errorf("%s: the pipelined error does not carry %q:\n%v", tc.name, tc.origin, err)
 		}
+	}
+}
+
+// neverGates is the default parameters with thresholds no share reaches,
+// so Photon's trackers, though armed, never trigger.
+func neverGates() core.Params {
+	p := core.DefaultParams()
+	p.StableBBRate, p.DominantWarpShare = 2, 2
+	return p
+}
+
+// A kernel that ends full beside its pass leaves the pass's image. ReLU/8192
+// can stop dispatch, so a Photon with bb armed asks for a pass; its program
+// is independent, so its detailed run is timing-only, over no image, and
+// with trackers that never trigger it runs every workgroup. The run loop
+// then adopts the whole pass, and the pipelined run's rows and image equal
+// the serial run's.
+func TestPipelinedFullOutcomeAdoptsPass(t *testing.T) {
+	setProcs(t, 1)
+	cfg := gpu.R9Nano()
+	run := func(procs int) pipelineRun {
+		app, err := workloads.BuildReLU(8192)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := runAppAt(context.Background(), cfg, app, core.MustNew(cfg, neverGates(), core.AllLevels()), procs, AppObs{Check: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want, got := run(1), run(pipelineProcs())
+	if want.passes != 0 || want.prefixes != 0 {
+		t.Fatalf("serial run: %d passes used, %d timing-only prefixes", want.passes, want.prefixes)
+	}
+	if got.passes != 1 || got.prefixes != 1 || !slices.Equal(got.adopted, []string{"relu"}) {
+		t.Errorf("%d passes used (%v adopted), %d timing-only prefixes; want relu's one of each", got.passes, got.adopted, got.prefixes)
+	}
+	if len(got.res.PerKernel) != 1 || got.res.PerKernel[0].Mode != gpu.TierFull {
+		t.Errorf("rows %+v, want one %s row", got.res.PerKernel, gpu.TierFull)
+	}
+	if !reflect.DeepEqual(got.res, want.res) {
+		t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got.res, want.res)
+	}
+	if !slices.Equal(got.image, want.image) {
+		t.Errorf("final images differ first at %#x", firstDiff(got.image, want.image))
 	}
 }
 

@@ -20,10 +20,9 @@ import (
 //
 // Beside a started pass, the run loop may run an independent program's
 // Execute timing-only over a launch with no image. The pass then makes the
-// kernel's image on every outcome: Execute takes the whole pass when it ran
-// every workgroup, or gated and reads the rest from the tally, and
-// otherwise names the workgroups it executed with Prefix, which the run
-// loop advances the image over.
+// kernel's image: the run loop takes the whole pass, unless Execute named
+// the workgroups it executed with Prefix, which the run loop advances the
+// image over instead.
 type Pass struct {
 	done   chan struct{} // closed when the pass ends; nil until Go
 	stop   atomic.Bool
@@ -31,7 +30,8 @@ type Pass struct {
 	err    error
 	crash  *passPanic
 	used   bool
-	prefix int // 1 + the workgroup count Prefix named; 0 when it named none
+	prefix int  // the workgroup count Execute named, when named
+	named  bool // Execute called Prefix
 }
 
 // passPanic is a panic of the pass, carried to Take, which raises it again
@@ -92,23 +92,25 @@ func (p *Pass) Take(from int) (t *emu.Tally, ok bool, err error) {
 
 // Prefix tells the pass that Execute executed only workgroups [0, n) and
 // predicted the rest without running them: the pass's image is not the
-// kernel's, and a run loop that ran Execute with no image advances the
-// image over those n workgroups itself. A nil pass ignores it.
+// kernel's. A nil pass ignores it.
 func (p *Pass) Prefix(n int) {
 	if p != nil {
-		p.prefix = n + 1
+		p.prefix, p.named = n, true
 	}
 }
 
+// Prefixed returns the workgroup count Execute named with Prefix, and
+// whether it named one.
+func (p *Pass) Prefixed() (n int, ok bool) { return p.prefix, p.named }
+
 // Stop ends a started pass at its next workgroup boundary and waits for
-// it. It reports how Execute left the kernel's image: used when Execute
-// took the pass's tally, so that the pass ran every workgroup and its fork
-// holds the image; otherwise prefix, the workgroup count Execute named with
-// Prefix, or -1 when it named none.
-func (p *Pass) Stop() (used bool, prefix int) {
-	if p.done != nil {
-		p.stop.Store(true)
-		<-p.done
+// it. It reports whether Execute took the pass's tally: the pass then ran
+// every workgroup, and its fork holds the kernel's image.
+func (p *Pass) Stop() (used bool) {
+	if p.done == nil {
+		return false
 	}
-	return p.used, p.prefix - 1
+	p.stop.Store(true)
+	<-p.done
+	return p.used
 }

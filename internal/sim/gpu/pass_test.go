@@ -31,18 +31,18 @@ func started(l *kernel.Launch) *Pass {
 
 // Take hands Execute the pass's tally, sends it to the live image when no
 // pass ran or the pass failed before the workgroups it asks for, and raises
-// a failure at or after them where Execute runs; Stop reports the use, or
-// the prefix Execute named instead.
+// a failure at or after them where Execute runs; Stop reports the use, and
+// Prefixed the prefix Execute named.
 func TestPassTakeAndStop(t *testing.T) {
 	var idle *Pass
 	if _, ok, _ := idle.Take(0); ok {
 		t.Error("a nil pass handed out a tally")
 	}
-	if _, ok, _ := new(Pass).Take(0); ok {
-		t.Error("a pass nobody started handed out a tally")
+	if _, ok, _ := new(Pass).Take(0); ok || new(Pass).Stop() {
+		t.Error("a pass nobody started handed out a tally or reports a use")
 	}
-	if used, prefix := new(Pass).Stop(); used || prefix != -1 {
-		t.Errorf("a pass nobody started reports use %v, prefix %d", used, prefix)
+	if _, named := new(Pass).Prefixed(); named {
+		t.Error("a pass reports a prefix nobody named")
 	}
 	idle.Prefix(3) // a nil pass ignores it
 
@@ -54,13 +54,13 @@ func TestPassTakeAndStop(t *testing.T) {
 	if n, bb := tally.Warp(3, 0); n == 0 || len(bb) != 1 || bb[0] != 1 {
 		t.Errorf("workgroup 3: %d instructions, BB counts %v", n, bb)
 	}
-	if used, _ := p.Stop(); !used {
+	if !p.Stop() {
 		t.Error("Stop does not report the tally's use")
 	}
 	dropped := started(passLaunch(4))
 	dropped.Prefix(2)
-	if used, prefix := dropped.Stop(); used || prefix != 2 {
-		t.Errorf("Stop reports use %v, prefix %d; want no use, the prefix of 2 Execute named", used, prefix)
+	if n, named := dropped.Prefixed(); dropped.Stop() || !named || n != 2 {
+		t.Errorf("Stop reports a use nobody made, or Prefixed %d, %v; want the prefix of 2 Execute named", n, named)
 	}
 
 	// The pass panics at workgroup 1.
