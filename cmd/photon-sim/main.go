@@ -29,7 +29,7 @@ func main() {
 		size       = flag.Int("size", 0, "problem size in warps (single-kernel benchmarks; 0 = first figure size); node count for pr, layers for transformer, batch for trainstep")
 		arch       = flag.String("arch", "r9nano", "GPU configuration: r9nano or mi100")
 		mode       = flag.String("mode", "photon", "runner: "+strings.Join(harness.ModeNames(), "|"))
-		perKernel  = flag.Bool("per-kernel", false, "print one row per kernel launch")
+		perKernel  = flag.Bool("per-kernel", false, "print one row per kernel launch, with where it ran and which run left its image")
 		check      = flag.Bool("check", false, "audit simulator invariants inline and verify functional correctness after simulation (where supported)")
 		store      = flag.String("analysis-store", "", "offline Photon: JSON file caching online-analysis profiles (created if missing)")
 		splitWait  = flag.Bool("split-waitcnt", false, "also end basic blocks at s_waitcnt (paper future-work variant)")
@@ -145,10 +145,10 @@ func main() {
 		fatal("%v", err)
 	}
 	if *perKernel {
-		fmt.Printf("%-12s %-14s %14s %14s %10s\n", "kernel", "mode", "cycles", "insts", "wall_ms")
+		fmt.Printf("%-12s %-14s %14s %14s %10s %-17s %s\n", "kernel", "mode", "cycles", "insts", "wall_ms", "ran", "image")
 		for _, k := range res.PerKernel {
-			fmt.Printf("%-12s %-14s %14d %14d %10.2f\n",
-				k.Name, k.Mode, k.SimTime, k.Insts, float64(k.Wall.Microseconds())/1000)
+			fmt.Printf("%-12s %-14s %14d %14d %10.2f %-17s %s\n",
+				k.Name, k.Mode, k.SimTime, k.Insts, float64(k.Wall.Microseconds())/1000, k.Ran, k.Image)
 		}
 	}
 	fmt.Printf("app=%s arch=%s runner=%s kernels=%d\n", app.Name, cfg.Name, runner.Name(), len(app.Launches))

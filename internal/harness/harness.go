@@ -32,12 +32,42 @@ type AppResult struct {
 	Decisions []core.TierDecision
 }
 
-// KernelRow is one kernel's outcome: the launch name and what the runner
-// reported for it.
+// KernelRow is one kernel's outcome: the launch name, how the run loop ran
+// it, which it alone records (DESIGN.md "Kernel-level parallelism"), and
+// what the runner reported for it.
 type KernelRow struct {
-	Name string
+	Name  string
+	Ran   Ran
+	Image Image
+	// admitted is set when mayHandOff admitted the launch, whether or not
+	// its run could spare a CPU: the launches a serial run admits are the
+	// ones its pipelined run hands off.
+	admitted bool
 	gpu.KernelResult
 }
+
+// Ran says where the run loop ran a kernel's Execute. A serial run's
+// kernels run inline or advance.
+type Ran string
+
+const (
+	RanInline          Ran = "inline"            // on the live image
+	RanTimedBesidePass Ran = "timed-beside-pass" // timing-only over no image, beside its functional pass
+	RanHelper          Ran = "helper"            // on a helper, over a fork of the image at launch
+	RanHelperTimed     Ran = "helper-timed"      // on a helper, timing-only over no image
+	RanAdvance         Ran = "advance"           // nowhere: the plan has no Execute
+)
+
+// Image says which run left a kernel's memory image. A serial run's
+// kernels leave the live or the advance's.
+type Image string
+
+const (
+	ImageLive    Image = "live"    // Execute, on the live image
+	ImagePass    Image = "pass"    // the functional pass, whose fork the live image adopted
+	ImageReplay  Image = "replay"  // a functional run of the prefix's workgroups [0, NextWG) on the live image
+	ImageAdvance Image = "advance" // the functional advance of the whole kernel on the live image
+)
 
 // RunApp executes every launch of the app under the runner on a fresh GPU.
 func RunApp(cfg gpu.Config, app *workloads.App, runner gpu.Runner) (AppResult, error) {

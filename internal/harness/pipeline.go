@@ -20,45 +20,13 @@ import (
 // sweep or a busy service already uses the CPUs.
 var running atomic.Int32
 
-// handedOff counts the kernels this process has run on a helper; tests read
-// it to tell a pipelined run from a serial one.
-var handedOff atomic.Int64
-
-// passesUsed counts the functional passes whose tally a kernel read, so
-// whose fork became the live image; tests read it as they read handedOff.
-var passesUsed atomic.Int64
-
-// timedPrefixes counts the inline kernels whose Execute ran timing-only
-// over no image beside their started pass: the kernel's program is
-// independent, so the pass, or the advance of its prefix, made the image.
-// Tests read it as they read handedOff.
-var timedPrefixes atomic.Int64
-
-// timingOnly counts the hand-offs whose helper ran timing-only: the
-// kernel's program is independent, so its run skips the values no timing
-// decision reads, and needs no image. Tests read it as they read
-// handedOff.
-var timingOnly atomic.Int64
-
-// eligible counts the launches mayHandOff admits, whether or not their run
-// could spare a CPU: a serial run counts the launches its pipelined run
-// hands off. Tests read it as they read handedOff.
-var eligible atomic.Int64
-
 // pipeline runs the kernels of one app and merges their results in kernel
 // order (DESIGN.md "Kernel-level parallelism"). It asks the runner for each
-// kernel's plan, on the run's goroutine in launch order. A kernel whose plan
-// allows it may go to a helper goroutine, which runs it on its own GPU over
-// a copy-on-write fork of the image at launch, while the run's goroutine
-// advances the live image with the functional emulator. The fork is
-// dropped, so when the kernel's program is independent
-// (isa.Program.Independent) the helper runs timing-only over no image, and
-// no fork is made. A kernel whose plan needs no Execute is that functional
-// advance alone. Every other kernel runs inline on the live image, as a
-// serial run would, with the functional pass its plan asks for over a fork
-// beside it when the run may spare a CPU; beside a pass an independent
-// program's kernel runs timing-only over no image, and the pass makes the
-// image. Plans commit at merge, in launch order.
+// kernel's plan, on the run's goroutine in launch order, and makes two
+// decisions, which the kernel's row records: step picks where Execute runs
+// (KernelRow.Ran), and, once Execute has run, pickImage picks the run whose
+// image the kernel leaves (KernelRow.Image). Plans commit at merge, in
+// launch order.
 type pipeline struct {
 	cfg    gpu.Config
 	app    *workloads.App
@@ -78,11 +46,12 @@ type pipeline struct {
 type kernelRun struct {
 	l     *kernel.Launch // the app's launch, not its fork
 	plan  *gpu.Plan
-	tid   int // trace thread: ao.TID on the run's goroutine, its GPU's when handed off
+	row   KernelRow // how the kernel ran; merge adds its result
+	tid   int       // trace thread: ao.TID on the run's goroutine, its GPU's when handed off
 	r     gpu.KernelResult
 	start time.Time
 	err   error
-	done  chan struct{} // closed once r, start and err are set
+	done  chan struct{} // closed once a queued kernel's r, start and err are set
 }
 
 func newPipeline(cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppObs) *pipeline {
@@ -94,22 +63,15 @@ func newPipeline(cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppOb
 	return p
 }
 
-// overlaps reports whether launch l, planned as plan, may run on a helper
-// over a fork of the image: its plan executes and may overlap, and its
-// program has no atomic, whose returned values, and so the addresses that
-// depend on them, follow the order the detailed run happens to execute it
-// in.
-func overlaps(plan *gpu.Plan, l *kernel.Launch) bool {
-	return plan.Execute != nil && plan.Overlap && !hasAtomic(l)
-}
-
 // mayHandOff reports whether launch i of n, l, planned as plan, goes to a
-// helper when its run may spare a CPU: it overlaps, and it is not the last
-// launch unless its program is independent. Then a timing-only helper
-// beside the functional advance takes less wall than one inline detailed
-// run, whose values nothing after it reads.
+// helper when its run may spare a CPU. Its plan executes and may overlap;
+// its program has no atomic, whose returned values, and so the addresses
+// that depend on them, follow the order the detailed run happens to execute
+// it in; and it is not the last launch unless its program is independent:
+// then a timing-only helper beside the functional advance takes less wall
+// than one inline detailed run, whose values nothing after it reads.
 func mayHandOff(plan *gpu.Plan, i, n int, l *kernel.Launch) bool {
-	return overlaps(plan, l) && (i < n-1 || l.Program.Independent())
+	return plan.Execute != nil && plan.Overlap && !hasAtomic(l) && (i < n-1 || l.Program.Independent())
 }
 
 // hasAtomic reports whether l's program has an atomic: a run over a fork
@@ -122,7 +84,11 @@ func hasAtomic(l *kernel.Launch) bool {
 // least two, and no other run is in flight in the process.
 func (p *pipeline) alone() bool { return p.window > 1 && running.Load() == 1 }
 
-// step plans launch i and runs it.
+// step plans launch i, picks where its Execute runs (Ran) and runs it. The
+// plan's functional pass may start when the run may spare a CPU and the
+// program has no atomic; a launch mayHandOff admits goes to a helper when
+// the run may spare a CPU. An independent program's Execute runs
+// timing-only, over no image, on a helper or beside a pass.
 func (p *pipeline) step(i int, l *kernel.Launch) error {
 	start := time.Now()
 	var plan *gpu.Plan
@@ -133,18 +99,26 @@ func (p *pipeline) step(i int, l *kernel.Launch) error {
 	if err != nil {
 		return p.failAt(l, err)
 	}
-	hand := mayHandOff(plan, i, len(p.app.Launches), l)
-	if hand {
-		eligible.Add(1)
-	}
+	k := &kernelRun{l: l, plan: plan, tid: p.ao.TID, start: start, done: make(chan struct{}),
+		row: KernelRow{Name: l.Name, admitted: mayHandOff(plan, i, len(p.app.Launches), l)}}
+	alone, independent := p.alone(), l.Program.Independent()
+	pass := plan.Pass != nil && alone && !hasAtomic(l)
 	switch {
 	case plan.Execute == nil:
-		return p.advanceOnly(l, plan, start)
-	case hand && p.alone():
-		return p.handOff(l, plan)
+		k.row.Ran, k.row.Image = RanAdvance, ImageAdvance
+		return p.advanceOnly(k)
+	case k.row.admitted && alone && independent:
+		k.row.Ran, k.row.Image = RanHelperTimed, ImageAdvance
+		return p.handOff(k)
+	case k.row.admitted && alone:
+		k.row.Ran, k.row.Image = RanHelper, ImageAdvance
+		return p.handOff(k)
+	case pass && independent:
+		k.row.Ran = RanTimedBesidePass
 	default:
-		return p.inline(l, plan, start)
+		k.row.Ran = RanInline
 	}
+	return p.inline(k, pass)
 }
 
 // gpu returns an idle GPU, building one while fewer than window exist, and
@@ -187,111 +161,107 @@ func (p *pipeline) run(g *gpu.GPU, l *kernel.Launch, k *kernelRun) {
 	p.gpus <- g
 }
 
-// inline runs launch l on the live image, with its plan's functional pass
-// beside it when one may start, then merges every earlier kernel and l, in
-// that order. Beside a pass an independent program's run is timing-only
-// over no image. Its span and wall cover its plan, which began at start,
+// inline runs k on the live image, or timing-only over no image when it
+// runs timed-beside-pass, with its plan's functional pass beside it when
+// pass is set, picks the run that leaves its image, then merges every
+// earlier kernel and k, in that order. Its span and wall cover its plan,
 // its run and the end of its pass, but not a wait for an idle GPU.
-func (p *pipeline) inline(l *kernel.Launch, plan *gpu.Plan, start time.Time) error {
-	planned := time.Since(start)
+func (p *pipeline) inline(k *kernelRun, pass bool) error {
+	planned := time.Since(k.start)
 	g := p.gpu()
-	k := kernelRun{l: l, plan: plan, tid: p.ao.TID, start: time.Now().Add(-planned)}
-	pass := p.startPass(l, plan, p.tids[g])
-	run := l
-	if pass != nil && pass.timed != nil {
-		run = pass.timed
+	k.start = time.Now().Add(-planned)
+	var r *passRun
+	if pass {
+		fork := *k.l
+		fork.Memory = k.l.Memory.Fork()
+		r = &passRun{Pass: k.plan.Pass, fork: &fork, tid: p.tids[g]}
+		r.Go(r.fork, func(body func()) {
+			r.start = time.Now()
+			body()
+			r.wall = time.Since(r.start)
+		})
 	}
-	p.run(g, run, &k)
-	if err := p.endPass(l, pass, k.err == nil); k.err == nil {
+	run := *k.l
+	if k.row.Ran == RanTimedBesidePass {
+		run.Memory, run.TimingOnly = nil, true
+	}
+	p.run(g, &run, k)
+	if err := p.pickImage(k, r); k.err == nil {
 		k.err = err
 	}
 	k.r.Wall = time.Since(k.start)
 	if err := p.mergeAll(); err != nil {
 		return err
 	}
-	return p.merge(&k)
+	return p.merge(k)
 }
 
 // passRun is a functional pass the run loop started beside an inline
-// kernel.
+// kernel. Its span goes on tid, the thread of the GPU that runs the kernel,
+// which no helper can take before the pass has ended.
 type passRun struct {
 	*gpu.Pass
-	fork *kernel.Launch
-	// timed is the launch the kernel's Execute runs over when its program
-	// is independent: timing-only, with no image. Nil otherwise.
-	timed *kernel.Launch
+	fork  *kernel.Launch
 	tid   int
 	start time.Time
 	wall  time.Duration // written by the pass's goroutine before it ends
 }
 
-// startPass starts the functional pass launch l's plan asks for, over a
-// fork of the image at launch, when this run may spare a CPU and l's
-// program has no atomic; it returns nil when no pass started. When l's
-// program is independent, the pass alone moves values, and the kernel runs
-// timing-only beside it. The pass's span goes on tid, the thread of the GPU
-// that runs l, which no helper can take before the pass has ended.
-func (p *pipeline) startPass(l *kernel.Launch, plan *gpu.Plan, tid int) *passRun {
-	if plan.Pass == nil || !p.alone() || hasAtomic(l) {
-		return nil
-	}
-	fork := *l
-	fork.Memory = l.Memory.Fork()
-	r := &passRun{Pass: plan.Pass, fork: &fork, tid: tid}
-	if l.Program.Independent() {
-		timed := *l
-		timed.Memory, timed.TimingOnly = nil, true
-		r.timed = &timed
-		timedPrefixes.Add(1)
-	}
-	r.Go(r.fork, func(body func()) {
-		r.start = time.Now()
-		body()
-		r.wall = time.Since(r.start)
-	})
-	return r
-}
-
-// endPass ends launch l's pass, when one started, emits its span and
-// leaves the image a serial run would, once Execute ran without error
-// (ran). Beside a kernel that ran on the live image, the pass is stopped,
-// and its fork becomes the live image when the kernel read its tally: the
-// pass then ran every workgroup, as the serial run did on the live one.
-// Beside a kernel that ran with no image, the pass is the image: the run
-// loop waits for all of it and adopts its fork, and its failure, wherever
-// it happened, is the kernel's. Only a kernel that named a prefix
-// (warp-sampling) executed fewer workgroups: its pass is dropped, and the
-// live image advances over the prefix's workgroups, as the serial run's
-// detailed prefix did.
-func (p *pipeline) endPass(l *kernel.Launch, r *passRun, ran bool) error {
+// pickImage ends k's pass, r, when one started, emits its span and picks the
+// run whose image k leaves, a serial run's, from k.row.Ran and Execute's
+// outcome:
+//   - no pass: Execute's, on the live image;
+//   - inline: Execute read the pass's tally only if the pass ran every
+//     workgroup, as the serial run did on the live one; the pass is
+//     stopped, and its fork then becomes the live image;
+//   - timed-beside-pass, Execute failed: the pass is dropped;
+//   - timed-beside-pass, Execute named a prefix (warp-sampling): the pass
+//     is dropped, and the live image replays the prefix's workgroups;
+//   - timed-beside-pass otherwise: the run loop takes the whole pass, whose
+//     failure, wherever it happened, is the kernel's, and adopts its fork.
+func (p *pipeline) pickImage(k *kernelRun, r *passRun) (err error) {
+	k.row.Image = ImageLive
 	if r == nil {
 		return nil
 	}
+	defer func() {
+		p.ao.Trace.Complete(p.app.Name+"/"+k.l.Name, "functional", simPID, r.tid, r.start, r.wall, nil)
+	}()
 	prefix, named := r.Prefixed()
-	var used bool
-	var err error
-	if r.timed != nil && ran && !named {
+	adopt := false
+	switch {
+	case k.row.Ran == RanInline:
+		adopt = r.Stop()
+	case k.err != nil:
+		r.Stop()
+	case named:
+		r.Stop()
+		k.row.Image = ImageReplay
+		err = p.replay(k.l, prefix)
+	default:
 		err = engine.Try(func() (err error) {
 			_, _, err = r.Take(0)
 			return err
 		})
-		used = err == nil
-	} else {
-		used = r.Stop()
+		adopt = err == nil
 	}
-	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, r.tid, r.start, r.wall, map[string]any{"adopted": used})
-	switch {
-	case used:
-		l.Memory.Adopt(r.fork.Memory)
-		passesUsed.Add(1)
-	case r.timed != nil && ran && named:
-		start := time.Now()
-		err = engine.Try(func() error {
-			var g emu.Group
-			return g.RunRange(l, 0, prefix, func([]*emu.Warp) bool { return true })
-		})
-		p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
+	if adopt {
+		k.l.Memory.Adopt(r.fork.Memory)
+		k.row.Image = ImagePass
 	}
+	return err
+}
+
+// replay runs workgroups [0, n) of l functionally on the live image: the
+// workgroups a timing-only prefix dispatched before its warp gate fired,
+// whose values the serial run's detailed prefix left.
+func (p *pipeline) replay(l *kernel.Launch, n int) error {
+	start := time.Now()
+	err := engine.Try(func() error {
+		var g emu.Group
+		return g.RunRange(l, 0, n, func([]*emu.Warp) bool { return true })
+	})
+	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
 	return err
 }
 
@@ -312,48 +282,42 @@ func (p *pipeline) advance(l *kernel.Launch, plan *gpu.Plan) (insts uint64, err 
 // advance of the live image is all of it, its count is the result's Insts,
 // and its span and wall cover the plan and the advance. It queues behind the
 // handed-off kernels, so it commits in launch order.
-func (p *pipeline) advanceOnly(l *kernel.Launch, plan *gpu.Plan, start time.Time) error {
-	insts, err := p.advance(l, plan)
+func (p *pipeline) advanceOnly(k *kernelRun) error {
+	insts, err := p.advance(k.l, k.plan)
 	if err != nil {
-		return p.failAt(l, err)
+		return p.failAt(k.l, err)
 	}
-	k := &kernelRun{l: l, plan: plan, tid: p.ao.TID, start: start, done: make(chan struct{})}
-	k.r = gpu.KernelResult{Insts: insts, Wall: time.Since(start)}
+	k.r = gpu.KernelResult{Insts: insts, Wall: time.Since(k.start)}
 	close(k.done)
 	p.queue = append(p.queue, k)
 	return p.mergeDone()
 }
 
-// handOff runs launch l's Execute on a helper over a fork of the image,
-// which it drops, or, when l's program is independent, timing-only over no
-// image, then advances the live image past l functionally. It waits for an
-// idle GPU first, so at most window detailed runs, and their forks, are
-// alive; finished ones wait in the queue to merge in order without holding
-// back the next hand-off.
-func (p *pipeline) handOff(l *kernel.Launch, plan *gpu.Plan) error {
+// handOff runs k's Execute on a helper over a fork of the image, which it
+// drops, or, helper-timed, timing-only over no image, then advances the
+// live image past k functionally. It waits for an idle GPU first, so at
+// most window detailed runs, and their forks, are alive; finished ones wait
+// in the queue to merge in order without holding back the next hand-off.
+func (p *pipeline) handOff(k *kernelRun) error {
 	g := p.gpu()
 	if err := p.mergeDone(); err != nil {
 		return err
 	}
-	fork := *l
-	fork.TimingOnly = true
-	if fork.StepsTimingOnly() {
-		fork.Memory = nil
-		timingOnly.Add(1)
-	} else {
-		fork.Memory = l.Memory.Fork()
+	fork := *k.l
+	fork.Memory, fork.TimingOnly = nil, true
+	if k.row.Ran == RanHelper {
+		fork.Memory = k.l.Memory.Fork()
 	}
-	k := &kernelRun{l: l, plan: plan, tid: p.tids[g], done: make(chan struct{})}
+	k.tid = p.tids[g]
 	p.queue = append(p.queue, k)
-	handedOff.Add(1)
 	go func() {
 		k.start = time.Now()
 		p.run(g, &fork, k)
 		close(k.done)
 	}()
 	start := time.Now()
-	_, err := p.advance(l, plan)
-	p.ao.Trace.Complete(p.app.Name+"/"+l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
+	_, err := p.advance(k.l, k.plan)
+	p.ao.Trace.Complete(p.app.Name+"/"+k.l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
 	if err != nil {
 		// The detailed run of l most likely failed the same way: report
 		// its error, as a serial run would, when it has one. A timing-only
@@ -428,12 +392,13 @@ func (p *pipeline) merge(k *kernelRun) error {
 		return p.fail(k.l, fmt.Errorf("audit: %d instructions reported for %d warps (each warp executes at least s_endpgm)", r.Insts, warps))
 	}
 	p.ao.Trace.Complete(p.app.Name+"/"+k.l.Name, "kernel", simPID, k.tid, k.start, r.Wall, map[string]any{
-		"runner": p.runner.Name(), "mode": r.Mode,
-		"sim_cycles": r.SimTime, "insts": r.Insts,
+		"runner": p.runner.Name(), "mode": r.Mode, "sim_cycles": r.SimTime, "insts": r.Insts,
+		"ran": string(k.row.Ran), "image": string(k.row.Image),
 	})
 	p.res.KernelTime += r.SimTime
 	p.res.Insts += r.Insts
-	p.res.PerKernel = append(p.res.PerKernel, KernelRow{Name: k.l.Name, KernelResult: r})
+	k.row.KernelResult = r
+	p.res.PerKernel = append(p.res.PerKernel, k.row)
 	return nil
 }
 

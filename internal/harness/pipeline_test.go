@@ -111,23 +111,18 @@ func image(m *mem.Flat) []uint32 {
 }
 
 // pipelineRun is one run of a pipeline case: the result with host times
-// zeroed, the final image, how many launches mayHandOff admitted, how many
-// kernels went to helpers and how many of those ran timing-only, how many
-// functional passes a kernel used, how many inline kernels ran timing-only
-// beside their pass, the names of the kernels whose pass became the image
-// (read off the pass spans when the run had no trace of its own), and the
+// and each row's Ran and Image zeroed, so that a serial and a pipelined run
+// compare equal, the rows as the run returned them, the final image and the
 // runner.
 type pipelineRun struct {
-	res      AppResult
-	image    []uint32
-	eligible int64
-	handed   int64
-	timed    int64
-	passes   int64
-	prefixes int64
-	adopted  []string
-	runner   gpu.Runner
+	res    AppResult
+	rows   []KernelRow
+	image  []uint32
+	runner gpu.Runner
 }
+
+// onHelper reports whether a row's Execute ran on a helper GPU.
+func onHelper(k KernelRow) bool { return k.Ran == RanHelper || k.Ran == RanHelperTimed }
 
 // runAt builds c's app and runs it under m at GOMAXPROCS procs.
 func runAt(t *testing.T, ctx context.Context, c pipelineCase, m mode, procs int, ao AppObs) (pipelineRun, error) {
@@ -142,24 +137,14 @@ func runAt(t *testing.T, ctx context.Context, c pipelineCase, m mode, procs int,
 
 // runAppAt runs app under runner at GOMAXPROCS procs.
 func runAppAt(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, procs int, ao AppObs) (pipelineRun, error) {
-	var adopted []string
-	if ao.Trace == nil {
-		ao.Trace = obs.NewTraceBuffer()
-		ao.Trace.OnEvent(func(ev obs.TraceEvent) {
-			if ev.Cat == "functional" && ev.Args["adopted"] == true {
-				adopted = append(adopted, strings.TrimPrefix(ev.Name, app.Name+"/"))
-			}
-		})
-	}
 	runtime.GOMAXPROCS(procs)
-	admitted, before, timed, passes, prefixes := eligible.Load(), handedOff.Load(), timingOnly.Load(), passesUsed.Load(), timedPrefixes.Load()
 	res, err := RunAppInstrumented(ctx, cfg, app, runner, ao)
+	rows := slices.Clone(res.PerKernel)
 	res.Wall = 0
 	for i := range res.PerKernel {
-		res.PerKernel[i].Wall = 0
+		res.PerKernel[i].Wall, res.PerKernel[i].Ran, res.PerKernel[i].Image = 0, "", ""
 	}
-	return pipelineRun{res, image(app.Mem), eligible.Load() - admitted, handedOff.Load() - before,
-		timingOnly.Load() - timed, passesUsed.Load() - passes, timedPrefixes.Load() - prefixes, adopted, runner}, err
+	return pipelineRun{res, rows, image(app.Mem), runner}, err
 }
 
 // modeNamed returns the mode table's row called name.
@@ -193,9 +178,14 @@ var functionalMode = mode{gpu.TierFunctional, func(gpu.Config, core.Params) gpu.
 // only under Photon and bb-sampling is there one. Both of those programs
 // are independent, so beside the pass the kernel runs timing-only, over no
 // image. A pass becomes the image only of a kernel that ended bb-sampling
-// or full. The pipelined run hands off exactly the
-// launches its serial run's plans let go (mayHandOff).
+// or full. The pipelined run hands off exactly the launches its serial
+// run's plans let go (mayHandOff). Every serial row ran inline or as an
+// advance and left the live or the advance's image, and across the cases
+// the pipelined rows take every value of Ran and of Image, so no path of
+// the run loop is dead.
 func TestPipelinedRunMatchesSerial(t *testing.T) {
+	seen := map[any]bool{} // Ran and Image values: "advance" is one of each
+	legs, ran := 0, 0
 	for _, c := range pipelineCases() {
 		t.Run(c.name, func(t *testing.T) {
 			app, err := c.build()
@@ -207,8 +197,13 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 				if len(app.Launches) == 1 && !slices.Contains(c.oneLaunchModes(), m.name) {
 					continue
 				}
+				legs++
 				t.Run(m.name, func(t *testing.T) {
-					want := matchesSerial(t, c, m, full)
+					ran++
+					want, got := matchesSerial(t, c, m, full)
+					for _, k := range got.rows {
+						seen[k.Ran], seen[k.Image] = true, true
+					}
 					if m.name == BaselineMode {
 						full = &want
 					}
@@ -216,53 +211,74 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 			}
 		})
 	}
+	if ran < legs || t.Failed() {
+		return // a filtered or failed run need not cover every path
+	}
+	for _, v := range []any{RanInline, RanTimedBesidePass, RanHelper, RanHelperTimed, RanAdvance,
+		ImageLive, ImagePass, ImageReplay, ImageAdvance} {
+		if !seen[v] {
+			t.Errorf("no pipelined row took %T %q", v, v)
+		}
+	}
 }
 
-// matchesSerial holds c's pipelined run under m to its serial run, which
-// it returns. full is the case's serial full run, or nil when its leg has
+// matchesSerial holds c's pipelined run under m to its serial run, and
+// returns both. full is the case's serial full run, or nil when its leg has
 // not run.
-func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) pipelineRun {
+func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) (want, got pipelineRun) {
 	setProcs(t, 1)
 	ao := AppObs{Check: true}
 	want, err := runAt(t, context.Background(), c, m, 1, ao)
-	if err != nil || want.handed != 0 || want.passes != 0 || want.prefixes != 0 {
-		t.Fatalf("serial run: err %v, %d kernels handed off, %d passes used, %d timing-only prefixes", err, want.handed, want.passes, want.prefixes)
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
 	}
-	got, err := runAt(t, context.Background(), c, m, pipelineProcs(), ao)
+	for _, k := range want.rows {
+		if k.Ran != RanInline && k.Ran != RanAdvance || k.Image != ImageLive && k.Image != ImageAdvance {
+			t.Errorf("serial run: %s ran %s, image %s; want inline or advance, live or advance", k.Name, k.Ran, k.Image)
+		}
+	}
+	got, err = runAt(t, context.Background(), c, m, pipelineProcs(), ao)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(got.adopted)) != got.passes {
-		t.Errorf("%d passes used, %d pass spans say so", got.passes, len(got.adopted))
+	if len(got.rows) != len(want.rows) {
+		t.Fatalf("%d pipelined rows, %d serial", len(got.rows), len(want.rows))
 	}
-	for _, name := range got.adopted {
-		if !slices.ContainsFunc(got.res.PerKernel, func(k KernelRow) bool {
-			return k.Name == name && (k.Mode == core.TierBB || k.Mode == gpu.TierFull)
-		}) {
-			t.Errorf("%s used its pass, but no kernel of that name ended %s or %s", name, core.TierBB, gpu.TierFull)
+	var handed, timed []string
+	for i, k := range got.rows {
+		if k.Image == ImagePass && k.Mode != core.TierBB && k.Mode != gpu.TierFull {
+			t.Errorf("%s used its pass, but ended %s, not %s or %s", k.Name, k.Mode, core.TierBB, gpu.TierFull)
+		}
+		if onHelper(k) != want.rows[i].admitted {
+			t.Errorf("%s ran %s; the serial run's mayHandOff said %v", k.Name, k.Ran, want.rows[i].admitted)
+		}
+		if onHelper(k) {
+			handed = append(handed, k.Name)
+		}
+		if k.Ran == RanHelperTimed || k.Ran == RanTimedBesidePass {
+			timed = append(timed, k.Name)
 		}
 	}
-	if c.name == "FIR-16384" && (m.name == "photon" || m.name == "bb") && got.passes == 0 {
+	has := func(f func(KernelRow) bool) bool { return slices.ContainsFunc(got.rows, f) }
+	if c.name == "FIR-16384" && (m.name == "photon" || m.name == "bb") && !has(func(k KernelRow) bool { return k.Image == ImagePass }) {
 		t.Error("no functional pass used")
 	}
+	besidePass := has(func(k KernelRow) bool { return k.Ran == RanTimedBesidePass })
 	switch {
-	case m.name == "warp" && got.prefixes != 0:
-		t.Errorf("%d kernels ran timing-only beside a pass under warp-sampling alone, which asks for none", got.prefixes)
-	case c.gates && m.name != "warp" && got.prefixes == 0:
+	case m.name == "warp" && besidePass:
+		t.Error("a kernel ran timing-only beside a pass under warp-sampling alone, which asks for none")
+	case c.gates && m.name != "warp" && !besidePass:
 		t.Error("no kernel ran timing-only beside its pass")
 	}
-	if got.handed != want.eligible || got.eligible != want.eligible {
-		t.Errorf("%d kernels handed off of %d admitted, want the serial run's %d", got.handed, got.eligible, want.eligible)
-	}
 	switch {
-	case (m.name == "pka" || m.name == "tbpoint" || m.name == gpu.TierFunctional) && got.handed != 0:
-		t.Errorf("%d kernels handed off under a runner whose plans never overlap", got.handed)
-	case m.name == "photon" && c.name == "ResNet-18" && got.handed == 0:
+	case (m.name == "pka" || m.name == "tbpoint" || m.name == gpu.TierFunctional) && len(handed) != 0:
+		t.Errorf("%v handed off under a runner whose plans never overlap", handed)
+	case m.name == "photon" && c.name == "ResNet-18" && len(handed) == 0:
 		t.Error("Photon handed off no kernel of ResNet-18")
-	case m.name == BaselineMode && c.name == "ResNet-18" && (got.timed == 0 || got.timed != got.handed):
-		t.Errorf("%d of %d handed-off kernels of ResNet-18 ran timing-only, want all", got.timed, got.handed)
-	case c.name == "SPMV" && got.timed != 0:
-		t.Errorf("%d kernels of SPMV ran timing-only", got.timed)
+	case m.name == BaselineMode && c.name == "ResNet-18" && (len(handed) == 0 || !slices.Equal(timed, handed)):
+		t.Errorf("%v of the handed-off kernels %v of ResNet-18 ran timing-only, want all", timed, handed)
+	case c.name == "SPMV" && len(timed) != 0:
+		t.Errorf("%v of SPMV ran timing-only", timed)
 	}
 	if !reflect.DeepEqual(got.res, want.res) {
 		t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got.res, want.res)
@@ -273,7 +289,7 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) pipe
 	if m.name == gpu.TierFunctional {
 		functionalMatchesFull(t, c, got, full)
 	}
-	return want
+	return want, got
 }
 
 // functionalMatchesFull holds a functional run to the serial full run of
@@ -398,7 +414,7 @@ func TestPipelinedRunCancelsMidApp(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s, stop before %d: err %v, want context.Canceled", m.name, stop, err)
 			}
-			if got.handed == 0 {
+			if !slices.ContainsFunc(got.rows, onHelper) {
 				t.Errorf("%s, stop before %d: no kernel was handed off", m.name, stop)
 			}
 			if !reflect.DeepEqual(got.res.PerKernel, want.res.PerKernel[:stop]) {
@@ -452,7 +468,7 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, a := range evs {
-			if run.handed == 0 && run.passes == 0 && a.TID != tid {
+			if procs == 1 && a.TID != tid {
 				t.Errorf("%s serial run: span %s on thread %d, want %d", m.name, a.Name, a.TID, tid)
 			}
 			for _, b := range evs[i+1:] {
@@ -486,13 +502,19 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 			m := modeNamed(t, name)
 			wantSnap, wantSpans, _, _ := observed(tc.c, m, 1)
 			gotSnap, gotSpans, evs, run := observed(tc.c, m, pipelineProcs())
-			if run.handed+run.passes == 0 {
+			used := slices.ContainsFunc(run.rows, func(k KernelRow) bool { return k.Image == ImagePass })
+			if !used && !slices.ContainsFunc(run.rows, onHelper) {
 				t.Fatalf("%s/%s: no kernel was handed off and no pass used", tc.c.name, m.name)
 			}
-			if run.passes > 0 && !slices.ContainsFunc(evs, func(ev obs.TraceEvent) bool {
+			if used && !slices.ContainsFunc(evs, func(ev obs.TraceEvent) bool {
 				return ev.Cat == "functional" && ev.TID > 1<<16 && ev.Dur > 0
 			}) {
 				t.Errorf("%s/%s: no functional pass span on a helper thread", tc.c.name, m.name)
+			}
+			for i, ev := range slices.DeleteFunc(evs, func(ev obs.TraceEvent) bool { return ev.Cat != "kernel" }) {
+				if k := run.rows[i]; ev.Args["ran"] != string(k.Ran) || ev.Args["image"] != string(k.Image) {
+					t.Errorf("%s/%s: span %s says ran %v, image %v; its row %s, %s", tc.c.name, m.name, ev.Name, ev.Args["ran"], ev.Args["image"], k.Ran, k.Image)
+				}
 			}
 			if len(wantSnap.Counters) == 0 || len(wantSnap.Histograms) == 0 {
 				t.Fatalf("%s/%s: the serial run published no counters or histograms", tc.c.name, m.name)
@@ -516,14 +538,13 @@ func TestPipelinedRunWallIsElapsed(t *testing.T) {
 		t.Fatal(err)
 	}
 	setProcs(t, pipelineProcs())
-	before := handedOff.Load()
 	start := time.Now()
 	res, err := RunAppInstrumented(context.Background(), gpu.R9Nano(), app, gpu.FullRunner{}, AppObs{})
 	stopwatch := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if handedOff.Load() == before {
+	if !slices.ContainsFunc(res.PerKernel, onHelper) {
 		t.Fatal("no kernel was handed off")
 	}
 	if res.Wall > stopwatch {
@@ -574,10 +595,12 @@ func ldsFaultApp(dependent bool) *workloads.App {
 // it and carries the stack, whether it ran inline or on a helper, under the
 // full baseline and under Photon: the helper's panic must not take the
 // process down, the error is the serial run's, and no helper outlives the
-// run. The dependent faulting kernel's helper moves its values, meets the
-// fault itself, and the error carries the helper's stack. The independent
-// one's helper runs timing-only and skips the LDS store, so the error is
-// the functional advance's beside it, from the run's goroutine.
+// run. The faulting kernel has no row, so the frame that met the fault
+// shows the path it took: serially the inline run. The dependent faulting
+// kernel's helper moves its values, meets the fault itself, and the error
+// carries the helper's stack. The independent one's helper runs timing-only
+// and skips the LDS store, so the error is the functional advance's beside
+// it, from the run's goroutine.
 func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
 	setProcs(t, 1)
 	for _, dependent := range []bool{false, true} {
@@ -589,16 +612,8 @@ func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
 			for _, procs := range []int{1, pipelineProcs()} {
 				runtime.GOMAXPROCS(procs)
 				base := runtime.NumGoroutine()
-				before, timed := handedOff.Load(), timingOnly.Load()
 				cfg := gpu.R9Nano()
 				_, err := RunAppInstrumented(context.Background(), cfg, ldsFaultApp(dependent), modeNamed(t, name).new(cfg, core.DefaultParams()), AppObs{})
-				handed := handedOff.Load() - before
-				if handed != int64(min(procs-1, 1)) {
-					t.Fatalf("%s, dependent %v, procs %d: %d kernels handed off", name, dependent, procs, handed)
-				}
-				if n := timingOnly.Load() - timed; dependent && n != 0 || !dependent && n != handed {
-					t.Errorf("%s, dependent %v, procs %d: %d of %d handed-off kernels ran timing-only", name, dependent, procs, n, handed)
-				}
 				if err == nil {
 					t.Fatalf("%s, dependent %v, procs %d: the faulting kernel did not fail the run", name, dependent, procs)
 				}
@@ -612,7 +627,7 @@ func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
 				// run, the helper's goroutine, or the functional advance.
 				origin := "(*pipeline).inline"
 				switch {
-				case handed == 0:
+				case procs == 1:
 				case dependent:
 					origin = "(*pipeline).handOff.func"
 				default:
@@ -700,8 +715,8 @@ func TestPipelinedPassFailsLikeSerial(t *testing.T) {
 			if k := got.res.PerKernel[0]; k.Mode != core.TierWarp {
 				t.Fatalf("photon: the kernel ended %s, want %s", k.Mode, core.TierWarp)
 			}
-			if !reflect.DeepEqual(got.res, want.res) || got.passes != 0 {
-				t.Errorf("photon: pipelined result %+v (%d passes used), serial %+v", got.res, got.passes, want.res)
+			if k := got.rows[0]; !reflect.DeepEqual(got.res, want.res) || k.Ran != RanTimedBesidePass || k.Image != ImageReplay {
+				t.Errorf("photon: pipelined result %+v (ran %s, image %s), serial %+v; want the pass dropped for a replay", got.res, k.Ran, k.Image, want.res)
 			}
 		}
 	}
@@ -715,8 +730,10 @@ func TestPipelinedPassFailsLikeSerial(t *testing.T) {
 // whole pass, whose panic is raised again in Execute; under Photon the warp
 // gate fires, and the run loop's functional advance over the prefix panics;
 // under a Photon whose trackers can never trigger, the kernel ends full and
-// the run loop waits for the whole pass, which panics. Each error's first
-// line is the serial run's, and no goroutine outlives the run.
+// the run loop waits for the whole pass, which panics. The faulting kernel
+// has no row, so the pass's stack or the replay's frame shows the path.
+// Each error's first line is the serial run's, and no goroutine outlives
+// the run.
 func TestPipelinedPrefixFaultFailsLikeSerial(t *testing.T) {
 	setProcs(t, 1)
 	cfg := gpu.R9Nano()
@@ -727,12 +744,12 @@ func TestPipelinedPrefixFaultFailsLikeSerial(t *testing.T) {
 		origin string // a frame or line the pipelined error carries
 	}{
 		{"bb", func() gpu.Runner { return modeNamed(t, "bb").new(cfg, core.DefaultParams()) }, "functional pass:"},
-		{"photon", func() gpu.Runner { return modeNamed(t, "photon").new(cfg, core.DefaultParams()) }, "(*pipeline).endPass"},
+		{"photon", func() gpu.Runner { return modeNamed(t, "photon").new(cfg, core.DefaultParams()) }, "(*pipeline).replay"},
 		{"full", func() gpu.Runner { return core.MustNew(cfg, never, core.AllLevels()) }, "functional pass:"},
 	} {
 		_, wantErr := runAppAt(context.Background(), cfg, earlyFaultApp(), tc.runner(), 1, AppObs{})
 		base := runtime.NumGoroutine()
-		got, err := runAppAt(context.Background(), cfg, earlyFaultApp(), tc.runner(), pipelineProcs(), AppObs{})
+		_, err := runAppAt(context.Background(), cfg, earlyFaultApp(), tc.runner(), pipelineProcs(), AppObs{})
 		noGoroutinesAbove(t, base, tc.name)
 		if wantErr == nil || err == nil {
 			t.Fatalf("%s: serial error %v, pipelined error %v; want workgroup 1's panic", tc.name, wantErr, err)
@@ -742,9 +759,6 @@ func TestPipelinedPrefixFaultFailsLikeSerial(t *testing.T) {
 		if !strings.HasPrefix(wantLine, "harness: EarlyFault/early_fault under ") ||
 			!strings.Contains(wantLine, ": panic: emu: early_fault warp 1: LDS access") || line != wantLine {
 			t.Errorf("%s: pipelined error %q, serial %q", tc.name, line, wantLine)
-		}
-		if got.prefixes != 1 {
-			t.Errorf("%s: %d timing-only prefixes, want 1", tc.name, got.prefixes)
 		}
 		if !strings.Contains(err.Error(), tc.origin) {
 			t.Errorf("%s: the pipelined error does not carry %q:\n%v", tc.name, tc.origin, err)
@@ -781,14 +795,11 @@ func TestPipelinedFullOutcomeAdoptsPass(t *testing.T) {
 		return r
 	}
 	want, got := run(1), run(pipelineProcs())
-	if want.passes != 0 || want.prefixes != 0 {
-		t.Fatalf("serial run: %d passes used, %d timing-only prefixes", want.passes, want.prefixes)
+	if k := want.rows[0]; k.Ran != RanInline || k.Image != ImageLive {
+		t.Fatalf("serial run: relu ran %s, image %s; want inline, live", k.Ran, k.Image)
 	}
-	if got.passes != 1 || got.prefixes != 1 || !slices.Equal(got.adopted, []string{"relu"}) {
-		t.Errorf("%d passes used (%v adopted), %d timing-only prefixes; want relu's one of each", got.passes, got.adopted, got.prefixes)
-	}
-	if len(got.res.PerKernel) != 1 || got.res.PerKernel[0].Mode != gpu.TierFull {
-		t.Errorf("rows %+v, want one %s row", got.res.PerKernel, gpu.TierFull)
+	if len(got.rows) != 1 || got.rows[0].Mode != gpu.TierFull || got.rows[0].Ran != RanTimedBesidePass || got.rows[0].Image != ImagePass {
+		t.Errorf("rows %+v, want relu's one %s row, run %s, image %s", got.rows, gpu.TierFull, RanTimedBesidePass, ImagePass)
 	}
 	if !reflect.DeepEqual(got.res, want.res) {
 		t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got.res, want.res)
@@ -814,8 +825,8 @@ func TestPipelinedPassCancelsMidKernel(t *testing.T) {
 	}}
 	for _, tc := range []struct {
 		mode string
-		used int64
-	}{{"bb", 1}, {"photon", 0}} {
+		used bool
+	}{{"bb", true}, {"photon", false}} {
 		m := modeNamed(t, tc.mode)
 		want, err := runAt(t, context.Background(), c, m, 1, AppObs{})
 		if err != nil {
@@ -826,8 +837,8 @@ func TestPipelinedPassCancelsMidKernel(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err %v, want context.Canceled", tc.mode, err)
 		}
-		if got.passes != tc.used {
-			t.Errorf("%s: %d passes used, want %d", tc.mode, got.passes, tc.used)
+		if used := len(got.rows) > 0 && got.rows[0].Image == ImagePass; used != tc.used {
+			t.Errorf("%s: pass used %v, want %v", tc.mode, used, tc.used)
 		}
 		if !reflect.DeepEqual(got.res.PerKernel, want.res.PerKernel[:1]) {
 			t.Errorf("%s: got kernels %+v, want the serial first %+v", tc.mode, got.res.PerKernel, want.res.PerKernel[:1])
