@@ -3,15 +3,14 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"time"
 
 	"photon/internal/harness/engine"
 	"photon/internal/sim/emu"
 	"photon/internal/sim/gpu"
-	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
+	"photon/internal/sim/timing"
 	"photon/internal/workloads"
 )
 
@@ -71,13 +70,7 @@ func newPipeline(cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppOb
 // then a timing-only helper beside the functional advance takes less wall
 // than one inline detailed run, whose values nothing after it reads.
 func mayHandOff(plan *gpu.Plan, i, n int, l *kernel.Launch) bool {
-	return plan.Execute != nil && plan.Overlap && !hasAtomic(l) && (i < n-1 || l.Program.Independent())
-}
-
-// hasAtomic reports whether l's program has an atomic: a run over a fork
-// of its image need not leave the image the detailed run does.
-func hasAtomic(l *kernel.Launch) bool {
-	return slices.ContainsFunc(l.Program.Insts, func(in isa.Inst) bool { return in.Op.IsAtomic() })
+	return plan.Execute != nil && plan.Overlap && !l.Program.HasAtomic() && (i < n-1 || l.Program.Independent())
 }
 
 // alone reports whether this run may use a second CPU: GOMAXPROCS is at
@@ -88,7 +81,10 @@ func (p *pipeline) alone() bool { return p.window > 1 && running.Load() == 1 }
 // plan's functional pass may start when the run may spare a CPU and the
 // program has no atomic; a launch mayHandOff admits goes to a helper when
 // the run may spare a CPU. An independent program's Execute runs
-// timing-only, over no image, on a helper or beside a pass.
+// timing-only, over no image, on a helper or beside a pass. A launch that
+// would otherwise run inline although its plan may overlap, in practice a
+// dependent last launch, replays a recording pass beside it when the run
+// may spare a CPU and the program has no atomic.
 func (p *pipeline) step(i int, l *kernel.Launch) error {
 	start := time.Now()
 	var plan *gpu.Plan
@@ -101,8 +97,8 @@ func (p *pipeline) step(i int, l *kernel.Launch) error {
 	}
 	k := &kernelRun{l: l, plan: plan, tid: p.ao.TID, start: start, done: make(chan struct{}),
 		row: KernelRow{Name: l.Name, admitted: mayHandOff(plan, i, len(p.app.Launches), l)}}
-	alone, independent := p.alone(), l.Program.Independent()
-	pass := plan.Pass != nil && alone && !hasAtomic(l)
+	alone, independent, atomic := p.alone(), l.Program.Independent(), l.Program.HasAtomic()
+	pass := plan.Pass != nil && alone && !atomic
 	switch {
 	case plan.Execute == nil:
 		k.row.Ran, k.row.Image = RanAdvance, ImageAdvance
@@ -113,6 +109,8 @@ func (p *pipeline) step(i int, l *kernel.Launch) error {
 	case k.row.admitted && alone:
 		k.row.Ran, k.row.Image = RanHelper, ImageAdvance
 		return p.handOff(k)
+	case plan.Overlap && alone && !atomic:
+		k.row.Ran = RanReplayed
 	case pass && independent:
 		k.row.Ran = RanTimedBesidePass
 	default:
@@ -161,29 +159,30 @@ func (p *pipeline) run(g *gpu.GPU, l *kernel.Launch, k *kernelRun) {
 	p.gpus <- g
 }
 
-// inline runs k on the live image, or timing-only over no image when it
-// runs timed-beside-pass, with its plan's functional pass beside it when
-// pass is set, picks the run that leaves its image, then merges every
-// earlier kernel and k, in that order. Its span and wall cover its plan,
-// its run and the end of its pass, but not a wait for an idle GPU.
+// inline runs k on the live image, or over no image when it runs
+// timed-beside-pass, timing-only, or replayed, replaying a recording pass
+// on the live image, with its plan's functional pass beside it when pass is
+// set, picks the run that leaves its image, then merges every earlier
+// kernel and k, in that order. Its span and wall cover its plan, its run
+// and the end of its pass, but not a wait for an idle GPU.
 func (p *pipeline) inline(k *kernelRun, pass bool) error {
 	planned := time.Since(k.start)
 	g := p.gpu()
 	k.start = time.Now().Add(-planned)
+	run := *k.l
 	var r *passRun
-	if pass {
+	switch {
+	case k.row.Ran == RanReplayed:
+		rec := emu.NewRecording(timing.ResidentGroups(p.cfg.Compute, k.l) + 1)
+		r = p.startPass(gpu.RecordingPass(rec), k.l, g)
+		run.Memory, run.Replay = nil, rec
+	case pass:
 		fork := *k.l
 		fork.Memory = k.l.Memory.Fork()
-		r = &passRun{Pass: k.plan.Pass, fork: &fork, tid: p.tids[g]}
-		r.Go(r.fork, func(body func()) {
-			r.start = time.Now()
-			body()
-			r.wall = time.Since(r.start)
-		})
-	}
-	run := *k.l
-	if k.row.Ran == RanTimedBesidePass {
-		run.Memory, run.TimingOnly = nil, true
+		r = p.startPass(k.plan.Pass, &fork, g)
+		if k.row.Ran == RanTimedBesidePass {
+			run.Memory, run.TimingOnly = nil, true
+		}
 	}
 	p.run(g, &run, k)
 	if err := p.pickImage(k, r); k.err == nil {
@@ -196,21 +195,35 @@ func (p *pipeline) inline(k *kernelRun, pass bool) error {
 	return p.merge(k)
 }
 
+// startPass starts pass over l beside a kernel that runs on g.
+func (p *pipeline) startPass(pass *gpu.Pass, l *kernel.Launch, g *gpu.GPU) *passRun {
+	r := &passRun{Pass: pass, launch: l, tid: p.tids[g]}
+	r.Go(l, func(body func()) {
+		r.start = time.Now()
+		body()
+		r.wall = time.Since(r.start)
+	})
+	return r
+}
+
 // passRun is a functional pass the run loop started beside an inline
 // kernel. Its span goes on tid, the thread of the GPU that runs the kernel,
 // which no helper can take before the pass has ended.
 type passRun struct {
 	*gpu.Pass
-	fork  *kernel.Launch
-	tid   int
-	start time.Time
-	wall  time.Duration // written by the pass's goroutine before it ends
+	launch *kernel.Launch // what it runs over: a fork of the image, or the live one it records
+	tid    int
+	start  time.Time
+	wall   time.Duration // written by the pass's goroutine before it ends
 }
 
 // pickImage ends k's pass, r, when one started, emits its span and picks the
 // run whose image k leaves, a serial run's, from k.row.Ran and Execute's
 // outcome:
 //   - no pass: Execute's, on the live image;
+//   - replayed: the recording pass's, which advanced the live image; the
+//     pass is stopped, and once the replay succeeded its instruction count
+//     goes to the plan, as an advance's does;
 //   - inline: Execute read the pass's tally only if the pass ran every
 //     workgroup, as the serial run did on the live one; the pass is
 //     stopped, and its fork then becomes the live image;
@@ -230,6 +243,18 @@ func (p *pipeline) pickImage(k *kernelRun, r *passRun) (err error) {
 	prefix, named := r.Prefixed()
 	adopt := false
 	switch {
+	case k.row.Ran == RanReplayed:
+		r.Stop()
+		k.row.Image = ImageAdvance
+		if k.err == nil {
+			err = engine.Try(func() error {
+				insts, err := r.Recorded()
+				if err == nil && k.plan.Advanced != nil {
+					k.plan.Advanced(insts)
+				}
+				return err
+			})
+		}
 	case k.row.Ran == RanInline:
 		adopt = r.Stop()
 	case k.err != nil:
@@ -246,7 +271,7 @@ func (p *pipeline) pickImage(k *kernelRun, r *passRun) (err error) {
 		adopt = err == nil
 	}
 	if adopt {
-		k.l.Memory.Adopt(r.fork.Memory)
+		k.l.Memory.Adopt(r.launch.Memory)
 		k.row.Image = ImagePass
 	}
 	return err

@@ -18,6 +18,8 @@ import (
 	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
 	"photon/internal/sim/mem"
+	"photon/internal/sim/timing"
+	"photon/internal/verify"
 	"photon/internal/workloads"
 	"photon/internal/workloads/dnn"
 )
@@ -165,7 +167,12 @@ var functionalMode = mode{gpu.TierFunctional, func(gpu.Config, core.Params) gpu.
 // The pipelined run must reproduce the serial one under every mode, and
 // under the functional runner: every per-kernel row, the totals, the tier
 // ledger and the final memory image, byte for byte, with every kernel
-// audited. The plans of the baselines PKA and TBPoint, and of the
+// audited. A dependent last launch whose plan may overlap (SPMV's and
+// AES's one launch under the full baseline and Photon, PageRank's last
+// under the full baseline; Photon kernel-samples that one) replays a
+// recording pass beside it over no image, which makes the replay's every
+// count, and the pass's image, the differential against the serial run's
+// executed values. The plans of the baselines PKA and TBPoint, and of the
 // functional runner, never overlap, so they stay serial; Photon hands off
 // the kernels it can bound, most of ResNet-18's. A handed-off kernel of an
 // independent program runs timing-only, every one of ResNet-18's under the
@@ -214,7 +221,7 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 	if ran < legs || t.Failed() {
 		return // a filtered or failed run need not cover every path
 	}
-	for _, v := range []any{RanInline, RanTimedBesidePass, RanHelper, RanHelperTimed, RanAdvance,
+	for _, v := range []any{RanInline, RanTimedBesidePass, RanHelper, RanHelperTimed, RanReplayed, RanAdvance,
 		ImageLive, ImagePass, ImageReplay, ImageAdvance} {
 		if !seen[v] {
 			t.Errorf("no pipelined row took %T %q", v, v)
@@ -279,6 +286,16 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) (wan
 		t.Errorf("%v of the handed-off kernels %v of ResNet-18 ran timing-only, want all", timed, handed)
 	case c.name == "SPMV" && len(timed) != 0:
 		t.Errorf("%v of SPMV ran timing-only", timed)
+	}
+	for i, k := range got.rows {
+		if k.Ran == RanReplayed && (i < len(got.rows)-1 || k.Image != ImageAdvance) {
+			t.Errorf("launch %d of %d, %s, ran %s, image %s; only the last launch replays, image %s", i, len(got.rows), k.Name, k.Ran, k.Image, ImageAdvance)
+		}
+	}
+	mustReplay := (c.name == "SPMV" || c.name == "AES") && (m.name == BaselineMode || m.name == "photon") ||
+		c.name == "PR" && m.name == BaselineMode
+	if k := got.rows[len(got.rows)-1]; mustReplay && k.Ran != RanReplayed {
+		t.Errorf("%s, the last launch, ran %s; want %s", k.Name, k.Ran, RanReplayed)
 	}
 	if !reflect.DeepEqual(got.res, want.res) {
 		t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got.res, want.res)
@@ -447,8 +464,9 @@ func noGoroutinesAbove(t *testing.T, base int, what string) {
 // so on each thread any two nest or are disjoint, which is all the Chrome
 // trace format can draw; a serial run keeps every span on the run's own
 // thread. ResNet-18 hands kernels off; ReLU/16384 under bb-sampling runs
-// its one kernel inline with a functional pass beside it, whose span
-// (category functional) goes on a helper GPU's thread.
+// its one kernel inline with a functional pass beside it, and SPMV under
+// the full baseline replays a recording pass beside it, whose spans
+// (category functional) go on a helper GPU's thread.
 func TestPipelinedRunMergesTelemetry(t *testing.T) {
 	const tid = 3
 	observed := func(c pipelineCase, m mode, procs int) (obs.Snapshot, []string, []obs.TraceEvent, pipelineRun) {
@@ -492,6 +510,7 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 	}{
 		{findPipelineCase(t, "ResNet-18"), []string{BaselineMode, "photon"}},
 		{findPipelineCase(t, "ReLU-16384"), []string{"bb"}},
+		{findPipelineCase(t, "SPMV"), []string{BaselineMode}},
 	} {
 		app, _ := tc.c.build()
 		var names []string
@@ -502,7 +521,7 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 			m := modeNamed(t, name)
 			wantSnap, wantSpans, _, _ := observed(tc.c, m, 1)
 			gotSnap, gotSpans, evs, run := observed(tc.c, m, pipelineProcs())
-			used := slices.ContainsFunc(run.rows, func(k KernelRow) bool { return k.Image == ImagePass })
+			used := slices.ContainsFunc(run.rows, func(k KernelRow) bool { return k.Image == ImagePass || k.Ran == RanReplayed })
 			if !used && !slices.ContainsFunc(run.rows, onHelper) {
 				t.Fatalf("%s/%s: no kernel was handed off and no pass used", tc.c.name, m.name)
 			}
@@ -844,5 +863,102 @@ func TestPipelinedPassCancelsMidKernel(t *testing.T) {
 			t.Errorf("%s: got kernels %+v, want the serial first %+v", tc.mode, got.res.PerKernel, want.res.PerKernel[:1])
 		}
 		noGoroutinesAbove(t, base, tc.mode)
+	}
+}
+
+// A fault in the recording pass fails the replayed kernel as the fault
+// fails the serial run's inline one. The dependent faulting launch of
+// ldsFaultApp, alone, is the last launch, so its pipelined run replays a
+// recording pass, which meets the fault in workgroup 1; the replay, which
+// waits for that workgroup, raises the pass's panic on the kernel's
+// goroutine. Under the full baseline and under Photon the error's first
+// line is the serial run's, it carries the pass's stack, and no goroutine
+// outlives the run.
+func TestPipelinedRecordingFaultFailsLikeSerial(t *testing.T) {
+	setProcs(t, 1)
+	app := func() *workloads.App {
+		a := ldsFaultApp(true)
+		a.Launches = a.Launches[:1]
+		return a
+	}
+	cfg := gpu.R9Nano()
+	for _, name := range []string{BaselineMode, "photon"} {
+		runner := func() gpu.Runner { return modeNamed(t, name).new(cfg, core.DefaultParams()) }
+		_, wantErr := runAppAt(context.Background(), cfg, app(), runner(), 1, AppObs{})
+		base := runtime.NumGoroutine()
+		_, err := runAppAt(context.Background(), cfg, app(), runner(), pipelineProcs(), AppObs{})
+		noGoroutinesAbove(t, base, name)
+		if wantErr == nil || err == nil {
+			t.Fatalf("%s: serial error %v, pipelined error %v; want workgroup 1's panic", name, wantErr, err)
+		}
+		line, _, _ := strings.Cut(err.Error(), "\n")
+		wantLine, _, _ := strings.Cut(wantErr.Error(), "\n")
+		if !strings.HasPrefix(wantLine, "harness: Fault/lds_fault under "+name+": panic: emu: lds_fault") || line != wantLine {
+			t.Errorf("%s: pipelined error %q, serial %q", name, line, wantLine)
+		}
+		if !strings.Contains(err.Error(), "functional pass:") {
+			t.Errorf("%s: the pipelined error does not carry the pass's stack:\n%v", name, err)
+		}
+	}
+}
+
+// A cancelled PageRank run whose last launch replays returns the serial
+// prefix and leaves no goroutine behind, whether the signal comes before
+// the replayed launch or never: the recording pass ends with its kernel.
+func TestPipelinedReplayCancelsMidApp(t *testing.T) {
+	c := findPipelineCase(t, "PR")
+	m := modeNamed(t, BaselineMode)
+	setProcs(t, 1)
+	want, err := runAt(t, context.Background(), c, m, 1, AppObs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(want.res.PerKernel)
+	for _, stop := range []int{1, n - 1, n} {
+		base := runtime.NumGoroutine()
+		got, err := runAt(t, &cancelAfter{Context: context.Background(), n: int32(stop)}, c, m, pipelineProcs(), AppObs{})
+		if stop < n && !errors.Is(err, context.Canceled) || stop == n && err != nil {
+			t.Fatalf("stop before %d of %d: err %v", stop, n, err)
+		}
+		if !reflect.DeepEqual(got.res.PerKernel, want.res.PerKernel[:stop]) {
+			t.Errorf("stop before %d: got %d kernels, want the serial prefix of %d", stop, len(got.res.PerKernel), stop)
+		}
+		if replayed := slices.ContainsFunc(got.rows, func(k KernelRow) bool { return k.Ran == RanReplayed }); replayed != (stop == n) {
+			t.Errorf("stop before %d of %d: a row replayed: %v", stop, n, replayed)
+		}
+		noGoroutinesAbove(t, base, fmt.Sprintf("stop before %d", stop))
+	}
+}
+
+// On verify's small GPU, whose 4 CUs hold 160 one-warp workgroups, SPMV/512's
+// replay runs with a recording pool of exactly that capacity + 1 arenas,
+// which runs dry again and again; the run completes and matches the serial
+// one, rows, totals and image.
+func TestPipelinedReplayBoundedPool(t *testing.T) {
+	cfg := verify.SmallGPU()
+	run := func(procs int) pipelineRun {
+		app, err := workloads.BuildSPMV(512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := timing.ResidentGroups(cfg.Compute, app.Launches[0]); app.Launches[0].NumWorkgroups < 3*(n+1) {
+			t.Fatalf("%d workgroups, %d resident: the pool never runs dry", app.Launches[0].NumWorkgroups, n)
+		}
+		r, err := runAppAt(context.Background(), cfg, app, gpu.FullRunner{}, procs, AppObs{Check: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	setProcs(t, 1)
+	want, got := run(1), run(pipelineProcs())
+	if k := got.rows[0]; k.Ran != RanReplayed || k.Image != ImageAdvance {
+		t.Fatalf("spmv ran %s, image %s; want %s, %s", k.Ran, k.Image, RanReplayed, ImageAdvance)
+	}
+	if !reflect.DeepEqual(got.res, want.res) {
+		t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got.res, want.res)
+	}
+	if !slices.Equal(got.image, want.image) {
+		t.Errorf("final images differ first at %#x", firstDiff(got.image, want.image))
 	}
 }

@@ -41,8 +41,11 @@ type WarpStore struct {
 	mem *mem.Flat
 
 	// timingOnly is the launch's StepsTimingOnly: Step then runs
-	// frame.execTiming.
+	// frame.execTiming. recording and replaying say the store records or
+	// replays its warps' tapes (see replay below).
 	timingOnly bool
+	recording  bool
+	replaying  bool
 
 	// Per-slot strides into the shared slabs.
 	sregs  int // SGPR words per slot
@@ -79,6 +82,18 @@ type WarpStore struct {
 	// executed.
 	valBuf lanes
 	bcast  [3]lanes
+
+	// A store records or replays its warps' tapes (Recording), or does
+	// neither. Recording, set by Record for a Group's store, the segment
+	// loop appends to each slot's tape; under replay, the launch's Replay,
+	// Bind hands each slot its warp's tape, with its words and a read
+	// cursor hoisted here for Step, and the last Release of a workgroup's
+	// slots returns its arena.
+	replay *Recording
+	tape   []*tape
+	words  [][]uint32
+	at     []int32
+	bound  *arena // the arena of the workgroup Bind binds
 }
 
 // Configure binds the store to a launch and sizes it to the given slot
@@ -91,8 +106,20 @@ func (s *WarpStore) Configure(l *kernel.Launch, slots int) {
 	s.launch = l
 	s.mem = l.Memory
 	s.timingOnly = l.StepsTimingOnly()
+	s.recording, s.replaying = false, l.Replay != nil
 	s.sregs = max(p.NumSRegs, kernel.ArgSGPRBase+len(l.Args))
 	s.vwords = p.NumVRegs * kernel.WavefrontSize
+	if s.replaying {
+		// A replay touches no register: an empty file makes a value
+		// execution panic.
+		s.replay, s.bound = l.Replay.(*Recording), nil
+		s.sregs, s.vwords = 0, 0
+		s.tape = resize(s.tape, slots)
+		s.words = resize(s.words, slots)
+		s.at = resize(s.at, slots)
+	} else if s.replay != nil {
+		s.replay, s.bound = nil, nil
+	}
 	s.blocks = p.NumBlocks()
 	s.pc = resize(s.pc, slots)
 	s.exec = resize(s.exec, slots)
@@ -135,7 +162,16 @@ func (s *WarpStore) Alloc() int {
 
 // Release returns a slot to the free list. The caller must drop every Warp
 // handle for it first; the slot's state is dead the moment it is released.
+// Under replay, releasing a workgroup's last slot returns its arena to the
+// recording's pool.
 func (s *WarpStore) Release(slot int) {
+	if s.replaying {
+		a := s.tape[slot].a
+		s.tape[slot], s.words[slot] = nil, nil
+		if a.live--; a.live == 0 {
+			s.replay.pool <- a // never blocks: the pool holds every arena
+		}
+	}
 	s.free = append(s.free, int32(slot))
 }
 
@@ -157,8 +193,29 @@ func (s *WarpStore) Bind(slot, globalID int, lds []byte) Warp {
 		slot:      slot,
 		lds:       lds,
 	}
-	s.resetSlot(slot, &w)
+	if s.replaying {
+		s.replaySlot(slot, &w)
+	} else {
+		s.resetSlot(slot, &w)
+	}
 	return w
+}
+
+// replaySlot binds the slot to warp w's tape, waiting for the recording
+// when w opens its workgroup, and resets what a replayed Step keeps: the
+// PC, the counters and the flags. The register file is never read.
+// Workgroups must be bound in order, each one's warps in order.
+func (s *WarpStore) replaySlot(slot int, w *Warp) {
+	if w.IDInGroup == 0 {
+		s.bound = s.replay.take(s.launch, w.GroupID)
+	}
+	t := &s.bound.tapes[w.IDInGroup]
+	s.tape[slot], s.words[slot], s.at[slot] = t, t.words, 0
+	s.pc[slot] = 0
+	s.instCount[slot] = 0
+	s.outMem[slot] = 0
+	s.flags[slot] = 0
+	clear(s.bb[slot*s.blocks : (slot+1)*s.blocks])
 }
 
 // resetSlot writes warp w's dispatch-time architectural state into the slot:

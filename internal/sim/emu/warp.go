@@ -12,6 +12,7 @@ package emu
 import (
 	"fmt"
 
+	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
 )
 
@@ -71,11 +72,17 @@ func (w *Warp) BBCounts() []uint32 {
 // ClearBarrier. For a TimingOnly launch of an independent program Step
 // computes only what timing reads (frame.execTiming): the instruction
 // counts, BB counts, PCs, s_waitcnt bookkeeping and returned addresses are
-// those of a full run, the register values timing never reads are not.
+// those of a full run, the register values timing never reads are not. For
+// a launch that replays a Recording, Step reads the branch targets and
+// addresses from the warp's tape (replayStep) and touches no register and
+// no memory.
 func (w *Warp) Step() []uint64 {
 	st, slot := w.store, w.slot
 	if st.flags[slot]&flagDone != 0 {
 		panic(fmt.Sprintf("emu: %s warp %d stepped after s_endpgm", w.Launch.Name, w.GlobalID))
+	}
+	if st.replaying {
+		return w.replayStep()
 	}
 	uops := w.Launch.Program.MicroOps()
 	pc := int(st.pc[slot])
@@ -110,8 +117,9 @@ func (w *Warp) Step() []uint64 {
 // are only ever entered at their head, so the BBV and the instruction count
 // are bumped once per block entry rather than once per instruction. A
 // TimingOnly launch of an independent program runs frame.execTiming, so
-// the counts and PCs are a full run's and no memory is touched; the choice
-// is made once per segment, outside the loop.
+// the counts and PCs are a full run's and no memory is touched, and a
+// recording store (Recording.Record) appends each step's streams to the
+// warp's tape; the choice is made once per segment, outside the loop.
 func (w *Warp) runSegment() {
 	st, slot := w.store, w.slot
 	var f frame
@@ -130,7 +138,8 @@ func (w *Warp) runSegment() {
 		b := p.Blocks[u.Block]
 		insts += uint64(b.StartPC + b.Len - pc)
 	}
-	if st.timingOnly {
+	switch {
+	case st.timingOnly:
 		for f.flags&(flagDone|flagBarrier) == 0 {
 			u := &uops[pc]
 			if u.Head {
@@ -139,7 +148,20 @@ func (w *Warp) runSegment() {
 			}
 			pc = f.execTiming(u, pc)
 		}
-	} else {
+	case st.recording:
+		t := st.tape[slot]
+		for f.flags&(flagDone|flagBarrier) == 0 {
+			u := &uops[pc]
+			if u.Head {
+				bb[u.Block]++
+				insts += uint64(u.BlockLen)
+			}
+			pc = f.exec(u, pc)
+			if u.Step != isa.StepALU || u.Class == isa.FUBranch {
+				f.record(t, u, pc)
+			}
+		}
+	default:
 		for f.flags&(flagDone|flagBarrier) == 0 {
 			u := &uops[pc]
 			if u.Head {

@@ -129,7 +129,7 @@ func (d dataflow) effectOf(in *Inst) effect {
 }
 
 // computeDataflow runs the taint and liveness passes and records the result
-// in p.independent and the micro-ops' Dead marks.
+// in p.atomic, p.independent and the micro-ops' Dead marks.
 func (p *Program) computeDataflow() {
 	d := dataflow{ns: p.NumSRegs, nv: p.NumVRegs}
 	masks := 0
@@ -162,10 +162,11 @@ func (p *Program) computeDataflow() {
 			}
 		}
 	}
+	p.atomic = false
 	for pc := range effects {
 		e := &effects[pc]
 		if p.Insts[pc].Op.IsAtomic() {
-			p.independent = false
+			p.atomic, p.independent = true, false
 		}
 		for i, u := range e.uses {
 			if e.timed[i] && u >= 0 && tainted[u] {
@@ -212,3 +213,10 @@ func (p *Program) computeDataflow() {
 // image may skip the micro-ops marked MicroOp.Dead and every vector load's
 // and store's data movement, and its timing does not change.
 func (p *Program) Independent() bool { return p.independent }
+
+// HasAtomic reports whether the program has an atomic instruction. The
+// values an atomic returns, and so whatever depends on them, follow the
+// order warps happen to execute it in, so a run of such a program over a
+// fork of the image, or a functional run beside its detailed one, need not
+// leave the image its detailed run does.
+func (p *Program) HasAtomic() bool { return p.atomic }

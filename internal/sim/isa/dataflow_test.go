@@ -59,13 +59,16 @@ func TestGeneratorsIndependence(t *testing.T) {
 	}
 }
 
-// A program with an atomic is never independent, and a dependent program
-// marks no micro-op Dead: only an independent program's timing-only run
-// may skip any.
+// A program with an atomic says so (HasAtomic) and is never independent,
+// and a dependent program marks no micro-op Dead: only an independent
+// program's timing-only run may skip any.
 func TestAtomicsAndDependentProgramsMarkNothing(t *testing.T) {
 	atomics := 0
 	for p, name := range runPrograms(t) {
 		hasAtomic := slices.ContainsFunc(p.Insts, func(in isa.Inst) bool { return in.Op.IsAtomic() })
+		if p.HasAtomic() != hasAtomic {
+			t.Errorf("%s: HasAtomic() = %v, want %v", name, p.HasAtomic(), hasAtomic)
+		}
 		if hasAtomic {
 			atomics++
 			if p.Independent() {

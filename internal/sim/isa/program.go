@@ -52,6 +52,7 @@ type Program struct {
 	Fingerprint uint64
 
 	opts        BlockOptions
+	atomic      bool // see HasAtomic
 	independent bool // see Independent
 }
 

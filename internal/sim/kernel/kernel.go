@@ -40,6 +40,20 @@ type Launch struct {
 	// and neither reads nor writes Memory, which may then be nil: the
 	// launch has no image. See StepsTimingOnly.
 	TimingOnly bool
+
+	// Replay, when set, is a recorded functional run of this launch that
+	// the detailed run replays instead of executing values (emu.Recording):
+	// the emulator then reads neither Memory, which may be nil, nor any
+	// register. Its program must have no atomic.
+	Replay Recording
+}
+
+// Recording is a functional run of a launch recorded for a detailed run to
+// replay (Launch.Replay). emu.Recording is the one implementation; the
+// interface only keeps this package below the emulator.
+type Recording interface {
+	// RecordsSteps marks the implementation.
+	RecordsSteps()
 }
 
 // StepsTimingOnly reports whether the emulator runs l timing-only: its
@@ -59,8 +73,11 @@ func (l *Launch) Validate() error {
 	if l.Program == nil {
 		return fmt.Errorf("kernel %q: nil program", l.Name)
 	}
-	if l.Memory == nil && !l.StepsTimingOnly() {
+	if l.Memory == nil && !l.StepsTimingOnly() && l.Replay == nil {
 		return fmt.Errorf("kernel %q: nil memory", l.Name)
+	}
+	if l.Replay != nil && l.Program.HasAtomic() {
+		return fmt.Errorf("kernel %q: a replay of a program with an atomic", l.Name)
 	}
 	if l.NumWorkgroups <= 0 || l.WarpsPerGroup <= 0 {
 		return fmt.Errorf("kernel %q: grid %dx%d must be positive",

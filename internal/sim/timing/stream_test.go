@@ -103,32 +103,73 @@ func divergentLaunch(warps int) *kernel.Launch {
 // one with barriers and LDS, one divergent whose dispatch gate fires — to
 // digests generated on the commit before direct issue and subscription
 // landed (PR 23): the same callbacks, with the same arguments, in the same
-// order.
+// order. A machine that replays a recording of the launch (replayOf)
+// delivers the same stream.
 func TestObserverStreamDigest(t *testing.T) {
-	t.Run("barriers+LDS", func(t *testing.T) {
-		l, _ := barrierLaunch(300, 4)
-		d := newStreamDigest()
-		res := runDetailed(t, 2, l, d.observer())
-		if !res.Complete || res.EndTime != 5596 {
-			t.Fatalf("run: %+v", res)
+	legs := func(t *testing.T, run func(t *testing.T, replay bool)) {
+		for _, replay := range []bool{false, true} {
+			t.Run(map[bool]string{false: "executed", true: "replayed"}[replay], func(t *testing.T) { run(t, replay) })
 		}
-		d.want(t, 24000, 0x9cdba5733aa6c1d6)
+	}
+	t.Run("barriers+LDS", func(t *testing.T) {
+		legs(t, func(t *testing.T, replay bool) {
+			l, _ := barrierLaunch(300, 4)
+			if replay {
+				l = replayOf(t, DefaultCompute(2), l)
+			}
+			d := newStreamDigest()
+			res := runDetailed(t, 2, l, d.observer())
+			if !res.Complete || res.EndTime != 5596 {
+				t.Fatalf("run: %+v", res)
+			}
+			d.want(t, 24000, 0x9cdba5733aa6c1d6)
+		})
 	})
 	t.Run("divergence+gate", func(t *testing.T) {
-		l := divergentLaunch(600)
-		d := newStreamDigest()
-		m := NewMachine(DefaultCompute(2), testHier(2), d.observer())
-		polls := 0
-		m.SetStopDispatch(func() bool { polls++; return polls > 400 })
-		res, err := m.Run(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Complete || res.GateTime != 3952 || res.EndTime != 5131 {
-			t.Fatalf("gate did not fire where it used to: %+v", res)
-		}
-		d.want(t, 16920, 0xf18228ae07d42291)
+		legs(t, func(t *testing.T, replay bool) {
+			l := divergentLaunch(600)
+			if replay {
+				l = replayOf(t, DefaultCompute(2), l)
+			}
+			d := newStreamDigest()
+			m := NewMachine(DefaultCompute(2), testHier(2), d.observer())
+			polls := 0
+			m.SetStopDispatch(func() bool { polls++; return polls > 400 })
+			res, err := m.Run(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Complete || res.GateTime != 3952 || res.EndTime != 5131 {
+				t.Fatalf("gate did not fire where it used to: %+v", res)
+			}
+			d.want(t, 16920, 0xf18228ae07d42291)
+		})
 	})
+}
+
+// replayOf returns l over no image, replaying a recording of l that a
+// goroutine records on l's image beside it into a pool of cfg's
+// resident-workgroup capacity + 1 arenas; the recording stops when the
+// test ends.
+func replayOf(t *testing.T, cfg Config, l *kernel.Launch) *kernel.Launch {
+	rec := emu.NewRecording(ResidentGroups(cfg, l) + 1)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		_, err := rec.Record(l, stop)
+		if err != nil {
+			rec.End(err)
+			return
+		}
+		rec.End(nil)
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+	})
+	r := *l
+	r.Memory, r.Replay = nil, rec
+	return &r
 }
 
 // TestOneSIMDIssueOrder drives a single SIMD through its three cases. Three

@@ -2,9 +2,11 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"photon/internal/sim/emu"
 	"photon/internal/sim/event"
+	"photon/internal/sim/gpu"
 	"photon/internal/sim/isa"
 	"photon/internal/sim/mem"
 	"photon/internal/sim/timing"
@@ -24,7 +26,12 @@ import (
 //   - for an independent program (isa.Program.Independent), a timing-only
 //     run (kernel.Launch.TimingOnly) over no image vs the detailed run: the
 //     same end time, instruction count and stream of issues and
-//     retirements, and no memory read or written, which would panic.
+//     retirements, and no memory read or written, which would panic;
+//   - for a program without atomics, a replayed run (kernel.Launch.Replay)
+//     over no image, beside a recording pass on the image, vs the detailed
+//     run: the same end time, stream of issues and retirements, per-warp
+//     instruction and BB counts, cache and DRAM counters, and image, and
+//     the pass's instruction count equals the run's.
 func RunCase(c *Case) []Violation {
 	var vs []Violation
 	fail := func(kind, format string, args ...any) {
@@ -41,7 +48,7 @@ func RunCase(c *Case) []Violation {
 		fail("functional", "%v", err)
 		return vs
 	}
-	tr, err := runTiming(c, false)
+	tr, err := runTiming(c, executed)
 	if err != nil {
 		fail("timing", "%v", err)
 		return vs
@@ -105,7 +112,63 @@ func RunCase(c *Case) []Violation {
 	if prog.Independent() {
 		diffTimingOnly(fail, c, tr)
 	}
+	if !prog.HasAtomic() {
+		diffReplayed(fail, c, tr)
+	}
 	return vs
+}
+
+// diffReplayed runs the case replaying a recording pass beside it and holds
+// it to the detailed run tr: the replay reads from the recording exactly
+// what the executed run's steps returned, so the two runs issue, retire,
+// count and access the hierarchy identically, and the pass leaves the
+// image. A panic, the pass's raised again or the replay's own, is the
+// leg's violation.
+func diffReplayed(fail func(kind, format string, args ...any), c *Case, tr *timingRun) {
+	rr, err := func() (rr *timingRun, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				err = fmt.Errorf("panic: %v", v)
+			}
+		}()
+		return runTiming(c, replayed)
+	}()
+	if err != nil {
+		fail("replay", "%v", err)
+		return
+	}
+	if rr.res.EndTime != tr.res.EndTime || rr.res.InstCount != tr.res.InstCount || rr.recorded != tr.res.InstCount {
+		fail("replay", "end time %d, %d instructions, %d recorded; the detailed run %d, %d",
+			rr.res.EndTime, rr.res.InstCount, rr.recorded, tr.res.EndTime, tr.res.InstCount)
+	}
+	if i := firstStreamDiff(rr.stream, tr.stream); i >= 0 {
+		fail("replay", "event %d of %d: %s; the detailed run: %s (of %d)",
+			i, len(rr.stream), eventAt(rr.stream, i), eventAt(tr.stream, i), len(tr.stream))
+	}
+	for id, st := range tr.states {
+		r := rr.states[id]
+		if r.InstCount != st.InstCount || !slices.Equal(r.BBCounts, st.BBCounts) {
+			fail("replay", "warp %d: %d instructions, BB counts %v; the detailed run %d, %v",
+				id, r.InstCount, r.BBCounts, st.InstCount, st.BBCounts)
+		}
+	}
+	if rr.stats != tr.stats {
+		fail("replay", "hierarchy counters %+v; the detailed run %+v", rr.stats, tr.stats)
+	}
+	if rr.conserv != nil {
+		fail("replay", "%v", rr.conserv)
+	}
+	if !slices.Equal(rr.mem, tr.mem) {
+		fail("replay", "the recording pass left an image that differs from the detailed run's")
+	}
+}
+
+// eventAt formats event i of s, or its end.
+func eventAt(s []streamEvent, i int) string {
+	if i < len(s) {
+		return fmt.Sprintf("%+v", s[i])
+	}
+	return "end of stream"
 }
 
 // diffTimingOnly runs the case timing-only over no image and holds it to
@@ -120,7 +183,7 @@ func diffTimingOnly(fail func(kind, format string, args ...any), c *Case, tr *ti
 				err = fmt.Errorf("panic: %v", v)
 			}
 		}()
-		return runTiming(c, true)
+		return runTiming(c, timingOnly)
 	}()
 	if err != nil {
 		fail("timing-only", "%v", err)
@@ -131,14 +194,8 @@ func diffTimingOnly(fail func(kind, format string, args ...any), c *Case, tr *ti
 			to.res.EndTime, to.res.InstCount, tr.res.EndTime, tr.res.InstCount)
 	}
 	if i := firstStreamDiff(to.stream, tr.stream); i >= 0 {
-		at := func(s []streamEvent) string {
-			if i < len(s) {
-				return fmt.Sprintf("%+v", s[i])
-			}
-			return "end of stream"
-		}
 		fail("timing-only", "event %d of %d: %s; the detailed run: %s (of %d)",
-			i, len(to.stream), at(to.stream), at(tr.stream), len(tr.stream))
+			i, len(to.stream), eventAt(to.stream, i), eventAt(tr.stream, i), len(tr.stream))
 	}
 }
 
@@ -203,13 +260,24 @@ func runFunctional(c *Case) (map[int]emu.WarpState, []uint32, error) {
 
 // timingRun captures what the checks read of one detailed-mode run.
 type timingRun struct {
-	res     timing.Result
-	states  map[int]emu.WarpState
-	issued  map[int]uint64
-	stream  []streamEvent
-	mem     []uint32
-	conserv error
+	res      timing.Result
+	states   map[int]emu.WarpState
+	issued   map[int]uint64
+	stream   []streamEvent
+	mem      []uint32
+	stats    mem.Stats
+	conserv  error
+	recorded uint64 // a replayed run's: its recording pass's instruction count
 }
+
+// leg is how runTiming runs a case's detailed simulation.
+type leg int
+
+const (
+	executed   leg = iota // over the image, executing values
+	timingOnly            // timing-only over no image
+	replayed              // over no image, replaying a recording pass on the image beside it
+)
 
 // streamEvent is one issue (Retired false) or retirement the timing model
 // reported: for an issue, the CU, FU class and latency; for a retirement,
@@ -247,17 +315,33 @@ func (o *captureObs) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time
 	o.states[w.GlobalID] = st
 }
 
-// runTiming executes the case in detailed mode, or timing-only over no
-// image when asked, which leaves the run's mem nil.
-func runTiming(c *Case, timingOnly bool) (*timingRun, error) {
+// runTiming executes the case in detailed mode as leg says. A timing-only
+// run leaves the run's mem nil; a replayed one's is the image its recording
+// pass left, and a panic of the pass is raised again.
+func runTiming(c *Case, leg leg) (run *timingRun, err error) {
 	l, seg, err := c.NewLaunch()
 	if err != nil {
 		return nil, err
 	}
-	if timingOnly {
-		l.TimingOnly, l.Memory = true, nil
-	}
+	image := l.Memory
 	compute, hcfg := SmallConfig()
+	var pass *gpu.Pass
+	switch leg {
+	case timingOnly:
+		l.TimingOnly, l.Memory, image = true, nil, nil
+	case replayed:
+		rec := emu.NewRecording(timing.ResidentGroups(compute, l) + 1)
+		pass = gpu.RecordingPass(rec)
+		live := *l
+		pass.Go(&live, func(body func()) { body() })
+		defer func() {
+			pass.Stop()
+			if err == nil {
+				run.recorded, err = pass.Recorded()
+			}
+		}()
+		l.Memory, l.Replay = nil, rec
+	}
 	hier := mem.NewHierarchy(hcfg)
 	obs := &captureObs{
 		states: make(map[int]emu.WarpState, c.TotalWarps()),
@@ -269,18 +353,18 @@ func runTiming(c *Case, timingOnly bool) (*timingRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	var image []uint32
-	if l.Memory != nil {
-		image = segWords(l.Memory, seg)
-	}
-	return &timingRun{
+	run = &timingRun{
 		res:     res,
 		states:  obs.states,
 		issued:  obs.issued,
 		stream:  obs.stream,
-		mem:     image,
+		stats:   hier.CollectStats(),
 		conserv: hier.CheckConservation(),
-	}, nil
+	}
+	if image != nil {
+		run.mem = segWords(image, seg)
+	}
+	return run, nil
 }
 
 // segWords concatenates the input, output and atomic segments into one image
