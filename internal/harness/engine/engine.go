@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"photon/internal/obs"
@@ -28,12 +29,12 @@ import (
 type Task[T any] func(ctx context.Context) (T, error)
 
 // Workers resolves a worker-count request: values <= 0 mean "one worker per
-// available CPU" (GOMAXPROCS), and the count is clamped to the task count so
-// small plans do not spawn idle goroutines.
+// CPU of the process's pool" (Procs), and the count is clamped to the task
+// count so small plans do not spawn idle goroutines.
 func Workers(requested, tasks int) int {
 	n := requested
 	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+		n = Procs.Size()
 	}
 	if n > tasks {
 		n = tasks
@@ -43,6 +44,33 @@ func Workers(requested, tasks int) int {
 	}
 	return n
 }
+
+// CPUs is a count of free CPUs, one token each. A simulation holds a token
+// while it runs, and spares a CPU for a helper or a pass while the count
+// is above zero (DESIGN.md "Kernel-level parallelism"). Nothing waits for
+// a token: Take may overdraw the count.
+type CPUs struct {
+	size int
+	used atomic.Int64
+}
+
+// Procs is the process's pool: GOMAXPROCS tokens.
+var Procs = NewCPUs(runtime.GOMAXPROCS(0))
+
+// NewCPUs returns a pool of n free CPUs.
+func NewCPUs(n int) *CPUs { return &CPUs{size: n} }
+
+// Size is the number of tokens the pool holds when none is taken.
+func (c *CPUs) Size() int { return c.size }
+
+// Free is the count of free tokens now; it is below zero when overdrawn.
+func (c *CPUs) Free() int { return c.size - int(c.used.Load()) }
+
+// Take takes a token unconditionally: the count may go below zero.
+func (c *CPUs) Take() { c.used.Add(1) }
+
+// Give returns a token.
+func (c *CPUs) Give() { c.used.Add(-1) }
 
 // JobMeta describes how one job was executed: which worker ran it, how long
 // it ran, and how long it sat in the queue first. Wall and QueueWait are host

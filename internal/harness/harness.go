@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"photon/internal/core"
+	"photon/internal/harness/engine"
 	"photon/internal/obs"
 	"photon/internal/sim/event"
 	"photon/internal/sim/gpu"
@@ -98,6 +99,8 @@ type AppObs struct {
 	// outside benchmark PRs, still sets it; the benchmark PR that retires
 	// that probe removes this field with it.
 	Lanes int
+	// cpus is the run's pool of CPUs; nil is the process's, engine.Procs.
+	cpus *engine.CPUs
 }
 
 // RunAppInstrumented runs the app with the observability bundle attached.
@@ -123,8 +126,11 @@ type AppObs struct {
 func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppObs) (res AppResult, err error) {
 	start := time.Now()
 	defer func() { res.Wall = time.Since(start) }()
-	running.Add(1)
-	defer running.Add(-1)
+	if ao.cpus == nil {
+		ao.cpus = engine.Procs
+	}
+	ao.cpus.Take()
+	defer ao.cpus.Give()
 	ao.Trace.NameProcess(simPID, "simulation")
 	p := newPipeline(cfg, app, runner, ao)
 	defer p.wait()

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"photon/internal/harness/engine"
@@ -13,11 +11,6 @@ import (
 	"photon/internal/sim/timing"
 	"photon/internal/workloads"
 )
-
-// running counts the RunAppInstrumented calls in progress in this process.
-// A run hands kernels to helpers only while it is the only one: a parallel
-// sweep or a busy service already uses the CPUs.
-var running atomic.Int32
 
 // pipeline runs the kernels of one app and merges their results in kernel
 // order (DESIGN.md "Kernel-level parallelism"). It asks the runner for each
@@ -31,9 +24,7 @@ type pipeline struct {
 	app    *workloads.App
 	runner gpu.Runner
 	ao     AppObs
-	// window bounds the detailed runs in flight; 1 is the serial path.
-	window int
-	gpus   chan *gpu.GPU // idle GPUs; at most window are ever made
+	gpus   chan *gpu.GPU // idle GPUs; at most the pool's size are ever made
 	made   int
 	home   *gpu.GPU         // the first GPU made: it lends every plan the run's config and sinks
 	tids   map[*gpu.GPU]int // the trace thread of each GPU's handed-off kernels
@@ -54,9 +45,8 @@ type kernelRun struct {
 }
 
 func newPipeline(cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppObs) *pipeline {
-	window := runtime.GOMAXPROCS(0)
-	p := &pipeline{cfg: cfg, app: app, runner: runner, ao: ao, window: window,
-		gpus: make(chan *gpu.GPU, window), tids: map[*gpu.GPU]int{}, res: AppResult{Runner: runner.Name()}}
+	p := &pipeline{cfg: cfg, app: app, runner: runner, ao: ao,
+		gpus: make(chan *gpu.GPU, ao.cpus.Size()), tids: map[*gpu.GPU]int{}, res: AppResult{Runner: runner.Name()}}
 	p.home = p.gpu()
 	p.gpus <- p.home
 	return p
@@ -73,10 +63,6 @@ func mayHandOff(plan *gpu.Plan, i, n int, l *kernel.Launch) bool {
 	return plan.Execute != nil && plan.Overlap && !l.Program.HasAtomic() && (i < n-1 || l.Program.Independent())
 }
 
-// alone reports whether this run may use a second CPU: GOMAXPROCS is at
-// least two, and no other run is in flight in the process.
-func (p *pipeline) alone() bool { return p.window > 1 && running.Load() == 1 }
-
 // step plans launch i, picks where its Execute runs (Ran) and runs it. The
 // plan's functional pass may start when the run may spare a CPU and the
 // program has no atomic; a launch mayHandOff admits goes to a helper when
@@ -84,7 +70,9 @@ func (p *pipeline) alone() bool { return p.window > 1 && running.Load() == 1 }
 // timing-only, over no image, on a helper or beside a pass. A launch that
 // would otherwise run inline although its plan may overlap, in practice a
 // dependent last launch, replays a recording pass beside it when the run
-// may spare a CPU and the program has no atomic.
+// may spare a CPU and the program has no atomic. The run may spare a CPU
+// when its pool has a token free at the launch: every run in flight holds
+// one, so a lone run on two CPUs may, and two runs on two may not.
 func (p *pipeline) step(i int, l *kernel.Launch) error {
 	start := time.Now()
 	var plan *gpu.Plan
@@ -97,19 +85,19 @@ func (p *pipeline) step(i int, l *kernel.Launch) error {
 	}
 	k := &kernelRun{l: l, plan: plan, tid: p.ao.TID, start: start, done: make(chan struct{}),
 		row: KernelRow{Name: l.Name, admitted: mayHandOff(plan, i, len(p.app.Launches), l)}}
-	alone, independent, atomic := p.alone(), l.Program.Independent(), l.Program.HasAtomic()
-	pass := plan.Pass != nil && alone && !atomic
+	spare, independent, atomic := p.ao.cpus.Free() > 0, l.Program.Independent(), l.Program.HasAtomic()
+	pass := plan.Pass != nil && spare && !atomic
 	switch {
 	case plan.Execute == nil:
 		k.row.Ran, k.row.Image = RanAdvance, ImageAdvance
 		return p.advanceOnly(k)
-	case k.row.admitted && alone && independent:
+	case k.row.admitted && spare && independent:
 		k.row.Ran, k.row.Image = RanHelperTimed, ImageAdvance
 		return p.handOff(k)
-	case k.row.admitted && alone:
+	case k.row.admitted && spare:
 		k.row.Ran, k.row.Image = RanHelper, ImageAdvance
 		return p.handOff(k)
-	case plan.Overlap && alone && !atomic:
+	case plan.Overlap && spare && !atomic:
 		k.row.Ran = RanReplayed
 	case pass && independent:
 		k.row.Ran = RanTimedBesidePass
@@ -119,15 +107,15 @@ func (p *pipeline) step(i int, l *kernel.Launch) error {
 	return p.inline(k, pass)
 }
 
-// gpu returns an idle GPU, building one while fewer than window exist, and
-// otherwise waits for a helper to finish.
+// gpu returns an idle GPU, building one while fewer than the pool's size
+// exist, and otherwise waits for a helper to finish.
 func (p *pipeline) gpu() *gpu.GPU {
 	select {
 	case g := <-p.gpus:
 		return g
 	default:
 	}
-	if p.made < p.window {
+	if p.made < p.ao.cpus.Size() {
 		p.made++
 		g := gpu.New(p.cfg)
 		if p.ao.Metrics != nil { // wiring a registry walks every cache; skip it unobserved
@@ -320,9 +308,10 @@ func (p *pipeline) advanceOnly(k *kernelRun) error {
 
 // handOff runs k's Execute on a helper over a fork of the image, which it
 // drops, or, helper-timed, timing-only over no image, then advances the
-// live image past k functionally. It waits for an idle GPU first, so at
-// most window detailed runs, and their forks, are alive; finished ones wait
-// in the queue to merge in order without holding back the next hand-off.
+// live image past k functionally. It waits for an idle GPU first, so no
+// more detailed runs, and their forks, are alive than the pool has CPUs;
+// finished ones wait in the queue to merge in order without holding back
+// the next hand-off.
 func (p *pipeline) handOff(k *kernelRun) error {
 	g := p.gpu()
 	if err := p.mergeDone(); err != nil {

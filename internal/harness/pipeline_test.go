@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"photon/internal/core"
+	"photon/internal/harness/engine"
 	"photon/internal/obs"
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/isa"
@@ -96,15 +97,12 @@ func findPipelineCase(t *testing.T, name string) pipelineCase {
 	return pipelineCase{}
 }
 
-// setProcs sets GOMAXPROCS until the test ends.
-func setProcs(t *testing.T, n int) {
-	old := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
-
-// pipelineProcs is the GOMAXPROCS the pipelined legs run at: at least two,
-// so kernels go to helpers even on a one-CPU host.
-func pipelineProcs() int { return max(2, runtime.NumCPU()) }
+// The pools of CPUs a leg's run takes its CPUs from: on one the run is
+// serial, on two it may spare a CPU, whatever the host has.
+const (
+	serialCPUs    = 1
+	pipelinedCPUs = 2
+)
 
 // image reads every allocated word of m.
 func image(m *mem.Flat) []uint32 {
@@ -126,20 +124,20 @@ type pipelineRun struct {
 // onHelper reports whether a row's Execute ran on a helper GPU.
 func onHelper(k KernelRow) bool { return k.Ran == RanHelper || k.Ran == RanHelperTimed }
 
-// runAt builds c's app and runs it under m at GOMAXPROCS procs.
-func runAt(t *testing.T, ctx context.Context, c pipelineCase, m mode, procs int, ao AppObs) (pipelineRun, error) {
+// runAt builds c's app and runs it under m on a pool of cpus CPUs.
+func runAt(t *testing.T, ctx context.Context, c pipelineCase, m mode, cpus int, ao AppObs) (pipelineRun, error) {
 	t.Helper()
 	app, err := c.build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := gpu.R9Nano()
-	return runAppAt(ctx, cfg, app, m.new(cfg, core.DefaultParams()), procs, ao)
+	return runAppAt(ctx, cfg, app, m.new(cfg, core.DefaultParams()), cpus, ao)
 }
 
-// runAppAt runs app under runner at GOMAXPROCS procs.
-func runAppAt(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, procs int, ao AppObs) (pipelineRun, error) {
-	runtime.GOMAXPROCS(procs)
+// runAppAt runs app under runner on a pool of cpus CPUs.
+func runAppAt(ctx context.Context, cfg gpu.Config, app *workloads.App, runner gpu.Runner, cpus int, ao AppObs) (pipelineRun, error) {
+	ao.cpus = engine.NewCPUs(cpus)
 	res, err := RunAppInstrumented(ctx, cfg, app, runner, ao)
 	rows := slices.Clone(res.PerKernel)
 	res.Wall = 0
@@ -191,20 +189,26 @@ var functionalMode = mode{gpu.TierFunctional, func(gpu.Config, core.Params) gpu.
 // the pipelined rows take every value of Ran and of Image, so no path of
 // the run loop is dead.
 func TestPipelinedRunMatchesSerial(t *testing.T) {
+	t.Parallel()
 	seen := map[any]bool{} // Ran and Image values: "advance" is one of each
+	cases := map[string][]mode{}
 	legs, ran := 0, 0
 	for _, c := range pipelineCases() {
-		t.Run(c.name, func(t *testing.T) {
-			app, err := c.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var full *pipelineRun // the serial full run, once its leg has run
-			for _, m := range append(modes, functionalMode) {
-				if len(app.Launches) == 1 && !slices.Contains(c.oneLaunchModes(), m.name) {
-					continue
-				}
+		app, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range append(modes, functionalMode) {
+			if len(app.Launches) > 1 || slices.Contains(c.oneLaunchModes(), m.name) {
+				cases[c.name] = append(cases[c.name], m)
 				legs++
+			}
+		}
+	}
+	for _, c := range pipelineCases() {
+		t.Run(c.name, func(t *testing.T) {
+			var full *pipelineRun // the serial full run, once its leg has run
+			for _, m := range cases[c.name] {
 				t.Run(m.name, func(t *testing.T) {
 					ran++
 					want, got := matchesSerial(t, c, m, full)
@@ -219,7 +223,7 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 		})
 	}
 	if ran < legs || t.Failed() {
-		return // a filtered or failed run need not cover every path
+		return // a filtered or failed run need not cover every path: legs counts every case's
 	}
 	for _, v := range []any{RanInline, RanTimedBesidePass, RanHelper, RanHelperTimed, RanReplayed, RanAdvance,
 		ImageLive, ImagePass, ImageReplay, ImageAdvance} {
@@ -233,9 +237,8 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 // returns both. full is the case's serial full run, or nil when its leg has
 // not run.
 func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) (want, got pipelineRun) {
-	setProcs(t, 1)
 	ao := AppObs{Check: true}
-	want, err := runAt(t, context.Background(), c, m, 1, ao)
+	want, err := runAt(t, context.Background(), c, m, serialCPUs, ao)
 	if err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
@@ -244,7 +247,7 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) (wan
 			t.Errorf("serial run: %s ran %s, image %s; want inline or advance, live or advance", k.Name, k.Ran, k.Image)
 		}
 	}
-	got, err = runAt(t, context.Background(), c, m, pipelineProcs(), ao)
+	got, err = runAt(t, context.Background(), c, m, pipelinedCPUs, ao)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +318,7 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) (wan
 // KMeans' v_atomic_fadd sums in schedule order, so its bytes may differ.
 func functionalMatchesFull(t *testing.T, c pipelineCase, got pipelineRun, full *pipelineRun) {
 	if full == nil {
-		run, err := runAt(t, context.Background(), c, modeNamed(t, BaselineMode), 1, AppObs{})
+		run, err := runAt(t, context.Background(), c, modeNamed(t, BaselineMode), serialCPUs, AppObs{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,10 +350,10 @@ func firstDiff(a, b []uint32) int {
 // v_atomic_fadd sums in schedule order, so its bytes may differ from the
 // full run's and its image is held to the app's Check instead.
 func TestEveryModeLeavesFullRunImage(t *testing.T) {
-	setProcs(t, 1)
+	t.Parallel()
 	for _, name := range []string{"HIST", "KMEANS", "BFS", "REDUCE"} {
 		c := findPipelineCase(t, name)
-		full, err := runAt(t, context.Background(), c, modeNamed(t, BaselineMode), 1, AppObs{})
+		full, err := runAt(t, context.Background(), c, modeNamed(t, BaselineMode), serialCPUs, AppObs{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +365,7 @@ func TestEveryModeLeavesFullRunImage(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := gpu.R9Nano()
-				res, err := RunAppInstrumented(context.Background(), cfg, app, m.new(cfg, core.DefaultParams()), AppObs{})
+				res, err := RunAppInstrumented(context.Background(), cfg, app, m.new(cfg, core.DefaultParams()), AppObs{cpus: engine.NewCPUs(serialCPUs)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -418,16 +421,15 @@ func (c *cancelAfter) Err() error {
 // before the signal stays uncommitted, and none is made after it.
 func TestPipelinedRunCancelsMidApp(t *testing.T) {
 	c := findPipelineCase(t, "Xfmr-L2")
-	setProcs(t, 1)
 	for _, m := range []mode{modeNamed(t, BaselineMode), modeNamed(t, "photon")} {
-		want, err := runAt(t, context.Background(), c, m, 1, AppObs{})
+		want, err := runAt(t, context.Background(), c, m, serialCPUs, AppObs{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, stop := range []int{1, 5, len(want.res.PerKernel) - 1} {
 			base := runtime.NumGoroutine()
 			ctx := &cancelAfter{Context: context.Background(), n: int32(stop)}
-			got, err := runAt(t, ctx, c, m, pipelineProcs(), AppObs{})
+			got, err := runAt(t, ctx, c, m, pipelinedCPUs, AppObs{})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s, stop before %d: err %v, want context.Canceled", m.name, stop, err)
 			}
@@ -469,7 +471,8 @@ func noGoroutinesAbove(t *testing.T, base int, what string) {
 // (category functional) go on a helper GPU's thread.
 func TestPipelinedRunMergesTelemetry(t *testing.T) {
 	const tid = 3
-	observed := func(c pipelineCase, m mode, procs int) (obs.Snapshot, []string, []obs.TraceEvent, pipelineRun) {
+	t.Parallel()
+	observed := func(c pipelineCase, m mode, cpus int) (obs.Snapshot, []string, []obs.TraceEvent, pipelineRun) {
 		reg, tr := obs.NewRegistry(), obs.NewTraceBuffer()
 		var spans []string
 		var evs []obs.TraceEvent
@@ -481,12 +484,12 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 				spans = append(spans, ev.Name)
 			}
 		})
-		run, err := runAt(t, context.Background(), c, m, procs, AppObs{Metrics: reg, Trace: tr, TID: tid, Check: true})
+		run, err := runAt(t, context.Background(), c, m, cpus, AppObs{Metrics: reg, Trace: tr, TID: tid, Check: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, a := range evs {
-			if procs == 1 && a.TID != tid {
+			if cpus == serialCPUs && a.TID != tid {
 				t.Errorf("%s serial run: span %s on thread %d, want %d", m.name, a.Name, a.TID, tid)
 			}
 			for _, b := range evs[i+1:] {
@@ -503,7 +506,6 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 		}
 		return reg.Snapshot(), spans, evs, run
 	}
-	setProcs(t, 1)
 	for _, tc := range []struct {
 		c     pipelineCase
 		modes []string
@@ -519,8 +521,8 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 		}
 		for _, name := range tc.modes {
 			m := modeNamed(t, name)
-			wantSnap, wantSpans, _, _ := observed(tc.c, m, 1)
-			gotSnap, gotSpans, evs, run := observed(tc.c, m, pipelineProcs())
+			wantSnap, wantSpans, _, _ := observed(tc.c, m, serialCPUs)
+			gotSnap, gotSpans, evs, run := observed(tc.c, m, pipelinedCPUs)
 			used := slices.ContainsFunc(run.rows, func(k KernelRow) bool { return k.Image == ImagePass || k.Ran == RanReplayed })
 			if !used && !slices.ContainsFunc(run.rows, onHelper) {
 				t.Fatalf("%s/%s: no kernel was handed off and no pass used", tc.c.name, m.name)
@@ -550,15 +552,14 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 
 // AppResult.Wall is the run's elapsed time: it fits inside a stopwatch
 // around the call, and a pipelined run, whose kernels overlap, lasts less
-// than its kernels' walls summed.
+// than its kernels' walls summed. The test reads walls, so it runs alone.
 func TestPipelinedRunWallIsElapsed(t *testing.T) {
 	app, err := findPipelineCase(t, "ResNet-18").build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	setProcs(t, pipelineProcs())
 	start := time.Now()
-	res, err := RunAppInstrumented(context.Background(), gpu.R9Nano(), app, gpu.FullRunner{}, AppObs{})
+	res, err := RunAppInstrumented(context.Background(), gpu.R9Nano(), app, gpu.FullRunner{}, AppObs{cpus: engine.NewCPUs(pipelinedCPUs)})
 	stopwatch := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -621,39 +622,37 @@ func ldsFaultApp(dependent bool) *workloads.App {
 // and skips the LDS store, so the error is the functional advance's beside
 // it, from the run's goroutine.
 func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
-	setProcs(t, 1)
 	for _, dependent := range []bool{false, true} {
 		if got := ldsFaultApp(dependent).Launches[0].Program.Independent(); got == dependent {
 			t.Fatalf("the faulting program built with dependent %v reports Independent %v", dependent, got)
 		}
 		for _, name := range []string{BaselineMode, "photon"} {
 			var first string
-			for _, procs := range []int{1, pipelineProcs()} {
-				runtime.GOMAXPROCS(procs)
+			for _, cpus := range []int{serialCPUs, pipelinedCPUs} {
 				base := runtime.NumGoroutine()
 				cfg := gpu.R9Nano()
-				_, err := RunAppInstrumented(context.Background(), cfg, ldsFaultApp(dependent), modeNamed(t, name).new(cfg, core.DefaultParams()), AppObs{})
+				_, err := RunAppInstrumented(context.Background(), cfg, ldsFaultApp(dependent), modeNamed(t, name).new(cfg, core.DefaultParams()), AppObs{cpus: engine.NewCPUs(cpus)})
 				if err == nil {
-					t.Fatalf("%s, dependent %v, procs %d: the faulting kernel did not fail the run", name, dependent, procs)
+					t.Fatalf("%s, dependent %v, cpus %d: the faulting kernel did not fail the run", name, dependent, cpus)
 				}
 				msg := err.Error()
 				line, _, _ := strings.Cut(msg, "\n")
 				if !strings.HasPrefix(line, "harness: Fault/lds_fault under "+name+": panic: emu: lds_fault") ||
 					!strings.Contains(msg, "goroutine ") {
-					t.Fatalf("%s, dependent %v, procs %d: error %q, want the kernel's panic with its stack", name, dependent, procs, msg)
+					t.Fatalf("%s, dependent %v, cpus %d: error %q, want the kernel's panic with its stack", name, dependent, cpus, msg)
 				}
 				// The stack names the frame that met the fault: the inline
 				// run, the helper's goroutine, or the functional advance.
 				origin := "(*pipeline).inline"
 				switch {
-				case procs == 1:
+				case cpus == serialCPUs:
 				case dependent:
 					origin = "(*pipeline).handOff.func"
 				default:
 					origin = "(*pipeline).advance"
 				}
 				if !strings.Contains(msg, origin) {
-					t.Errorf("%s, dependent %v, procs %d: the error's stack does not pass through %s:\n%s", name, dependent, procs, origin, msg)
+					t.Errorf("%s, dependent %v, cpus %d: the error's stack does not pass through %s:\n%s", name, dependent, cpus, origin, msg)
 				}
 				if first == "" {
 					first = line
@@ -661,7 +660,7 @@ func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
 					t.Errorf("%s, dependent %v: pipelined error %q, serial %q", name, dependent, line, first)
 				}
 				if g := runtime.NumGoroutine(); g > base {
-					t.Errorf("%s, dependent %v, procs %d: %d goroutines outlive the run (%d before)", name, dependent, procs, g, base)
+					t.Errorf("%s, dependent %v, cpus %d: %d goroutines outlive the run (%d before)", name, dependent, cpus, g, base)
 				}
 			}
 		}
@@ -706,13 +705,12 @@ func earlyFaultApp() *workloads.App { return faultApp("EarlyFault", "early_fault
 // them: the serial run succeeds, and the pass that met the fault is dropped
 // without a word. No pass outlives its run.
 func TestPipelinedPassFailsLikeSerial(t *testing.T) {
-	setProcs(t, 1)
 	c := pipelineCase{name: "LateFault", build: func() (*workloads.App, error) { return lateFaultApp(), nil }}
 	for _, name := range []string{"bb", "photon"} {
 		m := modeNamed(t, name)
-		want, wantErr := runAt(t, context.Background(), c, m, 1, AppObs{})
+		want, wantErr := runAt(t, context.Background(), c, m, serialCPUs, AppObs{})
 		base := runtime.NumGoroutine()
-		got, err := runAt(t, context.Background(), c, m, pipelineProcs(), AppObs{})
+		got, err := runAt(t, context.Background(), c, m, pipelinedCPUs, AppObs{})
 		noGoroutinesAbove(t, base, name)
 		switch name {
 		case "bb":
@@ -754,7 +752,6 @@ func TestPipelinedPassFailsLikeSerial(t *testing.T) {
 // Each error's first line is the serial run's, and no goroutine outlives
 // the run.
 func TestPipelinedPrefixFaultFailsLikeSerial(t *testing.T) {
-	setProcs(t, 1)
 	cfg := gpu.R9Nano()
 	never := neverGates()
 	for _, tc := range []struct {
@@ -766,9 +763,9 @@ func TestPipelinedPrefixFaultFailsLikeSerial(t *testing.T) {
 		{"photon", func() gpu.Runner { return modeNamed(t, "photon").new(cfg, core.DefaultParams()) }, "(*pipeline).replay"},
 		{"full", func() gpu.Runner { return core.MustNew(cfg, never, core.AllLevels()) }, "functional pass:"},
 	} {
-		_, wantErr := runAppAt(context.Background(), cfg, earlyFaultApp(), tc.runner(), 1, AppObs{})
+		_, wantErr := runAppAt(context.Background(), cfg, earlyFaultApp(), tc.runner(), serialCPUs, AppObs{})
 		base := runtime.NumGoroutine()
-		_, err := runAppAt(context.Background(), cfg, earlyFaultApp(), tc.runner(), pipelineProcs(), AppObs{})
+		_, err := runAppAt(context.Background(), cfg, earlyFaultApp(), tc.runner(), pipelinedCPUs, AppObs{})
 		noGoroutinesAbove(t, base, tc.name)
 		if wantErr == nil || err == nil {
 			t.Fatalf("%s: serial error %v, pipelined error %v; want workgroup 1's panic", tc.name, wantErr, err)
@@ -800,20 +797,20 @@ func neverGates() core.Params {
 // then adopts the whole pass, and the pipelined run's rows and image equal
 // the serial run's.
 func TestPipelinedFullOutcomeAdoptsPass(t *testing.T) {
-	setProcs(t, 1)
+	t.Parallel()
 	cfg := gpu.R9Nano()
-	run := func(procs int) pipelineRun {
+	run := func(cpus int) pipelineRun {
 		app, err := workloads.BuildReLU(8192)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := runAppAt(context.Background(), cfg, app, core.MustNew(cfg, neverGates(), core.AllLevels()), procs, AppObs{Check: true})
+		r, err := runAppAt(context.Background(), cfg, app, core.MustNew(cfg, neverGates(), core.AllLevels()), cpus, AppObs{Check: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	want, got := run(1), run(pipelineProcs())
+	want, got := run(serialCPUs), run(pipelinedCPUs)
 	if k := want.rows[0]; k.Ran != RanInline || k.Image != ImageLive {
 		t.Fatalf("serial run: relu ran %s, image %s; want inline, live", k.Ran, k.Image)
 	}
@@ -834,7 +831,6 @@ func TestPipelinedFullOutcomeAdoptsPass(t *testing.T) {
 // where warp-sampling fires first). The app launches its kernel twice; the
 // signal comes during the first launch.
 func TestPipelinedPassCancelsMidKernel(t *testing.T) {
-	setProcs(t, 1)
 	c := pipelineCase{name: "ReLU-16384x2", build: func() (*workloads.App, error) {
 		app, err := workloads.BuildReLU(16384)
 		if err == nil {
@@ -847,12 +843,12 @@ func TestPipelinedPassCancelsMidKernel(t *testing.T) {
 		used bool
 	}{{"bb", true}, {"photon", false}} {
 		m := modeNamed(t, tc.mode)
-		want, err := runAt(t, context.Background(), c, m, 1, AppObs{})
+		want, err := runAt(t, context.Background(), c, m, serialCPUs, AppObs{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		base := runtime.NumGoroutine()
-		got, err := runAt(t, &cancelAfter{Context: context.Background(), n: 1}, c, m, pipelineProcs(), AppObs{})
+		got, err := runAt(t, &cancelAfter{Context: context.Background(), n: 1}, c, m, pipelinedCPUs, AppObs{})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err %v, want context.Canceled", tc.mode, err)
 		}
@@ -875,7 +871,6 @@ func TestPipelinedPassCancelsMidKernel(t *testing.T) {
 // line is the serial run's, it carries the pass's stack, and no goroutine
 // outlives the run.
 func TestPipelinedRecordingFaultFailsLikeSerial(t *testing.T) {
-	setProcs(t, 1)
 	app := func() *workloads.App {
 		a := ldsFaultApp(true)
 		a.Launches = a.Launches[:1]
@@ -884,9 +879,9 @@ func TestPipelinedRecordingFaultFailsLikeSerial(t *testing.T) {
 	cfg := gpu.R9Nano()
 	for _, name := range []string{BaselineMode, "photon"} {
 		runner := func() gpu.Runner { return modeNamed(t, name).new(cfg, core.DefaultParams()) }
-		_, wantErr := runAppAt(context.Background(), cfg, app(), runner(), 1, AppObs{})
+		_, wantErr := runAppAt(context.Background(), cfg, app(), runner(), serialCPUs, AppObs{})
 		base := runtime.NumGoroutine()
-		_, err := runAppAt(context.Background(), cfg, app(), runner(), pipelineProcs(), AppObs{})
+		_, err := runAppAt(context.Background(), cfg, app(), runner(), pipelinedCPUs, AppObs{})
 		noGoroutinesAbove(t, base, name)
 		if wantErr == nil || err == nil {
 			t.Fatalf("%s: serial error %v, pipelined error %v; want workgroup 1's panic", name, wantErr, err)
@@ -908,15 +903,14 @@ func TestPipelinedRecordingFaultFailsLikeSerial(t *testing.T) {
 func TestPipelinedReplayCancelsMidApp(t *testing.T) {
 	c := findPipelineCase(t, "PR")
 	m := modeNamed(t, BaselineMode)
-	setProcs(t, 1)
-	want, err := runAt(t, context.Background(), c, m, 1, AppObs{})
+	want, err := runAt(t, context.Background(), c, m, serialCPUs, AppObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := len(want.res.PerKernel)
 	for _, stop := range []int{1, n - 1, n} {
 		base := runtime.NumGoroutine()
-		got, err := runAt(t, &cancelAfter{Context: context.Background(), n: int32(stop)}, c, m, pipelineProcs(), AppObs{})
+		got, err := runAt(t, &cancelAfter{Context: context.Background(), n: int32(stop)}, c, m, pipelinedCPUs, AppObs{})
 		if stop < n && !errors.Is(err, context.Canceled) || stop == n && err != nil {
 			t.Fatalf("stop before %d of %d: err %v", stop, n, err)
 		}
@@ -935,8 +929,9 @@ func TestPipelinedReplayCancelsMidApp(t *testing.T) {
 // which runs dry again and again; the run completes and matches the serial
 // one, rows, totals and image.
 func TestPipelinedReplayBoundedPool(t *testing.T) {
+	t.Parallel()
 	cfg := verify.SmallGPU()
-	run := func(procs int) pipelineRun {
+	run := func(cpus int) pipelineRun {
 		app, err := workloads.BuildSPMV(512)
 		if err != nil {
 			t.Fatal(err)
@@ -944,14 +939,13 @@ func TestPipelinedReplayBoundedPool(t *testing.T) {
 		if n := timing.ResidentGroups(cfg.Compute, app.Launches[0]); app.Launches[0].NumWorkgroups < 3*(n+1) {
 			t.Fatalf("%d workgroups, %d resident: the pool never runs dry", app.Launches[0].NumWorkgroups, n)
 		}
-		r, err := runAppAt(context.Background(), cfg, app, gpu.FullRunner{}, procs, AppObs{Check: true})
+		r, err := runAppAt(context.Background(), cfg, app, gpu.FullRunner{}, cpus, AppObs{Check: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	setProcs(t, 1)
-	want, got := run(1), run(pipelineProcs())
+	want, got := run(serialCPUs), run(pipelinedCPUs)
 	if k := got.rows[0]; k.Ran != RanReplayed || k.Image != ImageAdvance {
 		t.Fatalf("spmv ran %s, image %s; want %s, %s", k.Ran, k.Image, RanReplayed, ImageAdvance)
 	}
@@ -960,5 +954,53 @@ func TestPipelinedReplayBoundedPool(t *testing.T) {
 	}
 	if !slices.Equal(got.image, want.image) {
 		t.Errorf("final images differ first at %#x", firstDiff(got.image, want.image))
+	}
+}
+
+// The pool counts idle CPUs, not runs in flight. With one of three CPUs
+// taken outside the run, as another run in flight takes one, the run still
+// spares one and hands ResNet-18's kernels off under the full baseline.
+// With one of two taken, it spares none: every row runs inline or
+// advances, until the token comes back, as a finished sibling of a sweep
+// gives its own, and the launches after that hand off. Either way the run
+// gives back the token it took.
+func TestCPUsCountIdleNotRuns(t *testing.T) {
+	t.Parallel()
+	c := findPipelineCase(t, "ResNet-18")
+	const back = 12 // the kernels merged before the two-CPU pool gets its token back
+	for _, size := range []int{3, 2} {
+		pool := engine.NewCPUs(size)
+		pool.Take()
+		tr, merged := obs.NewTraceBuffer(), 0
+		tr.OnEvent(func(ev obs.TraceEvent) {
+			if ev.Cat == "kernel" {
+				if merged++; merged == back && size == 2 {
+					pool.Give()
+				}
+			}
+		})
+		app, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunAppInstrumented(context.Background(), gpu.R9Nano(), app, gpu.FullRunner{}, AppObs{Trace: tr, cpus: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, free := res.PerKernel, size-1
+		if size == 2 {
+			for _, k := range rows[:back] {
+				if k.Ran != RanInline && k.Ran != RanAdvance {
+					t.Errorf("pool of 2, one taken: %s ran %s; want %s or %s", k.Name, k.Ran, RanInline, RanAdvance)
+				}
+			}
+			rows, free = rows[back:], size
+		}
+		if !slices.ContainsFunc(rows, onHelper) {
+			t.Errorf("pool of %d with a CPU free: no kernel was handed off", size)
+		}
+		if n := pool.Free(); n != free {
+			t.Errorf("pool of %d: %d tokens free after the run, want %d", size, n, free)
+		}
 	}
 }

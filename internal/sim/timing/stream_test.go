@@ -99,12 +99,40 @@ func divergentLaunch(warps int) *kernel.Launch {
 	}
 }
 
+// partialStoreLaunch: warp w stores one word from each of its first
+// (w&31)+1 lanes, under a partial EXEC, 64 bytes apart, so each active lane
+// is a cache line of its own, and waits for the stores.
+func partialStoreLaunch(warps int) *kernel.Launch {
+	b := isa.NewBuilder("partialst")
+	b.I(isa.OpSAnd, isa.S(4), isa.S(2), isa.Imm(31))
+	b.I(isa.OpSAdd, isa.S(4), isa.S(4), isa.Imm(1)) // active lanes
+	b.I(isa.OpVCmpLt, isa.Operand{}, isa.V(0), isa.S(4))
+	b.I(isa.OpSAndSaveExec, isa.Mask(0))
+	b.I(isa.OpSLShl, isa.S(5), isa.S(2), isa.Imm(6))
+	b.I(isa.OpVAdd, isa.V(1), isa.V(0), isa.S(5)) // tid
+	b.I(isa.OpVLShl, isa.V(2), isa.V(1), isa.Imm(6))
+	b.I(isa.OpVAdd, isa.V(2), isa.V(2), isa.S(8)) // &out[16*tid]
+	b.Store(isa.OpVStore, isa.V(2), isa.V(1), 0)
+	b.Waitcnt(0)
+	b.I(isa.OpSSetExec, isa.Operand{}, isa.Mask(0))
+	b.End()
+	m := mem.NewFlat()
+	out := m.Alloc(uint64(64 * warps * kernel.WavefrontSize))
+	return &kernel.Launch{
+		Name: "partialst", Program: b.MustBuild(), Memory: m,
+		NumWorkgroups: warps, WarpsPerGroup: 1,
+		Args: []uint32{uint32(out)},
+	}
+}
+
 // TestObserverStreamDigest pins the full callback stream of two launches —
 // one with barriers and LDS, one divergent whose dispatch gate fires — to
 // digests generated on the commit before direct issue and subscription
 // landed (PR 23): the same callbacks, with the same arguments, in the same
 // order. A machine that replays a recording of the launch (replayOf)
-// delivers the same stream.
+// delivers the same stream. A third launch stores under a partial EXEC,
+// whose address count a recording must keep; its digest was taken when it
+// was added, and its two legs share it.
 func TestObserverStreamDigest(t *testing.T) {
 	legs := func(t *testing.T, run func(t *testing.T, replay bool)) {
 		for _, replay := range []bool{false, true} {
@@ -143,6 +171,20 @@ func TestObserverStreamDigest(t *testing.T) {
 				t.Fatalf("gate did not fire where it used to: %+v", res)
 			}
 			d.want(t, 16920, 0xf18228ae07d42291)
+		})
+	})
+	t.Run("partial-EXEC store", func(t *testing.T) {
+		legs(t, func(t *testing.T, replay bool) {
+			l := partialStoreLaunch(600)
+			if replay {
+				l = replayOf(t, DefaultCompute(2), l)
+			}
+			d := newStreamDigest()
+			res := runDetailed(t, 2, l, d.observer())
+			if !res.Complete || res.EndTime != 8655 {
+				t.Fatalf("run: %+v", res)
+			}
+			d.want(t, 9000, 0xd94015706ad28f05)
 		})
 	})
 }
