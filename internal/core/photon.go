@@ -321,8 +321,8 @@ func (k *kernelPlan) commitMatched(gpu.KernelResult) (gpu.KernelResult, error) {
 // execute is the detailed simulation with the per-level detectors attached.
 // Switching is allowed only after minRetires warps retired.
 //
-// A run loop may run it over a launch with no image (a nil Memory, which
-// kernel.Launch.StepsTimingOnly allows): handed off, beside a functional
+// A run loop may run it over a launch with no image (a nil Memory, which a
+// TimingOnly launch or a replay allows): handed off, beside a functional
 // advance of the image, or inline beside the plan's started pass, which
 // then makes the kernel's image. A kernel that ends warp-sampling names its
 // prefix (gpu.Pass.Prefix), the workgroups the run loop must advance the

@@ -56,7 +56,7 @@ const (
 	RanTimedBesidePass Ran = "timed-beside-pass" // timing-only over no image, beside its functional pass
 	RanHelper          Ran = "helper"            // on a helper, over a fork of the image at launch
 	RanHelperTimed     Ran = "helper-timed"      // on a helper, timing-only over no image
-	RanReplayed        Ran = "replayed"          // over no image, replaying a recording pass beside it
+	RanReplayed        Ran = "replayed"          // on a helper, over no image, replaying the recording the advance makes
 	RanAdvance         Ran = "advance"           // nowhere: the plan has no Execute
 )
 
@@ -68,7 +68,7 @@ const (
 	ImageLive    Image = "live"    // Execute, on the live image
 	ImagePass    Image = "pass"    // the functional pass, whose fork the live image adopted
 	ImageReplay  Image = "replay"  // a functional run of the prefix's workgroups [0, NextWG) on the live image
-	ImageAdvance Image = "advance" // the functional advance of the whole kernel on the live image, or the recording pass's
+	ImageAdvance Image = "advance" // the functional advance of the whole kernel on the live image, recording or not
 )
 
 // RunApp executes every launch of the app under the runner on a fresh GPU.

@@ -8,6 +8,7 @@ import (
 	"photon/internal/sim/emu"
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/kernel"
+	"photon/internal/sim/mem"
 	"photon/internal/sim/timing"
 	"photon/internal/workloads"
 )
@@ -15,10 +16,10 @@ import (
 // pipeline runs the kernels of one app and merges their results in kernel
 // order (DESIGN.md "Kernel-level parallelism"). It asks the runner for each
 // kernel's plan, on the run's goroutine in launch order, and makes two
-// decisions, which the kernel's row records: step picks where Execute runs
-// (KernelRow.Ran), and, once Execute has run, pickImage picks the run whose
-// image the kernel leaves (KernelRow.Image). Plans commit at merge, in
-// launch order.
+// decisions, which the kernel's row records: step, and for a helper
+// handOff, picks where Execute runs (KernelRow.Ran), and, once an inline
+// Execute has run, pickImage picks the run whose image the kernel leaves
+// (KernelRow.Image). Plans commit at merge, in launch order.
 type pipeline struct {
 	cfg    gpu.Config
 	app    *workloads.App
@@ -36,8 +37,9 @@ type pipeline struct {
 type kernelRun struct {
 	l     *kernel.Launch // the app's launch, not its fork
 	plan  *gpu.Plan
-	row   KernelRow // how the kernel ran; merge adds its result
-	tid   int       // trace thread: ao.TID on the run's goroutine, its GPU's when handed off
+	rec   *emu.Recording // set when the helper replays the run loop's advance
+	row   KernelRow      // how the kernel ran; merge adds its result
+	tid   int            // trace thread: ao.TID on the run's goroutine, its GPU's when handed off
 	r     gpu.KernelResult
 	start time.Time
 	err   error
@@ -52,27 +54,22 @@ func newPipeline(cfg gpu.Config, app *workloads.App, runner gpu.Runner, ao AppOb
 	return p
 }
 
-// mayHandOff reports whether launch i of n, l, planned as plan, goes to a
-// helper when its run may spare a CPU. Its plan executes and may overlap;
-// its program has no atomic, whose returned values, and so the addresses
-// that depend on them, follow the order the detailed run happens to execute
-// it in; and it is not the last launch unless its program is independent:
-// then a timing-only helper beside the functional advance takes less wall
-// than one inline detailed run, whose values nothing after it reads.
-func mayHandOff(plan *gpu.Plan, i, n int, l *kernel.Launch) bool {
-	return plan.Execute != nil && plan.Overlap && !l.Program.HasAtomic() && (i < n-1 || l.Program.Independent())
+// mayHandOff reports whether l, planned as plan, goes to a helper when its
+// run may spare a CPU: its plan executes and may overlap, and its program
+// has no atomic, whose returned values, and so the addresses that depend on
+// them, follow the order the detailed run happens to execute it in.
+func mayHandOff(plan *gpu.Plan, l *kernel.Launch) bool {
+	return plan.Execute != nil && plan.Overlap && !l.Program.HasAtomic()
 }
 
-// step plans launch i, picks where its Execute runs (Ran) and runs it. The
-// plan's functional pass may start when the run may spare a CPU and the
-// program has no atomic; a launch mayHandOff admits goes to a helper when
-// the run may spare a CPU. An independent program's Execute runs
-// timing-only, over no image, on a helper or beside a pass. A launch that
-// would otherwise run inline although its plan may overlap, in practice a
-// dependent last launch, replays a recording pass beside it when the run
-// may spare a CPU and the program has no atomic. The run may spare a CPU
-// when its pool has a token free at the launch: every run in flight holds
-// one, so a lone run on two CPUs may, and two runs on two may not.
+// step plans launch i, picks where its Execute runs (Ran) and runs it. A
+// launch mayHandOff admits goes to a helper (handOff) when the run may
+// spare a CPU; otherwise the plan's functional pass may start beside an
+// inline Execute when the run may spare a CPU and the program has no
+// atomic, and an independent program's Execute then runs timing-only,
+// over no image. The run may spare a CPU when its pool has a token free at
+// the launch: every run in flight holds one, so a lone run on two CPUs
+// may, and two runs on two may not.
 func (p *pipeline) step(i int, l *kernel.Launch) error {
 	start := time.Now()
 	var plan *gpu.Plan
@@ -84,22 +81,16 @@ func (p *pipeline) step(i int, l *kernel.Launch) error {
 		return p.failAt(l, err)
 	}
 	k := &kernelRun{l: l, plan: plan, tid: p.ao.TID, start: start, done: make(chan struct{}),
-		row: KernelRow{Name: l.Name, admitted: mayHandOff(plan, i, len(p.app.Launches), l)}}
-	spare, independent, atomic := p.ao.cpus.Free() > 0, l.Program.Independent(), l.Program.HasAtomic()
-	pass := plan.Pass != nil && spare && !atomic
+		row: KernelRow{Name: l.Name, admitted: mayHandOff(plan, l)}}
+	spare := p.ao.cpus.Free() > 0
+	pass := plan.Pass != nil && spare && !l.Program.HasAtomic()
 	switch {
 	case plan.Execute == nil:
 		k.row.Ran, k.row.Image = RanAdvance, ImageAdvance
 		return p.advanceOnly(k)
-	case k.row.admitted && spare && independent:
-		k.row.Ran, k.row.Image = RanHelperTimed, ImageAdvance
-		return p.handOff(k)
 	case k.row.admitted && spare:
-		k.row.Ran, k.row.Image = RanHelper, ImageAdvance
-		return p.handOff(k)
-	case plan.Overlap && spare && !atomic:
-		k.row.Ran = RanReplayed
-	case pass && independent:
+		return p.handOff(i, k)
+	case pass && l.Program.Independent():
 		k.row.Ran = RanTimedBesidePass
 	default:
 		k.row.Ran = RanInline
@@ -147,27 +138,19 @@ func (p *pipeline) run(g *gpu.GPU, l *kernel.Launch, k *kernelRun) {
 	p.gpus <- g
 }
 
-// inline runs k on the live image, or over no image when it runs
-// timed-beside-pass, timing-only, or replayed, replaying a recording pass
-// on the live image, with its plan's functional pass beside it when pass is
-// set, picks the run that leaves its image, then merges every earlier
-// kernel and k, in that order. Its span and wall cover its plan, its run
-// and the end of its pass, but not a wait for an idle GPU.
+// inline runs k on the live image, or timing-only over no image when it
+// runs timed-beside-pass, with its plan's functional pass beside it when
+// pass is set, picks the run that leaves its image, then merges every
+// earlier kernel and k, in that order. Its span and wall cover its plan,
+// its run and the end of its pass, but not a wait for an idle GPU.
 func (p *pipeline) inline(k *kernelRun, pass bool) error {
 	planned := time.Since(k.start)
 	g := p.gpu()
 	k.start = time.Now().Add(-planned)
 	run := *k.l
 	var r *passRun
-	switch {
-	case k.row.Ran == RanReplayed:
-		rec := emu.NewRecording(timing.ResidentGroups(p.cfg.Compute, k.l) + 1)
-		r = p.startPass(gpu.RecordingPass(rec), k.l, g)
-		run.Memory, run.Replay = nil, rec
-	case pass:
-		fork := *k.l
-		fork.Memory = k.l.Memory.Fork()
-		r = p.startPass(k.plan.Pass, &fork, g)
+	if pass {
+		r = p.startPass(k, g)
 		if k.row.Ran == RanTimedBesidePass {
 			run.Memory, run.TimingOnly = nil, true
 		}
@@ -183,10 +166,13 @@ func (p *pipeline) inline(k *kernelRun, pass bool) error {
 	return p.merge(k)
 }
 
-// startPass starts pass over l beside a kernel that runs on g.
-func (p *pipeline) startPass(pass *gpu.Pass, l *kernel.Launch, g *gpu.GPU) *passRun {
-	r := &passRun{Pass: pass, launch: l, tid: p.tids[g]}
-	r.Go(l, func(body func()) {
+// startPass starts k's pass over a fork of the image beside k, which runs
+// on g.
+func (p *pipeline) startPass(k *kernelRun, g *gpu.GPU) *passRun {
+	fork := *k.l
+	fork.Memory = k.l.Memory.Fork()
+	r := &passRun{Pass: k.plan.Pass, fork: fork.Memory, tid: p.tids[g]}
+	r.Go(&fork, func(body func()) {
 		r.start = time.Now()
 		body()
 		r.wall = time.Since(r.start)
@@ -199,19 +185,16 @@ func (p *pipeline) startPass(pass *gpu.Pass, l *kernel.Launch, g *gpu.GPU) *pass
 // which no helper can take before the pass has ended.
 type passRun struct {
 	*gpu.Pass
-	launch *kernel.Launch // what it runs over: a fork of the image, or the live one it records
-	tid    int
-	start  time.Time
-	wall   time.Duration // written by the pass's goroutine before it ends
+	fork  *mem.Flat // the image it runs over
+	tid   int
+	start time.Time
+	wall  time.Duration // written by the pass's goroutine before it ends
 }
 
 // pickImage ends k's pass, r, when one started, emits its span and picks the
 // run whose image k leaves, a serial run's, from k.row.Ran and Execute's
 // outcome:
 //   - no pass: Execute's, on the live image;
-//   - replayed: the recording pass's, which advanced the live image; the
-//     pass is stopped, and once the replay succeeded its instruction count
-//     goes to the plan, as an advance's does;
 //   - inline: Execute read the pass's tally only if the pass ran every
 //     workgroup, as the serial run did on the live one; the pass is
 //     stopped, and its fork then becomes the live image;
@@ -231,18 +214,6 @@ func (p *pipeline) pickImage(k *kernelRun, r *passRun) (err error) {
 	prefix, named := r.Prefixed()
 	adopt := false
 	switch {
-	case k.row.Ran == RanReplayed:
-		r.Stop()
-		k.row.Image = ImageAdvance
-		if k.err == nil {
-			err = engine.Try(func() error {
-				insts, err := r.Recorded()
-				if err == nil && k.plan.Advanced != nil {
-					k.plan.Advanced(insts)
-				}
-				return err
-			})
-		}
 	case k.row.Ran == RanInline:
 		adopt = r.Stop()
 	case k.err != nil:
@@ -259,7 +230,7 @@ func (p *pipeline) pickImage(k *kernelRun, r *passRun) (err error) {
 		adopt = err == nil
 	}
 	if adopt {
-		k.l.Memory.Adopt(r.launch.Memory)
+		k.l.Memory.Adopt(r.fork)
 		k.row.Image = ImagePass
 	}
 	return err
@@ -278,13 +249,18 @@ func (p *pipeline) replay(l *kernel.Launch, n int) error {
 	return err
 }
 
-// advance runs l functionally on the live image, gives the plan its
+// advance runs k's launch functionally on the live image, recording it
+// into k.rec when set until k's helper is done, gives the plan its
 // instruction count and returns it.
-func (p *pipeline) advance(l *kernel.Launch, plan *gpu.Plan) (insts uint64, err error) {
+func (p *pipeline) advance(k *kernelRun) (insts uint64, err error) {
 	err = engine.Try(func() (err error) {
-		insts, err = emu.RunKernelFunctional(l)
-		if err == nil && plan.Advanced != nil {
-			plan.Advanced(insts)
+		if k.rec != nil {
+			insts, err = k.rec.Record(k.l, k.done)
+		} else {
+			insts, err = emu.RunKernelFunctional(k.l)
+		}
+		if err == nil && k.plan.Advanced != nil {
+			k.plan.Advanced(insts)
 		}
 		return err
 	})
@@ -296,7 +272,7 @@ func (p *pipeline) advance(l *kernel.Launch, plan *gpu.Plan) (insts uint64, err 
 // and its span and wall cover the plan and the advance. It queues behind the
 // handed-off kernels, so it commits in launch order.
 func (p *pipeline) advanceOnly(k *kernelRun) error {
-	insts, err := p.advance(k.l, k.plan)
+	insts, err := p.advance(k)
 	if err != nil {
 		return p.failAt(k.l, err)
 	}
@@ -306,37 +282,53 @@ func (p *pipeline) advanceOnly(k *kernelRun) error {
 	return p.mergeDone()
 }
 
-// handOff runs k's Execute on a helper over a fork of the image, which it
-// drops, or, helper-timed, timing-only over no image, then advances the
-// live image past k functionally. It waits for an idle GPU first, so no
-// more detailed runs, and their forks, are alive than the pool has CPUs;
-// finished ones wait in the queue to merge in order without holding back
-// the next hand-off.
-func (p *pipeline) handOff(k *kernelRun) error {
+// handOff runs launch i's Execute on a helper while the run loop advances
+// the live image past it functionally. What the helper runs over picks its
+// Ran, in this one switch:
+//   - helper-timed: an independent program, timing-only over no image;
+//   - helper: a dependent launch with launches after it, over a fork of
+//     the image at launch, which it drops;
+//   - replayed: a dependent last launch, over no image, replaying the
+//     recording the advance makes; the recording stops once the helper is
+//     done, so a helper that fails leaves no advance waiting for it.
+//
+// It waits for an idle GPU first, so no more detailed runs, and their
+// forks, are alive than the pool has CPUs; finished ones wait in the queue
+// to merge in order without holding back the next hand-off.
+func (p *pipeline) handOff(i int, k *kernelRun) error {
 	g := p.gpu()
 	if err := p.mergeDone(); err != nil {
 		return err
 	}
-	fork := *k.l
-	fork.Memory, fork.TimingOnly = nil, true
-	if k.row.Ran == RanHelper {
-		fork.Memory = k.l.Memory.Fork()
+	run := *k.l
+	run.Memory = nil
+	switch {
+	case k.l.Program.Independent():
+		k.row.Ran, run.TimingOnly = RanHelperTimed, true
+	case i < len(p.app.Launches)-1:
+		k.row.Ran, run.Memory = RanHelper, k.l.Memory.Fork()
+	default:
+		k.rec = emu.NewRecording(timing.ResidentGroups(p.cfg.Compute, k.l) + 1)
+		k.row.Ran, run.Replay = RanReplayed, k.rec
 	}
+	k.row.Image = ImageAdvance
 	k.tid = p.tids[g]
 	p.queue = append(p.queue, k)
 	go func() {
 		k.start = time.Now()
-		p.run(g, &fork, k)
+		p.run(g, &run, k)
 		close(k.done)
 	}()
 	start := time.Now()
-	_, err := p.advance(k.l, k.plan)
+	_, err := p.advance(k)
 	p.ao.Trace.Complete(p.app.Name+"/"+k.l.Name, "functional", simPID, p.ao.TID, start, time.Since(start), nil)
 	if err != nil {
 		// The detailed run of l most likely failed the same way: report
 		// its error, as a serial run would, when it has one. A timing-only
 		// run skips the values, LDS accesses and dead divisions a fault
-		// can come from, so it may have none.
+		// can come from, so it may have none; a replay raises the
+		// recording's fault; and an advance the helper's end cut short is
+		// not a result.
 		<-k.done
 		if k.err == nil {
 			k.err = err

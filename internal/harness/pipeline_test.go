@@ -122,7 +122,9 @@ type pipelineRun struct {
 }
 
 // onHelper reports whether a row's Execute ran on a helper GPU.
-func onHelper(k KernelRow) bool { return k.Ran == RanHelper || k.Ran == RanHelperTimed }
+func onHelper(k KernelRow) bool {
+	return k.Ran == RanHelper || k.Ran == RanHelperTimed || k.Ran == RanReplayed
+}
 
 // runAt builds c's app and runs it under m on a pool of cpus CPUs.
 func runAt(t *testing.T, ctx context.Context, c pipelineCase, m mode, cpus int, ao AppObs) (pipelineRun, error) {
@@ -167,17 +169,18 @@ var functionalMode = mode{gpu.TierFunctional, func(gpu.Config, core.Params) gpu.
 // ledger and the final memory image, byte for byte, with every kernel
 // audited. A dependent last launch whose plan may overlap (SPMV's and
 // AES's one launch under the full baseline and Photon, PageRank's last
-// under the full baseline; Photon kernel-samples that one) replays a
-// recording pass beside it over no image, which makes the replay's every
-// count, and the pass's image, the differential against the serial run's
-// executed values. The plans of the baselines PKA and TBPoint, and of the
-// functional runner, never overlap, so they stay serial; Photon hands off
-// the kernels it can bound, most of ResNet-18's. A handed-off kernel of an
-// independent program runs timing-only, every one of ResNet-18's under the
-// full baseline and none of SPMV's, whose gathers make it dependent. An
-// app of one launch runs under the full baseline, which hands its launch
-// off when the program is independent and runs it inline otherwise, or,
-// when its gates fire with workgroups left, under the gating modes, inline
+// under the full baseline; Photon kernel-samples that one) replays on a
+// helper, over no image, the recording the run loop's functional advance
+// makes, which makes the replay's every count, and the advance's image,
+// the differential against the serial run's executed values. The plans
+// of the baselines PKA and TBPoint, and of the functional runner, never
+// overlap, so they stay serial; Photon hands off the kernels it can
+// bound, most of ResNet-18's. A handed-off kernel of an independent
+// program runs timing-only, every one of ResNet-18's under the full
+// baseline and none of SPMV's, whose gathers make it dependent. An app of
+// one launch runs under the full baseline, which hands its launch off,
+// timing-only or replayed, or, when its gates fire with workgroups left,
+// under the gating modes, inline
 // with a functional pass beside it, which FIR/16384's bb-sampling uses and
 // whose fork becomes the final image. Only bb-sampling asks for a pass, so
 // only under Photon and bb-sampling is there one. Both of those programs
@@ -466,9 +469,10 @@ func noGoroutinesAbove(t *testing.T, base int, what string) {
 // so on each thread any two nest or are disjoint, which is all the Chrome
 // trace format can draw; a serial run keeps every span on the run's own
 // thread. ResNet-18 hands kernels off; ReLU/16384 under bb-sampling runs
-// its one kernel inline with a functional pass beside it, and SPMV under
-// the full baseline replays a recording pass beside it, whose spans
-// (category functional) go on a helper GPU's thread.
+// its one kernel inline with a functional pass beside it, whose span
+// (category functional) goes on a helper GPU's thread; and SPMV under the
+// full baseline replays on a helper the recording that the functional
+// advance makes on the run's own thread.
 func TestPipelinedRunMergesTelemetry(t *testing.T) {
 	const tid = 3
 	t.Parallel()
@@ -523,7 +527,7 @@ func TestPipelinedRunMergesTelemetry(t *testing.T) {
 			m := modeNamed(t, name)
 			wantSnap, wantSpans, _, _ := observed(tc.c, m, serialCPUs)
 			gotSnap, gotSpans, evs, run := observed(tc.c, m, pipelinedCPUs)
-			used := slices.ContainsFunc(run.rows, func(k KernelRow) bool { return k.Image == ImagePass || k.Ran == RanReplayed })
+			used := slices.ContainsFunc(run.rows, func(k KernelRow) bool { return k.Image == ImagePass })
 			if !used && !slices.ContainsFunc(run.rows, onHelper) {
 				t.Fatalf("%s/%s: no kernel was handed off and no pass used", tc.c.name, m.name)
 			}
@@ -862,13 +866,14 @@ func TestPipelinedPassCancelsMidKernel(t *testing.T) {
 	}
 }
 
-// A fault in the recording pass fails the replayed kernel as the fault
-// fails the serial run's inline one. The dependent faulting launch of
-// ldsFaultApp, alone, is the last launch, so its pipelined run replays a
-// recording pass, which meets the fault in workgroup 1; the replay, which
-// waits for that workgroup, raises the pass's panic on the kernel's
-// goroutine. Under the full baseline and under Photon the error's first
-// line is the serial run's, it carries the pass's stack, and no goroutine
+// A fault in the recording fails the replayed kernel as the fault fails
+// the serial run's inline one. The dependent faulting launch of
+// ldsFaultApp, alone, is the last launch, so its pipelined run replays the
+// recording of the run loop's functional advance, which meets the fault in
+// workgroup 1; the replay, which waits for that workgroup, raises the
+// recording's panic on the helper's goroutine. Under the full baseline and
+// under Photon the error's first line is the serial run's, it carries the
+// recording's stack, through the functional advance, and no goroutine
 // outlives the run.
 func TestPipelinedRecordingFaultFailsLikeSerial(t *testing.T) {
 	app := func() *workloads.App {
@@ -891,15 +896,15 @@ func TestPipelinedRecordingFaultFailsLikeSerial(t *testing.T) {
 		if !strings.HasPrefix(wantLine, "harness: Fault/lds_fault under "+name+": panic: emu: lds_fault") || line != wantLine {
 			t.Errorf("%s: pipelined error %q, serial %q", name, line, wantLine)
 		}
-		if !strings.Contains(err.Error(), "functional pass:") {
-			t.Errorf("%s: the pipelined error does not carry the pass's stack:\n%v", name, err)
+		if msg := err.Error(); !strings.Contains(msg, "functional recording:") || !strings.Contains(msg, "(*pipeline).advance") {
+			t.Errorf("%s: the pipelined error does not carry the functional advance's stack:\n%v", name, err)
 		}
 	}
 }
 
 // A cancelled PageRank run whose last launch replays returns the serial
 // prefix and leaves no goroutine behind, whether the signal comes before
-// the replayed launch or never: the recording pass ends with its kernel.
+// the replayed launch or never: the helper ends with the recording.
 func TestPipelinedReplayCancelsMidApp(t *testing.T) {
 	c := findPipelineCase(t, "PR")
 	m := modeNamed(t, BaselineMode)
@@ -955,6 +960,63 @@ func TestPipelinedReplayBoundedPool(t *testing.T) {
 	if !slices.Equal(got.image, want.image) {
 		t.Errorf("final images differ first at %#x", firstDiff(got.image, want.image))
 	}
+}
+
+// quitRunner's plans may overlap, and their Execute fails at once. It
+// counts the replayed launches Execute received and the advances the plan
+// was given.
+type quitRunner struct{ replays, advances *atomic.Int32 }
+
+var errQuit = errors.New("execute quits")
+
+func (quitRunner) Name() string { return "quit" }
+
+func (q quitRunner) Plan(*gpu.GPU, *kernel.Launch) (*gpu.Plan, error) {
+	return &gpu.Plan{Overlap: true,
+		Execute: func(_ *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
+			if l.Replay != nil {
+				q.replays.Add(1)
+			}
+			return gpu.KernelResult{}, errQuit
+		},
+		Advanced: func(uint64) { q.advances.Add(1) }}, nil
+}
+
+// The run loop never waits on a helper that has stopped replaying. SPMV/512
+// on verify's small GPU records into a pool that runs dry, so the
+// functional advance waits for arenas only the replay returns; the replay
+// fails before it takes one. The advance stops when the helper is done, so
+// the run returns the helper's error within the deadline, no goroutine
+// outlives it, and the plan is never given the count of an advance cut
+// short.
+func TestPipelinedReplayQuitStopsAdvance(t *testing.T) {
+	app, err := workloads.BuildSPMV(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := verify.SmallGPU()
+	if n := timing.ResidentGroups(cfg.Compute, app.Launches[0]); app.Launches[0].NumWorkgroups <= n+1 {
+		t.Fatalf("%d workgroups, %d resident: the pool never runs dry", app.Launches[0].NumWorkgroups, n)
+	}
+	q := quitRunner{new(atomic.Int32), new(atomic.Int32)}
+	base := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, err := runAppAt(context.Background(), cfg, app, q, pipelinedCPUs, AppObs{})
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the run still waits 30 s after its helper quit")
+	}
+	if !errors.Is(err, errQuit) || q.replays.Load() != 1 {
+		t.Fatalf("err %v after %d replays; want the helper's error, from its replay", err, q.replays.Load())
+	}
+	if n := q.advances.Load(); n != 0 {
+		t.Errorf("the plan was given %d advances, want none", n)
+	}
+	noGoroutinesAbove(t, base, "a quitting replay")
 }
 
 // The pool counts idle CPUs, not runs in flight. With one of three CPUs

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"runtime/debug"
 	"slices"
 
 	"photon/internal/sim/isa"
@@ -36,8 +37,8 @@ type Recording struct {
 	pool  chan *arena // free arenas
 	ready chan *arena // recorded workgroups, in order
 	// cause is why Record ended before the workgroup the replay waits
-	// for, set before End closes ready.
-	cause any
+	// for, set before Record closes ready.
+	cause error
 	// hint is the length of the last tape Record finished: a fresh tape
 	// starts at that capacity.
 	hint int
@@ -71,17 +72,27 @@ func NewRecording(arenas int) *Recording {
 
 // Record runs every workgroup of l functionally, in order, on l's image,
 // recording each warp's tape, and returns the instruction count, or the
-// error of the workgroup that failed. It ends early, without error, once
-// stop is closed: at a workgroup boundary, or while it waits for an arena.
-// End must follow it.
+// error of the workgroup that failed. It stops early, with an error, once
+// stop is closed: at a workgroup boundary, or while it waits for an arena;
+// a count cut short is no result. A panic of the recording becomes its
+// error, carrying the recording goroutine's stack. Record ends the
+// recording: a replay that waits for a workgroup it did not record panics
+// with its error.
 func (r *Recording) Record(l *kernel.Launch, stop <-chan struct{}) (insts uint64, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &Panic{V: v, Stack: debug.Stack(), Run: "functional recording"}
+		}
+		r.cause = err
+		close(r.ready)
+	}()
 	var g Group
 	for wg := range l.NumWorkgroups {
 		var a *arena
 		select {
 		case a = <-r.pool:
 		case <-stop:
-			return insts, nil
+			return 0, fmt.Errorf("emu: %s: recording stopped before workgroup %d of %d", l.Name, wg, l.NumWorkgroups)
 		}
 		g.Reset(l, wg)
 		a.reset(wg, l.WarpsPerGroup, r.hint)
@@ -102,13 +113,17 @@ func (r *Recording) Record(l *kernel.Launch, stop <-chan struct{}) (insts uint64
 	return insts, nil
 }
 
-// End closes the recording once Record has returned. cause is why it ended
-// early, its error or panic, or nil: a replay that waits for a workgroup
-// Record did not record panics with it.
-func (r *Recording) End(cause any) {
-	r.cause = cause
-	close(r.ready)
+// Panic is a panic of a functional run beside a detailed one (a
+// Recording, a gpu.Pass) with the stack of the goroutine it ran on, which
+// the detailed run raises again on its own goroutine, where a serial run
+// would have met the panic.
+type Panic struct {
+	V     any
+	Stack []byte
+	Run   string // what ran: "functional recording", "functional pass"
 }
+
+func (p *Panic) Error() string { return fmt.Sprintf("%v\n\n%s:\n%s", p.V, p.Run, p.Stack) }
 
 // take returns the arena of workgroup group, the next the replay binds,
 // waiting for Record to finish it.

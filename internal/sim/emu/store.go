@@ -40,7 +40,7 @@ type WarpStore struct {
 	// lane-ordered atomics.
 	mem *mem.Flat
 
-	// timingOnly is the launch's StepsTimingOnly: Step then runs
+	// timingOnly is the launch's TimingOnly: Step then runs
 	// frame.execTiming. recording and replaying say the store records or
 	// replays its warps' tapes (see replay below).
 	timingOnly bool
@@ -105,7 +105,7 @@ func (s *WarpStore) Configure(l *kernel.Launch, slots int) {
 	p := l.Program
 	s.launch = l
 	s.mem = l.Memory
-	s.timingOnly = l.StepsTimingOnly()
+	s.timingOnly = l.TimingOnly
 	s.recording, s.replaying = false, l.Replay != nil
 	s.sregs = max(p.NumSRegs, kernel.ArgSGPRBase+len(l.Args))
 	s.vwords = p.NumVRegs * kernel.WavefrontSize

@@ -64,8 +64,10 @@ func TestTimingOnlyStepMatchesValueStep(t *testing.T) {
 	}
 }
 
-// A dependent program ignores TimingOnly: every Step moves its values. Its
-// second load's address is the first load's value.
+// A dependent program never runs timing-only: RunKernelFunctional refuses
+// a TimingOnly launch of it before any warp steps, and the same launch
+// without TimingOnly moves every value. Its second load's address is the
+// first load's value.
 func TestTimingOnlyIgnoredForDependentProgram(t *testing.T) {
 	m := mem.NewFlat()
 	idx, out := m.Alloc(4), m.Alloc(4)
@@ -81,9 +83,15 @@ func TestTimingOnlyIgnoredForDependentProgram(t *testing.T) {
 	if l.Program.Independent() {
 		t.Fatal("a load that feeds an address is independent")
 	}
-	w := newWarp(l, 0, nil)
-	for !w.Done() {
-		w.Step()
+	if _, err := RunKernelFunctional(l); err == nil {
+		t.Fatal("timing-only run of a dependent program accepted")
+	}
+	if got := m.Read32(out); got != 0 {
+		t.Fatalf("a refused launch wrote out = %d", got)
+	}
+	l.TimingOnly = false
+	if _, err := RunKernelFunctional(l); err != nil {
+		t.Fatal(err)
 	}
 	if got := m.Read32(out); got != 63 { // the last lane's store wins
 		t.Errorf("out = %d, want 63", got)

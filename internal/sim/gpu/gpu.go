@@ -144,16 +144,20 @@ type Plan struct {
 	Execute func(g *GPU, l *kernel.Launch) (KernelResult, error)
 	// Overlap is set when Execute touches none of the runner's cross-kernel
 	// state and, for a program without atomics, leaves exactly the image
-	// the functional emulator would: it may run on another GPU over a Fork
-	// of the image at launch while the run advances the image functionally.
-	// The run loop keeps a program with an atomic inline, whatever its plan
-	// says: the values an atomic returns follow the detailed run's order.
+	// the functional emulator would: it may run on another GPU while the
+	// run advances the image functionally, over a Fork of the image at
+	// launch, timing-only over no image for an independent program, or,
+	// for a dependent last launch, replaying the advance's recording over
+	// no image (kernel.Launch.Replay). The run loop keeps a program with an
+	// atomic inline, whatever its plan says: the values an atomic returns
+	// follow the detailed run's order.
 	Overlap bool
-	// Pass, when set, is a functional pass Execute can read the workgroups
-	// after its gate from. A run loop may start it over a fork of the image
-	// at launch beside an inline Execute, for a program without atomics, and
-	// then run an independent program's Execute timing-only over no image,
-	// leaving the image to the pass (see Pass); Run never does.
+	// Pass, when set, is a functional pass whose tally Execute can read the
+	// workgroups after its gate from. A run loop may start it over a fork
+	// of the image at launch beside an inline Execute, for a program
+	// without atomics, and then run an independent program's Execute
+	// timing-only over no image, leaving the image to the pass (see Pass);
+	// Run never does.
 	Pass *Pass
 	// Advanced, when set, receives the instruction count of a functional
 	// advance of the image past the kernel, before the next kernel is

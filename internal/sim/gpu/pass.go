@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"fmt"
 	"runtime/debug"
 	"sync/atomic"
 
@@ -23,49 +22,23 @@ import (
 // kernel's image: the run loop takes the whole pass, unless Execute named
 // the workgroups it executed with Prefix, which the run loop advances the
 // image over instead.
-//
-// A recording pass (RecordingPass) records the launch's step streams
-// instead of tallying, on the live image, for an Execute beside it that
-// replays them over a launch with no image (kernel.Launch.Replay). The
-// replay waits for each workgroup it dispatches and, when the pass failed
-// first, panics with the pass's panic or error; after Stop, Recorded
-// reports the functional advance the pass made.
 type Pass struct {
 	done   chan struct{} // closed when the pass ends; nil until Go
 	stop   atomic.Bool   // set by Stop, polled at workgroup boundaries
-	quit   chan struct{} // closed by Stop: wakes a recording pass that waits for an arena
 	tally  emu.Tally
-	rec    *emu.Recording // set on a recording pass
-	insts  uint64         // a recording pass's instruction count
 	err    error
-	crash  *passPanic
+	crash  *emu.Panic // raised again by Take
 	used   bool
 	prefix int  // the workgroup count Execute named, when named
 	named  bool // Execute called Prefix
 }
 
-// RecordingPass returns a pass that records into rec.
-func RecordingPass(rec *emu.Recording) *Pass { return &Pass{rec: rec} }
-
-// passPanic is a panic of the pass, carried to Take, or to the replay,
-// which raises it again on Execute's goroutine, where a serial run would
-// have raised it.
-type passPanic struct {
-	v     any
-	stack []byte
-}
-
-func (p *passPanic) String() string {
-	return fmt.Sprintf("%v\n\nfunctional pass:\n%s", p.v, p.stack)
-}
-
-// Go starts the pass over l on a new goroutine, which hands the pass's body
-// to wrap: wrap runs it once, so the caller can time and trace it there. l
-// is a launch over a fork of the image at launch, or, for a recording pass,
-// over the live image. The pass has ended, and wrap has returned, when Take
-// or Stop returns.
+// Go starts the pass over l, a launch over a fork of the image at launch,
+// on a new goroutine, which hands the pass's body to wrap: wrap runs it
+// once, so the caller can time and trace it there. The pass has ended, and
+// wrap has returned, when Take or Stop returns.
 func (p *Pass) Go(l *kernel.Launch, wrap func(body func())) {
-	p.done, p.quit = make(chan struct{}), make(chan struct{})
+	p.done = make(chan struct{})
 	go func() {
 		defer close(p.done)
 		wrap(func() { p.run(l) })
@@ -75,23 +48,9 @@ func (p *Pass) Go(l *kernel.Launch, wrap func(body func())) {
 func (p *Pass) run(l *kernel.Launch) {
 	defer func() {
 		if v := recover(); v != nil {
-			p.crash = &passPanic{v, debug.Stack()}
-		}
-		if p.rec != nil {
-			var cause any
-			switch {
-			case p.crash != nil:
-				cause = p.crash
-			case p.err != nil:
-				cause = p.err
-			}
-			p.rec.End(cause)
+			p.crash = &emu.Panic{V: v, Stack: debug.Stack(), Run: "functional pass"}
 		}
 	}()
-	if p.rec != nil {
-		p.insts, p.err = p.rec.Record(l, p.quit)
-		return
-	}
 	p.err = p.tally.Record(l, 0, l.NumWorkgroups, p.stop.Load)
 }
 
@@ -132,26 +91,14 @@ func (p *Pass) Prefix(n int) {
 // whether it named one.
 func (p *Pass) Prefixed() (n int, ok bool) { return p.prefix, p.named }
 
-// Stop ends a started pass at its next workgroup boundary, or while a
-// recording pass waits for an arena, and waits for it. It reports whether
-// Execute took the pass's tally: the pass then ran every workgroup, and
-// its fork holds the kernel's image.
+// Stop ends a started pass at its next workgroup boundary and waits for
+// it. It reports whether Execute took the pass's tally: the pass then ran
+// every workgroup, and its fork holds the kernel's image.
 func (p *Pass) Stop() (used bool) {
 	if p.done == nil {
 		return false
 	}
 	p.stop.Store(true)
-	close(p.quit)
 	<-p.done
 	return p.used
-}
-
-// Recorded returns, once Stop has returned, the instruction count of a
-// recording pass whose replay dispatched every workgroup, which the pass
-// then recorded, or the pass's error; its panic is raised again.
-func (p *Pass) Recorded() (insts uint64, err error) {
-	if p.crash != nil {
-		panic(p.crash)
-	}
-	return p.insts, p.err
 }

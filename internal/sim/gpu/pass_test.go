@@ -5,11 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"photon/internal/sim/emu"
 	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
 	"photon/internal/sim/mem"
-	"photon/internal/sim/timing"
 )
 
 // passLaunch is four one-warp workgroups that each store to their LDS at
@@ -78,41 +76,5 @@ func TestPassTakeAndStop(t *testing.T) {
 		if msg := raised(from); !strings.HasPrefix(msg, "emu: ") || !strings.Contains(msg, "functional pass:") {
 			t.Errorf("Take(%d) raised %q, want the emulator's panic with the pass's stack", from, msg)
 		}
-	}
-}
-
-// A recording pass records into its recording's pool and nothing drains
-// it here, so with one arena it records at most workgroup 0 and then
-// waits: Stop ends it there. Recorded reports what it recorded, 3
-// instructions or none, whichever way Stop found it, and a pass that
-// panics raises the panic again, with its stack, from Recorded and from a
-// replay that waits for the workgroup the pass never recorded.
-func TestRecordingPassStopsAndRaises(t *testing.T) {
-	p := RecordingPass(emu.NewRecording(1))
-	p.Go(passLaunch(4), func(body func()) { body() })
-	p.Stop()
-	if insts, err := p.Recorded(); err != nil || insts != 0 && insts != 3 {
-		t.Errorf("Recorded() = %d, %v; want workgroup 0's 3 instructions or none", insts, err)
-	}
-
-	rec := emu.NewRecording(4)
-	p = RecordingPass(rec)
-	p.Go(passLaunch(1<<20), func(body func()) { body() }) // panics at workgroup 1
-	replay := passLaunch(1 << 20)
-	replay.Memory, replay.Replay = nil, rec
-	raised := func(f func()) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		f()
-		return ""
-	}
-	// The replay of workgroup 0 runs; its machine then waits for
-	// workgroup 1.
-	msg := raised(func() { New(R9Nano()).RunDetailed(replay, timing.Observer{}, nil) })
-	p.Stop()
-	if !strings.HasPrefix(msg, "emu: ") || !strings.Contains(msg, "functional pass:") {
-		t.Errorf("the replay raised %q, want the pass's panic with its stack", msg)
-	}
-	if msg := raised(func() { p.Recorded() }); !strings.HasPrefix(msg, "emu: ") {
-		t.Errorf("Recorded raised %q, want the pass's panic", msg)
 	}
 }

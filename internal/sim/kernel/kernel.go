@@ -34,11 +34,11 @@ type Launch struct {
 	// warp initializes (pointers, sizes, scalar constants).
 	Args []uint32
 
-	// TimingOnly is set by a caller that reads only a run's timing. For an
-	// isa.Program.Independent program the emulator then skips the values no
-	// timing decision reads (emu.Warp.Step and the functional segment loop)
-	// and neither reads nor writes Memory, which may then be nil: the
-	// launch has no image. See StepsTimingOnly.
+	// TimingOnly is set by a caller that reads only a run's timing, on an
+	// isa.Program.Independent program only (Validate rejects any other).
+	// The emulator then skips the values no timing decision reads
+	// (emu.Warp.Step and the functional segment loop) and neither reads
+	// nor writes Memory, which may then be nil: the launch has no image.
 	TimingOnly bool
 
 	// Replay, when set, is a recorded functional run of this launch that
@@ -56,11 +56,6 @@ type Recording interface {
 	RecordsSteps()
 }
 
-// StepsTimingOnly reports whether the emulator runs l timing-only: its
-// caller set TimingOnly and its program is independent. A dependent
-// program ignores TimingOnly and moves every value.
-func (l *Launch) StepsTimingOnly() bool { return l.TimingOnly && l.Program.Independent() }
-
 // ArgSGPRBase is the first scalar register holding kernel arguments.
 // Registers s0..s3 carry the dispatch IDs (see emu.WarpStore.Bind).
 const ArgSGPRBase = 8
@@ -73,7 +68,10 @@ func (l *Launch) Validate() error {
 	if l.Program == nil {
 		return fmt.Errorf("kernel %q: nil program", l.Name)
 	}
-	if l.Memory == nil && !l.StepsTimingOnly() && l.Replay == nil {
+	if l.TimingOnly && !l.Program.Independent() {
+		return fmt.Errorf("kernel %q: a timing-only run of a program that is not independent", l.Name)
+	}
+	if l.Memory == nil && !l.TimingOnly && l.Replay == nil {
 		return fmt.Errorf("kernel %q: nil memory", l.Name)
 	}
 	if l.Replay != nil && l.Program.HasAtomic() {

@@ -43,6 +43,8 @@ func TestLaunchValidate(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Errorf("timing-only launch of an independent program with no memory: %v", err)
 	}
+	// A dependent program's values reach a timing decision, so it has no
+	// timing-only run, with or without an image.
 	b := isa.NewBuilder("dep")
 	b.Load(isa.OpSLoad, isa.S(4), isa.S(8), 0)
 	b.I(isa.OpSCmpEq, isa.Operand{}, isa.S(4), isa.Imm(0))
@@ -50,6 +52,10 @@ func TestLaunchValidate(t *testing.T) {
 	l.Program = b.MustBuild()
 	if l.Validate() == nil {
 		t.Error("timing-only launch of a dependent program with no memory accepted")
+	}
+	l.Memory = mem.NewFlat()
+	if l.Validate() == nil {
+		t.Error("timing-only launch of a dependent program accepted")
 	}
 	l = validLaunch()
 	l.NumWorkgroups = 0

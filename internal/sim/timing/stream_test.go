@@ -198,12 +198,7 @@ func replayOf(t *testing.T, cfg Config, l *kernel.Launch) *kernel.Launch {
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := rec.Record(l, stop)
-		if err != nil {
-			rec.End(err)
-			return
-		}
-		rec.End(nil)
+		rec.Record(l, stop)
 	}()
 	t.Cleanup(func() {
 		close(stop)

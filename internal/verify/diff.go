@@ -6,7 +6,6 @@ import (
 
 	"photon/internal/sim/emu"
 	"photon/internal/sim/event"
-	"photon/internal/sim/gpu"
 	"photon/internal/sim/isa"
 	"photon/internal/sim/mem"
 	"photon/internal/sim/timing"
@@ -28,10 +27,11 @@ import (
 //     same end time, instruction count and stream of issues and
 //     retirements, and no memory read or written, which would panic;
 //   - for a program without atomics, a replayed run (kernel.Launch.Replay)
-//     over no image, beside a recording pass on the image, vs the detailed
-//     run: the same end time, stream of issues and retirements, per-warp
-//     instruction and BB counts, cache and DRAM counters, and image, and
-//     the pass's instruction count equals the run's.
+//     over no image, beside a recording (emu.Recording) on the image, vs
+//     the detailed run: the same end time, stream of issues and
+//     retirements, per-warp instruction and BB counts, cache and DRAM
+//     counters, and image, and the recording's instruction count equals
+//     the run's.
 func RunCase(c *Case) []Violation {
 	var vs []Violation
 	fail := func(kind, format string, args ...any) {
@@ -118,12 +118,12 @@ func RunCase(c *Case) []Violation {
 	return vs
 }
 
-// diffReplayed runs the case replaying a recording pass beside it and holds
-// it to the detailed run tr: the replay reads from the recording exactly
-// what the executed run's steps returned, so the two runs issue, retire,
-// count and access the hierarchy identically, and the pass leaves the
-// image. A panic, the pass's raised again or the replay's own, is the
-// leg's violation.
+// diffReplayed runs the case replaying a recording made beside it and
+// holds it to the detailed run tr: the replay reads from the recording
+// exactly what the executed run's steps returned, so the two runs issue,
+// retire, count and access the hierarchy identically, and the recording
+// leaves the image. A panic, the recording's raised again or the replay's
+// own, is the leg's violation.
 func diffReplayed(fail func(kind, format string, args ...any), c *Case, tr *timingRun) {
 	rr, err := func() (rr *timingRun, err error) {
 		defer func() {
@@ -159,7 +159,7 @@ func diffReplayed(fail func(kind, format string, args ...any), c *Case, tr *timi
 		fail("replay", "%v", rr.conserv)
 	}
 	if !slices.Equal(rr.mem, tr.mem) {
-		fail("replay", "the recording pass left an image that differs from the detailed run's")
+		fail("replay", "the recording left an image that differs from the detailed run's")
 	}
 }
 
@@ -267,7 +267,7 @@ type timingRun struct {
 	mem      []uint32
 	stats    mem.Stats
 	conserv  error
-	recorded uint64 // a replayed run's: its recording pass's instruction count
+	recorded uint64 // a replayed run's: its recording's instruction count
 }
 
 // leg is how runTiming runs a case's detailed simulation.
@@ -276,7 +276,7 @@ type leg int
 const (
 	executed   leg = iota // over the image, executing values
 	timingOnly            // timing-only over no image
-	replayed              // over no image, replaying a recording pass on the image beside it
+	replayed              // over no image, replaying a recording made on the image beside it
 )
 
 // streamEvent is one issue (Retired false) or retirement the timing model
@@ -316,8 +316,10 @@ func (o *captureObs) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time
 }
 
 // runTiming executes the case in detailed mode as leg says. A timing-only
-// run leaves the run's mem nil; a replayed one's is the image its recording
-// pass left, and a panic of the pass is raised again.
+// run leaves the run's mem nil; a replayed one's is the image its
+// recording left, on a goroutine beside the run, whose error, a panic's
+// included, the replay raises when it waits for a workgroup the recording
+// never recorded, and is otherwise the run's.
 func runTiming(c *Case, leg leg) (run *timingRun, err error) {
 	l, seg, err := c.NewLaunch()
 	if err != nil {
@@ -325,19 +327,24 @@ func runTiming(c *Case, leg leg) (run *timingRun, err error) {
 	}
 	image := l.Memory
 	compute, hcfg := SmallConfig()
-	var pass *gpu.Pass
 	switch leg {
 	case timingOnly:
 		l.TimingOnly, l.Memory, image = true, nil, nil
 	case replayed:
 		rec := emu.NewRecording(timing.ResidentGroups(compute, l) + 1)
-		pass = gpu.RecordingPass(rec)
 		live := *l
-		pass.Go(&live, func(body func()) { body() })
+		stop, done := make(chan struct{}), make(chan struct{})
+		var recorded uint64
+		var recErr error
+		go func() {
+			defer close(done)
+			recorded, recErr = rec.Record(&live, stop)
+		}()
 		defer func() {
-			pass.Stop()
-			if err == nil {
-				run.recorded, err = pass.Recorded()
+			close(stop)
+			<-done
+			if run != nil {
+				run.recorded, err = recorded, recErr
 			}
 		}()
 		l.Memory, l.Replay = nil, rec
