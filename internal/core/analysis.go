@@ -36,7 +36,7 @@ type Profile struct {
 // (sampled at workgroup granularity, spread evenly across the grid; the paper
 // uses 1%) and summarizes their behavior, leaving the image as it was. A
 // profile reads only control flow, so an independent program's sample runs
-// timing-only (kernel.Launch.TimingOnly) over no image at all. Any other
+// timing-only (kernel.StepAddresses) over no image at all. Any other
 // program's runs on a Fork of the image, which is dropped; Fork writes the
 // parent's ownership bits, so never analyze one image of such a program
 // from two goroutines.
@@ -46,7 +46,7 @@ func AnalyzeOnline(l *kernel.Launch, fraction float64) (*Profile, error) {
 	}
 	sample := *l
 	if l.Program.Independent() {
-		sample.Memory, sample.TimingOnly = nil, true
+		sample.Memory, sample.Steps = nil, kernel.StepAddresses
 	} else {
 		sample.Memory = l.Memory.Fork()
 	}

@@ -321,10 +321,12 @@ func (k *kernelPlan) commitMatched(gpu.KernelResult) (gpu.KernelResult, error) {
 // execute is the detailed simulation with the per-level detectors attached.
 // Switching is allowed only after minRetires warps retired.
 //
-// A run loop may run it over a launch with no image (a nil Memory, which a
-// TimingOnly launch or a replay allows): handed off, beside a functional
-// advance of the image, or inline beside the plan's started pass, which
-// then makes the kernel's image. A kernel that ends warp-sampling names its
+// A run loop may run it over a launch whose Steps is not the app's:
+// handed off, beside a functional advance of the image, a dependent
+// program's replays the tapes it records on a fork (kernel.StepTape), and
+// an independent program's runs timing-only over no image
+// (kernel.StepAddresses), as it may inline beside the plan's started
+// pass, which then makes the kernel's image. A kernel that ends warp-sampling names its
 // prefix (gpu.Pass.Prefix), the workgroups the run loop must advance the
 // image over instead.
 func (k *kernelPlan) execute(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {

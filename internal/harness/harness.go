@@ -56,7 +56,6 @@ const (
 	RanTimedBesidePass Ran = "timed-beside-pass" // timing-only over no image, beside its functional pass
 	RanHelper          Ran = "helper"            // on a helper, over a fork of the image at launch
 	RanHelperTimed     Ran = "helper-timed"      // on a helper, timing-only over no image
-	RanReplayed        Ran = "replayed"          // on a helper, over no image, replaying the recording the advance makes
 	RanAdvance         Ran = "advance"           // nowhere: the plan has no Execute
 )
 
@@ -68,7 +67,7 @@ const (
 	ImageLive    Image = "live"    // Execute, on the live image
 	ImagePass    Image = "pass"    // the functional pass, whose fork the live image adopted
 	ImageReplay  Image = "replay"  // a functional run of the prefix's workgroups [0, NextWG) on the live image
-	ImageAdvance Image = "advance" // the functional advance of the whole kernel on the live image, recording or not
+	ImageAdvance Image = "advance" // the functional advance of the whole kernel on the live image
 )
 
 // RunApp executes every launch of the app under the runner on a fresh GPU.
@@ -134,11 +133,11 @@ func RunAppInstrumented(ctx context.Context, cfg gpu.Config, app *workloads.App,
 	ao.Trace.NameProcess(simPID, "simulation")
 	p := newPipeline(cfg, app, runner, ao)
 	defer p.wait()
-	for i, l := range app.Launches {
+	for _, l := range app.Launches {
 		if err := ctx.Err(); err != nil {
 			return p.res, p.failAt(l, err)
 		}
-		if err := p.step(i, l); err != nil {
+		if err := p.step(l); err != nil {
 			return p.res, err
 		}
 	}

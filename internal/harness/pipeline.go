@@ -9,7 +9,6 @@ import (
 	"photon/internal/sim/gpu"
 	"photon/internal/sim/kernel"
 	"photon/internal/sim/mem"
-	"photon/internal/sim/timing"
 	"photon/internal/workloads"
 )
 
@@ -37,9 +36,8 @@ type pipeline struct {
 type kernelRun struct {
 	l     *kernel.Launch // the app's launch, not its fork
 	plan  *gpu.Plan
-	rec   *emu.Recording // set when the helper replays the run loop's advance
-	row   KernelRow      // how the kernel ran; merge adds its result
-	tid   int            // trace thread: ao.TID on the run's goroutine, its GPU's when handed off
+	row   KernelRow // how the kernel ran; merge adds its result
+	tid   int       // trace thread: ao.TID on the run's goroutine, its GPU's when handed off
 	r     gpu.KernelResult
 	start time.Time
 	err   error
@@ -62,7 +60,7 @@ func mayHandOff(plan *gpu.Plan, l *kernel.Launch) bool {
 	return plan.Execute != nil && plan.Overlap && !l.Program.HasAtomic()
 }
 
-// step plans launch i, picks where its Execute runs (Ran) and runs it. A
+// step plans launch l, picks where its Execute runs (Ran) and runs it. A
 // launch mayHandOff admits goes to a helper (handOff) when the run may
 // spare a CPU; otherwise the plan's functional pass may start beside an
 // inline Execute when the run may spare a CPU and the program has no
@@ -70,7 +68,7 @@ func mayHandOff(plan *gpu.Plan, l *kernel.Launch) bool {
 // over no image. The run may spare a CPU when its pool has a token free at
 // the launch: every run in flight holds one, so a lone run on two CPUs
 // may, and two runs on two may not.
-func (p *pipeline) step(i int, l *kernel.Launch) error {
+func (p *pipeline) step(l *kernel.Launch) error {
 	start := time.Now()
 	var plan *gpu.Plan
 	err := engine.Try(func() (err error) {
@@ -89,7 +87,7 @@ func (p *pipeline) step(i int, l *kernel.Launch) error {
 		k.row.Ran, k.row.Image = RanAdvance, ImageAdvance
 		return p.advanceOnly(k)
 	case k.row.admitted && spare:
-		return p.handOff(i, k)
+		return p.handOff(k)
 	case pass && l.Program.Independent():
 		k.row.Ran = RanTimedBesidePass
 	default:
@@ -152,7 +150,7 @@ func (p *pipeline) inline(k *kernelRun, pass bool) error {
 	if pass {
 		r = p.startPass(k, g)
 		if k.row.Ran == RanTimedBesidePass {
-			run.Memory, run.TimingOnly = nil, true
+			run.Memory, run.Steps = nil, kernel.StepAddresses
 		}
 	}
 	p.run(g, &run, k)
@@ -249,16 +247,11 @@ func (p *pipeline) replay(l *kernel.Launch, n int) error {
 	return err
 }
 
-// advance runs k's launch functionally on the live image, recording it
-// into k.rec when set until k's helper is done, gives the plan its
-// instruction count and returns it.
+// advance runs k's launch functionally on the live image, gives the plan
+// its instruction count and returns it.
 func (p *pipeline) advance(k *kernelRun) (insts uint64, err error) {
 	err = engine.Try(func() (err error) {
-		if k.rec != nil {
-			insts, err = k.rec.Record(k.l, k.done)
-		} else {
-			insts, err = emu.RunKernelFunctional(k.l)
-		}
+		insts, err = emu.RunKernelFunctional(k.l)
 		if err == nil && k.plan.Advanced != nil {
 			k.plan.Advanced(insts)
 		}
@@ -282,34 +275,25 @@ func (p *pipeline) advanceOnly(k *kernelRun) error {
 	return p.mergeDone()
 }
 
-// handOff runs launch i's Execute on a helper while the run loop advances
-// the live image past it functionally. What the helper runs over picks its
-// Ran, in this one switch:
-//   - helper-timed: an independent program, timing-only over no image;
-//   - helper: a dependent launch with launches after it, over a fork of
-//     the image at launch, which it drops;
-//   - replayed: a dependent last launch, over no image, replaying the
-//     recording the advance makes; the recording stops once the helper is
-//     done, so a helper that fails leaves no advance waiting for it.
+// handOff runs k's Execute on a helper while the run loop advances the
+// live image past it functionally. The helper runs an independent program
+// timing-only over no image (helper-timed), and a dependent one over a
+// fork of the image at launch, replaying the tapes it records on the fork,
+// which it drops (helper).
 //
 // It waits for an idle GPU first, so no more detailed runs, and their
 // forks, are alive than the pool has CPUs; finished ones wait in the queue
 // to merge in order without holding back the next hand-off.
-func (p *pipeline) handOff(i int, k *kernelRun) error {
+func (p *pipeline) handOff(k *kernelRun) error {
 	g := p.gpu()
 	if err := p.mergeDone(); err != nil {
 		return err
 	}
 	run := *k.l
-	run.Memory = nil
-	switch {
-	case k.l.Program.Independent():
-		k.row.Ran, run.TimingOnly = RanHelperTimed, true
-	case i < len(p.app.Launches)-1:
-		k.row.Ran, run.Memory = RanHelper, k.l.Memory.Fork()
-	default:
-		k.rec = emu.NewRecording(timing.ResidentGroups(p.cfg.Compute, k.l) + 1)
-		k.row.Ran, run.Replay = RanReplayed, k.rec
+	if k.l.Program.Independent() {
+		k.row.Ran, run.Memory, run.Steps = RanHelperTimed, nil, kernel.StepAddresses
+	} else {
+		k.row.Ran, run.Memory, run.Steps = RanHelper, k.l.Memory.Fork(), kernel.StepTape
 	}
 	k.row.Image = ImageAdvance
 	k.tid = p.tids[g]
@@ -326,9 +310,7 @@ func (p *pipeline) handOff(i int, k *kernelRun) error {
 		// The detailed run of l most likely failed the same way: report
 		// its error, as a serial run would, when it has one. A timing-only
 		// run skips the values, LDS accesses and dead divisions a fault
-		// can come from, so it may have none; a replay raises the
-		// recording's fault; and an advance the helper's end cut short is
-		// not a result.
+		// can come from, so it may have none.
 		<-k.done
 		if k.err == nil {
 			k.err = err

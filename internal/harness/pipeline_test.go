@@ -19,8 +19,6 @@ import (
 	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
 	"photon/internal/sim/mem"
-	"photon/internal/sim/timing"
-	"photon/internal/verify"
 	"photon/internal/workloads"
 	"photon/internal/workloads/dnn"
 )
@@ -51,8 +49,9 @@ var tinyScale = dnn.Scale{Input: 32, ChannelDiv: 16}
 // pipelineCases lists every Table-2 benchmark at its smallest size, the
 // atomic extensions (HIST, BFS and KMeans fall back to inline runs) and the
 // multi-pass reduction, PageRank, the three multi-kernel DNNs at
-// tinyScale, and two one-launch apps past the pass bound: FIR/16384, which
-// ends bb-sampling, and ReLU/16384, which ends warp-sampling under Photon.
+// tinyScale, the training step at batch 2, and two one-launch apps past
+// the pass bound: FIR/16384, which ends bb-sampling, and ReLU/16384, which
+// ends warp-sampling under Photon.
 // KMeans and BFS run below their smallest catalog size (atomicWarps).
 func pipelineCases() []pipelineCase {
 	var cs []pipelineCase
@@ -74,6 +73,7 @@ func pipelineCases() []pipelineCase {
 		}},
 		pipelineCase{name: "ResNet-18", build: func() (*workloads.App, error) { return dnn.BuildResNet(18, tinyScale) }},
 		pipelineCase{name: "VGG-16", build: func() (*workloads.App, error) { return dnn.BuildVGG(16, tinyScale) }},
+		pipelineCase{name: "TrainStep", build: func() (*workloads.App, error) { return dnn.BuildTrainingStep(2) }},
 		pipelineCase{name: "FIR-16384", build: func() (*workloads.App, error) { return workloads.BuildFIR(16384) }, gates: true},
 		pipelineCase{name: "ReLU-16384", build: func() (*workloads.App, error) { return workloads.BuildReLU(16384) }, gates: true},
 	)
@@ -123,7 +123,7 @@ type pipelineRun struct {
 
 // onHelper reports whether a row's Execute ran on a helper GPU.
 func onHelper(k KernelRow) bool {
-	return k.Ran == RanHelper || k.Ran == RanHelperTimed || k.Ran == RanReplayed
+	return k.Ran == RanHelper || k.Ran == RanHelperTimed
 }
 
 // runAt builds c's app and runs it under m on a pool of cpus CPUs.
@@ -167,30 +167,31 @@ var functionalMode = mode{gpu.TierFunctional, func(gpu.Config, core.Params) gpu.
 // The pipelined run must reproduce the serial one under every mode, and
 // under the functional runner: every per-kernel row, the totals, the tier
 // ledger and the final memory image, byte for byte, with every kernel
-// audited. A dependent last launch whose plan may overlap (SPMV's and
-// AES's one launch under the full baseline and Photon, PageRank's last
-// under the full baseline; Photon kernel-samples that one) replays on a
-// helper, over no image, the recording the run loop's functional advance
-// makes, which makes the replay's every count, and the advance's image,
-// the differential against the serial run's executed values. The plans
-// of the baselines PKA and TBPoint, and of the functional runner, never
-// overlap, so they stay serial; Photon hands off the kernels it can
-// bound, most of ResNet-18's. A handed-off kernel of an independent
-// program runs timing-only, every one of ResNet-18's under the full
-// baseline and none of SPMV's, whose gathers make it dependent. An app of
-// one launch runs under the full baseline, which hands its launch off,
-// timing-only or replayed, or, when its gates fire with workgroups left,
-// under the gating modes, inline
-// with a functional pass beside it, which FIR/16384's bb-sampling uses and
-// whose fork becomes the final image. Only bb-sampling asks for a pass, so
-// only under Photon and bb-sampling is there one. Both of those programs
-// are independent, so beside the pass the kernel runs timing-only, over no
-// image. A pass becomes the image only of a kernel that ended bb-sampling
-// or full. The pipelined run hands off exactly the launches its serial
-// run's plans let go (mayHandOff). Every serial row ran inline or as an
-// advance and left the live or the advance's image, and across the cases
-// the pipelined rows take every value of Ran and of Image, so no path of
-// the run loop is dead.
+// audited, and under the full baseline and Photon, whose helpers replay,
+// the runs of SPMV, AES, PageRank and the training step are also held to
+// a leg that runs each launch through gpu.RunKernel, which executes values
+// (valuePath). A dependent launch whose plan may
+// overlap (SPMV's and AES's one launch under the full baseline and
+// Photon, PageRank's under the full baseline; Photon kernel-samples its
+// last) runs on a helper, replaying the tapes it records on a fork of the
+// image, so the serial run's executed values are its differential. The
+// plans of the baselines PKA and TBPoint, and of the
+// functional runner, never overlap, so they stay serial; Photon hands off
+// the kernels it can bound, most of ResNet-18's. A handed-off kernel of an
+// independent program runs timing-only, every one of ResNet-18's under the
+// full baseline and none of SPMV's, whose gathers make it dependent. An
+// app of one launch runs under the full baseline, which hands its launch
+// off, or, when its gates fire with workgroups left, under the gating
+// modes, inline with a functional pass beside it, which FIR/16384's
+// bb-sampling uses and whose fork becomes the final image. Only
+// bb-sampling asks for a pass, so only under Photon and bb-sampling is
+// there one. Both of those programs are independent, so beside the pass
+// the kernel runs timing-only, over no image. A pass becomes the image
+// only of a kernel that ended bb-sampling or full. The pipelined run hands
+// off exactly the launches its serial run's plans let go (mayHandOff).
+// Every serial row ran inline or as an advance and left the live or the
+// advance's image, and across the cases the pipelined rows take every
+// value of Ran and of Image, so no path of the run loop is dead.
 func TestPipelinedRunMatchesSerial(t *testing.T) {
 	t.Parallel()
 	seen := map[any]bool{} // Ran and Image values: "advance" is one of each
@@ -228,7 +229,7 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 	if ran < legs || t.Failed() {
 		return // a filtered or failed run need not cover every path: legs counts every case's
 	}
-	for _, v := range []any{RanInline, RanTimedBesidePass, RanHelper, RanHelperTimed, RanReplayed, RanAdvance,
+	for _, v := range []any{RanInline, RanTimedBesidePass, RanHelper, RanHelperTimed, RanAdvance,
 		ImageLive, ImagePass, ImageReplay, ImageAdvance} {
 		if !seen[v] {
 			t.Errorf("no pipelined row took %T %q", v, v)
@@ -293,15 +294,27 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) (wan
 	case c.name == "SPMV" && len(timed) != 0:
 		t.Errorf("%v of SPMV ran timing-only", timed)
 	}
-	for i, k := range got.rows {
-		if k.Ran == RanReplayed && (i < len(got.rows)-1 || k.Image != ImageAdvance) {
-			t.Errorf("launch %d of %d, %s, ran %s, image %s; only the last launch replays, image %s", i, len(got.rows), k.Name, k.Ran, k.Image, ImageAdvance)
-		}
-	}
-	mustReplay := (c.name == "SPMV" || c.name == "AES") && (m.name == BaselineMode || m.name == "photon") ||
+	handsOffLast := (c.name == "SPMV" || c.name == "AES") && (m.name == BaselineMode || m.name == "photon") ||
 		c.name == "PR" && m.name == BaselineMode
-	if k := got.rows[len(got.rows)-1]; mustReplay && k.Ran != RanReplayed {
-		t.Errorf("%s, the last launch, ran %s; want %s", k.Name, k.Ran, RanReplayed)
+	if k := got.rows[len(got.rows)-1]; handsOffLast && (k.Ran != RanHelper || k.Image != ImageAdvance) {
+		t.Errorf("%s, the last launch, ran %s, image %s; want %s, %s", k.Name, k.Ran, k.Image, RanHelper, ImageAdvance)
+	}
+	if slices.Contains(valuePathCases, c.name) && (m.name == BaselineMode || m.name == "photon") {
+		ref := valuePath(t, c, m)
+		for _, run := range []struct {
+			name string
+			pipelineRun
+		}{{"serial", want}, {"pipelined", got}} {
+			for i, k := range run.res.PerKernel {
+				if r := ref.res.PerKernel[i]; k.SimTime != r.SimTime || k.Insts != r.Insts || k.Mode != r.Mode {
+					t.Errorf("%s run: %s: %d cycles, %d instructions, %s; the value path %d, %d, %s",
+						run.name, k.Name, k.SimTime, k.Insts, k.Mode, r.SimTime, r.Insts, r.Mode)
+				}
+			}
+			if !slices.Equal(run.image, ref.image) {
+				t.Errorf("%s run: final image differs from the value path's first at %#x", run.name, firstDiff(run.image, ref.image))
+			}
+		}
 	}
 	if !reflect.DeepEqual(got.res, want.res) {
 		t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got.res, want.res)
@@ -313,6 +326,31 @@ func matchesSerial(t *testing.T, c pipelineCase, m mode, full *pipelineRun) (wan
 		functionalMatchesFull(t, c, got, full)
 	}
 	return want, got
+}
+
+// valuePathCases are the cases TestPipelinedRunMatchesSerial holds to
+// valuePath under the full baseline and Photon.
+var valuePathCases = []string{"SPMV", "AES", "PR", "TrainStep"}
+
+// valuePath runs c's app under m through gpu.RunKernel, one launch after
+// another on one GPU, with each launch as the app built it: every
+// detailed run executes values.
+func valuePath(t *testing.T, c pipelineCase, m mode) pipelineRun {
+	app, err := c.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := gpu.R9Nano()
+	r, g := m.new(cfg, core.DefaultParams()), gpu.New(cfg)
+	var res AppResult
+	for _, l := range app.Launches {
+		k, err := gpu.RunKernel(r, g, l)
+		if err != nil {
+			t.Fatalf("value path: %s: %v", l.Name, err)
+		}
+		res.PerKernel = append(res.PerKernel, KernelRow{Name: l.Name, KernelResult: k})
+	}
+	return pipelineRun{res: res, image: image(app.Mem), runner: r}
 }
 
 // functionalMatchesFull holds a functional run to the serial full run of
@@ -589,7 +627,7 @@ func TestPipelinedRunWallIsElapsed(t *testing.T) {
 // which samples only the first, passes. The second kernel only ends. When
 // dependent, the faulting kernel first loads a zero word and branches past
 // the store unless it reads zero: a loaded value then reaches a compare, so
-// the program is dependent and a helper moves its values.
+// the program is dependent and a helper records its values on a fork.
 func ldsFaultApp(dependent bool) *workloads.App {
 	m := mem.NewFlat()
 	fault := isa.NewBuilder("lds_fault")
@@ -621,8 +659,8 @@ func ldsFaultApp(dependent bool) *workloads.App {
 // process down, the error is the serial run's, and no helper outlives the
 // run. The faulting kernel has no row, so the frame that met the fault
 // shows the path it took: serially the inline run. The dependent faulting
-// kernel's helper moves its values, meets the fault itself, and the error
-// carries the helper's stack. The independent one's helper runs timing-only
+// kernel's helper records its workgroups on its fork, meets the fault
+// itself, and the error carries the helper's stack. The independent one's helper runs timing-only
 // and skips the LDS store, so the error is the functional advance's beside
 // it, from the run's goroutine.
 func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
@@ -663,9 +701,7 @@ func TestPipelinedRunFailsOnHelperPanic(t *testing.T) {
 				} else if line != first {
 					t.Errorf("%s, dependent %v: pipelined error %q, serial %q", name, dependent, line, first)
 				}
-				if g := runtime.NumGoroutine(); g > base {
-					t.Errorf("%s, dependent %v, cpus %d: %d goroutines outlive the run (%d before)", name, dependent, cpus, g, base)
-				}
+				noGoroutinesAbove(t, base, fmt.Sprintf("%s, dependent %v, cpus %d", name, dependent, cpus))
 			}
 		}
 	}
@@ -866,15 +902,13 @@ func TestPipelinedPassCancelsMidKernel(t *testing.T) {
 	}
 }
 
-// A fault in the recording fails the replayed kernel as the fault fails
-// the serial run's inline one. The dependent faulting launch of
-// ldsFaultApp, alone, is the last launch, so its pipelined run replays the
-// recording of the run loop's functional advance, which meets the fault in
-// workgroup 1; the replay, which waits for that workgroup, raises the
-// recording's panic on the helper's goroutine. Under the full baseline and
-// under Photon the error's first line is the serial run's, it carries the
-// recording's stack, through the functional advance, and no goroutine
-// outlives the run.
+// A recording fault fails a pipelined run like the serial run. The
+// dependent faulting launch of ldsFaultApp, alone, is the last launch: its
+// pipelined run hands it to a helper, whose recording on the fork meets
+// the fault at the bind of workgroup 1, and the serial run's inline
+// detailed run executes the fault. Under the full baseline and under
+// Photon the error's first line is the serial run's, it carries the
+// helper's stack, and no goroutine outlives the run.
 func TestPipelinedRecordingFaultFailsLikeSerial(t *testing.T) {
 	app := func() *workloads.App {
 		a := ldsFaultApp(true)
@@ -896,15 +930,15 @@ func TestPipelinedRecordingFaultFailsLikeSerial(t *testing.T) {
 		if !strings.HasPrefix(wantLine, "harness: Fault/lds_fault under "+name+": panic: emu: lds_fault") || line != wantLine {
 			t.Errorf("%s: pipelined error %q, serial %q", name, line, wantLine)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "functional recording:") || !strings.Contains(msg, "(*pipeline).advance") {
-			t.Errorf("%s: the pipelined error does not carry the functional advance's stack:\n%v", name, err)
+		if msg := err.Error(); !strings.Contains(msg, "(*pipeline).handOff.func") {
+			t.Errorf("%s: the pipelined error does not carry the helper's stack:\n%v", name, err)
 		}
 	}
 }
 
-// A cancelled PageRank run whose last launch replays returns the serial
-// prefix and leaves no goroutine behind, whether the signal comes before
-// the replayed launch or never: the helper ends with the recording.
+// A cancelled PageRank run returns the serial prefix and leaves no
+// goroutine behind, whether the signal comes before the last launch, which
+// runs on a helper, or never.
 func TestPipelinedReplayCancelsMidApp(t *testing.T) {
 	c := findPipelineCase(t, "PR")
 	m := modeNamed(t, BaselineMode)
@@ -922,101 +956,11 @@ func TestPipelinedReplayCancelsMidApp(t *testing.T) {
 		if !reflect.DeepEqual(got.res.PerKernel, want.res.PerKernel[:stop]) {
 			t.Errorf("stop before %d: got %d kernels, want the serial prefix of %d", stop, len(got.res.PerKernel), stop)
 		}
-		if replayed := slices.ContainsFunc(got.rows, func(k KernelRow) bool { return k.Ran == RanReplayed }); replayed != (stop == n) {
-			t.Errorf("stop before %d of %d: a row replayed: %v", stop, n, replayed)
+		if stop == n && got.rows[n-1].Ran != RanHelper {
+			t.Errorf("the last launch ran %s, want %s", got.rows[n-1].Ran, RanHelper)
 		}
 		noGoroutinesAbove(t, base, fmt.Sprintf("stop before %d", stop))
 	}
-}
-
-// On verify's small GPU, whose 4 CUs hold 160 one-warp workgroups, SPMV/512's
-// replay runs with a recording pool of exactly that capacity + 1 arenas,
-// which runs dry again and again; the run completes and matches the serial
-// one, rows, totals and image.
-func TestPipelinedReplayBoundedPool(t *testing.T) {
-	t.Parallel()
-	cfg := verify.SmallGPU()
-	run := func(cpus int) pipelineRun {
-		app, err := workloads.BuildSPMV(512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := timing.ResidentGroups(cfg.Compute, app.Launches[0]); app.Launches[0].NumWorkgroups < 3*(n+1) {
-			t.Fatalf("%d workgroups, %d resident: the pool never runs dry", app.Launches[0].NumWorkgroups, n)
-		}
-		r, err := runAppAt(context.Background(), cfg, app, gpu.FullRunner{}, cpus, AppObs{Check: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	want, got := run(serialCPUs), run(pipelinedCPUs)
-	if k := got.rows[0]; k.Ran != RanReplayed || k.Image != ImageAdvance {
-		t.Fatalf("spmv ran %s, image %s; want %s, %s", k.Ran, k.Image, RanReplayed, ImageAdvance)
-	}
-	if !reflect.DeepEqual(got.res, want.res) {
-		t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got.res, want.res)
-	}
-	if !slices.Equal(got.image, want.image) {
-		t.Errorf("final images differ first at %#x", firstDiff(got.image, want.image))
-	}
-}
-
-// quitRunner's plans may overlap, and their Execute fails at once. It
-// counts the replayed launches Execute received and the advances the plan
-// was given.
-type quitRunner struct{ replays, advances *atomic.Int32 }
-
-var errQuit = errors.New("execute quits")
-
-func (quitRunner) Name() string { return "quit" }
-
-func (q quitRunner) Plan(*gpu.GPU, *kernel.Launch) (*gpu.Plan, error) {
-	return &gpu.Plan{Overlap: true,
-		Execute: func(_ *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, error) {
-			if l.Replay != nil {
-				q.replays.Add(1)
-			}
-			return gpu.KernelResult{}, errQuit
-		},
-		Advanced: func(uint64) { q.advances.Add(1) }}, nil
-}
-
-// The run loop never waits on a helper that has stopped replaying. SPMV/512
-// on verify's small GPU records into a pool that runs dry, so the
-// functional advance waits for arenas only the replay returns; the replay
-// fails before it takes one. The advance stops when the helper is done, so
-// the run returns the helper's error within the deadline, no goroutine
-// outlives it, and the plan is never given the count of an advance cut
-// short.
-func TestPipelinedReplayQuitStopsAdvance(t *testing.T) {
-	app, err := workloads.BuildSPMV(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := verify.SmallGPU()
-	if n := timing.ResidentGroups(cfg.Compute, app.Launches[0]); app.Launches[0].NumWorkgroups <= n+1 {
-		t.Fatalf("%d workgroups, %d resident: the pool never runs dry", app.Launches[0].NumWorkgroups, n)
-	}
-	q := quitRunner{new(atomic.Int32), new(atomic.Int32)}
-	base := runtime.NumGoroutine()
-	done := make(chan error, 1)
-	go func() {
-		_, err := runAppAt(context.Background(), cfg, app, q, pipelinedCPUs, AppObs{})
-		done <- err
-	}()
-	select {
-	case err = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("the run still waits 30 s after its helper quit")
-	}
-	if !errors.Is(err, errQuit) || q.replays.Load() != 1 {
-		t.Fatalf("err %v after %d replays; want the helper's error, from its replay", err, q.replays.Load())
-	}
-	if n := q.advances.Load(); n != 0 {
-		t.Errorf("the plan was given %d advances, want none", n)
-	}
-	noGoroutinesAbove(t, base, "a quitting replay")
 }
 
 // The pool counts idle CPUs, not runs in flight. With one of three CPUs

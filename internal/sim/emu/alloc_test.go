@@ -3,6 +3,7 @@ package emu
 import (
 	"testing"
 
+	"photon/internal/sim/kernel"
 	"photon/internal/testutil"
 )
 
@@ -53,11 +54,11 @@ func TestGroupRunRangeZeroAlloc(t *testing.T) {
 }
 
 // TestWarpStepTimingOnlyZeroAlloc pins the timing-only Step: a warp of an
-// independent TimingOnly launch, stepped through its loads, store, EXEC
+// independent StepAddresses launch, stepped through its loads, store, EXEC
 // region and waitcnt to s_endpgm, allocates nothing.
 func TestWarpStepTimingOnlyZeroAlloc(t *testing.T) {
 	l, _, _, _ := vecAddLaunch(t, 100, 2)
-	l.TimingOnly = true
+	l.Steps = kernel.StepAddresses
 	var s WarpStore
 	s.Configure(l, 1)
 	if !s.timingOnly {

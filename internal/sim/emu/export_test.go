@@ -1,6 +1,10 @@
 package emu
 
-import "photon/internal/sim/kernel"
+import (
+	"slices"
+
+	"photon/internal/sim/kernel"
+)
 
 // CheckLaunch exposes the three-way launch differential to corpus_test.go,
 // which lives in the external test package so it can import internal/verify
@@ -72,4 +76,16 @@ func (s *WarpStore) setSCC(slot int, v bool) {
 	} else {
 		s.flags[slot] &^= flagSCC
 	}
+}
+
+// Arenas returns how many tape arenas a replaying store's recorder holds:
+// those of its bound workgroups and its free ones.
+func (s *WarpStore) Arenas() int {
+	n := len(s.rec.free)
+	for i, a := range s.held {
+		if a != nil && !slices.Contains(s.held[:i], a) {
+			n++
+		}
+	}
+	return n
 }

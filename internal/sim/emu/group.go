@@ -41,7 +41,7 @@ func (g *Group) Reset(l *kernel.Launch, groupID int) {
 		g.LDS = nil
 	}
 	wpg := l.WarpsPerGroup
-	g.store.Configure(l, wpg)
+	g.store.configure(l, wpg, false)
 	if cap(g.back) < wpg {
 		g.back = make([]Warp, wpg)
 	}

@@ -2,177 +2,112 @@ package emu
 
 import (
 	"fmt"
-	"runtime/debug"
 	"slices"
 
 	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
 )
 
-// Recording is a functional run of a launch's workgroups, in order, that
-// keeps per warp only what Step owes the timing machine, so that a detailed
-// run over no image can replay it (kernel.Launch.Replay) instead of
-// executing values. Each warp's tape is one stream of words in step order:
-// for each vector-memory step its active lane count and each lane's
-// address register, for each s_load step its address register, and for
-// each step that ends in a branch the PC after it. An address is its
+// A replaying store (kernel.StepTape) records each workgroup when it binds
+// the workgroup's first warp: its recorder runs the workgroup functionally,
+// on the launch's own image and the caller's goroutine, and keeps per warp
+// only what Step owes the timing machine, which replayStep then reads
+// instead of executing values. Each warp's tape is one stream of words in
+// step order: for each vector-memory step its active lane count and each
+// lane's address register, for each s_load step its address register, and
+// for each step that ends in a branch the PC after it. An address is its
 // register plus the micro-op's static offset, so a register word holds it
 // exactly. Everything else Step does — the BB and instruction counts, the
 // s_barrier and s_endpgm flags, the next PC of a step that ends in no
 // branch — follows from the micro-op table.
 //
-// The tapes are bounded. Record takes one arena per workgroup from a pool
-// of the size NewRecording was given and the replay returns it when the
-// workgroup retires. The pool must hold at least the replaying machine's
-// resident-workgroup capacity + 1 arenas (timing.ResidentGroups + 1). The
-// replay then never waits for Record while Record waits for it: when the
-// pool is empty the replay holds at most the capacity's arenas in live
-// workgroups, so at least one recorded workgroup waits for dispatch, and
-// the replay dispatches in order, so the next one it needs is recorded.
-//
 // The replay is exact for a program with no atomic and no race between
 // warps, whose per-warp values do not depend on how warps interleave: the
-// in-order functional run steps each warp as the detailed run would.
-type Recording struct {
-	pool  chan *arena // free arenas
-	ready chan *arena // recorded workgroups, in order
-	// cause is why Record ended before the workgroup the replay waits
-	// for, set before Record closes ready.
-	cause error
-	// hint is the length of the last tape Record finished: a fresh tape
-	// starts at that capacity.
+// workgroups run in dispatch order, as a functional run of the launch
+// does, and each warp steps as the detailed run would. A fault of the
+// functional run panics in Bind, inside the detailed run, where a run that
+// executes values meets it too.
+
+// recorder records a replaying store's workgroups. Each workgroup's tapes
+// go into an arena, which the workgroup's last Release puts back on the
+// free list, so the recorder holds no more arenas than the store has held
+// live workgroups at once.
+type recorder struct {
+	g     Group
+	next  int      // the workgroup the next bind opens
+	bound *arena   // the arena of the workgroup Bind binds
+	free  []*arena // the arenas of released workgroups
+	// hint is the length of the longest tape recorded: a shorter tape is
+	// replaced by one of that capacity, so a warm recorder allocates
+	// nothing.
 	hint int
 }
 
 // arena holds one workgroup's tapes, one per warp.
 type arena struct {
-	group int
-	live  int // the workgroup's warps still bound by the replay
-	tapes []tape
+	live  int // the workgroup's warps still bound
+	tapes [][]uint32
 }
 
-// tape is one warp's stream of words.
-type tape struct {
-	a     *arena
-	words []uint32
-}
-
-// RecordsSteps implements kernel.Recording.
-func (*Recording) RecordsSteps() {}
-
-// NewRecording returns a recording whose pool holds arenas arenas; see
-// Recording for the bound a replay needs.
-func NewRecording(arenas int) *Recording {
-	r := &Recording{pool: make(chan *arena, arenas), ready: make(chan *arena, arenas)}
-	for range arenas {
-		r.pool <- new(arena)
+// open records workgroup group of l, which must be the next in order, into
+// an arena, and binds the arena to the store's next binds.
+func (r *recorder) open(l *kernel.Launch, group int) {
+	if group != r.next {
+		panic(fmt.Sprintf("emu: %s: replay binds workgroup %d, want %d: workgroups bind in order", l.Name, group, r.next))
 	}
-	return r
-}
-
-// Record runs every workgroup of l functionally, in order, on l's image,
-// recording each warp's tape, and returns the instruction count, or the
-// error of the workgroup that failed. It stops early, with an error, once
-// stop is closed: at a workgroup boundary, or while it waits for an arena;
-// a count cut short is no result. A panic of the recording becomes its
-// error, carrying the recording goroutine's stack. Record ends the
-// recording: a replay that waits for a workgroup it did not record panics
-// with its error.
-func (r *Recording) Record(l *kernel.Launch, stop <-chan struct{}) (insts uint64, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &Panic{V: v, Stack: debug.Stack(), Run: "functional recording"}
-		}
-		r.cause = err
-		close(r.ready)
-	}()
-	var g Group
-	for wg := range l.NumWorkgroups {
-		var a *arena
-		select {
-		case a = <-r.pool:
-		case <-stop:
-			return 0, fmt.Errorf("emu: %s: recording stopped before workgroup %d of %d", l.Name, wg, l.NumWorkgroups)
-		}
-		g.Reset(l, wg)
-		a.reset(wg, l.WarpsPerGroup, r.hint)
-		g.store.recording = true
-		g.store.tape = resize(g.store.tape, len(a.tapes))
-		for i := range a.tapes {
-			g.store.tape[i] = &a.tapes[i]
-		}
-		if err := g.RunFunctional(); err != nil {
-			return insts, err
-		}
-		for _, w := range g.Warps {
-			insts += w.InstCount()
-		}
-		r.hint = len(a.tapes[len(a.tapes)-1].words)
-		r.ready <- a // never blocks: ready holds every arena
+	r.next++
+	var a *arena
+	if n := len(r.free); n > 0 {
+		a, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		a = new(arena)
 	}
-	return insts, nil
-}
-
-// Panic is a panic of a functional run beside a detailed one (a
-// Recording, a gpu.Pass) with the stack of the goroutine it ran on, which
-// the detailed run raises again on its own goroutine, where a serial run
-// would have met the panic.
-type Panic struct {
-	V     any
-	Stack []byte
-	Run   string // what ran: "functional recording", "functional pass"
-}
-
-func (p *Panic) Error() string { return fmt.Sprintf("%v\n\n%s:\n%s", p.V, p.Run, p.Stack) }
-
-// take returns the arena of workgroup group, the next the replay binds,
-// waiting for Record to finish it.
-func (r *Recording) take(l *kernel.Launch, group int) *arena {
-	a, ok := <-r.ready
-	switch {
-	case !ok && r.cause != nil:
-		panic(r.cause)
-	case !ok:
-		panic(fmt.Sprintf("emu: %s: replay of workgroup %d, which was never recorded", l.Name, group))
-	case a.group != group:
-		panic(fmt.Sprintf("emu: %s: replay of workgroup %d met the recording of %d", l.Name, group, a.group))
+	a.reset(l.WarpsPerGroup, r.hint)
+	g := &r.g
+	g.Reset(l, group)
+	g.store.recording, g.store.tapes = true, a.tapes
+	if err := g.RunFunctional(); err != nil {
+		panic(err)
 	}
-	return a
+	for _, t := range a.tapes {
+		r.hint = max(r.hint, len(t))
+	}
+	r.bound = a
 }
 
-// reset empties the arena for workgroup group's warps; a tape that never
-// held words starts at capacity hint.
-func (a *arena) reset(group, warps, hint int) {
-	a.group, a.live = group, warps
+// reset empties the arena for a workgroup of warps warps, each tape of at
+// least capacity hint.
+func (a *arena) reset(warps, hint int) {
+	a.live = warps
 	if cap(a.tapes) < warps {
-		a.tapes = make([]tape, warps)
+		a.tapes = make([][]uint32, warps)
 	}
 	a.tapes = a.tapes[:warps]
-	for i := range a.tapes {
-		t := &a.tapes[i]
-		t.a, t.words = a, t.words[:0]
-		if cap(t.words) == 0 {
-			t.words = make([]uint32, 0, hint)
+	for i, t := range a.tapes {
+		if cap(t) < hint {
+			t = make([]uint32, 0, hint)
 		}
+		a.tapes[i] = t[:0]
 	}
 }
 
 // record appends to tape t what step u, the micro-op just executed, owes
 // the timing machine; next is the PC it left.
-func (f *frame) record(t *tape, u *isa.MicroOp, next int) {
+func (f *frame) record(t *[]uint32, u *isa.MicroOp, next int) {
 	off := uint64(int64(u.Offset))
 	switch {
 	case u.Class == isa.FUBranch:
-		t.words = append(t.words, uint32(next))
+		*t = append(*t, uint32(next))
 	case u.Step == isa.StepVectorMem:
-		n := len(t.words)
-		t.words = slices.Grow(t.words, 1+len(f.addrs))[:n+1+len(f.addrs)]
-		t.words[n] = uint32(len(f.addrs))
+		n := len(*t)
+		w := slices.Grow(*t, 1+len(f.addrs))[:n+1+len(f.addrs)]
+		w[n] = uint32(len(f.addrs))
 		for i, a := range f.addrs {
-			t.words[n+1+i] = uint32(a - off)
+			w[n+1+i] = uint32(a - off)
 		}
+		*t = w
 	case u.Step == isa.StepScalarMem:
-		t.words = append(t.words, uint32(f.addrs[0]-off))
+		*t = append(*t, uint32(f.addrs[0]-off))
 	}
 }
 

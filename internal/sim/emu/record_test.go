@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
@@ -23,68 +22,22 @@ func ldsLaunch(stride int32) *kernel.Launch {
 	return &kernel.Launch{Name: "lds", Program: b.MustBuild(), Memory: mem.NewFlat(), NumWorkgroups: 4, WarpsPerGroup: 1}
 }
 
-// recorded starts Record over l into rec on a new goroutine, which reports
-// what Record returned on the channel it returns.
-func recorded(rec *Recording, l *kernel.Launch, stop <-chan struct{}) <-chan string {
-	out := make(chan string, 1)
-	go func() {
-		insts, err := rec.Record(l, stop)
-		out <- fmt.Sprint(insts, " ", err)
-	}()
-	return out
-}
-
-// within waits up to ten seconds for what recorded reports.
-func within(t *testing.T, out <-chan string) string {
-	t.Helper()
-	select {
-	case got := <-out:
-		return got
-	case <-time.After(10 * time.Second):
-		t.Fatal("Record did not return")
-		return ""
-	}
-}
-
-// A closed stop channel ends a Record that waits for an arena: with one
-// arena, which the test takes with workgroup 0 and never returns, Record
-// waits before workgroup 1 until stop closes, and returns an error, not a
-// count. It ends the recording with that error, which a replay that waits
-// for workgroup 1 then raises.
-func TestRecordStopsWhileWaiting(t *testing.T) {
-	rec, stop := NewRecording(1), make(chan struct{})
-	out := recorded(rec, ldsLaunch(4), stop)
-	if a := rec.take(ldsLaunch(4), 0); a.group != 0 {
-		t.Fatalf("took workgroup %d, want 0", a.group)
-	}
-	close(stop)
-	if got := within(t, out); got != "0 emu: lds: recording stopped before workgroup 1 of 4" {
-		t.Errorf("Record returned %q, want the stop before workgroup 1 and no count", got)
-	}
-	defer func() {
-		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "recording stopped") {
-			t.Errorf("the replay of workgroup 1 raised %q, want the stop", msg)
-		}
-	}()
-	rec.take(ldsLaunch(4), 1)
-	t.Error("the replay of workgroup 1 did not panic")
-}
-
-// A replay that waits for a workgroup the recording never recorded raises
-// the recording's panic with the recording goroutine's stack. The
-// recording panics at workgroup 1 and returns the panic as its error; the
-// replay has bound workgroup 0 and run it.
+// A recording panic surfaces where a run that executes values meets it:
+// the recorder runs workgroup 1 when its warp binds, so the bind of
+// workgroup 1 raises the emulator's panic, after workgroup 0 has bound and
+// replayed all three of its instructions.
 func TestReplayRaisesRecordingPanic(t *testing.T) {
-	rec := NewRecording(4)
-	out := recorded(rec, ldsLaunch(1<<20), make(chan struct{}))
-	replay := ldsLaunch(1 << 20)
-	replay.Memory, replay.Replay = nil, rec
+	l := ldsLaunch(1 << 20)
+	l.Steps = kernel.StepTape
 	var s WarpStore
-	s.Configure(replay, 1)
+	s.Configure(l, 1)
 	slot := s.Alloc()
 	w := s.Bind(slot, 0, nil)
 	for !w.Done() {
 		w.Step()
+	}
+	if n := w.InstCount(); n != 3 {
+		t.Fatalf("workgroup 0 replayed %d instructions, want 3", n)
 	}
 	s.Release(slot)
 	msg := func() (msg string) {
@@ -92,11 +45,7 @@ func TestReplayRaisesRecordingPanic(t *testing.T) {
 		s.Bind(slot, 1, nil)
 		return ""
 	}()
-	if !strings.HasPrefix(msg, "emu: lds warp 1: ") || !strings.Contains(msg, "functional recording:") ||
-		!strings.Contains(msg, "(*Recording).Record") {
-		t.Errorf("the replay raised %q, want the recording's panic with its stack", msg)
-	}
-	if got := within(t, out); !strings.HasPrefix(got, "3 emu: lds warp 1: ") || !strings.Contains(got, "functional recording:") {
-		t.Errorf("Record returned %q, want workgroup 0's count and its panic with its stack", got)
+	if !strings.HasPrefix(msg, "emu: lds warp 1: ") {
+		t.Errorf("the bind of workgroup 1 raised %q, want the emulator's panic in warp 1", msg)
 	}
 }

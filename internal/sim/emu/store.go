@@ -40,12 +40,12 @@ type WarpStore struct {
 	// lane-ordered atomics.
 	mem *mem.Flat
 
-	// timingOnly is the launch's TimingOnly: Step then runs
-	// frame.execTiming. recording and replaying say the store records or
-	// replays its warps' tapes (see replay below).
+	// timingOnly is set for a StepAddresses launch: Step then runs
+	// frame.execTiming. replaying is set for a StepTape launch (record.go),
+	// and recording for the store of the recorder's Group.
 	timingOnly bool
-	recording  bool
 	replaying  bool
+	recording  bool
 
 	// Per-slot strides into the shared slabs.
 	sregs  int // SGPR words per slot
@@ -83,17 +83,17 @@ type WarpStore struct {
 	valBuf lanes
 	bcast  [3]lanes
 
-	// A store records or replays its warps' tapes (Recording), or does
-	// neither. Recording, set by Record for a Group's store, the segment
-	// loop appends to each slot's tape; under replay, the launch's Replay,
-	// Bind hands each slot its warp's tape, with its words and a read
-	// cursor hoisted here for Step, and the last Release of a workgroup's
-	// slots returns its arena.
-	replay *Recording
-	tape   []*tape
-	words  [][]uint32
-	at     []int32
-	bound  *arena // the arena of the workgroup Bind binds
+	// A recording store's segment loop appends each slot's steps to its
+	// tape in tapes, the arena's. A replaying store's recorder records each
+	// workgroup as Bind opens it; Bind hands each slot its warp's tape,
+	// with its words and a read cursor hoisted here for Step, and the
+	// arena it lies in, which the last Release of a workgroup's slots
+	// frees.
+	tapes [][]uint32
+	rec   *recorder
+	words [][]uint32
+	at    []int32
+	held  []*arena
 }
 
 // Configure binds the store to a launch and sizes it to the given slot
@@ -102,23 +102,30 @@ type WarpStore struct {
 // are invalid. The pooled simulation paths call this once per kernel, so
 // steady-state reconfiguration with a stable shape does not allocate.
 func (s *WarpStore) Configure(l *kernel.Launch, slots int) {
+	s.configure(l, slots, l.Steps == kernel.StepTape)
+}
+
+// configure is Configure, replaying when replay is set; a Group's store
+// never replays.
+func (s *WarpStore) configure(l *kernel.Launch, slots int, replay bool) {
 	p := l.Program
 	s.launch = l
 	s.mem = l.Memory
-	s.timingOnly = l.TimingOnly
-	s.recording, s.replaying = false, l.Replay != nil
+	s.timingOnly = l.Steps == kernel.StepAddresses
+	s.replaying, s.recording = replay, false
 	s.sregs = max(p.NumSRegs, kernel.ArgSGPRBase+len(l.Args))
 	s.vwords = p.NumVRegs * kernel.WavefrontSize
-	if s.replaying {
+	if replay {
 		// A replay touches no register: an empty file makes a value
 		// execution panic.
-		s.replay, s.bound = l.Replay.(*Recording), nil
 		s.sregs, s.vwords = 0, 0
-		s.tape = resize(s.tape, slots)
+		if s.rec == nil {
+			s.rec = new(recorder)
+		}
+		s.rec.next, s.rec.bound = 0, nil
 		s.words = resize(s.words, slots)
 		s.at = resize(s.at, slots)
-	} else if s.replay != nil {
-		s.replay, s.bound = nil, nil
+		s.held = resize(s.held, slots)
 	}
 	s.blocks = p.NumBlocks()
 	s.pc = resize(s.pc, slots)
@@ -162,14 +169,13 @@ func (s *WarpStore) Alloc() int {
 
 // Release returns a slot to the free list. The caller must drop every Warp
 // handle for it first; the slot's state is dead the moment it is released.
-// Under replay, releasing a workgroup's last slot returns its arena to the
-// recording's pool.
+// Under replay, releasing a workgroup's last slot frees its arena.
 func (s *WarpStore) Release(slot int) {
 	if s.replaying {
-		a := s.tape[slot].a
-		s.tape[slot], s.words[slot] = nil, nil
+		a := s.held[slot]
+		s.held[slot], s.words[slot] = nil, nil
 		if a.live--; a.live == 0 {
-			s.replay.pool <- a // never blocks: the pool holds every arena
+			s.rec.free = append(s.rec.free, a)
 		}
 	}
 	s.free = append(s.free, int32(slot))
@@ -201,16 +207,16 @@ func (s *WarpStore) Bind(slot, globalID int, lds []byte) Warp {
 	return w
 }
 
-// replaySlot binds the slot to warp w's tape, waiting for the recording
-// when w opens its workgroup, and resets what a replayed Step keeps: the
-// PC, the counters and the flags. The register file is never read.
-// Workgroups must be bound in order, each one's warps in order.
+// replaySlot binds the slot to warp w's tape, recording w's workgroup
+// when w opens it, and resets what a replayed Step keeps: the PC, the
+// counters and the flags. The register file is never read. Workgroups
+// must be bound in order, each one's warps in order.
 func (s *WarpStore) replaySlot(slot int, w *Warp) {
 	if w.IDInGroup == 0 {
-		s.bound = s.replay.take(s.launch, w.GroupID)
+		s.rec.open(s.launch, w.GroupID)
 	}
-	t := &s.bound.tapes[w.IDInGroup]
-	s.tape[slot], s.words[slot], s.at[slot] = t, t.words, 0
+	a := s.rec.bound
+	s.held[slot], s.words[slot], s.at[slot] = a, a.tapes[w.IDInGroup], 0
 	s.pc[slot] = 0
 	s.instCount[slot] = 0
 	s.outMem[slot] = 0

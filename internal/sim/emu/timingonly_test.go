@@ -46,7 +46,7 @@ func TestTimingOnlyStepMatchesValueStep(t *testing.T) {
 	for warp := 0; warp < 2; warp++ {
 		value, _, _, out := vecAddLaunch(t, n, 2)
 		timed, _, _, _ := vecAddLaunch(t, n, 2)
-		timed.TimingOnly = true
+		timed.Steps = kernel.StepAddresses
 		want, vw := traceWarp(value, warp)
 		got, tw := traceWarp(timed, warp)
 		if !slices.Equal(got.pcs, want.pcs) || !slices.EqualFunc(got.addrs, want.addrs, slices.Equal) ||
@@ -65,8 +65,8 @@ func TestTimingOnlyStepMatchesValueStep(t *testing.T) {
 }
 
 // A dependent program never runs timing-only: RunKernelFunctional refuses
-// a TimingOnly launch of it before any warp steps, and the same launch
-// without TimingOnly moves every value. Its second load's address is the
+// a StepAddresses launch of it before any warp steps, and the same launch
+// on StepValues moves every value. Its second load's address is the
 // first load's value.
 func TestTimingOnlyIgnoredForDependentProgram(t *testing.T) {
 	m := mem.NewFlat()
@@ -79,7 +79,7 @@ func TestTimingOnlyIgnoredForDependentProgram(t *testing.T) {
 	b.Store(isa.OpVStore, isa.V(2), isa.V(0), 0)
 	b.End()
 	l := &kernel.Launch{Name: "chase", Program: b.MustBuild(), Memory: m,
-		NumWorkgroups: 1, WarpsPerGroup: 1, Args: []uint32{uint32(idx)}, TimingOnly: true}
+		NumWorkgroups: 1, WarpsPerGroup: 1, Args: []uint32{uint32(idx)}, Steps: kernel.StepAddresses}
 	if l.Program.Independent() {
 		t.Fatal("a load that feeds an address is independent")
 	}
@@ -89,7 +89,7 @@ func TestTimingOnlyIgnoredForDependentProgram(t *testing.T) {
 	if got := m.Read32(out); got != 0 {
 		t.Fatalf("a refused launch wrote out = %d", got)
 	}
-	l.TimingOnly = false
+	l.Steps = kernel.StepValues
 	if _, err := RunKernelFunctional(l); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func scaleLaunch(t *testing.T) *kernel.Launch {
 func TestTimingOnlyRunsWithNoImage(t *testing.T) {
 	value := scaleLaunch(t)
 	timed := *value
-	timed.Memory, timed.TimingOnly = nil, true
+	timed.Memory, timed.Steps = nil, kernel.StepAddresses
 	if err := timed.Validate(); err != nil {
 		t.Fatal(err)
 	}

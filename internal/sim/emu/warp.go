@@ -69,13 +69,12 @@ func (w *Warp) BBCounts() []uint32 {
 // touch no memory, so nothing else is owed. The slice aliases the store's
 // scratch buffer and is valid until the next Step on any warp of that store.
 // Step must not be called on a Done warp; callers resume barriers by
-// ClearBarrier. For a TimingOnly launch of an independent program Step
+// ClearBarrier. For a StepAddresses launch of an independent program Step
 // computes only what timing reads (frame.execTiming): the instruction
 // counts, BB counts, PCs, s_waitcnt bookkeeping and returned addresses are
 // those of a full run, the register values timing never reads are not. For
-// a launch that replays a Recording, Step reads the branch targets and
-// addresses from the warp's tape (replayStep) and touches no register and
-// no memory.
+// a StepTape launch Step reads the branch targets and addresses from the
+// warp's tape (replayStep) and touches no register and no memory.
 func (w *Warp) Step() []uint64 {
 	st, slot := w.store, w.slot
 	if st.flags[slot]&flagDone != 0 {
@@ -116,10 +115,10 @@ func (w *Warp) Step() []uint64 {
 // for the whole run. Basic blocks end at branches, barriers and s_endpgm and
 // are only ever entered at their head, so the BBV and the instruction count
 // are bumped once per block entry rather than once per instruction. A
-// TimingOnly launch of an independent program runs frame.execTiming, so
+// StepAddresses launch of an independent program runs frame.execTiming, so
 // the counts and PCs are a full run's and no memory is touched, and a
-// recording store (Recording.Record) appends each step's streams to the
-// warp's tape; the choice is made once per segment, outside the loop.
+// recording store (record.go) appends each step's streams to the warp's
+// tape; the choice is made once per segment, outside the loop.
 func (w *Warp) runSegment() {
 	st, slot := w.store, w.slot
 	var f frame
@@ -149,7 +148,7 @@ func (w *Warp) runSegment() {
 			pc = f.execTiming(u, pc)
 		}
 	case st.recording:
-		t := st.tape[slot]
+		t := &st.tapes[slot]
 		for f.flags&(flagDone|flagBarrier) == 0 {
 			u := &uops[pc]
 			if u.Head {

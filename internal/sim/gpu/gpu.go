@@ -145,12 +145,12 @@ type Plan struct {
 	// Overlap is set when Execute touches none of the runner's cross-kernel
 	// state and, for a program without atomics, leaves exactly the image
 	// the functional emulator would: it may run on another GPU while the
-	// run advances the image functionally, over a Fork of the image at
-	// launch, timing-only over no image for an independent program, or,
-	// for a dependent last launch, replaying the advance's recording over
-	// no image (kernel.Launch.Replay). The run loop keeps a program with an
-	// atomic inline, whatever its plan says: the values an atomic returns
-	// follow the detailed run's order.
+	// run advances the image functionally: timing-only over no image for
+	// an independent program (kernel.StepAddresses), and otherwise over a
+	// Fork of the image at launch, replaying tapes it records on the fork
+	// (kernel.StepTape). The run loop keeps a program with an atomic
+	// inline, whatever its plan says: the values an atomic returns follow
+	// the detailed run's order.
 	Overlap bool
 	// Pass, when set, is a functional pass whose tally Execute can read the
 	// workgroups after its gate from. A run loop may start it over a fork

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"runtime/debug"
 	"sync/atomic"
 
@@ -27,7 +28,7 @@ type Pass struct {
 	stop   atomic.Bool   // set by Stop, polled at workgroup boundaries
 	tally  emu.Tally
 	err    error
-	crash  *emu.Panic // raised again by Take
+	crash  *passPanic // raised again by Take
 	used   bool
 	prefix int  // the workgroup count Execute named, when named
 	named  bool // Execute called Prefix
@@ -45,10 +46,20 @@ func (p *Pass) Go(l *kernel.Launch, wrap func(body func())) {
 	}()
 }
 
+// passPanic is a panic of a pass with the stack of its goroutine, which
+// Take raises again on the detailed run's goroutine, where a serial run
+// would have met the panic.
+type passPanic struct {
+	v     any
+	stack []byte
+}
+
+func (p *passPanic) Error() string { return fmt.Sprintf("%v\n\nfunctional pass:\n%s", p.v, p.stack) }
+
 func (p *Pass) run(l *kernel.Launch) {
 	defer func() {
 		if v := recover(); v != nil {
-			p.crash = &emu.Panic{V: v, Stack: debug.Stack(), Run: "functional pass"}
+			p.crash = &passPanic{v, debug.Stack()}
 		}
 	}()
 	p.err = p.tally.Record(l, 0, l.NumWorkgroups, p.stop.Load)

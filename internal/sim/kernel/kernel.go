@@ -34,27 +34,29 @@ type Launch struct {
 	// warp initializes (pointers, sizes, scalar constants).
 	Args []uint32
 
-	// TimingOnly is set by a caller that reads only a run's timing, on an
-	// isa.Program.Independent program only (Validate rejects any other).
-	// The emulator then skips the values no timing decision reads
-	// (emu.Warp.Step and the functional segment loop) and neither reads
-	// nor writes Memory, which may then be nil: the launch has no image.
-	TimingOnly bool
-
-	// Replay, when set, is a recorded functional run of this launch that
-	// the detailed run replays instead of executing values (emu.Recording):
-	// the emulator then reads neither Memory, which may be nil, nor any
-	// register. Its program must have no atomic.
-	Replay Recording
+	// Steps names what the emulator's Step reads (emu.Warp.Step).
+	Steps Steps
 }
 
-// Recording is a functional run of a launch recorded for a detailed run to
-// replay (Launch.Replay). emu.Recording is the one implementation; the
-// interface only keeps this package below the emulator.
-type Recording interface {
-	// RecordsSteps marks the implementation.
-	RecordsSteps()
-}
+// Steps names what a warp's step reads.
+type Steps uint8
+
+const (
+	// StepValues executes every value over Memory.
+	StepValues Steps = iota
+	// StepAddresses is set by a caller that reads only a run's timing, on
+	// an isa.Program.Independent program only (Validate rejects any
+	// other). Step and the functional segment loop then skip the values
+	// no timing decision reads and neither read nor write Memory, which may then be nil: the launch
+	// has no image.
+	StepAddresses
+	// StepTape replays each warp's tape: the emulator runs a workgroup
+	// functionally over Memory when the detailed run binds its first warp,
+	// recording what Step owes the timing machine, and Step then reads
+	// that and no register. A functional run of the launch executes
+	// values. Its program must have no atomic.
+	StepTape
+)
 
 // ArgSGPRBase is the first scalar register holding kernel arguments.
 // Registers s0..s3 carry the dispatch IDs (see emu.WarpStore.Bind).
@@ -68,13 +70,13 @@ func (l *Launch) Validate() error {
 	if l.Program == nil {
 		return fmt.Errorf("kernel %q: nil program", l.Name)
 	}
-	if l.TimingOnly && !l.Program.Independent() {
+	if l.Steps == StepAddresses && !l.Program.Independent() {
 		return fmt.Errorf("kernel %q: a timing-only run of a program that is not independent", l.Name)
 	}
-	if l.Memory == nil && !l.TimingOnly && l.Replay == nil {
+	if l.Memory == nil && l.Steps != StepAddresses {
 		return fmt.Errorf("kernel %q: nil memory", l.Name)
 	}
-	if l.Replay != nil && l.Program.HasAtomic() {
+	if l.Steps == StepTape && l.Program.HasAtomic() {
 		return fmt.Errorf("kernel %q: a replay of a program with an atomic", l.Name)
 	}
 	if l.NumWorkgroups <= 0 || l.WarpsPerGroup <= 0 {

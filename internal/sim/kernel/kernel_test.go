@@ -39,7 +39,7 @@ func TestLaunchValidate(t *testing.T) {
 		t.Error("nil memory accepted")
 	}
 	// A timing-only run of an independent program touches no image.
-	l.TimingOnly = true
+	l.Steps = StepAddresses
 	if err := l.Validate(); err != nil {
 		t.Errorf("timing-only launch of an independent program with no memory: %v", err)
 	}
@@ -56,6 +56,23 @@ func TestLaunchValidate(t *testing.T) {
 	l.Memory = mem.NewFlat()
 	if l.Validate() == nil {
 		t.Error("timing-only launch of a dependent program accepted")
+	}
+	// A replay records its tapes on the image, so it needs one, and it
+	// runs in order, which an atomic's returned values do not follow.
+	l.Steps = StepTape
+	if err := l.Validate(); err != nil {
+		t.Errorf("replay of a dependent program: %v", err)
+	}
+	l.Memory = nil
+	if l.Validate() == nil {
+		t.Error("replay with no memory accepted")
+	}
+	atomic := isa.NewBuilder("atomic")
+	atomic.Store(isa.OpVAtomicAdd, isa.V(0), isa.V(0), 0)
+	atomic.End()
+	l.Program, l.Memory = atomic.MustBuild(), mem.NewFlat()
+	if l.Validate() == nil {
+		t.Error("replay of a program with an atomic accepted")
 	}
 	l = validLaunch()
 	l.NumWorkgroups = 0

@@ -3,6 +3,7 @@ package timing
 import (
 	"testing"
 
+	"photon/internal/sim/kernel"
 	"photon/internal/testutil"
 )
 
@@ -26,10 +27,10 @@ func TestMachineRunZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestMachineRunTimingOnlyZeroAllocSteadyState pins the same pooling for a
-// TimingOnly launch, whose warps step timing-only.
+// StepAddresses launch, whose warps step timing-only.
 func TestMachineRunTimingOnlyZeroAllocSteadyState(t *testing.T) {
 	l, _ := scaleLaunch(8)
-	l.TimingOnly = true
+	l.Steps = kernel.StepAddresses
 	if !l.Program.Independent() {
 		t.Fatal("scale is not independent")
 	}

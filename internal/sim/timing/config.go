@@ -56,15 +56,6 @@ func ResidentWarpSlots(c Config, l *kernel.Launch) int {
 	return min(c.NumCUs*c.WarpSlotsPerCU(), l.TotalWarps())
 }
 
-// ResidentGroups returns how many workgroups of launch l can be live at
-// once under this geometry: dispatch places a workgroup only on a CU with
-// WarpsPerGroup free slots, so each CU holds at most its slots over that,
-// capped by the launch's own workgroup count. A replay's recording needs
-// one arena more than this (emu.Recording).
-func ResidentGroups(c Config, l *kernel.Launch) int {
-	return min(c.NumCUs*(c.WarpSlotsPerCU()/l.WarpsPerGroup), l.NumWorkgroups)
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.NumCUs <= 0 || c.SIMDsPerCU <= 0 || c.WarpSlotsPerSIMD <= 0 {

@@ -44,9 +44,9 @@ type Machine struct {
 	// (ResidentWarpSlots). A warpCtx holds a slot handle into it; dispatch
 	// allocates slots from the store's free list and whole-workgroup
 	// retirement releases them, mirroring the runtime-object free lists
-	// below. For a launch that replays a recording (kernel.Launch.Replay)
-	// the store's Bind waits for the workgroup's tapes instead of resetting
-	// registers, and the release of its last slot hands them back.
+	// below. For a launch that replays tapes (kernel.StepTape) the store's
+	// Bind records the workgroup functionally instead of resetting
+	// registers, and the release of its last slot frees its tapes.
 	store emu.WarpStore
 
 	// Free lists for the high-churn per-workgroup runtime objects. A retired

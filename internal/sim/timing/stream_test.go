@@ -129,8 +129,8 @@ func partialStoreLaunch(warps int) *kernel.Launch {
 // one with barriers and LDS, one divergent whose dispatch gate fires — to
 // digests generated on the commit before direct issue and subscription
 // landed (PR 23): the same callbacks, with the same arguments, in the same
-// order. A machine that replays a recording of the launch (replayOf)
-// delivers the same stream. A third launch stores under a partial EXEC,
+// order. A machine that replays the tapes it records of the launch
+// (replayOf) delivers the same stream. A third launch stores under a partial EXEC,
 // whose address count a recording must keep; its digest was taken when it
 // was added, and its two legs share it.
 func TestObserverStreamDigest(t *testing.T) {
@@ -143,7 +143,7 @@ func TestObserverStreamDigest(t *testing.T) {
 		legs(t, func(t *testing.T, replay bool) {
 			l, _ := barrierLaunch(300, 4)
 			if replay {
-				l = replayOf(t, DefaultCompute(2), l)
+				l = replayOf(l)
 			}
 			d := newStreamDigest()
 			res := runDetailed(t, 2, l, d.observer())
@@ -157,7 +157,7 @@ func TestObserverStreamDigest(t *testing.T) {
 		legs(t, func(t *testing.T, replay bool) {
 			l := divergentLaunch(600)
 			if replay {
-				l = replayOf(t, DefaultCompute(2), l)
+				l = replayOf(l)
 			}
 			d := newStreamDigest()
 			m := NewMachine(DefaultCompute(2), testHier(2), d.observer())
@@ -177,7 +177,7 @@ func TestObserverStreamDigest(t *testing.T) {
 		legs(t, func(t *testing.T, replay bool) {
 			l := partialStoreLaunch(600)
 			if replay {
-				l = replayOf(t, DefaultCompute(2), l)
+				l = replayOf(l)
 			}
 			d := newStreamDigest()
 			res := runDetailed(t, 2, l, d.observer())
@@ -189,23 +189,11 @@ func TestObserverStreamDigest(t *testing.T) {
 	})
 }
 
-// replayOf returns l over no image, replaying a recording of l that a
-// goroutine records on l's image beside it into a pool of cfg's
-// resident-workgroup capacity + 1 arenas; the recording stops when the
-// test ends.
-func replayOf(t *testing.T, cfg Config, l *kernel.Launch) *kernel.Launch {
-	rec := emu.NewRecording(ResidentGroups(cfg, l) + 1)
-	stop, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		rec.Record(l, stop)
-	}()
-	t.Cleanup(func() {
-		close(stop)
-		<-done
-	})
+// replayOf returns l replaying the tapes it records on l's image as it
+// binds each workgroup (kernel.StepTape).
+func replayOf(l *kernel.Launch) *kernel.Launch {
 	r := *l
-	r.Memory, r.Replay = nil, rec
+	r.Steps = kernel.StepTape
 	return &r
 }
 

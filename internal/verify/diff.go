@@ -7,6 +7,7 @@ import (
 	"photon/internal/sim/emu"
 	"photon/internal/sim/event"
 	"photon/internal/sim/isa"
+	"photon/internal/sim/kernel"
 	"photon/internal/sim/mem"
 	"photon/internal/sim/timing"
 )
@@ -23,15 +24,14 @@ import (
 //     the instruction count, every warp retires, and the cache hierarchy's
 //     flow equations hold;
 //   - for an independent program (isa.Program.Independent), a timing-only
-//     run (kernel.Launch.TimingOnly) over no image vs the detailed run: the
+//     run (kernel.StepAddresses) over no image vs the detailed run: the
 //     same end time, instruction count and stream of issues and
 //     retirements, and no memory read or written, which would panic;
-//   - for a program without atomics, a replayed run (kernel.Launch.Replay)
-//     over no image, beside a recording (emu.Recording) on the image, vs
-//     the detailed run: the same end time, stream of issues and
-//     retirements, per-warp instruction and BB counts, cache and DRAM
-//     counters, and image, and the recording's instruction count equals
-//     the run's.
+//   - for a program without atomics, a replayed run (kernel.StepTape),
+//     which records each workgroup on the image as it binds it, vs the
+//     detailed run: the same end time, instruction count, stream of issues
+//     and retirements, per-warp instruction and BB counts, cache and DRAM
+//     counters, and image.
 func RunCase(c *Case) []Violation {
 	var vs []Violation
 	fail := func(kind, format string, args ...any) {
@@ -118,12 +118,11 @@ func RunCase(c *Case) []Violation {
 	return vs
 }
 
-// diffReplayed runs the case replaying a recording made beside it and
-// holds it to the detailed run tr: the replay reads from the recording
-// exactly what the executed run's steps returned, so the two runs issue,
-// retire, count and access the hierarchy identically, and the recording
-// leaves the image. A panic, the recording's raised again or the replay's
-// own, is the leg's violation.
+// diffReplayed runs the case replaying the tapes it records and holds it
+// to the detailed run tr: the replay reads from the tapes exactly what the
+// executed run's steps returned, so the two runs issue, retire, count and
+// access the hierarchy identically, and the recording leaves the image. A
+// panic, the recording's or the replay's, is the leg's violation.
 func diffReplayed(fail func(kind, format string, args ...any), c *Case, tr *timingRun) {
 	rr, err := func() (rr *timingRun, err error) {
 		defer func() {
@@ -137,9 +136,9 @@ func diffReplayed(fail func(kind, format string, args ...any), c *Case, tr *timi
 		fail("replay", "%v", err)
 		return
 	}
-	if rr.res.EndTime != tr.res.EndTime || rr.res.InstCount != tr.res.InstCount || rr.recorded != tr.res.InstCount {
-		fail("replay", "end time %d, %d instructions, %d recorded; the detailed run %d, %d",
-			rr.res.EndTime, rr.res.InstCount, rr.recorded, tr.res.EndTime, tr.res.InstCount)
+	if rr.res.EndTime != tr.res.EndTime || rr.res.InstCount != tr.res.InstCount {
+		fail("replay", "end time %d, %d instructions; the detailed run %d, %d",
+			rr.res.EndTime, rr.res.InstCount, tr.res.EndTime, tr.res.InstCount)
 	}
 	if i := firstStreamDiff(rr.stream, tr.stream); i >= 0 {
 		fail("replay", "event %d of %d: %s; the detailed run: %s (of %d)",
@@ -260,14 +259,13 @@ func runFunctional(c *Case) (map[int]emu.WarpState, []uint32, error) {
 
 // timingRun captures what the checks read of one detailed-mode run.
 type timingRun struct {
-	res      timing.Result
-	states   map[int]emu.WarpState
-	issued   map[int]uint64
-	stream   []streamEvent
-	mem      []uint32
-	stats    mem.Stats
-	conserv  error
-	recorded uint64 // a replayed run's: its recording's instruction count
+	res     timing.Result
+	states  map[int]emu.WarpState
+	issued  map[int]uint64
+	stream  []streamEvent
+	mem     []uint32
+	stats   mem.Stats
+	conserv error
 }
 
 // leg is how runTiming runs a case's detailed simulation.
@@ -276,7 +274,7 @@ type leg int
 const (
 	executed   leg = iota // over the image, executing values
 	timingOnly            // timing-only over no image
-	replayed              // over no image, replaying a recording made on the image beside it
+	replayed              // over the image, replaying the tapes it records on it
 )
 
 // streamEvent is one issue (Retired false) or retirement the timing model
@@ -317,10 +315,8 @@ func (o *captureObs) OnWarpRetired(now event.Time, w *emu.Warp, issue event.Time
 
 // runTiming executes the case in detailed mode as leg says. A timing-only
 // run leaves the run's mem nil; a replayed one's is the image its
-// recording left, on a goroutine beside the run, whose error, a panic's
-// included, the replay raises when it waits for a workgroup the recording
-// never recorded, and is otherwise the run's.
-func runTiming(c *Case, leg leg) (run *timingRun, err error) {
+// recording left.
+func runTiming(c *Case, leg leg) (*timingRun, error) {
 	l, seg, err := c.NewLaunch()
 	if err != nil {
 		return nil, err
@@ -329,25 +325,9 @@ func runTiming(c *Case, leg leg) (run *timingRun, err error) {
 	compute, hcfg := SmallConfig()
 	switch leg {
 	case timingOnly:
-		l.TimingOnly, l.Memory, image = true, nil, nil
+		l.Steps, l.Memory, image = kernel.StepAddresses, nil, nil
 	case replayed:
-		rec := emu.NewRecording(timing.ResidentGroups(compute, l) + 1)
-		live := *l
-		stop, done := make(chan struct{}), make(chan struct{})
-		var recorded uint64
-		var recErr error
-		go func() {
-			defer close(done)
-			recorded, recErr = rec.Record(&live, stop)
-		}()
-		defer func() {
-			close(stop)
-			<-done
-			if run != nil {
-				run.recorded, err = recorded, recErr
-			}
-		}()
-		l.Memory, l.Replay = nil, rec
+		l.Steps = kernel.StepTape
 	}
 	hier := mem.NewHierarchy(hcfg)
 	obs := &captureObs{
@@ -360,7 +340,7 @@ func runTiming(c *Case, leg leg) (run *timingRun, err error) {
 	if err != nil {
 		return nil, err
 	}
-	run = &timingRun{
+	run := &timingRun{
 		res:     res,
 		states:  obs.states,
 		issued:  obs.issued,
