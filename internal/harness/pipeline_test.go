@@ -19,6 +19,8 @@ import (
 	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
 	"photon/internal/sim/mem"
+	"photon/internal/sim/timing"
+	"photon/internal/verify"
 	"photon/internal/workloads"
 	"photon/internal/workloads/dnn"
 )
@@ -960,6 +962,41 @@ func TestPipelinedReplayCancelsMidApp(t *testing.T) {
 			t.Errorf("the last launch ran %s, want %s", got.rows[n-1].Ran, RanHelper)
 		}
 		noGoroutinesAbove(t, base, fmt.Sprintf("stop before %d", stop))
+	}
+}
+
+// A helper's replay recycles its tape arenas. On verify's small GPU,
+// SPMV's one dependent launch has many times the workgroups the CUs hold,
+// so the helper's recorder puts each workgroup's arena back on its free
+// list and records later workgroups into it again and again; the
+// pipelined run still ends with the serial run's rows and image.
+func TestPipelinedReplayBoundedPool(t *testing.T) {
+	t.Parallel()
+	cfg := verify.SmallGPU()
+	run := func(cpus int) pipelineRun {
+		app, err := workloads.BuildSPMV(512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := app.Launches[0]
+		if n := timing.ResidentWarpSlots(cfg.Compute, l) / l.WarpsPerGroup; l.NumWorkgroups < 3*(n+1) {
+			t.Fatalf("%d workgroups, %d resident: the arenas are never reused", l.NumWorkgroups, n)
+		}
+		r, err := runAppAt(context.Background(), cfg, app, gpu.FullRunner{}, cpus, AppObs{Check: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want, got := run(serialCPUs), run(pipelinedCPUs)
+	if k := got.rows[0]; k.Ran != RanHelper || k.Image != ImageAdvance {
+		t.Fatalf("spmv ran %s, image %s; want %s, %s", k.Ran, k.Image, RanHelper, ImageAdvance)
+	}
+	if !reflect.DeepEqual(got.res, want.res) {
+		t.Errorf("pipelined result differs from serial:\n got %+v\nwant %+v", got.res, want.res)
+	}
+	if !slices.Equal(got.image, want.image) {
+		t.Errorf("final images differ first at %#x", firstDiff(got.image, want.image))
 	}
 }
 

@@ -42,11 +42,10 @@ func gatherCase() *Case {
 		InWords: 64, OutWordsPerWarp: 64, AtomicWords: 4, Insts: p.Insts}
 }
 
-// The replay leg's recording pool holds exactly the machine's
-// resident-workgroup capacity + 1 arenas. On a dependent case with five
-// times that many workgroups, the recording waits for the replay to retire
-// workgroups again and again, and the leg completes and agrees with the
-// executed run.
+// The replay leg recycles its tape arenas. On a dependent case with five
+// times the workgroups the machine holds at once, the recorder records
+// later workgroups into arenas that retired ones put back, again and
+// again, and the leg completes and agrees with the executed run.
 func TestReplayLegBoundedPool(t *testing.T) {
 	c := gatherCase()
 	p, err := c.Program()
@@ -61,8 +60,8 @@ func TestReplayLegBoundedPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	compute, _ := SmallConfig()
-	if n := timing.ResidentGroups(compute, l); c.NumWorkgroups < 4*(n+1) {
-		t.Fatalf("%d workgroups, %d resident: the pool never runs dry", c.NumWorkgroups, n)
+	if n := timing.ResidentWarpSlots(compute, l) / l.WarpsPerGroup; c.NumWorkgroups < 4*(n+1) {
+		t.Fatalf("%d workgroups, %d resident: the arenas are never reused", c.NumWorkgroups, n)
 	}
 	checkCase(t, c)
 }
