@@ -292,43 +292,88 @@ func (m *Flat) WriteF32(addr uint64, v float32) { m.Write32(addr, math.Float32bi
 
 // run returns the bytes of pg, the page of addr, that hold the words at
 // addr, at most n of them: bulk access looks a page up per run, not per word.
-// Bulk addresses are word-aligned, so no word straddles two pages.
+// Bulk addresses are word-aligned, so no word straddles two pages. The run's
+// capacity ends with it, so an append that fills it stays in the page.
 func run(pg *page, addr uint64, n int) []byte {
+	mustAlign(addr)
+	off := addr & pageMask
+	end := off + min(4*uint64(n), pageSize-off)
+	return pg[off:end:end]
+}
+
+func mustAlign(addr uint64) {
 	if addr&3 != 0 {
 		panic(fmt.Sprintf("mem: unaligned bulk access at %#x", addr))
 	}
-	off := addr & pageMask
-	return pg[off : off+min(4*uint64(n), pageSize-off)]
 }
 
 func (m *Flat) readRun(addr uint64, n int) []byte  { return run(m.readPage(addr), addr, n) }
 func (m *Flat) writeRun(addr uint64, n int) []byte { return run(m.writePage(addr), addr, n) }
 
-// WriteWords stores a slice of 32-bit words starting at base.
+// WriteWords stores a slice of 32-bit words starting at base, one page run
+// at a time.
 func (m *Flat) WriteWords(base uint64, words []uint32) {
-	for i := 0; i < len(words); {
-		for pg := m.writeRun(base+4*uint64(i), len(words)-i); len(pg) > 0; pg, i = pg[4:], i+1 {
-			binary.LittleEndian.PutUint32(pg, words[i])
+	for len(words) > 0 {
+		dst := m.writeRun(base, len(words))
+		w := words[:len(dst)/4]
+		dst = dst[:0]
+		for _, x := range w {
+			dst = binary.LittleEndian.AppendUint32(dst, x)
 		}
+		base += uint64(len(dst))
+		words = words[len(dst)/4:]
 	}
 }
 
-// WriteFloats stores a slice of float32 starting at base.
+// WriteFloats stores a slice of float32 starting at base, one page run at a
+// time.
 func (m *Flat) WriteFloats(base uint64, vals []float32) {
-	for i := 0; i < len(vals); {
-		for pg := m.writeRun(base+4*uint64(i), len(vals)-i); len(pg) > 0; pg, i = pg[4:], i+1 {
-			binary.LittleEndian.PutUint32(pg, math.Float32bits(vals[i]))
+	for len(vals) > 0 {
+		dst := m.writeRun(base, len(vals))
+		v := vals[:len(dst)/4]
+		dst = dst[:0]
+		for _, x := range v {
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
 		}
+		base += uint64(len(dst))
+		vals = vals[len(dst)/4:]
+	}
+}
+
+// FillWords stores n words starting at base without a host copy of them:
+// fill sets the words of each page run in a scratch chunk of at most one
+// page, which is then stored as that run.
+func (m *Flat) FillWords(base uint64, n int, fill func(run []uint32)) {
+	fillRuns(base, n, fill, m.WriteWords)
+}
+
+// FillFloats is FillWords for float32 values.
+func (m *Flat) FillFloats(base uint64, n int, fill func(run []float32)) {
+	fillRuns(base, n, fill, m.WriteFloats)
+}
+
+func fillRuns[T uint32 | float32](base uint64, n int, fill func([]T), store func(uint64, []T)) {
+	mustAlign(base)
+	buf := make([]T, min(n, pageSize/4))
+	for n > 0 {
+		c := buf[:min(n, int(pageSize-base&pageMask)/4)]
+		fill(c)
+		store(base, c)
+		base += 4 * uint64(len(c))
+		n -= len(c)
 	}
 }
 
 // ReadFloats loads n float32 values starting at base.
 func (m *Flat) ReadFloats(base uint64, n int) []float32 {
 	out := make([]float32, n)
-	for i := 0; i < n; {
-		for pg := m.readRun(base+4*uint64(i), n-i); len(pg) > 0; pg, i = pg[4:], i+1 {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(pg))
+	for v := out; len(v) > 0; {
+		src := m.readRun(base, len(v))
+		for i := range v[:len(src)/4] {
+			v[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 		}
+		base += uint64(len(src))
+		v = v[len(src)/4:]
 	}
 	return out
 }
@@ -336,10 +381,13 @@ func (m *Flat) ReadFloats(base uint64, n int) []float32 {
 // ReadWords loads n 32-bit words starting at base.
 func (m *Flat) ReadWords(base uint64, n int) []uint32 {
 	out := make([]uint32, n)
-	for i := 0; i < n; {
-		for pg := m.readRun(base+4*uint64(i), n-i); len(pg) > 0; pg, i = pg[4:], i+1 {
-			out[i] = binary.LittleEndian.Uint32(pg)
+	for w := out; len(w) > 0; {
+		src := m.readRun(base, len(w))
+		for i := range w[:len(src)/4] {
+			w[i] = binary.LittleEndian.Uint32(src[4*i:])
 		}
+		base += uint64(len(src))
+		w = w[len(src)/4:]
 	}
 	return out
 }

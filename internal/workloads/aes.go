@@ -217,6 +217,8 @@ func aesProgram() *isa.Program {
 	return b.MustBuild()
 }
 
+const aesSeed = 0xae5
+
 // BuildAES constructs the AES-256 benchmark (Hetero-Mark) at the given
 // problem size in warps; each thread encrypts one block.
 func BuildAES(warps int) (*App, error) {
@@ -229,7 +231,7 @@ func BuildAES(warps int) (*App, error) {
 	out := m.Alloc(uint64(16 * nBlocks))
 
 	var key [32]byte
-	rng := NewRNG(0xae5)
+	rng := NewRNG(aesSeed)
 	for i := range key {
 		key[i] = byte(rng.Uint64())
 	}
@@ -246,11 +248,7 @@ func BuildAES(warps int) (*App, error) {
 	sboxBuf := m.Alloc(4 * 256)
 	m.WriteWords(sboxBuf, sboxW[:])
 
-	hostIn := make([]uint32, 4*nBlocks)
-	for i := range hostIn {
-		hostIn[i] = uint32(rng.Uint64())
-	}
-	m.WriteWords(in, hostIn)
+	m.FillWords(in, 4*nBlocks, rng.Uint32s)
 
 	l := &kernel.Launch{
 		Name:          "aes",
@@ -267,8 +265,8 @@ func BuildAES(warps int) (*App, error) {
 	app := &App{Name: "AES", Mem: m, Launches: []*kernel.Launch{l}}
 	app.Check = func() error {
 		for blk := 0; blk < nBlocks; blk += max(1, nBlocks/97) {
-			var pt [4]uint32
-			copy(pt[:], hostIn[4*blk:])
+			var pt [4]uint32 // the plaintext follows the key's 32 draws
+			rngAt(aesSeed, len(key)+4*blk).Uint32s(pt[:])
 			want := aesEncryptBlockRef(rk, pt)
 			for i := 0; i < 4; i++ {
 				got := m.Read32(out + uint64(16*blk+4*i))

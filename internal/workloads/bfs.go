@@ -60,25 +60,21 @@ func bfsLevelProgram() *isa.Program {
 	return b.MustBuild()
 }
 
-// BuildBFS constructs the BFS extension workload over a graph with warps*64
-// vertices. The number of level kernels is determined by a host-side BFS
-// over the same graph, so the launch list is static and exact.
-func BuildBFS(warps int) (*App, error) {
-	if warps <= 0 {
-		return nil, fmt.Errorf("bfs: warps must be positive")
-	}
-	m := mem.NewFlat()
-	n := warps * kernel.WavefrontSize
-	graph := makeCSR(n, n, 0xbf5) // row v lists out-edges of v
+const (
+	bfsSeed   = 0xbf5
+	bfsSource = 0
+)
 
-	// Host BFS for the reference levels and the level count.
-	const src = 0
+// bfsLevels runs the host BFS from bfsSource over graph's n vertices and
+// returns each vertex's level and the number of levels, which is the number
+// of level kernels.
+func bfsLevels(graph *csr, n int) ([]uint32, int) {
 	want := make([]uint32, n)
 	for i := range want {
 		want[i] = bfsInfinity
 	}
-	want[src] = 0
-	frontier := []uint32{src}
+	want[bfsSource] = 0
+	frontier := []uint32{bfsSource}
 	levels := 0
 	for len(frontier) > 0 {
 		var next []uint32
@@ -94,18 +90,32 @@ func BuildBFS(warps int) (*App, error) {
 		frontier = next
 		levels++
 	}
+	return want, levels
+}
+
+// BuildBFS constructs the BFS extension workload over a graph with warps*64
+// vertices. The number of level kernels is determined by a host-side BFS
+// over the same graph, so the launch list is static and exact.
+func BuildBFS(warps int) (*App, error) {
+	if warps <= 0 {
+		return nil, fmt.Errorf("bfs: warps must be positive")
+	}
+	m := mem.NewFlat()
+	n := warps * kernel.WavefrontSize
+	graph := makeCSR(n, n, bfsSeed) // row v lists out-edges of v
+	_, levels := bfsLevels(graph, n)
 
 	rowPtr := m.Alloc(uint64(4 * (n + 1)))
 	colIdx := m.Alloc(uint64(4 * len(graph.colIdx)))
 	level := m.Alloc(uint64(4 * n))
 	m.WriteWords(rowPtr, graph.rowPtr)
 	m.WriteWords(colIdx, graph.colIdx)
-	init := make([]uint32, n)
-	for i := range init {
-		init[i] = bfsInfinity
-	}
-	init[src] = 0
-	m.WriteWords(level, init)
+	m.FillWords(level, n, func(c []uint32) {
+		for i := range c {
+			c[i] = bfsInfinity
+		}
+	})
+	m.Write32(level+4*bfsSource, 0)
 
 	prog := bfsLevelProgram()
 	app := &App{Name: "BFS", Mem: m}
@@ -119,7 +129,8 @@ func BuildBFS(warps int) (*App, error) {
 
 	app.Check = func() error {
 		// Atomic-min makes the result schedule-independent: levels must
-		// match the host BFS exactly.
+		// match a host BFS over the regenerated graph exactly.
+		want, _ := bfsLevels(makeCSR(n, n, bfsSeed), n)
 		for v := 0; v < n; v++ {
 			if got := m.Read32(level + uint64(4*v)); got != want[v] {
 				return fmt.Errorf("bfs: level[%d] = %d, want %d", v, got, want[v])

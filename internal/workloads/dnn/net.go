@@ -121,14 +121,19 @@ type Net struct {
 	app   *workloads.App
 	rng   *workloads.RNG
 	progs map[string]*isa.Program
+	// drawnAt is the generator as it stood before each weight buffer,
+	// keyed by the buffer's base, so a Check can regenerate the buffer's
+	// initial values after a kernel has updated it in place.
+	drawnAt map[uint64]workloads.RNG
 }
 
 // NewNet creates an empty network named name.
 func NewNet(name string, seed uint64) *Net {
 	return &Net{
-		app:   &workloads.App{Name: name, Mem: mem.NewFlat()},
-		rng:   workloads.NewRNG(seed),
-		progs: make(map[string]*isa.Program),
+		app:     &workloads.App{Name: name, Mem: mem.NewFlat()},
+		rng:     workloads.NewRNG(seed),
+		progs:   make(map[string]*isa.Program),
+		drawnAt: make(map[uint64]workloads.RNG),
 	}
 }
 
@@ -162,9 +167,7 @@ func (n *Net) InputBatch(nb, c, h, w, pad int) Tensor {
 	for b := 0; b < t.batch(); b++ {
 		for ci := 0; ci < c; ci++ {
 			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					n.app.Mem.WriteF32(t.elemAddrN(b, ci, y, x), n.rng.Float32()*2-1)
-				}
+				n.fill(t.elemAddrN(b, ci, y, 0), w, -0.5, 2)
 			}
 		}
 	}
@@ -181,19 +184,34 @@ func (n *Net) NewMat(r, c int) Mat {
 // InputMat allocates a matrix filled with deterministic values in [-1, 1).
 func (n *Net) InputMat(r, c int) Mat {
 	m := n.NewMat(r, c)
-	for i := 0; i < m.words(); i++ {
-		n.app.Mem.WriteF32(m.Base+uint64(4*i), n.rng.Float32()*2-1)
-	}
+	n.fill(m.Base, m.words(), -0.5, 2)
 	return m
 }
+
+// fill stores words values (x+off)*scale at base, x running over the
+// network generator's next Float32 draws (workloads.RNG.Float32s).
+func (n *Net) fill(base uint64, words int, off, scale float32) {
+	n.app.Mem.FillFloats(base, words, func(c []float32) { n.rng.Float32s(c, off, scale) })
+}
+
+// Weight buffers hold draws x mapped to (x-0.5)*0.2.
+const weightOff, weightScale = -0.5, 0.2
 
 // allocWeights fills a weight buffer with small deterministic values.
 func (n *Net) allocWeights(words int) uint64 {
 	base := n.app.Mem.Alloc(uint64(4 * words))
-	for i := 0; i < words; i++ {
-		n.app.Mem.WriteF32(base+uint64(4*i), (n.rng.Float32()-0.5)*0.2)
-	}
+	n.drawnAt[base] = *n.rng
+	n.fill(base, words, weightOff, weightScale)
 	return base
+}
+
+// initialWeights regenerates the values allocWeights stored in the words
+// of the weight buffer at base.
+func (n *Net) initialWeights(base uint64, words int) []float32 {
+	r := n.drawnAt[base]
+	w := make([]float32, words)
+	r.Float32s(w, weightOff, weightScale)
+	return w
 }
 
 // program returns a cached program, building it on first use; layers with

@@ -13,8 +13,8 @@ import (
 // conv/conv/fc network at batch > 1. The backward kernels are the
 // unique-writer generators in backward.go; the Check replays every kernel
 // on the host in the exact float32 order and demands bit equality,
-// including the in-place SGD weight updates (verified against weight
-// snapshots taken at build time).
+// including the in-place SGD weight updates (verified against the initial
+// weights, regenerated from the network's seed).
 
 const trainLR = 0.01
 
@@ -92,22 +92,6 @@ func (n *Net) SGD(name string, w, g uint64, nwords int, lr float32) {
 	n.addLaunch(name, p, warps, 1, []uint32{uint32(w), uint32(g)})
 }
 
-// trainNet carries build-time snapshots for the training-step Check.
-type trainNet struct {
-	n      *Net
-	snaps  map[uint64][]float32 // weight buffers, pre-update values
-	checks []func(m *mem.Flat) error
-}
-
-// snapshot records the current contents of a weight buffer; SGD later
-// mutates it in place, so checks of kernels that consumed the original
-// values read the snapshot instead of memory.
-func (t *trainNet) snapshot(base uint64, words int) []float32 {
-	s := t.n.Mem().ReadFloats(base, words)
-	t.snaps[base] = s
-	return s
-}
-
 // hostGet reads element (b, c, y, x) of a tensor image, allowing indices
 // inside the halo — exactly the reads the conv kernels perform.
 func hostGet(buf []float32, t Tensor, b, c, y, x int) float32 {
@@ -121,9 +105,7 @@ func BuildTrainingStep(batch int) (*workloads.App, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("dnn: training step batch %d must be positive", batch)
 	}
-	t := &trainNet{snaps: make(map[uint64][]float32)}
-	t.n = NewNet(fmt.Sprintf("TrainStep-b%d", batch), 0x5d9+uint64(batch))
-	n := t.n
+	n := NewNet(fmt.Sprintf("TrainStep-b%d", batch), 0x5d9+uint64(batch))
 
 	in := n.InputBatch(batch, 8, 8, 8, 1)
 	t1 := n.Conv("conv1", in, 16, 3, 1, 1, 1, true)
@@ -141,9 +123,7 @@ func BuildTrainingStep(batch int) (*workloads.App, error) {
 	inN := t2.C * t2.H * t2.W
 	dY := Tensor{N: batch, C: 64, H: 1, W: 1}
 	dY.Base = n.Mem().Alloc(uint64(4 * batch * 64))
-	for i := 0; i < batch*64; i++ {
-		n.Mem().WriteF32(dY.Base+uint64(4*i), (n.rng.Float32()-0.5)*0.5)
-	}
+	n.fill(dY.Base, batch*64, -0.5, 0.5)
 
 	// Backward.
 	dXfc, dWfc, dBfc := n.FCBackward("fc.bwd", t2, dY, wfc)
@@ -154,10 +134,6 @@ func BuildTrainingStep(batch int) (*workloads.App, error) {
 	dW1 := n.ConvBackwardWeights("conv1.bwd.dw", cs1, in, dP1)
 
 	// SGD updates (in place).
-	w1s := t.snapshot(w1, cs1.CO*cs1.CI*9)
-	w2s := t.snapshot(w2, cs2.CO*cs2.CI*9)
-	wfcs := t.snapshot(wfc, inN*64)
-	bfcs := t.snapshot(bfc, 64)
 	n.SGD("sgd.w1", w1, dW1, cs1.CO*cs1.CI*9, trainLR)
 	n.SGD("sgd.w2", w2, dW2, cs2.CO*cs2.CI*9, trainLR)
 	n.SGD("sgd.wfc", wfc, dWfc, inN*64, trainLR)
@@ -165,7 +141,13 @@ func BuildTrainingStep(batch int) (*workloads.App, error) {
 
 	app := n.App()
 	app.Check = func() error {
+		// SGD has overwritten the weights the forward and backward
+		// kernels read; regenerate those.
 		m := app.Mem
+		w1s := n.initialWeights(w1, cs1.CO*cs1.CI*9)
+		w2s := n.initialWeights(w2, cs2.CO*cs2.CI*9)
+		wfcs := n.initialWeights(wfc, inN*64)
+		bfcs := n.initialWeights(bfc, 64)
 		if err := checkConvFwd(m, "conv1", cs1, in, w1s, t1); err != nil {
 			return err
 		}

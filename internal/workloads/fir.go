@@ -8,8 +8,13 @@ import (
 	"photon/internal/sim/mem"
 )
 
-// firTaps is the filter order, matching Hetero-Mark's default of 16.
-const firTaps = 16
+// firTaps is the filter order, matching Hetero-Mark's default of 16. The
+// input is n+taps Float32 draws from firSeed mapped to [-1, 1) as ReLU's
+// are, the coefficients the next taps draws.
+const (
+	firTaps = 16
+	firSeed = 0xf12
+)
 
 // firProgram computes out[i] = sum_k coeff[k]*in[i+k] for i < n. The input
 // buffer is n+taps long so the loop needs no bounds handling.
@@ -51,17 +56,9 @@ func BuildFIR(warps int) (*App, error) {
 	coeff := m.Alloc(4 * firTaps)
 	out := m.Alloc(uint64(4 * n))
 
-	rng := NewRNG(0xf12)
-	hostIn := make([]float32, n+firTaps)
-	for i := range hostIn {
-		hostIn[i] = rng.Float32()*2 - 1
-	}
-	hostCo := make([]float32, firTaps)
-	for i := range hostCo {
-		hostCo[i] = rng.Float32()
-	}
-	m.WriteFloats(in, hostIn)
-	m.WriteFloats(coeff, hostCo)
+	rng := NewRNG(firSeed)
+	m.FillFloats(in, n+firTaps, func(c []float32) { rng.Float32s(c, -0.5, 2) })
+	m.FillFloats(coeff, firTaps, func(c []float32) { rng.Float32s(c, 0, 1) })
 
 	l := &kernel.Launch{
 		Name:          "fir",
@@ -74,11 +71,15 @@ func BuildFIR(warps int) (*App, error) {
 	app := &App{Name: "FIR", Mem: m, Launches: []*kernel.Launch{l}}
 	app.Check = func() error {
 		// Spot-check a spread of outputs against the host reference,
-		// reproducing the kernel's float32 accumulation order.
+		// reproducing the kernel's float32 accumulation order over inputs
+		// regenerated from the seed.
+		var co, win [firTaps]float32
+		rngAt(firSeed, n+firTaps).Float32s(co[:], 0, 1)
 		for i := 0; i < n; i += max(1, n/257) {
+			rngAt(firSeed, i).Float32s(win[:], -0.5, 2)
 			var want float32
 			for k := 0; k < firTaps; k++ {
-				want = hostIn[i+k]*hostCo[k] + want
+				want = win[k]*co[k] + want
 			}
 			if got := m.ReadF32(out + uint64(4*i)); got != want {
 				return fmt.Errorf("fir: out[%d] = %v, want %v", i, got, want)

@@ -47,21 +47,28 @@ func BuildHistogram(warps int) (*App, error) {
 	data := m.Alloc(uint64(4 * n))
 	bins := m.Alloc(4 * histBins)
 
+	// Each value takes two draws: the first picks a hot bin (half the values
+	// land in 8 hot bins) or any bin, the second which one. Both are taken
+	// modulo powers of two, so the low halves of the draws decide them.
 	rng := NewRNG(0x415)
-	hostData := make([]uint32, n)
-	want := make([]uint32, histBins)
-	for i := range hostData {
-		// Skewed: half the values land in 8 hot bins.
-		var v int
-		if rng.Intn(2) == 0 {
-			v = rng.Intn(8) * 32
-		} else {
-			v = rng.Intn(histBins)
+	var want [histBins]uint32
+	var draws []uint32
+	m.FillWords(data, n, func(c []uint32) {
+		if cap(draws) < 2*len(c) {
+			draws = make([]uint32, 2*len(c))
 		}
-		hostData[i] = uint32(v)
-		want[v]++
-	}
-	m.WriteWords(data, hostData)
+		d := draws[:2*len(c)]
+		rng.Uint32s(d)
+		for i := range c {
+			pick, bin := d[2*i], d[2*i+1]
+			v := bin % histBins
+			if pick%2 == 0 {
+				v = bin % 8 * 32
+			}
+			c[i] = v
+			want[v]++
+		}
+	})
 
 	l := &kernel.Launch{
 		Name:          "histogram",

@@ -154,16 +154,9 @@ func BuildKMeans(warps int) (*App, error) {
 	}
 
 	rng := NewRNG(0x4235)
-	hostPts := make([]float32, n*kmDims)
-	for i := range hostPts {
-		hostPts[i] = rng.Float32() * 10
-	}
-	m.WriteFloats(points, hostPts)
-	hostInit := make([]float32, kmClusters*kmDims)
-	for i := range hostInit {
-		hostInit[i] = rng.Float32() * 10
-	}
-	m.WriteFloats(centroids, hostInit)
+	scaled := func(c []float32) { rng.Float32s(c, 0, 10) }
+	m.FillFloats(points, n*kmDims, scaled)
+	m.FillFloats(centroids, kmClusters*kmDims, scaled)
 
 	clearWords := kmClusters*kmDims + kmClusters
 	clearWarps := (clearWords + kernel.WavefrontSize - 1) / kernel.WavefrontSize

@@ -105,15 +105,16 @@ func BuildMM(warps int) (*App, error) {
 	a := m.Alloc(words)
 	bb := m.Alloc(words)
 	c := m.Alloc(words)
-	rng := NewRNG(0x3434)
-	hostA := make([]float32, n*n)
-	hostB := make([]float32, n*n)
-	for i := range hostA {
-		hostA[i] = rng.Float32() - 0.5
-		hostB[i] = rng.Float32() - 0.5
+	// A and B interleave: element i of A is draw 2i, of B draw 2i+1.
+	for k, buf := range []uint64{a, bb} {
+		rng := rngAt(mmSeed, k)
+		m.FillFloats(buf, n*n, func(c []float32) {
+			for i := range c {
+				c[i] = rng.Float32() - 0.5
+				rng.Skip(1)
+			}
+		})
 	}
-	m.WriteFloats(a, hostA)
-	m.WriteFloats(bb, hostB)
 
 	l := &kernel.Launch{
 		Name:          "mm",
@@ -131,7 +132,7 @@ func BuildMM(warps int) (*App, error) {
 			row, col := idx/n, idx%n
 			var want float32
 			for k := 0; k < n; k++ {
-				want = hostA[row*n+k]*hostB[k*n+col] + want
+				want = mmElem(2*(row*n+k))*mmElem(2*(k*n+col)+1) + want
 			}
 			got := m.ReadF32(c + uint64(4*idx))
 			if !approxEqual(got, want, 1e-3) {
@@ -142,6 +143,11 @@ func BuildMM(warps int) (*App, error) {
 	}
 	return app, nil
 }
+
+const mmSeed = 0x3434
+
+// mmElem regenerates draw i of MM's inputs.
+func mmElem(i int) float32 { return rngAt(mmSeed, i).Float32() - 0.5 }
 
 func approxEqual(a, b, tol float32) bool {
 	d := a - b

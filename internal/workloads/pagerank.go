@@ -77,6 +77,24 @@ func prGatherProgram(base float32) *isa.Program {
 	return b.MustBuild()
 }
 
+const prSeed = 0x96a6e
+
+// prInvDeg returns each node's inverse out-degree, 0 for a node with no
+// out-edges, from the sources of every in-edge.
+func prInvDeg(srcs []uint32, nodes int) []float32 {
+	outDeg := make([]int, nodes)
+	for _, src := range srcs {
+		outDeg[src]++
+	}
+	invDeg := make([]float32, nodes)
+	for i, d := range outDeg {
+		if d > 0 {
+			invDeg[i] = 1 / float32(d)
+		}
+	}
+	return invDeg
+}
+
 // BuildPageRank constructs PR-X for X = nodes. The node count must be a
 // multiple of the wavefront size.
 func BuildPageRank(nodes int) (*App, error) {
@@ -86,35 +104,18 @@ func BuildPageRank(nodes int) (*App, error) {
 	}
 	warps := nodes / kernel.WavefrontSize
 	m := mem.NewFlat()
-	graph := makeCSR(nodes, nodes, 0x96a6e) // row v lists in-edges of v
-
-	// Out-degrees derive from the in-edge lists.
-	outDeg := make([]int, nodes)
-	for _, src := range graph.colIdx {
-		outDeg[src]++
-	}
-	invDeg := make([]float32, nodes)
-	for i, d := range outDeg {
-		if d > 0 {
-			invDeg[i] = 1 / float32(d)
-		}
-	}
-
-	rowPtr := m.Alloc(uint64(4 * (nodes + 1)))
-	srcIdx := m.Alloc(uint64(4 * len(graph.colIdx)))
+	// Row v of the graph lists the in-edges of v.
+	rowPtr, srcIdx, _, nnz := writeCSR(m, nodes, nodes, prSeed, false)
 	rankA := m.Alloc(uint64(4 * nodes))
 	rankB := m.Alloc(uint64(4 * nodes))
 	invDegBuf := m.Alloc(uint64(4 * nodes))
 	contrib := m.Alloc(uint64(4 * nodes))
-
-	m.WriteWords(rowPtr, graph.rowPtr)
-	m.WriteWords(srcIdx, graph.colIdx)
-	m.WriteFloats(invDegBuf, invDeg)
-	initRank := make([]float32, nodes)
-	for i := range initRank {
-		initRank[i] = 1 / float32(nodes)
-	}
-	m.WriteFloats(rankA, initRank)
+	m.WriteFloats(invDegBuf, prInvDeg(m.ReadWords(srcIdx, nnz), nodes))
+	m.FillFloats(rankA, nodes, func(c []float32) {
+		for i := range c {
+			c[i] = 1 / float32(nodes)
+		}
+	})
 
 	base := float32(1-prDamping) / float32(nodes)
 	contribProg := prContribProgram()
@@ -139,9 +140,13 @@ func BuildPageRank(nodes int) (*App, error) {
 	app.Check = func() error {
 		// Host reference with the same float32 arithmetic and iteration
 		// count; `in` holds the final ranks after the last swap.
+		graph := makeCSR(nodes, nodes, prSeed)
+		invDeg := prInvDeg(graph.colIdx, nodes)
 		rank := make([]float32, nodes)
 		next := make([]float32, nodes)
-		copy(rank, initRank)
+		for i := range rank {
+			rank[i] = 1 / float32(nodes)
+		}
 		hc := make([]float32, nodes)
 		for it := 0; it < prIterations; it++ {
 			for i := range hc {

@@ -15,7 +15,20 @@ import (
 // stresses barriers and LDS far more than the Table 2 kernels (8 barriers
 // per workgroup), with a geometrically shrinking grid across passes.
 
-const redGroupSize = 256 // threads per workgroup (4 warps)
+const (
+	redGroupSize = 256 // threads per workgroup (4 warps)
+	redSeed      = 0x4edc
+)
+
+// reduceGroup tree-reduces one workgroup's values in the kernel's order.
+func reduceGroup(buf *[redGroupSize]float32) float32 {
+	for stride := redGroupSize / 2; stride >= 1; stride /= 2 {
+		for t := 0; t < stride; t++ {
+			buf[t] = buf[t] + buf[t+stride]
+		}
+	}
+	return buf[0]
+}
 
 // reductionProgram: out[wg] = sum(in[wg*256 .. wg*256+255]).
 // Args: s8=in, s9=out, s10=n.
@@ -77,12 +90,8 @@ func BuildReduction(warps int) (*App, error) {
 	m := mem.NewFlat()
 	n := warps * kernel.WavefrontSize
 	in := m.Alloc(uint64(4 * n))
-	rng := NewRNG(0x4edc)
-	host := make([]float32, n)
-	for i := range host {
-		host[i] = rng.Float32()
-	}
-	m.WriteFloats(in, host)
+	rng := NewRNG(redSeed)
+	m.FillFloats(in, n, func(c []float32) { rng.Float32s(c, 0, 1) })
 
 	prog := reductionProgram()
 	app := &App{Name: "Reduction", Mem: m}
@@ -102,25 +111,22 @@ func BuildReduction(warps int) (*App, error) {
 	}
 
 	app.Check = func() error {
-		// Replay the exact tree-reduction order in float32 on the host.
-		level := make([]float32, n)
-		copy(level, host)
+		// Replay the exact tree-reduction order in float32 on the host, the
+		// first pass over groups of inputs regenerated from the seed.
+		var buf [redGroupSize]float32
+		rng := NewRNG(redSeed)
+		level := make([]float32, (n+redGroupSize-1)/redGroupSize)
+		for g := range level {
+			buf = [redGroupSize]float32{}
+			rng.Float32s(buf[:min(redGroupSize, n-g*redGroupSize)], 0, 1)
+			level[g] = reduceGroup(&buf)
+		}
 		for len(level) > 1 {
-			groups := (len(level) + redGroupSize - 1) / redGroupSize
-			next := make([]float32, groups)
-			for g := 0; g < groups; g++ {
-				var buf [redGroupSize]float32
-				for t := 0; t < redGroupSize; t++ {
-					if idx := g*redGroupSize + t; idx < len(level) {
-						buf[t] = level[idx]
-					}
-				}
-				for stride := redGroupSize / 2; stride >= 1; stride /= 2 {
-					for t := 0; t < stride; t++ {
-						buf[t] = buf[t] + buf[t+stride]
-					}
-				}
-				next[g] = buf[0]
+			next := make([]float32, (len(level)+redGroupSize-1)/redGroupSize)
+			for g := range next {
+				buf = [redGroupSize]float32{}
+				copy(buf[:], level[g*redGroupSize:])
+				next[g] = reduceGroup(&buf)
 			}
 			level = next
 		}

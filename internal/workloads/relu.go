@@ -25,6 +25,10 @@ func reluProgram() *isa.Program {
 	return b.MustBuild()
 }
 
+// reluSeed seeds ReLU's input, successive Float32 draws x mapped to x*2-1
+// in [-1, 1).
+const reluSeed = 0x2e1a
+
 // BuildReLU constructs the ReLU benchmark (DNNMark) at the given problem
 // size in warps: a single elementwise kernel over warps*64 values.
 func BuildReLU(warps int) (*App, error) {
@@ -35,12 +39,8 @@ func BuildReLU(warps int) (*App, error) {
 	n := warps * kernel.WavefrontSize
 	in := m.Alloc(uint64(4 * n))
 	out := m.Alloc(uint64(4 * n))
-	rng := NewRNG(0x2e1a)
-	host := make([]float32, n)
-	for i := range host {
-		host[i] = rng.Float32()*2 - 1
-	}
-	m.WriteFloats(in, host)
+	rng := NewRNG(reluSeed)
+	m.FillFloats(in, n, func(c []float32) { rng.Float32s(c, -0.5, 2) })
 
 	l := &kernel.Launch{
 		Name:          "relu",
@@ -52,13 +52,15 @@ func BuildReLU(warps int) (*App, error) {
 	}
 	app := &App{Name: "ReLU", Mem: m, Launches: []*kernel.Launch{l}}
 	app.Check = func() error {
-		for i, x := range host {
-			want := x
-			if want < 0 {
-				want = 0
-			}
-			if got := m.ReadF32(out + uint64(4*i)); got != want {
-				return fmt.Errorf("relu: out[%d] = %v, want %v", i, got, want)
+		rng := NewRNG(reluSeed)
+		var c [1 << 12]float32
+		for i := 0; i < n; i += len(c) {
+			x := c[:min(len(c), n-i)]
+			rng.Float32s(x, -0.5, 2)
+			for j, v := range x {
+				if got, want := m.ReadF32(out+uint64(4*(i+j))), max(v, 0); got != want {
+					return fmt.Errorf("relu: out[%d] = %v, want %v", i+j, got, want)
+				}
 			}
 		}
 		return nil

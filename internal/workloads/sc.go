@@ -12,6 +12,7 @@ const (
 	scWidth    = 512 // image width (power of two so x/y come from shifts)
 	scMaskDim  = 5   // 5x5 convolution mask
 	scMaskhalf = scMaskDim / 2
+	scSeed     = 0x5c // the image is n Float32 draws, the mask the next 25 less 0.5
 )
 
 // scProgram computes a 5x5 convolution over a W×H single-channel image with
@@ -74,17 +75,9 @@ func BuildSC(warps int) (*App, error) {
 	maskBuf := m.Alloc(4 * scMaskDim * scMaskDim)
 	out := m.Alloc(uint64(4 * n))
 
-	rng := NewRNG(0x5c)
-	hostIn := make([]float32, n)
-	for i := range hostIn {
-		hostIn[i] = rng.Float32()
-	}
-	hostMask := make([]float32, scMaskDim*scMaskDim)
-	for i := range hostMask {
-		hostMask[i] = rng.Float32() - 0.5
-	}
-	m.WriteFloats(in, hostIn)
-	m.WriteFloats(maskBuf, hostMask)
+	rng := NewRNG(scSeed)
+	m.FillFloats(in, n, func(c []float32) { rng.Float32s(c, 0, 1) })
+	m.FillFloats(maskBuf, scMaskDim*scMaskDim, func(c []float32) { rng.Float32s(c, -0.5, 1) })
 
 	l := &kernel.Launch{
 		Name:          "sc",
@@ -105,13 +98,15 @@ func BuildSC(warps int) (*App, error) {
 			}
 			return v
 		}
+		var mask [scMaskDim * scMaskDim]float32
+		rngAt(scSeed, n).Float32s(mask[:], -0.5, 1)
 		for i := 0; i < n; i += max(1, n/211) {
 			x, y := i%scWidth, i/scWidth
 			var want float32
 			for k := 0; k < scMaskDim*scMaskDim; k++ {
 				iy := clamp(y+k/scMaskDim-scMaskhalf, 0, h-1)
 				ix := clamp(x+k%scMaskDim-scMaskhalf, 0, scWidth-1)
-				want = hostIn[iy*scWidth+ix]*hostMask[k] + want
+				want = rngAt(scSeed, iy*scWidth+ix).Float32()*mask[k] + want
 			}
 			if got := m.ReadF32(out + uint64(4*i)); got != want {
 				return fmt.Errorf("sc: out[%d] = %v, want %v", i, got, want)

@@ -13,37 +13,102 @@ import (
 // ones), which is what makes SpMV the paper's canonical irregular workload:
 // warps have divergent inner-loop trip counts and gather accesses.
 type csr struct {
-	rows    int
-	cols    int
-	rowPtr  []uint32
-	colIdx  []uint32
-	values  []float32
-	maxilen int
+	rowPtr []uint32
+	colIdx []uint32
+	values []float32
 }
 
+// csrGen draws a synthetic sparse matrix row by row: each row's length,
+// then its entries, each a column index and a value.
+type csrGen struct {
+	rng  *RNG
+	cols int
+	d    [2 * 64]uint64 // a row's draws
+}
+
+func newCSRGen(cols int, seed uint64) *csrGen { return &csrGen{rng: NewRNG(seed), cols: cols} }
+
+// rowLen draws the next row's length. The mean row is 0.8*4.5 + 0.2*35.5 =
+// 10.7 entries long.
+func (g *csrGen) rowLen() int {
+	if g.rng.Intn(100) < 80 {
+		return 1 + g.rng.Intn(8) // short row
+	}
+	return 8 + g.rng.Intn(56) // long tail, up to 64
+}
+
+// row draws the next row and appends its entries to cols and vals.
+func (g *csrGen) row(cols []uint32, vals []float32) ([]uint32, []float32) {
+	n := g.rowLen()
+	d := g.d[:2*n]
+	g.rng.Uint64s(d)
+	for k := 0; k < n; k++ {
+		col := d[2*k]
+		if g.cols&(g.cols-1) == 0 { // the same residue as Intn, without a division
+			col &= uint64(g.cols - 1)
+		} else {
+			col %= uint64(g.cols)
+		}
+		cols = append(cols, uint32(col))
+		vals = append(vals, unit(d[2*k+1])-0.5)
+	}
+	return cols, vals
+}
+
+// skipRow draws the next row's length and skips its entries.
+func (g *csrGen) skipRow() int {
+	n := g.rowLen()
+	g.rng.Skip(2 * n)
+	return n
+}
+
+// makeCSR generates the matrix on the host, for the builders and Checks
+// that walk it as a graph.
 func makeCSR(rows, cols int, seed uint64) *csr {
-	rng := NewRNG(seed)
-	// The mean row is 0.8*4.5 + 0.2*35.5 = 10.7 entries long: size the entry
-	// arrays for that once, so append rarely has to grow and copy them.
-	c := &csr{rows: rows, cols: cols, rowPtr: make([]uint32, rows+1),
+	g := newCSRGen(cols, seed)
+	c := &csr{rowPtr: make([]uint32, rows+1),
 		colIdx: make([]uint32, 0, 11*rows), values: make([]float32, 0, 11*rows)}
 	for r := 0; r < rows; r++ {
-		var rowLen int
-		if rng.Intn(100) < 80 {
-			rowLen = 1 + rng.Intn(8) // short row
-		} else {
-			rowLen = 8 + rng.Intn(56) // long tail, up to 64
-		}
-		if rowLen > c.maxilen {
-			c.maxilen = rowLen
-		}
-		for k := 0; k < rowLen; k++ {
-			c.colIdx = append(c.colIdx, uint32(rng.Intn(cols)))
-			c.values = append(c.values, rng.Float32()-0.5)
-		}
+		c.colIdx, c.values = g.row(c.colIdx, c.values)
 		c.rowPtr[r+1] = uint32(len(c.colIdx))
 	}
 	return c
+}
+
+// writeCSR generates the matrix straight into the image. It allocates and
+// fills the row pointers, then the column indices and, when withValues, the
+// values, and returns their bases and the entry count. The first pass draws
+// only the row lengths, which size the entry arrays; the second draws the
+// entries and stores them a chunk of rows at a time.
+func writeCSR(m *mem.Flat, rows, cols int, seed uint64, withValues bool) (rowPtr, colIdx, vals uint64, nnz int) {
+	rowPtr = m.Alloc(uint64(4 * (rows + 1)))
+	g, r := newCSRGen(cols, seed), 0
+	m.FillWords(rowPtr, rows+1, func(c []uint32) {
+		for i := range c {
+			c[i] = uint32(nnz)
+			if r < rows {
+				nnz += g.skipRow()
+				r++
+			}
+		}
+	})
+	colIdx = m.Alloc(uint64(4 * nnz))
+	if withValues {
+		vals = m.Alloc(uint64(4 * nnz))
+	}
+	g = newCSRGen(cols, seed)
+	cs, vs := make([]uint32, 0, 1<<12+64), make([]float32, 0, 1<<12+64)
+	for r, at := 0, uint64(0); r < rows; r++ {
+		if cs, vs = g.row(cs, vs); len(cs) >= 1<<12 || r == rows-1 {
+			m.WriteWords(colIdx+at, cs)
+			if withValues {
+				m.WriteFloats(vals+at, vs)
+			}
+			at += uint64(4 * len(cs))
+			cs, vs = cs[:0], vs[:0]
+		}
+	}
+	return rowPtr, colIdx, vals, nnz
 }
 
 // spmvProgram computes y = A*x over CSR, one thread per row, with a
@@ -86,6 +151,12 @@ func spmvProgram() *isa.Program {
 	return b.MustBuild()
 }
 
+// spmvSeed seeds the matrix, spmvXSeed the vector x.
+const (
+	spmvSeed  = 0x59317
+	spmvXSeed = 0x77
+)
+
 // BuildSPMV constructs the SpMV benchmark (SHOC) at the given problem size
 // in warps; the matrix has warps*64 rows and as many columns.
 func BuildSPMV(warps int) (*App, error) {
@@ -94,23 +165,11 @@ func BuildSPMV(warps int) (*App, error) {
 	}
 	m := mem.NewFlat()
 	rows := warps * kernel.WavefrontSize
-	c := makeCSR(rows, rows, 0x59317)
-
-	rowPtr := m.Alloc(uint64(4 * (rows + 1)))
-	colIdx := m.Alloc(uint64(4 * len(c.colIdx)))
-	vals := m.Alloc(uint64(4 * len(c.values)))
+	rowPtr, colIdx, vals, _ := writeCSR(m, rows, rows, spmvSeed, true)
 	x := m.Alloc(uint64(4 * rows))
 	y := m.Alloc(uint64(4 * rows))
-
-	m.WriteWords(rowPtr, c.rowPtr)
-	m.WriteWords(colIdx, c.colIdx)
-	m.WriteFloats(vals, c.values)
-	rng := NewRNG(0x77)
-	hostX := make([]float32, rows)
-	for i := range hostX {
-		hostX[i] = rng.Float32()
-	}
-	m.WriteFloats(x, hostX)
+	rng := NewRNG(spmvXSeed)
+	m.FillFloats(x, rows, func(c []float32) { rng.Float32s(c, 0, 1) })
 
 	l := &kernel.Launch{
 		Name:          "spmv",
@@ -125,10 +184,19 @@ func BuildSPMV(warps int) (*App, error) {
 	}
 	app := &App{Name: "SPMV", Mem: m, Launches: []*kernel.Launch{l}}
 	app.Check = func() error {
-		for r := 0; r < rows; r += max(1, rows/173) {
+		// Regenerate the matrix row by row and x element by element.
+		g := newCSRGen(rows, spmvSeed)
+		var cols []uint32
+		var vals []float32
+		for r := 0; r < rows; r++ {
+			if r%max(1, rows/173) != 0 {
+				g.skipRow()
+				continue
+			}
+			cols, vals = g.row(cols[:0], vals[:0])
 			var want float32
-			for k := c.rowPtr[r]; k < c.rowPtr[r+1]; k++ {
-				want = hostX[c.colIdx[k]]*c.values[k] + want
+			for k, col := range cols {
+				want = rngAt(spmvXSeed, int(col)).Float32()*vals[k] + want
 			}
 			if got := m.ReadF32(y + uint64(4*r)); got != want {
 				return fmt.Errorf("spmv: y[%d] = %v, want %v", r, got, want)

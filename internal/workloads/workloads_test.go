@@ -183,6 +183,10 @@ func TestTable2Registry(t *testing.T) {
 
 func TestCSRShape(t *testing.T) {
 	c := makeCSR(1000, 1000, 7)
+	maxLen := uint32(0)
+	for r := 0; r < 1000; r++ {
+		maxLen = max(maxLen, c.rowPtr[r+1]-c.rowPtr[r])
+	}
 	if int(c.rowPtr[1000]) != len(c.colIdx) || len(c.colIdx) != len(c.values) {
 		t.Fatal("CSR arrays inconsistent")
 	}
@@ -191,8 +195,8 @@ func TestCSRShape(t *testing.T) {
 	if mean < 1 || mean > 24 {
 		t.Fatalf("mean row length %v out of expected band", mean)
 	}
-	if c.maxilen <= 32 {
-		t.Fatalf("max row length %d; want a long tail > 32", c.maxilen)
+	if maxLen <= 32 {
+		t.Fatalf("max row length %d; want a long tail > 32", maxLen)
 	}
 	for _, col := range c.colIdx {
 		if int(col) >= 1000 {
@@ -249,5 +253,61 @@ func TestAppWithBlockOptions(t *testing.T) {
 	}
 	if err := split.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRNGChunksMatchCalls holds the chunk fills to the values of successive
+// single calls, across chunk boundaries and after a Skip.
+func TestRNGChunksMatchCalls(t *testing.T) {
+	one, chunk := NewRNG(0x51), NewRNG(0x51)
+	for _, n := range []int{0, 1, 7, 64, 1000} {
+		f := make([]float32, n)
+		chunk.Float32s(f, 0, 1)
+		for i, got := range f {
+			if want := one.Float32(); got != want {
+				t.Fatalf("Float32s chunk %d [%d] = %v, Float32 %v", n, i, got, want)
+			}
+		}
+		u := make([]uint64, n)
+		chunk.Uint64s(u)
+		for i, got := range u {
+			if want := one.Uint64(); got != want {
+				t.Fatalf("Uint64s chunk %d [%d] = %#x, Uint64 %#x", n, i, got, want)
+			}
+		}
+		w := make([]uint32, n)
+		chunk.Uint32s(w)
+		for i, got := range w {
+			if want := uint32(one.Uint64()); got != want {
+				t.Fatalf("Uint32s chunk %d [%d] = %#x, Uint64 %#x", n, i, got, want)
+			}
+		}
+		chunk.Skip(n)
+		for range n {
+			one.Uint64()
+		}
+	}
+}
+
+// TestFloat32sMapsAreExact checks, for every value Float32 can return, that
+// each (off, scale) map the builders pass Float32s rounds exactly as the
+// expression it stands for.
+func TestFloat32sMapsAreExact(t *testing.T) {
+	for k := 0; k < 1<<24; k++ {
+		x := float32(k) / (1 << 24)
+		for _, c := range []struct {
+			off, scale, want float32
+		}{
+			{-0.5, 2, x*2 - 1},
+			{0, 1, x},
+			{-0.5, 1, x - 0.5},
+			{0, 10, x * 10},
+			{-0.5, 0.2, (x - 0.5) * 0.2},
+			{-0.5, 0.5, (x - 0.5) * 0.5},
+		} {
+			if got := (x + c.off) * c.scale; got != c.want {
+				t.Fatalf("x=%v: (x%+v)*%v = %v, want %v", x, c.off, c.scale, got, c.want)
+			}
+		}
 	}
 }
