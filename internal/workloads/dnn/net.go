@@ -121,10 +121,12 @@ type Net struct {
 	app   *workloads.App
 	rng   *workloads.RNG
 	progs map[string]*isa.Program
-	// drawnAt is the generator as it stood before each weight buffer,
-	// keyed by the buffer's base, so a Check can regenerate the buffer's
-	// initial values after a kernel has updated it in place.
+	// drawnAt is the generator as it stood before each weight buffer, each
+	// InputBatch tensor and the training step's loss gradient, keyed by the
+	// buffer's base, so a Check can regenerate the buffer's initial values
+	// instead of reading back what a kernel may have overwritten.
 	drawnAt map[uint64]workloads.RNG
+	scratch [256]float32 // fill's chunk
 }
 
 // NewNet creates an empty network named name.
@@ -164,14 +166,30 @@ func (n *Net) Input(c, h, w, pad int) Tensor {
 // InputBatch allocates a batched network input with deterministic values.
 func (n *Net) InputBatch(nb, c, h, w, pad int) Tensor {
 	t := n.NewBatchTensor(nb, c, h, w, pad)
+	n.drawnAt[t.Base] = *n.rng
+	t.eachRow(func(i int) { n.fill(t.Base+uint64(4*i), t.W, inputOff, inputScale) })
+	return t
+}
+
+// eachRow calls row with the word offset of each sample's, channel's and
+// row's first logical element, in image order.
+func (t Tensor) eachRow(row func(i int)) {
 	for b := 0; b < t.batch(); b++ {
-		for ci := 0; ci < c; ci++ {
-			for y := 0; y < h; y++ {
-				n.fill(t.elemAddrN(b, ci, y, 0), w, -0.5, 2)
+		for c := 0; c < t.C; c++ {
+			for y := 0; y < t.H; y++ {
+				row(b*t.batchStride() + c*t.chanStride() + (y+t.Pad)*t.rowStride() + t.Pad)
 			}
 		}
 	}
-	return t
+}
+
+// initialInput regenerates the input tensor t in its image layout, halo
+// zero, as InputBatch stored it.
+func (n *Net) initialInput(t Tensor) []float32 {
+	r := n.drawnAt[t.Base]
+	buf := make([]float32, t.words())
+	t.eachRow(func(i int) { r.Float32s(buf[i:i+t.W], inputOff, inputScale) })
+	return buf
 }
 
 // NewMat allocates a zeroed r×c matrix.
@@ -184,18 +202,29 @@ func (n *Net) NewMat(r, c int) Mat {
 // InputMat allocates a matrix filled with deterministic values in [-1, 1).
 func (n *Net) InputMat(r, c int) Mat {
 	m := n.NewMat(r, c)
-	n.fill(m.Base, m.words(), -0.5, 2)
+	n.fill(m.Base, m.words(), inputOff, inputScale)
 	return m
 }
 
 // fill stores words values (x+off)*scale at base, x running over the
-// network generator's next Float32 draws (workloads.RNG.Float32s).
+// network generator's next Float32 draws (workloads.RNG.Float32s), one
+// scratch chunk at a time; the network keeps the chunk, so its many small
+// fills allocate nothing.
 func (n *Net) fill(base uint64, words int, off, scale float32) {
-	n.app.Mem.FillFloats(base, words, func(c []float32) { n.rng.Float32s(c, off, scale) })
+	for words > 0 {
+		c := n.scratch[:min(words, len(n.scratch))]
+		n.rng.Float32s(c, off, scale)
+		n.app.Mem.WriteFloats(base, c)
+		base += uint64(4 * len(c))
+		words -= len(c)
+	}
 }
 
-// Weight buffers hold draws x mapped to (x-0.5)*0.2.
-const weightOff, weightScale = -0.5, 0.2
+// Inputs hold draws x mapped to (x-0.5)*2, weight buffers to (x-0.5)*0.2.
+const (
+	inputOff, inputScale   = -0.5, 2
+	weightOff, weightScale = -0.5, 0.2
+)
 
 // allocWeights fills a weight buffer with small deterministic values.
 func (n *Net) allocWeights(words int) uint64 {
@@ -205,12 +234,12 @@ func (n *Net) allocWeights(words int) uint64 {
 	return base
 }
 
-// initialWeights regenerates the values allocWeights stored in the words
-// of the weight buffer at base.
-func (n *Net) initialWeights(base uint64, words int) []float32 {
+// redraw regenerates the words values (x+off)*scale that one fill stored
+// at base, from the generator state drawnAt recorded for base.
+func (n *Net) redraw(base uint64, words int, off, scale float32) []float32 {
 	r := n.drawnAt[base]
 	w := make([]float32, words)
-	r.Float32s(w, weightOff, weightScale)
+	r.Float32s(w, off, scale)
 	return w
 }
 

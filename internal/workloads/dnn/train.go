@@ -13,8 +13,9 @@ import (
 // conv/conv/fc network at batch > 1. The backward kernels are the
 // unique-writer generators in backward.go; the Check replays every kernel
 // on the host in the exact float32 order and demands bit equality,
-// including the in-place SGD weight updates (verified against the initial
-// weights, regenerated from the network's seed).
+// including the in-place SGD weight updates. The step's inputs (the input
+// batch, the loss gradient and the initial weights) are regenerated from
+// the network's seed, never read back from the image.
 
 const trainLR = 0.01
 
@@ -120,10 +121,12 @@ func BuildTrainingStep(batch int) (*workloads.App, error) {
 
 	// Loss gradient dY arrives from the host (a training framework would
 	// compute it from labels); fill it deterministically.
+	const dYOff, dYScale = -0.5, 0.5
 	inN := t2.C * t2.H * t2.W
 	dY := Tensor{N: batch, C: 64, H: 1, W: 1}
 	dY.Base = n.Mem().Alloc(uint64(4 * batch * 64))
-	n.fill(dY.Base, batch*64, -0.5, 0.5)
+	n.drawnAt[dY.Base] = *n.rng
+	n.fill(dY.Base, batch*64, dYOff, dYScale)
 
 	// Backward.
 	dXfc, dWfc, dBfc := n.FCBackward("fc.bwd", t2, dY, wfc)
@@ -142,22 +145,25 @@ func BuildTrainingStep(batch int) (*workloads.App, error) {
 	app := n.App()
 	app.Check = func() error {
 		// SGD has overwritten the weights the forward and backward
-		// kernels read; regenerate those.
+		// kernels read; regenerate those, and the input batch and dY.
 		m := app.Mem
-		w1s := n.initialWeights(w1, cs1.CO*cs1.CI*9)
-		w2s := n.initialWeights(w2, cs2.CO*cs2.CI*9)
-		wfcs := n.initialWeights(wfc, inN*64)
-		bfcs := n.initialWeights(bfc, 64)
-		if err := checkConvFwd(m, "conv1", cs1, in, w1s, t1); err != nil {
+		w1s := n.redraw(w1, cs1.CO*cs1.CI*9, weightOff, weightScale)
+		w2s := n.redraw(w2, cs2.CO*cs2.CI*9, weightOff, weightScale)
+		wfcs := n.redraw(wfc, inN*64, weightOff, weightScale)
+		bfcs := n.redraw(bfc, 64, weightOff, weightScale)
+		ins := n.initialInput(in)
+		dYs := n.redraw(dY.Base, batch*64, dYOff, dYScale)
+		t1s := m.ReadFloats(t1.Base, t1.words())
+		if err := checkConvFwd(m, "conv1", cs1, in, ins, w1s, t1); err != nil {
 			return err
 		}
-		if err := checkConvFwd(m, "conv2", cs2, t1, w2s, t2); err != nil {
+		if err := checkConvFwd(m, "conv2", cs2, t1, t1s, w2s, t2); err != nil {
 			return err
 		}
 		if err := checkFCFwd(m, "fc", t2, wfcs, bfcs, y); err != nil {
 			return err
 		}
-		if err := checkFCBwd(m, "fc.bwd", t2, dY, wfcs, dXfc, dWfc, dBfc); err != nil {
+		if err := checkFCBwd(m, "fc.bwd", t2, dY, dYs, wfcs, dXfc, dWfc, dBfc); err != nil {
 			return err
 		}
 		if err := checkReluBwd(m, "conv2.bwd.relu", t2, dXfc, dT2); err != nil {
@@ -166,13 +172,13 @@ func BuildTrainingStep(batch int) (*workloads.App, error) {
 		if err := checkConvBwdDX(m, "conv2.bwd.dx", cs2, dT2, w2s, dT1); err != nil {
 			return err
 		}
-		if err := checkConvBwdDW(m, "conv2.bwd.dw", cs2, t1, dT2, dW2); err != nil {
+		if err := checkConvBwdDW(m, "conv2.bwd.dw", cs2, t1, t1s, dT2, dW2); err != nil {
 			return err
 		}
 		if err := checkReluBwd(m, "conv1.bwd.relu", t1, dT1, dP1); err != nil {
 			return err
 		}
-		if err := checkConvBwdDW(m, "conv1.bwd.dw", cs1, in, dP1, dW1); err != nil {
+		if err := checkConvBwdDW(m, "conv1.bwd.dw", cs1, in, ins, dP1, dW1); err != nil {
 			return err
 		}
 		for _, u := range []struct {
@@ -194,8 +200,9 @@ func lastLaunch(n *Net) *kernel.Launch {
 	return n.App().Launches[len(n.App().Launches)-1]
 }
 
-func checkConvFwd(m *mem.Flat, name string, cs ConvSpec, in Tensor, w []float32, out Tensor) error {
-	xb := m.ReadFloats(in.Base, in.words())
+// checkConvFwd replays a forward conv over xb, the values of in in its
+// image layout.
+func checkConvFwd(m *mem.Flat, name string, cs ConvSpec, in Tensor, xb, w []float32, out Tensor) error {
 	ob := m.ReadFloats(out.Base, out.words())
 	oh, ow := cs.Out()
 	taps := cs.K * cs.K
@@ -246,12 +253,12 @@ func checkFCFwd(m *mem.Flat, name string, in Tensor, w, bias []float32, out Tens
 	return nil
 }
 
-func checkFCBwd(m *mem.Flat, name string, x, dY Tensor, w []float32, dX Tensor, dW, dB uint64) error {
+// checkFCBwd replays the FC gradient kernels over dyb, the values of dY.
+func checkFCBwd(m *mem.Flat, name string, x, dY Tensor, dyb, w []float32, dX Tensor, dW, dB uint64) error {
 	inN := x.C * x.H * x.W
 	outN := dY.C
 	batch := x.batch()
 	xb := m.ReadFloats(x.Base, batch*inN)
-	dyb := m.ReadFloats(dY.Base, batch*outN)
 	dxb := m.ReadFloats(dX.Base, batch*inN)
 	dwb := m.ReadFloats(dW, inN*outN)
 	dbb := m.ReadFloats(dB, outN)
@@ -340,8 +347,9 @@ func checkConvBwdDX(m *mem.Flat, name string, cs ConvSpec, dY Tensor, w []float3
 	return nil
 }
 
-func checkConvBwdDW(m *mem.Flat, name string, cs ConvSpec, x, dY Tensor, dW uint64) error {
-	xb := m.ReadFloats(x.Base, x.words())
+// checkConvBwdDW replays the weight-gradient kernel over xb, the values of
+// x in its image layout.
+func checkConvBwdDW(m *mem.Flat, name string, cs ConvSpec, x Tensor, xb []float32, dY Tensor, dW uint64) error {
 	dyb := m.ReadFloats(dY.Base, dY.words())
 	taps := cs.K * cs.K
 	dwb := m.ReadFloats(dW, cs.CO*cs.CI*taps)

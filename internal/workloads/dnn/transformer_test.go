@@ -83,6 +83,35 @@ func TestTrainingStepMatchesHost(t *testing.T) {
 	runApp(t, app)
 }
 
+// An image whose inputs differ from the seed's must fail the training
+// step's Check even though every kernel computed consistently from it: the
+// Check regenerates the input batch and the loss gradient instead of
+// reading them back.
+func TestTrainingStepCheckRegeneratesInputs(t *testing.T) {
+	for _, tc := range []struct {
+		launch string
+		off    uint64 // byte offset of a logical element of the launch's Args[0]
+	}{
+		{"conv1", 4 * (10 + 1)}, // the input batch: 8x8 rows with a 1-pixel halo
+		{"fc.bwd.dx", 0},        // dY
+	} {
+		app, err := BuildTrainingStep(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range app.Launches {
+			if l.Name == tc.launch {
+				addr := uint64(l.Args[0]) + tc.off
+				app.Mem.WriteF32(addr, app.Mem.ReadF32(addr)+1)
+			}
+		}
+		runAll(t, &Net{app: app})
+		if err := app.Check(); err == nil {
+			t.Errorf("%s: a changed input passed the Check", tc.launch)
+		}
+	}
+}
+
 func TestTrainingStepBatch1MatchesHost(t *testing.T) {
 	app, err := BuildTrainingStep(1)
 	if err != nil {
@@ -105,7 +134,7 @@ func TestBatchedConvPoolFCMatchHost(t *testing.T) {
 	wfs := n.Mem().ReadFloats(wf, 8*4*4*32)
 	bfs := n.Mem().ReadFloats(bf, 32)
 	runAll(t, n)
-	if err := checkConvFwd(n.Mem(), "conv", cs, in, ws, c1); err != nil {
+	if err := checkConvFwd(n.Mem(), "conv", cs, in, n.initialInput(in), ws, c1); err != nil {
 		t.Fatal(err)
 	}
 	// Host max-pool replay: (ky, kx) order over the padded image.

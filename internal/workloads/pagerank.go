@@ -104,13 +104,17 @@ func BuildPageRank(nodes int) (*App, error) {
 	}
 	warps := nodes / kernel.WavefrontSize
 	m := mem.NewFlat()
-	// Row v of the graph lists the in-edges of v.
-	rowPtr, srcIdx, _, nnz := writeCSR(m, nodes, nodes, prSeed, false)
+	graph := makeCSR(nodes, nodes, prSeed) // row v lists the in-edges of v
+	rowPtr := m.Alloc(uint64(4 * (nodes + 1)))
+	srcIdx := m.Alloc(uint64(4 * len(graph.colIdx)))
 	rankA := m.Alloc(uint64(4 * nodes))
 	rankB := m.Alloc(uint64(4 * nodes))
 	invDegBuf := m.Alloc(uint64(4 * nodes))
 	contrib := m.Alloc(uint64(4 * nodes))
-	m.WriteFloats(invDegBuf, prInvDeg(m.ReadWords(srcIdx, nnz), nodes))
+
+	m.WriteWords(rowPtr, graph.rowPtr)
+	m.WriteWords(srcIdx, graph.colIdx)
+	m.WriteFloats(invDegBuf, prInvDeg(graph.colIdx, nodes))
 	m.FillFloats(rankA, nodes, func(c []float32) {
 		for i := range c {
 			c[i] = 1 / float32(nodes)

@@ -23,7 +23,6 @@ type csr struct {
 type csrGen struct {
 	rng  *RNG
 	cols int
-	d    [2 * 64]uint64 // a row's draws
 }
 
 func newCSRGen(cols int, seed uint64) *csrGen { return &csrGen{rng: NewRNG(seed), cols: cols} }
@@ -39,76 +38,29 @@ func (g *csrGen) rowLen() int {
 
 // row draws the next row and appends its entries to cols and vals.
 func (g *csrGen) row(cols []uint32, vals []float32) ([]uint32, []float32) {
-	n := g.rowLen()
-	d := g.d[:2*n]
-	g.rng.Uint64s(d)
-	for k := 0; k < n; k++ {
-		col := d[2*k]
-		if g.cols&(g.cols-1) == 0 { // the same residue as Intn, without a division
-			col &= uint64(g.cols - 1)
-		} else {
-			col %= uint64(g.cols)
-		}
-		cols = append(cols, uint32(col))
-		vals = append(vals, unit(d[2*k+1])-0.5)
+	for k := g.rowLen(); k > 0; k-- {
+		cols = append(cols, uint32(g.rng.Intn(g.cols)))
+		vals = append(vals, g.rng.Float32()-0.5)
 	}
 	return cols, vals
 }
 
 // skipRow draws the next row's length and skips its entries.
-func (g *csrGen) skipRow() int {
-	n := g.rowLen()
-	g.rng.Skip(2 * n)
-	return n
-}
+func (g *csrGen) skipRow() { g.rng.Skip(2 * g.rowLen()) }
 
-// makeCSR generates the matrix on the host, for the builders and Checks
-// that walk it as a graph.
+// makeCSR generates the matrix on the host; a builder stores its arrays and
+// drops it.
 func makeCSR(rows, cols int, seed uint64) *csr {
 	g := newCSRGen(cols, seed)
-	c := &csr{rowPtr: make([]uint32, rows+1),
-		colIdx: make([]uint32, 0, 11*rows), values: make([]float32, 0, 11*rows)}
+	// Size the entry arrays for the mean row once, so append rarely has to
+	// grow and copy them.
+	rowPtr := make([]uint32, rows+1)
+	colIdx, values := make([]uint32, 0, 11*rows), make([]float32, 0, 11*rows)
 	for r := 0; r < rows; r++ {
-		c.colIdx, c.values = g.row(c.colIdx, c.values)
-		c.rowPtr[r+1] = uint32(len(c.colIdx))
+		colIdx, values = g.row(colIdx, values)
+		rowPtr[r+1] = uint32(len(colIdx))
 	}
-	return c
-}
-
-// writeCSR generates the matrix straight into the image. It allocates and
-// fills the row pointers, then the column indices and, when withValues, the
-// values, and returns their bases and the entry count. The first pass draws
-// only the row lengths, which size the entry arrays; the second draws the
-// entries and stores them a chunk of rows at a time.
-func writeCSR(m *mem.Flat, rows, cols int, seed uint64, withValues bool) (rowPtr, colIdx, vals uint64, nnz int) {
-	rowPtr = m.Alloc(uint64(4 * (rows + 1)))
-	g, r := newCSRGen(cols, seed), 0
-	m.FillWords(rowPtr, rows+1, func(c []uint32) {
-		for i := range c {
-			c[i] = uint32(nnz)
-			if r < rows {
-				nnz += g.skipRow()
-				r++
-			}
-		}
-	})
-	colIdx = m.Alloc(uint64(4 * nnz))
-	if withValues {
-		vals = m.Alloc(uint64(4 * nnz))
-	}
-	g = newCSRGen(cols, seed)
-	cs, vs := make([]uint32, 0, 1<<12+64), make([]float32, 0, 1<<12+64)
-	for r, at := 0, uint64(0); r < rows; r++ {
-		if cs, vs = g.row(cs, vs); len(cs) >= 1<<12 || r == rows-1 {
-			m.WriteWords(colIdx+at, cs)
-			if withValues {
-				m.WriteFloats(vals+at, vs)
-			}
-			at += uint64(4 * len(cs))
-			cs, vs = cs[:0], vs[:0]
-		}
-	}
-	return rowPtr, colIdx, vals, nnz
+	return &csr{rowPtr: rowPtr, colIdx: colIdx, values: values}
 }
 
 // spmvProgram computes y = A*x over CSR, one thread per row, with a
@@ -165,9 +117,15 @@ func BuildSPMV(warps int) (*App, error) {
 	}
 	m := mem.NewFlat()
 	rows := warps * kernel.WavefrontSize
-	rowPtr, colIdx, vals, _ := writeCSR(m, rows, rows, spmvSeed, true)
+	c := makeCSR(rows, rows, spmvSeed)
+	rowPtr := m.Alloc(uint64(4 * (rows + 1)))
+	colIdx := m.Alloc(uint64(4 * len(c.colIdx)))
+	vals := m.Alloc(uint64(4 * len(c.values)))
 	x := m.Alloc(uint64(4 * rows))
 	y := m.Alloc(uint64(4 * rows))
+	m.WriteWords(rowPtr, c.rowPtr)
+	m.WriteWords(colIdx, c.colIdx)
+	m.WriteFloats(vals, c.values)
 	rng := NewRNG(spmvXSeed)
 	m.FillFloats(x, rows, func(c []float32) { rng.Float32s(c, 0, 1) })
 

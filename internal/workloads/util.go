@@ -65,16 +65,6 @@ func (r *RNG) Float32s(dst []float32, off, scale float32) {
 	r.s = s
 }
 
-// Uint64s sets dst to the values of len(dst) successive Uint64 calls.
-func (r *RNG) Uint64s(dst []uint64) {
-	s := r.s
-	for i := range dst {
-		s += golden
-		dst[i] = mix(s)
-	}
-	r.s = s
-}
-
 // Uint32s sets dst to the low halves of len(dst) successive Uint64 calls.
 func (r *RNG) Uint32s(dst []uint32) {
 	s := r.s
